@@ -15,7 +15,8 @@
 // are bit-identical to a sequential run; see internal/runner).
 //
 // Experiments: table3, table4, fig6, fig9, fig10, fig11, fig12, fig13,
-// reconfig, budget, sampling, hybrid, dse, latency, simpar, all.
+// reconfig, budget, sampling, hybrid, dse, latency, simpar, all. Any other
+// name is an error.
 //
 // simpar measures the parallel engine: the same fleet scenario stepped
 // sequentially and concurrently (byte-identity checked, wall-clock timed)
@@ -28,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,7 +40,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (table3,table4,fig6,fig9,fig10,fig11,fig12,fig13,reconfig,budget,sampling,hybrid,dse,latency,simpar,all)")
+		exp      = flag.String("exp", "all", "experiment to run ("+strings.Join(experimentNames, ",")+")")
 		quick    = flag.Bool("quick", false, "reduced scale for a fast pass")
 		batches  = flag.Int("batches", 0, "override measured batches")
 		batch    = flag.Int("batch", 0, "override batch size (samples)")
@@ -128,7 +130,14 @@ func writeTrace(path string, tr *telemetry.Trace) error {
 	return f.Close()
 }
 
+// experimentNames lists every name run accepts.
+var experimentNames = []string{"table3", "table4", "fig6", "fig9", "fig10", "fig11", "fig12", "fig13",
+	"reconfig", "budget", "sampling", "hybrid", "dse", "latency", "simpar", "all"}
+
 func run(exp string, opt experiments.Options) error {
+	if !slices.Contains(experimentNames, exp) {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", exp, strings.Join(experimentNames, ", "))
+	}
 	want := func(name string) bool { return exp == "all" || exp == name }
 	start := time.Now()
 

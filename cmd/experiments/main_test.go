@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -18,9 +19,16 @@ func TestRunLightExperiments(t *testing.T) {
 	}
 }
 
-func TestRunUnknownExperimentIsNoop(t *testing.T) {
-	// An unrecognized name matches nothing and must not error.
-	if err := run("doesnotexist", experiments.Quick()); err != nil {
-		t.Fatal(err)
+// An unrecognized name must fail loudly, naming the valid choices, rather
+// than match nothing and exit 0.
+func TestRunUnknownExperimentFails(t *testing.T) {
+	err := run("doesnotexist", experiments.Quick())
+	if err == nil {
+		t.Fatal("unknown experiment name returned no error")
+	}
+	for _, name := range experimentNames {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list valid name %q", err, name)
+		}
 	}
 }

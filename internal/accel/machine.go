@@ -335,6 +335,22 @@ type jobEntity struct {
 	readHBM bool
 	writHBM bool
 	dynamic bool
+
+	// Process state. Each entity runs as two processes per job, the
+	// compute process (compute) and its network-interface sender (send);
+	// each resumes from its own state and loop counters.
+	job     *job
+	tok     *sim.Store // the pipeline-stage token (see Machine.entityTok)
+	sendQ   *sim.Store // chunks finished by compute, waiting for the sender
+	src     int        // physical lead tile of the entity's region
+	kstart  sim.Time   // when the first chunk began gathering inputs
+	hbmDone sim.Time   // the current chunk's HBM streaming completion
+	pc      int        // compute state
+	c, in   int        // compute: current chunk and input edge
+	sendPC  int        // sender state
+	sendC   int        // sender: current chunk
+	out     int        // sender: current output edge
+	xfer    noc.Transfer
 }
 
 // jobEdge is one producer-consumer link within a job.
@@ -365,6 +381,7 @@ func (m *Machine) Latencies() []BatchLatency {
 
 // job is one (batch, segment) unit of pipelined execution.
 type job struct {
+	m           *Machine
 	seg         *sched.Segment
 	ents        []*jobEntity
 	done        *sim.Signal
@@ -410,55 +427,10 @@ func (m *Machine) Run(batches []workload.Batch) error {
 		m.stats.Batches++
 		m.accountUsefulMACs(units, b.Density)
 	}
-	var runErr error
-	windowStart := m.env.Now()
-	lastSeg := len(m.plan.Segments) - 1
-	m.env.Go("driver", func(p *sim.Proc) {
-		var inflight []*sim.Signal
-		for si, seg := range m.plan.Segments {
-			// Prefetch this segment's weights, then drain the previous
-			// segment before its tiles are reconfigured.
-			weightReady := m.hbm.Reserve(seg.WeightBytes)
-			if n := len(inflight); n > 0 {
-				inflight[n-1].Await(p)
-				inflight = inflight[:0]
-			}
-			notBefore := p.Now()
-			for i := range batches {
-				j, err := m.prepareJob(seg, unitsPer[i], densPer[i])
-				if err != nil {
-					if runErr == nil {
-						runErr = err
-					}
-					return
-				}
-				j.weightReady = weightReady
-				j.notBefore = notBefore
-				m.spawnJob(j)
-				if si == lastSeg {
-					// Record the batch's completion for latency statistics.
-					done := j.done
-					m.env.Go("latency", func(lp *sim.Proc) {
-						done.Await(lp)
-						m.batchDone = append(m.batchDone, BatchLatency{Start: windowStart, Done: lp.Now()})
-						if m.rec.Enabled() {
-							m.rec.Span(m.batchTrack, "batch", "batch", int64(windowStart), int64(lp.Now()),
-								telemetry.I("index", int64(len(m.batchDone)-1)))
-						}
-					})
-				}
-				inflight = append(inflight, j.done)
-				if len(inflight) > inflightJobs {
-					inflight[len(inflight)-1-inflightJobs].Await(p)
-				}
-			}
-		}
-		if n := len(inflight); n > 0 {
-			inflight[n-1].Await(p)
-		}
-	})
+	d := &runDriver{m: m, segs: m.plan.Segments, units: unitsPer, dens: densPer, windowStart: m.env.Now()}
+	m.env.Spawn("driver", d.step)
 	m.env.Run()
-	if runErr == nil && m.env.Live() > 0 {
+	if d.err == nil && m.env.Live() > 0 {
 		blocked := m.env.BlockedProcs()
 		if len(blocked) > 8 {
 			blocked = blocked[:8]
@@ -466,7 +438,100 @@ func (m *Machine) Run(batches []workload.Batch) error {
 		return fmt.Errorf("accel: deadlock: %d processes blocked after drain (e.g. %v)",
 			m.env.Live(), blocked)
 	}
-	return runErr
+	return d.err
+}
+
+// runDriver is the process that feeds a Run window through the plan,
+// segment-major: it spawns every batch's job of one segment, keeping at most
+// inflightJobs of them in flight, and drains the segment before the next
+// one's tiles are reconfigured.
+type runDriver struct {
+	m           *Machine
+	segs        []*sched.Segment
+	units       []map[graph.OpID]int
+	dens        []float64
+	windowStart sim.Time
+	pc          int
+	si, i       int // current segment and batch
+	weightReady sim.Time
+	notBefore   sim.Time
+	inflight    []*sim.Signal
+	err         error
+}
+
+// Driver states.
+const (
+	drvSegment = iota // prefetch the next segment's weights, drain the last
+	drvOpen           // the previous segment drained: open the next one
+	drvBatch          // spawn the next batch's job
+)
+
+func (d *runDriver) step(p *sim.Proc) bool {
+	m := d.m
+	for {
+		switch d.pc {
+		case drvSegment:
+			// Prefetch this segment's weights, then drain the previous
+			// segment before its tiles are reconfigured.
+			if d.si < len(d.segs) {
+				d.weightReady = m.hbm.Reserve(d.segs[d.si].WeightBytes)
+			}
+			d.pc = drvOpen
+			if n := len(d.inflight); n > 0 && !d.inflight[n-1].Await(p) {
+				return false
+			}
+		case drvOpen:
+			if d.si == len(d.segs) {
+				return true
+			}
+			d.inflight = d.inflight[:0]
+			d.notBefore = p.Now()
+			d.i = 0
+			d.pc = drvBatch
+		case drvBatch:
+			if d.i == len(d.units) {
+				d.si++
+				d.pc = drvSegment
+				continue
+			}
+			j, err := m.prepareJob(d.segs[d.si], d.units[d.i], d.dens[d.i])
+			if err != nil {
+				d.err = err
+				return true
+			}
+			d.i++
+			j.weightReady = d.weightReady
+			j.notBefore = d.notBefore
+			m.spawnJob(j)
+			if d.si == len(d.segs)-1 {
+				m.watchLatency(j.done, d.windowStart)
+			}
+			d.inflight = append(d.inflight, j.done)
+			if n := len(d.inflight); n > inflightJobs && !d.inflight[n-1-inflightJobs].Await(p) {
+				return false
+			}
+		}
+	}
+}
+
+// watchLatency spawns a process that records a batch's completion for the
+// latency statistics once its final-segment job fires done.
+func (m *Machine) watchLatency(done *sim.Signal, windowStart sim.Time) {
+	waited := false
+	m.env.Spawn("latency", func(p *sim.Proc) bool {
+		if !waited {
+			waited = true
+			if !done.Await(p) {
+				return false
+			}
+		}
+		m.batchDone = append(m.batchDone, BatchLatency{Start: windowStart, Done: p.Now()})
+		if m.rec.Enabled() {
+			m.rec.Span(m.batchTrack, "batch", "batch", int64(windowStart), int64(p.Now()),
+				telemetry.I("index", int64(len(m.batchDone)-1)))
+		}
+		return true
+	})
 }
 
 // accountUsefulMACs adds one batch's strictly required MACs to the stats:
@@ -502,7 +567,7 @@ func (m *Machine) effUnits(units map[graph.OpID]int, id graph.OpID) int {
 // scratch maps.
 func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, density float64) (*job, error) {
 	d := m.dags[seg.Index]
-	j := &job{seg: seg, done: sim.NewSignal(m.env)}
+	j := &job{m: m, seg: seg, done: sim.NewSignal(m.env)}
 	ents := m.entsBuf
 	clear(ents)
 
@@ -643,11 +708,11 @@ func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, densi
 	return j, nil
 }
 
-// spawnJob launches one process per entity; they synchronize through edge
-// stores, group tokens, and the per-entity pipeline-stage availability.
+// spawnJob launches one compute process per entity; each starts its own
+// network-interface sender. They synchronize through edge stores, group
+// tokens, and the per-entity pipeline-stage token.
 func (m *Machine) spawnJob(j *job) {
 	for _, je := range j.ents {
-		je := je
 		key := entityKey{seg: j.seg.Index, lead: je.lead}
 		tok, ok := m.entityTok[key]
 		if !ok {
@@ -655,19 +720,17 @@ func (m *Machine) spawnJob(j *job) {
 			tok.TryPut(struct{}{})
 			m.entityTok[key] = tok
 		}
-		m.env.Go(m.g.Op(je.lead).Name, func(p *sim.Proc) {
-			// Serialize this pipeline stage across in-flight batches: the
-			// token is granted in spawn (batch) order.
-			tok.Get(p)
-			defer func() {
-				tok.TryPut(struct{}{})
-				j.remaining--
-				if j.remaining == 0 {
-					j.done.Fire()
-				}
-			}()
-			m.runEntity(p, j, je)
-		})
+		je.job, je.tok = j, tok
+		m.env.Spawn(m.g.Op(je.lead).Name, je.compute)
+	}
+}
+
+// finish counts one of the job's processes out, firing the job's done
+// signal after the last.
+func (j *job) finish() {
+	j.remaining--
+	if j.remaining == 0 {
+		j.done.Fire()
 	}
 }
 
@@ -681,110 +744,224 @@ func chunkOf(total int64, c int) int64 {
 	return share
 }
 
-// runEntity executes one entity's chunks for one job.
-func (m *Machine) runEntity(p *sim.Proc, j *job, je *jobEntity) {
-	// Segment ordering and weight availability (stage exclusivity across
-	// batches is enforced by the entity token held by the caller).
-	start := j.notBefore
-	if j.weightReady > start {
-		start = j.weightReady
-	}
-	if start > p.Now() {
-		p.Wait(start - p.Now())
-	}
-	// Real-time scheduling alternative: pay the host scheduling latency
-	// before every dynamic operator invocation (Figure 12).
-	if je.dynamic && je.units > 0 && m.opts.OnlineSchedLatencyCycles > 0 {
-		p.Wait(sim.Time(m.opts.OnlineSchedLatencyCycles))
-	}
-	if je.units > 0 {
-		m.stats.MACs += je.eval.MACs
-		m.stats.SRAMBytes += je.eval.SRAMBytes
-		m.stats.PEBusyTileCycles += je.eval.Cycles * int64(je.opt.Tiles)
-		m.stats.KernelSelections++
-	}
-	src := m.physTile(noc.Centroid(je.plan.Region))
+// Compute process states.
+const (
+	entAcquire = iota // take the pipeline-stage token
+	entOnline         // segment order and weights are satisfied
+	entBegin          // start the sender and the first chunk
+	entGather         // gather the current chunk's inputs
+	entCompute        // take the group token and compute the chunk
+	entRelease        // the chunk's compute finished: release the group token
+	entStream         // wait for the chunk's HBM streaming
+	entHandOff        // hand the finished chunk to the sender
+)
 
-	// The network interface runs as its own engine (Figure 7): it forwards
-	// finished chunks — probe/ack handshake, then the payload over the NoC —
-	// while the PE array already computes the next chunk. The entity's
-	// pipeline-stage token is released when compute finishes; delivery
-	// completion is tracked by the job.
-	sendQ := sim.NewStore(m.env, 0)
-	m.env.Go(m.niNames[je.lead], func(sp *sim.Proc) {
-		defer func() {
-			j.remaining--
-			if j.remaining == 0 {
-				j.done.Fire()
+// compute is the entity's compute process for one job: it streams the
+// job's chunks through the PE array, handing each finished chunk to the
+// sender.
+func (je *jobEntity) compute(p *sim.Proc) bool {
+	j := je.job
+	m := j.m
+	for {
+		switch je.pc {
+		case entAcquire:
+			// Serialize this pipeline stage across in-flight batches: the
+			// token is granted in spawn (batch) order.
+			if _, ok := je.tok.Get(p); !ok {
+				return false
 			}
-		}()
-		for c := 0; c < chunksPerJob; c++ {
-			sendQ.Get(sp)
-			for _, e := range je.outputs {
-				toPlan := j.seg.Plans[e.to]
-				dst := m.physTile(noc.Centroid(toPlan.Region))
-				if n := chunkOf(e.bytes, c); n > 0 {
-					ways := je.plan.Region[1]
-					if w := toPlan.Region[1]; w < ways {
-						ways = w
-					}
-					m.noc.Probe(sp, src, dst)
-					m.noc.Transfer(sp, src, dst, n, ways)
+			// Segment ordering and weight availability.
+			start := j.notBefore
+			if j.weightReady > start {
+				start = j.weightReady
+			}
+			je.pc = entOnline
+			if start > p.Now() {
+				p.Wait(start - p.Now())
+				return false
+			}
+		case entOnline:
+			// Real-time scheduling alternative: pay the host scheduling
+			// latency before every dynamic operator invocation (Figure 12).
+			je.pc = entBegin
+			if je.dynamic && je.units > 0 && m.opts.OnlineSchedLatencyCycles > 0 {
+				p.Wait(sim.Time(m.opts.OnlineSchedLatencyCycles))
+				return false
+			}
+		case entBegin:
+			if je.units > 0 {
+				m.stats.MACs += je.eval.MACs
+				m.stats.SRAMBytes += je.eval.SRAMBytes
+				m.stats.PEBusyTileCycles += je.eval.Cycles * int64(je.opt.Tiles)
+				m.stats.KernelSelections++
+			}
+			je.src = m.physTile(noc.Centroid(je.plan.Region))
+			// The network interface runs as its own engine (Figure 7): it
+			// forwards finished chunks — probe/ack handshake, then the
+			// payload over the NoC — while the PE array already computes
+			// the next chunk. The pipeline-stage token is released when
+			// compute finishes; delivery completion is tracked by the job.
+			je.sendQ = sim.NewStore(m.env, 0)
+			m.env.Spawn(m.niNames[je.lead], je.send)
+			je.kstart = p.Now()
+			je.pc = entGather
+		case entGather:
+			if je.c == chunksPerJob {
+				je.recordKernel()
+				je.tok.TryPut(struct{}{})
+				j.finish()
+				return true
+			}
+			// Gather this chunk from every producer.
+			for ; je.in < len(je.inputs); je.in++ {
+				if _, ok := je.inputs[je.in].store.Get(p); !ok {
+					return false
 				}
-				e.store.Put(sp, struct{}{})
 			}
-			// Boundary outputs drain to HBM (non-blocking reservation: the
-			// write-back DMA competes for bandwidth, not for the PEs).
-			if je.writHBM {
-				if n := chunkOf(je.eval.OutBytes, c); n > 0 {
-					m.hbm.ReserveWrite(n)
+			je.in = 0
+			// Stream boundary inputs and weights from HBM, overlapped with
+			// the chunk's compute up to the bandwidth limit.
+			je.hbmDone = 0
+			if je.readHBM {
+				if n := chunkOf(je.eval.InBytes, je.c); n > 0 {
+					je.hbmDone = m.hbm.Reserve(n)
 				}
 			}
-		}
-	})
-
-	kstart := p.Now()
-	for c := 0; c < chunksPerJob; c++ {
-		// Gather this chunk from every producer.
-		for _, e := range je.inputs {
-			e.store.Get(p)
-		}
-		// Stream boundary inputs and weights from HBM, overlapped with the
-		// chunk's compute up to the bandwidth limit.
-		var hbmDone sim.Time
-		if je.readHBM {
-			if n := chunkOf(je.eval.InBytes, c); n > 0 {
-				hbmDone = m.hbm.Reserve(n)
+			if n := chunkOf(je.eval.HBMWeightBytes, je.c); n > 0 {
+				if t := m.hbm.Reserve(n); t > je.hbmDone {
+					je.hbmDone = t
+				}
 			}
-		}
-		if n := chunkOf(je.eval.HBMWeightBytes, c); n > 0 {
-			if t := m.hbm.Reserve(n); t > hbmDone {
-				hbmDone = t
+			je.pc = entStream
+			if chunkOf(je.eval.Cycles, je.c) > 0 {
+				je.pc = entCompute
 			}
-		}
-		// Compute, serializing with temporal group partners.
-		if cyc := chunkOf(je.eval.Cycles, c); cyc > 0 {
+		case entCompute:
+			// Compute, serializing with temporal group partners.
 			if je.group != nil {
-				je.group.Get(p)
+				if _, ok := je.group.Get(p); !ok {
+					return false
+				}
 			}
-			p.Wait(sim.Time(cyc))
+			je.pc = entRelease
+			p.Wait(sim.Time(chunkOf(je.eval.Cycles, je.c)))
+			return false
+		case entRelease:
 			if je.group != nil {
 				je.group.TryPut(struct{}{})
 			}
+			je.pc = entStream
+		case entStream:
+			je.pc = entHandOff
+			if je.hbmDone > p.Now() {
+				p.Wait(je.hbmDone - p.Now())
+				return false
+			}
+		case entHandOff:
+			je.sendQ.TryPut(je.c)
+			je.c++
+			je.pc = entGather
 		}
-		if hbmDone > p.Now() {
-			p.Wait(hbmDone - p.Now())
+	}
+}
+
+// recordKernel records one kernel-execution span per (batch, segment,
+// entity), on the track of the region's lead tile: input gather, HBM
+// streaming and compute for all chunks of this job.
+func (je *jobEntity) recordKernel() {
+	m := je.job.m
+	if !m.rec.Enabled() {
+		return
+	}
+	m.rec.Span(m.tileTrack(je.src), "kernel", m.g.Op(je.lead).Name,
+		int64(je.kstart), int64(m.env.Now()),
+		telemetry.I("units", int64(je.units)),
+		telemetry.I("tiles", int64(je.opt.Tiles)),
+		telemetry.I("segment", int64(je.job.seg.Index)))
+}
+
+// Sender process states.
+const (
+	niChunk   = iota // take the next finished chunk
+	niEdge           // forward the chunk on the current output edge
+	niInject         // the probe handshake finished: inject the payload
+	niRoute          // injection finished: book the route
+	niDeliver        // the payload arrived
+	niPut            // hand the chunk to the consumer's edge store
+)
+
+// send is the entity's network-interface sender for one job: for every
+// chunk compute finishes, it forwards the chunk's share of each output edge
+// over the NoC and drains boundary outputs to HBM.
+func (je *jobEntity) send(p *sim.Proc) bool {
+	j := je.job
+	m := j.m
+	for {
+		switch je.sendPC {
+		case niChunk:
+			if je.sendC == chunksPerJob {
+				j.finish()
+				return true
+			}
+			if _, ok := je.sendQ.Get(p); !ok {
+				return false
+			}
+			je.out = 0
+			je.sendPC = niEdge
+		case niEdge:
+			if je.out == len(je.outputs) {
+				// Boundary outputs drain to HBM (non-blocking reservation:
+				// the write-back DMA competes for bandwidth, not for the
+				// PEs).
+				if je.writHBM {
+					if n := chunkOf(je.eval.OutBytes, je.sendC); n > 0 {
+						m.hbm.ReserveWrite(n)
+					}
+				}
+				je.sendC++
+				je.sendPC = niChunk
+				continue
+			}
+			e := je.outputs[je.out]
+			je.sendPC = niPut
+			if chunkOf(e.bytes, je.sendC) > 0 {
+				je.sendPC = niInject
+				p.Wait(m.noc.Probe(je.src, je.dst(e)))
+				return false
+			}
+		case niInject:
+			e := je.outputs[je.out]
+			toRegion := j.seg.Plans[e.to].Region
+			ways := je.plan.Region[1]
+			if w := toRegion[1]; w < ways {
+				ways = w
+			}
+			je.sendPC = niPut
+			if injected, ok := m.noc.Inject(&je.xfer, je.src, je.dst(e), chunkOf(e.bytes, je.sendC), ways); ok {
+				je.sendPC = niRoute
+				p.Wait(injected - p.Now())
+				return false
+			}
+		case niRoute:
+			je.sendPC = niDeliver
+			if done := m.noc.Route(&je.xfer); done > p.Now() {
+				p.Wait(done - p.Now())
+				return false
+			}
+		case niDeliver:
+			m.noc.Deliver(&je.xfer)
+			je.sendPC = niPut
+		case niPut:
+			if !je.outputs[je.out].store.Put(p, struct{}{}) {
+				return false
+			}
+			je.out++
+			je.sendPC = niEdge
 		}
-		sendQ.TryPut(c)
 	}
-	if m.rec.Enabled() {
-		// One kernel-execution span per (batch, segment, entity), on the
-		// track of the region's lead tile: input gather, HBM streaming and
-		// compute for all chunks of this job.
-		m.rec.Span(m.tileTrack(src), "kernel", m.g.Op(je.lead).Name,
-			int64(kstart), int64(p.Now()),
-			telemetry.I("units", int64(je.units)),
-			telemetry.I("tiles", int64(je.opt.Tiles)),
-			telemetry.I("segment", int64(j.seg.Index)))
-	}
+}
+
+// dst returns the physical lead tile of an output edge's consumer region.
+func (je *jobEntity) dst(e *jobEdge) int {
+	return je.job.m.physTile(noc.Centroid(je.job.seg.Plans[e.to].Region))
 }

@@ -1,6 +1,8 @@
 package accel
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -319,5 +321,82 @@ func TestSingleEntityGraph(t *testing.T) {
 	}
 	if m.Stats().Cycles <= 0 {
 		t.Fatal("single-entity graph produced no time")
+	}
+}
+
+// TestMachineRunSpawnsNoGoroutines: the machine's processes are state
+// machines on the event queue, not goroutines. The goroutine count, sampled
+// from inside events while a window runs and while streamed batches are in
+// flight, never moves from its value before the run.
+func TestMachineRunSpawnsNoGoroutines(t *testing.T) {
+	type peak struct{ live, goroutines int }
+	// sampleDuring schedules a sampler on m's event queue that re-arms
+	// itself while any process is live, recording the peaks it sees.
+	sampleDuring := func(m *Machine) *peak {
+		pk := new(peak)
+		var sample func()
+		sample = func() {
+			pk.goroutines = max(pk.goroutines, runtime.NumGoroutine())
+			if live := m.env.Live(); live > 0 {
+				pk.live = max(pk.live, live)
+				m.env.Schedule(5000, sample)
+			}
+		}
+		m.env.Schedule(0, sample)
+		return pk
+	}
+	check := func(what string, pk *peak, before int) {
+		t.Helper()
+		if pk.live < 2 {
+			t.Fatalf("%s: sampler saw at most %d live processes, want work in flight", what, pk.live)
+		}
+		if pk.goroutines != before {
+			t.Fatalf("%s: %d goroutines with up to %d live processes, want %d", what, pk.goroutines, pk.live, before)
+		}
+	}
+
+	m, trace := streamMachine(t, "skipnet", 16, 6)
+	before := runtime.NumGoroutine()
+	pk := sampleDuring(m)
+	if err := m.Run(trace); err != nil {
+		t.Fatal(err)
+	}
+	check("Run", pk, before)
+
+	m, trace = streamMachine(t, "skipnet", 16, 6)
+	for _, b := range trace {
+		if _, err := m.StreamSubmit(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pk = sampleDuring(m)
+	if err := m.StreamDrain(); err != nil {
+		t.Fatal(err)
+	}
+	check("stream", pk, before)
+}
+
+// TestDeadlockNamesBlockedProcesses: a process left blocked after the
+// event queue drains fails Run and StreamDrain with an error that names it.
+func TestDeadlockNamesBlockedProcesses(t *testing.T) {
+	for _, streamed := range []bool{false, true} {
+		m, trace := streamMachine(t, "skipnet", 16, 2)
+		starved := sim.NewStore(m.env, 0)
+		m.env.Spawn("starved-reader", func(p *sim.Proc) bool {
+			_, ok := starved.Get(p) // never fed
+			return ok
+		})
+		var err error
+		if streamed {
+			if _, err = m.StreamSubmit(trace[0]); err != nil {
+				t.Fatal(err)
+			}
+			err = m.StreamDrain()
+		} else {
+			err = m.Run(trace)
+		}
+		if err == nil || !strings.Contains(err.Error(), "deadlock") || !strings.Contains(err.Error(), "starved-reader") {
+			t.Fatalf("streamed=%v: error %v does not name the blocked process", streamed, err)
+		}
 	}
 }

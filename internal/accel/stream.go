@@ -76,10 +76,15 @@ func (m *Machine) StreamSubmit(b workload.Batch) (*StreamTicket, error) {
 	m.accountUsefulMACs(units, b.Density)
 	tk := &StreamTicket{start: m.env.Now(), done: sim.NewSignal(m.env)}
 	plan := m.plan
-	m.env.Go("stream", func(p *sim.Proc) {
-		for _, seg := range plan.Segments {
+	si := 0
+	m.env.Spawn("stream", func(p *sim.Proc) bool {
+		// Each step spawns the next segment's job and waits for it; the
+		// segment index is the resume point.
+		for si < len(plan.Segments) {
+			seg := plan.Segments[si]
+			si++
 			// The batch reaches this segment now: reserve its weights and
-			// run the segment's job. prepareJob never yields, so the
+			// run the segment's job. prepareJob never blocks, so the
 			// machine's per-job scratch maps stay single-writer even with
 			// several stream drivers interleaving on the event queue.
 			weightReady := m.hbm.Reserve(seg.WeightBytes)
@@ -88,12 +93,14 @@ func (m *Machine) StreamSubmit(b workload.Batch) (*StreamTicket, error) {
 				tk.err = err
 				tk.doneAt = p.Now()
 				tk.done.Fire()
-				return
+				return true
 			}
 			j.weightReady = weightReady
 			j.notBefore = p.Now()
 			m.spawnJob(j)
-			j.done.Await(p)
+			if !j.done.Await(p) {
+				return false
+			}
 		}
 		tk.doneAt = p.Now()
 		m.batchDone = append(m.batchDone, BatchLatency{Start: tk.start, Done: p.Now()})
@@ -102,6 +109,7 @@ func (m *Machine) StreamSubmit(b workload.Batch) (*StreamTicket, error) {
 				telemetry.I("index", int64(len(m.batchDone)-1)))
 		}
 		tk.done.Fire()
+		return true
 	})
 	return tk, nil
 }

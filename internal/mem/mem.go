@@ -71,47 +71,6 @@ func (h *HBM) split(n int64) int64 {
 	return per
 }
 
-// Read blocks the process until n bytes have been fetched.
-func (h *HBM) Read(p *sim.Proc, n int64) {
-	if n <= 0 {
-		return
-	}
-	h.readBytes += n
-	start := h.env.Now()
-	h.transfer(p, n)
-	if h.rec.Enabled() {
-		h.rec.Span(h.track, "hbm", "read", int64(start), int64(p.Now()), telemetry.I("bytes", n))
-	}
-}
-
-// Write blocks the process until n bytes have been drained.
-func (h *HBM) Write(p *sim.Proc, n int64) {
-	if n <= 0 {
-		return
-	}
-	h.writeBytes += n
-	start := h.env.Now()
-	h.transfer(p, n)
-	if h.rec.Enabled() {
-		h.rec.Span(h.track, "hbm", "write", int64(start), int64(p.Now()), telemetry.I("bytes", n))
-	}
-}
-
-func (h *HBM) transfer(p *sim.Proc, n int64) {
-	per := h.split(n)
-	// All stacks serve their share in parallel; the request completes when
-	// the slowest share drains. Reserve on every stack, wait for the max.
-	var done sim.Time
-	for _, s := range h.stacks {
-		if t := s.Reserve(per); t > done {
-			done = t
-		}
-	}
-	if done > p.Now() {
-		p.Wait(done - p.Now())
-	}
-}
-
 // Reserve books a read without blocking and returns its completion time
 // (used for prefetching weights for the next segment and for streaming
 // inputs overlapped with compute).

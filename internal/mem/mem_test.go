@@ -11,12 +11,7 @@ func TestReadTimingMatchesBandwidth(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := hw.Default()
 	h := New(env, cfg)
-	var done sim.Time
-	env.Go("r", func(p *sim.Proc) {
-		h.Read(p, 1842*1000) // one microsecond of full-bandwidth traffic
-		done = p.Now()
-	})
-	env.Run()
+	done := h.Reserve(1842 * 1000) // one microsecond of full-bandwidth traffic
 	// 1842*1000 bytes at 1842 B/cycle aggregate = ~1000 cycles.
 	if done < 950 || done > 1100 {
 		t.Fatalf("read took %d cycles, want ~1000", done)
@@ -29,10 +24,8 @@ func TestReadTimingMatchesBandwidth(t *testing.T) {
 func TestContentionQueues(t *testing.T) {
 	env := sim.NewEnv()
 	h := New(env, hw.Default())
-	var t1, t2 sim.Time
-	env.Go("a", func(p *sim.Proc) { h.Read(p, 1842*100); t1 = p.Now() })
-	env.Go("b", func(p *sim.Proc) { h.Read(p, 1842*100); t2 = p.Now() })
-	env.Run()
+	t1 := h.Reserve(1842 * 100)
+	t2 := h.Reserve(1842 * 100)
 	if t2 < 2*t1-10 {
 		t.Fatalf("no contention: first %d, second %d", t1, t2)
 	}
@@ -41,11 +34,8 @@ func TestContentionQueues(t *testing.T) {
 func TestWriteAccounting(t *testing.T) {
 	env := sim.NewEnv()
 	h := New(env, hw.Default())
-	env.Go("w", func(p *sim.Proc) {
-		h.Write(p, 1000)
-		h.Read(p, 500)
-	})
-	env.Run()
+	h.ReserveWrite(1000)
+	h.Reserve(500)
 	if h.WriteBytes() != 1000 || h.ReadBytes() != 500 || h.TotalBytes() != 1500 {
 		t.Fatalf("accounting wrong: r=%d w=%d", h.ReadBytes(), h.WriteBytes())
 	}
@@ -57,15 +47,13 @@ func TestWriteAccounting(t *testing.T) {
 func TestZeroTransferFree(t *testing.T) {
 	env := sim.NewEnv()
 	h := New(env, hw.Default())
-	env.Go("z", func(p *sim.Proc) {
-		h.Read(p, 0)
-		h.Write(p, -5)
-		if p.Now() != 0 {
-			t.Error("zero/negative transfers must be free")
+	env.Schedule(7, func() {
+		if h.Reserve(0) != 7 || h.ReserveWrite(-5) != 7 {
+			t.Error("zero/negative transfers must complete at once")
 		}
 	})
 	env.Run()
-	if h.TotalBytes() != 0 {
+	if h.TotalBytes() != 0 || h.BusyCycles() != 0 {
 		t.Fatal("zero transfers must not count")
 	}
 }

@@ -115,26 +115,41 @@ func MinVisibleLatency(cfg hw.Config, hops int) sim.Time {
 	return sim.Time(2 * (hops + 1) * cfg.RouterHopCycles)
 }
 
-// Probe performs the probe/acknowledge handshake of Section VI-C: the source
-// queries the destination and waits for the acknowledgment. The extra
-// readiness delay (how long until the destination can accept data) is
-// applied by the caller via dstReadyAt; Probe accounts only the round trip.
-func (n *NoC) Probe(p *sim.Proc, from, to int) {
+// Probe counts one probe/acknowledge handshake of Section VI-C — the source
+// queries the destination and waits for the acknowledgment — and returns its
+// round-trip time, which the calling process waits out. The extra readiness
+// delay (how long until the destination can accept data) is applied by the
+// caller via dstReadyAt; Probe accounts only the round trip.
+func (n *NoC) Probe(from, to int) sim.Time {
 	n.probes++
-	h := n.Hops(from, to)
-	p.Wait(2 * n.probeCycles(h))
+	return 2 * n.probeCycles(n.Hops(from, to))
 }
 
-// Transfer moves bytes from the tile region around src to the region around
-// dst, blocking the calling process until the payload has fully arrived:
-// injection-port serialization, per-hop latency, and ejection-port
-// serialization at the destination. ways is the transfer's port-level
-// parallelism — a region of k tiles drives k injection ports concurrently,
-// so a region-to-region transfer streams through min(srcTiles, dstTiles)
-// ports (modelled as a proportional speedup of the representative port).
-func (n *NoC) Transfer(p *sim.Proc, src, dst int, bytes int64, ways int) {
+// Transfer is one payload transfer in flight from the tile region around
+// src to the region around dst. A process moves it in three steps, waiting
+// in between: Inject books the source's injection port, Route books the X-Y
+// route's links and the destination's ejection port at the instant
+// injection finishes, and Deliver records the transfer once the payload has
+// arrived. The bookings are synchronous, so their order on the shared
+// bandwidth servers is the order the processes reach them.
+type Transfer struct {
+	src, dst, hops int
+	bytes, share   int64
+	start          sim.Time
+}
+
+// Inject starts a transfer of bytes from src to dst and books its share on
+// src's injection port. ways is the transfer's port-level parallelism — a
+// region of k tiles drives k injection ports concurrently, so a
+// region-to-region transfer streams through min(srcTiles, dstTiles) ports
+// (modelled as a proportional speedup of the representative port).
+//
+// It returns the time injection finishes, when the caller must call Route.
+// ok is false when nothing crosses the network — no bytes, or src == dst
+// (the data stays in the local scratchpad) — and the transfer is complete.
+func (n *NoC) Inject(x *Transfer, src, dst int, bytes int64, ways int) (injected sim.Time, ok bool) {
 	if bytes <= 0 {
-		return
+		return n.env.Now(), false
 	}
 	if ways < 1 {
 		ways = 1
@@ -143,58 +158,32 @@ func (n *NoC) Transfer(p *sim.Proc, src, dst int, bytes int64, ways int) {
 	n.byteHops += bytes * int64(h)
 	n.transfers++
 	if src == dst {
-		return // same tiles: data stays in the local scratchpad
+		return n.env.Now(), false
 	}
-	start := p.Now()
 	share := (bytes + int64(ways) - 1) / int64(ways)
-	n.inject[src].Serve(p, share)
-	// The payload then crosses every link of its X-Y route (wormhole
-	// occupancy with contention on shared links) and drains through the
-	// destination's ejection port.
-	done := n.reserveLinks(src, dst, share)
-	if t := n.eject[dst].Reserve(share); t > done {
-		done = t
-	}
-	if done > p.Now() {
-		p.Wait(done - p.Now())
-	}
-	if n.rec.Enabled() {
-		n.rec.Span(n.track, "noc", "xfer", int64(start), int64(p.Now()),
-			telemetry.I("src", int64(src)), telemetry.I("dst", int64(dst)),
-			telemetry.I("bytes", bytes), telemetry.I("hops", int64(h)))
-	}
+	*x = Transfer{src: src, dst: dst, hops: h, bytes: bytes, share: share, start: n.env.Now()}
+	return n.inject[src].Reserve(share), true
 }
 
-// Multicast sends the same payload from src to several destinations
-// (switch operators fan one tensor slice out to several branch heads). The
-// injection port serializes each copy; deliveries complete independently and
-// Multicast returns when the last one lands.
-func (n *NoC) Multicast(p *sim.Proc, src int, dsts []int, bytes int64) {
-	if bytes <= 0 || len(dsts) == 0 {
-		return
+// Route books the injected payload on every link of its X-Y route (wormhole
+// occupancy with contention on shared links) and on the destination's
+// ejection port. Call it at the instant injection finishes; it returns the
+// time the payload has fully arrived.
+func (n *NoC) Route(x *Transfer) sim.Time {
+	done := n.reserveLinks(x.src, x.dst, x.share)
+	if t := n.eject[x.dst].Reserve(x.share); t > done {
+		done = t
 	}
-	start := p.Now()
-	var last sim.Time
-	for _, dst := range dsts {
-		if dst == src {
-			continue
-		}
-		h := n.Hops(src, dst)
-		n.byteHops += bytes * int64(h)
-		n.transfers++
-		n.inject[src].Serve(p, bytes)
-		arrive := n.eject[dst].Reserve(bytes) + n.probeCycles(h)
-		if arrive > last {
-			last = arrive
-		}
-	}
-	if last > p.Now() {
-		p.Wait(last - p.Now())
-	}
+	return done
+}
+
+// Deliver completes the transfer once its payload has arrived (the later
+// of the Route time and the injection finish), recording it as a span.
+func (n *NoC) Deliver(x *Transfer) {
 	if n.rec.Enabled() {
-		n.rec.Span(n.track, "noc", "multicast", int64(start), int64(p.Now()),
-			telemetry.I("src", int64(src)), telemetry.I("fanout", int64(len(dsts))),
-			telemetry.I("bytes", bytes))
+		n.rec.Span(n.track, "noc", "xfer", int64(x.start), int64(n.env.Now()),
+			telemetry.I("src", int64(x.src)), telemetry.I("dst", int64(x.dst)),
+			telemetry.I("bytes", x.bytes), telemetry.I("hops", int64(x.hops)))
 	}
 }
 

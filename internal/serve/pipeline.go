@@ -116,9 +116,10 @@ func (s *Server) pipeIdle(t int64) {
 
 // pipeFire forms one batch from the queue head — identical policy to
 // fireBatch: expired-SLO shedding, the size cap, replayed-request batches,
-// routing decided at formation — and submits it to the machine's pipeline.
-// When the pipeline window is full the oldest in-flight batch retires first,
-// so at most PipelineDepth batches execute concurrently.
+// routing and density decided at formation — and submits it to the
+// machine's pipeline. When the pipeline window is full the oldest in-flight
+// batch retires first, so at most PipelineDepth batches execute
+// concurrently.
 func (s *Server) pipeFire(now int64) error {
 	for len(s.queue) > 0 && s.cfg.SLOCycles > 0 && s.queue[0].Arrival+s.cfg.SLOCycles <= now {
 		req := s.popHead()
@@ -138,7 +139,7 @@ func (s *Server) pipeFire(now int64) error {
 	if s.queue[0].Routing != nil {
 		req := s.popHead()
 		batch = []Request{req}
-		b = workload.Batch{Index: s.rep.Batches + len(s.inflight), Units: req.Units, Routing: req.Routing}
+		b = workload.Batch{Index: s.rep.Batches + len(s.inflight), Units: req.Units, Routing: req.Routing, Density: req.Density}
 	} else {
 		samples := 0
 		for len(s.queue) > 0 && s.queue[0].Routing == nil {
@@ -151,6 +152,9 @@ func (s *Server) pipeFire(now int64) error {
 		}
 		units := samples * w.Graph.UnitsPerSample
 		b = workload.Batch{Index: s.rep.Batches + len(s.inflight), Units: units, Routing: w.Gen.Next(s.setup.Src, units)}
+		if dg, ok := w.Gen.(workload.DensityGen); ok {
+			b.Density = dg.NextDensity(s.setup.Src)
+		}
 	}
 	for len(s.inflight) >= s.cfg.PipelineDepth {
 		if err := s.retireOldest(true); err != nil {

@@ -2,14 +2,17 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/models"
 	"repro/internal/sim/simtest"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // serveArtifacts runs one serving scenario end to end and captures the full
@@ -62,6 +65,57 @@ func TestPipelineDepthOneIsLegacy(t *testing.T) {
 	ref := serveArtifacts(t, burstConfig("skipnet", 0), src(), true)
 	one := serveArtifacts(t, burstConfig("skipnet", 1), src(), true)
 	simtest.Diff(t, "depth=1 vs depth=0", ref, one)
+}
+
+// TestPipelinedBatchesKeepDensity: every batch is stamped with its density
+// at any pipeline depth, whether the density is drawn at formation
+// (synthetic traffic) or carried by a replayed request. Under a constant
+// sparse density the profiler's density mean must stay exactly that density
+// at depth 4 as at depth 1; a batch submitted without its density would be
+// profiled, and costed, as dense.
+func TestPipelinedBatchesKeepDensity(t *testing.T) {
+	const density = 0.3
+	constant := func(g workload.TraceGen) workload.TraceGen {
+		fd, err := workload.NewFixedDensities(g, []float64{density})
+		if err != nil {
+			panic(err)
+		}
+		return fd
+	}
+	w, err := models.ByName("gcn", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := w.GenTrace(workload.NewSource(11), 12, 16)
+	for i := range recorded {
+		recorded[i].Density = density
+	}
+	sources := map[string]func() Source{
+		"synthetic": func() Source { return NewSynthetic(160, 30_000, 9, nil) },
+		"replay": func() Source {
+			src, err := NewReplay(workload.Record("gcn", 16, 11, recorded), 30_000, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		},
+	}
+	for name, src := range sources {
+		for _, depth := range []int{1, 4} {
+			cfg := burstConfig("gcn", depth)
+			cfg.RC.WrapGen = constant
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if _, err := s.Serve(src()); err != nil {
+				t.Fatalf("Serve: %v", err)
+			}
+			if got := s.setup.M.Profiler().OpDensityMean(); math.Abs(got-density) > 1e-9 {
+				t.Errorf("%s at depth %d: profiled density mean %.6f, want %.1f", name, depth, got, density)
+			}
+		}
+	}
 }
 
 // TestPipelineDeterministicAcrossGOMAXPROCS pins the pipelined loop to the

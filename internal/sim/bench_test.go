@@ -20,17 +20,22 @@ func BenchmarkSimEngine(b *testing.B) {
 		}
 		for k := 0; k < 2; k++ {
 			st := NewStore(env, 4)
-			env.Go("producer", func(p *Proc) {
-				for j := 0; j < 100; j++ {
-					p.Wait(1)
-					st.Put(p, j)
+			env.Spawn("producer", producer(st, 100, 1))
+			got, waited := 0, false
+			env.Spawn("consumer", func(p *Proc) bool {
+				for got < 100 {
+					if !waited {
+						if _, ok := st.Get(p); !ok {
+							return false
+						}
+						waited = true
+						p.Wait(2)
+						return false
+					}
+					got++
+					waited = false
 				}
-			})
-			env.Go("consumer", func(p *Proc) {
-				for j := 0; j < 100; j++ {
-					st.Get(p)
-					p.Wait(2)
-				}
+				return true
 			})
 		}
 		env.Run()

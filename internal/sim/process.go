@@ -2,68 +2,86 @@ package sim
 
 import "fmt"
 
-// Proc is a simulation process: a goroutine that advances simulated time by
-// calling Wait and blocks on synchronization primitives. Exactly one process
-// (or event callback) runs at a time, so process bodies never race with each
-// other and the simulation stays deterministic.
+// Proc is a simulation process: a resumable state machine driven by the
+// event queue. No goroutine backs it. Its body is a step function that the
+// engine calls each time the process is woken; the step function keeps its
+// own program counter (the state to resume from), runs until the process
+// blocks or finishes, and reports which:
+//
+//   - it returns false right after arranging exactly one wake-up — a Wait,
+//     or a primitive call (Store.Get, Store.Put, Signal.Await) that reported
+//     false;
+//   - it returns true when the process has finished.
+//
+// A blocked Store call is retried on the next step (the woken process
+// re-checks the store, as a blocking loop would); Wait and Await resume
+// past the call. Exactly one process (or event callback) runs at a time, so
+// process bodies never race with each other and the simulation stays
+// deterministic.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{} // engine -> process: continue
-	yield  chan struct{} // process -> engine: parked or done
-	dead   bool
+	env  *Env
+	name string
+	step func(p *Proc) bool
 	// runFn is the method value p.run, materialized once at creation: every
 	// Wait and every primitive wake-up schedules it, and building a fresh
 	// method value per wake would allocate a closure each time.
 	runFn func()
+	// armed is set once the current step has arranged its wake-up.
+	armed bool
+	// prev and next link the environment's live processes, the roster the
+	// deadlock diagnostic (Env.BlockedProcs) reads.
+	prev, next *Proc
 }
 
-// Go starts fn as a new simulation process. The process begins at the current
-// simulated time, before any further events fire. The name is used in
-// deadlock diagnostics only.
-func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		env:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+// Spawn starts a new simulation process whose body is step. The process
+// takes its first step at the current simulated time, from an event
+// scheduled now, so it runs after every event already due at this instant.
+// The name is used in deadlock diagnostics only.
+func (e *Env) Spawn(name string, step func(p *Proc) bool) *Proc {
+	p := &Proc{env: e, name: name, step: step, next: e.live}
 	p.runFn = p.run
+	if e.live != nil {
+		e.live.prev = p
+	}
+	e.live = p
 	e.nprocs++
-	go func() {
-		<-p.resume
-		fn(p)
-		p.dead = true
-		e.nprocs--
-		p.yield <- struct{}{}
-	}()
-	// Kick the process from an event so that it runs under engine control.
 	e.Schedule(0, p.runFn)
 	return p
 }
 
-// run transfers control to the process goroutine and blocks until it parks
-// again (in Wait / a primitive) or terminates.
+// run takes one step of the process: from its last blocking point to the
+// next one, or to the end of its body.
 func (p *Proc) run() {
-	if p.dead {
+	p.armed = false
+	if !p.step(p) {
+		if !p.armed {
+			panic(fmt.Sprintf("sim: process %s blocked without arranging a wake-up", p.name))
+		}
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	if p.armed {
+		panic(fmt.Sprintf("sim: process %s finished with a wake-up pending", p.name))
+	}
+	e := p.env
+	e.nprocs--
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.live = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
 }
 
-// park suspends the process and returns control to the engine. wake must have
-// been arranged (an event or a primitive callback that calls p.run).
-// Parked processes are tracked so a drained engine can report who is still
-// blocked — the deadlock diagnostic surfaced by Env.BlockedProcs.
-func (p *Proc) park() {
-	p.env.parked[p] = struct{}{}
-	p.yield <- struct{}{}
-	// Control returns only via resume; every map access below this point is
-	// ordered after the engine's wake-up send, keeping all parked-map
-	// operations inside the single-threaded handoff chain.
-	<-p.resume
-	delete(p.env.parked, p)
+// arm records that the current step has arranged its wake-up. A second
+// wake-up in the same step would resume the process twice.
+func (p *Proc) arm() {
+	if p.armed {
+		panic(fmt.Sprintf("sim: process %s arranged two wake-ups in one step", p.name))
+	}
+	p.armed = true
 }
 
 // Env returns the environment the process runs in.
@@ -75,19 +93,20 @@ func (p *Proc) Now() Time { return p.env.now }
 // Name returns the process name.
 func (p *Proc) Name() string { return p.name }
 
-// Wait suspends the process for d cycles. Wait(0) yields to other events
-// scheduled at the current time.
+// Wait arranges for the process to resume after d cycles; its step function
+// must return false next. Wait(0) yields to other events scheduled at the
+// current time.
 func (p *Proc) Wait(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: process %s waits negative %d", p.name, d))
 	}
+	p.arm()
 	p.env.Schedule(d, p.runFn)
-	p.park()
 }
 
-// Signal is a broadcast condition. Processes block in Await until some event
+// Signal is a broadcast condition. Processes wait in Await until some event
 // calls Fire; every waiter is released. After Fire the signal stays open
-// (subsequent Await calls return immediately) until Reset.
+// (subsequent Await calls succeed at once) until Reset.
 type Signal struct {
 	env     *Env
 	fired   bool
@@ -117,17 +136,22 @@ func (s *Signal) Fire() {
 // Reset closes the signal so future Await calls block again.
 func (s *Signal) Reset() { s.fired = false }
 
-// Await blocks the process until the signal is open.
-func (s *Signal) Await(p *Proc) {
+// Await reports whether the signal is open. If it is not, the process is
+// queued to resume when the signal fires and Await returns false; the
+// process resumes past the Await without checking the signal again.
+func (s *Signal) Await(p *Proc) bool {
 	if s.fired {
-		return
+		return true
 	}
 	s.waiters = append(s.waiters, p)
-	p.park()
+	p.arm()
+	return false
 }
 
 // Store is a FIFO channel between processes with a bounded capacity.
-// Put blocks while the store is full; Get blocks while it is empty.
+// Put fails while the store is full; Get fails while it is empty. A failed
+// call queues the process to resume when the store changes, and the process
+// retries the call on its next step.
 // It models bounded on-chip buffers (e.g. a tile's input staging area).
 type Store struct {
 	env     *Env
@@ -151,14 +175,17 @@ func NewStore(env *Env, capacity int) *Store {
 // Len reports the number of buffered items.
 func (s *Store) Len() int { return len(s.items) }
 
-// Put appends an item, blocking the process while the store is full.
-func (s *Store) Put(p *Proc, item interface{}) {
-	for s.cap > 0 && len(s.items) >= s.cap {
+// Put appends an item and reports true, or — while the store is full —
+// queues the process to retry once a slot frees and reports false.
+func (s *Store) Put(p *Proc, item interface{}) bool {
+	if s.cap > 0 && len(s.items) >= s.cap {
 		s.putters = append(s.putters, p)
-		p.park()
+		p.arm()
+		return false
 	}
 	s.items = append(s.items, item)
 	s.wakeOneGetter()
+	return true
 }
 
 // TryPut appends an item without blocking; it reports false if the store is
@@ -172,18 +199,20 @@ func (s *Store) TryPut(item interface{}) bool {
 	return true
 }
 
-// Get removes and returns the oldest item, blocking while the store is empty.
-func (s *Store) Get(p *Proc) interface{} {
-	for len(s.items) == 0 {
+// Get removes and returns the oldest item, or — while the store is empty —
+// queues the process to retry once an item arrives and reports false.
+func (s *Store) Get(p *Proc) (interface{}, bool) {
+	if len(s.items) == 0 {
 		s.getters = append(s.getters, p)
-		p.park()
+		p.arm()
+		return nil, false
 	}
 	item := s.items[0]
 	copy(s.items, s.items[1:])
 	s.items[len(s.items)-1] = nil
 	s.items = s.items[:len(s.items)-1]
 	s.wakeOnePutter()
-	return item
+	return item, true
 }
 
 func (s *Store) wakeOneGetter() {
@@ -208,8 +237,9 @@ func (s *Store) wakeOnePutter() {
 
 // Server models a bandwidth-limited FIFO service center (an HBM stack, a NoC
 // link): requests of a given size are served one at a time at a fixed rate in
-// bytes per cycle. Serve blocks the calling process until its request has
-// fully drained, including queueing delay behind earlier requests.
+// bytes per cycle. Reserve books a request and returns its completion time,
+// including queueing delay behind earlier requests; a process that must see
+// the request drain waits until then.
 type Server struct {
 	env         *Env
 	bytesPerCyc float64
@@ -254,29 +284,8 @@ func (s *Server) ServiceTime(n int64) Time {
 	return t
 }
 
-// Serve enqueues a request of n bytes and blocks until it completes.
-// It returns the completion time.
-func (s *Server) Serve(p *Proc, n int64) Time {
-	if n <= 0 {
-		return s.env.now
-	}
-	start := s.env.now
-	if s.freeAt > start {
-		start = s.freeAt
-	}
-	d := s.ServiceTime(n)
-	done := start + d
-	s.freeAt = done
-	s.busyCycles += d
-	s.servedBytes += float64(n)
-	s.servedCount++
-	p.Wait(done - s.env.now)
-	return done
-}
-
-// Reserve books service for n bytes without blocking and returns the
-// completion time. It is used by event-callback contexts (e.g. DMA engines)
-// that track completion themselves.
+// Reserve books service for n bytes and returns the completion time. A
+// request of no bytes completes now and books nothing.
 func (s *Server) Reserve(n int64) Time {
 	if n <= 0 {
 		return s.env.now

@@ -1,9 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // It plays the role SimPy plays in the paper's evaluation: an event queue, a
-// virtual clock, goroutine-backed processes, and synchronization primitives
-// (signals, stores, bandwidth servers) from which the accelerator model in
-// internal/accel is built.
+// virtual clock, processes, and synchronization primitives (signals, stores,
+// bandwidth servers) from which the accelerator model in internal/accel is
+// built. Unlike SimPy's generators, a process here is an explicit state
+// machine: a step function the engine calls on each wake-up, which resumes
+// from its own program counter and runs until it blocks again. No goroutine
+// or channel is involved, so waking a process costs one event dispatch.
 //
 // Time is measured in clock cycles of the simulated accelerator (1 GHz in the
 // default configuration, so one cycle is one nanosecond). All scheduling is
@@ -104,12 +107,12 @@ type Env struct {
 	now    Time
 	queue  eventQueue
 	seq    int64
-	nprocs int                // live processes, for deadlock detection
-	parked map[*Proc]struct{} // processes blocked in a primitive
+	nprocs int   // live processes, for deadlock detection
+	live   *Proc // head of the live-process list
 }
 
 // NewEnv returns a fresh simulation environment at time zero.
-func NewEnv() *Env { return &Env{parked: map[*Proc]struct{}{}} }
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current simulated time.
 func (e *Env) Now() Time { return e.now }
@@ -170,14 +173,14 @@ func (e *Env) Pending() int { return len(e.queue) }
 // Live reports the number of processes that have started but not finished.
 func (e *Env) Live() int { return e.nprocs }
 
-// BlockedProcs returns the names of processes still parked in a
-// synchronization primitive. After Run has drained the event queue, a
-// non-empty result means those processes can never resume — a deadlock (or
-// an aborted run): the returned names say who was stuck and make the bug
-// findable.
+// BlockedProcs returns the sorted names of the live processes. Once Run has
+// drained the event queue, every live process is queued in a
+// synchronization primitive with no event left to wake it, so a non-empty
+// result means those processes can never resume — a deadlock (or an aborted
+// run): the returned names say who was stuck and make the bug findable.
 func (e *Env) BlockedProcs() []string {
-	out := make([]string, 0, len(e.parked))
-	for p := range e.parked {
+	out := make([]string, 0, e.nprocs)
+	for p := e.live; p != nil; p = p.next {
 		out = append(out, p.name)
 	}
 	sort.Strings(out)

@@ -72,12 +72,15 @@ func TestAtPastPanics(t *testing.T) {
 func TestProcessWait(t *testing.T) {
 	env := NewEnv()
 	var times []Time
-	env.Go("w", func(p *Proc) {
+	waits := []Time{7, 3}
+	env.Spawn("w", func(p *Proc) bool {
 		times = append(times, p.Now())
-		p.Wait(7)
-		times = append(times, p.Now())
-		p.Wait(3)
-		times = append(times, p.Now())
+		if len(waits) == 0 {
+			return true
+		}
+		p.Wait(waits[0])
+		waits = waits[1:]
+		return false
 	})
 	env.Run()
 	want := []Time{0, 7, 10}
@@ -94,18 +97,12 @@ func TestProcessWait(t *testing.T) {
 func TestProcessesInterleaveDeterministically(t *testing.T) {
 	env := NewEnv()
 	var order []string
-	env.Go("a", func(p *Proc) {
-		p.Wait(1)
-		order = append(order, "a1")
-		p.Wait(2)
-		order = append(order, "a3")
-	})
-	env.Go("b", func(p *Proc) {
-		p.Wait(2)
-		order = append(order, "b2")
-		p.Wait(2)
-		order = append(order, "b4")
-	})
+	env.Spawn("a", sequence([]Time{1, 2}, func(i int) {
+		order = append(order, []string{"a1", "a3"}[i])
+	}))
+	env.Spawn("b", sequence([]Time{2, 2}, func(i int) {
+		order = append(order, []string{"b2", "b4"}[i])
+	}))
 	env.Run()
 	want := []string{"a1", "b2", "a3", "b4"}
 	for i := range want {
@@ -115,22 +112,46 @@ func TestProcessesInterleaveDeterministically(t *testing.T) {
 	}
 }
 
+// awaiter returns a step function that waits for sig once, then calls
+// then and finishes.
+func awaiter(sig *Signal, then func()) func(p *Proc) bool {
+	waited := false
+	return func(p *Proc) bool {
+		if !waited {
+			waited = true
+			if !sig.Await(p) {
+				return false
+			}
+		}
+		then()
+		return true
+	}
+}
+
+// sequence returns a step function that waits each of waits in turn,
+// calling after(i) once the i-th wait has elapsed.
+func sequence(waits []Time, after func(i int)) func(p *Proc) bool {
+	i := -1
+	return func(p *Proc) bool {
+		if i >= 0 {
+			after(i)
+		}
+		i++
+		if i == len(waits) {
+			return true
+		}
+		p.Wait(waits[i])
+		return false
+	}
+}
+
 func TestSignalBroadcast(t *testing.T) {
 	env := NewEnv()
 	sig := NewSignal(env)
 	var woke []string
-	env.Go("w1", func(p *Proc) {
-		sig.Await(p)
-		woke = append(woke, "w1")
-	})
-	env.Go("w2", func(p *Proc) {
-		sig.Await(p)
-		woke = append(woke, "w2")
-	})
-	env.Go("firer", func(p *Proc) {
-		p.Wait(5)
-		sig.Fire()
-	})
+	env.Spawn("w1", awaiter(sig, func() { woke = append(woke, "w1") }))
+	env.Spawn("w2", awaiter(sig, func() { woke = append(woke, "w2") }))
+	env.Spawn("firer", sequence([]Time{5}, func(int) { sig.Fire() }))
 	env.Run()
 	if len(woke) != 2 {
 		t.Fatalf("woke = %v, want both waiters", woke)
@@ -140,9 +161,13 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 	// A fired signal does not block.
 	released := false
-	env.Go("late", func(p *Proc) {
-		sig.Await(p)
+	env.Spawn("late", func(p *Proc) bool {
+		if !sig.Await(p) {
+			t.Error("Await on a fired signal blocked")
+			return false
+		}
 		released = true
+		return true
 	})
 	env.Run()
 	if !released {
@@ -163,20 +188,41 @@ func TestSignalReset(t *testing.T) {
 	}
 }
 
+// producer returns a step function that puts 1..n into st, waiting gap
+// cycles before each Put.
+func producer(st *Store, n int, gap Time) func(p *Proc) bool {
+	i, waited := 1, false
+	return func(p *Proc) bool {
+		for i <= n {
+			if !waited {
+				waited = true
+				p.Wait(gap)
+				return false
+			}
+			if !st.Put(p, i) {
+				return false
+			}
+			i++
+			waited = false
+		}
+		return true
+	}
+}
+
 func TestStoreFIFO(t *testing.T) {
 	env := NewEnv()
 	st := NewStore(env, 0)
 	var got []int
-	env.Go("producer", func(p *Proc) {
-		for i := 1; i <= 5; i++ {
-			p.Wait(1)
-			st.Put(p, i)
+	env.Spawn("producer", producer(st, 5, 1))
+	env.Spawn("consumer", func(p *Proc) bool {
+		for len(got) < 5 {
+			v, ok := st.Get(p)
+			if !ok {
+				return false
+			}
+			got = append(got, v.(int))
 		}
-	})
-	env.Go("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			got = append(got, st.Get(p).(int))
-		}
+		return true
 	})
 	env.Run()
 	for i, v := range got {
@@ -190,15 +236,25 @@ func TestStoreBackpressure(t *testing.T) {
 	env := NewEnv()
 	st := NewStore(env, 2)
 	var putDone Time
-	env.Go("producer", func(p *Proc) {
-		st.Put(p, 1)
-		st.Put(p, 2)
-		st.Put(p, 3) // must block until consumer frees a slot at t=10
+	next := 1
+	env.Spawn("producer", func(p *Proc) bool {
+		for ; next <= 3; next++ { // the third Put blocks until t=10
+			if !st.Put(p, next) {
+				return false
+			}
+		}
 		putDone = p.Now()
+		return true
 	})
-	env.Go("consumer", func(p *Proc) {
-		p.Wait(10)
-		_ = st.Get(p)
+	waited := false
+	env.Spawn("consumer", func(p *Proc) bool {
+		if !waited {
+			waited = true
+			p.Wait(10)
+			return false
+		}
+		_, ok := st.Get(p)
+		return ok
 	})
 	env.Run()
 	if putDone != 10 {
@@ -225,10 +281,8 @@ func TestServerQueueing(t *testing.T) {
 	srv := NewServer(env, 10) // 10 bytes/cycle
 	var done []Time
 	for i := 0; i < 3; i++ {
-		env.Go("client", func(p *Proc) {
-			srv.Serve(p, 100) // 10 cycles of service each
-			done = append(done, p.Now())
-		})
+		at := srv.Reserve(100) // 10 cycles of service each
+		env.At(at, func() { done = append(done, env.Now()) })
 	}
 	env.Run()
 	want := []Time{10, 20, 30}
@@ -251,12 +305,15 @@ func TestServerQueueing(t *testing.T) {
 func TestServerZeroBytesFree(t *testing.T) {
 	env := NewEnv()
 	srv := NewServer(env, 1)
-	env.Go("c", func(p *Proc) {
-		if got := srv.Serve(p, 0); got != 0 {
-			t.Errorf("zero-byte serve took time: %d", got)
+	env.Schedule(5, func() {
+		if got := srv.Reserve(0); got != 5 {
+			t.Errorf("zero-byte reserve completes at %d, want now (5)", got)
 		}
 	})
 	env.Run()
+	if srv.ServedCount() != 0 || srv.BusyCycles() != 0 {
+		t.Fatalf("zero-byte reserve was booked: %d requests, %d busy cycles", srv.ServedCount(), srv.BusyCycles())
+	}
 }
 
 func TestServerReserve(t *testing.T) {
@@ -316,8 +373,7 @@ func TestQuickServerWorkConservation(t *testing.T) {
 		for _, s := range sizes {
 			n := int64(s) + 1
 			want += srv.ServiceTime(n)
-			size := n
-			env.Go("c", func(p *Proc) { srv.Serve(p, size) })
+			env.At(srv.Reserve(n), func() {})
 		}
 		env.Run()
 		return srv.BusyCycles() == want && env.Now() == want
@@ -334,14 +390,18 @@ func TestManyProcessesStress(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		n := 1 + rng.Intn(20)
 		total += n
-		env.Go("p", func(p *Proc) {
-			for j := 0; j < n; j++ {
-				p.Wait(Time(1 + rng.Intn(5)))
+		j := 0
+		env.Spawn("p", func(p *Proc) bool {
+			if j == n {
+				return true
 			}
+			j++
+			p.Wait(Time(1 + rng.Intn(5)))
+			return false
 		})
 	}
 	env.Run()
-	if env.nprocs != 0 {
+	if env.nprocs != 0 || env.live != nil {
 		t.Fatalf("%d processes still live", env.nprocs)
 	}
 	_ = total
@@ -411,11 +471,16 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 
 func BenchmarkProcessSwitch(b *testing.B) {
 	env := NewEnv()
-	env.Go("spin", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Wait(1)
+	i := 0
+	env.Spawn("spin", func(p *Proc) bool {
+		if i == b.N {
+			return true
 		}
+		i++
+		p.Wait(1)
+		return false
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	env.Run()
 }
@@ -423,10 +488,11 @@ func BenchmarkProcessSwitch(b *testing.B) {
 func TestBlockedProcsDiagnostic(t *testing.T) {
 	env := NewEnv()
 	st := NewStore(env, 0)
-	env.Go("starved-consumer", func(p *Proc) {
-		st.Get(p) // never fed
+	env.Spawn("starved-consumer", func(p *Proc) bool {
+		_, ok := st.Get(p) // never fed
+		return ok
 	})
-	env.Go("fine", func(p *Proc) { p.Wait(3) })
+	env.Spawn("fine", sequence([]Time{3}, func(int) {}))
 	env.Run()
 	if env.Live() != 1 {
 		t.Fatalf("live = %d, want 1", env.Live())
@@ -445,9 +511,68 @@ func TestBlockedProcsDiagnostic(t *testing.T) {
 
 func TestBlockedProcsEmptyOnCleanRun(t *testing.T) {
 	env := NewEnv()
-	env.Go("a", func(p *Proc) { p.Wait(5) })
+	env.Spawn("a", sequence([]Time{5}, func(int) {}))
 	env.Run()
 	if n := len(env.BlockedProcs()); n != 0 {
 		t.Fatalf("clean run reports %d blocked procs", n)
 	}
+}
+
+// A process's wait/wake cycle is one event dispatch: in steady state it
+// allocates nothing, whether the wake comes from a timer or from a store.
+func TestWaitWakeCycleAllocatesNothing(t *testing.T) {
+	env := NewEnv()
+	st := NewStore(env, 1)
+	waiting := false
+	env.Spawn("consumer", func(p *Proc) bool {
+		for {
+			if !waiting {
+				waiting = true
+				p.Wait(1)
+				return false
+			}
+			if _, ok := st.Get(p); !ok {
+				return false
+			}
+			waiting = false
+		}
+	})
+	cycle := func() {
+		env.Run()             // the consumer waits out its timer, then blocks on the store
+		st.TryPut(struct{}{}) // wake it from the store
+	}
+	for i := 0; i < 4; i++ {
+		cycle() // grow the queue and waiter slices to steady state
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("wait/wake cycle allocates %.1f times, want 0", n)
+	}
+}
+
+// A step function that returns false must have arranged its wake-up, or
+// the process would silently vanish from the simulation.
+func TestBlockWithoutWakePanics(t *testing.T) {
+	env := NewEnv()
+	env.Spawn("lost", func(p *Proc) bool { return false })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a process blocking without a wake-up")
+		}
+	}()
+	env.Run()
+}
+
+func TestTwoWakesInOneStepPanics(t *testing.T) {
+	env := NewEnv()
+	env.Spawn("double", func(p *Proc) bool {
+		p.Wait(1)
+		p.Wait(2)
+		return false
+	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for two wake-ups in one step")
+		}
+	}()
+	env.Run()
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/profiler"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -296,18 +297,40 @@ func BenchmarkScheduleReplan(b *testing.B) {
 // cache lookup at the identical inputs (one profile hash plus a map probe).
 func BenchmarkPlanCacheLookup(b *testing.B) {
 	cfg, w, prof := replanInputs(b)
+	comp := sched.NewCompiler(w.Graph)
 	c := plancache.New(plancache.NewKeyer(w.Graph, 0), plancache.Config{})
-	if _, _, err := c.GetOrSchedule(cfg, w.Graph, sched.Adyna(), prof); err != nil {
+	if _, _, err := c.GetOrSchedule(cfg, comp, sched.Adyna(), prof); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, kind, err := c.GetOrSchedule(cfg, w.Graph, sched.Adyna(), prof)
+		plan, kind, err := c.GetOrSchedule(cfg, comp, sched.Adyna(), prof)
 		if err != nil || kind != plancache.HitExact || plan == nil {
 			b.Fatalf("warm lookup: kind=%v err=%v", kind, err)
 		}
 	}
+}
+
+// BenchmarkAOTPrecompute measures a serving bring-up with ahead-of-time plan
+// precompute: serve.New for moe with the plan cache's profile lattice solved
+// at start-up, every solve compiling through the bring-up's kernel memo.
+func BenchmarkAOTPrecompute(b *testing.B) {
+	rc := core.DefaultRunConfig()
+	rc.Batch, rc.Warmup = 32, 10
+	cfg := serve.Config{Model: "moe", RC: rc, PlanCache: true, PlanCacheNearest: true, PlanCacheAOT: true}
+	b.ReportAllocs()
+	var plans, searches int64
+	for i := 0; i < b.N; i++ {
+		s, err := serve.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans = int64(s.PlanCacheStats().AOTEntries)
+		_, searches = s.Setup().Comp.Stats()
+	}
+	b.ReportMetric(float64(plans), "aot-plans")
+	b.ReportMetric(float64(searches), "blocking-searches")
 }
 
 // BenchmarkDensityEvaluate measures the per-batch cost of density-aware

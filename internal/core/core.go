@@ -188,6 +188,10 @@ type Setup struct {
 	// machine's configuration (time-sliced multi-tenancy) re-load it to
 	// charge the context-switch cost of bringing the tenant back on chip.
 	Plan *sched.Plan
+	// Comp is the bring-up's kernel compile memo: every later solve on W's
+	// graph — re-schedules, plan-cache misses and ahead-of-time variants —
+	// goes through it, so each kernel is compiled once per bring-up.
+	Comp *sched.Compiler
 }
 
 // Bringup assembles a machine design the way every runner does before its
@@ -240,14 +244,15 @@ func Bringup(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy
 			return nil, err
 		}
 	}
-	plan, err := sched.Schedule(rc.HW, w.Graph, pol, m.Profiler())
+	comp := sched.NewCompiler(w.Graph)
+	plan, err := comp.Schedule(rc.HW, pol, m.Profiler())
 	if err != nil {
 		return nil, err
 	}
 	if err := m.LoadPlan(plan); err != nil {
 		return nil, err
 	}
-	return &Setup{W: w, M: m, Policy: pol, Src: src, Rec: rec, Plan: plan}, nil
+	return &Setup{W: w, M: m, Policy: pol, Src: src, Rec: rec, Plan: plan, Comp: comp}, nil
 }
 
 func run(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy)) (metrics.RunResult, error) {
@@ -296,7 +301,7 @@ func run(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy)) (
 			// Periodic report: re-schedule and re-sample from the live
 			// profile, reconfigure (drain + kernel reload), then age the
 			// profiling window.
-			plan, err := sched.Schedule(rc.HW, w.Graph, pol, m.Profiler())
+			plan, err := setup.Comp.Schedule(rc.HW, pol, m.Profiler())
 			if err != nil {
 				return metrics.RunResult{}, err
 			}

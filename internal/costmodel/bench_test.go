@@ -70,16 +70,3 @@ func BenchmarkCostModelEvaluateCached(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCostModelOptimizeCached measures the memoized blocking search —
-// what kernels.Compile pays when a (value, tiles) pair repeats.
-func BenchmarkCostModelOptimizeCached(b *testing.B) {
-	b.ReportAllocs()
-	c := NewCache(hw.Default())
-	op := benchOp()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Optimize(op, 128, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

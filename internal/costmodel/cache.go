@@ -5,17 +5,17 @@ import (
 	"repro/internal/hw"
 )
 
-// Cache memoizes Evaluate and Optimize results for one fixed hardware
-// configuration and one operator graph. Both functions are pure: their result
-// depends only on the hardware config, the operator's work model, and the
-// scalar arguments — so within one (cfg, graph) scope a compact key of
-// (operator ID, blocking, sizes, policy bit) identifies the result exactly.
+// Cache memoizes Evaluate results for one fixed hardware configuration and
+// one operator graph. Evaluate is pure: its result depends only on the
+// hardware config, the operator's work model, and the scalar arguments — so
+// within one (cfg, graph) scope a compact key of (operator ID, blocking,
+// sizes, policy bit) identifies the result exactly.
 //
 // The simulator re-evaluates identical keys constantly: every batch of a run
 // window re-costs each entity at its dyn value through Plan.EvaluateEntity,
-// tile-sharing pairs re-score the same option triples, and Optimize's
-// blocking search repeats whenever a kernel is compiled for a (value, tiles)
-// pair already seen. Memoization turns all of that into map hits.
+// and tile-sharing pairs re-score the same option triples. Memoization turns
+// all of that into map hits. (Kernel compilation — the Optimize blocking
+// search — is memoized one level up, per graph bring-up, by sched.Compiler.)
 //
 // A Cache is deliberately not safe for concurrent use: the parallel
 // experiment runner gives every simulation its own plan (and therefore its
@@ -25,7 +25,6 @@ import (
 type Cache struct {
 	cfg  hw.Config
 	eval map[evalKey]evalResult
-	opt  map[optKey]optResult
 
 	hits, misses int64
 }
@@ -49,26 +48,9 @@ type evalResult struct {
 	err error
 }
 
-// optKey identifies one Optimize invocation within a (cfg, graph) scope.
-type optKey struct {
-	op       graph.OpID
-	compiled int
-	tiles    int
-}
-
-type optResult struct {
-	blk Blocking
-	ev  Eval
-	err error
-}
-
 // NewCache returns an empty cache bound to cfg.
 func NewCache(cfg hw.Config) *Cache {
-	return &Cache{
-		cfg:  cfg,
-		eval: map[evalKey]evalResult{},
-		opt:  map[optKey]optResult{},
-	}
+	return &Cache{cfg: cfg, eval: map[evalKey]evalResult{}}
 }
 
 // Config returns the hardware configuration the cache is bound to. Callers
@@ -92,23 +74,9 @@ func (c *Cache) Evaluate(op *graph.Op, blk Blocking, compiledUnits, actualUnits,
 	return ev, err
 }
 
-// Optimize is the memoized form of the package-level Optimize (the blocking
-// search of kernel generation).
-func (c *Cache) Optimize(op *graph.Op, compiledUnits, tiles int) (Blocking, Eval, error) {
-	k := optKey{op: op.ID, compiled: compiledUnits, tiles: tiles}
-	if r, ok := c.opt[k]; ok {
-		c.hits++
-		return r.blk, r.ev, r.err
-	}
-	c.misses++
-	blk, ev, err := Optimize(c.cfg, op, compiledUnits, tiles)
-	c.opt[k] = optResult{blk: blk, ev: ev, err: err}
-	return blk, ev, err
-}
-
 // Stats reports cache hits and misses so far (tests assert the cache
 // actually engages on the hot path).
 func (c *Cache) Stats() (hits, misses int64) { return c.hits, c.misses }
 
-// Len reports the number of memoized entries across both tables.
-func (c *Cache) Len() int { return len(c.eval) + len(c.opt) }
+// Len reports the number of memoized entries.
+func (c *Cache) Len() int { return len(c.eval) }

@@ -52,9 +52,10 @@ func errString(err error) string {
 }
 
 // TestCacheMatchesUncached is the memoization soundness property: over
-// randomized operator shapes and argument tuples, the cached Evaluate and
-// Optimize must return exactly what the package-level functions return —
-// values and errors alike — on both the miss path and the hit path.
+// randomized operator shapes and argument tuples, the cached Evaluate must
+// return exactly what the package-level function returns — values and
+// errors alike — on both the miss path and the hit path. (The compile memo
+// has its own property test in internal/sched.)
 func TestCacheMatchesUncached(t *testing.T) {
 	cfg := hw.Default()
 	r := rand.New(rand.NewSource(11))
@@ -65,15 +66,8 @@ func TestCacheMatchesUncached(t *testing.T) {
 		tiles := 1 + r.Intn(16)
 		compiled := 1 + r.Intn(op.MaxUnits)
 
-		blk, oev, oerr := Optimize(cfg, op, compiled, tiles)
-		for trial := 0; trial < 2; trial++ { // miss, then hit
-			cblk, cev, cerr := c.Optimize(op, compiled, tiles)
-			if cblk != blk || cev != oev || errString(cerr) != errString(oerr) {
-				t.Fatalf("op %s trial %d: cached Optimize diverged:\n(%+v, %+v, %v)\nwant (%+v, %+v, %v)",
-					op, trial, cblk, cev, cerr, blk, oev, oerr)
-			}
-		}
-		if oerr != nil {
+		blk, _, err := Optimize(cfg, op, compiled, tiles)
+		if err != nil {
 			continue
 		}
 

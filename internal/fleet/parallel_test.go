@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/sim/simtest"
 	"repro/internal/telemetry"
 )
@@ -65,6 +66,25 @@ func TestFleetParallelEquivalenceUnderFaults(t *testing.T) {
 	for _, workers := range []int{4, 8} {
 		par := fleetArtifacts(t, cfg, mix, workers, false)
 		simtest.Diff(t, fmt.Sprintf("faults workers=%d vs sequential", workers), seq, par)
+	}
+}
+
+// TestFleetParallelAOTSharedCache steps replicas concurrently over one shared
+// plan cache that every replica's bring-up filled ahead of time through its
+// own compile memo. A replica's memo stays reachable from the plans it
+// solved — the full-kernel design compiles through it on demand mid-window —
+// so under -race this is the audit that no memo is shared between replicas.
+// Outcomes must match the sequential sweep.
+func TestFleetParallelAOTSharedCache(t *testing.T) {
+	mix := headlineMix()
+	mix.Requests = 96
+	for _, design := range []core.Design{core.DesignAdyna, core.DesignFullKernel} {
+		cfg := headlineConfig(PolicyAffinity)
+		cfg.Base.Design = design
+		cfg.Base.PlanCacheAOT = true
+		seq := fleetArtifacts(t, cfg, mix, 1, false)
+		par := fleetArtifacts(t, cfg, mix, 4, false)
+		simtest.Diff(t, fmt.Sprintf("%s AOT workers=4 vs sequential", design), seq, par)
 	}
 }
 

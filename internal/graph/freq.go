@@ -86,6 +86,16 @@ func (f *FreqTable) Distribution() (vals []int, freq []int64) {
 	return vals, freq
 }
 
+// EachObserved calls fn with every observed value (ascending) and its count,
+// skipping zero-count entries: Distribution without building the slices.
+func (f *FreqTable) EachObserved(fn func(v int, count int64)) {
+	for v, c := range f.counts {
+		if c > 0 {
+			fn(v, c)
+		}
+	}
+}
+
 // Reset clears all observations (used when the profiler starts a new
 // reporting window).
 func (f *FreqTable) Reset() {

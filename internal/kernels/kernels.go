@@ -80,31 +80,13 @@ func Generate(cfg hw.Config, op *graph.Op, units, tiles int) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lowered(cfg, op, units, tiles, blk), nil
-}
-
-// Compile is Generate with the blocking search memoized through the given
-// cost-model cache: re-compiling a (operator, dyn value, tiles) triple the
-// cache has seen skips the Optimize sweep entirely. The scheduler and the
-// full-kernel dispatcher compile the same triples over and over, which makes
-// this the hot form; Generate remains the uncached reference.
-func Compile(c *costmodel.Cache, op *graph.Op, units, tiles int) (*Kernel, error) {
-	blk, _, err := c.Optimize(op, units, tiles)
-	if err != nil {
-		return nil, err
-	}
-	return lowered(c.Config(), op, units, tiles, blk), nil
-}
-
-func lowered(cfg hw.Config, op *graph.Op, units, tiles int, blk costmodel.Blocking) *Kernel {
-	k := &Kernel{
+	return &Kernel{
 		Op:            op.ID,
 		CompiledUnits: units,
 		Tiles:         tiles,
 		Blocking:      blk,
-	}
-	k.Nest = lower(cfg, op, units, blk)
-	return k
+		Nest:          lower(cfg, op, units, blk),
+	}, nil
 }
 
 // lower expands the compact blocking decision into the full 5-level loop
@@ -327,37 +309,3 @@ func (s *Set) Len() int { return len(s.kernels) }
 
 // StorageBytes returns the on-chip footprint of the set.
 func (s *Set) StorageBytes() int { return len(s.kernels) * MetaBytes }
-
-// GenerateSet compiles a kernel for each of the given dyn values (as chosen
-// by multi-kernel sampling) on the same tile allocation.
-func GenerateSet(cfg hw.Config, op *graph.Op, values []int, tiles int) (*Set, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("kernels: no values to compile for %s", op.Name)
-	}
-	ks := make([]*Kernel, 0, len(values))
-	for _, v := range values {
-		k, err := Generate(cfg, op, v, tiles)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: compiling %s at %d: %w", op.Name, v, err)
-		}
-		ks = append(ks, k)
-	}
-	return NewSet(ks)
-}
-
-// CompileSet is GenerateSet through a cost-model cache: entities sharing an
-// operator shape or re-scheduled across windows reuse each blocking search.
-func CompileSet(c *costmodel.Cache, op *graph.Op, values []int, tiles int) (*Set, error) {
-	if len(values) == 0 {
-		return nil, fmt.Errorf("kernels: no values to compile for %s", op.Name)
-	}
-	ks := make([]*Kernel, 0, len(values))
-	for _, v := range values {
-		k, err := Compile(c, op, v, tiles)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: compiling %s at %d: %w", op.Name, v, err)
-		}
-		ks = append(ks, k)
-	}
-	return NewSet(ks)
-}

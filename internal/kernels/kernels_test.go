@@ -113,7 +113,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 func TestSetSelectBestMatch(t *testing.T) {
 	cfg := hw.Default()
 	op := convOp(t, 128)
-	set, err := GenerateSet(cfg, op, []int{8, 32, 64, 128}, 4)
+	set, err := generateSet(cfg, op, []int{8, 32, 64, 128}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSetStorageWithinBudget(t *testing.T) {
 	for i := 1; i <= cfg.MaxKernelsPerOperator(); i++ {
 		vals = append(vals, i*8192/cfg.MaxKernelsPerOperator())
 	}
-	set, err := GenerateSet(cfg, op, vals, 4)
+	set, err := generateSet(cfg, op, vals, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSetStorageWithinBudget(t *testing.T) {
 func TestValuesSorted(t *testing.T) {
 	cfg := hw.Default()
 	op := convOp(t, 128)
-	set, err := GenerateSet(cfg, op, []int{64, 8, 128, 32}, 4)
+	set, err := generateSet(cfg, op, []int{64, 8, 128, 32}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestValuesSorted(t *testing.T) {
 func TestQuickSelectMinimality(t *testing.T) {
 	cfg := hw.Default()
 	op := convOp(t, 256)
-	set, err := GenerateSet(cfg, op, []int{4, 16, 64, 256}, 4)
+	set, err := generateSet(cfg, op, []int{4, 16, 64, 256}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,4 +266,17 @@ func BenchmarkEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = k.Encode()
 	}
+}
+
+// generateSet compiles an uncached kernel store: one Generate per value.
+func generateSet(cfg hw.Config, op *graph.Op, values []int, tiles int) (*Set, error) {
+	ks := make([]*Kernel, 0, len(values))
+	for _, v := range values {
+		k, err := Generate(cfg, op, v, tiles)
+		if err != nil {
+			return nil, err
+		}
+		ks = append(ks, k)
+	}
+	return NewSet(ks)
 }

@@ -94,20 +94,25 @@ func mustFind(b *graph.Builder) graph.OpID {
 type dpsGen struct {
 	swID     graph.OpID
 	meanKeep *workload.Drift
+	dropBuf  []int // scratch for the drop list, reused across batches
 }
 
 func (g *dpsGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	images := units / dpsPatches
 	mean := g.meanKeep.Step(src)
+	// Every unit lands in exactly one branch, so both lists share one
+	// exactly-sized array: keep fills it from the front and the drop list,
+	// gathered in scratch, is copied in behind. A measured trace keeps every
+	// batch's routing alive, and two full-size arrays per batch doubled it.
 	keep := make([]int, 0, units)
-	drop := make([]int, 0, units)
+	drop := g.dropBuf[:0]
 	for img := 0; img < images; img++ {
 		// Patch count per image: wide spread (objects sit in arbitrary
 		// regions), clamped to [4, 56].
 		k := src.NormInt(mean, 10, 4, 56)
 		perm := src.Perm(dpsPatches)
 		base := img * dpsPatches
-		kept := make(map[int]bool, k)
+		var kept [dpsPatches]bool
 		for _, p := range perm[:k] {
 			kept[p] = true
 		}
@@ -123,5 +128,9 @@ func (g *dpsGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	for u := images * dpsPatches; u < units; u++ {
 		drop = append(drop, u)
 	}
+	g.dropBuf = drop
+	n := len(keep)
+	keep = append(keep, drop...)
+	keep, drop = keep[:n:n], keep[n:]
 	return graph.BatchRouting{g.swID: {Branch: [][]int{keep, drop}}}
 }

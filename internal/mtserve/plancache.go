@@ -57,7 +57,7 @@ func (s *Server) setupPlanCache(ts *tenantState, bringupHW hw.Config) {
 	effHW := s.tenantHW(ts, faults.Capability{NoC: 1, HBM: 1})
 	if effHW == bringupHW {
 		ts.pcache.Put(bringupHW, g, ts.setup.Policy, prof, ts.setup.Plan)
-	} else if plan, err := sched.Schedule(effHW, g, ts.setup.Policy, prof); err == nil {
+	} else if plan, err := ts.setup.Comp.Schedule(effHW, ts.setup.Policy, prof); err == nil {
 		// The bring-up plan was solved before the bandwidth share applied;
 		// seed an honest solve at the effective scope instead.
 		ts.pcache.Put(effHW, g, ts.setup.Policy, prof, plan)
@@ -79,7 +79,7 @@ func (s *Server) setupPlanCache(ts *tenantState, bringupHW hw.Config) {
 			t = nc
 		}
 	}
-	ts.pcache.Precompute(effHW, g, ts.setup.Policy, prof, ao)
+	ts.pcache.Precompute(effHW, ts.setup.Comp, ts.setup.Policy, prof, ao)
 }
 
 // tenantHW composes the tenant's effective hardware config under a global
@@ -104,9 +104,9 @@ func (s *Server) lookupOrSchedule(ts *tenantState, cfg hw.Config) (*sched.Plan, 
 	kind := plancache.Miss
 	var err error
 	if ts.pcache != nil {
-		plan, kind, err = ts.pcache.GetOrSchedule(cfg, ts.setup.W.Graph, ts.setup.Policy, m.Profiler())
+		plan, kind, err = ts.pcache.GetOrSchedule(cfg, ts.setup.Comp, ts.setup.Policy, m.Profiler())
 	} else {
-		plan, err = sched.Schedule(cfg, ts.setup.W.Graph, ts.setup.Policy, m.Profiler())
+		plan, err = ts.setup.Comp.Schedule(cfg, ts.setup.Policy, m.Profiler())
 	}
 	if err != nil {
 		return nil, kind, err

@@ -40,7 +40,12 @@ func (n *NoC) link(id linkID) *sim.Server {
 // inclusive of both endpoints, taking the shorter torus direction in each
 // dimension.
 func (n *NoC) Path(src, dst int) []int {
-	path := []int{src}
+	return n.appendPath(nil, src, dst)
+}
+
+// appendPath appends Path(src, dst) to path.
+func (n *NoC) appendPath(path []int, src, dst int) []int {
+	path = append(path, src)
 	x, y := n.coord(src)
 	tx, ty := n.coord(dst)
 	step := func(cur, target, size int) (int, bool) {
@@ -84,36 +89,35 @@ func abs(v int) int {
 	return v
 }
 
-// pathLinks converts a tile path into the unidirectional links it occupies.
-func (n *NoC) pathLinks(path []int) []linkID {
-	out := make([]linkID, 0, len(path)-1)
-	for i := 0; i+1 < len(path); i++ {
-		fx, fy := n.coord(path[i])
-		tx, ty := n.coord(path[i+1])
-		var dir int
-		switch {
-		case tx == (fx+1)%n.cfg.TilesX && ty == fy:
-			dir = dirXPlus
-		case tx == (fx-1+n.cfg.TilesX)%n.cfg.TilesX && ty == fy:
-			dir = dirXMinus
-		case ty == (fy+1)%n.cfg.TilesY && tx == fx:
-			dir = dirYPlus
-		default:
-			dir = dirYMinus
-		}
-		out = append(out, linkID{from: path[i], dir: dir})
+// linkBetween returns the unidirectional link joining two adjacent tiles of
+// a path.
+func (n *NoC) linkBetween(from, to int) linkID {
+	fx, fy := n.coord(from)
+	tx, ty := n.coord(to)
+	var dir int
+	switch {
+	case tx == (fx+1)%n.cfg.TilesX && ty == fy:
+		dir = dirXPlus
+	case tx == (fx-1+n.cfg.TilesX)%n.cfg.TilesX && ty == fy:
+		dir = dirXMinus
+	case ty == (fy+1)%n.cfg.TilesY && tx == fx:
+		dir = dirYPlus
+	default:
+		dir = dirYMinus
 	}
-	return out
+	return linkID{from: from, dir: dir}
 }
 
 // reserveLinks books the payload on every link of the path (wormhole-style:
 // the transfer occupies all its links for its serialization time) and
 // returns the completion time of the slowest link plus the per-hop latency.
+// The path is built in a buffer the NoC reuses, so booking allocates nothing.
 func (n *NoC) reserveLinks(src, dst int, share int64) sim.Time {
-	path := n.Path(src, dst)
+	n.pathBuf = n.appendPath(n.pathBuf[:0], src, dst)
+	path := n.pathBuf
 	var done sim.Time
-	for _, l := range n.pathLinks(path) {
-		if t := n.link(l).Reserve(share); t > done {
+	for i := 0; i+1 < len(path); i++ {
+		if t := n.link(n.linkBetween(path[i], path[i+1])).Reserve(share); t > done {
 			done = t
 		}
 	}

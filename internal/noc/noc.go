@@ -20,6 +20,8 @@ type NoC struct {
 	// links holds the unidirectional torus links, created lazily as X-Y
 	// routed transfers touch them (see links.go).
 	links map[linkID]*sim.Server
+	// pathBuf is reserveLinks' reusable route buffer.
+	pathBuf []int
 	// baseRate is the healthy per-port bandwidth; rate is the current
 	// (possibly derated) one, applied to lazily created links too.
 	baseRate, rate float64

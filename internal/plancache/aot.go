@@ -76,10 +76,12 @@ func (a *AOTConfig) defaults(g *graph.Graph) {
 // base profile. Points whose fingerprint is already cached are skipped, and
 // points the scheduler rejects (for example a degraded chip too small for
 // the policy) are silently dropped — precompute is best-effort coverage, not
-// a correctness gate. Returns the number of plans added.
-func (c *Cache) Precompute(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *profiler.Profiler, ao AOTConfig) int {
+// a correctness gate. Every solve compiles through comp, the compile memo of
+// the caller's graph bring-up. Returns the number of plans added.
+func (c *Cache) Precompute(cfg hw.Config, comp *sched.Compiler, pol sched.Policy, prof *profiler.Profiler, ao AOTConfig) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	g := comp.Graph()
 	ao.defaults(g)
 	added := 0
 
@@ -89,7 +91,7 @@ func (c *Cache) Precompute(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof
 		if _, ok := c.peek(k); ok {
 			continue
 		}
-		plan, err := sched.Schedule(dcfg, g, pol, prof)
+		plan, err := comp.Schedule(dcfg, pol, prof)
 		if err != nil {
 			continue
 		}
@@ -97,30 +99,44 @@ func (c *Cache) Precompute(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof
 		added++
 	}
 
-	// Profile lattice, solved at the base config over synthetic profiles. On
-	// density-aware graphs every routing point is solved at the live density,
-	// and the base routing is additionally walked along the density lattice —
-	// the drift direction the sparsity axis adds.
+	// Profile lattice, solved at the base config over synthetic profiles.
+	for _, pt := range c.lattice(prof, ao) {
+		if c.precomputePoint(cfg, comp, pol, pt, ao) {
+			added++
+		}
+	}
+	return added
+}
+
+// latticePoint is one synthetic profile Precompute solves: per-switch branch
+// unit shares and a density mean.
+type latticePoint struct {
+	shares  [][]float64
+	density float64
+}
+
+// lattice enumerates the profile points Precompute solves at the base
+// config: each switch's branch simplex walked at the tilt levels, at the
+// live density. On density-aware graphs the base routing is additionally
+// walked along the density lattice — the drift direction the sparsity axis
+// adds.
+func (c *Cache) lattice(prof *profiler.Profiler, ao AOTConfig) []latticePoint {
 	baseDens := prof.OpDensityMean()
 	base := c.baseShares(prof)
+	var pts []latticePoint
 	for si := range c.keyer.sws {
 		for b := 0; b < c.keyer.nb[si]; b++ {
 			for _, tilt := range ao.TiltLevels {
-				shares := tiltShares(base, si, b, tilt)
-				if c.precomputePoint(cfg, g, pol, shares, baseDens, ao) {
-					added++
-				}
+				pts = append(pts, latticePoint{tiltShares(base, si, b, tilt), baseDens})
 			}
 		}
 	}
 	if c.keyer.hasDensity {
 		for _, d := range ao.DensityLevels {
-			if c.precomputePoint(cfg, g, pol, base, d, ao) {
-				added++
-			}
+			pts = append(pts, latticePoint{base, d})
 		}
 	}
-	return added
+	return pts
 }
 
 // peek reports whether a fingerprint-identical entry exists, without
@@ -219,15 +235,35 @@ func tiltShares(base [][]float64, si, b int, tilt float64) [][]float64 {
 	return out
 }
 
-// precomputePoint synthesizes one profile lattice point — a scratch profiler
-// fed Batches synthetic batches routed to the target shares at the target
-// density over cloned frequency tables — solves it, and stores the plan.
-// Returns whether a plan was added.
-func (c *Cache) precomputePoint(cfg hw.Config, g *graph.Graph, pol sched.Policy, shares [][]float64, density float64, ao AOTConfig) bool {
-	rt := c.synthRouting(shares, ao.BatchUnits)
+// precomputePoint solves one profile lattice point at cfg and stores the
+// plan. Returns whether a plan was added.
+func (c *Cache) precomputePoint(cfg hw.Config, comp *sched.Compiler, pol sched.Policy, pt latticePoint, ao AOTConfig) bool {
+	added := false
+	c.withSyntheticProfile(comp.Graph(), pt, ao, func(sp *profiler.Profiler) {
+		k := c.keyer.makeKey(cfg, comp.Graph(), pol, sp)
+		if _, ok := c.peek(k); ok {
+			return
+		}
+		plan, err := comp.Schedule(cfg, pol, sp)
+		if err != nil {
+			return
+		}
+		c.put(k, plan, true, "")
+		added = true
+	})
+	return added
+}
+
+// withSyntheticProfile synthesizes one profile lattice point — a scratch
+// profiler fed Batches synthetic batches routed to the point's shares at its
+// density over cloned frequency tables — and calls fn with it while the
+// clones are installed in g. The live frequency tables are restored before
+// it returns; fn is not called if the point cannot be synthesized.
+func (c *Cache) withSyntheticProfile(g *graph.Graph, pt latticePoint, ao AOTConfig, fn func(*profiler.Profiler)) {
+	rt := c.synthRouting(pt.shares, ao.BatchUnits)
 	units, err := g.AssignUnits(ao.BatchUnits, rt)
 	if err != nil {
-		return false
+		return
 	}
 	// Swap every dynamic operator's frequency table for a clone so the
 	// synthetic observations never touch live profile state.
@@ -245,20 +281,11 @@ func (c *Cache) precomputePoint(cfg hw.Config, g *graph.Graph, pol sched.Policy,
 	}()
 	sp := profiler.New(g)
 	for b := 0; b < ao.Batches; b++ {
-		if err := sp.ObserveBatchDensity(units, rt, density); err != nil {
-			return false
+		if err := sp.ObserveBatchDensity(units, rt, pt.density); err != nil {
+			return
 		}
 	}
-	k := c.keyer.makeKey(cfg, g, pol, sp)
-	if _, ok := c.peek(k); ok {
-		return false
-	}
-	plan, err := sched.Schedule(cfg, g, pol, sp)
-	if err != nil {
-		return false
-	}
-	c.put(k, plan, true, "")
-	return true
+	fn(sp)
 }
 
 // synthRouting builds one batch's routing hitting the target per-switch

@@ -26,10 +26,11 @@ func TestGetOrScheduleForClonesCrossOriginHits(t *testing.T) {
 	c := New(NewKeyer(w.Graph, 0), Config{MaxEntries: 8})
 	cfg := hw.Default()
 	pol := sched.Adyna()
+	comp := sched.NewCompiler(w.Graph)
 	prof := profiler.New(w.Graph)
 	observe(t, w, prof, workload.NewSource(1), 4)
 
-	solved, kind, err := c.GetOrScheduleFor("rep0", cfg, w.Graph, pol, prof)
+	solved, kind, err := c.GetOrScheduleFor("rep0", cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestGetOrScheduleForClonesCrossOriginHits(t *testing.T) {
 		t.Fatalf("first call: kind=%v, want Miss", kind)
 	}
 
-	self, kind, err := c.GetOrScheduleFor("rep0", cfg, w.Graph, pol, prof)
+	self, kind, err := c.GetOrScheduleFor("rep0", cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestGetOrScheduleForClonesCrossOriginHits(t *testing.T) {
 		t.Fatal("self-origin fleet hit returned the stored plan pointer")
 	}
 
-	other, kind, err := c.GetOrScheduleFor("rep1", cfg, w.Graph, pol, prof)
+	other, kind, err := c.GetOrScheduleFor("rep1", cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,11 @@ func TestGetOrScheduleForClonesCrossOriginHits(t *testing.T) {
 
 	// Anonymous origin keeps the pointer-return fast path.
 	anon := New(NewKeyer(w.Graph, 0), Config{MaxEntries: 8})
-	first, _, err := anon.GetOrSchedule(cfg, w.Graph, pol, prof)
+	first, _, err := anon.GetOrSchedule(cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, kind, err := anon.GetOrSchedule(cfg, w.Graph, pol, prof)
+	again, kind, err := anon.GetOrSchedule(cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)
 	}

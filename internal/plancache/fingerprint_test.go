@@ -1,6 +1,8 @@
 package plancache
 
 import (
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -201,4 +203,75 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 			t.Fatal("routing-only graph keyed on density")
 		}
 	})
+}
+
+// referenceFP is the fingerprint as first written: hash/fnv's FNV-1a fed
+// eight little-endian bytes per word through the hash.Hash interface, with
+// the frequency tables read through Distribution. makeKey must reproduce it
+// bit for bit — exported caches store fingerprints.
+func referenceFP(k *Keyer, g *graph.Graph, prof *profiler.Profiler) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	w64 := func(v uint64) {
+		for i := range buf {
+			buf[i] = byte(v >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	wf := func(f float64) { w64(math.Float64bits(f)) }
+	w64(uint64(prof.Batches()))
+	for i, sw := range k.sws {
+		for b := 0; b < k.nb[i]; b++ {
+			wf(prof.BranchUnitShare(sw, b))
+			wf(prof.BranchActiveFraction(sw, b))
+			for j := b + 1; j < k.nb[i]; j++ {
+				wf(prof.CoActivation(sw, b, j))
+			}
+		}
+	}
+	for _, id := range k.dyn {
+		f := g.Op(id).Freq
+		if f == nil {
+			continue
+		}
+		w64(uint64(f.Total()))
+		vals, freq := f.Distribution()
+		for i, v := range vals {
+			w64(uint64(v))
+			w64(uint64(freq[i]))
+		}
+	}
+	if k.hasDensity {
+		wf(prof.OpDensityMean())
+	}
+	return h.Sum64()
+}
+
+// TestFingerprintMatchesHashFNV pins the inlined FNV-1a fingerprint to the
+// hash/fnv reference over empty and warmed profiles of a routing model and a
+// density-aware one.
+func TestFingerprintMatchesHashFNV(t *testing.T) {
+	cfg := hw.Default()
+	pol := sched.Adyna()
+	for _, model := range []string{"moe", "gcn"} {
+		for _, batches := range []int{0, 3, 12} {
+			w, prof := warmWorkload(t, model, batches)
+			k := NewKeyer(w.Graph, 0)
+			got := k.makeKey(cfg, w.Graph, pol, prof).fp
+			if want := referenceFP(k, w.Graph, prof); got != want {
+				t.Fatalf("%s after %d batches: fingerprint %#x, hash/fnv reference %#x", model, batches, got, want)
+			}
+		}
+	}
+}
+
+// TestWarmKeyAllocations bounds the warm lookup's key derivation: the
+// quantized snapshot and its string are the only allocations.
+func TestWarmKeyAllocations(t *testing.T) {
+	w, prof := warmWorkload(t, "moe", 12)
+	k := NewKeyer(w.Graph, 0)
+	cfg, pol := hw.Default(), sched.Adyna()
+	if n := testing.AllocsPerRun(20, func() { k.makeKey(cfg, w.Graph, pol, prof) }); n > 2 {
+		t.Fatalf("makeKey allocates %.0f times, want <= 2", n)
+	}
 }

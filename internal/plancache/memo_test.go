@@ -1,0 +1,100 @@
+package plancache
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/graph"
+	"repro/internal/hw"
+	"repro/internal/profiler"
+	"repro/internal/sched"
+)
+
+// TestCompileMemoTransparent pins the bring-up compile memo as invisible:
+// for moe and gcn under the Adyna, static and full-kernel policies, every
+// plan AOT bring-up solves — the live point, the fault schedule's degraded
+// configs, every single-tile loss and every profile-lattice point — encodes
+// byte-identically and costs identically whether it is solved through one
+// compiler warmed by all the solves before it or through a fresh compiler.
+// The chip is shrunk to 4x4 tiles so the single-tile sweep stays short.
+func TestCompileMemoTransparent(t *testing.T) {
+	cfg := hw.Default()
+	cfg.TilesX, cfg.TilesY = 4, 4
+	fs, err := faults.ParseSpec("hbm@1e6:factor=0.5,until=2e6;noc@3e6:factor=0.6;fail@4e6:tiles=0-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := map[string]sched.Policy{
+		"adyna":       sched.Adyna(),
+		"static":      sched.AdynaStatic(),
+		"full-kernel": sched.FullKernelIdeal(),
+	}
+	for _, model := range []string{"moe", "gcn"} {
+		w, prof := warmWorkload(t, model, 12)
+		g := w.Graph
+		c := New(NewKeyer(g, 0), Config{})
+		ao := AOTConfig{Faults: fs, SingleTileLoss: true, Batches: 8}
+		ao.defaults(g)
+		for name, pol := range policies {
+			warm := sched.NewCompiler(g)
+			solves := 0
+			check := func(what string, cfg hw.Config, prof *profiler.Profiler) {
+				t.Helper()
+				got, gerr := warm.Schedule(cfg, pol, prof)
+				want, werr := sched.Schedule(cfg, g, pol, prof)
+				if errText(gerr) != errText(werr) {
+					t.Fatalf("%s/%s %s: warm error %v, fresh error %v", model, name, what, gerr, werr)
+				}
+				if werr != nil {
+					return
+				}
+				solves++
+				if !bytes.Equal(encodePlan(t, got), encodePlan(t, want)) {
+					t.Fatalf("%s/%s %s: warm-compiler plan encodes differently from a fresh solve", model, name, what)
+				}
+				sameCosts(t, cfg, g, got, want)
+			}
+			check("live", cfg, prof)
+			for _, dcfg := range c.degradedConfigs(cfg, ao) {
+				check("degraded config", dcfg, prof)
+			}
+			for _, pt := range c.lattice(prof, ao) {
+				c.withSyntheticProfile(g, pt, ao, func(sp *profiler.Profiler) { check("lattice point", cfg, sp) })
+			}
+			if solves < 20 {
+				t.Fatalf("%s/%s: only %d plans compared", model, name, solves)
+			}
+		}
+	}
+}
+
+// sameCosts compares every entity's cost on every option at a spread of dyn
+// values — the comparison that reaches full-kernel plans, whose kernels are
+// compiled on demand and never encoded.
+func sameCosts(t *testing.T, cfg hw.Config, g *graph.Graph, a, b *sched.Plan) {
+	t.Helper()
+	for si, seg := range a.Segments {
+		for lead, op := range seg.Plans {
+			bop := b.Segments[si].Plans[lead]
+			max := g.Op(lead).MaxUnits
+			for k := range op.Options {
+				for _, v := range []int{1, max / 3, max} {
+					ea, errA := a.EvaluateEntity(cfg, g, op, op.Options[k], v)
+					eb, errB := b.EvaluateEntity(cfg, g, bop, bop.Options[k], v)
+					if ea != eb || errText(errA) != errText(errB) {
+						t.Fatalf("entity %s option %d v=%d: warm %+v (%v), fresh %+v (%v)",
+							g.Op(lead).Name, k, v, ea, errA, eb, errB)
+					}
+				}
+			}
+		}
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}

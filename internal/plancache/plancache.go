@@ -34,7 +34,6 @@ package plancache
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 
@@ -191,16 +190,9 @@ type key struct {
 // of profile state sched.Schedule reads.
 func (k *Keyer) makeKey(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *profiler.Profiler) key {
 	q := make([]byte, 0, k.dims)
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	wf := func(f float64) { w64(math.Float64bits(f)) }
-	w64(uint64(prof.Batches()))
+	h := fnvOffset64
+	wf := func(f float64) { h.word(math.Float64bits(f)) }
+	h.word(uint64(prof.Batches()))
 	for i, sw := range k.sws {
 		for b := 0; b < k.nb[i]; b++ {
 			share := prof.BranchUnitShare(sw, b)
@@ -218,19 +210,39 @@ func (k *Keyer) makeKey(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *p
 		if f == nil {
 			continue
 		}
-		w64(uint64(f.Total()))
-		vals, freq := f.Distribution()
-		for i, v := range vals {
-			w64(uint64(v))
-			w64(uint64(freq[i]))
-		}
+		h.word(uint64(f.Total()))
+		f.EachObserved(func(v int, count int64) {
+			h.word(uint64(v))
+			h.word(uint64(count))
+		})
 	}
 	if k.hasDensity {
 		dens := prof.OpDensityMean()
 		q = append(q, k.quantize(dens))
 		wf(dens)
 	}
-	return key{scope: scope{cfg: cfg, pol: pol}, profile: string(q), fp: h.Sum64()}
+	return key{scope: scope{cfg: cfg, pol: pol}, profile: string(q), fp: uint64(h)}
+}
+
+// fnv64a is 64-bit FNV-1a fed little-endian 64-bit words: the same digest
+// hash/fnv's New64a computes over the same bytes, without the interface call
+// and staging buffer per word. Fingerprints are persisted by Export, so the
+// byte order must not change.
+type fnv64a uint64
+
+const (
+	fnvOffset64 fnv64a = 14695981039346656037
+	fnvPrime64  fnv64a = 1099511628211
+)
+
+func (h *fnv64a) word(v uint64) {
+	x := *h
+	for i := 0; i < 8; i++ {
+		x ^= fnv64a(byte(v))
+		x *= fnvPrime64
+		v >>= 8
+	}
+	*h = x
 }
 
 func (k *Keyer) quantize(v float64) byte {
@@ -509,11 +521,12 @@ func (c *Cache) evictOldest() {
 }
 
 // GetOrSchedule is the serving layers' re-plan entry point: look the inputs
-// up, and on a miss solve fresh with sched.Schedule and store the result.
+// up, and on a miss solve fresh through comp — the compile memo of the
+// caller's graph bring-up — and store the result.
 // The returned HitKind tells the caller what to charge — a miss costs a
 // host-side solve, a hit only the plan swap.
-func (c *Cache) GetOrSchedule(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *profiler.Profiler) (*sched.Plan, HitKind, error) {
-	return c.GetOrScheduleFor("", cfg, g, pol, prof)
+func (c *Cache) GetOrSchedule(cfg hw.Config, comp *sched.Compiler, pol sched.Policy, prof *profiler.Profiler) (*sched.Plan, HitKind, error) {
+	return c.GetOrScheduleFor("", cfg, comp, pol, prof)
 }
 
 // GetOrScheduleFor is GetOrSchedule with an origin tag (a replica name in a
@@ -521,31 +534,29 @@ func (c *Cache) GetOrSchedule(cfg hw.Config, g *graph.Graph, pol sched.Policy, p
 // origin's entry count in Stats.SharedHits. The cache mutex is held across
 // the fresh solve, so concurrent misses on one key serialize instead of
 // double-solving.
-func (c *Cache) GetOrScheduleFor(origin string, cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *profiler.Profiler) (*sched.Plan, HitKind, error) {
+func (c *Cache) GetOrScheduleFor(origin string, cfg hw.Config, comp *sched.Compiler, pol sched.Policy, prof *profiler.Profiler) (*sched.Plan, HitKind, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	g := comp.Graph()
 	k := c.keyer.makeKey(cfg, g, pol, prof)
 	if e, kind := c.lookup(k, origin); kind != Miss {
 		if origin != "" {
 			// Copy-on-hit for fleet origins: a *sched.Plan carries a
-			// plan-scoped eval memo that is deliberately not safe for
-			// concurrent use, so a replica must never run a plan object
-			// another replica may also be running. Cross-origin hits are the
-			// obvious case; self-hits need it too, because a PutFor refresh
-			// on an identical fingerprint swaps another replica's live plan
-			// into this origin's entry (identity, including origin, is kept
-			// on refresh). Cloning every fleet hit hands each replica a
-			// private object. The non-fleet paths (origin "" everywhere)
-			// keep the stored pointer, bit-for-bit what they were.
-			cp, err := e.plan.Clone(g)
-			if err != nil {
-				return nil, kind, fmt.Errorf("plancache: cloning shared plan: %w", err)
-			}
-			return cp, kind, nil
+			// plan-scoped eval memo and its solver's compile memo, neither
+			// safe for concurrent use, so a replica must never run a plan
+			// object another replica may also be running. Cross-origin hits
+			// are the obvious case; self-hits need it too, because a PutFor
+			// refresh on an identical fingerprint swaps another replica's
+			// live plan into this origin's entry (identity, including
+			// origin, is kept on refresh). Cloning every fleet hit hands
+			// each replica a private object. The non-fleet paths (origin ""
+			// everywhere) keep the stored pointer, bit-for-bit what they
+			// were.
+			return e.plan.Clone(), kind, nil
 		}
 		return e.plan, kind, nil
 	}
-	plan, err := sched.Schedule(cfg, g, pol, prof)
+	plan, err := comp.Schedule(cfg, pol, prof)
 	if err != nil {
 		return nil, Miss, fmt.Errorf("plancache: fresh solve: %w", err)
 	}

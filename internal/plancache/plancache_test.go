@@ -114,18 +114,19 @@ func TestNearestHitRespectsDistanceBound(t *testing.T) {
 // sched.Schedule run on the identical inputs.
 func TestGetOrScheduleByteIdentical(t *testing.T) {
 	w, prof := warmWorkload(t, "moe", 12)
+	comp := sched.NewCompiler(w.Graph)
 	cfg := hw.Default()
 	pol := sched.Adyna()
 	c := New(NewKeyer(w.Graph, 0), Config{})
 
-	cold, kind, err := c.GetOrSchedule(cfg, w.Graph, pol, prof)
+	cold, kind, err := c.GetOrSchedule(cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kind != Miss {
 		t.Fatalf("cold lookup returned %v, want miss", kind)
 	}
-	warm, kind, err := c.GetOrSchedule(cfg, w.Graph, pol, prof)
+	warm, kind, err := c.GetOrSchedule(cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,6 +193,7 @@ func TestEvictionPrefersOnlineEntries(t *testing.T) {
 // the first excursion hits, and the live profile/frequency state is untouched.
 func TestPrecomputeCoversFaultWindowsAndLattice(t *testing.T) {
 	w, prof := warmWorkload(t, "moe", 12)
+	comp := sched.NewCompiler(w.Graph)
 	cfg := hw.Default()
 	pol := sched.Adyna()
 	fs, err := faults.ParseSpec("fail@2e6:tiles=0-3")
@@ -201,7 +203,7 @@ func TestPrecomputeCoversFaultWindowsAndLattice(t *testing.T) {
 	c := New(NewKeyer(w.Graph, 0), Config{})
 	before := c.keyer.makeKey(cfg, w.Graph, pol, prof)
 
-	added := c.Precompute(cfg, w.Graph, pol, prof, AOTConfig{Faults: fs, Batches: 8})
+	added := c.Precompute(cfg, comp, pol, prof, AOTConfig{Faults: fs, Batches: 8})
 	if added == 0 {
 		t.Fatal("precompute added nothing")
 	}
@@ -224,23 +226,24 @@ func TestPrecomputeCoversFaultWindowsAndLattice(t *testing.T) {
 		t.Fatalf("degraded-window lookup returned %v, want exact hit", kind)
 	}
 	// Idempotent: a second precompute finds everything cached.
-	if again := c.Precompute(cfg, w.Graph, pol, prof, AOTConfig{Faults: fs, Batches: 8}); again != 0 {
+	if again := c.Precompute(cfg, comp, pol, prof, AOTConfig{Faults: fs, Batches: 8}); again != 0 {
 		t.Fatalf("second precompute added %d plans, want 0", again)
 	}
 }
 
 func TestExportImportRoundTrip(t *testing.T) {
 	w, prof := warmWorkload(t, "moe", 12)
+	comp := sched.NewCompiler(w.Graph)
 	cfg := hw.Default()
 	pol := sched.Adyna()
 	c := New(NewKeyer(w.Graph, 0), Config{})
-	if _, _, err := c.GetOrSchedule(cfg, w.Graph, pol, prof); err != nil {
+	if _, _, err := c.GetOrSchedule(cfg, comp, pol, prof); err != nil {
 		t.Fatal(err)
 	}
 	// Include a degraded-mask entry: tile masks take a dedicated wire format.
 	masked := cfg
 	masked.FailedTiles = hw.NewTileMask(0, 1, 2, 3)
-	if _, _, err := c.GetOrSchedule(masked, w.Graph, pol, prof); err != nil {
+	if _, _, err := c.GetOrSchedule(masked, comp, pol, prof); err != nil {
 		t.Fatal(err)
 	}
 
@@ -278,27 +281,30 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 // TestWarmLookupBeatsFreshSolve is the cache's reason to exist: a warm
 // exact-key lookup must be at least 10x faster than re-running the scheduling
-// pipeline (in practice it is orders of magnitude faster — one hash of the
-// profile vs a full solve).
+// pipeline, even with every kernel already in the compile memo (one walk of
+// the profile vs a full allocation and sampling pass).
 func TestWarmLookupBeatsFreshSolve(t *testing.T) {
 	w, prof := warmWorkload(t, "moe", 12)
+	comp := sched.NewCompiler(w.Graph)
 	cfg := hw.Default()
 	pol := sched.Adyna()
 	c := New(NewKeyer(w.Graph, 0), Config{})
-	if _, _, err := c.GetOrSchedule(cfg, w.Graph, pol, prof); err != nil {
+	if _, _, err := c.GetOrSchedule(cfg, comp, pol, prof); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 10
 	start := time.Now()
 	for i := 0; i < rounds; i++ {
-		if _, err := sched.Schedule(cfg, w.Graph, pol, prof); err != nil {
+		// The re-plan a miss really pays: a solve through the bring-up's
+		// compile memo, which the first GetOrSchedule already warmed.
+		if _, err := comp.Schedule(cfg, pol, prof); err != nil {
 			t.Fatal(err)
 		}
 	}
 	solve := time.Since(start)
 	start = time.Now()
 	for i := 0; i < rounds; i++ {
-		if _, kind, err := c.GetOrSchedule(cfg, w.Graph, pol, prof); err != nil || kind != HitExact {
+		if _, kind, err := c.GetOrSchedule(cfg, comp, pol, prof); err != nil || kind != HitExact {
 			t.Fatalf("warm lookup: kind=%v err=%v", kind, err)
 		}
 	}

@@ -39,11 +39,12 @@ func TestCacheConcurrentGetOrScheduleRace(t *testing.T) {
 				errs <- err
 				return
 			}
+			comp := sched.NewCompiler(w.Graph)
 			prof := profiler.New(w.Graph)
 			src := workload.NewSource(int64(id%3 + 1))
 			for i := 0; i < 12; i++ {
 				observe(t, w, prof, src, 2)
-				plan, _, err := c.GetOrScheduleFor(fmt.Sprintf("g%d", id), cfg, w.Graph, pol, prof)
+				plan, _, err := c.GetOrScheduleFor(fmt.Sprintf("g%d", id), cfg, comp, pol, prof)
 				if err != nil {
 					errs <- err
 					return
@@ -91,6 +92,7 @@ func TestSharedCacheMatchesPrivateOnExactHits(t *testing.T) {
 	type origin struct {
 		name    string
 		w       *models.Workload
+		comp    *sched.Compiler
 		prof    *profiler.Profiler
 		src     *workload.Source
 		private *Cache
@@ -104,6 +106,7 @@ func TestSharedCacheMatchesPrivateOnExactHits(t *testing.T) {
 		origins = append(origins, &origin{
 			name: name,
 			w:    w,
+			comp: sched.NewCompiler(w.Graph),
 			prof: profiler.New(w.Graph),
 			// Same seed for both origins: their profiles evolve identically,
 			// so the second origin's lookups exact-hit the first's entries.
@@ -114,11 +117,11 @@ func TestSharedCacheMatchesPrivateOnExactHits(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		for _, o := range origins {
 			observe(t, o.w, o.prof, o.src, 3)
-			sp, skind, err := shared.GetOrScheduleFor(o.name, cfg, o.w.Graph, pol, o.prof)
+			sp, skind, err := shared.GetOrScheduleFor(o.name, cfg, o.comp, pol, o.prof)
 			if err != nil {
 				t.Fatalf("round %d origin %s: shared: %v", round, o.name, err)
 			}
-			pp, pkind, err := o.private.GetOrScheduleFor(o.name, cfg, o.w.Graph, pol, o.prof)
+			pp, pkind, err := o.private.GetOrScheduleFor(o.name, cfg, o.comp, pol, o.prof)
 			if err != nil {
 				t.Fatalf("round %d origin %s: private: %v", round, o.name, err)
 			}

@@ -14,7 +14,8 @@ import (
 
 // Profiler accumulates runtime statistics for one dynamic operator graph.
 type Profiler struct {
-	g *graph.Graph
+	g   *graph.Graph
+	dyn []graph.OpID // g.DynamicOps(), fixed for the graph's lifetime
 	// coact[sw][i][j] counts batches in which branches i and j of switch sw
 	// were both active (received at least one unit).
 	coact map[graph.OpID][][]int64
@@ -41,6 +42,7 @@ type Profiler struct {
 func New(g *graph.Graph) *Profiler {
 	p := &Profiler{
 		g:      g,
+		dyn:    g.DynamicOps(),
 		coact:  map[graph.OpID][][]int64{},
 		active: map[graph.OpID][]int64{},
 		units:  map[graph.OpID][]int64{},
@@ -62,7 +64,7 @@ func New(g *graph.Graph) *Profiler {
 // ObserveBatch records one batch: the concrete units of every dynamic
 // operator and which branches of every switch were active.
 func (p *Profiler) ObserveBatch(units map[graph.OpID]int, rt graph.BatchRouting) error {
-	for _, id := range p.g.DynamicOps() {
+	for _, id := range p.dyn {
 		u, ok := units[id]
 		if !ok {
 			return fmt.Errorf("profiler: no unit count for dynamic op %s", p.g.Op(id).Name)
@@ -204,7 +206,7 @@ func (p *Profiler) LeastCoActivePair(sw graph.OpID) (i, j int, ok bool) {
 // shape, aging out stale history) and co-activation counters clear. Called
 // after each periodic report to the scheduler.
 func (p *Profiler) Reset() {
-	for _, id := range p.g.DynamicOps() {
+	for _, id := range p.dyn {
 		p.g.Op(id).Freq.Decay()
 	}
 	for sw, m := range p.coact {

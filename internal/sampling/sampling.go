@@ -31,19 +31,18 @@ func Initial(max, budget int) []int {
 	if budget > max {
 		budget = max
 	}
+	// i*max/budget is non-decreasing in i, so a repeat can only equal the
+	// value appended last: the result comes out ascending and distinct.
 	vals := make([]int, 0, budget)
-	seen := map[int]bool{}
 	for i := 1; i <= budget; i++ {
 		v := i * max / budget
 		if v < 1 {
 			v = 1
 		}
-		if !seen[v] {
-			seen[v] = true
+		if n := len(vals); n == 0 || vals[n-1] != v {
 			vals = append(vals, v)
 		}
 	}
-	sort.Ints(vals)
 	return vals
 }
 

@@ -48,6 +48,50 @@ func TestInitialEdgeCases(t *testing.T) {
 	}
 }
 
+// initialWithSet is Initial's first formulation: dedup through a set, then
+// sort. The monotone single-pass form must agree with it everywhere.
+func initialWithSet(max, budget int) []int {
+	if max < 1 {
+		return nil
+	}
+	if budget < 1 {
+		budget = 1
+	}
+	if budget > max {
+		budget = max
+	}
+	vals := make([]int, 0, budget)
+	seen := map[int]bool{}
+	for i := 1; i <= budget; i++ {
+		v := i * max / budget
+		if v < 1 {
+			v = 1
+		}
+		if !seen[v] {
+			seen[v] = true
+			vals = append(vals, v)
+		}
+	}
+	sort.Ints(vals)
+	return vals
+}
+
+func TestInitialMatchesSetFormulation(t *testing.T) {
+	for max := -1; max <= 256; max++ {
+		for budget := -1; budget <= 200; budget++ {
+			got, want := Initial(max, budget), initialWithSet(max, budget)
+			if len(got) != len(want) {
+				t.Fatalf("Initial(%d, %d) = %v, want %v", max, budget, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("Initial(%d, %d) = %v, want %v", max, budget, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBinByKernels(t *testing.T) {
 	ft := graph.NewFreqTable(16)
 	for _, v := range []int{1, 2, 3, 8, 8, 9, 16, 0} {

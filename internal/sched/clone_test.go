@@ -17,10 +17,7 @@ func TestPlanCloneIndependent(t *testing.T) {
 	plan, w, _ := scheduleModel(t, "skipnet", Adyna(), 16)
 
 	h0, m0 := plan.CacheStats()
-	cp, err := plan.Clone(w.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := plan.Clone()
 	if cp == plan {
 		t.Fatal("Clone returned the receiver")
 	}
@@ -55,5 +52,36 @@ func TestPlanCloneIndependent(t *testing.T) {
 	}
 	if h, m := plan.CacheStats(); h != h0 || m != m0 {
 		t.Fatalf("original's memo touched through the clone: hits %d->%d misses %d->%d", h0, h, m0, m)
+	}
+}
+
+// TestPlanCloneSharesOnlyKernels pins what a clone may share: the immutable
+// kernel sets, never the compile memo or the on-demand store. A full-kernel
+// clone compiles through its own private memo.
+func TestPlanCloneSharesOnlyKernels(t *testing.T) {
+	cfg := hw.Default()
+	for _, pol := range []Policy{Adyna(), FullKernelIdeal()} {
+		plan, w, _ := scheduleModel(t, "skipnet", pol, 16)
+		cp := plan.Clone()
+		_, searches := plan.comp.Stats()
+		for si, seg := range cp.Segments {
+			for lead, op := range seg.Plans {
+				orig := plan.Segments[si].Plans[lead]
+				for k, o := range op.Options {
+					if o == orig.Options[k] || o.set != orig.Options[k].set {
+						t.Fatalf("option %d of %s: want a new option over the same kernel set", k, w.Graph.Op(lead).Name)
+					}
+					if _, err := cp.EvaluateEntity(cfg, w.Graph, op, o, w.Graph.Op(lead).MaxUnits/2+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if cp.comp == plan.comp {
+			t.Fatal("clone shares the original's compile memo")
+		}
+		if _, after := plan.comp.Stats(); after != searches {
+			t.Fatalf("evaluating the clone ran %d searches on the original's memo", after-searches)
+		}
 	}
 }

@@ -1,0 +1,139 @@
+package sched
+
+import (
+	"fmt"
+
+	"repro/internal/graph"
+	"repro/internal/hw"
+	"repro/internal/kernels"
+	"repro/internal/profiler"
+)
+
+// Compiler is the kernel compile memo of one graph's bring-up: every solve
+// on that graph — the bring-up plan, ahead-of-time plan-cache variants,
+// cache misses, periodic and drift re-plans — and every on-demand
+// full-kernel compile of the plans it produced looks kernels up here, so
+// each (hardware config, operator, dyn value, tiles) kernel runs its
+// blocking search once per bring-up instead of once per solve.
+//
+// Kernels are never mutated after lowering, so the plans of one compiler
+// share them freely. The memo keys on graph.OpID, which is only unique
+// within one graph, and it is not safe for concurrent use: a Compiler
+// belongs to one graph instance and is driven from that instance's
+// goroutine, exactly like the plans it produces. Decoded and cloned plans
+// get a private Compiler on first use.
+type Compiler struct {
+	g    *graph.Graph
+	cfgs map[hw.Config]*kernelMemo
+
+	lookups, searches int64
+}
+
+// kernelMemo is the part of a Compiler bound to one hardware config. A solve
+// resolves its config once and then keys on plain ints: hashing the full
+// hw.Config per kernel lookup would cost more than the lookup itself.
+type kernelMemo struct {
+	c       *Compiler
+	cfg     hw.Config
+	kernels map[kernelKey]compiled
+}
+
+type kernelKey struct {
+	op           graph.OpID
+	units, tiles int
+}
+
+// compiled memoizes errors too: a failed blocking search is as
+// deterministic as a successful one.
+type compiled struct {
+	k   *kernels.Kernel
+	err error
+}
+
+// NewCompiler returns an empty compile memo for g.
+func NewCompiler(g *graph.Graph) *Compiler {
+	return &Compiler{g: g, cfgs: map[hw.Config]*kernelMemo{}}
+}
+
+// Graph returns the graph the compiler schedules.
+func (c *Compiler) Graph() *graph.Graph { return c.g }
+
+// Stats reports how many kernel lookups the memo has served and how many of
+// them ran a blocking search (the misses).
+func (c *Compiler) Stats() (lookups, searches int64) { return c.lookups, c.searches }
+
+// Len reports the number of memoized kernels across every config.
+func (c *Compiler) Len() int {
+	n := 0
+	for _, m := range c.cfgs {
+		n += len(m.kernels)
+	}
+	return n
+}
+
+// Schedule solves a plan for the compiler's graph exactly like the
+// package-level Schedule, compiling kernels through the memo. The plan keeps
+// the compiler for its own on-demand compiles.
+func (c *Compiler) Schedule(cfg hw.Config, pol Policy, prof *profiler.Profiler) (*Plan, error) {
+	if err := pol.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	ents, order, err := buildEntities(c.g)
+	if err != nil {
+		return nil, err
+	}
+	km := c.forConfig(cfg)
+	plan := &Plan{Policy: pol, comp: c}
+	for i, leads := range segment(cfg, c.g, ents, order) {
+		s, err := planSegment(km, pol, prof, ents, i, leads)
+		if err != nil {
+			return nil, err
+		}
+		plan.Segments = append(plan.Segments, s)
+	}
+	return plan, nil
+}
+
+// forConfig resolves the memo for one hardware config.
+func (c *Compiler) forConfig(cfg hw.Config) *kernelMemo {
+	m, ok := c.cfgs[cfg]
+	if !ok {
+		m = &kernelMemo{c: c, cfg: cfg, kernels: map[kernelKey]compiled{}}
+		c.cfgs[cfg] = m
+	}
+	return m
+}
+
+// kernel returns the kernel for op at the given dyn value and tile
+// allocation, running the blocking search on the first request only.
+func (m *kernelMemo) kernel(op *graph.Op, units, tiles int) (*kernels.Kernel, error) {
+	m.c.lookups++
+	key := kernelKey{op: op.ID, units: units, tiles: tiles}
+	if r, ok := m.kernels[key]; ok {
+		return r.k, r.err
+	}
+	m.c.searches++
+	k, err := kernels.Generate(m.cfg, op, units, tiles)
+	m.kernels[key] = compiled{k: k, err: err}
+	return k, err
+}
+
+// set compiles a kernel for each of the given dyn values on one tile
+// allocation — the kernel store of one allocation option.
+func (m *kernelMemo) set(op *graph.Op, values []int, tiles int) (*kernels.Set, error) {
+	if len(values) == 0 {
+		return nil, fmt.Errorf("kernels: no values to compile for %s", op.Name)
+	}
+	ks := make([]*kernels.Kernel, 0, len(values))
+	for _, v := range values {
+		k, err := m.kernel(op, v, tiles)
+		if err != nil {
+			return nil, fmt.Errorf("kernels: compiling %s at %d: %w", op.Name, v, err)
+		}
+		ks = append(ks, k)
+	}
+	return kernels.NewSet(ks)
+}

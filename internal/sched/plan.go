@@ -16,14 +16,18 @@ type Plan struct {
 	Policy   Policy
 	Segments []*Segment
 
-	// cache memoizes cost-model evaluations and blocking searches for this
-	// plan's (config, graph) scope. The simulator re-costs every entity for
-	// every batch through EvaluateEntity; within one plan those calls repeat
-	// a small set of keys. The cache is plan-scoped on purpose: every
-	// simulation of the parallel experiment runner schedules its own plan,
-	// so the memo table is only ever touched from one goroutine and needs no
-	// lock. Lazily created (deserialized plans start without one).
+	// cache memoizes the cost-model evaluations of this plan's (config,
+	// graph) scope. The simulator re-costs every entity for every batch
+	// through EvaluateEntity; within one plan those calls repeat a small set
+	// of keys. The cache is plan-scoped on purpose: every simulation of the
+	// parallel experiment runner schedules its own plan, so the memo table
+	// is only ever touched from one goroutine and needs no lock. Lazily
+	// created (deserialized plans start without one).
 	cache *costmodel.Cache
+	// comp is the compile memo the plan was solved through; on-demand
+	// full-kernel compiles reuse it. Decoded and cloned plans start without
+	// one and get a private compiler on first use.
+	comp *Compiler
 }
 
 // evalCache returns the plan's memo table for cfg, creating it on first use
@@ -36,8 +40,17 @@ func (p *Plan) evalCache(cfg hw.Config) *costmodel.Cache {
 	return p.cache
 }
 
-// CacheStats reports the plan cache's hits and misses (zero before the first
-// EvaluateEntity call). Exposed for tests and profiling.
+// compiler returns the plan's compile memo, creating a private one for g on
+// first use.
+func (p *Plan) compiler(g *graph.Graph) *Compiler {
+	if p.comp == nil {
+		p.comp = NewCompiler(g)
+	}
+	return p.comp
+}
+
+// CacheStats reports the plan's eval memo hits and misses (zero before the
+// first EvaluateEntity call). Exposed for tests and profiling.
 func (p *Plan) CacheStats() (hits, misses int64) {
 	if p.cache == nil {
 		return 0, 0
@@ -125,9 +138,9 @@ func (o *AllocOption) Kernel(cfg hw.Config, op *graph.Op, v int) (*kernels.Kerne
 	return k, nil
 }
 
-// kernel is Kernel on the plan's memoized hot path: on-demand compilations
-// under the full-kernel policy reuse the cache's blocking searches.
-func (o *AllocOption) kernel(c *costmodel.Cache, op *graph.Op, v int) (*kernels.Kernel, error) {
+// kernel is Kernel on plan p's memoized hot path: on-demand compilations
+// under the full-kernel policy go through the plan's compile memo.
+func (o *AllocOption) kernel(p *Plan, g *graph.Graph, cfg hw.Config, op *graph.Op, v int) (*kernels.Kernel, error) {
 	if o.set != nil {
 		return o.set.Select(v)
 	}
@@ -137,7 +150,7 @@ func (o *AllocOption) kernel(c *costmodel.Cache, op *graph.Op, v int) (*kernels.
 	if k, ok := o.dense[v]; ok {
 		return k, nil
 	}
-	k, err := kernels.Compile(c, op, v, o.Tiles)
+	k, err := p.compiler(g).forConfig(cfg).kernel(op, v, o.Tiles)
 	if err != nil {
 		return nil, err
 	}
@@ -261,8 +274,8 @@ func (p *Plan) Validate(cfg hw.Config, g *graph.Graph) error {
 
 // EvaluateEntity predicts the cost of executing the entity's lead operator
 // plus its fused vector operators at the actual dyn value v on option opt.
-// Results are memoized in the plan's cache, so per-batch re-evaluations of
-// the same (entity, option, dyn value) are map lookups.
+// Results are memoized in the plan's eval cache, so per-batch
+// re-evaluations of the same (entity, option, dyn value) are map lookups.
 func (p *Plan) EvaluateEntity(cfg hw.Config, g *graph.Graph, op *OpPlan, opt *AllocOption, v int) (costmodel.Eval, error) {
 	return p.EvaluateEntityDensity(cfg, g, op, opt, v, 1)
 }
@@ -276,7 +289,7 @@ func (p *Plan) EvaluateEntityDensity(cfg hw.Config, g *graph.Graph, op *OpPlan, 
 	lead := g.Op(op.Lead)
 	var total costmodel.Eval
 	if lead.Kind.IsCompute() && lead.Space[0] > 0 {
-		k, err := opt.kernel(c, lead, v)
+		k, err := opt.kernel(p, g, cfg, lead, v)
 		if err != nil {
 			return costmodel.Eval{}, err
 		}

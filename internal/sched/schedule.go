@@ -5,10 +5,8 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/hw"
-	"repro/internal/kernels"
 	"repro/internal/profiler"
 	"repro/internal/sampling"
 )
@@ -23,32 +21,11 @@ const actBufferUnits = 2
 
 // Schedule produces a complete plan for g under pol. prof may be nil (no
 // runtime statistics yet); expectations then come from the graph's frequency
-// tables, which default to the worst case when empty.
+// tables, which default to the worst case when empty. It is the one-shot
+// form of Compiler.Schedule: callers that solve the same graph repeatedly
+// hold a Compiler instead, so kernels are compiled once across solves.
 func Schedule(cfg hw.Config, g *graph.Graph, pol Policy, prof *profiler.Profiler) (*Plan, error) {
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ents, order, err := buildEntities(g)
-	if err != nil {
-		return nil, err
-	}
-	segs := segment(cfg, g, ents, order)
-	// One memo table spans scheduling and the plan's lifetime on the
-	// machine: blocking searches done while compiling kernel stores are
-	// reused by the simulator's per-batch evaluations.
-	cache := costmodel.NewCache(cfg)
-	plan := &Plan{Policy: pol, cache: cache}
-	for i, se := range segs {
-		s, err := planSegment(cfg, g, pol, prof, cache, i, se)
-		if err != nil {
-			return nil, err
-		}
-		plan.Segments = append(plan.Segments, s)
-	}
-	return plan, nil
+	return NewCompiler(g).Schedule(cfg, pol, prof)
 }
 
 // ExpectedWork returns the graph's expected MAC load for one maximum batch
@@ -168,13 +145,10 @@ func entityBytes(g *graph.Graph, e *entity) float64 {
 }
 
 // planSegment allocates tiles, applies grouping and sharing, and compiles
-// kernel stores for one segment.
-func planSegment(cfg hw.Config, g *graph.Graph, pol Policy, prof *profiler.Profiler, cache *costmodel.Cache, index int, leads []graph.OpID) (*Segment, error) {
-	ents, order, err := buildEntities(g)
-	if err != nil {
-		return nil, err
-	}
-	_ = order
+// kernel stores for one segment. ents is the graph's entity table from
+// buildEntities.
+func planSegment(km *kernelMemo, pol Policy, prof *profiler.Profiler, ents map[graph.OpID]*entity, index int, leads []graph.OpID) (*Segment, error) {
+	cfg, g := km.cfg, km.c.g
 	seg := &Segment{Index: index, Plans: map[graph.OpID]*OpPlan{}, EntityOf: map[graph.OpID]graph.OpID{}}
 	inSeg := map[graph.OpID]bool{}
 	for _, lead := range leads {
@@ -259,7 +233,7 @@ func planSegment(cfg hw.Config, g *graph.Graph, pol Policy, prof *profiler.Profi
 
 	// Compile kernel stores for every option of every entity.
 	for _, lead := range leads {
-		if err := compileEntity(cfg, g, pol, cache, seg.Plans[lead]); err != nil {
+		if err := compileEntity(km, pol, seg.Plans[lead]); err != nil {
 			return nil, err
 		}
 	}
@@ -589,20 +563,20 @@ func optionTiles(ts ...int) []*AllocOption {
 }
 
 // compileEntity fills the entity's options with kernel stores.
-func compileEntity(cfg hw.Config, g *graph.Graph, pol Policy, cache *costmodel.Cache, p *OpPlan) error {
+func compileEntity(km *kernelMemo, pol Policy, p *OpPlan) error {
 	if len(p.Options) == 0 {
 		p.Options = optionTiles(p.BaseTiles)
 	}
-	lead := g.Op(p.Lead)
+	lead := km.c.g.Op(p.Lead)
 	if lead.Space[0] == 0 {
 		return nil // vector entity: costed directly, no kernel store
 	}
 	if pol.FullKernel {
 		return nil // dense on-demand store
 	}
-	p.Values = kernelValues(cfg, pol, lead, len(p.Options), p.Partner != graph.None)
+	p.Values = kernelValues(km.cfg, pol, lead, len(p.Options), p.Partner != graph.None)
 	for _, o := range p.Options {
-		set, err := kernels.CompileSet(cache, lead, p.Values, o.Tiles)
+		set, err := km.set(lead, p.Values, o.Tiles)
 		if err != nil {
 			return fmt.Errorf("sched: entity %s: %w", lead.Name, err)
 		}

@@ -1,10 +1,11 @@
 package sched
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/kernels"
@@ -109,22 +110,32 @@ func (p *Plan) Encode(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Clone returns a deep copy of the plan bound to the same graph, sharing no
-// mutable state with the receiver — in particular not the plan-scoped eval
-// cache, which is deliberately not safe for concurrent use. Two machines can
-// run the original and the clone concurrently. Implemented as an
-// Encode/DecodePlan round trip, which the serialization tests pin as a byte
-// fixed point, so the clone is observationally identical to the original.
-func (p *Plan) Clone(g *graph.Graph) (*Plan, error) {
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		return nil, fmt.Errorf("sched: cloning plan: %w", err)
+// Clone returns a copy of the plan that shares no mutable state with the
+// receiver: not the plan-scoped eval cache or compile memo, which are
+// deliberately not safe for concurrent use, and not the full-kernel
+// on-demand stores. Two machines can run the original and the clone
+// concurrently. Kernel sets are never mutated after scheduling, so the clone
+// shares them instead of copying every kernel.
+func (p *Plan) Clone() *Plan {
+	cp := &Plan{Policy: p.Policy}
+	for _, seg := range p.Segments {
+		s := *seg
+		s.Ops = slices.Clone(seg.Ops)
+		s.EntityOf = maps.Clone(seg.EntityOf)
+		s.Plans = make(map[graph.OpID]*OpPlan, len(seg.Plans))
+		for lead, op := range seg.Plans {
+			o := *op
+			o.Fused = slices.Clone(op.Fused)
+			o.Values = slices.Clone(op.Values)
+			o.Options = make([]*AllocOption, len(op.Options))
+			for i, opt := range op.Options {
+				o.Options[i] = &AllocOption{Tiles: opt.Tiles, set: opt.set}
+			}
+			s.Plans[lead] = &o
+		}
+		cp.Segments = append(cp.Segments, &s)
 	}
-	cp, err := DecodePlan(&buf, g)
-	if err != nil {
-		return nil, fmt.Errorf("sched: cloning plan: %w", err)
-	}
-	return cp, nil
+	return cp
 }
 
 // DecodePlan reads a plan previously written by Encode, rebinding it to the

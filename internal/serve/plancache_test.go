@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/faults"
+	"repro/internal/plancache"
 	"repro/internal/workload"
 )
 
@@ -144,6 +146,49 @@ func TestPlanCacheAOTSeedsEntries(t *testing.T) {
 	}
 	if _, ok := snap.Counters["plan_cache_exact_hits"]; !ok {
 		t.Fatal("snapshot missing plan_cache_exact_hits counter")
+	}
+}
+
+// TestAOTBringupCompilesEachKernelOnce is the compile memo's counter guard:
+// a moe AOT bring-up — the bring-up solve plus every lattice and
+// degraded-config solve — runs exactly one blocking search per distinct
+// kernel key, all through the bring-up's compiler: re-running the same
+// precompute into an empty cache searches nothing.
+func TestAOTBringupCompilesEachKernelOnce(t *testing.T) {
+	cfg := driftConfig("moe")
+	cfg.PlanCache = true
+	cfg.PlanCacheAOT = true
+	fs, err := faults.ParseSpec("hbm@1e6:factor=0.5,until=2e6;fail@3e6:tiles=0-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = fs
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup := s.Setup()
+	lookups, searches := setup.Comp.Stats()
+	if searches == 0 || searches != int64(setup.Comp.Len()) {
+		t.Fatalf("bring-up ran %d blocking searches for %d distinct kernels", searches, setup.Comp.Len())
+	}
+	if lookups <= searches {
+		t.Fatalf("%d kernel lookups for %d searches: the memo served no hits", lookups, searches)
+	}
+	st := s.PlanCacheStats()
+	if st.AOTEntries == 0 {
+		t.Fatal("AOT bring-up stored no plans")
+	}
+	again := plancache.New(s.PlanCache().Keyer(), plancache.Config{})
+	added := again.Precompute(cfg.RC.HW, setup.Comp, setup.Policy, setup.M.Profiler(), plancache.AOTConfig{
+		BatchUnits: cfg.RC.Batch * setup.W.Graph.UnitsPerSample,
+		Faults:     cfg.Faults,
+	})
+	if added != st.AOTEntries {
+		t.Fatalf("re-run precompute added %d plans, bring-up %d", added, st.AOTEntries)
+	}
+	if _, after := setup.Comp.Stats(); after != searches {
+		t.Fatalf("re-running the bring-up's precompute ran %d more blocking searches, want 0", after-searches)
 	}
 }
 

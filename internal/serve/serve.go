@@ -361,7 +361,7 @@ func New(cfg Config) (*Server, error) {
 		// fingerprint is the one a fresh solve of the same state would key.
 		s.pcache.PutFor(cfg.PlanCacheOrigin, cfg.RC.HW, setup.W.Graph, setup.Policy, setup.M.Profiler(), setup.Plan)
 		if cfg.PlanCacheAOT {
-			s.pcache.Precompute(cfg.RC.HW, setup.W.Graph, setup.Policy, setup.M.Profiler(), plancache.AOTConfig{
+			s.pcache.Precompute(cfg.RC.HW, setup.Comp, setup.Policy, setup.M.Profiler(), plancache.AOTConfig{
 				BatchUnits:     cfg.RC.Batch * setup.W.Graph.UnitsPerSample,
 				Faults:         cfg.Faults,
 				SingleTileLoss: cfg.PlanCacheAOTSingleTile,
@@ -805,7 +805,6 @@ func (s *Server) replan(track telemetry.TrackID, trackName string) (int64, error
 		return 0, err
 	}
 	m := s.setup.M
-	g := s.setup.W.Graph
 	cfg := s.liveHW()
 	var plan *sched.Plan
 	kind := plancache.Miss
@@ -816,9 +815,9 @@ func (s *Server) replan(track telemetry.TrackID, trackName string) (int64, error
 			// before touching the shared cache (see Config.PlanCacheGate).
 			gate()
 		}
-		plan, kind, err = s.pcache.GetOrScheduleFor(s.cfg.PlanCacheOrigin, cfg, g, s.setup.Policy, m.Profiler())
+		plan, kind, err = s.pcache.GetOrScheduleFor(s.cfg.PlanCacheOrigin, cfg, s.setup.Comp, s.setup.Policy, m.Profiler())
 	} else {
-		plan, err = sched.Schedule(cfg, g, s.setup.Policy, m.Profiler())
+		plan, err = s.setup.Comp.Schedule(cfg, s.setup.Policy, m.Profiler())
 	}
 	if err != nil {
 		return 0, err

@@ -37,6 +37,12 @@ func main() {
 		density = flag.Float64("density", 0, "fixed density dyn-value in (0,1] for every batch (density-aware models; 0 = model default)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops at the first positional argument, so every flag after
+		// it would be dropped silently.
+		fmt.Fprintf(os.Stderr, "adyna: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println("workloads:", strings.Join(models.Names(), ", "), "(plus: adavit, ranet, gcn)")

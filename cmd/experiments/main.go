@@ -52,6 +52,12 @@ func main() {
 		traceOut = flag.String("trace", "", "write a Chrome-trace/Perfetto JSON timeline of every simulation to this file")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops at the first positional argument, so every flag after
+		// it would be dropped silently.
+		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -30,5 +32,22 @@ func TestRunUnknownExperimentFails(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list valid name %q", err, name)
 		}
+	}
+}
+
+// TestStrayArgumentRejected runs main in a child process. The flag package
+// stops at the first positional argument, so a stray one must fail by name
+// with a non-zero exit instead of silently dropping every flag after it.
+func TestStrayArgumentRejected(t *testing.T) {
+	if args := os.Getenv("CLI_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"experiments"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestStrayArgumentRejected$")
+	cmd.Env = append(os.Environ(), "CLI_MAIN_ARGS=-quick -exp table3 fig9")
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), `"fig9"`) {
+		t.Fatalf("stray argument: err=%v, output:\n%s", err, out)
 	}
 }

@@ -48,7 +48,7 @@
 //	serve -fleet 3 -fleet-faults 'brownout@8e6:tiles=1,repair=1e7' -fleet-min 1
 //
 // The parallel engine: -simpar N steps fleet replicas concurrently on N
-// worker goroutines through a conservative-PDES cluster (internal/sim), and
+// worker goroutines (internal/fleet), and
 // -pipeline D overlaps up to D batches on one machine (admission and
 // plan-cache lookup for batch k+1 run while batch k computes). Both are
 // deterministic — -simpar is byte-identical to the sequential sweep at any
@@ -130,6 +130,12 @@ func main() {
 		statsOut = flag.String("stats-json", "", "write the final counters/gauges snapshot as JSON to this file ('-' for stdout)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops at the first positional argument, so every flag after
+		// it would be dropped silently.
+		fmt.Fprintf(os.Stderr, "serve: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	d, err := core.ParseDesign(*design)
 	if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -158,5 +159,22 @@ func TestLoadFaults(t *testing.T) {
 	}
 	if _, err := loadFaults("melt@1e6"); err == nil {
 		t.Fatal("bad spec accepted")
+	}
+}
+
+// TestStrayArgumentRejected runs main in a child process. The flag package
+// stops at the first positional argument, so a stray one must fail by name
+// with a non-zero exit instead of silently dropping every flag after it.
+func TestStrayArgumentRejected(t *testing.T) {
+	if args := os.Getenv("CLI_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"serve"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestStrayArgumentRejected$")
+	cmd.Env = append(os.Environ(), "CLI_MAIN_ARGS=-requests 16 -warmup 4 moe -fleet 2")
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), `"moe"`) {
+		t.Fatalf("stray argument: err=%v, output:\n%s", err, out)
 	}
 }

@@ -26,6 +26,12 @@ func main() {
 		stats   = flag.String("stats", "", "print statistics of a recorded trace file, or '-' to inspect the generated trace")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// flag stops at the first positional argument, so every flag after
+		// it would be dropped silently.
+		fmt.Fprintf(os.Stderr, "trace: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	if err := run(*model, *batch, *batches, *seed, *out, *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "trace:", err)
 		os.Exit(1)

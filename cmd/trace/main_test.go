@@ -2,7 +2,9 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -35,5 +37,22 @@ func TestNothingToDo(t *testing.T) {
 func TestUnknownModel(t *testing.T) {
 	if err := run("nope", 8, 2, 1, "", "-"); err == nil {
 		t.Fatal("unknown model accepted")
+	}
+}
+
+// TestStrayArgumentRejected runs main in a child process. The flag package
+// stops at the first positional argument, so a stray one must fail by name
+// with a non-zero exit instead of silently dropping every flag after it.
+func TestStrayArgumentRejected(t *testing.T) {
+	if args := os.Getenv("CLI_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"trace"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestStrayArgumentRejected$")
+	cmd.Env = append(os.Environ(), "CLI_MAIN_ARGS=-batches 2 -stats - dpsnet")
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), `"dpsnet"`) {
+		t.Fatalf("stray argument: err=%v, output:\n%s", err, out)
 	}
 }

@@ -123,7 +123,7 @@ func (m *Machine) StepTo(t sim.Time) {
 	if t <= m.env.Now() {
 		return
 	}
-	_ = m.env.StepTo(t)
+	m.env.StepTo(t)
 }
 
 // StreamRetire runs the simulation until the ticket's batch completes and

@@ -16,8 +16,8 @@ import (
 //
 //   - Fleet stepping (the -simpar flag): the same four-replica drifting-mix
 //     scenario served twice — once with the legacy sequential replica sweep
-//     (Workers=1) and once stepping replicas concurrently through the
-//     conservative-PDES cluster (Workers=workers) — wall-clock timed, with
+//     (Workers=1) and once stepping replicas concurrently in one runner.Map
+//     window per router step (Workers=workers) — wall-clock timed, with
 //     the rendered reports and counter snapshots diffed byte for byte. The
 //     speedup column is host parallelism: it tracks available cores, so a
 //     single-core machine honestly reports ~1.0x while the simulated results
@@ -146,7 +146,7 @@ func Simpar(opt Options, workers, depth int) (*metrics.Table, error) {
 	}
 
 	t := &metrics.Table{
-		Title:   fmt.Sprintf("Parallel engine: PDES fleet stepping (workers=%d) and batch pipelining (depth=%d)", workers, depth),
+		Title:   fmt.Sprintf("Parallel engine: concurrent fleet stepping (workers=%d) and batch pipelining (depth=%d)", workers, depth),
 		Columns: []string{"Metric", "sequential", "parallel", "gain"},
 	}
 	ratio := func(par, seq float64) string {

@@ -13,7 +13,7 @@ import (
 // parallel engine's unit of work — at several worker counts on the headline
 // scenario (4 replicas, drifting 3-class mix, shared plan cache, affinity
 // routing). workers=1 is the legacy sequential sweep; workers>1 steps
-// replicas concurrently through the conservative-PDES cluster. Results are
+// replicas concurrently, one runner.Map window per router step. Results are
 // byte-identical at every worker count (TestFleetParallelEquivalenceHeadline
 // proves it), so the only thing that may change here is wall-clock: CI's
 // bench-smoke job runs this at GOMAXPROCS 1 vs 4 and reports the ratio.

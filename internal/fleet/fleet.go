@@ -30,8 +30,8 @@ import (
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/plancache"
+	"repro/internal/runner"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -51,11 +51,11 @@ type Config struct {
 
 	// Workers selects how many replicas advance concurrently between router
 	// events (the -simpar flag). Values <= 1 keep the legacy sequential
-	// sweep. Above 1 the fleet steps replicas through a sim.Cluster window:
-	// each replica is one conservative-PDES domain, and shared-plan-cache
-	// traffic is serialized in canonical replica order by the cluster's
-	// gate, so outcomes, snapshots, and traces stay byte-identical to the
-	// sequential sweep for every worker count and GOMAXPROCS.
+	// sweep. Above 1 each router step is one runner.Map window over the
+	// replicas, and shared-plan-cache traffic waits for every lower-index
+	// replica to finish the window, so outcomes, snapshots, and traces stay
+	// byte-identical to the sequential sweep for every worker count and
+	// GOMAXPROCS.
 	Workers int
 
 	// ReplicaFaults optionally schedules replica-level fault domains: tile
@@ -138,36 +138,13 @@ type reroute struct {
 	req serve.Request
 }
 
-// repStepper adapts one replica to sim.Stepper so a cluster window can
-// advance it. Replicas hold no cluster-visible event queue — the router
-// computes every horizon itself — so NextEvent always reports idle and the
-// fleet drives explicit windows via Cluster.Step. Down replicas stay frozen
-// exactly as in the sequential sweep.
-type repStepper struct {
-	r        *replica
-	draining bool // one drain window replaces the sequential drain sweep
-}
-
-func (s *repStepper) NextEvent() (sim.Time, bool) { return 0, false }
-
-func (s *repStepper) StepTo(h sim.Time) error {
-	if s.r.down {
-		return nil
-	}
-	if s.draining {
-		return s.r.srv.Drain()
-	}
-	return s.r.srv.StepTo(int64(h))
-}
-
 // Fleet is K replicas behind one router, advancing on a shared virtual
 // timeline. Not safe for concurrent use: like the single-machine stack, the
 // router is a deterministic single-threaded discrete-event loop.
 type Fleet struct {
 	cfg          Config
 	reps         []*replica
-	cluster      *sim.Cluster  // parallel replica stepping; nil when Workers <= 1
-	steppers     []*repStepper // cluster domain adapters, canonical order
+	done         []chan struct{} // the concurrent window's per-replica completion; nil outside one
 	keyer        *plancache.Keyer
 	cache        *plancache.Cache // shared across replicas; nil when disabled
 	health       *faults.State    // replica-level fault tracker; nil without one
@@ -247,9 +224,6 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Base.RC.TraceName != "" {
 		tracePrefix = cfg.Base.RC.TraceName
 	}
-	if cfg.Workers > 1 {
-		f.cluster = sim.NewCluster(cfg.Workers)
-	}
 	for _, spec := range specs {
 		scfg := cfg.Base
 		scfg.RC.HW = spec.HW
@@ -264,16 +238,9 @@ func New(cfg Config) (*Fleet, error) {
 			scfg.SharedPlanCache = f.cache
 			scfg.PlanCacheOrigin = spec.Name
 		}
-		if f.cluster != nil {
-			// Register the domain before bring-up so the gate exists for the
-			// server config; bring-up itself runs outside any window, where
-			// the gate is a no-op.
-			st := &repStepper{r: rep}
-			id := f.cluster.Add(spec.Name, st)
-			f.steppers = append(f.steppers, st)
-			if f.cache != nil {
-				scfg.PlanCacheGate = f.cluster.Gate(id)
-			}
+		if f.cache != nil && cfg.Workers > 1 {
+			// Bring-up runs outside any window, where the gate is a no-op.
+			scfg.PlanCacheGate = f.gate(len(f.reps))
 		}
 		srv, err := serve.New(scfg)
 		if err != nil {
@@ -417,48 +384,63 @@ func (f *Fleet) hasWork() bool {
 	return false
 }
 
-// stepAll advances every live replica to time t — sequentially in canonical
-// order, or as one concurrent cluster window when Workers > 1 (Cluster.Step
-// repeats same-time windows exactly like repeated sequential StepTo calls,
-// so the two paths admit and fire identically). Down replicas stay frozen:
+// stepAll advances every live replica to time t. Down replicas stay frozen:
 // their clocks resume (and catch up) on repair.
 func (f *Fleet) stepAll(t int64) error {
-	if f.cluster != nil {
-		return f.cluster.Step(sim.Time(t))
-	}
-	for _, r := range f.reps {
-		if r.down {
-			continue
-		}
-		if err := r.srv.StepTo(t); err != nil {
-			return fmt.Errorf("fleet: replica %s: %w", r.name, err)
-		}
-	}
-	return nil
+	return f.window(func(srv *serve.Server) error { return srv.StepTo(t) })
 }
 
-// drainAll serves out every live replica's backlog: sequentially, or as one
-// concurrent drain window when Workers > 1.
+// drainAll serves out every live replica's backlog.
 func (f *Fleet) drainAll() error {
-	if f.cluster != nil {
-		for _, st := range f.steppers {
-			st.draining = true
+	return f.window((*serve.Server).Drain)
+}
+
+// window runs step on every live replica in one runner.Map window: inline in
+// canonical order when Workers <= 1 (clamped, because runner.Map reads 0 as
+// GOMAXPROCS), concurrently otherwise. The lowest-index error wins, as in
+// the sequential sweep.
+func (f *Fleet) window(step func(*serve.Server) error) error {
+	workers := max(f.cfg.Workers, 1)
+	var done []chan struct{}
+	if workers > 1 {
+		done = make([]chan struct{}, len(f.reps))
+		for i := range done {
+			done[i] = make(chan struct{})
 		}
-		err := f.cluster.Step(f.cluster.Barrier())
-		for _, st := range f.steppers {
-			st.draining = false
-		}
-		return err
 	}
-	for _, r := range f.reps {
+	f.done = done
+	_, err := runner.Map(workers, len(f.reps), func(i int) (struct{}, error) {
+		if done != nil {
+			defer close(done[i]) // on error too: successors may be gated on it
+		}
+		r := f.reps[i]
 		if r.down {
-			continue
+			return struct{}{}, nil
 		}
-		if err := r.srv.Drain(); err != nil {
-			return err
+		if err := step(r.srv); err != nil {
+			return struct{}{}, fmt.Errorf("fleet: replica %s: %w", r.name, err)
+		}
+		return struct{}{}, nil
+	})
+	f.done = nil
+	return err
+}
+
+// gate returns replica i's plan-cache gate. Inside a concurrent window it
+// blocks until replicas 0..i-1 have finished the window, so replica i's
+// shared-cache reads see exactly its predecessors' writes, as in the
+// sequential sweep. The wait cannot deadlock: runner.Map hands out indices
+// in ascending order, so every replica a waiting job depends on has already
+// been dispatched, and the lowest unfinished replica never waits.
+func (f *Fleet) gate(i int) func() {
+	return func() {
+		if f.done == nil {
+			return
+		}
+		for _, ch := range f.done[:i] {
+			<-ch
 		}
 	}
-	return nil
 }
 
 // applyReplicaFaults folds the replica-level fault schedule in at time t: a

@@ -8,10 +8,10 @@ import (
 
 // TestFleetWorkersOneIsLegacy is the metamorphic no-op check for the
 // parallel fleet engine: Workers values 0 and 1 must both take the legacy
-// sequential sweep (no sim.Cluster is even constructed) and produce
-// byte-identical artifacts — the parallel plumbing cannot perturb existing
-// behaviour until it is switched on. Goldens and every pre-existing fleet
-// test stay valid for exactly this reason.
+// sequential sweep (every window runs inline and no gate is installed) and
+// produce byte-identical artifacts — the parallel plumbing cannot perturb
+// existing behaviour until it is switched on. Goldens and every pre-existing
+// fleet test stay valid for exactly this reason.
 func TestFleetWorkersOneIsLegacy(t *testing.T) {
 	ref := fleetArtifacts(t, headlineConfig(PolicyAffinity), headlineMix(), 0, true)
 	one := fleetArtifacts(t, headlineConfig(PolicyAffinity), headlineMix(), 1, true)

@@ -41,7 +41,7 @@ func fleetArtifacts(t *testing.T, cfg Config, mix MixConfig, workers int, trace 
 // TestFleetParallelEquivalenceHeadline pins the tentpole contract on the
 // headline scenario (four replicas, drifting three-class mix, shared plan
 // cache with nearest hits, affinity routing, traces on): stepping replicas
-// concurrently through the sim.Cluster must reproduce the sequential sweep
+// concurrently in runner.Map windows must reproduce the sequential sweep
 // byte-for-byte — outcome logs, snapshots, and telemetry traces — for every
 // worker count.
 func TestFleetParallelEquivalenceHeadline(t *testing.T) {

@@ -7,9 +7,8 @@
 // shared sim.Server state (its free-at horizon and served-byte total) at
 // the instant of the call, order-sensitively, and returns the arrival time
 // without yielding. There is therefore no minimum latency between a tile
-// process and the HBM — the property that gives the PDES domain analysis
-// (accel.PartitionMachine) a zero tile<->HBM lookahead bound and collapses
-// every intra-machine partition to one domain.
+// process and the HBM, which is why a machine cannot be split into
+// concurrently simulated shards (DESIGN.md "Parallel engine").
 package mem
 
 import (

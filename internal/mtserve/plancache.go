@@ -111,10 +111,6 @@ func (s *Server) lookupOrSchedule(ts *tenantState, cfg hw.Config) (*sched.Plan, 
 	if err != nil {
 		return nil, kind, err
 	}
-	if debugPlanCache {
-		st := ts.pcache.Stats()
-		println("plancache", ts.ten.Name, kind.String(), "failed:", cfg.FailedTiles.Count(), "hbm:", int(cfg.HBMDerate*1000), "entries:", st.Entries)
-	}
 	switch kind {
 	case plancache.HitExact:
 		ts.rep.PlanCacheExact++
@@ -138,6 +134,3 @@ func (s *Server) lookupOrSchedule(ts *tenantState, cfg hw.Config) (*sched.Plan, 
 	}
 	return plan, kind, nil
 }
-
-// debugPlanCache gates verbose per-lookup diagnostics (tests only).
-var debugPlanCache = false

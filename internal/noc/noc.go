@@ -106,17 +106,6 @@ func (n *NoC) probeCycles(h int) sim.Time {
 	return sim.Time((h + 1) * n.cfg.RouterHopCycles)
 }
 
-// MinVisibleLatency is the soonest any NoC-mediated interaction between two
-// tiles h hops apart can become visible to the remote side: the round trip
-// of the probe/acknowledge handshake, the cheapest packet the model charges.
-// The PDES domain analysis (accel.PartitionMachine) uses this as the
-// conservative lookahead bound between tile clusters; note it bounds only
-// tile-to-tile traffic — injection bookings against the NoC's own bandwidth
-// servers are synchronous and have no such latency floor.
-func MinVisibleLatency(cfg hw.Config, hops int) sim.Time {
-	return sim.Time(2 * (hops + 1) * cfg.RouterHopCycles)
-}
-
 // Probe counts one probe/acknowledge handshake of Section VI-C — the source
 // queries the destination and waits for the acknowledgment — and returns its
 // round-trip time, which the calling process waits out. The extra readiness

@@ -116,8 +116,8 @@ type Config struct {
 	// SharedHits statistic. Empty outside fleets.
 	PlanCacheOrigin string
 	// PlanCacheGate, when non-nil, is invoked once before every shared-plan-
-	// cache access made while the server is being stepped. A parallel fleet
-	// (sim.Cluster) installs the cluster's canonical-order gate here so that
+	// cache access made while the server is being stepped. A fleet stepping
+	// replicas concurrently installs a canonical-order gate here so that
 	// replica i's cache traffic waits for replicas 0..i-1 to finish the
 	// current window — reproducing exactly the cache visibility order of
 	// sequential replica stepping, which keeps parallel outcomes

@@ -167,6 +167,29 @@ func (e *Env) RunUntil(horizon Time) Time {
 	return e.now
 }
 
+// StepTo processes every pending event with a timestamp strictly before
+// horizon and then sets the clock to horizon. Unlike RunUntil, events AT the
+// horizon stay pending: the streaming machine (accel.Machine.StepTo) advances
+// to an outside time and leaves that instant to its caller, which may still
+// add work at exactly the horizon.
+func (e *Env) StepTo(horizon Time) {
+	for len(e.queue) > 0 && e.queue[0].at < horizon {
+		e.step()
+	}
+	if e.now < horizon {
+		e.now = horizon
+	}
+}
+
+// NextEvent returns the earliest pending event's timestamp; ok is false when
+// the queue is empty.
+func (e *Env) NextEvent() (t Time, ok bool) {
+	if len(e.queue) == 0 {
+		return 0, false
+	}
+	return e.queue[0].at, true
+}
+
 // Pending reports the number of queued events.
 func (e *Env) Pending() int { return len(e.queue) }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,42 @@ func TestRunUntilStopsAtHorizon(t *testing.T) {
 	env.Run()
 	if fired != 2 || env.Now() != 50 {
 		t.Fatalf("after full run: fired=%d now=%d", fired, env.Now())
+	}
+}
+
+// TestEnvStepToLeavesHorizonPending pins StepTo's strict-horizon contract,
+// which the machine's streaming API (Machine.StepTo, StreamRetire) relies on:
+// events before the horizon run, an event exactly at it stays pending, the
+// clock lands on the horizon, and NextEvent reports the earliest pending
+// event (ok=false once idle).
+func TestEnvStepToLeavesHorizonPending(t *testing.T) {
+	env := NewEnv()
+	if _, ok := env.NextEvent(); ok {
+		t.Fatal("NextEvent on an empty queue reported ok")
+	}
+	var fired []Time
+	for _, at := range []Time{10, 3, 7} {
+		env.At(at, func() { fired = append(fired, env.Now()) })
+	}
+	if at, ok := env.NextEvent(); !ok || at != 3 {
+		t.Fatalf("NextEvent = %d, %v; want 3, true", at, ok)
+	}
+	env.StepTo(7)
+	if !reflect.DeepEqual(fired, []Time{3}) {
+		t.Fatalf("fired %v before horizon 7, want [3]", fired)
+	}
+	if env.Now() != 7 {
+		t.Fatalf("now = %d, want 7", env.Now())
+	}
+	if at, ok := env.NextEvent(); !ok || at != 7 {
+		t.Fatalf("event at the horizon: NextEvent = %d, %v; want 7, true", at, ok)
+	}
+	env.StepTo(20)
+	if !reflect.DeepEqual(fired, []Time{3, 7, 10}) || env.Now() != 20 {
+		t.Fatalf("after StepTo(20): fired %v now %d", fired, env.Now())
+	}
+	if _, ok := env.NextEvent(); ok {
+		t.Fatal("NextEvent reported ok after every event ran")
 	}
 }
 

@@ -18,8 +18,21 @@ import (
 // BenchmarkMachineRun simulates 8 batches of 32 samples through a freshly
 // scheduled SkipNet machine per iteration.
 func BenchmarkMachineRun(b *testing.B) {
-	b.ReportAllocs()
+	benchmarkMachineRun(b, hw.Default())
+}
+
+// BenchmarkMachineRunMasked is BenchmarkMachineRun on a machine that owns
+// only the upper half of the chip — the partition-mask shape every mtserve
+// tenant runs on, where each live tile index has to be translated to a
+// physical one.
+func BenchmarkMachineRunMasked(b *testing.B) {
 	cfg := hw.Default()
+	cfg.FailedTiles = hw.RangeTileMask(cfg.Tiles()/2, cfg.Tiles()/2).Complement(cfg.Tiles())
+	benchmarkMachineRun(b, cfg)
+}
+
+func benchmarkMachineRun(b *testing.B, cfg hw.Config) {
+	b.ReportAllocs()
 	w, err := models.ByName("skipnet", 32)
 	if err != nil {
 		b.Fatal(err)

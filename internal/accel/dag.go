@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/hw"
+	"repro/internal/noc"
 	"repro/internal/sched"
 )
 
@@ -26,47 +28,116 @@ type prodEdge struct {
 	viaMerge bool
 }
 
-// segDAG is the entity-level pipeline structure of one segment: who feeds
-// whom, which entities read from / write to HBM, and the topological order.
+// segDAG is the compiled template of one segment, built once per LoadPlan:
+// the entity-level pipeline structure (who feeds whom, which entities read
+// from / write to HBM, the topological order) plus the data movement that
+// stays fixed while the plan is loaded — each entity's physical lead tile
+// and each producer edge's resolved NoC route. Jobs index it by entity
+// position, so preparing a job does no map lookups and sending a chunk
+// derives no route.
 type segDAG struct {
-	leads      []graph.OpID
-	prods      map[graph.OpID][]prodEdge
-	cons       map[graph.OpID][]graph.OpID
-	boundaryIn map[graph.OpID]bool
-	isProducer map[graph.OpID]bool
+	ents   []dagEntity // in topological (seg.Ops) order
+	edges  int         // producer edges over all entities
+	groups int         // temporal-sharing groups
 }
 
-// buildDAG derives the entity DAG of a segment by resolving each entity
-// lead's graph inputs through the control operators (switch, merge, sink).
-func buildDAG(g *graph.Graph, seg *sched.Segment) (*segDAG, error) {
-	d := &segDAG{
-		prods:      map[graph.OpID][]prodEdge{},
-		cons:       map[graph.OpID][]graph.OpID{},
-		boundaryIn: map[graph.OpID]bool{},
-		isProducer: map[graph.OpID]bool{},
-	}
+// dagEntity is one entity of the segment template.
+type dagEntity struct {
+	lead graph.OpID
+	plan *sched.OpPlan
+	// partner is a pair leader's tile-sharing partner plan (nil otherwise);
+	// partnerIdx is the partner's entity index, -1 when it has none.
+	partner    *sched.OpPlan
+	partnerIdx int
+	group      int // temporal-sharing group index, -1 when ungrouped
+	tile       int // physical lead tile of the region
+	prods      []dagEdge
+	outs       int  // consumer edges fed by this entity
+	readHBM    bool // some input streams from HBM (crosses the segment boundary)
+	writeHBM   bool // no entity consumes the output: it drains to HBM
+	dynamic    bool
+}
+
+// dagEdge is one producer edge of an entity, with its route resolved.
+type dagEdge struct {
+	from     int // producer's index in segDAG.ents
+	kind     edgeKind
+	viaMerge bool
+	// ways is the transfer's port-level parallelism: min(producer,
+	// consumer) region tiles.
+	ways int
+	wire noc.Wire // producer's lead tile to the consumer's
+}
+
+// compileSegment builds a segment's template: it derives the entity DAG by
+// resolving each entity lead's graph inputs through the control operators
+// (switch, merge, sink), places every entity's lead tile through the plan
+// config's live→physical table, and resolves every edge's route on net.
+func compileSegment(g *graph.Graph, seg *sched.Segment, tiles hw.TileMap, net *noc.NoC) (*segDAG, error) {
 	inSeg := map[graph.OpID]bool{}
 	for _, id := range seg.Ops {
 		inSeg[id] = true
 	}
 	// Leads in the order they appear in seg.Ops (topological).
-	seen := map[graph.OpID]bool{}
+	d := &segDAG{}
+	index := map[graph.OpID]int{}
+	groups := map[graph.OpID]int{}
 	for _, id := range seg.Ops {
-		if lead, ok := seg.EntityOf[id]; ok && lead == id && !seen[id] {
-			seen[id] = true
-			d.leads = append(d.leads, id)
+		if lead, ok := seg.EntityOf[id]; !ok || lead != id {
+			continue
 		}
+		if _, dup := index[id]; dup {
+			continue
+		}
+		op := seg.Plans[id]
+		index[id] = len(d.ents)
+		e := dagEntity{
+			lead:       id,
+			plan:       op,
+			partnerIdx: -1,
+			group:      -1,
+			tile:       tiles.Physical(noc.Centroid(op.Region)),
+			writeHBM:   true,
+			dynamic:    g.Op(id).Dynamic,
+		}
+		if op.GroupLeader != graph.None {
+			k, ok := groups[op.GroupLeader]
+			if !ok {
+				k = len(groups)
+				groups[op.GroupLeader] = k
+			}
+			e.group = k
+		}
+		d.ents = append(d.ents, e)
 	}
-	for _, lead := range d.leads {
-		edges, boundary, err := resolveProducers(g, seg, inSeg, lead)
+	d.groups = len(groups)
+	for i := range d.ents {
+		e := &d.ents[i]
+		if op := e.plan; op.Partner != graph.None && op.PairLeader {
+			e.partner = seg.Plans[op.Partner]
+			if k, ok := index[op.Partner]; ok {
+				e.partnerIdx = k
+			}
+		}
+		edges, boundary, err := resolveProducers(g, seg, inSeg, e.lead)
 		if err != nil {
 			return nil, err
 		}
-		d.prods[lead] = edges
-		d.boundaryIn[lead] = boundary
-		for _, e := range edges {
-			d.cons[e.from] = append(d.cons[e.from], lead)
-			d.isProducer[e.from] = true
+		e.readHBM = boundary
+		for _, pe := range edges {
+			k, ok := index[pe.from]
+			if !ok {
+				continue // produced outside the entity table: no payload edge
+			}
+			from := &d.ents[k]
+			from.outs++
+			from.writeHBM = false
+			ways := min(from.plan.Region[1], e.plan.Region[1])
+			e.prods = append(e.prods, dagEdge{
+				from: k, kind: pe.kind, viaMerge: pe.viaMerge,
+				ways: ways, wire: net.Resolve(from.tile, e.tile),
+			})
+			d.edges++
 		}
 	}
 	return d, nil

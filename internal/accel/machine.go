@@ -71,12 +71,16 @@ type Machine struct {
 	prof *profiler.Profiler
 
 	plan *sched.Plan
+	// dags holds each segment's compiled template, keyed by segment index.
 	dags map[int]*segDAG
 	// planCfg snapshots the config the current plan was validated against.
 	// Plan regions index that config's live-tile enumeration; if faults strike
 	// after the load, the current m.cfg mask diverges from planCfg's and the
 	// frozen plan runs degraded (see prepareJob) until a new plan is loaded.
+	// tiles is planCfg's live→physical table: the templates' tiles and routes
+	// come from it, never from the live m.cfg.
 	planCfg hw.Config
+	tiles   hw.TileMap
 	// batchDone records, for every batch of every Run window, the simulated
 	// time its final-segment job completed and the window start time —
 	// the machine's per-batch latency record.
@@ -97,13 +101,12 @@ type Machine struct {
 	computeOps []graph.OpID
 	niNames    []string
 
-	// Per-job scratch maps, reused across prepareJob calls (one job is
-	// prepared at a time by the driver process, so a single set suffices).
-	// They only live for the duration of one prepareJob call; everything that
+	// Per-job scratch, indexed like the segment template and reused across
+	// prepareJob calls (prepareJob never blocks, so one set suffices). It
+	// only lives for the duration of one prepareJob call; everything that
 	// outlasts it is reachable from the job itself.
-	entsBuf   map[graph.OpID]*jobEntity
-	optIdxBuf map[graph.OpID]int
-	groupsBuf map[graph.OpID]*sim.Store
+	optIdxBuf []int
+	groupsBuf []*sim.Store
 
 	// rec, when enabled, records per-tile kernel spans, batch spans, and
 	// plan loads (NoC and HBM spans are recorded by the substrates). nil —
@@ -138,9 +141,6 @@ func New(cfg hw.Config, g *graph.Graph, opts Options) (*Machine, error) {
 		entityTok:  map[entityKey]*sim.Store{},
 		computeOps: g.ComputeOps(),
 		niNames:    niNames,
-		entsBuf:    map[graph.OpID]*jobEntity{},
-		optIdxBuf:  map[graph.OpID]int{},
-		groupsBuf:  map[graph.OpID]*sim.Store{},
 	}, nil
 }
 
@@ -197,14 +197,18 @@ func (m *Machine) AdvanceTo(t sim.Time) {
 // LoadPlan installs a plan. The first load is free (initial configuration);
 // subsequent loads model a reconfiguration: the pipeline has already drained
 // (Run drains), kernel stores are re-loaded through HBM, and a fixed control
-// penalty applies.
+// penalty applies. Like the hardware setting up its probe/ack routes at
+// reconfiguration, the load compiles every segment's template — entity
+// tiles and NoC routes, placed on the current config — so executing the
+// plan only books them.
 func (m *Machine) LoadPlan(p *sched.Plan) error {
 	if err := p.Validate(m.cfg, m.g); err != nil {
 		return err
 	}
-	dags := map[int]*segDAG{}
+	tiles := m.cfg.TileMap()
+	dags := make(map[int]*segDAG, len(p.Segments))
 	for _, seg := range p.Segments {
-		d, err := buildDAG(m.g, seg)
+		d, err := compileSegment(m.g, seg, tiles, m.noc)
 		if err != nil {
 			return err
 		}
@@ -237,6 +241,7 @@ func (m *Machine) LoadPlan(p *sched.Plan) error {
 	m.plan = p
 	m.dags = dags
 	m.planCfg = m.cfg
+	m.tiles = tiles
 	clear(m.entityTok)
 	return nil
 }
@@ -271,21 +276,12 @@ func normFactor(f float64) float64 {
 	return f
 }
 
-// physTile translates a live tile index of the loaded plan's enumeration to
-// its physical grid position (identity on a healthy plan-time chip).
-func (m *Machine) physTile(live int) int {
-	if m.planCfg.FailedTiles.Empty() {
-		return live
-	}
-	return m.planCfg.PhysicalTile(live)
-}
-
 // survivingTiles counts how many of a plan region's physical tiles are still
 // in service under the current fault mask.
 func (m *Machine) survivingTiles(region [2]int) int {
 	n := 0
 	for t := region[0]; t < region[0]+region[1]; t++ {
-		if !m.cfg.TileFailed(m.physTile(t)) {
+		if !m.cfg.TileFailed(m.tiles.Physical(t)) {
 			n++
 		}
 	}
@@ -324,17 +320,13 @@ func (m *Machine) HBMUtilization() float64 {
 
 // jobEntity is one entity's state within a job.
 type jobEntity struct {
-	lead    graph.OpID
-	plan    *sched.OpPlan
+	tpl     *dagEntity // the entity in the segment template
 	opt     *sched.AllocOption
 	eval    costmodel.Eval
 	units   int
 	inputs  []*jobEdge
 	outputs []*jobEdge
 	group   *sim.Store // temporal-sharing token (nil when ungrouped)
-	readHBM bool
-	writHBM bool
-	dynamic bool
 
 	// Process state. Each entity runs as two processes per job, the
 	// compute process (compute) and its network-interface sender (send);
@@ -342,7 +334,6 @@ type jobEntity struct {
 	job     *job
 	tok     *sim.Store // the pipeline-stage token (see Machine.entityTok)
 	sendQ   *sim.Store // chunks finished by compute, waiting for the sender
-	src     int        // physical lead tile of the entity's region
 	kstart  sim.Time   // when the first chunk began gathering inputs
 	hbmDone sim.Time   // the current chunk's HBM streaming completion
 	pc      int        // compute state
@@ -353,12 +344,12 @@ type jobEntity struct {
 	xfer    noc.Transfer
 }
 
-// jobEdge is one producer-consumer link within a job.
+// jobEdge is one producer-consumer link within a job: its payload and the
+// template edge that carries it.
 type jobEdge struct {
 	bytes int64
 	store *sim.Store
-	from  graph.OpID
-	to    graph.OpID
+	route *dagEdge
 }
 
 // BatchLatency is one batch's completion record.
@@ -560,30 +551,28 @@ func (m *Machine) effUnits(units map[graph.OpID]int, id graph.OpID) int {
 }
 
 // prepareJob computes per-entity dyn values, tile-sharing option choices,
-// cost evaluations, and the edge/byte structure for one job. It runs once
-// per (batch, segment) on the driver process, so its allocations are hot:
-// entities and edges are laid out in two contiguous per-job arrays, and the
-// lookup tables it needs only transiently come from the machine's reusable
-// scratch maps.
+// cost evaluations, and the per-job edge payloads for one job, over the
+// segment's compiled template. It runs once per (batch, segment) on the
+// driver process, so its allocations are hot: entities and edges are laid
+// out in two contiguous per-job arrays, and the scratch it needs only
+// transiently is the machine's, indexed like the template.
 func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, density float64) (*job, error) {
 	d := m.dags[seg.Index]
 	j := &job{m: m, seg: seg, done: sim.NewSignal(m.env)}
-	ents := m.entsBuf
-	clear(ents)
 
 	// Tile-sharing option choice per pair (Section V-B): the pair leader
 	// picks the ratio minimizing the slower partner.
-	optIdx := m.optIdxBuf
-	clear(optIdx)
-	for _, lead := range d.leads {
-		op := seg.Plans[lead]
-		if op.Partner == graph.None || !op.PairLeader {
+	optIdx := append(m.optIdxBuf[:0], make([]int, len(d.ents))...)
+	m.optIdxBuf = optIdx
+	for i := range d.ents {
+		de := &d.ents[i]
+		if de.partner == nil {
 			continue
 		}
-		partner := seg.Plans[op.Partner]
+		op, partner := de.plan, de.partner
 		best, bestScore := 0, int64(-1)
 		for k := range op.Options {
-			ea, err := m.plan.EvaluateEntityDensity(m.cfg, m.g, op, op.Options[k], m.effUnits(units, lead), density)
+			ea, err := m.plan.EvaluateEntityDensity(m.cfg, m.g, op, op.Options[k], m.effUnits(units, de.lead), density)
 			if err != nil {
 				return nil, err
 			}
@@ -599,24 +588,27 @@ func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, densi
 				best, bestScore = k, score
 			}
 		}
-		optIdx[lead] = best
-		optIdx[op.Partner] = best
+		optIdx[i] = best
+		if de.partnerIdx >= 0 {
+			optIdx[de.partnerIdx] = best
+		}
 	}
 
-	groups := m.groupsBuf
-	clear(groups)
+	groups := append(m.groupsBuf[:0], make([]*sim.Store, d.groups)...)
+	m.groupsBuf = groups
 	// All of the job's entities live in one contiguous array: one allocation
 	// instead of one per entity, and better locality for the spawn loop.
-	entArr := make([]jobEntity, len(d.leads))
-	j.ents = make([]*jobEntity, 0, len(d.leads))
-	for i, lead := range d.leads {
-		op := seg.Plans[lead]
-		k := optIdx[lead] // 0 default
+	entArr := make([]jobEntity, len(d.ents))
+	j.ents = make([]*jobEntity, len(d.ents))
+	for i := range d.ents {
+		de := &d.ents[i]
+		op := de.plan
+		k := optIdx[i] // 0 default
 		if k >= len(op.Options) {
 			k = 0
 		}
 		opt := op.Options[k]
-		v := m.effUnits(units, lead)
+		v := m.effUnits(units, de.lead)
 		ev, err := m.plan.EvaluateEntityDensity(m.cfg, m.g, op, opt, v, density)
 		if err != nil {
 			return nil, err
@@ -635,27 +627,16 @@ func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, densi
 			}
 		}
 		je := &entArr[i]
-		*je = jobEntity{
-			lead:    lead,
-			plan:    op,
-			opt:     opt,
-			eval:    ev,
-			units:   v,
-			readHBM: d.boundaryIn[lead],
-			writHBM: !d.isProducer[lead],
-			dynamic: m.g.Op(lead).Dynamic,
-		}
-		if op.GroupLeader != graph.None {
-			gs, ok := groups[op.GroupLeader]
-			if !ok {
-				gs = sim.NewStore(m.env, 1)
+		*je = jobEntity{tpl: de, opt: opt, eval: ev, units: v}
+		if de.group >= 0 {
+			if groups[de.group] == nil {
+				gs := sim.NewStore(m.env, 1)
 				gs.TryPut(struct{}{})
-				groups[op.GroupLeader] = gs
+				groups[de.group] = gs
 			}
-			je.group = gs
+			je.group = groups[de.group]
 		}
-		ents[lead] = je
-		j.ents = append(j.ents, je)
+		j.ents[i] = je
 	}
 	// Each entity contributes two completions: its compute process and its
 	// network-interface sender.
@@ -663,44 +644,37 @@ func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, densi
 
 	// Wire the edges with their per-job payload sizes, again in one
 	// contiguous array (the per-entity input/output slices hold pointers
-	// into it, pre-sized from the segment DAG's degree counts).
-	nEdges := 0
-	for _, lead := range d.leads {
-		nEdges += len(d.prods[lead])
-	}
-	edgeArr := make([]jobEdge, 0, nEdges)
-	for _, lead := range d.leads {
-		consumer := ents[lead]
-		cOp := m.g.Op(lead)
-		prods := d.prods[lead]
-		if len(prods) > 0 && consumer.inputs == nil {
-			consumer.inputs = make([]*jobEdge, 0, len(prods))
+	// into it, pre-sized from the template's degree counts).
+	edgeArr := make([]jobEdge, 0, d.edges)
+	for i := range d.ents {
+		de := &d.ents[i]
+		consumer := &entArr[i]
+		cOp := m.g.Op(de.lead)
+		if len(de.prods) > 0 {
+			consumer.inputs = make([]*jobEdge, 0, len(de.prods))
 		}
-		for _, pe := range prods {
-			producer := ents[pe.from]
-			if producer == nil {
-				continue
-			}
+		for k := range de.prods {
+			pe := &de.prods[k]
+			producer := &entArr[pe.from]
 			var bytes int64
 			switch {
 			case pe.kind == edgeMask:
 				bytes = 64 // routing mask metadata packet
 			case pe.viaMerge:
 				// Each branch tail sends its own units' worth.
-				bytes = cOp.InBytesPerUnit * int64(m.effUnits(units, pe.from))
+				bytes = cOp.InBytesPerUnit * int64(m.effUnits(units, producer.tpl.lead))
 			default:
-				bytes = cOp.InBytesPerUnit * int64(m.effUnits(units, lead))
+				bytes = cOp.InBytesPerUnit * int64(m.effUnits(units, de.lead))
 			}
 			edgeArr = append(edgeArr, jobEdge{
 				bytes: bytes,
 				store: sim.NewStore(m.env, chunksPerJob/2),
-				from:  pe.from,
-				to:    lead,
+				route: pe,
 			})
 			e := &edgeArr[len(edgeArr)-1]
 			consumer.inputs = append(consumer.inputs, e)
 			if producer.outputs == nil {
-				producer.outputs = make([]*jobEdge, 0, len(d.cons[pe.from]))
+				producer.outputs = make([]*jobEdge, 0, producer.tpl.outs)
 			}
 			producer.outputs = append(producer.outputs, e)
 		}
@@ -713,7 +687,7 @@ func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, densi
 // tokens, and the per-entity pipeline-stage token.
 func (m *Machine) spawnJob(j *job) {
 	for _, je := range j.ents {
-		key := entityKey{seg: j.seg.Index, lead: je.lead}
+		key := entityKey{seg: j.seg.Index, lead: je.tpl.lead}
 		tok, ok := m.entityTok[key]
 		if !ok {
 			tok = sim.NewStore(m.env, 1)
@@ -721,7 +695,7 @@ func (m *Machine) spawnJob(j *job) {
 			m.entityTok[key] = tok
 		}
 		je.job, je.tok = j, tok
-		m.env.Spawn(m.g.Op(je.lead).Name, je.compute)
+		m.env.Spawn(m.g.Op(je.tpl.lead).Name, je.compute)
 	}
 }
 
@@ -784,7 +758,7 @@ func (je *jobEntity) compute(p *sim.Proc) bool {
 			// Real-time scheduling alternative: pay the host scheduling
 			// latency before every dynamic operator invocation (Figure 12).
 			je.pc = entBegin
-			if je.dynamic && je.units > 0 && m.opts.OnlineSchedLatencyCycles > 0 {
+			if je.tpl.dynamic && je.units > 0 && m.opts.OnlineSchedLatencyCycles > 0 {
 				p.Wait(sim.Time(m.opts.OnlineSchedLatencyCycles))
 				return false
 			}
@@ -795,14 +769,13 @@ func (je *jobEntity) compute(p *sim.Proc) bool {
 				m.stats.PEBusyTileCycles += je.eval.Cycles * int64(je.opt.Tiles)
 				m.stats.KernelSelections++
 			}
-			je.src = m.physTile(noc.Centroid(je.plan.Region))
 			// The network interface runs as its own engine (Figure 7): it
 			// forwards finished chunks — probe/ack handshake, then the
 			// payload over the NoC — while the PE array already computes
 			// the next chunk. The pipeline-stage token is released when
 			// compute finishes; delivery completion is tracked by the job.
 			je.sendQ = sim.NewStore(m.env, 0)
-			m.env.Spawn(m.niNames[je.lead], je.send)
+			m.env.Spawn(m.niNames[je.tpl.lead], je.send)
 			je.kstart = p.Now()
 			je.pc = entGather
 		case entGather:
@@ -822,7 +795,7 @@ func (je *jobEntity) compute(p *sim.Proc) bool {
 			// Stream boundary inputs and weights from HBM, overlapped with
 			// the chunk's compute up to the bandwidth limit.
 			je.hbmDone = 0
-			if je.readHBM {
+			if je.tpl.readHBM {
 				if n := chunkOf(je.eval.InBytes, je.c); n > 0 {
 					je.hbmDone = m.hbm.Reserve(n)
 				}
@@ -873,7 +846,7 @@ func (je *jobEntity) recordKernel() {
 	if !m.rec.Enabled() {
 		return
 	}
-	m.rec.Span(m.tileTrack(je.src), "kernel", m.g.Op(je.lead).Name,
+	m.rec.Span(m.tileTrack(je.tpl.tile), "kernel", m.g.Op(je.tpl.lead).Name,
 		int64(je.kstart), int64(m.env.Now()),
 		telemetry.I("units", int64(je.units)),
 		telemetry.I("tiles", int64(je.opt.Tiles)),
@@ -913,7 +886,7 @@ func (je *jobEntity) send(p *sim.Proc) bool {
 				// Boundary outputs drain to HBM (non-blocking reservation:
 				// the write-back DMA competes for bandwidth, not for the
 				// PEs).
-				if je.writHBM {
+				if je.tpl.writeHBM {
 					if n := chunkOf(je.eval.OutBytes, je.sendC); n > 0 {
 						m.hbm.ReserveWrite(n)
 					}
@@ -926,18 +899,13 @@ func (je *jobEntity) send(p *sim.Proc) bool {
 			je.sendPC = niPut
 			if chunkOf(e.bytes, je.sendC) > 0 {
 				je.sendPC = niInject
-				p.Wait(m.noc.Probe(je.src, je.dst(e)))
+				p.Wait(m.noc.Probe(&e.route.wire))
 				return false
 			}
 		case niInject:
 			e := je.outputs[je.out]
-			toRegion := j.seg.Plans[e.to].Region
-			ways := je.plan.Region[1]
-			if w := toRegion[1]; w < ways {
-				ways = w
-			}
 			je.sendPC = niPut
-			if injected, ok := m.noc.Inject(&je.xfer, je.src, je.dst(e), chunkOf(e.bytes, je.sendC), ways); ok {
+			if injected, ok := m.noc.Inject(&je.xfer, &e.route.wire, chunkOf(e.bytes, je.sendC), e.route.ways); ok {
 				je.sendPC = niRoute
 				p.Wait(injected - p.Now())
 				return false
@@ -959,9 +927,4 @@ func (je *jobEntity) send(p *sim.Proc) bool {
 			je.sendPC = niEdge
 		}
 	}
-}
-
-// dst returns the physical lead tile of an output edge's consumer region.
-func (je *jobEntity) dst(e *jobEdge) int {
-	return je.job.m.physTile(noc.Centroid(je.job.seg.Plans[e.to].Region))
 }

@@ -85,7 +85,7 @@ func (m *Machine) StreamSubmit(b workload.Batch) (*StreamTicket, error) {
 			si++
 			// The batch reaches this segment now: reserve its weights and
 			// run the segment's job. prepareJob never blocks, so the
-			// machine's per-job scratch maps stay single-writer even with
+			// machine's per-job scratch slices stay single-writer even with
 			// several stream drivers interleaving on the event queue.
 			weightReady := m.hbm.Reserve(seg.WeightBytes)
 			j, err := m.prepareJob(seg, units, b.Density)

@@ -220,6 +220,43 @@ func (c Config) PhysicalTile(live int) int {
 	return c.Tiles() - 1
 }
 
+// TileMap is PhysicalTile as a table: the live→physical translation of one
+// config, built in a single pass over its fault mask so that callers
+// translating many tiles pay O(tiles) once instead of O(tiles) per lookup.
+type TileMap struct {
+	phys  []int // phys[live]; nil when the mask is empty (identity)
+	tiles int
+}
+
+// TileMap builds the config's live→physical tile table.
+func (c Config) TileMap() TileMap {
+	if c.FailedTiles.Empty() {
+		return TileMap{tiles: c.Tiles()}
+	}
+	phys := make([]int, 0, c.Tiles())
+	for t := 0; t < c.Tiles(); t++ {
+		if !c.FailedTiles.Failed(t) {
+			phys = append(phys, t)
+		}
+	}
+	return TileMap{phys: phys, tiles: c.Tiles()}
+}
+
+// Physical returns PhysicalTile(live) for the table's config, with the same
+// identity on an empty mask and the same clamping of out-of-range indices.
+func (m TileMap) Physical(live int) int {
+	if m.phys == nil {
+		return live
+	}
+	if live < 0 {
+		live = 0
+	}
+	if live < len(m.phys) {
+		return m.phys[live]
+	}
+	return m.tiles - 1
+}
+
 // nocFactor and hbmFactor interpret the derate fields: zero means unset
 // (healthy), anything else is the bandwidth multiplier.
 func (c Config) nocFactor() float64 {

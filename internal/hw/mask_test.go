@@ -1,6 +1,9 @@
 package hw
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestTileMaskBasics(t *testing.T) {
 	var zero TileMask
@@ -133,6 +136,32 @@ func TestPhysicalTile(t *testing.T) {
 	// Out-of-range live indices clamp to the last physical tile.
 	if got := cfg.PhysicalTile(cfg.Tiles()); got != cfg.Tiles()-1 {
 		t.Errorf("clamp gave %d", got)
+	}
+}
+
+// TestTileMapMatchesPhysicalTile: the one-pass table agrees with
+// PhysicalTile for random masks (empty, sparse, dense, all-failed and masks
+// with bits beyond the chip) on every live index and on out-of-range ones.
+func TestTileMapMatchesPhysicalTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		cfg := Default()
+		cfg.TilesX, cfg.TilesY = 1+rng.Intn(6), 1+rng.Intn(6)
+		var failed []int
+		p := rng.Float64()
+		for tile := 0; tile < cfg.Tiles()+4; tile++ {
+			if rng.Float64() < p {
+				failed = append(failed, tile)
+			}
+		}
+		cfg.FailedTiles = NewTileMask(failed...)
+		tm := cfg.TileMap()
+		for live := -3; live < cfg.Tiles()+5; live++ {
+			if got, want := tm.Physical(live), cfg.PhysicalTile(live); got != want {
+				t.Fatalf("%dx%d mask %v: TileMap.Physical(%d) = %d, PhysicalTile = %d",
+					cfg.TilesX, cfg.TilesY, cfg.FailedTiles, live, got, want)
+			}
+		}
 	}
 }
 

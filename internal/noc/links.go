@@ -9,77 +9,84 @@ import (
 // so two transfers crossing the same link contend for it even when their
 // endpoints differ — the congestion a hop-count-only model misses.
 
-// linkID identifies a unidirectional link leaving a tile.
-type linkID struct {
-	from int
-	dir  int // 0:+x 1:-x 2:+y 3:-y
-}
-
-// Directions.
+// Directions of the four unidirectional links leaving a tile; the link
+// leaving tile t in direction d is links[t*4+d].
 const (
 	dirXPlus = iota
 	dirXMinus
 	dirYPlus
 	dirYMinus
+	dirs
 )
 
-// link returns (lazily creating) the server for one link.
-func (n *NoC) link(id linkID) *sim.Server {
-	if n.links == nil {
-		n.links = map[linkID]*sim.Server{}
-	}
-	s, ok := n.links[id]
-	if !ok {
-		s = sim.NewServer(n.env, n.rate)
-		n.links[id] = s
-	}
-	return s
+// Wire is an X-Y route resolved once, for a pair of tiles whose traffic
+// repeats: its endpoints, its hop count and its links in path order.
+// Probe, Inject and Route read it without re-deriving any of them.
+type Wire struct {
+	src, dst, hops int
+	links          []*sim.Server
+}
+
+// Resolve returns the X-Y route from src to dst, creating its links' servers
+// (at the current, possibly derated, rate) on first use.
+func (n *NoC) Resolve(src, dst int) Wire {
+	w := Wire{src: src, dst: dst, hops: n.Hops(src, dst)}
+	w.links = make([]*sim.Server, 0, w.hops)
+	n.walk(src, dst, func(from, _, dir int) {
+		i := from*dirs + dir
+		if n.links[i] == nil {
+			n.links[i] = sim.NewServer(n.env, n.rate)
+		}
+		w.links = append(w.links, n.links[i])
+	})
+	return w
 }
 
 // Path returns the tiles an X-Y routed packet traverses from src to dst,
 // inclusive of both endpoints, taking the shorter torus direction in each
 // dimension.
 func (n *NoC) Path(src, dst int) []int {
-	return n.appendPath(nil, src, dst)
+	path := []int{src}
+	n.walk(src, dst, func(_, to, _ int) { path = append(path, to) })
+	return path
 }
 
-// appendPath appends Path(src, dst) to path.
-func (n *NoC) appendPath(path []int, src, dst int) []int {
-	path = append(path, src)
+// walk visits every hop of the X-Y route from src to dst in order: the tile
+// it leaves, the tile it enters and the direction of the link between them.
+// On a two-wide ring both directions reach the same neighbour; the hop then
+// counts as the positive direction's link.
+func (n *NoC) walk(src, dst int, hop func(from, to, dir int)) {
 	x, y := n.coord(src)
 	tx, ty := n.coord(dst)
-	step := func(cur, target, size int) (int, bool) {
-		if cur == target {
-			return cur, false
-		}
-		d := target - cur
-		// Take the shorter way around the torus.
-		forward := d > 0
-		if abs(d) > size-abs(d) {
-			forward = !forward
-		}
-		if forward {
-			return (cur + 1) % size, true
-		}
-		return (cur - 1 + size) % size, true
-	}
-	for {
-		nx, moved := step(x, tx, n.cfg.TilesX)
-		if !moved {
-			break
-		}
+	w, h := n.cfg.TilesX, n.cfg.TilesY
+	for x != tx {
+		nx, dir := step(x, tx, w, dirXPlus, dirXMinus)
+		hop(y*w+x, y*w+nx, dir)
 		x = nx
-		path = append(path, y*n.cfg.TilesX+x)
 	}
-	for {
-		ny, moved := step(y, ty, n.cfg.TilesY)
-		if !moved {
-			break
-		}
+	for y != ty {
+		ny, dir := step(y, ty, h, dirYPlus, dirYMinus)
+		hop(y*w+x, ny*w+x, dir)
 		y = ny
-		path = append(path, y*n.cfg.TilesX+x)
 	}
-	return path
+}
+
+// step moves cur one position toward target around a ring of size
+// positions, the shorter way, and names the link it crosses.
+func step(cur, target, size, plus, minus int) (int, int) {
+	d := target - cur
+	forward := d > 0
+	if abs(d) > size-abs(d) {
+		forward = !forward
+	}
+	next := (cur - 1 + size) % size
+	if forward {
+		next = (cur + 1) % size
+	}
+	if next == (cur+1)%size {
+		return next, plus
+	}
+	return next, minus
 }
 
 func abs(v int) int {
@@ -89,52 +96,24 @@ func abs(v int) int {
 	return v
 }
 
-// linkBetween returns the unidirectional link joining two adjacent tiles of
-// a path.
-func (n *NoC) linkBetween(from, to int) linkID {
-	fx, fy := n.coord(from)
-	tx, ty := n.coord(to)
-	var dir int
-	switch {
-	case tx == (fx+1)%n.cfg.TilesX && ty == fy:
-		dir = dirXPlus
-	case tx == (fx-1+n.cfg.TilesX)%n.cfg.TilesX && ty == fy:
-		dir = dirXMinus
-	case ty == (fy+1)%n.cfg.TilesY && tx == fx:
-		dir = dirYPlus
-	default:
-		dir = dirYMinus
-	}
-	return linkID{from: from, dir: dir}
-}
-
-// reserveLinks books the payload on every link of the path (wormhole-style:
-// the transfer occupies all its links for its serialization time) and
-// returns the completion time of the slowest link plus the per-hop latency.
-// The path is built in a buffer the NoC reuses, so booking allocates nothing.
-func (n *NoC) reserveLinks(src, dst int, share int64) sim.Time {
-	n.pathBuf = n.appendPath(n.pathBuf[:0], src, dst)
-	path := n.pathBuf
-	var done sim.Time
-	for i := 0; i+1 < len(path); i++ {
-		if t := n.link(n.linkBetween(path[i], path[i+1])).Reserve(share); t > done {
-			done = t
-		}
-	}
-	return done + n.probeCycles(len(path)-1)
-}
-
 // LinkStats summarizes link occupancy for congestion analysis.
 type LinkStats struct {
-	Links          int
-	MaxBusy        sim.Time
+	// Links counts the links that carried bytes.
+	Links int
+	// MaxBusy is the busiest link's accumulated service time.
+	MaxBusy sim.Time
+	// TotalByteLinks sums the bytes every link served.
 	TotalByteLinks int64
 }
 
-// LinkUtilization returns the occupancy summary of all links touched so far.
+// LinkUtilization returns the occupancy summary of the links that have
+// carried bytes so far.
 func (n *NoC) LinkUtilization() LinkStats {
 	var st LinkStats
 	for _, s := range n.links {
+		if s == nil || s.ServedCount() == 0 {
+			continue
+		}
 		st.Links++
 		if b := s.BusyCycles(); b > st.MaxBusy {
 			st.MaxBusy = b

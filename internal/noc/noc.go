@@ -17,13 +17,12 @@ type NoC struct {
 	cfg    hw.Config
 	inject []*sim.Server // per-tile injection port
 	eject  []*sim.Server // per-tile ejection port
-	// links holds the unidirectional torus links, created lazily as X-Y
-	// routed transfers touch them (see links.go).
-	links map[linkID]*sim.Server
-	// pathBuf is reserveLinks' reusable route buffer.
-	pathBuf []int
+	// links holds the unidirectional torus links, four per tile (see
+	// links.go); a link's server is created when a resolved route first
+	// crosses it.
+	links []*sim.Server
 	// baseRate is the healthy per-port bandwidth; rate is the current
-	// (possibly derated) one, applied to lazily created links too.
+	// (possibly derated) one, applied to links created later too.
 	baseRate, rate float64
 	// Accounting.
 	byteHops  int64
@@ -37,7 +36,8 @@ type NoC struct {
 
 // New builds the NoC model for cfg.
 func New(env *sim.Env, cfg hw.Config) *NoC {
-	n := &NoC{env: env, cfg: cfg, baseRate: cfg.NoCBytesPerCycle()}
+	n := &NoC{env: env, cfg: cfg, baseRate: cfg.NoCBytesPerCycle(),
+		links: make([]*sim.Server, dirs*cfg.Tiles())}
 	n.rate = n.baseRate
 	for i := 0; i < cfg.Tiles(); i++ {
 		n.inject = append(n.inject, sim.NewServer(env, n.rate))
@@ -56,7 +56,7 @@ func (n *NoC) SetRecorder(rec *telemetry.Recorder) {
 
 // Derate scales every port and link to factor times the construction
 // bandwidth (fault injection: degraded torus links). factor 1 restores the
-// healthy rate; links created after the call inherit the derated rate.
+// healthy rate; links first resolved after the call inherit the derated rate.
 func (n *NoC) Derate(factor float64) {
 	if factor <= 0 || factor > 1 {
 		factor = 1
@@ -67,7 +67,9 @@ func (n *NoC) Derate(factor float64) {
 		n.eject[i].SetRate(n.rate)
 	}
 	for _, l := range n.links {
-		l.SetRate(n.rate)
+		if l != nil {
+			l.SetRate(n.rate)
+		}
 	}
 }
 
@@ -106,63 +108,71 @@ func (n *NoC) probeCycles(h int) sim.Time {
 	return sim.Time((h + 1) * n.cfg.RouterHopCycles)
 }
 
-// Probe counts one probe/acknowledge handshake of Section VI-C — the source
-// queries the destination and waits for the acknowledgment — and returns its
-// round-trip time, which the calling process waits out. The extra readiness
-// delay (how long until the destination can accept data) is applied by the
-// caller via dstReadyAt; Probe accounts only the round trip.
-func (n *NoC) Probe(from, to int) sim.Time {
+// Probe counts one probe/acknowledge handshake of Section VI-C over w — the
+// source queries the destination and waits for the acknowledgment — and
+// returns its round-trip time, which the calling process waits out. The
+// extra readiness delay (how long until the destination can accept data) is
+// applied by the caller via dstReadyAt; Probe accounts only the round trip.
+func (n *NoC) Probe(w *Wire) sim.Time {
 	n.probes++
-	return 2 * n.probeCycles(n.Hops(from, to))
+	return 2 * n.probeCycles(w.hops)
 }
 
-// Transfer is one payload transfer in flight from the tile region around
-// src to the region around dst. A process moves it in three steps, waiting
-// in between: Inject books the source's injection port, Route books the X-Y
-// route's links and the destination's ejection port at the instant
-// injection finishes, and Deliver records the transfer once the payload has
-// arrived. The bookings are synchronous, so their order on the shared
+// Transfer is one payload transfer in flight over a resolved route from the
+// tile region around its source to the region around its destination. A
+// process moves it in three steps, waiting in between: Inject books the
+// source's injection port, Route books the route's links and the
+// destination's ejection port at the instant injection finishes, and
+// Deliver records the transfer once the payload has arrived. The bookings are synchronous, so their order on the shared
 // bandwidth servers is the order the processes reach them.
 type Transfer struct {
-	src, dst, hops int
-	bytes, share   int64
-	start          sim.Time
+	w            *Wire
+	bytes, share int64
+	start        sim.Time
 }
 
-// Inject starts a transfer of bytes from src to dst and books its share on
-// src's injection port. ways is the transfer's port-level parallelism — a
+// Inject starts a transfer of bytes over w and books its share on the
+// source's injection port. ways is the transfer's port-level parallelism — a
 // region of k tiles drives k injection ports concurrently, so a
 // region-to-region transfer streams through min(srcTiles, dstTiles) ports
 // (modelled as a proportional speedup of the representative port).
 //
 // It returns the time injection finishes, when the caller must call Route.
-// ok is false when nothing crosses the network — no bytes, or src == dst
-// (the data stays in the local scratchpad) — and the transfer is complete.
-func (n *NoC) Inject(x *Transfer, src, dst int, bytes int64, ways int) (injected sim.Time, ok bool) {
+// ok is false when nothing crosses the network — no bytes, or a route from
+// a tile to itself (the data stays in the local scratchpad) — and the
+// transfer is complete.
+func (n *NoC) Inject(x *Transfer, w *Wire, bytes int64, ways int) (injected sim.Time, ok bool) {
 	if bytes <= 0 {
 		return n.env.Now(), false
 	}
 	if ways < 1 {
 		ways = 1
 	}
-	h := n.Hops(src, dst)
-	n.byteHops += bytes * int64(h)
+	n.byteHops += bytes * int64(w.hops)
 	n.transfers++
-	if src == dst {
+	if w.src == w.dst {
 		return n.env.Now(), false
 	}
 	share := (bytes + int64(ways) - 1) / int64(ways)
-	*x = Transfer{src: src, dst: dst, hops: h, bytes: bytes, share: share, start: n.env.Now()}
-	return n.inject[src].Reserve(share), true
+	*x = Transfer{w: w, bytes: bytes, share: share, start: n.env.Now()}
+	return n.inject[w.src].Reserve(share), true
 }
 
-// Route books the injected payload on every link of its X-Y route (wormhole
-// occupancy with contention on shared links) and on the destination's
+// Route books the injected payload on every link of its X-Y route, in path
+// order (wormhole occupancy: the transfer holds all its links for its
+// serialization time, contending on shared ones), and on the destination's
 // ejection port. Call it at the instant injection finishes; it returns the
-// time the payload has fully arrived.
+// time the payload has fully arrived: the slowest link plus the per-hop
+// latency, or the ejection port if that finishes later.
 func (n *NoC) Route(x *Transfer) sim.Time {
-	done := n.reserveLinks(x.src, x.dst, x.share)
-	if t := n.eject[x.dst].Reserve(x.share); t > done {
+	var done sim.Time
+	for _, l := range x.w.links {
+		if t := l.Reserve(x.share); t > done {
+			done = t
+		}
+	}
+	done += n.probeCycles(x.w.hops)
+	if t := n.eject[x.w.dst].Reserve(x.share); t > done {
 		done = t
 	}
 	return done
@@ -173,8 +183,8 @@ func (n *NoC) Route(x *Transfer) sim.Time {
 func (n *NoC) Deliver(x *Transfer) {
 	if n.rec.Enabled() {
 		n.rec.Span(n.track, "noc", "xfer", int64(x.start), int64(n.env.Now()),
-			telemetry.I("src", int64(x.src)), telemetry.I("dst", int64(x.dst)),
-			telemetry.I("bytes", x.bytes), telemetry.I("hops", int64(x.hops)))
+			telemetry.I("src", int64(x.w.src)), telemetry.I("dst", int64(x.w.dst)),
+			telemetry.I("bytes", x.bytes), telemetry.I("hops", int64(x.w.hops)))
 	}
 }
 

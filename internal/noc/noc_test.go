@@ -40,16 +40,18 @@ func TestCentroid(t *testing.T) {
 }
 
 // transfer spawns a process that moves bytes from src to dst through the
-// three booking steps, as the accelerator's network-interface sender does,
-// and returns where its delivery time will be stored.
+// three booking steps over a freshly resolved route, as the accelerator's
+// network-interface sender does, and returns where its delivery time will be
+// stored.
 func transfer(env *sim.Env, n *NoC, src, dst int, bytes int64, ways int) *sim.Time {
 	done := new(sim.Time)
+	w := n.Resolve(src, dst)
 	var x Transfer
 	pc := 0
 	env.Spawn("xfer", func(p *sim.Proc) bool {
 		switch pc {
 		case 0:
-			injected, ok := n.Inject(&x, src, dst, bytes, ways)
+			injected, ok := n.Inject(&x, &w, bytes, ways)
 			if !ok {
 				*done = p.Now()
 				return true
@@ -104,7 +106,8 @@ func TestProbeRoundTrip(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := hw.Default()
 	n := New(env, cfg)
-	got := n.Probe(0, 6) // 6 hops
+	w := n.Resolve(0, 6) // 6 hops
+	got := n.Probe(&w)
 	if want := sim.Time(2 * (6 + 1) * cfg.RouterHopCycles); got != want {
 		t.Errorf("probe takes %d, want %d", got, want)
 	}
@@ -175,6 +178,7 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 	env := sim.NewEnv()
 	n := New(env, hw.Default())
 	transfer(env, n, 0, 2, 1920, 1)
+	n.Resolve(30, 90) // resolved but never carries bytes: not counted
 	env.Run()
 	st := n.LinkUtilization()
 	if st.Links != 2 { // links 0->1 and 1->2
@@ -182,5 +186,98 @@ func TestLinkUtilizationAccounting(t *testing.T) {
 	}
 	if st.TotalByteLinks != 2*1920 {
 		t.Fatalf("byte-links = %d, want %d", st.TotalByteLinks, 2*1920)
+	}
+}
+
+// linkBetween is the test's own oracle for the link joining two adjacent
+// tiles: the direction is read off their coordinates, positive first (on a
+// two-wide ring both directions join the same pair of tiles).
+func linkBetween(n *NoC, from, to int) *sim.Server {
+	w, h := n.cfg.TilesX, n.cfg.TilesY
+	fx, fy := from%w, from/w
+	tx, ty := to%w, to/w
+	dir := dirYMinus
+	switch {
+	case ty == fy && tx == (fx+1)%w:
+		dir = dirXPlus
+	case ty == fy && tx == (fx-1+w)%w:
+		dir = dirXMinus
+	case tx == fx && ty == (fy+1)%h:
+		dir = dirYPlus
+	}
+	return n.links[from*dirs+dir]
+}
+
+// TestResolveMatchesPath: for every pair of tiles, the resolved route's
+// links are the links between consecutive tiles of Path, in order, and its
+// hop count is Hops — on the default 12x12 torus, an odd 5x3 one, and a
+// 4x2 one whose two-wide ring reaches the same neighbour both ways.
+func TestResolveMatchesPath(t *testing.T) {
+	for _, dims := range [][2]int{{12, 12}, {5, 3}, {4, 2}} {
+		cfg := hw.Default()
+		cfg.TilesX, cfg.TilesY = dims[0], dims[1]
+		n := New(sim.NewEnv(), cfg)
+		for src := 0; src < cfg.Tiles(); src++ {
+			for dst := 0; dst < cfg.Tiles(); dst++ {
+				w := n.Resolve(src, dst)
+				path := n.Path(src, dst)
+				if w.src != src || w.dst != dst || w.hops != n.Hops(src, dst) || len(path) != w.hops+1 {
+					t.Fatalf("%dx%d %d->%d: wire (%d->%d, %d hops), Hops %d, path %v",
+						dims[0], dims[1], src, dst, w.src, w.dst, w.hops, n.Hops(src, dst), path)
+				}
+				if len(w.links) != w.hops {
+					t.Fatalf("%dx%d %d->%d: %d links for %d hops", dims[0], dims[1], src, dst, len(w.links), w.hops)
+				}
+				for i, l := range w.links {
+					if want := linkBetween(n, path[i], path[i+1]); l == nil || l != want {
+						t.Fatalf("%dx%d %d->%d: link %d is not the %d->%d link",
+							dims[0], dims[1], src, dst, i, path[i], path[i+1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestResolvedRoutesShareLinks: two routes crossing the same link book the
+// same server, and resolving a route twice yields the same links.
+func TestResolvedRoutesShareLinks(t *testing.T) {
+	n := New(sim.NewEnv(), hw.Default())
+	a, b := n.Resolve(0, 4), n.Resolve(1, 5)
+	if a.links[1] != b.links[0] { // both cross 1->2
+		t.Fatal("routes crossing link 1->2 hold different servers")
+	}
+	again := n.Resolve(0, 4)
+	for i := range a.links {
+		if again.links[i] != a.links[i] {
+			t.Fatalf("re-resolving 0->4 changed link %d", i)
+		}
+	}
+}
+
+// TestDerateReachesUnusedLinks: Derate re-rates links already resolved but
+// not yet used, and links resolved afterwards start at the derated rate;
+// restoring the healthy factor re-rates both.
+func TestDerateReachesUnusedLinks(t *testing.T) {
+	cfg := hw.Default()
+	n := New(sim.NewEnv(), cfg)
+	before := n.Resolve(0, 3)
+	n.Derate(0.5)
+	after := n.Resolve(20, 23)
+	half := cfg.NoCBytesPerCycle() * 0.5
+	for _, w := range []Wire{before, after} {
+		for _, l := range w.links {
+			if l.Rate() != half {
+				t.Fatalf("link rate %v after Derate(0.5), want %v", l.Rate(), half)
+			}
+		}
+	}
+	n.Derate(1)
+	for _, w := range []Wire{before, after} {
+		for _, l := range w.links {
+			if l.Rate() != cfg.NoCBytesPerCycle() {
+				t.Fatalf("link rate %v after Derate(1), want %v", l.Rate(), cfg.NoCBytesPerCycle())
+			}
+		}
 	}
 }

@@ -114,53 +114,19 @@ func main() {
 	n := float64(r.Batches)
 	fmt.Printf("  energy/batch   %.2f mJ (HBM %.2f, SRAM %.2f, PE+NoC %.2f)\n",
 		br.Total()/n, br.HBMmJ/n, br.SRAMmJ/n, br.PEmJ/n)
-	if lats := batchLatencies(d, *model, rc); len(lats) > 0 {
+	// The analytic baselines have no pipeline to measure.
+	if d == core.DesignGPU || d == core.DesignMTenant {
+		return
+	}
+	lats, err := core.BatchLatencies(d, *model, rc)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "adyna:", err)
+		os.Exit(1)
+	}
+	if len(lats) > 0 {
 		fmt.Printf("  batch latency  p50 %.0f  p95 %.0f  p99 %.0f cycles (window-relative)\n",
 			metrics.Percentile(lats, 0.50), metrics.Percentile(lats, 0.95), metrics.Percentile(lats, 0.99))
 	}
-}
-
-// batchLatencies reruns the machine designs briefly to collect per-batch
-// completion times (the analytic baselines have no pipeline to measure).
-func batchLatencies(d core.Design, model string, rc core.RunConfig) []float64 {
-	if d == core.DesignGPU || d == core.DesignMTenant {
-		return nil
-	}
-	w, err := models.ByName(model, rc.Batch)
-	if err != nil {
-		return nil
-	}
-	if rc.WrapGen != nil {
-		w.Gen = rc.WrapGen(w.Gen)
-	}
-	m, err := accel.New(rc.HW, w.Graph, accel.Options{})
-	if err != nil {
-		return nil
-	}
-	pol := sched.Adyna()
-	if d == core.DesignMTile {
-		pol = sched.MTile()
-	}
-	plan, err := sched.Schedule(rc.HW, w.Graph, pol, m.Profiler())
-	if err != nil {
-		return nil
-	}
-	if err := m.LoadPlan(plan); err != nil {
-		return nil
-	}
-	src := workload.NewSource(rc.Seed)
-	n := rc.Batches
-	if n > 40 {
-		n = 40
-	}
-	if err := m.Run(w.GenTrace(src, n, rc.Batch)); err != nil {
-		return nil
-	}
-	var out []float64
-	for _, l := range m.Latencies() {
-		out = append(out, float64(l.Cycles()))
-	}
-	return out
 }
 
 // printChipMap schedules the model under the full Adyna policy and renders

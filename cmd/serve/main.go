@@ -113,7 +113,7 @@ func main() {
 		pcDist   = flag.Float64("plancache-maxdist", 0, "max quantized-profile distance for a nearest hit (0 = default)")
 		pcTiles  = flag.Bool("plancache-aot-tiles", false, "AOT additionally pre-solves every single-tile-loss variant")
 		hostCyc  = flag.Int64("hostresched", 0, "host solve latency charged into virtual time per plan-cache miss (cycles)")
-		pipeline = flag.Int("pipeline", 0, "batch pipeline depth: overlap up to N batches on the machine (<=1 = legacy blocking loop)")
+		pipeline = flag.Int("pipeline", 0, "batch pipeline depth: overlap up to N batches on the machine (<=1 = retire each batch before the next forms)")
 		simpar   = flag.Int("simpar", 1, "fleet mode: worker goroutines stepping replicas concurrently (results byte-identical at any count)")
 		fleetN   = flag.Int("fleet", 0, "serve across N identical replicas behind a router (0 = single server)")
 		fleetRep = flag.String("fleet-replicas", "", "heterogeneous fleet spec, e.g. 'big:tiles=12x12,edge:tiles=4x4:count=2' (see internal/fleet)")

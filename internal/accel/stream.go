@@ -22,8 +22,9 @@ import (
 //	m.StreamDrain()              // run every in-flight batch to completion
 //
 // A streamed batch executes batch-major: its jobs flow segment 0, 1, ...
-// in order, each segment's weights reserved when the batch reaches it —
-// exactly the per-batch cost a single-batch Run window pays. Cross-batch
+// in order, each segment's weights prefetched while the previous segment
+// runs — exactly the schedule a single-batch Run window follows, so one
+// batch submitted and retired alone is indistinguishable from Run. Cross-batch
 // pipelining comes from the per-(segment, entity) stage tokens: batch k+1's
 // segment-0 entities start as soon as batch k releases them, while batch k
 // is already computing segment 1. Everything stays on the one deterministic
@@ -75,29 +76,35 @@ func (m *Machine) StreamSubmit(b workload.Batch) (*StreamTicket, error) {
 	m.stats.Batches++
 	m.accountUsefulMACs(units, b.Density)
 	tk := &StreamTicket{start: m.env.Now(), done: sim.NewSignal(m.env)}
-	plan := m.plan
+	segs := m.plan.Segments
 	si := 0
+	var weightReady sim.Time
 	m.env.Spawn("stream", func(p *sim.Proc) bool {
 		// Each step spawns the next segment's job and waits for it; the
-		// segment index is the resume point.
-		for si < len(plan.Segments) {
-			seg := plan.Segments[si]
-			si++
-			// The batch reaches this segment now: reserve its weights and
-			// run the segment's job. prepareJob never blocks, so the
-			// machine's per-job scratch slices stay single-writer even with
-			// several stream drivers interleaving on the event queue.
-			weightReady := m.hbm.Reserve(seg.WeightBytes)
-			j, err := m.prepareJob(seg, units, b.Density)
+		// segment index is the resume point. Weights are fetched one segment
+		// ahead, as Run's driver fetches them: segment 0's when the stream
+		// starts, segment k+1's as soon as segment k's job is spawned.
+		if si == 0 && len(segs) > 0 {
+			weightReady = m.hbm.Reserve(segs[0].WeightBytes)
+		}
+		for si < len(segs) {
+			// prepareJob never blocks, so the machine's per-job scratch
+			// slices stay single-writer even with several stream drivers
+			// interleaving on the event queue.
+			j, err := m.prepareJob(segs[si], units, b.Density)
 			if err != nil {
 				tk.err = err
 				tk.doneAt = p.Now()
 				tk.done.Fire()
 				return true
 			}
+			si++
 			j.weightReady = weightReady
 			j.notBefore = p.Now()
 			m.spawnJob(j)
+			if si < len(segs) {
+				weightReady = m.hbm.Reserve(segs[si].WeightBytes)
+			}
 			if !j.done.Await(p) {
 				return false
 			}

@@ -1,12 +1,15 @@
 package accel
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -159,5 +162,64 @@ func TestStreamRequiresPlan(t *testing.T) {
 	}
 	if _, err := m.StreamSubmit(workload.Batch{}); err == nil {
 		t.Fatal("StreamSubmit succeeded with no plan loaded")
+	}
+}
+
+// TestStreamOneBatchMatchesRun: a batch submitted and retired alone must be
+// indistinguishable from a single-batch Run window — same clock, statistics,
+// latency records and machine trace — on multi-segment plans, where Run
+// fetches each segment's weights while the previous segment computes.
+func TestStreamOneBatchMatchesRun(t *testing.T) {
+	for _, model := range []string{"skipnet", "moe"} {
+		t.Run(model, func(t *testing.T) {
+			type result struct {
+				clocks []sim.Time
+				stats  Stats
+				lat    []BatchLatency
+				trace  []byte
+			}
+			run := func(stream bool) result {
+				m, trace := streamMachine(t, model, 16, 4)
+				if n := len(m.plan.Segments); n < 2 {
+					t.Fatalf("%s plan has %d segment(s); the check needs several", model, n)
+				}
+				tr := telemetry.NewTrace()
+				m.SetRecorder(tr.Recorder("machine"))
+				var r result
+				for _, b := range trace {
+					if stream {
+						tk, err := m.StreamSubmit(b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := m.StreamRetire(tk); err != nil {
+							t.Fatal(err)
+						}
+					} else if err := m.Run([]workload.Batch{b}); err != nil {
+						t.Fatal(err)
+					}
+					r.clocks = append(r.clocks, m.Now())
+				}
+				var buf bytes.Buffer
+				if err := tr.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				r.stats, r.lat, r.trace = m.Stats(), m.Latencies(), buf.Bytes()
+				return r
+			}
+			ran, streamed := run(false), run(true)
+			if !reflect.DeepEqual(ran.clocks, streamed.clocks) {
+				t.Errorf("clock after each batch: Run %v, stream %v", ran.clocks, streamed.clocks)
+			}
+			if ran.stats != streamed.stats {
+				t.Errorf("stats diverge:\nRun    %+v\nstream %+v", ran.stats, streamed.stats)
+			}
+			if !reflect.DeepEqual(ran.lat, streamed.lat) {
+				t.Errorf("latency records diverge:\nRun    %v\nstream %v", ran.lat, streamed.lat)
+			}
+			if !bytes.Equal(ran.trace, streamed.trace) {
+				t.Errorf("machine traces diverge (%d vs %d bytes)", len(ran.trace), len(streamed.trace))
+			}
+		})
 	}
 }

@@ -287,9 +287,10 @@ type tenantState struct {
 	next serve.Request
 	more bool
 
-	queue         []serve.Request
-	queuedSamples int
-	drained       bool
+	// batcher holds the tenant's admission queue and applies serve's
+	// batching policy to it under the tenant's SLO and queue-wait deadline.
+	batcher *serve.Batcher
+	drained bool
 
 	// owned is the tenant's tile partition; ownFailed its complement (the
 	// mask baked into the tenant's machine). Both empty under time-slicing:
@@ -315,18 +316,10 @@ type tenantState struct {
 
 	rep        TenantReport
 	rec        *telemetry.Recorder
-	serveTrack telemetry.TrackID
 	faultTrack telemetry.TrackID
 }
 
 func (ts *tenantState) clock() int64 { return int64(ts.setup.M.Now()) }
-
-func (ts *tenantState) popHead() serve.Request {
-	req := ts.queue[0]
-	ts.queue = ts.queue[1:]
-	ts.queuedSamples -= req.Samples
-	return req
-}
 
 func (ts *tenantState) record(res serve.RequestResult) {
 	ts.rep.Requests++
@@ -513,11 +506,14 @@ func (s *Server) bringupTenant(i int, t Tenant, count int, assign []hw.TileMask)
 		ts.health = faults.NewState(s.cfg.Faults)
 	}
 	ts.rec = setup.Rec
-	if ts.rec.Enabled() {
-		ts.serveTrack = ts.rec.Track("serve")
-		if ts.health != nil {
-			ts.faultTrack = ts.rec.Track("faults")
-		}
+	ts.batcher = serve.NewBatcher(setup, serve.BatchPolicy{
+		MaxBatch:        s.cfg.MaxBatch,
+		MaxWaitCycles:   t.MaxWaitCycles,
+		SLOCycles:       t.SLOCycles,
+		QueueCapSamples: s.cfg.QueueCapSamples,
+	}, ts.record)
+	if ts.rec.Enabled() && ts.health != nil {
+		ts.faultTrack = ts.rec.Track("faults")
 	}
 	s.setupPlanCache(ts, rcT.HW)
 	return ts, nil
@@ -639,15 +635,15 @@ func spatialBefore(a, b *tenantState) bool {
 }
 
 // stepSpatial advances one tenant by one event: admit arrivals, idle toward
-// the next arrival or wait deadline, or fire a batch — the same dual batching
-// policy as the single-tenant server, per partition.
+// the next arrival or wait deadline, or fire a batch — serve's dual batching
+// policy, per partition.
 func (s *Server) stepSpatial(ts *tenantState) error {
 	now := ts.clock()
 	if err := s.applyTenantFaults(ts, now); err != nil {
 		return err
 	}
 	s.admitUpTo(ts, now)
-	if len(ts.queue) == 0 {
+	if ts.batcher.Len() == 0 {
 		if !ts.more {
 			s.drainTenant(ts)
 			return nil
@@ -655,8 +651,7 @@ func (s *Server) stepSpatial(ts *tenantState) error {
 		s.idleTenantTo(ts, ts.next.Arrival)
 		return nil
 	}
-	fireAt := ts.queue[0].Arrival + ts.ten.MaxWaitCycles
-	full := ts.queuedSamples >= s.cfg.MaxBatch || ts.queue[0].Routing != nil
+	fireAt, full := ts.batcher.Due()
 	if !full && now < fireAt {
 		if ts.more && ts.next.Arrival < fireAt {
 			s.idleTenantTo(ts, ts.next.Arrival)
@@ -685,7 +680,7 @@ func (s *Server) runTimeSlice() error {
 				continue
 			}
 			s.admitUpTo(ts, now)
-			if len(ts.queue) == 0 && !ts.more {
+			if ts.batcher.Len() == 0 && !ts.more {
 				if now > int64(ts.setup.M.Now()) {
 					ts.setup.M.AdvanceTo(sim.Time(now))
 				}
@@ -699,11 +694,10 @@ func (s *Server) runTimeSlice() error {
 		}
 		var pick *tenantState
 		for _, ts := range s.tens {
-			if ts.drained || len(ts.queue) == 0 {
+			if ts.drained || ts.batcher.Len() == 0 {
 				continue
 			}
-			fireAt := ts.queue[0].Arrival + ts.ten.MaxWaitCycles
-			full := ts.queuedSamples >= s.cfg.MaxBatch || ts.queue[0].Routing != nil
+			fireAt, full := ts.batcher.Due()
 			if !full && now < fireAt {
 				continue
 			}
@@ -759,9 +753,9 @@ func slicePrefer(a, b *tenantState) bool {
 // SLO deadline, or its queue-wait deadline without an SLO.
 func headDeadline(ts *tenantState) int64 {
 	if ts.ten.SLOCycles > 0 {
-		return ts.queue[0].Arrival + ts.ten.SLOCycles
+		return ts.batcher.HeadArrival() + ts.ten.SLOCycles
 	}
-	return ts.queue[0].Arrival + ts.ten.MaxWaitCycles
+	return ts.batcher.HeadArrival() + ts.ten.MaxWaitCycles
 }
 
 // nextSliceEvent finds the earliest future wait deadline, arrival or fault
@@ -777,8 +771,9 @@ func (s *Server) nextSliceEvent(now int64) (int64, bool) {
 		if ts.drained {
 			continue
 		}
-		if len(ts.queue) > 0 {
-			consider(ts.queue[0].Arrival + ts.ten.MaxWaitCycles)
+		if ts.batcher.Len() > 0 {
+			fireAt, _ := ts.batcher.Due()
+			consider(fireAt)
 		}
 		if ts.more {
 			consider(ts.next.Arrival)
@@ -796,32 +791,8 @@ func (s *Server) nextSliceEvent(now int64) (int64, bool) {
 // bounded queue, shedding past capacity.
 func (s *Server) admitUpTo(ts *tenantState, now int64) {
 	for ts.more && ts.next.Arrival <= now {
-		s.admit(ts, ts.next)
+		ts.batcher.Admit(ts.next)
 		ts.next, ts.more = ts.src.Next()
-	}
-}
-
-func (s *Server) admit(ts *tenantState, req serve.Request) {
-	if req.Samples <= 0 {
-		req.Samples = 1
-		if req.Routing != nil {
-			if ups := ts.setup.W.Graph.UnitsPerSample; ups > 0 && req.Units > ups {
-				req.Samples = req.Units / ups
-			}
-		}
-	}
-	if ts.queuedSamples+req.Samples > s.cfg.QueueCapSamples {
-		ts.record(serve.RequestResult{ID: req.ID, Arrival: req.Arrival, Outcome: serve.Shed})
-		if ts.rec.Enabled() {
-			ts.rec.Instant(ts.serveTrack, "serve", "shed", ts.clock(),
-				telemetry.I("request", int64(req.ID)), telemetry.S("reason", "queue-full"))
-		}
-		return
-	}
-	ts.queue = append(ts.queue, req)
-	ts.queuedSamples += req.Samples
-	if ts.rec.Enabled() {
-		ts.rec.Counter(ts.serveTrack, "serve", "queue_depth", ts.clock(), int64(ts.queuedSamples))
 	}
 }
 
@@ -915,71 +886,17 @@ func (s *Server) applyTenantFaults(ts *tenantState, now int64) error {
 // fireBatch forms one batch at the tenant's queue head, executes it on the
 // tenant's machine, records outcomes, and gives the controller its hook.
 func (s *Server) fireBatch(ts *tenantState, now int64) error {
-	for len(ts.queue) > 0 && ts.ten.SLOCycles > 0 && ts.queue[0].Arrival+ts.ten.SLOCycles <= now {
-		req := ts.popHead()
-		ts.record(serve.RequestResult{ID: req.ID, Arrival: req.Arrival, Outcome: serve.Shed})
-		if ts.rec.Enabled() {
-			ts.rec.Instant(ts.serveTrack, "serve", "shed", now,
-				telemetry.I("request", int64(req.ID)), telemetry.S("reason", "slo-expired"))
-		}
-	}
-	if len(ts.queue) == 0 {
+	f := ts.batcher.Form(now, ts.rep.Batches)
+	if f == nil {
 		return nil
 	}
-	headWait := now - ts.queue[0].Arrival
-	w := ts.setup.W
-	var batch []serve.Request
-	var b workload.Batch
-	samples := 0
-	if ts.queue[0].Routing != nil {
-		req := ts.popHead()
-		batch = []serve.Request{req}
-		samples = req.Samples
-		b = workload.Batch{Index: ts.rep.Batches, Units: req.Units, Routing: req.Routing, Density: req.Density}
-	} else {
-		for len(ts.queue) > 0 && ts.queue[0].Routing == nil {
-			if len(batch) > 0 && samples+ts.queue[0].Samples > s.cfg.MaxBatch {
-				break
-			}
-			req := ts.popHead()
-			samples += req.Samples
-			batch = append(batch, req)
-		}
-		units := samples * w.Graph.UnitsPerSample
-		b = workload.Batch{Index: ts.rep.Batches, Units: units, Routing: w.Gen.Next(ts.setup.Src, units)}
-		// Like the single-tenant server, the batch's density dyn-value is
-		// drawn at formation time from the tenant's own generator state.
-		if dg, ok := w.Gen.(workload.DensityGen); ok {
-			b.Density = dg.NextDensity(ts.setup.Src)
-		}
-	}
-	m := ts.setup.M
-	start := ts.clock()
-	if err := m.Run([]workload.Batch{b}); err != nil {
+	if err := ts.setup.M.Run([]workload.Batch{f.Batch}); err != nil {
 		return err
 	}
 	done := ts.clock()
-	ts.winBusy += done - start
-	ts.winSamples += samples
-	for _, req := range batch {
-		out := serve.Served
-		if ts.ten.SLOCycles > 0 && done > req.Arrival+ts.ten.SLOCycles {
-			out = serve.DeadlineMissed
-			if ts.rec.Enabled() {
-				ts.rec.Instant(ts.serveTrack, "serve", "deadline-miss", done,
-					telemetry.I("request", int64(req.ID)),
-					telemetry.I("late", done-req.Arrival-ts.ten.SLOCycles))
-			}
-		}
-		ts.record(serve.RequestResult{ID: req.ID, Arrival: req.Arrival, Done: done, Outcome: out})
-	}
-	if ts.rec.Enabled() {
-		ts.rec.Span(ts.serveTrack, "serve", "batch", now, done,
-			telemetry.I("requests", int64(len(batch))),
-			telemetry.I("units", int64(b.Units)),
-			telemetry.I("queue_wait", headWait))
-		ts.rec.Counter(ts.serveTrack, "serve", "queue_depth", done, int64(ts.queuedSamples))
-	}
+	ts.winBusy += done - now
+	ts.winSamples += f.Samples
+	ts.batcher.Retire(f, now, done)
 	ts.rep.Batches++
 	s.fired++
 	s.sinceRepart++

@@ -127,7 +127,7 @@ func (s *Server) lookupOrSchedule(ts *tenantState, cfg hw.Config) (*sched.Plan, 
 	}
 	if ts.rec.Enabled() && ts.pcache != nil {
 		st := ts.pcache.Stats()
-		ts.rec.Instant(ts.serveTrack, "serve", "plan-cache", ts.clock(),
+		ts.rec.Instant(ts.batcher.Track(), "serve", "plan-cache", ts.clock(),
 			telemetry.S("result", kind.String()),
 			telemetry.I("entries", int64(st.Entries)),
 			telemetry.I("hits", st.Hits()), telemetry.I("misses", st.Misses))

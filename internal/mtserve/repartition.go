@@ -46,7 +46,7 @@ func (s *Server) maybeRepartition() error {
 	if s.ctlRec.Enabled() {
 		s.ctlRec.Instant(s.ctlTrack, "controller", "check", s.barrierTime(),
 			telemetry.F("divergence", maxDiv), telemetry.F("pressure_spread", spread),
-			telemetry.I("forced", boolArg(s.pending)), telemetry.I("triggered", boolArg(trigger)))
+			telemetry.B("forced", s.pending), telemetry.B("triggered", trigger))
 	}
 	if !trigger {
 		return nil
@@ -68,7 +68,7 @@ func (s *Server) triggerStats() (maxDiv, spread float64) {
 		if d := ts.det.Divergence(); d > maxDiv {
 			maxDiv = d
 		}
-		p := float64(ts.queuedSamples) / float64(s.cfg.QueueCapSamples)
+		p := float64(ts.batcher.Samples()) / float64(s.cfg.QueueCapSamples)
 		if p < minP {
 			minP = p
 		}
@@ -183,7 +183,7 @@ func (s *Server) repartition(driftTriggered bool) error {
 	s.reschedules += len(replan)
 	if s.ctlRec.Enabled() {
 		args := []telemetry.Arg{
-			telemetry.I("moved", boolArg(moved)),
+			telemetry.B("moved", moved),
 			telemetry.I("replanned", int64(len(replan))),
 		}
 		for i, ts := range s.tens {
@@ -331,7 +331,7 @@ func (s *Server) tenantDemand(ts *tenantState) float64 {
 		}
 		ts.demandEst = 0.5*ts.demandEst + 0.5*util*float64(ts.tiles)
 	}
-	pressure := float64(ts.queuedSamples) / float64(s.cfg.QueueCapSamples)
+	pressure := float64(ts.batcher.Samples()) / float64(s.cfg.QueueCapSamples)
 	return ts.demandEst * (1 + pressure)
 }
 
@@ -417,12 +417,4 @@ func assignPartitions(counts []int, total int, failed hw.TileMask) []hw.TileMask
 		out[i] = hw.NewTileMask(tiles...)
 	}
 	return out
-}
-
-// boolArg renders a decision as a 0/1 trace arg.
-func boolArg(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"repro/internal/faults"
 	"repro/internal/hw"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -39,10 +38,9 @@ func (s *Server) applyFaults(now int64) error {
 		return nil
 	}
 	s.rep.FaultEvents++
-	// Capability changes apply between batches: the pipelined loop first
-	// retires its in-flight batches — they were submitted under the old
-	// capability and complete under it, exactly like the legacy loop's batch
-	// running across a fault boundary — before the hardware changes.
+	// Capability changes apply between batches: in-flight batches retire
+	// first — they were submitted under the old capability and complete
+	// under it — before the hardware changes.
 	if err := s.drainInflight(false); err != nil {
 		return err
 	}
@@ -53,7 +51,7 @@ func (s *Server) applyFaults(now int64) error {
 		s.rec.Instant(s.faultTrack, "fault", "capability", now,
 			telemetry.I("failed_tiles", int64(cap.Failed.Count())),
 			telemetry.F("noc", cap.NoC), telemetry.F("hbm", cap.HBM),
-			telemetry.I("reschedule", boolArg(s.cfg.Reschedule)))
+			telemetry.B("reschedule", s.cfg.Reschedule))
 	}
 	if s.cfg.Reschedule {
 		return s.healthReschedule()
@@ -77,18 +75,6 @@ func (s *Server) healthReschedule() error {
 	}
 	s.rep.HealthReschedules++
 	return nil
-}
-
-// idleTo advances the machine clock to t, stopping early at the next fault
-// boundary (strike or repair) so capability changes are observed at their
-// scheduled time even across long idle gaps.
-func (s *Server) idleTo(t int64) {
-	if s.health != nil {
-		if nc, ok := s.health.NextChange(int64(s.setup.M.Now())); ok && nc < t {
-			t = nc
-		}
-	}
-	s.setup.M.AdvanceTo(sim.Time(t))
 }
 
 // healthState builds the fault tracker for a config (nil when no faults are

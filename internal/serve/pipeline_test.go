@@ -56,17 +56,6 @@ func burstConfig(model string, depth int) Config {
 	return cfg
 }
 
-// TestPipelineDepthOneIsLegacy is the metamorphic no-op check: depths 0 and 1
-// both take the legacy blocking loop, so their outcome logs, snapshots and
-// traces must be byte-identical — the pipelined code cannot perturb the
-// pre-existing serving semantics until it is switched on.
-func TestPipelineDepthOneIsLegacy(t *testing.T) {
-	src := func() Source { return NewSynthetic(160, 30_000, 9, nil) }
-	ref := serveArtifacts(t, burstConfig("skipnet", 0), src(), true)
-	one := serveArtifacts(t, burstConfig("skipnet", 1), src(), true)
-	simtest.Diff(t, "depth=1 vs depth=0", ref, one)
-}
-
 // TestPipelinedBatchesKeepDensity: every batch is stamped with its density
 // at any pipeline depth, whether the density is drawn at formation
 // (synthetic traffic) or carried by a replayed request. Under a constant
@@ -133,9 +122,10 @@ func TestPipelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestPipelineOverlapsBatches is the point of the feature: under bursty load
-// the pipelined server must start batch k+1 before batch k completes (visible
-// in the machine's per-batch latency records) and finish the whole stream
-// strictly earlier than the legacy blocking loop on the same arrivals.
+// a depth-4 server must start batch k+1 before batch k completes (visible in
+// the machine's per-batch latency records) and finish the whole stream
+// strictly earlier than a depth-1 server on the same arrivals, which never
+// overlaps two batches.
 func TestPipelineOverlapsBatches(t *testing.T) {
 	src := func() Source { return NewSynthetic(200, 15_000, 3, nil) }
 
@@ -150,7 +140,7 @@ func TestPipelineOverlapsBatches(t *testing.T) {
 		}
 		return rep, s.Setup().M.Latencies()
 	}
-	legacy, seqLat := run(1)
+	serial, seqLat := run(1)
 	piped, pipeLat := run(4)
 
 	overlaps := 0
@@ -159,18 +149,18 @@ func TestPipelineOverlapsBatches(t *testing.T) {
 			overlaps++
 		}
 	}
-	t.Logf("legacy: final=%d batches=%d; pipelined: final=%d batches=%d, %d/%d batch starts overlap the predecessor",
-		legacy.FinalCycles, legacy.Batches, piped.FinalCycles, piped.Batches, overlaps, len(pipeLat)-1)
+	t.Logf("depth 1: final=%d batches=%d; depth 4: final=%d batches=%d, %d/%d batch starts overlap the predecessor",
+		serial.FinalCycles, serial.Batches, piped.FinalCycles, piped.Batches, overlaps, len(pipeLat)-1)
 	if overlaps == 0 {
 		t.Fatalf("no batch ever overlapped its predecessor (depth=4)")
 	}
-	if piped.FinalCycles >= legacy.FinalCycles {
-		t.Fatalf("pipelining did not shorten the stream: pipelined final %d >= legacy final %d",
-			piped.FinalCycles, legacy.FinalCycles)
+	if piped.FinalCycles >= serial.FinalCycles {
+		t.Fatalf("pipelining did not shorten the stream: depth-4 final %d >= depth-1 final %d",
+			piped.FinalCycles, serial.FinalCycles)
 	}
 	for i := 1; i < len(seqLat); i++ {
 		if seqLat[i].Start < seqLat[i-1].Done {
-			t.Fatalf("legacy loop overlapped batches %d and %d", i-1, i)
+			t.Fatalf("depth 1 overlapped batches %d and %d", i-1, i)
 		}
 	}
 }

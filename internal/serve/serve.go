@@ -26,7 +26,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 // Outcome is a request's terminal state.
@@ -123,13 +122,11 @@ type Config struct {
 	// sequential replica stepping, which keeps parallel outcomes
 	// byte-identical to workers=1. Nil (every non-fleet path) is a no-op.
 	PlanCacheGate func()
-	// PipelineDepth enables batch-pipelined serving (see pipeline.go): up to
-	// this many batches execute concurrently on the machine, batch k+1's
-	// admission and formation overlapping batch k's compute in virtual time.
-	// Values <= 1 (the default) keep the legacy blocking loop, bit-for-bit.
-	// Pipelined serving is a semantic variant — batch start times and
-	// latencies differ from the legacy loop — with the same determinism
-	// guarantee: byte-identical outcomes at any GOMAXPROCS.
+	// PipelineDepth bounds how many batches execute concurrently on the
+	// machine (see pipeline.go): batch k+1's admission and formation overlap
+	// batch k's compute in virtual time. Values <= 1 (the default) retire
+	// each batch before the next one forms, so admission waits out every
+	// batch's execution.
 	PipelineDepth int
 	// HostReschedCycles charges the host-side solve latency of a re-plan
 	// into virtual time (the machine idles while the scheduler runs). Cache
@@ -164,6 +161,9 @@ func (c *Config) defaults() {
 		} else {
 			c.MaxWaitCycles = 100_000
 		}
+	}
+	if c.PipelineDepth < 1 {
+		c.PipelineDepth = 1
 	}
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = 0.06
@@ -299,12 +299,11 @@ type Server struct {
 	health *faults.State    // nil without a fault schedule
 	pcache *plancache.Cache // nil with the plan cache disabled
 
-	queue         []Request
-	queuedSamples int
-	pending       []Request    // enqueued by a fleet router, not yet admitted
-	inflight      []*pipeEntry // submitted, unretired batches (pipelined mode only)
-	rep           *Report
-	sinceResched  int
+	batcher      *Batcher
+	pending      []Request    // enqueued by a fleet router, not yet admitted
+	inflight     []*pipeEntry // submitted, unretired batches
+	rep          *Report
+	sinceResched int
 
 	// keyer and planKey support plan-affinity routing: planKey is the
 	// quantized branch-share snapshot of the profile the current plan was
@@ -313,11 +312,10 @@ type Server struct {
 	planKey plancache.ProfileKey
 
 	// rec is the telemetry recorder shared with the machine (nil when
-	// Config.RC.Trace was nil): the serving loop adds batch spans, shed and
-	// deadline-miss instants, queue-depth counter samples, drift-detector
-	// evaluations and fault events on its own tracks.
+	// Config.RC.Trace was nil): the batcher records batch spans, shed and
+	// deadline-miss instants and queue-depth samples on the serve track; the
+	// server adds drift-detector evaluations and fault events on its own.
 	rec        *telemetry.Recorder
-	serveTrack telemetry.TrackID
 	driftTrack telemetry.TrackID
 	faultTrack telemetry.TrackID
 }
@@ -340,8 +338,13 @@ func New(cfg Config) (*Server, error) {
 		health: healthState(cfg.Faults),
 		rec:    setup.Rec,
 	}
+	s.batcher = NewBatcher(setup, BatchPolicy{
+		MaxBatch:        cfg.MaxBatch,
+		MaxWaitCycles:   cfg.MaxWaitCycles,
+		SLOCycles:       cfg.SLOCycles,
+		QueueCapSamples: cfg.QueueCapSamples,
+	}, func(r RequestResult) { s.rep.record(r) })
 	if s.rec.Enabled() {
-		s.serveTrack = s.rec.Track("serve")
 		s.driftTrack = s.rec.Track("drift")
 		if s.health != nil {
 			s.faultTrack = s.rec.Track("faults")
@@ -443,14 +446,14 @@ func (s *Server) Enqueue(req Request) {
 // before seeing them. On return the machine clock is at or past the horizon
 // (exactly at it when the server is idle).
 func (s *Server) StepTo(horizon int64) error {
-	return s.step(horizon, false)
+	return s.pipeStep(horizon, false)
 }
 
 // Drain serves out every enqueued and queued request with no further
 // arrivals coming: the stream tail honors the same dual batching policy as
 // steady state (a final partial batch waits out MaxWaitCycles).
 func (s *Server) Drain() error {
-	return s.step(0, true)
+	return s.pipeStep(0, true)
 }
 
 // Finish closes the session opened by Begin and returns its report.
@@ -467,83 +470,12 @@ func (s *Server) Finish() *Report {
 	return rep
 }
 
-// step is the serving loop shared by StepTo (bounded by horizon) and Drain
-// (draining ignores the horizon: no more arrivals can ever be routed here).
-func (s *Server) step(horizon int64, draining bool) error {
-	if s.pipelined() {
-		return s.pipeStep(horizon, draining)
-	}
-	m := s.setup.M
-	for {
-		now := int64(m.Now())
-		// Fold any fault events that struck (or repaired) by now into the
-		// machine before more work is placed on it.
-		if err := s.applyFaults(now); err != nil {
-			return err
-		}
-		s.admitPending(now)
-		// The next pending arrival bounds every idle jump below: admission
-		// must happen at arrival time, exactly like the fused Serve loop.
-		nextArr := int64(-1)
-		if len(s.pending) > 0 && (draining || s.pending[0].Arrival <= horizon) {
-			nextArr = s.pending[0].Arrival
-		}
-		if len(s.queue) == 0 {
-			if nextArr >= 0 {
-				s.idleTo(nextArr)
-				continue
-			}
-			if draining || now >= horizon {
-				return nil
-			}
-			// Idle up to the horizon (stopping at fault boundaries so
-			// capability changes land on time).
-			s.idleTo(horizon)
-			continue
-		}
-		// Dual batching policy: fire when the batch-size cap is reached or
-		// when the head request's queue-wait deadline expires, whichever
-		// comes first. Until then, idle forward and keep admitting.
-		fireAt := s.queue[0].Arrival + s.cfg.MaxWaitCycles
-		full := s.queuedSamples >= s.cfg.MaxBatch || s.queue[0].Routing != nil
-		if !full && now < fireAt {
-			if nextArr >= 0 && nextArr < fireAt {
-				s.idleTo(nextArr)
-				continue
-			}
-			if !draining && horizon < fireAt {
-				// The wait deadline lies past the horizon: future arrivals
-				// could still join this batch. Hand control back.
-				if now >= horizon {
-					return nil
-				}
-				s.idleTo(horizon)
-				continue
-			}
-			// No arrival can land before the wait deadline: idle to the
-			// deadline and fire the partial batch.
-			s.idleTo(fireAt)
-			if int64(m.Now()) < fireAt {
-				continue // stopped at a fault boundary first
-			}
-		} else if !draining && now >= horizon {
-			// Full batch (or expired deadline), but the decision time has
-			// reached the horizon: arrivals at the horizon may still be
-			// routed here and belong in this batch. Defer the fire.
-			return nil
-		}
-		if err := s.fireBatch(int64(m.Now())); err != nil {
-			return err
-		}
-	}
-}
-
 // admitPending admits every pending request that has arrived by now, in
 // enqueue order.
 func (s *Server) admitPending(now int64) {
 	i := 0
 	for i < len(s.pending) && s.pending[i].Arrival <= now {
-		s.admit(s.pending[i])
+		s.batcher.Admit(s.pending[i])
 		i++
 	}
 	if i > 0 {
@@ -557,7 +489,7 @@ func (s *Server) Now() int64 { return int64(s.setup.M.Now()) }
 // QueuedSamples returns the backlog visible to a router: admitted queue
 // samples plus enqueued-but-unadmitted pending samples.
 func (s *Server) QueuedSamples() int {
-	n := s.queuedSamples
+	n := s.batcher.Samples()
 	for _, req := range s.pending {
 		if req.Samples > 0 {
 			n += req.Samples
@@ -569,7 +501,7 @@ func (s *Server) QueuedSamples() int {
 }
 
 // HasWork reports whether any request is still queued or pending.
-func (s *Server) HasWork() bool { return len(s.queue) > 0 || len(s.pending) > 0 }
+func (s *Server) HasWork() bool { return s.batcher.Len() > 0 || len(s.pending) > 0 }
 
 // Busy returns how many cycles of in-flight batch execution remain past the
 // given instant (the machine clock overshoots a step horizon exactly when a
@@ -595,141 +527,21 @@ func (s *Server) Keyer() *plancache.Keyer { return s.keyer }
 // replica fails: the backlog re-routes to survivors, with the queue time
 // already accrued charged into their eventual latency.
 func (s *Server) EvictQueued() []Request {
-	// Pipelined mode: batches already executing complete and record their
-	// outcomes first — eviction hands back the *backlog*, not work the
-	// machine (and profiler) has already absorbed. Should the stream stall
-	// (a machine deadlock), the affected requests can only be shed.
+	// Batches already executing complete and record their outcomes first:
+	// eviction hands back the *backlog*, not work the machine (and
+	// profiler) has already absorbed. Should the stream stall (a machine
+	// deadlock), the affected requests can only be shed.
 	if err := s.drainInflight(false); err != nil {
 		for _, e := range s.inflight {
-			for _, req := range e.reqs {
+			for _, req := range e.batch.reqs {
 				s.rep.record(RequestResult{ID: req.ID, Arrival: req.Arrival, Outcome: Shed})
 			}
 		}
 		s.inflight = nil
 	}
-	out := make([]Request, 0, len(s.queue)+len(s.pending))
-	out = append(out, s.queue...)
-	out = append(out, s.pending...)
-	s.queue = nil
+	out := append(s.batcher.Evict(), s.pending...)
 	s.pending = nil
-	s.queuedSamples = 0
-	if s.rec.Enabled() {
-		s.rec.Counter(s.serveTrack, "serve", "queue_depth", int64(s.setup.M.Now()), 0)
-	}
 	return out
-}
-
-func (s *Server) admit(req Request) {
-	if req.Samples <= 0 {
-		req.Samples = 1
-		if req.Routing != nil {
-			if ups := s.setup.W.Graph.UnitsPerSample; ups > 0 && req.Units > ups {
-				req.Samples = req.Units / ups
-			}
-		}
-	}
-	if s.queuedSamples+req.Samples > s.cfg.QueueCapSamples {
-		s.rep.record(RequestResult{ID: req.ID, Arrival: req.Arrival, Outcome: Shed})
-		if s.rec.Enabled() {
-			s.rec.Instant(s.serveTrack, "serve", "shed", int64(s.setup.M.Now()),
-				telemetry.I("request", int64(req.ID)), telemetry.S("reason", "queue-full"))
-		}
-		return
-	}
-	s.queue = append(s.queue, req)
-	s.queuedSamples += req.Samples
-	if s.rec.Enabled() {
-		s.rec.Counter(s.serveTrack, "serve", "queue_depth", int64(s.setup.M.Now()), int64(s.queuedSamples))
-	}
-}
-
-func (s *Server) popHead() Request {
-	req := s.queue[0]
-	s.queue = s.queue[1:]
-	s.queuedSamples -= req.Samples
-	return req
-}
-
-// fireBatch forms one batch from the queue head, executes it on the machine,
-// records outcomes, and runs the drift check.
-func (s *Server) fireBatch(now int64) error {
-	// Shed queued requests whose SLO has already expired: executing them
-	// cannot meet the deadline, and they would drag fresh requests past
-	// theirs.
-	for len(s.queue) > 0 && s.cfg.SLOCycles > 0 && s.queue[0].Arrival+s.cfg.SLOCycles <= now {
-		req := s.popHead()
-		s.rep.record(RequestResult{ID: req.ID, Arrival: req.Arrival, Outcome: Shed})
-		if s.rec.Enabled() {
-			s.rec.Instant(s.serveTrack, "serve", "shed", now,
-				telemetry.I("request", int64(req.ID)), telemetry.S("reason", "slo-expired"))
-		}
-	}
-	if len(s.queue) == 0 {
-		return nil
-	}
-	headWait := now - s.queue[0].Arrival
-	w := s.setup.W
-	var batch []Request
-	var units int
-	var b workload.Batch
-	if s.queue[0].Routing != nil {
-		// Replayed request: its routing is fixed, it is its own batch.
-		req := s.popHead()
-		batch = []Request{req}
-		b = workload.Batch{Index: s.rep.Batches, Units: req.Units, Routing: req.Routing, Density: req.Density}
-	} else {
-		samples := 0
-		for len(s.queue) > 0 && s.queue[0].Routing == nil {
-			if len(batch) > 0 && samples+s.queue[0].Samples > s.cfg.MaxBatch {
-				break
-			}
-			req := s.popHead()
-			samples += req.Samples
-			batch = append(batch, req)
-		}
-		units = samples * w.Graph.UnitsPerSample
-		// Routing is decided at batch-formation time for the batch's actual
-		// size, by the workload's (drifting) generator.
-		b = workload.Batch{Index: s.rep.Batches, Units: units, Routing: w.Gen.Next(s.setup.Src, units)}
-		// The density dyn-value is drawn at batch-formation time like the
-		// routing: one density per batch, from the workload's drifting walk.
-		if dg, ok := w.Gen.(workload.DensityGen); ok {
-			b.Density = dg.NextDensity(s.setup.Src)
-		}
-	}
-	if err := s.setup.M.Run([]workload.Batch{b}); err != nil {
-		return err
-	}
-	done := int64(s.setup.M.Now())
-	for _, req := range batch {
-		out := Served
-		if s.cfg.SLOCycles > 0 && done > req.Arrival+s.cfg.SLOCycles {
-			out = DeadlineMissed
-			if s.rec.Enabled() {
-				s.rec.Instant(s.serveTrack, "serve", "deadline-miss", done,
-					telemetry.I("request", int64(req.ID)),
-					telemetry.I("late", done-req.Arrival-s.cfg.SLOCycles))
-			}
-		}
-		s.rep.record(RequestResult{ID: req.ID, Arrival: req.Arrival, Done: done, Outcome: out})
-	}
-	if s.rec.Enabled() {
-		// The batch's serve-side span: formation through completion, with the
-		// head request's queue wait (the dual batching policy's second
-		// trigger) and the batch's composition as args. The machine records
-		// the matching execution span on its own batches track.
-		s.rec.Span(s.serveTrack, "serve", "batch", now, done,
-			telemetry.I("requests", int64(len(batch))),
-			telemetry.I("units", int64(b.Units)),
-			telemetry.I("queue_wait", headWait))
-		s.rec.Counter(s.serveTrack, "serve", "queue_depth", done, int64(s.queuedSamples))
-	}
-	s.rep.Batches++
-	s.sinceResched++
-	if s.cfg.Reschedule && s.rep.Batches%s.cfg.CheckEvery == 0 {
-		return s.maybeReschedule()
-	}
-	return nil
 }
 
 // maybeReschedule re-plans when the live profile has drifted past the
@@ -756,7 +568,7 @@ func (s *Server) maybeReschedule() error {
 		s.rec.Instant(s.driftTrack, "drift", "drift-eval", ts,
 			telemetry.F("share", share), telemetry.F("active", active),
 			telemetry.F("divergence", div), telemetry.F("threshold", s.cfg.DriftThreshold),
-			telemetry.I("cooldown", boolArg(cooling)), telemetry.I("triggered", boolArg(triggered)))
+			telemetry.B("cooldown", cooling), telemetry.B("triggered", triggered))
 		if s.det.hasDensity {
 			// Density-aware graphs additionally record the sparsity axis at the
 			// same cadence: the live windowed density mean, its plan-time
@@ -798,9 +610,8 @@ func (s *Server) maybeReschedule() error {
 // drift reference rebases on the profile the new plan was built from.
 // Returns the swap's reconfiguration cycles.
 func (s *Server) replan(track telemetry.TrackID, trackName string) (int64, error) {
-	// A plan swap needs a drained pipeline (LoadPlan's contract). The legacy
-	// loop satisfies this trivially; the pipelined loop retires its in-flight
-	// batches here, outcomes recorded in submission order.
+	// A plan swap needs a drained pipeline (LoadPlan's contract): in-flight
+	// batches retire here, outcomes recorded in submission order.
 	if err := s.drainInflight(false); err != nil {
 		return 0, err
 	}
@@ -860,12 +671,4 @@ func (s *Server) replan(track telemetry.TrackID, trackName string) (int64, error
 	s.det.Rebase()
 	s.sinceResched = 0
 	return swap, nil
-}
-
-// boolArg renders a branch decision as a 0/1 trace arg.
-func boolArg(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -40,16 +40,19 @@ func TestServeHeadlineByteStable(t *testing.T) {
 // capability timeline, emergency re-plans and degraded-machine execution all
 // sit inside the diffed surface.
 func TestServeFaultHeadlineByteStable(t *testing.T) {
-	cfg := func() Config {
-		fs := &faults.Schedule{Events: []faults.Event{
-			{At: 3_000_000, Kind: faults.TileFail, Tiles: tileRange(0, 36)},
-		}}
-		return faultConfig("skipnet", true, fs)
-	}
 	src := func() Source { return NewSynthetic(200, 80_000, 2, nil) }
-	ref := serveArtifacts(t, cfg(), src(), true)
+	ref := serveArtifacts(t, faultHeadlineConfig(), src(), true)
 	old := runtime.GOMAXPROCS(8)
-	got := serveArtifacts(t, cfg(), src(), true)
+	got := serveArtifacts(t, faultHeadlineConfig(), src(), true)
 	runtime.GOMAXPROCS(old)
 	simtest.Diff(t, "fault headline GOMAXPROCS=8", ref, got)
+}
+
+// faultHeadlineConfig is the fault headline scenario: 36 of the chip's 144
+// tiles fail at cycle 3M, with fault-aware re-scheduling on.
+func faultHeadlineConfig() Config {
+	fs := &faults.Schedule{Events: []faults.Event{
+		{At: 3_000_000, Kind: faults.TileFail, Tiles: tileRange(0, 36)},
+	}}
+	return faultConfig("skipnet", true, fs)
 }

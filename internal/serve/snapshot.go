@@ -35,8 +35,8 @@ func (s *Server) Snapshot() Snapshot {
 		"machine_kernel_selections": ms.KernelSelections,
 	}
 	g := map[string]float64{
-		"queue_depth_samples": float64(s.queuedSamples),
-		"queue_len_requests":  float64(len(s.queue)),
+		"queue_depth_samples": float64(s.batcher.Samples()),
+		"queue_len_requests":  float64(s.batcher.Len()),
 		"pe_utilization":      m.PEUtilization(),
 		"hbm_utilization":     m.HBMUtilization(),
 		"drift_divergence":    s.det.Divergence(),

@@ -3,7 +3,8 @@
 // snapshots, telemetry traces — to canonical bytes and asserts that two
 // runs (sequential vs parallel, or any other pair that must be
 // indistinguishable) are byte-identical, reporting the first divergence
-// with context when they are not.
+// with context when they are not. Golden holds a run to artifacts recorded
+// from an earlier reference run the same way.
 //
 // The package sits below the serving layers on purpose: serve, mtserve and
 // fleet tests import it, never the reverse, so any scenario at any layer
@@ -12,8 +13,12 @@ package simtest
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -115,4 +120,44 @@ func window(b []byte, i int) string {
 		end = len(b)
 	}
 	return fmt.Sprintf("...%q...", b[start:end])
+}
+
+// Golden compares a run's artifacts against recorded golden files under
+// dir: <name>.outcomes.json and <name>.snapshot.json byte for byte, and the
+// trace through the SHA-256 hex digest in <name>.trace.sha256 (traces run to
+// megabytes; the digest pins them just as exactly). An absent artifact has
+// no file. Goldens are behaviour contracts recorded from a reference run of
+// the code, so nothing here rewrites them.
+func Golden(t testing.TB, dir, name string, got Artifacts) {
+	t.Helper()
+	files := []struct {
+		suffix string
+		data   []byte
+	}{
+		{".outcomes.json", got.Outcomes},
+		{".snapshot.json", got.Snapshot},
+		{".trace.sha256", traceDigest(got.Trace)},
+	}
+	for _, f := range files {
+		if f.data == nil {
+			continue
+		}
+		path := filepath.Join(dir, name+f.suffix)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("simtest: reading golden: %v", err)
+		}
+		if err := diffBytes(path, want, f.data); err != nil {
+			t.Fatalf("simtest: drifted from golden: %v", err)
+		}
+	}
+}
+
+// traceDigest renders a trace's SHA-256 as one hex line (nil for no trace).
+func traceDigest(trace []byte) []byte {
+	if trace == nil {
+		return nil
+	}
+	sum := sha256.Sum256(trace)
+	return []byte(hex.EncodeToString(sum[:]) + "\n")
 }

@@ -1,6 +1,8 @@
 package simtest
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -52,4 +54,21 @@ func TestRenderAndTraceBytesCanonical(t *testing.T) {
 		t.Fatal("traced run rendered empty")
 	}
 	Diff(t, "trace self-compare", Artifacts{Trace: got}, Artifacts{Trace: got})
+}
+
+// TestGoldenReadsRecordedFiles: artifacts equal to the recorded files pass —
+// outcomes verbatim, the trace through its SHA-256 hex line — and an absent
+// artifact (here the snapshot) needs no file.
+func TestGoldenReadsRecordedFiles(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"run.outcomes.json": "[1]",
+		"run.trace.sha256":  "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a\n",
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	Golden(t, dir, "run", Artifacts{Outcomes: []byte("[1]"), Trace: []byte("{}")})
 }

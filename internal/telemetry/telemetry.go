@@ -43,7 +43,7 @@ const (
 )
 
 // Arg is one key/value annotation attached to an event, shown in the
-// viewer's detail pane. Construct with I, F, or S. Args are plain values —
+// viewer's detail pane. Construct with I, F, S, or B. Args are plain values —
 // building one never allocates — but passing any to a variadic recorder
 // method allocates the argument slice, so guard such call sites with
 // Recorder.Enabled.
@@ -64,6 +64,15 @@ func F(key string, v float64) Arg { return Arg{Key: key, f: v, kind: argFloat} }
 
 // S returns a string-valued Arg.
 func S(key, v string) Arg { return Arg{Key: key, str: v, kind: argString} }
+
+// B returns a decision flag as an integer-valued Arg: 1 for true, 0 for
+// false.
+func B(key string, v bool) Arg {
+	if v {
+		return I(key, 1)
+	}
+	return I(key, 0)
+}
 
 // Phase bytes of the trace_event format used by this package.
 const (

@@ -246,13 +246,14 @@ func (m *Machine) LoadPlan(p *sched.Plan) error {
 	return nil
 }
 
-// SetCapability applies the chip's live fault state between batches: failed
-// tiles leave service, and the NoC/HBM substrates re-rate to the given
-// fractions of their healthy bandwidth (1 restores full speed). The loaded
-// plan keeps running — entities whose tiles failed migrate their work onto
-// the region's survivors at a proportional slowdown — until the caller loads
-// a plan scheduled for the reduced chip. Fails if the mask would leave no
-// surviving tiles.
+// SetCapability applies the chip's live fault state between batches: the
+// failed-tile mask is replaced, and the NoC/HBM substrates re-rate to the
+// given fractions of their healthy bandwidth (1 restores full speed). The
+// arguments are absolute: callers pass the fully composed state, e.g. the
+// fields of faults.Capability.Apply(base). The loaded plan keeps running —
+// entities whose tiles failed migrate their work onto the region's survivors
+// at a proportional slowdown — until the caller loads a plan scheduled for
+// the reduced chip. Fails if the mask would leave no surviving tiles.
 func (m *Machine) SetCapability(failed hw.TileMask, nocFactor, hbmFactor float64) error {
 	cfg := m.cfg
 	cfg.FailedTiles = failed
@@ -266,6 +267,9 @@ func (m *Machine) SetCapability(failed hw.TileMask, nocFactor, hbmFactor float64
 	m.hbm.Derate(hbmFactor)
 	return nil
 }
+
+// HBMBytesPerCycle returns the HBM model's live aggregate bandwidth.
+func (m *Machine) HBMBytesPerCycle() float64 { return m.hbm.BytesPerCycle() }
 
 // normFactor maps "healthy" factors onto the hw.Config zero value so a chip
 // restored to full capacity compares equal to one that never degraded.

@@ -182,20 +182,35 @@ func (c Capability) Degraded() bool {
 	return !c.Failed.Empty() || c.NoC < 1 || c.HBM < 1
 }
 
-// Apply returns cfg with the capability folded in: the fault mask installed
-// and the bandwidth derates set. Schedules computed from the result plan
-// over the surviving tiles at the degraded bandwidths.
+// Apply returns cfg with the capability composed onto it: the fault mask is
+// ORed into cfg's failed tiles, and the bandwidth factors multiply cfg's own
+// derates. A chip that starts masked or derated — a tenant's partition, a
+// slow replica — keeps that base state under every fault, and a healthy
+// capability returns cfg unchanged. Every layer that plans for, simulates or
+// pre-solves a degraded chip derives its config through this one rule.
 func (c Capability) Apply(cfg hw.Config) hw.Config {
-	cfg.FailedTiles = c.Failed
-	cfg.NoCDerate = c.NoC
-	cfg.HBMDerate = c.HBM
-	if cfg.NoCDerate >= 1 {
-		cfg.NoCDerate = 0 // zero value = healthy, keeps pristine configs comparable
-	}
-	if cfg.HBMDerate >= 1 {
-		cfg.HBMDerate = 0
-	}
+	cfg.FailedTiles = cfg.FailedTiles.Or(c.Failed)
+	cfg.NoCDerate = compose(cfg.NoCDerate, c.NoC)
+	cfg.HBMDerate = compose(cfg.HBMDerate, c.HBM)
 	return cfg
+}
+
+// compose multiplies a config derate by a capability factor. Both treat
+// values outside (0,1) as healthy, and a healthy product maps back to the
+// config's zero value, which keeps pristine configs comparable.
+func compose(derate, factor float64) float64 {
+	f := unit(derate) * unit(factor)
+	if f >= 1 {
+		return 0
+	}
+	return f
+}
+
+func unit(f float64) float64 {
+	if f <= 0 || f > 1 {
+		return 1
+	}
+	return f
 }
 
 // State folds a schedule into the capability timeline. It is a pure function

@@ -36,6 +36,17 @@ func TestParseSpec(t *testing.T) {
 	if err := s.Validate(chip()); err != nil {
 		t.Fatalf("parsed schedule invalid: %v", err)
 	}
+	// Cycle counts share the tenant spec's k/M/G suffixes.
+	s, err = ParseSpec("fail@20M:tiles=0;brownout@1.5M:tiles=2,repair=250k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := s.Events[0]; e.At != 1_500_000 || e.Until != 1_750_000 {
+		t.Fatalf("suffixed brownout parsed wrong: %+v", e)
+	}
+	if e := s.Events[1]; e.At != 20_000_000 {
+		t.Fatalf("suffixed fail parsed wrong: %+v", e)
+	}
 }
 
 func TestParseSpecErrors(t *testing.T) {
@@ -50,6 +61,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"fail@1e6:color=red",
 		"noc@1e6:factor",
 		"brownout@1e6:tiles=0,repair=oops",
+		"fail@20m:tiles=0",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
@@ -197,6 +209,28 @@ func TestCapabilityApply(t *testing.T) {
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("applied config invalid: %v", err)
+	}
+
+	// A masked, derated base (a tenant partition on a slow chip) keeps its
+	// own state: masks union, derates multiply, and a healthy capability
+	// leaves it untouched.
+	base := cfg
+	base.FailedTiles = hw.RangeTileMask(100, 44)
+	base.HBMDerate = 0.5
+	base.NoCDerate = 0.8
+	if Healthy().Apply(base) != base {
+		t.Fatalf("healthy capability changed a derated base")
+	}
+	got = Capability{Failed: hw.NewTileMask(0, 101), NoC: 0.5, HBM: 0.5}.Apply(base)
+	if want := hw.RangeTileMask(100, 44).Or(hw.NewTileMask(0)); got.FailedTiles != want {
+		t.Fatalf("Apply mask = %v, want %v", got.FailedTiles, want)
+	}
+	if got.HBMDerate != 0.25 || got.NoCDerate != 0.4 {
+		t.Fatalf("Apply derates noc=%v hbm=%v, want 0.4 and 0.25", got.NoCDerate, got.HBMDerate)
+	}
+	// The zero Capability is as healthy as Healthy().
+	if (Capability{}).Apply(base) != base {
+		t.Fatalf("zero capability changed a derated base")
 	}
 }
 

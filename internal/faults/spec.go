@@ -21,9 +21,10 @@ import (
 //	      | "until=" cycles
 //	      | "factor=" F
 //
-// Cycle counts accept scientific notation ("2e6"). Examples:
+// Cycle counts take hw.ParseCycles syntax: integers, scientific notation
+// ("2e6") and k/M/G suffixes ("20M"). Examples:
 //
-//	fail@2e6:tiles=0-35                       lose the first quarter of a 12x12 chip
+//	fail@20M:tiles=0-35                       lose the first quarter of a 12x12 chip
 //	brownout@1e6:tiles=40-47,repair=5e5       8 tiles brown out for 500k cycles
 //	noc@1e6:factor=0.5;hbm@3e6:factor=0.25    halve the NoC, quarter the HBM
 
@@ -65,7 +66,7 @@ func parseEvent(part string) (Event, error) {
 	if !found {
 		return Event{}, fmt.Errorf("faults: unknown event kind %q", kindStr)
 	}
-	at, err := parseCycles(atStr)
+	at, err := hw.ParseCycles(atStr)
 	if err != nil {
 		return Event{}, fmt.Errorf("faults: event %q strike time: %w", part, err)
 	}
@@ -81,9 +82,9 @@ func parseEvent(part string) (Event, error) {
 			case "tiles":
 				ev.Tiles, err = parseTiles(val)
 			case "repair":
-				repair, err = parseCycles(val)
+				repair, err = hw.ParseCycles(val)
 			case "until":
-				ev.Until, err = parseCycles(val)
+				ev.Until, err = hw.ParseCycles(val)
 			case "factor":
 				ev.Factor, err = strconv.ParseFloat(val, 64)
 			default:
@@ -98,19 +99,6 @@ func parseEvent(part string) (Event, error) {
 		ev.Until = ev.At + repair
 	}
 	return ev, nil
-}
-
-// parseCycles accepts plain integers and scientific notation.
-func parseCycles(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return n, nil
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad cycle count %q", s)
-	}
-	return int64(f), nil
 }
 
 // parseTiles reads "0-35+40+50-52" into an index list.

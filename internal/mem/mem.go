@@ -21,7 +21,7 @@ import (
 type HBM struct {
 	env      *sim.Env
 	stacks   []*sim.Server
-	baseRate float64 // per-stack bytes/cycle at construction (healthy chip)
+	baseRate float64 // per-stack bytes/cycle of the healthy chip
 	next     int
 	// Accounting.
 	readBytes, writeBytes int64
@@ -31,12 +31,15 @@ type HBM struct {
 	track telemetry.TrackID
 }
 
-// New builds the HBM model for cfg.
+// New builds the HBM model for cfg, running at cfg's HBM derate.
 func New(env *sim.Env, cfg hw.Config) *HBM {
-	h := &HBM{env: env, baseRate: cfg.HBMStackBytesPerCycle()}
+	healthy := cfg
+	healthy.HBMDerate = 0
+	h := &HBM{env: env, baseRate: healthy.HBMStackBytesPerCycle()}
 	for i := 0; i < cfg.HBMStacks; i++ {
 		h.stacks = append(h.stacks, sim.NewServer(env, h.baseRate))
 	}
+	h.Derate(cfg.HBMDerate)
 	return h
 }
 
@@ -48,9 +51,10 @@ func (h *HBM) SetRecorder(rec *telemetry.Recorder) {
 	h.track = rec.Track("hbm")
 }
 
-// Derate scales every stack's bandwidth to factor times the construction
-// rate (fault injection: lost stacks or a degraded PHY). factor 1 restores
-// full bandwidth; requests already in flight keep their completion times.
+// Derate sets every stack's bandwidth to factor times the healthy rate
+// (fault injection: lost stacks or a degraded PHY). The factor is absolute,
+// not relative to the current rate; 1 (or the config zero value 0) restores
+// full bandwidth. Requests already in flight keep their completion times.
 func (h *HBM) Derate(factor float64) {
 	if factor <= 0 || factor > 1 {
 		factor = 1
@@ -58,6 +62,11 @@ func (h *HBM) Derate(factor float64) {
 	for _, s := range h.stacks {
 		s.SetRate(h.baseRate * factor)
 	}
+}
+
+// BytesPerCycle returns the live aggregate bandwidth across all stacks.
+func (h *HBM) BytesPerCycle() float64 {
+	return h.stacks[0].Rate() * float64(len(h.stacks))
 }
 
 // split divides a request across all stacks (address interleaving) and

@@ -12,17 +12,23 @@
 // tenants over their new partitions, and charges each the drain-and-reload
 // reconfiguration cost.
 //
-// Each tenant owns a disjoint hw.TileMask partition and a proportional HBM
-// bandwidth share, brought up through core.Bringup exactly like a
-// single-tenant server; fault schedules (internal/faults) apply per tenant on
-// top of the partition mask, and every tenant records onto its own telemetry
-// tracks ("tenant/<name>"). The whole simulation is single-threaded virtual
-// time: identical configurations produce identical per-request outcome logs
-// at any GOMAXPROCS.
+// Each tenant is a serve.Server session on its partition config — an
+// ordinary hw.Config whose FailedTiles mark every tile the tenant does not
+// own and whose HBMDerate is its bandwidth share (the full chip under
+// time-slicing). serve's one loop forms, fires and retires the tenant's
+// batches, composes the chip's fault schedule onto the partition
+// (faults.Capability.Apply masks and derates on top of it), and keeps the
+// tenant's plan cache. mtserve decides which session steps next, re-plans a
+// tenant in place after a capability change, moves tiles between sessions
+// (serve.Server.Repartition) and charges time-slice context switches. Every
+// tenant records onto its own telemetry tracks ("tenant/<name>"). The whole
+// simulation is single-threaded virtual time: identical configurations
+// produce identical per-request outcome logs at any GOMAXPROCS.
 package mtserve
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -30,7 +36,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/models"
-	"repro/internal/plancache"
 	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -114,9 +119,9 @@ type Config struct {
 	CheckEvery      int
 	CooldownBatches int
 
-	// PlanCache gives every tenant a plan-variant cache (tenants of one
-	// model share a keyer): repartition and fault re-plans become lookups
-	// when a tenant returns to a previously-seen partition and profile.
+	// PlanCache gives every tenant session serve's plan-variant cache:
+	// repartition and fault re-plans become lookups when a tenant returns to
+	// a previously-seen partition and profile.
 	PlanCache bool
 	// PlanCacheNearest allows approximate hits within PlanCacheMaxDist
 	// (default 0.04) of a cached profile.
@@ -168,13 +173,6 @@ func (c *Config) defaults() {
 		if c.Tenants[i].MeanGapCycles <= 0 {
 			c.Tenants[i].MeanGapCycles = 50_000
 		}
-		if c.Tenants[i].MaxWaitCycles <= 0 {
-			if c.Tenants[i].SLOCycles > 0 {
-				c.Tenants[i].MaxWaitCycles = c.Tenants[i].SLOCycles / 4
-			} else {
-				c.Tenants[i].MaxWaitCycles = 100_000
-			}
-		}
 	}
 }
 
@@ -191,7 +189,7 @@ type TenantReport struct {
 	// Shed split it by outcome.
 	Requests, Served, Missed, Shed int
 	// Batches counts this tenant's executed batches; Reschedules its plan
-	// swaps (partition moves and in-place drift re-plans alike).
+	// swaps (partition moves, in-place drift and fault re-plans alike).
 	Batches, Reschedules int
 	// FaultEvents counts capability changes this tenant observed.
 	FaultEvents int
@@ -271,72 +269,55 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// tenantState is one tenant's live serving state: its brought-up machine,
-// partition, admission queue, drift detector, fault tracker and counters.
+// tenantState is one tenant: its serving session on its partition config,
+// its arrival stream, and the controller's view of it.
 type tenantState struct {
-	idx   int
-	ten   Tenant
-	setup *core.Setup
-	det   *serve.DriftDetector
-	// health tracks the global fault schedule on this tenant's clock
-	// (faults.State.At is a pure function of time, so per-tenant instances
-	// stay consistent).
-	health *faults.State
+	idx int
+	ten Tenant
+	srv *serve.Server
 
 	src  serve.Source
 	next serve.Request
 	more bool
 
-	// batcher holds the tenant's admission queue and applies serve's
-	// batching policy to it under the tenant's SLO and queue-wait deadline.
-	batcher *serve.Batcher
 	drained bool
+	rep     *serve.Report // the session's report, once drained
 
-	// owned is the tenant's tile partition; ownFailed its complement (the
-	// mask baked into the tenant's machine). Both empty under time-slicing:
-	// the tenant sees the full chip. share is the HBM bandwidth fraction.
-	owned     hw.TileMask
-	ownFailed hw.TileMask
-	tiles     int
-	share     float64
+	// hw is the tenant's partition config: the tiles it does not own marked
+	// failed, its HBM share as the HBM derate (the full chip under
+	// time-slicing). owned is its tile set (empty under time-slicing).
+	hw    hw.Config
+	owned hw.TileMask
+	tiles int
 
-	// Demand window: busy cycles and executed samples since the last
-	// partition change, on this tenant's clock. The controller turns them
-	// into a tiles-equivalent demand estimate, smoothed across controller
-	// events in demandEst (a raw window is far too noisy: right after a
-	// batch fires, busy/elapsed reads near 1 however idle the tenant is).
-	winStart   int64
-	winBusy    int64
-	winSamples int
-	demandEst  float64
+	// Demand window: busy cycles since the last partition change, on this
+	// tenant's clock (winBusy holds the session's BusyCycles at the window
+	// start). The controller turns it into a tiles-equivalent demand
+	// estimate, smoothed across controller events in demandEst (a raw
+	// window is far too noisy: right after a batch fires, busy/elapsed reads
+	// near 1 however idle the tenant is).
+	winStart  int64
+	winBusy   int64
+	demandEst float64
 
-	// pcache is the tenant's plan-variant cache (nil with Config.PlanCache
-	// off); tenants of the same model share the keyer underneath.
-	pcache *plancache.Cache
-
-	rep        TenantReport
-	rec        *telemetry.Recorder
-	faultTrack telemetry.TrackID
+	// switchCycles is the machine time of time-slice context switches into
+	// this tenant (kernel-store reloads).
+	switchCycles int64
 }
 
-func (ts *tenantState) clock() int64 { return int64(ts.setup.M.Now()) }
+func (ts *tenantState) clock() int64 { return ts.srv.Now() }
 
-func (ts *tenantState) record(res serve.RequestResult) {
-	ts.rep.Requests++
-	switch res.Outcome {
-	case serve.Served:
-		ts.rep.Served++
-	case serve.DeadlineMissed:
-		ts.rep.Missed++
-	case serve.Shed:
-		ts.rep.Shed++
+// feed enqueues the tenant's arrivals up to t into its session.
+func (ts *tenantState) feed(t int64) {
+	for ts.more && ts.next.Arrival <= t {
+		ts.srv.Enqueue(ts.next)
+		ts.next, ts.more = ts.src.Next()
 	}
-	ts.rep.Outcomes = append(ts.rep.Outcomes, res)
 }
 
-// Server is the multi-tenant front-end: one brought-up machine per tenant
-// over disjoint partitions of the same chip, plus the cross-tenant
-// controller. Not safe for concurrent use.
+// Server is the multi-tenant front-end: one serving session per tenant over
+// disjoint partitions of the same chip, plus the cross-tenant controller.
+// Not safe for concurrent use.
 type Server struct {
 	cfg        Config
 	base       hw.Config
@@ -344,19 +325,14 @@ type Server struct {
 	total      int
 	tens       []*tenantState
 
-	// health is the controller's own fault tracker (the per-tenant trackers
-	// apply capability; this one reads the global state at barrier time).
+	// health reads the chip's fault capability for the controller (each
+	// session folds the same schedule in on its own clock).
 	health *faults.State
-
-	// keyers holds one plan-cache keyer per model name, shared by every
-	// tenant of that model (nil with the plan cache off).
-	keyers map[string]*plancache.Keyer
 
 	fired        int
 	sinceRepart  int
 	pending      bool // fault or drain forces a controller pass
 	repartitions int
-	reschedules  int
 
 	ctlRec   *telemetry.Recorder
 	ctlTrack telemetry.TrackID
@@ -375,8 +351,8 @@ func tracePrefix(name string) string {
 }
 
 // New brings up every tenant: demand priors computed, the tile grid split
-// (static and repartition modes), machines built and warmed over their
-// partitions, HBM shares applied, drift references snapshotted.
+// (static and repartition modes), and one serving session per tenant built
+// and warmed on its partition config.
 func New(cfg Config) (*Server, error) {
 	cfg.defaults()
 	if len(cfg.Tenants) == 0 {
@@ -412,13 +388,64 @@ func New(cfg Config) (*Server, error) {
 		assign = assignPartitions(counts, s.total, s.baseFailed)
 	}
 	for i, t := range cfg.Tenants {
-		ts, err := s.bringupTenant(i, t, counts[i], assign)
-		if err != nil {
+		ts := &tenantState{
+			idx:   i,
+			ten:   t,
+			hw:    s.base,
+			tiles: counts[i],
+			// Seed the controller's demand average at half the assigned
+			// tiles: a neutral prior that neither hoards nor dumps tiles
+			// before the first trusted utilization window lands.
+			demandEst: float64(counts[i]) / 2,
+		}
+		if assign != nil {
+			ts.owned = assign[i]
+			ts.hw = s.partitionHW(ts.owned, counts[i], s.total-s.baseFailed.Count())
+		}
+		if ts.srv, err = serve.New(s.sessionConfig(ts)); err != nil {
 			return nil, fmt.Errorf("mtserve: tenant %s: %w", t.Name, err)
 		}
 		s.tens = append(s.tens, ts)
 	}
 	return s, nil
+}
+
+// partitionHW is the config of a tenant owning the given tiles out of live
+// surviving ones: the chip with every other tile marked failed and its HBM
+// bandwidth derated to the tenant's share — a partition is a capability.
+func (s *Server) partitionHW(owned hw.TileMask, count, live int) hw.Config {
+	return faults.Capability{
+		Failed: owned.Complement(s.total),
+		NoC:    1,
+		HBM:    float64(count) / float64(live),
+	}.Apply(s.base)
+}
+
+// sessionConfig is a tenant's serving session: its partition config and
+// policy at depth 1, serve's own drift re-planning off (the controller owns
+// re-plans), the chip's fault schedule, and serve's plan cache.
+func (s *Server) sessionConfig(ts *tenantState) serve.Config {
+	rc := s.cfg.RC
+	rc.HW = ts.hw
+	rc.Batch = s.cfg.MaxBatch
+	rc.Seed = s.cfg.RC.Seed + int64(ts.idx)
+	rc.TraceName = tracePrefix(s.cfg.RC.TraceName) + "tenant/" + ts.ten.Name
+	return serve.Config{
+		Model:             ts.ten.Model,
+		Design:            s.cfg.Design,
+		RC:                rc,
+		MaxBatch:          s.cfg.MaxBatch,
+		MaxWaitCycles:     ts.ten.MaxWaitCycles,
+		SLOCycles:         ts.ten.SLOCycles,
+		QueueCapSamples:   s.cfg.QueueCapSamples,
+		Faults:            s.cfg.Faults,
+		PlanCache:         s.cfg.PlanCache,
+		PlanCacheNearest:  s.cfg.PlanCacheNearest,
+		PlanCacheMaxDist:  s.cfg.PlanCacheMaxDist,
+		PlanCacheAOT:      s.cfg.PlanCacheAOT,
+		PipelineDepth:     1,
+		HostReschedCycles: s.cfg.HostReschedCycles,
+	}
 }
 
 // initialCounts splits the live tiles by each tenant's demand prior —
@@ -461,64 +488,6 @@ func (s *Server) initialCounts() ([]int, error) {
 	return apportion(weights, eligible, live, s.cfg.MinTiles), nil
 }
 
-// bringupTenant builds one tenant: partition mask baked into the machine
-// config, warmup profile observed over the partition, HBM share applied.
-// The bringup plan is scheduled before the HBM share lands (the share is a
-// runtime derate relative to the healthy construction bandwidth), so the
-// initial plan slightly overestimates bandwidth; the first re-plan corrects
-// it.
-func (s *Server) bringupTenant(i int, t Tenant, count int, assign []hw.TileMask) (*tenantState, error) {
-	rcT := s.cfg.RC
-	rcT.Batch = s.cfg.MaxBatch
-	rcT.Seed = s.cfg.RC.Seed + int64(i)
-	rcT.TraceName = tracePrefix(s.cfg.RC.TraceName) + "tenant/" + t.Name
-	ts := &tenantState{
-		idx: i,
-		ten: t,
-		rep: TenantReport{Name: t.Name, Model: t.Model, Priority: t.Priority},
-		// Seed the controller's demand average at half the assigned tiles: a
-		// neutral prior that neither hoards nor dumps tiles before the first
-		// trusted utilization window lands.
-		demandEst: float64(count) / 2,
-	}
-	if assign != nil {
-		ts.owned = assign[i]
-		ts.ownFailed = ts.owned.Complement(s.total)
-		ts.tiles = count
-		ts.share = float64(count) / float64(s.total-s.baseFailed.Count())
-		rcT.HW.FailedTiles = ts.ownFailed.Or(s.baseFailed)
-	} else {
-		ts.tiles = count
-		ts.share = 1
-	}
-	setup, err := core.Bringup(s.cfg.Design, t.Model, rcT, nil)
-	if err != nil {
-		return nil, err
-	}
-	ts.setup = setup
-	if assign != nil && ts.share < 1 {
-		if err := setup.M.SetCapability(rcT.HW.FailedTiles, 1, ts.share); err != nil {
-			return nil, err
-		}
-	}
-	ts.det = serve.NewDriftDetector(setup.W.Graph, setup.M.Profiler())
-	if !s.cfg.Faults.Empty() {
-		ts.health = faults.NewState(s.cfg.Faults)
-	}
-	ts.rec = setup.Rec
-	ts.batcher = serve.NewBatcher(setup, serve.BatchPolicy{
-		MaxBatch:        s.cfg.MaxBatch,
-		MaxWaitCycles:   t.MaxWaitCycles,
-		SLOCycles:       t.SLOCycles,
-		QueueCapSamples: s.cfg.QueueCapSamples,
-	}, ts.record)
-	if ts.rec.Enabled() && ts.health != nil {
-		ts.faultTrack = ts.rec.Track("faults")
-	}
-	s.setupPlanCache(ts, rcT.HW)
-	return ts, nil
-}
-
 // source builds the tenant's arrival stream. Seeds derive from the base seed
 // and the tenant index only, so every sharing mode sees the identical offered
 // load — the compare table depends on that.
@@ -552,6 +521,7 @@ func (s *Server) Serve() (*Report, error) {
 	}
 	s.served = true
 	for _, ts := range s.tens {
+		ts.srv.Begin()
 		ts.src = s.source(ts)
 		ts.next, ts.more = ts.src.Next()
 	}
@@ -568,42 +538,84 @@ func (s *Server) Serve() (*Report, error) {
 }
 
 func (s *Server) report() *Report {
-	rep := &Report{Mode: s.cfg.Mode, Design: s.cfg.Design,
-		Repartitions: s.repartitions, Reschedules: s.reschedules}
+	rep := &Report{Mode: s.cfg.Mode, Design: s.cfg.Design, Repartitions: s.repartitions}
 	lats := make([][]float64, len(s.tens))
 	for i, ts := range s.tens {
-		ts.rep.Tiles = ts.tiles
-		for _, o := range ts.rep.Outcomes {
+		r := ts.rep
+		tr := TenantReport{
+			Name: ts.ten.Name, Model: ts.ten.Model, Priority: ts.ten.Priority, Tiles: ts.tiles,
+			Requests: r.Requests, Served: r.Served, Missed: r.Missed, Shed: r.Shed,
+			Batches: r.Batches, Reschedules: r.Reschedules + r.HealthReschedules,
+			FaultEvents:    r.FaultEvents,
+			PlanCacheExact: r.PlanCacheExact, PlanCacheNearest: r.PlanCacheNearest, PlanCacheMisses: r.PlanCacheMisses,
+			ReconfigCycles:  r.ReconfigCycles + ts.switchCycles,
+			HostSolveCycles: r.HostSolveCycles,
+			FinalCycles:     r.FinalCycles,
+			Latency:         r.Latency,
+			Outcomes:        r.Outcomes,
+		}
+		for _, o := range tr.Outcomes {
 			if o.Outcome != serve.Shed {
 				lats[i] = append(lats[i], float64(o.Latency()))
 			}
 		}
-		ts.rep.Latency = metrics.Summarize(lats[i])
-		rep.Tenants = append(rep.Tenants, ts.rep)
-		rep.Requests += ts.rep.Requests
-		rep.Served += ts.rep.Served
-		rep.Missed += ts.rep.Missed
-		rep.Shed += ts.rep.Shed
-		rep.Batches += ts.rep.Batches
-		rep.FaultEvents += ts.rep.FaultEvents
-		rep.PlanCacheHits += ts.rep.PlanCacheExact + ts.rep.PlanCacheNearest
-		rep.PlanCacheMisses += ts.rep.PlanCacheMisses
-		rep.ReconfigCycles += ts.rep.ReconfigCycles
-		rep.HostSolveCycles += ts.rep.HostSolveCycles
-		if ts.rep.FinalCycles > rep.FinalCycles {
-			rep.FinalCycles = ts.rep.FinalCycles
-		}
+		rep.Tenants = append(rep.Tenants, tr)
+		rep.Requests += tr.Requests
+		rep.Served += tr.Served
+		rep.Missed += tr.Missed
+		rep.Shed += tr.Shed
+		rep.Batches += tr.Batches
+		rep.Reschedules += tr.Reschedules
+		rep.FaultEvents += tr.FaultEvents
+		rep.PlanCacheHits += tr.PlanCacheExact + tr.PlanCacheNearest
+		rep.PlanCacheMisses += tr.PlanCacheMisses
+		rep.ReconfigCycles += tr.ReconfigCycles
+		rep.HostSolveCycles += tr.HostSolveCycles
+		rep.FinalCycles = max(rep.FinalCycles, tr.FinalCycles)
 	}
 	rep.Aggregate = metrics.SummarizeAll(lats...)
 	return rep
+}
+
+// step takes one action of a tenant's session and answers it: a capability
+// change re-plans the tenant in place over its survivors (and, under
+// re-partitioning, forces a controller pass) before its next batch forms; a
+// fired batch gives the controller its hook; a drained session closes the
+// tenant.
+func (s *Server) step(ts *tenantState) (serve.StepKind, error) {
+	k, err := ts.srv.Step()
+	if err != nil {
+		return k, fmt.Errorf("mtserve: tenant %s: %w", ts.ten.Name, err)
+	}
+	switch k {
+	case serve.StepFaulted:
+		if s.cfg.Mode == ModeRepartition {
+			s.pending = true
+		}
+		if err := ts.srv.Repartition(ts.hw); err != nil {
+			return k, fmt.Errorf("mtserve: re-planning tenant %s after fault: %w", ts.ten.Name, err)
+		}
+	case serve.StepFired:
+		s.fired++
+		s.sinceRepart++
+		if s.cfg.Mode == ModeRepartition {
+			return k, s.maybeRepartition()
+		}
+	case serve.StepDone:
+		s.drainTenant(ts)
+	}
+	return k, nil
 }
 
 // runSpatial is the static / repartition serving loop: tenants run on
 // disjoint partitions with independent clocks, so the loop always steps the
 // tenant whose clock lags furthest (ties: higher priority, then spec order),
 // keeping the interleaving deterministic and causally consistent with the
-// shared controller.
+// shared controller. Every stream is enqueued up front.
 func (s *Server) runSpatial() error {
+	for _, ts := range s.tens {
+		ts.feed(math.MaxInt64)
+	}
 	for {
 		var cur *tenantState
 		for _, ts := range s.tens {
@@ -617,10 +629,36 @@ func (s *Server) runSpatial() error {
 		if cur == nil {
 			return nil
 		}
-		if err := s.stepSpatial(cur); err != nil {
+		if s.partitionLost(cur) {
+			if s.cfg.Mode != ModeRepartition {
+				return fmt.Errorf("mtserve: tenant %s lost every tile of its partition at cycle %d (mode %s cannot re-partition)",
+					cur.ten.Name, cur.clock(), s.cfg.Mode)
+			}
+			// Reassign everyone over the survivors before this tenant's
+			// session applies the fault.
+			s.pending = true
+			if err := s.repartition(false); err != nil {
+				return err
+			}
+			if s.partitionLost(cur) {
+				return fmt.Errorf("mtserve: tenant %s has no surviving tile at cycle %d", cur.ten.Name, cur.clock())
+			}
+			continue
+		}
+		if _, err := s.step(cur); err != nil {
 			return err
 		}
 	}
+}
+
+// partitionLost reports whether the chip's fault capability at the tenant's
+// clock leaves its partition without a live tile.
+func (s *Server) partitionLost(ts *tenantState) bool {
+	if s.health == nil {
+		return false
+	}
+	cap, _ := s.health.At(ts.clock())
+	return cap.Apply(ts.hw).LiveTiles() == 0
 }
 
 func spatialBefore(a, b *tenantState) bool {
@@ -634,42 +672,11 @@ func spatialBefore(a, b *tenantState) bool {
 	return a.idx < b.idx
 }
 
-// stepSpatial advances one tenant by one event: admit arrivals, idle toward
-// the next arrival or wait deadline, or fire a batch — serve's dual batching
-// policy, per partition.
-func (s *Server) stepSpatial(ts *tenantState) error {
-	now := ts.clock()
-	if err := s.applyTenantFaults(ts, now); err != nil {
-		return err
-	}
-	s.admitUpTo(ts, now)
-	if ts.batcher.Len() == 0 {
-		if !ts.more {
-			s.drainTenant(ts)
-			return nil
-		}
-		s.idleTenantTo(ts, ts.next.Arrival)
-		return nil
-	}
-	fireAt, full := ts.batcher.Due()
-	if !full && now < fireAt {
-		if ts.more && ts.next.Arrival < fireAt {
-			s.idleTenantTo(ts, ts.next.Arrival)
-			return nil
-		}
-		s.idleTenantTo(ts, fireAt)
-		if ts.clock() < fireAt {
-			return nil // stopped at a fault boundary first
-		}
-	}
-	return s.fireBatch(ts, ts.clock())
-}
-
 // runTimeSlice is the naive time-sharing loop: one shared clock, every
-// tenant's machine configured for the full chip, and a kernel-store reload
-// charged whenever the served tenant changes. Among tenants ready to fire,
-// the highest priority wins; ties go to the most urgent head deadline, then
-// spec order.
+// tenant's session configured for the full chip, and a kernel-store reload
+// charged whenever the served tenant changes. Arrivals are enqueued and
+// admitted at the shared clock; among tenants ready to fire, the highest
+// priority wins, ties go to the most urgent head deadline, then spec order.
 func (s *Server) runTimeSlice() error {
 	now := int64(0)
 	lastRan := -1
@@ -679,11 +686,10 @@ func (s *Server) runTimeSlice() error {
 			if ts.drained {
 				continue
 			}
-			s.admitUpTo(ts, now)
-			if ts.batcher.Len() == 0 && !ts.more {
-				if now > int64(ts.setup.M.Now()) {
-					ts.setup.M.AdvanceTo(sim.Time(now))
-				}
+			ts.feed(now)
+			ts.srv.Admit(now)
+			if !ts.srv.HasWork() && !ts.more {
+				ts.srv.Setup().M.AdvanceTo(sim.Time(now))
 				s.drainTenant(ts)
 				continue
 			}
@@ -694,11 +700,7 @@ func (s *Server) runTimeSlice() error {
 		}
 		var pick *tenantState
 		for _, ts := range s.tens {
-			if ts.drained || ts.batcher.Len() == 0 {
-				continue
-			}
-			fireAt, full := ts.batcher.Due()
-			if !full && now < fireAt {
+			if at, ok := ts.srv.NextFire(); ts.drained || !ok || at > now {
 				continue
 			}
 			if pick == nil || slicePrefer(ts, pick) {
@@ -713,28 +715,29 @@ func (s *Server) runTimeSlice() error {
 			now = next
 			continue
 		}
-		m := pick.setup.M
-		m.AdvanceTo(sim.Time(now))
-		if err := s.applyTenantFaults(pick, now); err != nil {
-			return err
-		}
+		setup := pick.srv.Setup()
+		setup.M.AdvanceTo(sim.Time(now))
 		if lastRan != pick.idx {
 			// Context switch: the incoming tenant's kernel store is reloaded
 			// through HBM behind a pipeline drain, exactly the reconfiguration
 			// cost a plan swap pays.
-			before := m.Stats().ReconfigCycles
-			if err := m.LoadPlan(pick.setup.Plan); err != nil {
+			before := setup.M.Stats().ReconfigCycles
+			if err := setup.M.LoadPlan(setup.Plan); err != nil {
 				return err
 			}
-			pick.rep.ReconfigCycles += m.Stats().ReconfigCycles - before
+			pick.switchCycles += setup.M.Stats().ReconfigCycles - before
 			lastRan = pick.idx
 		}
-		if err := s.fireBatch(pick, pick.clock()); err != nil {
-			return err
+		for {
+			k, err := s.step(pick)
+			if err != nil {
+				return err
+			}
+			if k != serve.StepFaulted {
+				break
+			}
 		}
-		if t := pick.clock(); t > now {
-			now = t
-		}
+		now = max(now, pick.clock())
 	}
 }
 
@@ -742,24 +745,14 @@ func slicePrefer(a, b *tenantState) bool {
 	if a.ten.Priority != b.ten.Priority {
 		return a.ten.Priority > b.ten.Priority
 	}
-	da, db := headDeadline(a), headDeadline(b)
-	if da != db {
+	if da, db := a.srv.HeadDeadline(), b.srv.HeadDeadline(); da != db {
 		return da < db
 	}
 	return a.idx < b.idx
 }
 
-// headDeadline is the urgency key of a tenant's oldest queued request: its
-// SLO deadline, or its queue-wait deadline without an SLO.
-func headDeadline(ts *tenantState) int64 {
-	if ts.ten.SLOCycles > 0 {
-		return ts.batcher.HeadArrival() + ts.ten.SLOCycles
-	}
-	return ts.batcher.HeadArrival() + ts.ten.MaxWaitCycles
-}
-
-// nextSliceEvent finds the earliest future wait deadline, arrival or fault
-// boundary across live tenants.
+// nextSliceEvent finds the earliest future wait deadline or arrival across
+// live tenants.
 func (s *Server) nextSliceEvent(now int64) (int64, bool) {
 	next := int64(-1)
 	consider := func(t int64) {
@@ -771,36 +764,22 @@ func (s *Server) nextSliceEvent(now int64) (int64, bool) {
 		if ts.drained {
 			continue
 		}
-		if ts.batcher.Len() > 0 {
-			fireAt, _ := ts.batcher.Due()
-			consider(fireAt)
+		if at, ok := ts.srv.NextFire(); ok {
+			consider(at)
 		}
 		if ts.more {
 			consider(ts.next.Arrival)
-		}
-		if ts.health != nil {
-			if nc, ok := ts.health.NextChange(now); ok {
-				consider(nc)
-			}
 		}
 	}
 	return next, next >= 0
 }
 
-// admitUpTo admits every arrival with timestamp <= now into the tenant's
-// bounded queue, shedding past capacity.
-func (s *Server) admitUpTo(ts *tenantState, now int64) {
-	for ts.more && ts.next.Arrival <= now {
-		ts.batcher.Admit(ts.next)
-		ts.next, ts.more = ts.src.Next()
-	}
-}
-
-// drainTenant marks a tenant's stream complete. In repartition mode the
-// freed partition is worth reclaiming, so the next controller pass is forced.
+// drainTenant closes a tenant's session once its stream is complete. In
+// repartition mode the freed partition is worth reclaiming, so the next
+// controller pass is forced.
 func (s *Server) drainTenant(ts *tenantState) {
 	ts.drained = true
-	ts.rep.FinalCycles = ts.clock()
+	ts.rep = ts.srv.Finish()
 	if s.cfg.Mode == ModeRepartition && ts.tiles > 0 {
 		live := 0
 		for _, other := range s.tens {
@@ -812,96 +791,4 @@ func (s *Server) drainTenant(ts *tenantState) {
 			s.pending = true
 		}
 	}
-}
-
-// idleTenantTo advances the tenant's clock to t, stopping early at the next
-// fault boundary so capability changes land on time.
-func (s *Server) idleTenantTo(ts *tenantState, t int64) {
-	if ts.health != nil {
-		if nc, ok := ts.health.NextChange(ts.clock()); ok && nc < t {
-			t = nc
-		}
-	}
-	ts.setup.M.AdvanceTo(sim.Time(t))
-}
-
-// applyTenantFaults folds the fault schedule into the tenant's machine at
-// time now: the global failed mask lands on top of the partition mask, and
-// the tenant's HBM share scales by the global degradation. In repartition
-// mode a change forces a controller pass; a partition left with zero live
-// tiles forces one immediately (the controller reassigns over survivors).
-func (s *Server) applyTenantFaults(ts *tenantState, now int64) error {
-	if ts.health == nil {
-		return nil
-	}
-	cap, changed := ts.health.At(now)
-	if !changed {
-		return nil
-	}
-	ts.rep.FaultEvents++
-	eff := ts.ownFailed.Or(s.baseFailed).Or(cap.Failed)
-	if ts.rec.Enabled() {
-		ts.rec.Instant(ts.faultTrack, "fault", "capability", now,
-			telemetry.I("failed_tiles", int64(cap.Failed.Count())),
-			telemetry.F("noc", cap.NoC), telemetry.F("hbm", cap.HBM))
-	}
-	if s.total-eff.Count() == 0 {
-		if s.cfg.Mode == ModeRepartition {
-			// The whole partition died: reassign everyone over the survivors
-			// before this tenant touches its machine again.
-			s.pending = true
-			return s.repartition(false)
-		}
-		return fmt.Errorf("mtserve: tenant %s lost every tile of its partition at cycle %d (mode %s cannot re-partition)",
-			ts.ten.Name, now, s.cfg.Mode)
-	}
-	m := ts.setup.M
-	if err := m.SetCapability(eff, cap.NoC, ts.share*cap.HBM); err != nil {
-		return err
-	}
-	// The running plan was scheduled for the pre-fault tile set; re-plan over
-	// the survivors so every sharing mode stays fault-adaptive within its own
-	// discipline (the repartition controller may move tiles again right
-	// after). With the plan cache on, a capability the cache has seen — an
-	// AOT-precomputed fault window, or a brownout repairing back — is a
-	// lookup, not a solve.
-	effCap := faults.Capability{Failed: eff, NoC: cap.NoC, HBM: ts.share * cap.HBM}
-	plan, _, err := s.lookupOrSchedule(ts, effCap.Apply(s.base))
-	if err != nil {
-		return fmt.Errorf("mtserve: re-planning tenant %s after fault: %w", ts.ten.Name, err)
-	}
-	before := m.Stats().ReconfigCycles
-	if err := m.LoadPlan(plan); err != nil {
-		return err
-	}
-	ts.rep.ReconfigCycles += m.Stats().ReconfigCycles - before
-	ts.rep.Reschedules++
-	ts.setup.Plan = plan
-	if s.cfg.Mode == ModeRepartition {
-		s.pending = true
-	}
-	return nil
-}
-
-// fireBatch forms one batch at the tenant's queue head, executes it on the
-// tenant's machine, records outcomes, and gives the controller its hook.
-func (s *Server) fireBatch(ts *tenantState, now int64) error {
-	f := ts.batcher.Form(now, ts.rep.Batches)
-	if f == nil {
-		return nil
-	}
-	if err := ts.setup.M.Run([]workload.Batch{f.Batch}); err != nil {
-		return err
-	}
-	done := ts.clock()
-	ts.winBusy += done - now
-	ts.winSamples += f.Samples
-	ts.batcher.Retire(f, now, done)
-	ts.rep.Batches++
-	s.fired++
-	s.sinceRepart++
-	if s.cfg.Mode == ModeRepartition {
-		return s.maybeRepartition()
-	}
-	return nil
 }

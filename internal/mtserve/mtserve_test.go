@@ -157,6 +157,26 @@ func TestChaosDriftAndTileLoss(t *testing.T) {
 	}
 }
 
+// TestChaosReschedulesAccounting pins the plan-swap accounting on the chaos
+// scenario: the report's Reschedules sums the per-tenant counts in every
+// mode, and every tenant that observed a capability change re-planned over
+// its survivors at least once.
+func TestChaosReschedulesAccounting(t *testing.T) {
+	for _, mode := range []Mode{ModeStatic, ModeTimeSlice, ModeRepartition} {
+		rep := mustServe(t, chaosConfig(mode))
+		sum := 0
+		for _, tr := range rep.Tenants {
+			sum += tr.Reschedules
+			if tr.FaultEvents > 0 && tr.Reschedules == 0 {
+				t.Errorf("%s/%s: saw %d capability changes but never re-planned", mode, tr.Name, tr.FaultEvents)
+			}
+		}
+		if rep.Reschedules != sum {
+			t.Errorf("%s: report Reschedules %d, tenants sum to %d", mode, rep.Reschedules, sum)
+		}
+	}
+}
+
 // outcomeLog renders every tenant's per-request outcome stream as text, the
 // determinism witness compared across GOMAXPROCS settings.
 func outcomeLog(rep *Report) string {
@@ -320,5 +340,46 @@ func TestParseMode(t *testing.T) {
 	}
 	if _, err := ParseMode("frobnicate"); err == nil {
 		t.Error("ParseMode accepted garbage")
+	}
+}
+
+// TestPartitionLossReassigns kills every tile of a small partition mid-run.
+// Re-partitioning moves the tenant onto survivors before its session applies
+// the fault and keeps serving; static partitioning cannot, and says so.
+func TestPartitionLossReassigns(t *testing.T) {
+	mk := func(mode Mode) Config {
+		rc := core.DefaultRunConfig()
+		rc.Batch = 16
+		rc.Warmup = 8
+		return Config{
+			RC:   rc,
+			Mode: mode,
+			Tenants: []Tenant{
+				{Model: "fbsnet", SLOCycles: 4_000_000, MeanGapCycles: 50_000, Requests: 100, Weight: 1},
+				{Model: "dpsnet", SLOCycles: 4_000_000, MeanGapCycles: 50_000, Requests: 100, Weight: 100},
+			},
+			Faults: &faults.Schedule{Events: []faults.Event{
+				{At: 2_000_000, Kind: faults.TileFail, Tiles: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
+			}},
+		}
+	}
+	rep := mustServe(t, mk(ModeRepartition))
+	if rep.Repartitions == 0 {
+		t.Fatal("losing a whole partition triggered no repartition")
+	}
+	for _, tr := range rep.Tenants {
+		if tr.Served+tr.Missed+tr.Shed != tr.Requests || tr.Requests != 100 {
+			t.Errorf("%s: %d+%d+%d outcomes for %d requests", tr.Name, tr.Served, tr.Missed, tr.Shed, tr.Requests)
+		}
+		if tr.FaultEvents == 0 || tr.Reschedules == 0 {
+			t.Errorf("%s: %d fault events, %d re-plans", tr.Name, tr.FaultEvents, tr.Reschedules)
+		}
+	}
+	s, err := New(mk(ModeStatic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Serve(); err == nil || !strings.Contains(err.Error(), "lost every tile") {
+		t.Fatalf("static mode on a dead partition: err %v", err)
 	}
 }

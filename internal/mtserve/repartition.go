@@ -26,9 +26,10 @@ import (
 // utilization estimate — by iteratively moving single tiles from the
 // least-loaded partition to the most-loaded one while the bottleneck
 // improves (the schedule-improvement loop of D-HaX-CoNN, applied to tiles).
-// Changed tenants are drained to a common barrier time, re-planned over
-// their new partitions via sched.Schedule, and charged the drain-and-reload
-// reconfiguration cost by LoadPlan; unchanged tenants keep running.
+// Changed tenants are drained to a common barrier time and their sessions
+// move onto the new partition configs (serve.Server.Repartition), re-planning
+// and paying the drain-and-reload reconfiguration cost; unchanged tenants
+// keep running.
 
 // maybeRepartition is the controller hook, called after every fired batch in
 // repartition mode.
@@ -65,10 +66,10 @@ func (s *Server) triggerStats() (maxDiv, spread float64) {
 			continue
 		}
 		live++
-		if d := ts.det.Divergence(); d > maxDiv {
+		if d := ts.srv.Divergence(); d > maxDiv {
 			maxDiv = d
 		}
-		p := float64(ts.batcher.Samples()) / float64(s.cfg.QueueCapSamples)
+		p := float64(ts.srv.AdmittedSamples()) / float64(s.cfg.QueueCapSamples)
 		if p < minP {
 			minP = p
 		}
@@ -142,7 +143,7 @@ func (s *Server) repartition(driftTriggered bool) error {
 		if assign[i] != ts.owned {
 			replan = append(replan, ts)
 			moved = true
-		} else if driftTriggered && ts.det.Divergence() >= s.cfg.DriftThreshold {
+		} else if driftTriggered && ts.srv.Divergence() >= s.cfg.DriftThreshold {
 			replan = append(replan, ts)
 		}
 	}
@@ -155,7 +156,7 @@ func (s *Server) repartition(driftTriggered bool) error {
 	if moved {
 		for _, ts := range s.tens {
 			if !ts.drained {
-				ts.setup.M.AdvanceTo(sim.Time(tmax))
+				ts.srv.Setup().M.AdvanceTo(sim.Time(tmax))
 			}
 		}
 	}
@@ -173,14 +174,13 @@ func (s *Server) repartition(driftTriggered bool) error {
 		if !isReplan {
 			continue
 		}
-		if err := s.applyPartition(ts, assign[i], counts[i], live, cap); err != nil {
+		if err := s.applyPartition(ts, assign[i], counts[i], live); err != nil {
 			return fmt.Errorf("mtserve: re-partitioning tenant %s: %w", ts.ten.Name, err)
 		}
 	}
 	if moved {
 		s.repartitions++
 	}
-	s.reschedules += len(replan)
 	if s.ctlRec.Enabled() {
 		args := []telemetry.Arg{
 			telemetry.B("moved", moved),
@@ -194,49 +194,22 @@ func (s *Server) repartition(driftTriggered bool) error {
 	return nil
 }
 
-// applyPartition installs a tenant's new tile set and HBM share and swaps in
-// a plan scheduled for it: capability first (so the plan validates against
-// the new mask), then the reload charge, then profile window and drift
-// reference restart.
-func (s *Server) applyPartition(ts *tenantState, owned hw.TileMask, count, liveTotal int, cap faults.Capability) error {
-	ownFailed := owned.Complement(s.total)
-	share := float64(count) / float64(liveTotal)
-	eff := faults.Capability{
-		Failed: ownFailed.Or(s.baseFailed).Or(cap.Failed),
-		NoC:    cap.NoC,
-		HBM:    share * cap.HBM,
-	}
-	m := ts.setup.M
-	// With the plan cache on, a tenant returning to a previously-held
-	// partition (same mask and share, near-enough profile) dispatches its
-	// cached plan instead of re-running the scheduler.
-	plan, _, err := s.lookupOrSchedule(ts, eff.Apply(s.base))
-	if err != nil {
+// applyPartition moves a tenant onto its new tile set and HBM share: its
+// session re-plans for the partition config (paying the reload charge), and
+// the demand window restarts when the tile set actually changed — a replan in
+// place keeps the measurement running so the controller's utilization
+// estimate spans more than one cooldown interval.
+func (s *Server) applyPartition(ts *tenantState, owned hw.TileMask, count, live int) error {
+	ts.hw = s.partitionHW(owned, count, live)
+	if err := ts.srv.Repartition(ts.hw); err != nil {
 		return err
 	}
-	if err := m.SetCapability(eff.Failed, eff.NoC, eff.HBM); err != nil {
-		return err
-	}
-	before := m.Stats().ReconfigCycles
-	if err := m.LoadPlan(plan); err != nil {
-		return err
-	}
-	ts.rep.ReconfigCycles += m.Stats().ReconfigCycles - before
-	ts.rep.Reschedules++
-	ts.setup.Plan = plan
-	m.Profiler().Reset()
-	ts.det.Rebase()
-	// The demand window restarts only when the tile set actually changed; a
-	// replan in place keeps the measurement running so the controller's
-	// utilization estimate spans more than one cooldown interval.
 	if owned != ts.owned {
 		ts.winStart = ts.clock()
-		ts.winBusy, ts.winSamples = 0, 0
+		ts.winBusy = ts.srv.BusyCycles()
 	}
 	ts.owned = owned
-	ts.ownFailed = ownFailed
 	ts.tiles = count
-	ts.share = share
 	return nil
 }
 
@@ -325,13 +298,13 @@ const donorCeiling = 0.8
 func (s *Server) tenantDemand(ts *tenantState) float64 {
 	elapsed := ts.clock() - ts.winStart
 	if elapsed >= minDemandWindow {
-		util := float64(ts.winBusy) / float64(elapsed)
+		util := float64(ts.srv.BusyCycles()-ts.winBusy) / float64(elapsed)
 		if util > 1 {
 			util = 1
 		}
 		ts.demandEst = 0.5*ts.demandEst + 0.5*util*float64(ts.tiles)
 	}
-	pressure := float64(ts.batcher.Samples()) / float64(s.cfg.QueueCapSamples)
+	pressure := float64(ts.srv.AdmittedSamples()) / float64(s.cfg.QueueCapSamples)
 	return ts.demandEst * (1 + pressure)
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/hw"
 )
 
 // Tenant describes one co-resident model and its request stream: which
@@ -60,8 +62,9 @@ type Tenant struct {
 //	key    = "slo" | "gap" | "wait" | "req" | "prio" | "walk" | "bias"
 //	       | "revert" | "weight" | "name" | "seed"
 //
-// Cycle-valued parameters accept k/M/G suffixes and scientific notation
-// ("slo=5M", "gap=3e4"). Example:
+// Cycle-valued parameters (slo, wait, gap, seed) take hw.ParseCycles syntax:
+// integers, scientific notation and k/M/G suffixes ("slo=5M", "gap=3e4").
+// Example:
 //
 //	moe:slo=5M:gap=30k,skipnet:slo=8M:gap=60k:prio=1
 //
@@ -103,27 +106,29 @@ func parseTenant(part string, def Tenant) (Tenant, error) {
 		var err error
 		switch key {
 		case "slo":
-			t.SLOCycles, err = parseCycles(val)
+			t.SLOCycles, err = hw.ParseCycles(val)
 		case "wait":
-			t.MaxWaitCycles, err = parseCycles(val)
+			t.MaxWaitCycles, err = hw.ParseCycles(val)
 		case "gap":
-			t.MeanGapCycles, err = parseFloat(val)
+			var gap int64
+			gap, err = hw.ParseCycles(val)
+			t.MeanGapCycles = float64(gap)
 		case "req":
 			t.Requests, err = strconv.Atoi(val)
 		case "prio":
 			t.Priority, err = strconv.Atoi(val)
 		case "walk":
-			t.RateWalkSD, err = parseFloat(val)
+			t.RateWalkSD, err = strconv.ParseFloat(val, 64)
 		case "bias":
-			t.RateBias, err = parseFloat(val)
+			t.RateBias, err = strconv.ParseFloat(val, 64)
 		case "revert":
-			t.RateRevert, err = parseFloat(val)
+			t.RateRevert, err = strconv.ParseFloat(val, 64)
 		case "weight":
-			t.Weight, err = parseFloat(val)
+			t.Weight, err = strconv.ParseFloat(val, 64)
 		case "name":
 			t.Name = val
 		case "seed":
-			t.Seed, err = parseCycles(val)
+			t.Seed, err = hw.ParseCycles(val)
 		default:
 			return Tenant{}, fmt.Errorf("mtserve: unknown parameter %q in tenant %q", key, part)
 		}
@@ -149,31 +154,4 @@ func nameTenants(ts []Tenant) {
 		}
 		ts[i].Name = name
 	}
-}
-
-// parseCycles accepts plain integers, k/M/G suffixes and scientific notation.
-func parseCycles(s string) (int64, error) {
-	f, err := parseFloat(s)
-	if err != nil {
-		return 0, err
-	}
-	return int64(f), nil
-}
-
-func parseFloat(s string) (float64, error) {
-	s = strings.TrimSpace(s)
-	mult := 1.0
-	switch {
-	case strings.HasSuffix(s, "k"), strings.HasSuffix(s, "K"):
-		mult, s = 1e3, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1e6, s[:len(s)-1]
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1e9, s[:len(s)-1]
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad number %q", s)
-	}
-	return f * mult, nil
 }

@@ -34,15 +34,18 @@ type NoC struct {
 	track telemetry.TrackID
 }
 
-// New builds the NoC model for cfg.
+// New builds the NoC model for cfg, running at cfg's NoC derate.
 func New(env *sim.Env, cfg hw.Config) *NoC {
-	n := &NoC{env: env, cfg: cfg, baseRate: cfg.NoCBytesPerCycle(),
+	healthy := cfg
+	healthy.NoCDerate = 0
+	n := &NoC{env: env, cfg: cfg, baseRate: healthy.NoCBytesPerCycle(),
 		links: make([]*sim.Server, dirs*cfg.Tiles())}
 	n.rate = n.baseRate
 	for i := 0; i < cfg.Tiles(); i++ {
 		n.inject = append(n.inject, sim.NewServer(env, n.rate))
 		n.eject = append(n.eject, sim.NewServer(env, n.rate))
 	}
+	n.Derate(cfg.NoCDerate)
 	return n
 }
 
@@ -54,9 +57,10 @@ func (n *NoC) SetRecorder(rec *telemetry.Recorder) {
 	n.track = rec.Track("noc")
 }
 
-// Derate scales every port and link to factor times the construction
-// bandwidth (fault injection: degraded torus links). factor 1 restores the
-// healthy rate; links first resolved after the call inherit the derated rate.
+// Derate sets every port and link to factor times the healthy bandwidth
+// (fault injection: degraded torus links). The factor is absolute; 1 (or the
+// config zero value 0) restores the healthy rate. Links first resolved after
+// the call inherit the derated rate.
 func (n *NoC) Derate(factor float64) {
 	if factor <= 0 || factor > 1 {
 		factor = 1

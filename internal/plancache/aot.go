@@ -34,15 +34,11 @@ type AOTConfig struct {
 	// the graph's units per sample).
 	BatchUnits int
 	// Faults optionally contributes the schedule's degraded configurations:
-	// every distinct capability the schedule will produce is solved at the
-	// base profile. Capabilities are applied to the base config exactly the
-	// way the serving layer's live-hardware derivation applies them.
+	// every distinct capability the schedule will produce, composed onto the
+	// base config by faults.Capability.Apply exactly as the serving layer
+	// composes it at run time (a partition's mask and HBM share included),
+	// is solved at the base profile.
 	Faults *faults.Schedule
-	// ExtraConfigs lists additional hardware variants to pre-solve at the
-	// base profile — callers whose runtime composes capabilities differently
-	// (the multi-tenant layer folds partition masks and HBM shares in) pass
-	// their own effective configs here.
-	ExtraConfigs []hw.Config
 	// SingleTileLoss additionally solves every single-tile-failure variant
 	// of the base config (one solve per live tile — thorough, but the
 	// expensive option).
@@ -187,9 +183,6 @@ func (c *Cache) degradedConfigs(cfg hw.Config, ao AOTConfig) []hw.Config {
 			dc.FailedTiles = cfg.FailedTiles.Or(hw.NewTileMask(t))
 			add(dc)
 		}
-	}
-	for _, dc := range ao.ExtraConfigs {
-		add(dc)
 	}
 	return out
 }

@@ -6,8 +6,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Batcher is the batching policy every serving loop shares — the single
-// server's and each multi-tenant tenant's. It owns one admission queue, its
+// batcher is the server's batching policy. It owns one admission queue, its
 // sample count and the "serve" telemetry track, and implements:
 //
 //   - admission: sample normalisation and queue-full shedding;
@@ -22,9 +21,9 @@ import (
 // The caller owns the clock and executes the batch in between. The policy's
 // parameters are fixed at construction; the batch index and when a batch
 // starts and completes are arguments.
-type Batcher struct {
+type batcher struct {
 	setup  *core.Setup
-	policy BatchPolicy
+	policy batchPolicy
 	record func(RequestResult)
 
 	queue   []Request
@@ -33,8 +32,8 @@ type Batcher struct {
 	track   telemetry.TrackID
 }
 
-// BatchPolicy parameterizes a Batcher.
-type BatchPolicy struct {
+// batchPolicy parameterizes a batcher.
+type batchPolicy struct {
 	// MaxBatch caps a formed batch, in samples.
 	MaxBatch int
 	// MaxWaitCycles is the head request's queue-wait deadline.
@@ -46,9 +45,9 @@ type BatchPolicy struct {
 	QueueCapSamples int
 }
 
-// FormedBatch is one batch taken off the queue, from formation to
+// formedBatch is one batch taken off the queue, from formation to
 // retirement.
-type FormedBatch struct {
+type formedBatch struct {
 	// Batch is what the machine executes: size, routing and density.
 	Batch workload.Batch
 	// Samples is the batch's size in samples.
@@ -58,10 +57,10 @@ type FormedBatch struct {
 	headWait int64
 }
 
-// NewBatcher returns an empty batcher over a brought-up machine. Terminal
+// newBatcher returns an empty batcher over a brought-up machine. Terminal
 // outcomes go to record; the "serve" track opens on the machine's recorder.
-func NewBatcher(setup *core.Setup, policy BatchPolicy, record func(RequestResult)) *Batcher {
-	return &Batcher{
+func newBatcher(setup *core.Setup, policy batchPolicy, record func(RequestResult)) *batcher {
+	return &batcher{
 		setup:  setup,
 		policy: policy,
 		record: record,
@@ -70,24 +69,21 @@ func NewBatcher(setup *core.Setup, policy BatchPolicy, record func(RequestResult
 	}
 }
 
-// Track returns the "serve" track, for callers that record onto it too.
-func (q *Batcher) Track() telemetry.TrackID { return q.track }
-
 // Len returns the number of queued requests.
-func (q *Batcher) Len() int { return len(q.queue) }
+func (q *batcher) Len() int { return len(q.queue) }
 
 // Samples returns the queued samples.
-func (q *Batcher) Samples() int { return q.samples }
+func (q *batcher) Samples() int { return q.samples }
 
 // HeadArrival returns the oldest queued request's arrival. The queue must
 // not be empty.
-func (q *Batcher) HeadArrival() int64 { return q.queue[0].Arrival }
+func (q *batcher) HeadArrival() int64 { return q.queue[0].Arrival }
 
 // Due applies the dual fire policy to a non-empty queue: fireAt is the head
 // request's queue-wait deadline, and full reports that the batch may fire
 // now regardless — the size cap is reached, or the head is a replayed
 // request, which is always its own batch.
-func (q *Batcher) Due() (fireAt int64, full bool) {
+func (q *batcher) Due() (fireAt int64, full bool) {
 	head := q.queue[0]
 	return head.Arrival + q.policy.MaxWaitCycles, q.samples >= q.policy.MaxBatch || head.Routing != nil
 }
@@ -95,7 +91,7 @@ func (q *Batcher) Due() (fireAt int64, full bool) {
 // Admit queues a request that has arrived, or sheds it when the queue is
 // full. A request without a sample count counts as one sample, or, when it
 // carries replayed routing, as its units over the graph's units per sample.
-func (q *Batcher) Admit(req Request) {
+func (q *batcher) Admit(req Request) {
 	if req.Samples <= 0 {
 		req.Samples = 1
 		if req.Routing != nil {
@@ -124,7 +120,7 @@ func (q *Batcher) Admit(req Request) {
 // index. Queued requests whose SLO has already expired are shed first:
 // executing them cannot meet the deadline, and they would drag fresh
 // requests past theirs. Returns nil when that empties the queue.
-func (q *Batcher) Form(now int64, index int) *FormedBatch {
+func (q *batcher) Form(now int64, index int) *formedBatch {
 	slo := q.policy.SLOCycles
 	for len(q.queue) > 0 && slo > 0 && q.queue[0].Arrival+slo <= now {
 		req := q.pop()
@@ -137,7 +133,7 @@ func (q *Batcher) Form(now int64, index int) *FormedBatch {
 	if len(q.queue) == 0 {
 		return nil
 	}
-	f := &FormedBatch{headWait: now - q.queue[0].Arrival}
+	f := &formedBatch{headWait: now - q.queue[0].Arrival}
 	if q.queue[0].Routing != nil {
 		// Replayed request: its routing is fixed, it is its own batch.
 		req := q.pop()
@@ -169,7 +165,7 @@ func (q *Batcher) Form(now int64, index int) *FormedBatch {
 // and completed at done: each request is served, or deadline-missed past
 // its SLO. The serve track gets the batch's span — with its composition and
 // the head request's queue wait at formation — and a queue-depth sample.
-func (q *Batcher) Retire(f *FormedBatch, start, done int64) {
+func (q *batcher) Retire(f *formedBatch, start, done int64) {
 	slo := q.policy.SLOCycles
 	for _, req := range f.reqs {
 		out := Served
@@ -194,7 +190,7 @@ func (q *Batcher) Retire(f *FormedBatch, start, done int64) {
 
 // Evict empties the queue without recording outcomes and returns its
 // requests in arrival order.
-func (q *Batcher) Evict() []Request {
+func (q *batcher) Evict() []Request {
 	out := q.queue
 	q.queue = nil
 	q.samples = 0
@@ -204,7 +200,7 @@ func (q *Batcher) Evict() []Request {
 	return out
 }
 
-func (q *Batcher) pop() Request {
+func (q *batcher) pop() Request {
 	req := q.queue[0]
 	q.queue = q.queue[1:]
 	q.samples -= req.Samples

@@ -7,34 +7,6 @@ import (
 	"repro/internal/profiler"
 )
 
-// DriftDetector is the exported form of the server's drift detector, for
-// serving layers that run their own loop over a brought-up machine (the
-// multi-tenant front-end in internal/mtserve). It carries exactly the
-// statistic the single-tenant re-scheduler triggers on.
-type DriftDetector struct{ d *detector }
-
-// NewDriftDetector snapshots the profiler's current per-branch statistics as
-// the drift reference (call right after the plan built from that profile is
-// installed).
-func NewDriftDetector(g *graph.Graph, prof *profiler.Profiler) *DriftDetector {
-	return &DriftDetector{d: newDetector(g, prof)}
-}
-
-// Rebase re-snapshots the live profile as the new reference.
-func (dd *DriftDetector) Rebase() { dd.d.Rebase() }
-
-// Divergence returns the live profile's drift since the last Rebase: the
-// mean absolute per-branch difference, maxed over the unit-share and
-// active-fraction statistics.
-func (dd *DriftDetector) Divergence() float64 { return dd.d.Divergence() }
-
-// Parts returns the three drift statistics separately (volume, presence,
-// density). The density part is always 0 for graphs without density-aware
-// operators.
-func (dd *DriftDetector) Parts() (share, active, density float64) {
-	return dd.d.divergenceParts()
-}
-
 // detector watches the on-chip profiler for distribution drift relative to
 // the profile the current plan was scheduled from. It snapshots two
 // per-branch statistics at plan time — the unit share (the volume statistic

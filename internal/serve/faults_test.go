@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -166,5 +167,62 @@ func TestFaultServingDeterministic(t *testing.T) {
 	}
 	if serial.FaultEvents == 0 {
 		t.Fatalf("fault schedule never fired")
+	}
+}
+
+// TestFaultsComposeOntoDeratedChip serves on a chip that starts at half HBM
+// bandwidth through a tile brown-out and an HBM degradation window. Faults
+// compose onto the base config instead of replacing it: the config every
+// health re-plan is built for keeps the base 0.5 times the fault's HBM
+// factor, and the machine runs at healthy x 0.5 x factor — never at full
+// bandwidth, and never with the base derate applied twice.
+func TestFaultsComposeOntoDeratedChip(t *testing.T) {
+	fs, err := faults.ParseSpec("brownout@2000000:tiles=3,until=4000000;hbm@2500000:factor=0.5,until=3500000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := faultConfig("skipnet", true, fs)
+	cfg.RC.HW.HBMDerate = 0.5
+	healthy := cfg.RC.HW
+	healthy.HBMDerate = 0
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Begin()
+	src := NewSynthetic(200, 40_000, 7, nil)
+	for req, more := src.Next(); more; req, more = src.Next() {
+		s.Enqueue(req)
+	}
+	phases := map[[2]bool]bool{}
+	for h := int64(100_000); h <= 6_000_000; h += 100_000 {
+		if err := s.StepTo(h); err != nil {
+			t.Fatal(err)
+		}
+		now := s.Now()
+		brown := now >= 2_000_000 && now < 4_000_000
+		slow := now >= 2_500_000 && now < 3_500_000
+		phases[[2]bool{brown, slow}] = true
+		want := 0.5
+		if slow {
+			want = 0.25
+		}
+		live := s.liveHW()
+		if live.HBMDerate != want || live.TileFailed(3) != brown || live.FailedTiles.Count() != map[bool]int{false: 0, true: 1}[brown] {
+			t.Fatalf("cycle %d: re-plan config hbm=%v failed=%v, want hbm=%v tile 3 failed=%v",
+				now, live.HBMDerate, live.FailedTiles, want, brown)
+		}
+		if got, exp := s.setup.M.HBMBytesPerCycle(), healthy.HBMBytesPerCycle()*want; math.Abs(got-exp) > 1e-9*exp {
+			t.Fatalf("cycle %d: machine HBM rate %v B/cycle, want healthy x %v = %v", now, got, want, exp)
+		}
+	}
+	if len(phases) != 3 {
+		t.Fatalf("checkpoints saw phases %v, want healthy, brown-out and brown-out+HBM", phases)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := s.Finish(); rep.HealthReschedules < 4 {
+		t.Fatalf("%d health re-plans, want one per capability change (4)", rep.HealthReschedules)
 	}
 }

@@ -18,7 +18,8 @@ import (
 // -compare mode measures against.
 
 // liveHW returns the hardware config the scheduler should plan for right
-// now: the configured chip with the current fault capability folded in.
+// now: the configured chip (or the partition Repartition moved the server
+// onto) with the current fault capability composed onto it.
 func (s *Server) liveHW() hw.Config {
 	if s.health == nil {
 		return s.cfg.RC.HW
@@ -26,26 +27,33 @@ func (s *Server) liveHW() hw.Config {
 	return s.health.Capability().Apply(s.cfg.RC.HW)
 }
 
-// applyFaults folds the fault schedule into the machine at time now. On a
-// capability change the hardware is updated immediately; with re-scheduling
-// enabled a new plan for the surviving tiles is swapped in as well.
-func (s *Server) applyFaults(now int64) error {
+// setCapability installs liveHW's mask and derates on the machine.
+func (s *Server) setCapability() error {
+	live := s.liveHW()
+	return s.setup.M.SetCapability(live.FailedTiles, live.NoCDerate, live.HBMDerate)
+}
+
+// applyFaults folds the fault schedule into the machine at time now and
+// reports whether the capability changed. On a change the hardware is
+// updated immediately; with re-scheduling enabled a new plan for the
+// surviving tiles is swapped in as well.
+func (s *Server) applyFaults(now int64) (bool, error) {
 	if s.health == nil {
-		return nil
+		return false, nil
 	}
 	cap, changed := s.health.At(now)
 	if !changed {
-		return nil
+		return false, nil
 	}
 	s.rep.FaultEvents++
 	// Capability changes apply between batches: in-flight batches retire
 	// first — they were submitted under the old capability and complete
 	// under it — before the hardware changes.
 	if err := s.drainInflight(false); err != nil {
-		return err
+		return true, err
 	}
-	if err := s.setup.M.SetCapability(cap.Failed, cap.NoC, cap.HBM); err != nil {
-		return err
+	if err := s.setCapability(); err != nil {
+		return true, err
 	}
 	if s.rec.Enabled() {
 		s.rec.Instant(s.faultTrack, "fault", "capability", now,
@@ -54,9 +62,9 @@ func (s *Server) applyFaults(now int64) error {
 			telemetry.B("reschedule", s.cfg.Reschedule))
 	}
 	if s.cfg.Reschedule {
-		return s.healthReschedule()
+		return true, s.healthReschedule()
 	}
-	return nil
+	return true, nil
 }
 
 // healthReschedule is the emergency re-plan after a capability change: a

@@ -15,8 +15,8 @@ import (
 // The loop is deterministic at any depth — the same configuration and seed
 // produce a byte-identical outcome log, snapshot and trace at any
 // GOMAXPROCS — and every depth shares the session contract (Begin /
-// Enqueue / StepTo / Drain / Finish), so a fleet router drives replicas the
-// same way whatever their depth. Three boundaries force a pipeline drain,
+// Enqueue / Step / StepTo / Drain / Finish), so a fleet router or the
+// multi-tenant front-end drives servers the same way whatever their depth. Three boundaries force a pipeline drain,
 // mirroring the machine invariants: a plan swap (LoadPlan requires a drained
 // pipeline), a capability change (faults apply between batches), and
 // session Drain.
@@ -25,78 +25,95 @@ import (
 // whose outcomes it records when it retires.
 type pipeEntry struct {
 	tk    *accel.StreamTicket
-	batch *FormedBatch
+	batch *formedBatch
 }
 
-// pipeStep is the serving loop shared by StepTo (bounded by horizon) and
+// StepKind names the action one Step took.
+type StepKind uint8
+
+// The actions of one serving-loop step.
+const (
+	// StepIdled: the clock advanced toward the next arrival, wait deadline,
+	// horizon or fault boundary — or a formed batch shed entirely.
+	StepIdled StepKind = iota
+	// StepFaulted: a capability change was applied that the server does not
+	// re-plan for itself (Reschedule off). No batch formed.
+	StepFaulted
+	// StepFired: one batch formed and was submitted; at depth 1 it also
+	// retired.
+	StepFired
+	// StepDone: control returns to the caller — the horizon was reached
+	// (StepTo) or, draining, nothing is left queued, pending or in flight.
+	StepDone
+)
+
+// step takes one action of the serving loop StepTo (bounded by horizon) and
 // Drain (draining ignores the horizon: no more arrivals can ever be routed
-// here). It admits at arrival times, fires under the dual batching policy,
-// defers decisions at the horizon and stops at fault boundaries. The machine
-// clock advances through bounded StepTo slices, so in-flight batches
-// progress exactly as far as the interval allows.
-func (s *Server) pipeStep(horizon int64, draining bool) error {
+// here) repeat: it folds in fault events, admits at arrival times, then
+// idles, fires under the dual batching policy, or returns control — a
+// decision at the horizon is deferred. The machine clock advances through
+// bounded StepTo slices, so in-flight batches progress exactly as far as the
+// interval allows.
+func (s *Server) step(horizon int64, draining bool) (StepKind, error) {
 	m := s.setup.M
-	for {
-		now := int64(m.Now())
-		// Fold any fault events that struck (or repaired) by now into the
-		// machine before more work is placed on it.
-		if err := s.applyFaults(now); err != nil {
-			return err
+	now := int64(m.Now())
+	// Fold any fault events that struck (or repaired) by now into the
+	// machine before more work is placed on it.
+	if changed, err := s.applyFaults(now); err != nil {
+		return StepDone, err
+	} else if changed && !s.cfg.Reschedule {
+		return StepFaulted, nil
+	}
+	s.Admit(now)
+	// The next pending arrival bounds every idle jump below: admission
+	// happens at arrival time.
+	nextArr := int64(-1)
+	if len(s.pending) > 0 && (draining || s.pending[0].Arrival <= horizon) {
+		nextArr = s.pending[0].Arrival
+	}
+	if s.batcher.Len() == 0 {
+		switch {
+		case nextArr >= 0:
+			s.pipeIdle(nextArr)
+		case draining:
+			// No arrivals left anywhere: run the tail of the pipeline out
+			// and close the session.
+			return StepDone, s.drainInflight(true)
+		case now >= horizon:
+			return StepDone, nil
+		default:
+			s.pipeIdle(horizon)
 		}
-		s.admitPending(now)
-		// The next pending arrival bounds every idle jump below: admission
-		// happens at arrival time.
-		nextArr := int64(-1)
-		if len(s.pending) > 0 && (draining || s.pending[0].Arrival <= horizon) {
-			nextArr = s.pending[0].Arrival
+		return StepIdled, nil
+	}
+	fireAt, full := s.batcher.Due()
+	if !full && now < fireAt {
+		if nextArr >= 0 && nextArr < fireAt {
+			s.pipeIdle(nextArr)
+			return StepIdled, nil
 		}
-		if s.batcher.Len() == 0 {
-			if nextArr >= 0 {
-				s.pipeIdle(nextArr)
-				continue
-			}
-			if draining {
-				// No arrivals left anywhere: run the tail of the pipeline
-				// out and close the session.
-				return s.drainInflight(true)
-			}
+		if !draining && horizon < fireAt {
+			// The wait deadline lies past the horizon: future arrivals
+			// could still join this batch. Hand control back.
 			if now >= horizon {
-				return nil
+				return StepDone, nil
 			}
 			s.pipeIdle(horizon)
-			continue
+			return StepIdled, nil
 		}
-		fireAt, full := s.batcher.Due()
-		if !full && now < fireAt {
-			if nextArr >= 0 && nextArr < fireAt {
-				s.pipeIdle(nextArr)
-				continue
-			}
-			if !draining && horizon < fireAt {
-				// The wait deadline lies past the horizon: future arrivals
-				// could still join this batch. Hand control back.
-				if now >= horizon {
-					return nil
-				}
-				s.pipeIdle(horizon)
-				continue
-			}
-			// No arrival can land before the wait deadline: idle to the
-			// deadline and fire the partial batch.
-			s.pipeIdle(fireAt)
-			if int64(m.Now()) < fireAt {
-				continue // stopped at a fault boundary first
-			}
-		} else if !draining && now >= horizon {
-			// Full batch (or expired deadline), but the decision time has
-			// reached the horizon: arrivals at the horizon may still be
-			// routed here and belong in this batch. Defer the fire.
-			return nil
+		// No arrival can land before the wait deadline: idle to the
+		// deadline and fire the partial batch.
+		s.pipeIdle(fireAt)
+		if int64(m.Now()) < fireAt {
+			return StepIdled, nil // stopped at a fault boundary first
 		}
-		if err := s.pipeFire(int64(m.Now())); err != nil {
-			return err
-		}
+	} else if !draining && now >= horizon {
+		// Full batch (or expired deadline), but the decision time has
+		// reached the horizon: arrivals at the horizon may still be
+		// routed here and belong in this batch. Defer the fire.
+		return StepDone, nil
 	}
+	return s.pipeFire(int64(m.Now()))
 }
 
 // pipeIdle advances the machine clock to t through the bounded streaming
@@ -116,25 +133,26 @@ func (s *Server) pipeIdle(t int64) {
 // machine's pipeline. When the pipeline window is full the oldest in-flight
 // batch retires first, so at most PipelineDepth batches execute
 // concurrently; at depth 1 the batch retires before pipeFire returns.
-func (s *Server) pipeFire(now int64) error {
+// Reports StepIdled when formation shed the whole queue.
+func (s *Server) pipeFire(now int64) (StepKind, error) {
 	f := s.batcher.Form(now, s.rep.Batches+len(s.inflight))
 	if f == nil {
-		return nil
+		return StepIdled, nil
 	}
 	for len(s.inflight) >= s.cfg.PipelineDepth {
 		if err := s.retireOldest(true); err != nil {
-			return err
+			return StepFired, err
 		}
 	}
 	tk, err := s.setup.M.StreamSubmit(f.Batch)
 	if err != nil {
-		return err
+		return StepFired, err
 	}
 	s.inflight = append(s.inflight, &pipeEntry{tk: tk, batch: f})
 	if s.cfg.PipelineDepth == 1 {
-		return s.retireOldest(true)
+		return StepFired, s.retireOldest(true)
 	}
-	return nil
+	return StepFired, nil
 }
 
 // retireOldest waits out the oldest in-flight batch, records its outcomes at
@@ -149,6 +167,7 @@ func (s *Server) retireOldest(check bool) error {
 		return err
 	}
 	s.batcher.Retire(e.batch, int64(e.tk.Start()), int64(done))
+	s.busy += int64(done - e.tk.Start())
 	s.rep.Batches++
 	s.sinceResched++
 	if check && s.cfg.Reschedule && s.rep.Batches%s.cfg.CheckEvery == 0 {

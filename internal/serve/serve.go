@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/plancache"
 	"repro/internal/sched"
@@ -200,7 +201,7 @@ type Report struct {
 	// split it by outcome.
 	Requests, Served, Missed, Shed int
 	// Batches counts executed batches; Reschedules the drift-triggered plan
-	// swaps.
+	// swaps plus the re-plans Repartition performed.
 	Batches, Reschedules int
 	// FaultEvents counts capability changes applied during the stream;
 	// HealthReschedules counts the emergency re-plans they triggered (both
@@ -209,8 +210,8 @@ type Report struct {
 	// PlanCacheExact, PlanCacheNearest and PlanCacheMisses split this run's
 	// re-plans by plan-cache outcome (all zero with the cache disabled).
 	PlanCacheExact, PlanCacheNearest, PlanCacheMisses int
-	// ReconfigCycles is the machine time spent in drift-triggered plan swaps
-	// (pipeline drain + kernel-store reload).
+	// ReconfigCycles is the machine time spent in plan swaps (pipeline
+	// drain + kernel-store reload).
 	ReconfigCycles int64
 	// HostSolveCycles is the virtual time charged for host-side solves
 	// (HostReschedCycles per cache miss; zero when the knob is off).
@@ -299,11 +300,12 @@ type Server struct {
 	health *faults.State    // nil without a fault schedule
 	pcache *plancache.Cache // nil with the plan cache disabled
 
-	batcher      *Batcher
+	batcher      *batcher
 	pending      []Request    // enqueued by a fleet router, not yet admitted
 	inflight     []*pipeEntry // submitted, unretired batches
 	rep          *Report
 	sinceResched int
+	busy         int64 // summed execution spans of retired batches
 
 	// keyer and planKey support plan-affinity routing: planKey is the
 	// quantized branch-share snapshot of the profile the current plan was
@@ -338,7 +340,7 @@ func New(cfg Config) (*Server, error) {
 		health: healthState(cfg.Faults),
 		rec:    setup.Rec,
 	}
-	s.batcher = NewBatcher(setup, BatchPolicy{
+	s.batcher = newBatcher(setup, batchPolicy{
 		MaxBatch:        cfg.MaxBatch,
 		MaxWaitCycles:   cfg.MaxWaitCycles,
 		SLOCycles:       cfg.SLOCycles,
@@ -446,14 +448,36 @@ func (s *Server) Enqueue(req Request) {
 // before seeing them. On return the machine clock is at or past the horizon
 // (exactly at it when the server is idle).
 func (s *Server) StepTo(horizon int64) error {
-	return s.pipeStep(horizon, false)
+	for {
+		k, err := s.step(horizon, false)
+		if err != nil || k == StepDone {
+			return err
+		}
+	}
 }
 
 // Drain serves out every enqueued and queued request with no further
 // arrivals coming: the stream tail honors the same dual batching policy as
-// steady state (a final partial batch waits out MaxWaitCycles).
+// steady state (a final partial batch waits out MaxWaitCycles). It repeats
+// Step until the session is done.
 func (s *Server) Drain() error {
-	return s.pipeStep(0, true)
+	for {
+		k, err := s.Step()
+		if err != nil || k == StepDone {
+			return err
+		}
+	}
+}
+
+// Step takes one action of Drain's loop — idle toward the next decision,
+// apply a capability change, fire one batch, or close the session once
+// nothing is queued, pending or in flight — and reports which. Everything
+// enqueued counts as known arrivals. A caller driving several sessions
+// (internal/mtserve) interleaves their Steps on one virtual timeline. With
+// Reschedule off a capability change ends the step before any batch forms,
+// so the caller can answer it (Repartition) first.
+func (s *Server) Step() (StepKind, error) {
+	return s.step(0, true)
 }
 
 // Finish closes the session opened by Begin and returns its report.
@@ -470,9 +494,11 @@ func (s *Server) Finish() *Report {
 	return rep
 }
 
-// admitPending admits every pending request that has arrived by now, in
-// enqueue order.
-func (s *Server) admitPending(now int64) {
+// Admit admits (or sheds, past queue capacity) every enqueued request that
+// has arrived by now, in enqueue order. The serving loop admits at its own
+// clock; a caller arbitrating several sessions on a shared clock admits
+// through it before testing readiness with NextFire.
+func (s *Server) Admit(now int64) {
 	i := 0
 	for i < len(s.pending) && s.pending[i].Arrival <= now {
 		s.batcher.Admit(s.pending[i])
@@ -502,6 +528,68 @@ func (s *Server) QueuedSamples() int {
 
 // HasWork reports whether any request is still queued or pending.
 func (s *Server) HasWork() bool { return s.batcher.Len() > 0 || len(s.pending) > 0 }
+
+// AdmittedSamples returns the samples in the admission queue (enqueued
+// requests not yet admitted excluded).
+func (s *Server) AdmittedSamples() int { return s.batcher.Samples() }
+
+// NextFire returns when the queue head's batch may fire under the dual
+// policy: its queue-wait deadline, or its arrival once the batch is full.
+// ok is false with an empty queue.
+func (s *Server) NextFire() (at int64, ok bool) {
+	if s.batcher.Len() == 0 {
+		return 0, false
+	}
+	fireAt, full := s.batcher.Due()
+	if full {
+		return s.batcher.HeadArrival(), true
+	}
+	return fireAt, true
+}
+
+// HeadDeadline returns the urgency of the oldest queued request: its SLO
+// deadline, or its queue-wait deadline without an SLO. The queue must not be
+// empty.
+func (s *Server) HeadDeadline() int64 {
+	d := s.cfg.MaxWaitCycles
+	if s.cfg.SLOCycles > 0 {
+		d = s.cfg.SLOCycles
+	}
+	return s.batcher.HeadArrival() + d
+}
+
+// Divergence returns the live profile's drift from the profile the current
+// plan was built from (the statistic DriftThreshold gates).
+func (s *Server) Divergence() float64 { return s.det.Divergence() }
+
+// BusyCycles returns the summed execution spans, submission to completion,
+// of every batch retired so far.
+func (s *Server) BusyCycles() int64 { return s.busy }
+
+// Repartition moves the server onto a new hardware config — a tenant's tile
+// partition and HBM share, expressed as failed tiles and an HBM derate — and
+// re-plans for it: fault events that struck by now fold in first, the
+// machine takes the config with the live fault capability composed onto it,
+// and replan swaps in a plan for that (cache lookup, host-solve charge,
+// LoadPlan, profiler reset, drift rebase). Called with the current config it
+// re-plans in place. Counts as a reschedule; the session must be open.
+func (s *Server) Repartition(cfg hw.Config) error {
+	s.cfg.RC.HW = cfg
+	if _, err := s.applyFaults(s.Now()); err != nil {
+		return err
+	}
+	if err := s.drainInflight(false); err != nil {
+		return err
+	}
+	if err := s.setCapability(); err != nil {
+		return err
+	}
+	if _, err := s.replan(s.driftTrack, "drift"); err != nil {
+		return err
+	}
+	s.rep.Reschedules++
+	return nil
+}
 
 // Busy returns how many cycles of in-flight batch execution remain past the
 // given instant (the machine clock overshoots a step horizon exactly when a

@@ -36,6 +36,8 @@ type Artifacts struct {
 	// Trace is the serialized telemetry trace JSON (already validated when
 	// built via TraceBytes).
 	Trace []byte
+	// Report is the human-readable report a CLI prints for the run.
+	Report []byte
 }
 
 // Render canonicalizes any value to deterministic bytes via encoding/json
@@ -88,6 +90,9 @@ func Equal(a, b Artifacts) error {
 	if err := diffBytes("snapshot", a.Snapshot, b.Snapshot); err != nil {
 		return err
 	}
+	if err := diffBytes("report", a.Report, b.Report); err != nil {
+		return err
+	}
 	return diffBytes("trace", a.Trace, b.Trace)
 }
 
@@ -123,8 +128,8 @@ func window(b []byte, i int) string {
 }
 
 // Golden compares a run's artifacts against recorded golden files under
-// dir: <name>.outcomes.json and <name>.snapshot.json byte for byte, and the
-// trace through the SHA-256 hex digest in <name>.trace.sha256 (traces run to
+// dir: <name>.outcomes.json, <name>.snapshot.json and <name>.report.txt byte
+// for byte, and the trace through the SHA-256 hex digest in <name>.trace.sha256 (traces run to
 // megabytes; the digest pins them just as exactly). An absent artifact has
 // no file. Goldens are behaviour contracts recorded from a reference run of
 // the code, so nothing here rewrites them.
@@ -137,6 +142,7 @@ func Golden(t testing.TB, dir, name string, got Artifacts) {
 		{".outcomes.json", got.Outcomes},
 		{".snapshot.json", got.Snapshot},
 		{".trace.sha256", traceDigest(got.Trace)},
+		{".report.txt", got.Report},
 	}
 	for _, f := range files {
 		if f.data == nil {

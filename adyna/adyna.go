@@ -78,7 +78,7 @@ func RunAll(designs []Design, model string, rc RunConfig) (map[Design]Result, er
 // RunWithKernelBudget runs a machine design with an overridden per-operator
 // kernel budget (the Section VII sampling ablation).
 func RunWithKernelBudget(d Design, model string, rc RunConfig, budget int) (Result, error) {
-	return core.RunWithBudget(d, model, rc, budget)
+	return core.RunWithPolicy(d, model, rc, func(p *sched.Policy) { p.KernelBudget = budget })
 }
 
 // Models lists the named workloads of the paper's Table I.

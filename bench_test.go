@@ -170,7 +170,7 @@ func BenchmarkReconfigOverhead(b *testing.B) {
 	b.ReportAllocs()
 	var overhead float64
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunWithPeriod(core.DesignAdyna, "skipnet", quick().RC, 8)
+		r, err := core.RunWithPolicy(core.DesignAdyna, "skipnet", quick().RC, func(p *sched.Policy) { p.ResamplePeriod = 8 })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,11 +204,11 @@ func BenchmarkAblationKernelBudget(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
 		rc := quick().RC
-		one, err := core.RunWithBudget(core.DesignAdyna, "dpsnet", rc, 1)
+		one, err := core.RunWithPolicy(core.DesignAdyna, "dpsnet", rc, func(p *sched.Policy) { p.KernelBudget = 1 })
 		if err != nil {
 			b.Fatal(err)
 		}
-		full, err := core.RunWithBudget(core.DesignAdyna, "dpsnet", rc, 33)
+		full, err := core.RunWithPolicy(core.DesignAdyna, "dpsnet", rc, func(p *sched.Policy) { p.KernelBudget = 33 })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,11 +225,11 @@ func BenchmarkAblationResamplePeriod(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rc := quick().RC
 		rc.Batches = 48
-		fast, err := core.RunWithPeriod(core.DesignAdyna, "tutel-moe", rc, 8)
+		fast, err := core.RunWithPolicy(core.DesignAdyna, "tutel-moe", rc, func(p *sched.Policy) { p.ResamplePeriod = 8 })
 		if err != nil {
 			b.Fatal(err)
 		}
-		slow, err := core.RunWithPeriod(core.DesignAdyna, "tutel-moe", rc, 48)
+		slow, err := core.RunWithPolicy(core.DesignAdyna, "tutel-moe", rc, func(p *sched.Policy) { p.ResamplePeriod = 48 })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func replanInputs(b *testing.B) (hw.Config, *models.Workload, *profiler.Profiler
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := prof.ObserveBatch(units, batch.Routing); err != nil {
+		if err := prof.ObserveBatch(units, batch.Routing, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -149,7 +149,7 @@ func printChipMap(model string, rc core.RunConfig) error {
 		if err != nil {
 			return err
 		}
-		if err := m.Profiler().ObserveBatchDensity(units, b.Routing, b.Density); err != nil {
+		if err := m.Profiler().ObserveBatch(units, b.Routing, b.Density); err != nil {
 			return err
 		}
 	}

@@ -115,25 +115,11 @@ func main() {
 		os.Exit(1)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, opt.RC.Trace); err != nil {
+		if err := opt.RC.Trace.WriteFile(*traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
 	}
-}
-
-// writeTrace dumps the telemetry collected across every simulation of the
-// run as one Perfetto-loadable JSON file (one process per simulation).
-func writeTrace(path string, tr *telemetry.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // experimentNames lists every name run accepts.

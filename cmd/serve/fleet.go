@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/fleet"
 	"repro/internal/metrics"
@@ -96,7 +94,7 @@ func runFleet(w io.Writer, base serve.Config, o fleetOpts, requests int, gap flo
 		}
 		fmt.Fprintln(w, rep)
 		if statsOut != "" {
-			return writeFleetStats(statsOut, f.Snapshot())
+			return writeJSON(statsOut, f.Snapshot())
 		}
 		return nil
 	}
@@ -137,16 +135,10 @@ func fleetCompareTable(rr, jsq, aff *fleet.Report) *metrics.Table {
 		Title:   "Fleet routing policies (same replicas, same arrivals, same seed)",
 		Columns: []string{"Metric", "rr", "jsq", "affinity", "vs rr", "vs jsq"},
 	}
-	ratio := func(a, base float64) string {
-		if a == 0 {
-			return "-"
-		}
-		return metrics.F(base/a, 2) + "x"
-	}
 	t.AddRow("p50 latency", metrics.F(rr.Latency.P50, 0), metrics.F(jsq.Latency.P50, 0), metrics.F(aff.Latency.P50, 0),
-		ratio(aff.Latency.P50, rr.Latency.P50), ratio(aff.Latency.P50, jsq.Latency.P50))
+		metrics.Gain(aff.Latency.P50, rr.Latency.P50), metrics.Gain(aff.Latency.P50, jsq.Latency.P50))
 	t.AddRow("p99 latency", metrics.F(rr.Latency.P99, 0), metrics.F(jsq.Latency.P99, 0), metrics.F(aff.Latency.P99, 0),
-		ratio(aff.Latency.P99, rr.Latency.P99), ratio(aff.Latency.P99, jsq.Latency.P99))
+		metrics.Gain(aff.Latency.P99, rr.Latency.P99), metrics.Gain(aff.Latency.P99, jsq.Latency.P99))
 	t.AddRow("shed", fmt.Sprint(rr.Shed), fmt.Sprint(jsq.Shed), fmt.Sprint(aff.Shed), "", "")
 	t.AddRow("deadline-missed", fmt.Sprint(rr.Missed), fmt.Sprint(jsq.Missed), fmt.Sprint(aff.Missed), "", "")
 	t.AddRow("reschedules", fmt.Sprint(rr.Reschedules+rr.HealthReschedules),
@@ -160,20 +152,6 @@ func fleetCompareTable(rr, jsq, aff *fleet.Report) *metrics.Table {
 	}
 	t.AddRow("mean affinity dist", "-", "-", metrics.F(aff.MeanAffinityDist, 4), "", "")
 	return t
-}
-
-// writeFleetStats dumps the fleet snapshot as JSON to path ('-' for stdout).
-func writeFleetStats(path string, snap fleet.Snapshot) error {
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
 }
 
 // validateFleetFlags rejects flag combinations fleet mode does not support.

@@ -209,7 +209,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *traceOut != "" {
-			if err := writeTrace(*traceOut, mcfg.RC.Trace); err != nil {
+			if err := mcfg.RC.Trace.WriteFile(*traceOut); err != nil {
 				fmt.Fprintln(os.Stderr, "serve:", err)
 				os.Exit(1)
 			}
@@ -277,7 +277,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *traceOut != "" {
-			if err := writeTrace(*traceOut, cfg.RC.Trace); err != nil {
+			if err := cfg.RC.Trace.WriteFile(*traceOut); err != nil {
 				fmt.Fprintln(os.Stderr, "serve:", err)
 				os.Exit(1)
 			}
@@ -289,33 +289,24 @@ func main() {
 		os.Exit(1)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, cfg.RC.Trace); err != nil {
+		if err := cfg.RC.Trace.WriteFile(*traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "serve:", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// writeTrace dumps the collected telemetry as a Perfetto-loadable JSON file.
-func writeTrace(path string, tr *telemetry.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // writeStats renders snapshots as JSON to path ('-' for stdout). A single
 // run writes its snapshot object; -compare writes both keyed by mode.
 func writeStats(path string, snaps map[string]serve.Snapshot) error {
-	var v any = snaps
 	if s, ok := snaps["run"]; ok && len(snaps) == 1 {
-		v = s
+		return writeJSON(path, s)
 	}
+	return writeJSON(path, snaps)
+}
+
+// writeJSON renders v as indented JSON to path ('-' for stdout).
+func writeJSON(path string, v any) error {
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
@@ -458,16 +449,10 @@ func run(w io.Writer, cfg serve.Config, replay string, requests int, gap, ratewa
 		Title:   title,
 		Columns: []string{"Metric", adaptive, baseline, "improvement"},
 	}
-	ratio := func(a, b float64) string {
-		if a == 0 {
-			return "-"
-		}
-		return metrics.F(b/a, 2) + "x"
-	}
-	t.AddRow("p50 latency", metrics.F(repOn.Latency.P50, 0), metrics.F(repOff.Latency.P50, 0), ratio(repOn.Latency.P50, repOff.Latency.P50))
-	t.AddRow("p99 latency", metrics.F(repOn.Latency.P99, 0), metrics.F(repOff.Latency.P99, 0), ratio(repOn.Latency.P99, repOff.Latency.P99))
-	t.AddRow("shed rate", metrics.F(repOn.ShedRate()*100, 1)+"%", metrics.F(repOff.ShedRate()*100, 1)+"%", ratio(repOn.ShedRate(), repOff.ShedRate()))
-	t.AddRow("miss rate", metrics.F(repOn.MissRate()*100, 1)+"%", metrics.F(repOff.MissRate()*100, 1)+"%", ratio(repOn.MissRate(), repOff.MissRate()))
+	t.AddRow("p50 latency", metrics.F(repOn.Latency.P50, 0), metrics.F(repOff.Latency.P50, 0), metrics.Gain(repOn.Latency.P50, repOff.Latency.P50))
+	t.AddRow("p99 latency", metrics.F(repOn.Latency.P99, 0), metrics.F(repOff.Latency.P99, 0), metrics.Gain(repOn.Latency.P99, repOff.Latency.P99))
+	t.AddRow("shed rate", metrics.F(repOn.ShedRate()*100, 1)+"%", metrics.F(repOff.ShedRate()*100, 1)+"%", metrics.Gain(repOn.ShedRate(), repOff.ShedRate()))
+	t.AddRow("miss rate", metrics.F(repOn.MissRate()*100, 1)+"%", metrics.F(repOff.MissRate()*100, 1)+"%", metrics.Gain(repOn.MissRate(), repOff.MissRate()))
 	t.AddRow("deadline-missed", fmt.Sprint(repOn.Missed), fmt.Sprint(repOff.Missed), "")
 	t.AddRow("reschedules", fmt.Sprint(repOn.Reschedules), fmt.Sprint(repOff.Reschedules), "")
 	if !cfg.Faults.Empty() {
@@ -536,18 +521,12 @@ func mtCompareTable(st, sl, re *mtserve.Report, faulty bool) *metrics.Table {
 		Title:   "Chip sharing disciplines (same tenants, same arrivals, same seed)",
 		Columns: []string{"Metric", "static", "timeslice", "repartition", "vs static", "vs slice"},
 	}
-	ratio := func(repart, base float64) string {
-		if repart == 0 {
-			return "-"
-		}
-		return metrics.F(base/repart, 2) + "x"
-	}
-	t.AddRow("p50 latency", metrics.F(st.Aggregate.P50, 0), metrics.F(sl.Aggregate.P50, 0), metrics.F(re.Aggregate.P50, 0),
-		ratio(re.Aggregate.P50, st.Aggregate.P50), ratio(re.Aggregate.P50, sl.Aggregate.P50))
-	t.AddRow("p99 latency", metrics.F(st.Aggregate.P99, 0), metrics.F(sl.Aggregate.P99, 0), metrics.F(re.Aggregate.P99, 0),
-		ratio(re.Aggregate.P99, st.Aggregate.P99), ratio(re.Aggregate.P99, sl.Aggregate.P99))
-	t.AddRow("mean latency", metrics.F(st.Aggregate.Mean, 0), metrics.F(sl.Aggregate.Mean, 0), metrics.F(re.Aggregate.Mean, 0),
-		ratio(re.Aggregate.Mean, st.Aggregate.Mean), ratio(re.Aggregate.Mean, sl.Aggregate.Mean))
+	t.AddRow("p50 latency", metrics.F(st.Latency.P50, 0), metrics.F(sl.Latency.P50, 0), metrics.F(re.Latency.P50, 0),
+		metrics.Gain(re.Latency.P50, st.Latency.P50), metrics.Gain(re.Latency.P50, sl.Latency.P50))
+	t.AddRow("p99 latency", metrics.F(st.Latency.P99, 0), metrics.F(sl.Latency.P99, 0), metrics.F(re.Latency.P99, 0),
+		metrics.Gain(re.Latency.P99, st.Latency.P99), metrics.Gain(re.Latency.P99, sl.Latency.P99))
+	t.AddRow("mean latency", metrics.F(st.Latency.Mean, 0), metrics.F(sl.Latency.Mean, 0), metrics.F(re.Latency.Mean, 0),
+		metrics.Gain(re.Latency.Mean, st.Latency.Mean), metrics.Gain(re.Latency.Mean, sl.Latency.Mean))
 	t.AddRow("shed", fmt.Sprint(st.Shed), fmt.Sprint(sl.Shed), fmt.Sprint(re.Shed), "", "")
 	t.AddRow("deadline-missed", fmt.Sprint(st.Missed), fmt.Sprint(sl.Missed), fmt.Sprint(re.Missed), "", "")
 	t.AddRow("repartitions", fmt.Sprint(st.Repartitions), fmt.Sprint(sl.Repartitions), fmt.Sprint(re.Repartitions), "", "")

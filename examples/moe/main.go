@@ -50,7 +50,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := m.Profiler().ObserveBatch(units, b.Routing); err != nil {
+			if err := m.Profiler().ObserveBatch(units, b.Routing, b.Density); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -111,7 +111,7 @@ func run(w io.Writer, nBatches int) error {
 			if err != nil {
 				return 0, err
 			}
-			if err := m.Profiler().ObserveBatch(units, b.Routing); err != nil {
+			if err := m.Profiler().ObserveBatch(units, b.Routing, b.Density); err != nil {
 				return 0, err
 			}
 		}

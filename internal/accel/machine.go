@@ -414,7 +414,7 @@ func (m *Machine) Run(batches []workload.Batch) error {
 		if err != nil {
 			return err
 		}
-		if err := m.prof.ObserveBatchDensity(units, b.Routing, b.Density); err != nil {
+		if err := m.prof.ObserveBatch(units, b.Routing, b.Density); err != nil {
 			return err
 		}
 		unitsPer[i] = units
@@ -426,14 +426,19 @@ func (m *Machine) Run(batches []workload.Batch) error {
 	m.env.Spawn("driver", d.step)
 	m.env.Run()
 	if d.err == nil && m.env.Live() > 0 {
-		blocked := m.env.BlockedProcs()
-		if len(blocked) > 8 {
-			blocked = blocked[:8]
-		}
-		return fmt.Errorf("accel: deadlock: %d processes blocked after drain (e.g. %v)",
-			m.env.Live(), blocked)
+		return m.blockedErr("deadlock", "after drain")
 	}
 	return d.err
+}
+
+// blockedErr is the stall diagnostic every drain reports: how many
+// processes are still live and the names of the first 8 blocked ones.
+func (m *Machine) blockedErr(kind, when string) error {
+	blocked := m.env.BlockedProcs()
+	if len(blocked) > 8 {
+		blocked = blocked[:8]
+	}
+	return fmt.Errorf("accel: %s: %d processes blocked %s (e.g. %v)", kind, m.env.Live(), when, blocked)
 }
 
 // runDriver is the process that feeds a Run window through the plan,

@@ -70,7 +70,7 @@ func (m *Machine) StreamSubmit(b workload.Batch) (*StreamTicket, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.prof.ObserveBatchDensity(units, b.Routing, b.Density); err != nil {
+	if err := m.prof.ObserveBatch(units, b.Routing, b.Density); err != nil {
 		return nil, err
 	}
 	m.stats.Batches++
@@ -141,12 +141,7 @@ func (m *Machine) StreamRetire(tk *StreamTicket) (sim.Time, error) {
 	for !tk.done.Fired() {
 		t, ok := m.env.NextEvent()
 		if !ok {
-			blocked := m.env.BlockedProcs()
-			if len(blocked) > 8 {
-				blocked = blocked[:8]
-			}
-			return 0, fmt.Errorf("accel: stream stalled: %d processes blocked with no pending events (e.g. %v)",
-				m.env.Live(), blocked)
+			return 0, m.blockedErr("stream stalled", "with no pending events")
 		}
 		m.env.RunUntil(t)
 	}
@@ -161,12 +156,7 @@ func (m *Machine) StreamRetire(tk *StreamTicket) (sim.Time, error) {
 func (m *Machine) StreamDrain() error {
 	m.env.Run()
 	if m.env.Live() > 0 {
-		blocked := m.env.BlockedProcs()
-		if len(blocked) > 8 {
-			blocked = blocked[:8]
-		}
-		return fmt.Errorf("accel: deadlock: %d processes blocked after stream drain (e.g. %v)",
-			m.env.Live(), blocked)
+		return m.blockedErr("deadlock", "after stream drain")
 	}
 	return nil
 }

@@ -149,21 +149,10 @@ func Run(d Design, modelName string, rc RunConfig) (metrics.RunResult, error) {
 	return run(d, modelName, rc, nil)
 }
 
-// RunWithPeriod runs a machine design with an overridden re-scheduling
-// period (the Section V-C reconfiguration ablation).
-func RunWithPeriod(d Design, modelName string, rc RunConfig, period int) (metrics.RunResult, error) {
-	return run(d, modelName, rc, func(p *sched.Policy) { p.ResamplePeriod = period })
-}
-
-// RunWithBudget runs a machine design with an overridden per-operator kernel
-// budget (the Section VII kernel-sampling ablation).
-func RunWithBudget(d Design, modelName string, rc RunConfig, budget int) (metrics.RunResult, error) {
-	return run(d, modelName, rc, func(p *sched.Policy) { p.KernelBudget = budget })
-}
-
-// RunWithPolicy runs a machine design with an arbitrary policy adjustment
-// (used by the ablation benchmarks for tile sharing, branch grouping and
-// runtime fitting).
+// RunWithPolicy runs a machine design with an arbitrary policy adjustment:
+// the ablations override the re-scheduling period (Section V-C), the
+// per-operator kernel budget (Section VII), tile sharing, branch grouping
+// and runtime fitting through it.
 func RunWithPolicy(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy)) (metrics.RunResult, error) {
 	return run(d, modelName, rc, mutate)
 }
@@ -240,7 +229,7 @@ func Bringup(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy
 		if err != nil {
 			return nil, err
 		}
-		if err := m.Profiler().ObserveBatchDensity(units, b.Routing, b.Density); err != nil {
+		if err := m.Profiler().ObserveBatch(units, b.Routing, b.Density); err != nil {
 			return nil, err
 		}
 	}

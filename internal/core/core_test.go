@@ -88,7 +88,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunWithPeriodChargesReconfigs(t *testing.T) {
 	rc := quickRC()
-	r, err := RunWithPeriod(DesignAdyna, "skipnet", rc, 4)
+	r, err := RunWithPolicy(DesignAdyna, "skipnet", rc, func(p *sched.Policy) { p.ResamplePeriod = 4 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestRunWithPeriodChargesReconfigs(t *testing.T) {
 
 func TestRunWithBudgetDegradesGracefully(t *testing.T) {
 	rc := quickRC()
-	one, err := RunWithBudget(DesignAdyna, "dpsnet", rc, 1)
+	one, err := RunWithPolicy(DesignAdyna, "dpsnet", rc, func(p *sched.Policy) { p.KernelBudget = 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunWithBudget(DesignAdyna, "dpsnet", rc, 33)
+	full, err := RunWithPolicy(DesignAdyna, "dpsnet", rc, func(p *sched.Policy) { p.KernelBudget = 33 })
 	if err != nil {
 		t.Fatal(err)
 	}

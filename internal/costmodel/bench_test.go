@@ -65,7 +65,7 @@ func BenchmarkCostModelEvaluateCached(b *testing.B) {
 	op := benchOp()
 	blk := Blocking{SplitN: 4, SplitM: 2, NBlk: 8, WeightResident: true}
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Evaluate(op, blk, 128, 1+i%128, 8, true); err != nil {
+		if _, err := c.EvaluateDensity(op, blk, 128, 1+i%128, 8, true, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,16 +5,17 @@ import (
 	"repro/internal/hw"
 )
 
-// Cache memoizes Evaluate results for one fixed hardware configuration and
-// one operator graph. Evaluate is pure: its result depends only on the
-// hardware config, the operator's work model, and the scalar arguments — so
-// within one (cfg, graph) scope a compact key of (operator ID, blocking,
-// sizes, policy bit) identifies the result exactly.
+// Cache memoizes EvaluateDensity results for one fixed hardware
+// configuration and one operator graph. Evaluation is pure: its result
+// depends only on the hardware config, the operator's work model, and the
+// scalar arguments — so within one (cfg, graph) scope a compact key of
+// (operator ID, blocking, sizes, policy bit, density bucket) identifies the
+// result exactly.
 //
 // The simulator re-evaluates identical keys constantly: every batch of a run
-// window re-costs each entity at its dyn value through Plan.EvaluateEntity,
-// and tile-sharing pairs re-score the same option triples. Memoization turns
-// all of that into map hits. (Kernel compilation — the Optimize blocking
+// window re-costs each entity at its dyn value through
+// Plan.EvaluateEntityDensity, and tile-sharing pairs re-score the same option
+// triples. Memoization turns all of that into map hits. (Kernel compilation — the Optimize blocking
 // search — is memoized one level up, per graph bring-up, by sched.Compiler.)
 //
 // A Cache is deliberately not safe for concurrent use: the parallel
@@ -58,21 +59,6 @@ func NewCache(cfg hw.Config) *Cache {
 // config differs — a stale cfg would silently return costs for the wrong
 // hardware.
 func (c *Cache) Config() hw.Config { return c.cfg }
-
-// Evaluate is the memoized form of the package-level Evaluate. Errors are
-// memoized too: they are as deterministic as the values.
-func (c *Cache) Evaluate(op *graph.Op, blk Blocking, compiledUnits, actualUnits, tiles int, fitting bool) (Eval, error) {
-	k := evalKey{op: op.ID, blk: blk, compiled: compiledUnits, actual: actualUnits,
-		tiles: tiles, fitting: fitting, density: DensityBuckets}
-	if r, ok := c.eval[k]; ok {
-		c.hits++
-		return r.ev, r.err
-	}
-	c.misses++
-	ev, err := Evaluate(c.cfg, op, blk, compiledUnits, actualUnits, tiles, fitting)
-	c.eval[k] = evalResult{ev: ev, err: err}
-	return ev, err
-}
 
 // Stats reports cache hits and misses so far (tests assert the cache
 // actually engages on the hot path).

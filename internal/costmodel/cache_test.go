@@ -52,9 +52,9 @@ func errString(err error) string {
 }
 
 // TestCacheMatchesUncached is the memoization soundness property: over
-// randomized operator shapes and argument tuples, the cached Evaluate must
-// return exactly what the package-level function returns — values and
-// errors alike — on both the miss path and the hit path. (The compile memo
+// randomized operator shapes and argument tuples, the cached EvaluateDensity
+// at density 1 must return exactly what the package-level Evaluate returns —
+// values and errors alike — on both the miss path and the hit path. (The compile memo
 // has its own property test in internal/sched.)
 func TestCacheMatchesUncached(t *testing.T) {
 	cfg := hw.Default()
@@ -76,7 +76,7 @@ func TestCacheMatchesUncached(t *testing.T) {
 			fitting := r.Intn(2) == 0
 			ev, err := Evaluate(cfg, op, blk, compiled, actual, tiles, fitting)
 			for trial := 0; trial < 2; trial++ { // miss, then hit
-				gev, gerr := c.Evaluate(op, blk, compiled, actual, tiles, fitting)
+				gev, gerr := c.EvaluateDensity(op, blk, compiled, actual, tiles, fitting, 1)
 				if gev != ev || errString(gerr) != errString(err) {
 					t.Fatalf("op %s actual=%d fitting=%v trial %d: cached Evaluate diverged:\n(%+v, %v)\nwant (%+v, %v)",
 						op, actual, fitting, trial, gev, gerr, ev, err)
@@ -111,7 +111,7 @@ func TestCacheConfigBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := cs.Evaluate(op, blk, 128, 64, 8, true)
+	evs, err := cs.EvaluateDensity(op, blk, 128, 64, 8, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,8 +92,9 @@ func EvaluateDensity(cfg hw.Config, op *graph.Op, blk Blocking, compiledUnits, a
 // The key extends the dense evalKey with the density *bucket*, and the
 // evaluation itself runs at the bucket's representative density, so a cached
 // result is exactly the result an uncached call would produce for any density
-// in the bucket. The top bucket shares its entries with the dense Evaluate
-// path: both key density bucket DensityBuckets.
+// in the bucket. Density 1 — the dense cost, what the package-level Evaluate
+// returns — and every operator that is not density-aware key the top bucket,
+// DensityBuckets.
 func (c *Cache) EvaluateDensity(op *graph.Op, blk Blocking, compiledUnits, actualUnits, tiles int, fitting bool, density float64) (Eval, error) {
 	db := DensityBucket(density)
 	if !op.DensityAware {

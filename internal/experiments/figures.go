@@ -10,6 +10,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/runner"
 	"repro/internal/sampling"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -253,7 +254,7 @@ func ReconfigSweep(opt Options, periods []int) (*metrics.Table, error) {
 	for _, p := range periods {
 		rc := opt.RC
 		rc.TraceName = fmt.Sprintf("reconfig/skipnet/p%d", p)
-		r, err := runWithPeriod("skipnet", rc, p)
+		r, err := core.RunWithPolicy(core.DesignAdyna, "skipnet", rc, func(pol *sched.Policy) { pol.ResamplePeriod = p })
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +301,8 @@ func KernelBudgetSweep(opt Options, budgets []int) (*metrics.Figure, error) {
 	ads, err := runner.Map(opt.Workers, len(pts), func(i int) (metrics.RunResult, error) {
 		rc := opt.RC
 		rc.TraceName = fmt.Sprintf("budget/adyna/%s/k%d", names[pts[i].model], pts[i].budget)
-		return core.RunWithBudget(core.DesignAdyna, names[pts[i].model], rc, pts[i].budget)
+		return core.RunWithPolicy(core.DesignAdyna, names[pts[i].model], rc,
+			func(p *sched.Policy) { p.KernelBudget = pts[i].budget })
 	})
 	if err != nil {
 		return nil, err
@@ -336,10 +338,6 @@ func SamplingDemo(seed int64) *metrics.Table {
 	t.AddRow("uniform initial", metrics.F(before, 0), fmt.Sprint(len(vals)))
 	t.AddRow("after re-sampling", metrics.F(sampling.Loss(after, ft), 0), fmt.Sprint(len(after)))
 	return t
-}
-
-func runWithPeriod(model string, rc core.RunConfig, period int) (metrics.RunResult, error) {
-	return core.RunWithPeriod(core.DesignAdyna, model, rc, period)
 }
 
 // HybridDemo exercises the representation's coverage claim (Section IV): the

@@ -149,21 +149,15 @@ func Simpar(opt Options, workers, depth int) (*metrics.Table, error) {
 		Title:   fmt.Sprintf("Parallel engine: concurrent fleet stepping (workers=%d) and batch pipelining (depth=%d)", workers, depth),
 		Columns: []string{"Metric", "sequential", "parallel", "gain"},
 	}
-	ratio := func(par, seq float64) string {
-		if par == 0 {
-			return "-"
-		}
-		return metrics.F(seq/par, 2) + "x"
-	}
 	t.AddRow("fleet wall-clock (ms)",
 		metrics.F(seqWall.Seconds()*1e3, 1), metrics.F(parWall.Seconds()*1e3, 1),
-		ratio(parWall.Seconds(), seqWall.Seconds()))
+		metrics.Gain(parWall.Seconds(), seqWall.Seconds()))
 	t.AddRow("fleet artifacts (report+snapshot)", "reference", identical, "")
 	t.AddRow("fleet requests / p99 (cycles)",
 		fmt.Sprintf("%d / %s", seqRep.Requests, metrics.F(seqRep.Latency.P99, 0)), "same", "")
 	t.AddRow("pipeline makespan (cycles)",
 		fmt.Sprint(flat.FinalCycles), fmt.Sprint(piped.FinalCycles),
-		ratio(float64(piped.FinalCycles), float64(flat.FinalCycles)))
+		metrics.Gain(float64(piped.FinalCycles), float64(flat.FinalCycles)))
 	t.AddRow("pipeline served / missed",
 		fmt.Sprintf("%d / %d", flat.Served, flat.Missed),
 		fmt.Sprintf("%d / %d", piped.Served, piped.Missed), "")

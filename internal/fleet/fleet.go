@@ -25,10 +25,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/hw"
-	"repro/internal/models"
 	"repro/internal/plancache"
 	"repro/internal/runner"
 	"repro/internal/serve"
@@ -40,7 +38,7 @@ type Config struct {
 	// Base is the per-replica server template: model, run config, batching,
 	// SLO, drift and plan-cache knobs. Each replica gets a copy with its own
 	// hardware config, seed, trace name and cache origin. When Base.PlanCache
-	// is set the fleet builds one shared cache for all replicas (explicitly
+	// is set the first replica's cache is shared by all replicas (explicitly
 	// passing Base.SharedPlanCache also works, e.g. for a pre-warmed cache).
 	Base serve.Config
 	// Replicas lists the fleet members. Names must be unique; bring-up order
@@ -164,10 +162,11 @@ type Fleet struct {
 	affinityDecisions    int
 }
 
-// New validates the config, canonicalizes replica order, builds the shared
-// plan cache, and brings up every replica (machine built, warmup observed,
-// initial plan loaded). Replicas are brought up in sorted-name order so the
-// spec's ordering cannot influence any downstream state.
+// New validates the config, canonicalizes replica order, and brings up every
+// replica (machine built, warmup observed, initial plan loaded), sharing the
+// first replica's plan cache with the rest. Replicas are brought up in
+// sorted-name order so the spec's ordering cannot influence any downstream
+// state.
 func New(cfg Config) (*Fleet, error) {
 	cfg.defaults()
 	if len(cfg.Replicas) == 0 {
@@ -197,26 +196,6 @@ func New(cfg Config) (*Fleet, error) {
 
 	f := &Fleet{cfg: cfg, spillSamples: cfg.AffinitySpillSamples}
 
-	// One keyer for the whole fleet, built over a prototype graph (identical
-	// model constructions produce identical operator IDs, so it keys every
-	// replica's routing and profile alike).
-	proto, err := models.ByName(cfg.Base.Model, protoBatch(cfg.Base))
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	if cfg.Base.PlanCache || cfg.Base.SharedPlanCache != nil {
-		f.cache = cfg.Base.SharedPlanCache
-		if f.cache == nil {
-			f.cache = plancache.New(plancache.NewKeyer(proto.Graph, 0), plancache.Config{
-				Nearest: cfg.Base.PlanCacheNearest,
-				MaxDist: cfg.Base.PlanCacheMaxDist,
-			})
-		}
-		f.keyer = f.cache.Keyer()
-	} else {
-		f.keyer = plancache.NewKeyer(proto.Graph, 0)
-	}
-
 	// Trace recorders group under "fleet/..." by default; a caller-set
 	// Base.RC.TraceName becomes the prefix instead, so e.g. a three-policy
 	// comparison can keep its runs apart in one merged trace.
@@ -233,12 +212,11 @@ func New(cfg Config) (*Fleet, error) {
 		if scfg.RC.Trace != nil {
 			scfg.RC.TraceName = tracePrefix + "/" + spec.Name
 		}
-		rep := &replica{name: spec.Name, active: true}
+		scfg.PlanCacheOrigin = spec.Name
 		if f.cache != nil {
 			scfg.SharedPlanCache = f.cache
-			scfg.PlanCacheOrigin = spec.Name
 		}
-		if f.cache != nil && cfg.Workers > 1 {
+		if cfg.Workers > 1 {
 			// Bring-up runs outside any window, where the gate is a no-op.
 			scfg.PlanCacheGate = f.gate(len(f.reps))
 		}
@@ -246,8 +224,14 @@ func New(cfg Config) (*Fleet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: replica %s: %w", spec.Name, err)
 		}
-		rep.srv = srv
-		f.reps = append(f.reps, rep)
+		if len(f.reps) == 0 {
+			// The first replica's plan cache (built from Base's settings,
+			// or Base.SharedPlanCache) becomes every later replica's, and
+			// its keyer keys routing for the whole fleet: identical model
+			// constructions produce identical operator IDs.
+			f.cache, f.keyer = srv.PlanCache(), srv.Keyer()
+		}
+		f.reps = append(f.reps, &replica{name: spec.Name, srv: srv, active: true})
 	}
 	if !cfg.ReplicaFaults.Empty() {
 		f.health = faults.NewState(cfg.ReplicaFaults)
@@ -262,14 +246,6 @@ func New(cfg Config) (*Fleet, error) {
 		f.routerTrack = f.rec.Track("router")
 	}
 	return f, nil
-}
-
-// protoBatch returns the graph batch size the base config implies.
-func protoBatch(base serve.Config) int {
-	if base.RC.Batch > 0 {
-		return base.RC.Batch
-	}
-	return core.DefaultRunConfig().Batch
 }
 
 // validateReplicaFaults checks a replica-level fault schedule: tile kinds

@@ -21,20 +21,16 @@ type ReplicaReport struct {
 type Report struct {
 	// Policy is the routing policy the run used.
 	Policy Policy
-	// Requests counts every terminally-recorded request across the fleet;
-	// Served, Missed and Shed split it by outcome. A re-routed request is
-	// recorded exactly once, on the replica that finally handled (or shed)
-	// it.
-	Requests, Served, Missed, Shed int
-	// Batches and Reschedules sum the replicas' executed batches and
-	// drift-triggered re-plans; HealthReschedules counts chip-level fault
-	// re-plans (replica-level faults never re-plan — they re-route).
-	Batches, Reschedules, HealthReschedules int
-	// PlanCacheExact, PlanCacheNearest and PlanCacheMisses split the fleet's
-	// re-plans by shared-cache outcome; SharedPlanHits counts hits on entries
-	// another replica solved — the cross-replica reuse a shared cache buys.
-	PlanCacheExact, PlanCacheNearest, PlanCacheMisses int
-	SharedPlanHits                                    int64
+	// Counters roll up the replicas' session reports (serve.Rollup): a
+	// re-routed request is recorded exactly once, on the replica that finally
+	// handled (or shed) it, and Latency pools every executed request in the
+	// fleet — the aggregate the three-policy comparison ranks on. Replica-
+	// level faults never re-plan (they re-route), so HealthReschedules counts
+	// chip-level fault re-plans only.
+	serve.Counters
+	// SharedPlanHits counts shared-cache hits on entries another replica
+	// solved — the cross-replica reuse a shared cache buys.
+	SharedPlanHits int64
 	// Reroutes counts requests evicted from failed replicas and re-routed;
 	// ReplicaFailures and ReplicaRepairs count replica-level fault events.
 	Reroutes, ReplicaFailures, ReplicaRepairs int
@@ -43,16 +39,11 @@ type Report struct {
 	// MeanAffinityDist averages the affinity policy's chosen request-to-plan
 	// distances (0 under other policies).
 	MeanAffinityDist float64
-	// Latency pools completion latency over every executed request in the
-	// fleet — the aggregate the three-policy comparison ranks on.
-	Latency metrics.Summary
-	// FinalCycles is the latest replica clock when the fleet drained.
-	FinalCycles int64
 	// Replicas holds the per-replica reports, in canonical (sorted) order.
 	Replicas []ReplicaReport
 }
 
-// finish closes every replica session and merges the per-replica reports.
+// finish closes every replica session and rolls up the per-replica reports.
 func (f *Fleet) finish() *Report {
 	rep := &Report{
 		Policy:          f.cfg.Policy,
@@ -65,30 +56,12 @@ func (f *Fleet) finish() *Report {
 	if f.affinityDecisions > 0 {
 		rep.MeanAffinityDist = f.affinityDistSum / float64(f.affinityDecisions)
 	}
-	var lats []float64
-	for _, r := range f.reps {
-		sr := r.srv.Finish()
-		rep.Replicas = append(rep.Replicas, ReplicaReport{Name: r.name, Routed: r.routed, Report: sr})
-		rep.Requests += sr.Requests
-		rep.Served += sr.Served
-		rep.Missed += sr.Missed
-		rep.Shed += sr.Shed
-		rep.Batches += sr.Batches
-		rep.Reschedules += sr.Reschedules
-		rep.HealthReschedules += sr.HealthReschedules
-		rep.PlanCacheExact += sr.PlanCacheExact
-		rep.PlanCacheNearest += sr.PlanCacheNearest
-		rep.PlanCacheMisses += sr.PlanCacheMisses
-		if sr.FinalCycles > rep.FinalCycles {
-			rep.FinalCycles = sr.FinalCycles
-		}
-		for _, o := range sr.Outcomes {
-			if o.Outcome != serve.Shed {
-				lats = append(lats, float64(o.Latency()))
-			}
-		}
+	sessions := make([]*serve.Report, len(f.reps))
+	for i, r := range f.reps {
+		sessions[i] = r.srv.Finish()
+		rep.Replicas = append(rep.Replicas, ReplicaReport{Name: r.name, Routed: r.routed, Report: sessions[i]})
 	}
-	rep.Latency = metrics.Summarize(lats)
+	rep.Counters = serve.Rollup(sessions)
 	if f.cache != nil {
 		rep.SharedPlanHits = f.cache.Stats().SharedHits
 	}

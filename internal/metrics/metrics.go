@@ -116,23 +116,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// SummarizeAll pools several scalar populations (one per tenant, say) and
-// summarizes their union: the aggregate latency view a multi-tenant compare
-// table quotes. Percentiles are computed over the pooled samples, not
-// averaged across groups — a starved tenant's tail stays visible however
-// small that tenant's share of the traffic is.
-func SummarizeAll(groups ...[]float64) Summary {
-	n := 0
-	for _, g := range groups {
-		n += len(g)
-	}
-	all := make([]float64, 0, n)
-	for _, g := range groups {
-		all = append(all, g...)
-	}
-	return Summarize(all)
-}
-
 // Table is a simple fixed-width text table (what the experiment binary
 // prints for each figure/table of the paper).
 type Table struct {
@@ -185,6 +168,15 @@ func (t *Table) String() string {
 // F formats a float with the given decimals.
 func F(v float64, decimals int) string {
 	return fmt.Sprintf("%.*f", decimals, v)
+}
+
+// Gain renders how many times smaller x is than base ("1.23x"), or "-" when
+// x is zero: the ratio column of the side-by-side comparison tables.
+func Gain(x, base float64) string {
+	if x == 0 {
+		return "-"
+	}
+	return F(base/x, 2) + "x"
 }
 
 // Series is a named sequence of (x, y) points (one line of a figure).

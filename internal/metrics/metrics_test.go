@@ -173,25 +173,3 @@ func TestChartRendering(t *testing.T) {
 	empty := &Figure{Title: "E"}
 	_ = empty.Chart(0)
 }
-
-// TestSummarizeAllPools: the aggregate summary is computed over the pooled
-// samples, identical to summarizing the concatenation, and the inputs are
-// left untouched.
-func TestSummarizeAllPools(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{100}
-	got := SummarizeAll(a, b)
-	want := Summarize([]float64{1, 2, 3, 100})
-	if got != want {
-		t.Fatalf("pooled summary %+v, want %+v", got, want)
-	}
-	if a[0] != 1 || b[0] != 100 {
-		t.Fatal("inputs mutated")
-	}
-	if z := SummarizeAll(); z != (Summary{}) {
-		t.Fatalf("empty pool gave %+v", z)
-	}
-	if z := SummarizeAll(nil, []float64{}); z != (Summary{}) {
-		t.Fatalf("all-empty pool gave %+v", z)
-	}
-}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/serve"
 	"repro/internal/sim/simtest"
 )
 
@@ -41,8 +43,58 @@ func smokeConfig(t *testing.T, mode Mode) Config {
 func TestSharingModesMatchGolden(t *testing.T) {
 	for _, mode := range []Mode{ModeStatic, ModeTimeSlice, ModeRepartition} {
 		t.Run(mode.String(), func(t *testing.T) {
-			got := mtArtifacts(t, smokeConfig(t, mode), true)
+			got := mtArtifacts(t, smokeConfig(t, mode), true, goldenLayout)
 			simtest.Golden(t, filepath.Join("testdata", "golden"), "smoke-"+mode.String(), got)
 		})
 	}
+}
+
+// goldenTenant and goldenReport are the JSON layout the outcome goldens were
+// recorded in, before tenant and aggregate reports became rollups of the
+// sessions' reports. goldenLayout only renames and reorders: every value the
+// goldens pin is read from the report as it is now.
+type goldenTenant struct {
+	Name                                              string
+	Model                                             string
+	Priority, Tiles                                   int
+	Requests, Served, Missed, Shed                    int
+	Batches, Reschedules, FaultEvents                 int
+	PlanCacheExact, PlanCacheNearest, PlanCacheMisses int
+	ReconfigCycles, HostSolveCycles, FinalCycles      int64
+	Latency                                           metrics.Summary
+	Outcomes                                          []serve.RequestResult
+}
+
+type goldenReport struct {
+	Mode                                    Mode
+	Design                                  core.Design
+	Tenants                                 []goldenTenant
+	Requests, Served, Missed, Shed, Batches int
+	Repartitions, Reschedules, FaultEvents  int
+	PlanCacheHits, PlanCacheMisses          int
+	ReconfigCycles, HostSolveCycles         int64
+	Aggregate                               metrics.Summary
+	FinalCycles                             int64
+}
+
+func goldenLayout(r *Report) any {
+	g := goldenReport{
+		Mode: r.Mode, Design: r.Design,
+		Requests: r.Requests, Served: r.Served, Missed: r.Missed, Shed: r.Shed, Batches: r.Batches,
+		Repartitions: r.Repartitions, Reschedules: r.Reschedules + r.HealthReschedules, FaultEvents: r.FaultEvents,
+		PlanCacheHits: r.PlanCacheExact + r.PlanCacheNearest, PlanCacheMisses: r.PlanCacheMisses,
+		ReconfigCycles: r.ReconfigCycles, HostSolveCycles: r.HostSolveCycles,
+		Aggregate: r.Latency, FinalCycles: r.FinalCycles,
+	}
+	for _, tr := range r.Tenants {
+		g.Tenants = append(g.Tenants, goldenTenant{
+			Name: tr.Name, Model: tr.Model, Priority: tr.Priority, Tiles: tr.Tiles,
+			Requests: tr.Requests, Served: tr.Served, Missed: tr.Missed, Shed: tr.Shed,
+			Batches: tr.Batches, Reschedules: tr.Reschedules + tr.HealthReschedules, FaultEvents: tr.FaultEvents,
+			PlanCacheExact: tr.PlanCacheExact, PlanCacheNearest: tr.PlanCacheNearest, PlanCacheMisses: tr.PlanCacheMisses,
+			ReconfigCycles: tr.ReconfigCycles, HostSolveCycles: tr.HostSolveCycles, FinalCycles: tr.FinalCycles,
+			Latency: tr.Latency, Outcomes: tr.Outcomes,
+		})
+	}
+	return g
 }

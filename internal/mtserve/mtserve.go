@@ -38,7 +38,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/sched"
 	"repro/internal/serve"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -176,38 +175,21 @@ func (c *Config) defaults() {
 	}
 }
 
-// TenantReport is one tenant's slice of a serving run.
+// TenantReport is one tenant's slice of a serving run: the spec it echoes
+// plus its session's own report.
 type TenantReport struct {
-	// Name, Model and Priority echo the tenant spec.
+	// Name, Model and Priority echo the tenant spec (the session report's
+	// Model is the graph's display name).
 	Name     string
 	Model    string
 	Priority int
 	// Tiles is the tenant's partition size when the stream ended (the full
 	// chip under time-slicing).
 	Tiles int
-	// Requests counts every admitted-or-shed request; Served, Missed and
-	// Shed split it by outcome.
-	Requests, Served, Missed, Shed int
-	// Batches counts this tenant's executed batches; Reschedules its plan
-	// swaps (partition moves, in-place drift and fault re-plans alike).
-	Batches, Reschedules int
-	// FaultEvents counts capability changes this tenant observed.
-	FaultEvents int
-	// PlanCacheExact, PlanCacheNearest and PlanCacheMisses split this
-	// tenant's re-plans by plan-cache outcome (all zero with the cache off).
-	PlanCacheExact, PlanCacheNearest, PlanCacheMisses int
-	// ReconfigCycles is this tenant's machine time spent in plan swaps and
+	// Report is the tenant session's report: its Reschedules count partition
+	// moves and in-place fault re-plans alike, and its ReconfigCycles include
 	// time-slice context switches.
-	ReconfigCycles int64
-	// HostSolveCycles is the virtual time this tenant spent stalled on
-	// host-side solves (HostReschedCycles per cache miss).
-	HostSolveCycles int64
-	// FinalCycles is the tenant's clock when its stream drained.
-	FinalCycles int64
-	// Latency summarizes completion latency over executed requests.
-	Latency metrics.Summary
-	// Outcomes is the per-request log, in terminal order.
-	Outcomes []serve.RequestResult
+	*serve.Report
 }
 
 // Report is the outcome of one multi-tenant Serve call.
@@ -217,27 +199,13 @@ type Report struct {
 	Design core.Design
 	// Tenants holds the per-tenant reports, in spec order.
 	Tenants []TenantReport
-	// Requests, Served, Missed, Shed and Batches sum the per-tenant
-	// counters.
-	Requests, Served, Missed, Shed, Batches int
+	// Counters roll up the tenant sessions' reports (serve.Rollup); Latency
+	// pools every tenant's executed requests, so a starved tenant's tail
+	// stays visible in the headline percentiles.
+	serve.Counters
 	// Repartitions counts controller passes that moved tiles between
-	// tenants; Reschedules sums every per-tenant plan swap.
-	Repartitions, Reschedules int
-	// FaultEvents sums the per-tenant capability-change observations.
-	FaultEvents int
-	// PlanCacheHits and PlanCacheMisses sum the per-tenant plan-cache
-	// outcomes (exact and nearest hits pooled).
-	PlanCacheHits, PlanCacheMisses int
-	// ReconfigCycles sums the per-tenant reconfiguration charges.
-	ReconfigCycles int64
-	// HostSolveCycles sums the per-tenant host-solve stalls.
-	HostSolveCycles int64
-	// Aggregate pools every tenant's executed-request latencies into one
-	// distribution (metrics.SummarizeAll), so a starved tenant's tail stays
-	// visible in the headline percentiles.
-	Aggregate metrics.Summary
-	// FinalCycles is the latest tenant clock when all streams drained.
-	FinalCycles int64
+	// tenants.
+	Repartitions int
 }
 
 // String renders the per-tenant table plus the aggregate footer.
@@ -254,13 +222,13 @@ func (r *Report) String() string {
 	var b strings.Builder
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "aggregate: p50=%s p99=%s mean=%s  repartitions=%d reschedules=%d reconfig=%d",
-		metrics.F(r.Aggregate.P50, 0), metrics.F(r.Aggregate.P99, 0), metrics.F(r.Aggregate.Mean, 0),
+		metrics.F(r.Latency.P50, 0), metrics.F(r.Latency.P99, 0), metrics.F(r.Latency.Mean, 0),
 		r.Repartitions, r.Reschedules, r.ReconfigCycles)
 	if r.FaultEvents > 0 {
 		fmt.Fprintf(&b, " fault-events=%d", r.FaultEvents)
 	}
-	if r.PlanCacheHits+r.PlanCacheMisses > 0 {
-		fmt.Fprintf(&b, " plan-cache=%d/%d", r.PlanCacheHits, r.PlanCacheHits+r.PlanCacheMisses)
+	if hits := r.PlanCacheExact + r.PlanCacheNearest; hits+r.PlanCacheMisses > 0 {
+		fmt.Fprintf(&b, " plan-cache=%d/%d", hits, hits+r.PlanCacheMisses)
 	}
 	if r.HostSolveCycles > 0 {
 		fmt.Fprintf(&b, " host-solve=%d", r.HostSolveCycles)
@@ -299,10 +267,6 @@ type tenantState struct {
 	winStart  int64
 	winBusy   int64
 	demandEst float64
-
-	// switchCycles is the machine time of time-slice context switches into
-	// this tenant (kernel-store reloads).
-	switchCycles int64
 }
 
 func (ts *tenantState) clock() int64 { return ts.srv.Now() }
@@ -539,41 +503,14 @@ func (s *Server) Serve() (*Report, error) {
 
 func (s *Server) report() *Report {
 	rep := &Report{Mode: s.cfg.Mode, Design: s.cfg.Design, Repartitions: s.repartitions}
-	lats := make([][]float64, len(s.tens))
+	sessions := make([]*serve.Report, len(s.tens))
 	for i, ts := range s.tens {
-		r := ts.rep
-		tr := TenantReport{
-			Name: ts.ten.Name, Model: ts.ten.Model, Priority: ts.ten.Priority, Tiles: ts.tiles,
-			Requests: r.Requests, Served: r.Served, Missed: r.Missed, Shed: r.Shed,
-			Batches: r.Batches, Reschedules: r.Reschedules + r.HealthReschedules,
-			FaultEvents:    r.FaultEvents,
-			PlanCacheExact: r.PlanCacheExact, PlanCacheNearest: r.PlanCacheNearest, PlanCacheMisses: r.PlanCacheMisses,
-			ReconfigCycles:  r.ReconfigCycles + ts.switchCycles,
-			HostSolveCycles: r.HostSolveCycles,
-			FinalCycles:     r.FinalCycles,
-			Latency:         r.Latency,
-			Outcomes:        r.Outcomes,
-		}
-		for _, o := range tr.Outcomes {
-			if o.Outcome != serve.Shed {
-				lats[i] = append(lats[i], float64(o.Latency()))
-			}
-		}
-		rep.Tenants = append(rep.Tenants, tr)
-		rep.Requests += tr.Requests
-		rep.Served += tr.Served
-		rep.Missed += tr.Missed
-		rep.Shed += tr.Shed
-		rep.Batches += tr.Batches
-		rep.Reschedules += tr.Reschedules
-		rep.FaultEvents += tr.FaultEvents
-		rep.PlanCacheHits += tr.PlanCacheExact + tr.PlanCacheNearest
-		rep.PlanCacheMisses += tr.PlanCacheMisses
-		rep.ReconfigCycles += tr.ReconfigCycles
-		rep.HostSolveCycles += tr.HostSolveCycles
-		rep.FinalCycles = max(rep.FinalCycles, tr.FinalCycles)
+		sessions[i] = ts.rep
+		rep.Tenants = append(rep.Tenants, TenantReport{
+			Name: ts.ten.Name, Model: ts.ten.Model, Priority: ts.ten.Priority, Tiles: ts.tiles, Report: ts.rep,
+		})
 	}
-	rep.Aggregate = metrics.SummarizeAll(lats...)
+	rep.Counters = serve.Rollup(sessions)
 	return rep
 }
 
@@ -689,7 +626,7 @@ func (s *Server) runTimeSlice() error {
 			ts.feed(now)
 			ts.srv.Admit(now)
 			if !ts.srv.HasWork() && !ts.more {
-				ts.srv.Setup().M.AdvanceTo(sim.Time(now))
+				ts.srv.IdleTo(now)
 				s.drainTenant(ts)
 				continue
 			}
@@ -715,17 +652,11 @@ func (s *Server) runTimeSlice() error {
 			now = next
 			continue
 		}
-		setup := pick.srv.Setup()
-		setup.M.AdvanceTo(sim.Time(now))
+		pick.srv.IdleTo(now)
 		if lastRan != pick.idx {
-			// Context switch: the incoming tenant's kernel store is reloaded
-			// through HBM behind a pipeline drain, exactly the reconfiguration
-			// cost a plan swap pays.
-			before := setup.M.Stats().ReconfigCycles
-			if err := setup.M.LoadPlan(setup.Plan); err != nil {
+			if err := pick.srv.ContextSwitch(); err != nil {
 				return err
 			}
-			pick.switchCycles += setup.M.Stats().ReconfigCycles - before
 			lastRan = pick.idx
 		}
 		for {

@@ -66,7 +66,7 @@ func TestRepartitioningBeatsStaticAndTimeSlicing(t *testing.T) {
 		rep := mustServe(t, headlineConfig(mode))
 		reps[mode] = rep
 		t.Logf("%-11s agg p50=%.0f p99=%.0f mean=%.0f shed=%d missed=%d repartitions=%d",
-			mode, rep.Aggregate.P50, rep.Aggregate.P99, rep.Aggregate.Mean,
+			mode, rep.Latency.P50, rep.Latency.P99, rep.Latency.Mean,
 			rep.Shed, rep.Missed, rep.Repartitions)
 		for _, tr := range rep.Tenants {
 			t.Logf("  %-7s tiles=%-3d req=%d served=%d missed=%d shed=%d p50=%.0f p99=%.0f",
@@ -99,11 +99,11 @@ func TestRepartitioningBeatsStaticAndTimeSlicing(t *testing.T) {
 	if re.Repartitions == 0 {
 		t.Error("repartition mode never moved a tile")
 	}
-	if re.Aggregate.P99 >= sl.Aggregate.P99 {
-		t.Errorf("re-partitioning p99 %.0f not better than time-slicing %.0f", re.Aggregate.P99, sl.Aggregate.P99)
+	if re.Latency.P99 >= sl.Latency.P99 {
+		t.Errorf("re-partitioning p99 %.0f not better than time-slicing %.0f", re.Latency.P99, sl.Latency.P99)
 	}
-	if re.Aggregate.P99 >= st.Aggregate.P99 {
-		t.Errorf("re-partitioning p99 %.0f not better than static %.0f", re.Aggregate.P99, st.Aggregate.P99)
+	if re.Latency.P99 >= st.Latency.P99 {
+		t.Errorf("re-partitioning p99 %.0f not better than static %.0f", re.Latency.P99, st.Latency.P99)
 	}
 	if re.Shed > sl.Shed || re.Shed > st.Shed {
 		t.Errorf("re-partitioning sheds %d worse than static %d or time-slicing %d", re.Shed, st.Shed, sl.Shed)
@@ -153,7 +153,7 @@ func TestChaosDriftAndTileLoss(t *testing.T) {
 			t.Errorf("%s: tile loss did not trigger a repartition", mode)
 		}
 		t.Logf("%-11s p99=%.0f shed=%d missed=%d faultEvents=%d repartitions=%d",
-			mode, rep.Aggregate.P99, rep.Shed, rep.Missed, faultEvents, rep.Repartitions)
+			mode, rep.Latency.P99, rep.Shed, rep.Missed, faultEvents, rep.Repartitions)
 	}
 }
 

@@ -36,13 +36,14 @@ func cachedConfig(mode Mode) Config {
 // they have held before, and those re-plans dispatch instead of solving.
 func TestRepartitionServesCacheHits(t *testing.T) {
 	rep := mustServe(t, cachedConfig(ModeRepartition))
+	hits := rep.PlanCacheExact + rep.PlanCacheNearest
 	t.Logf("repartitions=%d reschedules=%d plan-cache=%d/%d",
-		rep.Repartitions, rep.Reschedules, rep.PlanCacheHits, rep.PlanCacheHits+rep.PlanCacheMisses)
+		rep.Repartitions, rep.Reschedules, hits, hits+rep.PlanCacheMisses)
 	if rep.Repartitions == 0 {
 		t.Fatal("repartition mode never moved a tile; the scenario exercises nothing")
 	}
-	if rep.PlanCacheHits == 0 {
-		t.Fatalf("no plan-cache hits across %d re-plans", rep.PlanCacheHits+rep.PlanCacheMisses)
+	if hits == 0 {
+		t.Fatalf("no plan-cache hits across %d re-plans", hits+rep.PlanCacheMisses)
 	}
 	for _, tr := range rep.Tenants {
 		if tr.Served+tr.Missed+tr.Shed != tr.Requests {
@@ -63,9 +64,9 @@ func TestCachedRepartitionDeterministic(t *testing.T) {
 	}
 	serial := run(1)
 	parallel := run(4)
-	if serial.PlanCacheHits != parallel.PlanCacheHits || serial.Repartitions != parallel.Repartitions {
-		t.Fatalf("cache behavior diverged across GOMAXPROCS: hits %d vs %d, repartitions %d vs %d",
-			serial.PlanCacheHits, parallel.PlanCacheHits, serial.Repartitions, parallel.Repartitions)
+	if serial.Counters != parallel.Counters || serial.Repartitions != parallel.Repartitions {
+		t.Fatalf("cache behavior diverged across GOMAXPROCS: counters %+v vs %+v, repartitions %d vs %d",
+			serial.Counters, parallel.Counters, serial.Repartitions, parallel.Repartitions)
 	}
 	for i := range serial.Tenants {
 		a, b := serial.Tenants[i], parallel.Tenants[i]

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/hw"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -156,7 +155,7 @@ func (s *Server) repartition(driftTriggered bool) error {
 	if moved {
 		for _, ts := range s.tens {
 			if !ts.drained {
-				ts.srv.Setup().M.AdvanceTo(sim.Time(tmax))
+				ts.srv.IdleTo(tmax)
 			}
 		}
 	}

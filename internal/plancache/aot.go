@@ -274,7 +274,7 @@ func (c *Cache) withSyntheticProfile(g *graph.Graph, pt latticePoint, ao AOTConf
 	}()
 	sp := profiler.New(g)
 	for b := 0; b < ao.Batches; b++ {
-		if err := sp.ObserveBatchDensity(units, rt, pt.density); err != nil {
+		if err := sp.ObserveBatch(units, rt, pt.density); err != nil {
 			return
 		}
 	}

@@ -48,7 +48,7 @@ func fpObserve(t *testing.T, g *graph.Graph, prof *profiler.Profiler, branches [
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prof.ObserveBatchDensity(um, rt, density); err != nil {
+	if err := prof.ObserveBatch(um, rt, density); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -180,9 +180,6 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		}
 		if k.RoutingShareKeyDensity(rt, 0) != k.RoutingShareKeyDensity(rt, 1) {
 			t.Fatal("unset density keyed differently from dense")
-		}
-		if k.RoutingShareKey(rt) != k.RoutingShareKeyDensity(rt, 1) {
-			t.Fatal("RoutingShareKey is not the dense RoutingShareKeyDensity")
 		}
 		gr := fpGraph(t, false)
 		kr := NewKeyer(gr, 0)

@@ -80,8 +80,8 @@ func sameCosts(t *testing.T, cfg hw.Config, g *graph.Graph, a, b *sched.Plan) {
 			max := g.Op(lead).MaxUnits
 			for k := range op.Options {
 				for _, v := range []int{1, max / 3, max} {
-					ea, errA := a.EvaluateEntity(cfg, g, op, op.Options[k], v)
-					eb, errB := b.EvaluateEntity(cfg, g, bop, bop.Options[k], v)
+					ea, errA := a.EvaluateEntityDensity(cfg, g, op, op.Options[k], v, 1)
+					eb, errB := b.EvaluateEntityDensity(cfg, g, bop, bop.Options[k], v, 1)
 					if ea != eb || errText(errA) != errText(errB) {
 						t.Fatalf("entity %s option %d v=%d: warm %+v (%v), fresh %+v (%v)",
 							g.Op(lead).Name, k, v, ea, errA, eb, errB)

@@ -296,22 +296,16 @@ func (k *Keyer) ShareKey(prof *profiler.Profiler) ProfileKey {
 	return ProfileKey(q)
 }
 
-// RoutingShareKey snapshots one batch routing's per-switch branch unit
-// shares as a ProfileKey — what ShareKey would converge to over a window of
-// batches routed exactly like rt. This is how the fleet router fingerprints
-// an individual pre-routed request without touching any profiler state. On
-// density-aware graphs the request is taken as dense; requests that carry a
-// density use RoutingShareKeyDensity.
-func (k *Keyer) RoutingShareKey(rt graph.BatchRouting) ProfileKey {
-	return k.RoutingShareKeyDensity(rt, 1)
-}
-
-// RoutingShareKeyDensity is RoutingShareKey with the request's density
-// dyn-value: on density-aware graphs the quantized density joins the key in
-// the same position ShareKey puts the windowed density mean, so a sparse
-// request measures closest to the replica whose plan was shaped for sparse
-// traffic. Routing-only graphs ignore the density (the keys stay the shape
-// they always were). An unset density (<= 0) counts as dense.
+// RoutingShareKeyDensity snapshots one request's batch routing — its
+// per-switch branch unit shares — and density dyn-value as a ProfileKey:
+// what ShareKey would converge to over a window of batches routed exactly
+// like rt at that density. This is how the fleet router fingerprints an
+// individual pre-routed request without touching any profiler state. On
+// density-aware graphs the quantized density joins the key in the same
+// position ShareKey puts the windowed density mean, so a sparse request
+// measures closest to the replica whose plan was shaped for sparse traffic.
+// Routing-only graphs ignore the density. An unset density (<= 0) counts as
+// dense.
 func (k *Keyer) RoutingShareKeyDensity(rt graph.BatchRouting, density float64) ProfileKey {
 	q := make([]byte, 0, k.dims/2+1)
 	for i, sw := range k.sws {

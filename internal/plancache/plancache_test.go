@@ -34,7 +34,7 @@ func observe(t testing.TB, w *models.Workload, prof *profiler.Profiler, src *wor
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := prof.ObserveBatch(units, b.Routing); err != nil {
+		if err := prof.ObserveBatch(units, b.Routing, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

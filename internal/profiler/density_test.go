@@ -35,7 +35,7 @@ func observeDensity(t *testing.T, p *Profiler, g *graph.Graph, sw graph.OpID, de
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.ObserveBatchDensity(um, rt, density); err != nil {
+	if err := p.ObserveBatch(um, rt, density); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -100,7 +100,7 @@ func TestDensityWindowGatedOnDensityOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := p.ObserveBatchDensity(um, rt, 0.2); err != nil {
+		if err := p.ObserveBatch(um, rt, 0.2); err != nil {
 			t.Fatal(err)
 		}
 	}

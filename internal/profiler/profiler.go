@@ -62,8 +62,10 @@ func New(g *graph.Graph) *Profiler {
 }
 
 // ObserveBatch records one batch: the concrete units of every dynamic
-// operator and which branches of every switch were active.
-func (p *Profiler) ObserveBatch(units map[graph.OpID]int, rt graph.BatchRouting) error {
+// operator, which branches of every switch were active, and the batch's
+// density dyn-value. An unset density (<= 0) counts as fully dense; graphs
+// without density-aware operators keep no density window.
+func (p *Profiler) ObserveBatch(units map[graph.OpID]int, rt graph.BatchRouting, density float64) error {
 	for _, id := range p.dyn {
 		u, ok := units[id]
 		if !ok {
@@ -94,18 +96,6 @@ func (p *Profiler) ObserveBatch(units map[graph.OpID]int, rt graph.BatchRouting)
 		}
 	}
 	p.batches++
-	return nil
-}
-
-// ObserveBatchDensity records one batch like ObserveBatch and additionally
-// folds the batch's density dyn-value into the density window. An unset
-// density (<= 0) counts as fully dense; graphs without density-aware
-// operators skip the window entirely, so this is exactly ObserveBatch for
-// every routing-only model.
-func (p *Profiler) ObserveBatchDensity(units map[graph.OpID]int, rt graph.BatchRouting, density float64) error {
-	if err := p.ObserveBatch(units, rt); err != nil {
-		return err
-	}
 	if p.hasDensity {
 		if density <= 0 || density > 1 {
 			density = 1

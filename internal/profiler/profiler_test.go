@@ -32,7 +32,7 @@ func observe(t *testing.T, p *Profiler, g *graph.Graph, sw graph.OpID, branches 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.ObserveBatch(um, rt); err != nil {
+	if err := p.ObserveBatch(um, rt, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -111,7 +111,7 @@ func TestObserveRejectsUnknownSwitch(t *testing.T) {
 	for _, op := range g.Ops {
 		um[op.ID] = 0
 	}
-	if err := p.ObserveBatch(um, rt); err == nil {
+	if err := p.ObserveBatch(um, rt, 1); err == nil {
 		t.Fatal("unknown switch accepted")
 	}
 }
@@ -120,7 +120,7 @@ func TestObserveRequiresAllDynamicUnits(t *testing.T) {
 	g, sw := twoSwitchGraph(t)
 	p := New(g)
 	rt := graph.BatchRouting{sw: {Branch: [][]int{{0}, {}, {}}}}
-	if err := p.ObserveBatch(map[graph.OpID]int{}, rt); err == nil {
+	if err := p.ObserveBatch(map[graph.OpID]int{}, rt, 1); err == nil {
 		t.Fatal("missing unit counts accepted")
 	}
 }

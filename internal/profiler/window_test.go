@@ -120,7 +120,7 @@ func TestCoActivationProperties(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if err := p.ObserveBatch(um, rt); err != nil {
+			if err := p.ObserveBatch(um, rt, 1); err != nil {
 				return false
 			}
 		}

@@ -8,9 +8,10 @@ import (
 	"repro/internal/hw"
 )
 
-// uncachedEvaluateEntity replicates EvaluateEntity through the uncached
-// public API (AllocOption.Kernel + package-level costmodel.Evaluate). It is
-// the reference the memoized hot path is checked against.
+// uncachedEvaluateEntity replicates EvaluateEntityDensity at density 1
+// through the uncached public API (AllocOption.Kernel + package-level
+// costmodel.Evaluate). It is the reference the memoized hot path is checked
+// against.
 func uncachedEvaluateEntity(cfg hw.Config, g *graph.Graph, pol Policy, op *OpPlan, opt *AllocOption, v int) (costmodel.Eval, error) {
 	vecBlk := costmodel.Blocking{SplitN: 1, SplitM: 1, NBlk: 1, WeightResident: true}
 	lead := g.Op(op.Lead)
@@ -48,8 +49,8 @@ func uncachedEvaluateEntity(cfg hw.Config, g *graph.Graph, pol Policy, op *OpPla
 
 // TestEvaluateEntityCachedMatchesUncached sweeps every entity, option, and a
 // range of dyn values of a scheduled model under several policies and checks
-// the memoized EvaluateEntity against the uncached reference — on the first
-// (miss) call and on the repeat (hit) call.
+// the memoized EvaluateEntityDensity at density 1 against the uncached
+// reference — on the first (miss) call and on the repeat (hit) call.
 func TestEvaluateEntityCachedMatchesUncached(t *testing.T) {
 	cfg := hw.Default()
 	policies := map[string]Policy{"adyna": Adyna(), "mtile": MTile(), "full-kernel": FullKernelIdeal()}
@@ -63,7 +64,7 @@ func TestEvaluateEntityCachedMatchesUncached(t *testing.T) {
 					opt := op.Options[k]
 					for _, v := range []int{0, 1, leadOp.MaxUnits / 3, leadOp.MaxUnits / 2, leadOp.MaxUnits} {
 						for trial := 0; trial < 2; trial++ { // miss, then hit
-							got, gerr := plan.EvaluateEntity(cfg, g, op, opt, v)
+							got, gerr := plan.EvaluateEntityDensity(cfg, g, op, opt, v, 1)
 							want, werr := uncachedEvaluateEntity(cfg, g, pol, op, opt, v)
 							if (gerr == nil) != (werr == nil) {
 								t.Fatalf("%s entity %s v=%d trial %d: errors diverged: %v vs %v",

@@ -41,7 +41,7 @@ func TestPlanCloneIndependent(t *testing.T) {
 				continue
 			}
 			for k := range op.Options {
-				if _, err := cp.EvaluateEntity(cfg, w.Graph, op, op.Options[k], lead.MaxUnits/2); err != nil {
+				if _, err := cp.EvaluateEntityDensity(cfg, w.Graph, op, op.Options[k], lead.MaxUnits/2, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -71,7 +71,7 @@ func TestPlanCloneSharesOnlyKernels(t *testing.T) {
 					if o == orig.Options[k] || o.set != orig.Options[k].set {
 						t.Fatalf("option %d of %s: want a new option over the same kernel set", k, w.Graph.Op(lead).Name)
 					}
-					if _, err := cp.EvaluateEntity(cfg, w.Graph, op, o, w.Graph.Op(lead).MaxUnits/2+1); err != nil {
+					if _, err := cp.EvaluateEntityDensity(cfg, w.Graph, op, o, w.Graph.Op(lead).MaxUnits/2+1, 1); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -18,8 +18,8 @@ type Plan struct {
 
 	// cache memoizes the cost-model evaluations of this plan's (config,
 	// graph) scope. The simulator re-costs every entity for every batch
-	// through EvaluateEntity; within one plan those calls repeat a small set
-	// of keys. The cache is plan-scoped on purpose: every simulation of the
+	// through EvaluateEntityDensity; within one plan those calls repeat a
+	// small set of keys. The cache is plan-scoped on purpose: every simulation of the
 	// parallel experiment runner schedules its own plan, so the memo table
 	// is only ever touched from one goroutine and needs no lock. Lazily
 	// created (deserialized plans start without one).
@@ -50,7 +50,7 @@ func (p *Plan) compiler(g *graph.Graph) *Compiler {
 }
 
 // CacheStats reports the plan's eval memo hits and misses (zero before the
-// first EvaluateEntity call). Exposed for tests and profiling.
+// first EvaluateEntityDensity call). Exposed for tests and profiling.
 func (p *Plan) CacheStats() (hits, misses int64) {
 	if p.cache == nil {
 		return 0, 0
@@ -272,18 +272,13 @@ func (p *Plan) Validate(cfg hw.Config, g *graph.Graph) error {
 	return nil
 }
 
-// EvaluateEntity predicts the cost of executing the entity's lead operator
-// plus its fused vector operators at the actual dyn value v on option opt.
-// Results are memoized in the plan's eval cache, so per-batch
-// re-evaluations of the same (entity, option, dyn value) are map lookups.
-func (p *Plan) EvaluateEntity(cfg hw.Config, g *graph.Graph, op *OpPlan, opt *AllocOption, v int) (costmodel.Eval, error) {
-	return p.EvaluateEntityDensity(cfg, g, op, opt, v, 1)
-}
-
-// EvaluateEntityDensity is EvaluateEntity with the batch's density dyn-value:
-// density-aware operators in the entity are costed at the (quantized)
-// density, every other operator ignores it. Density 1 is exactly
-// EvaluateEntity and shares its memo entries.
+// EvaluateEntityDensity predicts the cost of executing the entity's lead
+// operator plus its fused vector operators at the actual dyn value v on
+// option opt and the batch's density dyn-value: density-aware operators in
+// the entity are costed at the (quantized) density, every other operator
+// ignores it (density 1 is the dense cost). Results are memoized in the
+// plan's eval cache, so per-batch re-evaluations of the same (entity,
+// option, dyn value, density bucket) are map lookups.
 func (p *Plan) EvaluateEntityDensity(cfg hw.Config, g *graph.Graph, op *OpPlan, opt *AllocOption, v int, density float64) (costmodel.Eval, error) {
 	c := p.evalCache(cfg)
 	lead := g.Op(op.Lead)

@@ -58,7 +58,7 @@ func scheduleModel(t testing.TB, name string, pol Policy, warmBatches int) (*Pla
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := prof.ObserveBatch(units, b.Routing); err != nil {
+			if err := prof.ObserveBatch(units, b.Routing, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -149,7 +149,7 @@ func TestFrequencyWeightedAllocationFollowsLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := prof.ObserveBatch(units, rt); err != nil {
+		if err := prof.ObserveBatch(units, rt, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,11 +316,11 @@ func TestEvaluateEntityMonotone(t *testing.T) {
 			if !lead.Dynamic || lead.Space[0] == 0 {
 				continue
 			}
-			lo, err := plan.EvaluateEntity(cfg, w.Graph, p, p.Options[0], 4)
+			lo, err := plan.EvaluateEntityDensity(cfg, w.Graph, p, p.Options[0], 4, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hi, err := plan.EvaluateEntity(cfg, w.Graph, p, p.Options[0], lead.MaxUnits)
+			hi, err := plan.EvaluateEntityDensity(cfg, w.Graph, p, p.Options[0], lead.MaxUnits, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,7 +359,7 @@ func TestRescheduleAdaptsToDrift(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := prof.ObserveBatch(um, rt); err != nil {
+			if err := prof.ObserveBatch(um, rt, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -427,7 +427,7 @@ func TestQuickAllocationConservation(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if err := prof.ObserveBatch(units, b.Routing); err != nil {
+			if err := prof.ObserveBatch(units, b.Routing, 1); err != nil {
 				return false
 			}
 		}

@@ -50,11 +50,11 @@ func TestPlanEncodeDecodeRoundTrip(t *testing.T) {
 			}
 			for k := range op.Options {
 				v := leadOp.MaxUnits / 2
-				a, err := plan.EvaluateEntity(cfg, w.Graph, op, op.Options[k], v)
+				a, err := plan.EvaluateEntityDensity(cfg, w.Graph, op, op.Options[k], v, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := dec.EvaluateEntity(cfg, w.Graph, dop, dop.Options[k], v)
+				b, err := dec.EvaluateEntityDensity(cfg, w.Graph, dop, dop.Options[k], v, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

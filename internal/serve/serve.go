@@ -191,12 +191,10 @@ type RequestResult struct {
 // for shed requests).
 func (r RequestResult) Latency() int64 { return r.Done - r.Arrival }
 
-// Report is the outcome of one Serve call.
-type Report struct {
-	// Model and Design identify the served workload and machine design.
-	Model  string
-	Design core.Design
-
+// Counters are a session's totals: the one counter schema serve, mtserve and
+// fleet share. A front-end running several sessions (mtserve tenants, fleet
+// replicas) rolls their reports up with Rollup instead of re-summing fields.
+type Counters struct {
 	// Requests counts every admitted-or-shed request; Served, Missed and Shed
 	// split it by outcome.
 	Requests, Served, Missed, Shed int
@@ -211,7 +209,7 @@ type Report struct {
 	// re-plans by plan-cache outcome (all zero with the cache disabled).
 	PlanCacheExact, PlanCacheNearest, PlanCacheMisses int
 	// ReconfigCycles is the machine time spent in plan swaps (pipeline
-	// drain + kernel-store reload).
+	// drain + kernel-store reload), time-slice context switches included.
 	ReconfigCycles int64
 	// HostSolveCycles is the virtual time charged for host-side solves
 	// (HostReschedCycles per cache miss; zero when the knob is off).
@@ -224,8 +222,61 @@ type Report struct {
 	// Latency summarizes completion latency (cycles, arrival to done) over
 	// executed requests — served and deadline-missed alike.
 	Latency metrics.Summary
+}
+
+// Report is the outcome of one Serve call.
+type Report struct {
+	// Model and Design identify the served workload and machine design.
+	Model  string
+	Design core.Design
+	Counters
 	// Outcomes is the per-request log, in terminal order.
 	Outcomes []RequestResult
+}
+
+// Rollup combines session reports in order: counts and cycles add,
+// FinalCycles and MaxDivergence take the maximum, and Latency summarizes
+// every report's executed requests pooled into one distribution, so one
+// session's tail stays visible in the combined percentiles.
+func Rollup(reps []*Report) Counters {
+	var c Counters
+	for _, r := range reps {
+		c.Requests += r.Requests
+		c.Served += r.Served
+		c.Missed += r.Missed
+		c.Shed += r.Shed
+		c.Batches += r.Batches
+		c.Reschedules += r.Reschedules
+		c.FaultEvents += r.FaultEvents
+		c.HealthReschedules += r.HealthReschedules
+		c.PlanCacheExact += r.PlanCacheExact
+		c.PlanCacheNearest += r.PlanCacheNearest
+		c.PlanCacheMisses += r.PlanCacheMisses
+		c.ReconfigCycles += r.ReconfigCycles
+		c.HostSolveCycles += r.HostSolveCycles
+		c.FinalCycles = max(c.FinalCycles, r.FinalCycles)
+		c.MaxDivergence = max(c.MaxDivergence, r.MaxDivergence)
+	}
+	c.Latency = executedLatency(reps)
+	return c
+}
+
+// executedLatency summarizes the completion latency of every executed (not
+// shed) request across the reports, in report order.
+func executedLatency(reps []*Report) metrics.Summary {
+	n := 0
+	for _, r := range reps {
+		n += len(r.Outcomes)
+	}
+	lats := make([]float64, 0, n)
+	for _, r := range reps {
+		for _, o := range r.Outcomes {
+			if o.Outcome != Shed {
+				lats = append(lats, float64(o.Latency()))
+			}
+		}
+	}
+	return metrics.Summarize(lats)
 }
 
 func (r *Report) record(res RequestResult) {
@@ -483,14 +534,8 @@ func (s *Server) Step() (StepKind, error) {
 // Finish closes the session opened by Begin and returns its report.
 func (s *Server) Finish() *Report {
 	rep := s.rep
-	lats := make([]float64, 0, len(rep.Outcomes))
-	for _, o := range rep.Outcomes {
-		if o.Outcome != Shed {
-			lats = append(lats, float64(o.Latency()))
-		}
-	}
-	rep.Latency = metrics.Summarize(lats)
-	rep.FinalCycles = int64(s.setup.M.Now())
+	rep.Latency = executedLatency([]*Report{rep})
+	rep.FinalCycles = s.Now()
 	return rep
 }
 
@@ -511,6 +556,23 @@ func (s *Server) Admit(now int64) {
 
 // Now returns the machine clock in cycles.
 func (s *Server) Now() int64 { return int64(s.setup.M.Now()) }
+
+// IdleTo idles the machine clock forward to t (a no-op at or past t). A
+// caller running several sessions on one shared timeline brings a session up
+// to the shared clock before it acts.
+func (s *Server) IdleTo(t int64) { s.setup.M.AdvanceTo(sim.Time(t)) }
+
+// ContextSwitch reloads the live plan as a time-slice context switch into
+// this session: the kernel store is reloaded through HBM behind a pipeline
+// drain, exactly the reconfiguration a plan swap pays, and the cycles are
+// charged to the session's ReconfigCycles. The session must be open.
+func (s *Server) ContextSwitch() error {
+	if err := s.drainInflight(false); err != nil {
+		return err
+	}
+	_, err := s.load(s.setup.Plan)
+	return err
+}
 
 // QueuedSamples returns the backlog visible to a router: admitted queue
 // samples plus enqueued-but-unadmitted pending samples.
@@ -745,12 +807,10 @@ func (s *Server) replan(track telemetry.TrackID, trackName string) (int64, error
 			telemetry.I("entries", int64(st.Entries)),
 			telemetry.I("hits", st.Hits()), telemetry.I("misses", st.Misses))
 	}
-	before := m.Stats().ReconfigCycles
-	if err := m.LoadPlan(plan); err != nil {
+	swap, err := s.load(plan)
+	if err != nil {
 		return 0, err
 	}
-	swap := m.Stats().ReconfigCycles - before
-	s.rep.ReconfigCycles += swap
 	s.setup.Plan = plan
 	// Snapshot the profile the new plan answers to before the window ages:
 	// this is the affinity key routers match request fingerprints against.
@@ -758,5 +818,18 @@ func (s *Server) replan(track telemetry.TrackID, trackName string) (int64, error
 	m.Profiler().Reset()
 	s.det.Rebase()
 	s.sinceResched = 0
+	return swap, nil
+}
+
+// load installs a plan on the drained machine and charges the swap —
+// kernel-store reload plus control penalty — to ReconfigCycles.
+func (s *Server) load(plan *sched.Plan) (int64, error) {
+	m := s.setup.M
+	before := m.Stats().ReconfigCycles
+	if err := m.LoadPlan(plan); err != nil {
+		return 0, err
+	}
+	swap := m.Stats().ReconfigCycles - before
+	s.rep.ReconfigCycles += swap
 	return swap, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/workload"
 )
@@ -234,7 +235,7 @@ func TestDetectorTracksDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.setup.M.Profiler().ObserveBatch(units, b); err != nil {
+		if err := s.setup.M.Profiler().ObserveBatch(units, b, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,5 +341,36 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.DriftThreshold <= 0 || c.CheckEvery <= 0 || c.CooldownBatches <= 0 {
 		t.Errorf("controller defaults not set: %+v", c)
+	}
+}
+
+// TestRollupPoolsSessions: a rollup sums the session counters, takes the
+// latest final clock and largest divergence, and summarizes latency over the
+// pooled executed requests — shed requests excluded, percentiles over the
+// union rather than averaged across sessions — leaving the reports as they
+// were. An empty rollup is the zero value.
+func TestRollupPoolsSessions(t *testing.T) {
+	res := func(id int, arrival, done int64, o Outcome) RequestResult {
+		return RequestResult{ID: id, Arrival: arrival, Done: done, Outcome: o}
+	}
+	a := &Report{Counters: Counters{Requests: 3, Served: 2, Shed: 1, Batches: 2, Reschedules: 1,
+		ReconfigCycles: 40, FinalCycles: 900, MaxDivergence: 0.2},
+		Outcomes: []RequestResult{res(0, 0, 1, Served), res(1, 0, 2, Served), res(2, 0, 0, Shed)}}
+	b := &Report{Counters: Counters{Requests: 2, Served: 1, Missed: 1, Batches: 1, HealthReschedules: 2,
+		PlanCacheExact: 1, PlanCacheMisses: 3, HostSolveCycles: 7, FinalCycles: 500, MaxDivergence: 0.5},
+		Outcomes: []RequestResult{res(3, 10, 13, Served), res(4, 0, 100, DeadlineMissed)}}
+	got := Rollup([]*Report{a, b})
+	want := Counters{Requests: 5, Served: 3, Missed: 1, Shed: 1, Batches: 3, Reschedules: 1,
+		HealthReschedules: 2, PlanCacheExact: 1, PlanCacheMisses: 3, ReconfigCycles: 40,
+		HostSolveCycles: 7, FinalCycles: 900, MaxDivergence: 0.5,
+		Latency: metrics.Summarize([]float64{1, 2, 3, 100})}
+	if got != want {
+		t.Fatalf("rollup %+v, want %+v", got, want)
+	}
+	if a.Requests != 3 || a.Latency != (metrics.Summary{}) || len(b.Outcomes) != 2 {
+		t.Fatal("rollup mutated a session report")
+	}
+	if z := Rollup(nil); z != (Counters{}) {
+		t.Fatalf("empty rollup gave %+v", z)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 )
@@ -19,6 +20,20 @@ import (
 // process/thread metadata naming the tracks.
 func (t *Trace) WriteJSON(w io.Writer) error {
 	return writeRecorders(w, t.Recorders())
+}
+
+// WriteFile writes the trace with WriteJSON to a Perfetto-loadable file at
+// path.
+func (t *Trace) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteJSON writes a single-recorder trace file (the cmd/serve case).

@@ -74,6 +74,21 @@ func BenchmarkFigure9Overall(b *testing.B) {
 	b.ReportMetric(h.StaticVsMTile, "x-static-vs-mtile")
 }
 
+// BenchmarkRunMatrix times one small Figure 9 matrix (every design on every
+// model) with its allocations: the host cost of the offline runner, where
+// each model's trace is generated once and shared by its six designs.
+func BenchmarkRunMatrix(b *testing.B) {
+	b.ReportAllocs()
+	opt := quick()
+	opt.RC.Batches = 8
+	opt.RC.Warmup = 4
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.RunMatrix(opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFigure10Utilization regenerates the PE / memory-bandwidth
 // utilization comparison.
 func BenchmarkFigure10Utilization(b *testing.B) {

@@ -34,6 +34,7 @@ func MTenant(cfg hw.Config, w *models.Workload, trace []workload.Batch) (metrics
 	weightsFit := totalWeights(g) <= int64(0.85*float64(cfg.TotalScratchpadBytes()))
 	bw := cfg.HBMBytesPerCycle()
 
+	blocks := blockings{}
 	var totalCycles, macs, sram, hbm int64
 	if weightsFit {
 		hbm += totalWeights(g) // loaded once
@@ -55,7 +56,7 @@ func MTenant(cfg hw.Config, w *models.Workload, trace []workload.Batch) (metrics
 				if v == 0 {
 					continue
 				}
-				ev, err := tenantOpCost(cfg, op, v, tiles[id])
+				ev, err := blocks.tenantOpCost(cfg, op, v, tiles[id])
 				if err != nil {
 					return res, err
 				}
@@ -121,6 +122,16 @@ func hostRoutingCost(g *graph.Graph, units map[graph.OpID]int, bw float64) (cycl
 	return cycles, bytes
 }
 
+// blockings memoizes M-tenant's pre-compiled kernels within one run: the
+// worst-case blocking of an operator on a tile count depends on nothing
+// else, so each (operator, tiles) pair is optimized once.
+type blockings map[blockingKey]costmodel.Blocking
+
+type blockingKey struct {
+	op    graph.OpID
+	tiles int
+}
+
 // tenantOpCost evaluates one operator on M-tenant. Kernels are optimistically
 // pre-compiled for every resource amount (the paper's concession), and the
 // host knows each tenant's actual sub-batch, so the kernel's batch loop bound
@@ -128,7 +139,7 @@ func hostRoutingCost(g *graph.Graph, units map[graph.OpID]int, bw float64) (cycl
 // (Table II, F4 = no): the single kernel per resource amount is blocked for
 // the worst-case dyn size, so only part of the gap is recovered. Inactive
 // tenants (v = 0) are simply not launched (fast runtime adjustment, F2).
-func tenantOpCost(cfg hw.Config, op *graph.Op, v, tiles int) (costmodel.Eval, error) {
+func (bs blockings) tenantOpCost(cfg hw.Config, op *graph.Op, v, tiles int) (costmodel.Eval, error) {
 	if tiles < 1 {
 		tiles = 1
 	}
@@ -136,9 +147,14 @@ func tenantOpCost(cfg hw.Config, op *graph.Op, v, tiles int) (costmodel.Eval, er
 		blk := costmodel.Blocking{SplitN: 1, SplitM: 1, NBlk: 1, WeightResident: true}
 		return costmodel.Evaluate(cfg, op, blk, op.MaxUnits, v, tiles, true)
 	}
-	blk, _, err := costmodel.Optimize(cfg, op, op.MaxUnits, tiles)
-	if err != nil {
-		return costmodel.Eval{}, err
+	k := blockingKey{op.ID, tiles}
+	blk, ok := bs[k]
+	if !ok {
+		var err error
+		if blk, _, err = costmodel.Optimize(cfg, op, op.MaxUnits, tiles); err != nil {
+			return costmodel.Eval{}, err
+		}
+		bs[k] = blk
 	}
 	return costmodel.Evaluate(cfg, op, blk, op.MaxUnits, v, tiles, true)
 }
@@ -261,6 +277,7 @@ func DebugMTenant(cfg hw.Config, w *models.Workload, trace []workload.Batch) {
 	waves := levelize(g)
 	bw := cfg.HBMBytesPerCycle()
 	units, _ := g.AssignUnits(trace[0].Units, trace[0].Routing)
+	blocks := blockings{}
 	for wi, wave := range waves {
 		tiles := partitionTiles(cfg, g, wave, units)
 		var waveBytes, waveCompute int64
@@ -271,7 +288,7 @@ func DebugMTenant(cfg hw.Config, w *models.Workload, trace []workload.Batch) {
 			if v == 0 {
 				continue
 			}
-			ev, err := tenantOpCost(cfg, op, v, tiles[id])
+			ev, err := blocks.tenantOpCost(cfg, op, v, tiles[id])
 			if err != nil {
 				panic(err)
 			}

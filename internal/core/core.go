@@ -3,7 +3,9 @@
 // parser output (a dynamic operator graph), the dynamism-aware scheduler,
 // the multi-kernel hardware machine, the on-chip profiler, and the periodic
 // re-scheduling / re-sampling loop. It also runs every comparison design of
-// the evaluation under identical traces.
+// the evaluation under identical traces: a model's warmup and measured
+// batches are generated once into a BatchTrace, and every design run on it
+// reads that one trace without modifying it.
 package core
 
 import (
@@ -114,14 +116,74 @@ func DefaultRunConfig() RunConfig {
 	}
 }
 
-func (rc RunConfig) validate() error {
+// validateTrace checks the fields a batch trace is generated from.
+func (rc RunConfig) validateTrace() error {
 	if rc.Batch < 1 || rc.Batches < 1 {
 		return fmt.Errorf("core: batch %d / batches %d must be positive", rc.Batch, rc.Batches)
 	}
 	if rc.Warmup < 0 {
 		return fmt.Errorf("core: negative warmup %d", rc.Warmup)
 	}
+	return nil
+}
+
+func (rc RunConfig) validate() error {
+	if err := rc.validateTrace(); err != nil {
+		return err
+	}
 	return rc.HW.Validate()
+}
+
+// newWorkload builds the named model with rc's generator override applied.
+func newWorkload(modelName string, rc RunConfig) (*models.Workload, error) {
+	w, err := models.ByName(modelName, rc.Batch)
+	if err != nil {
+		return nil, err
+	}
+	if rc.WrapGen != nil {
+		w.Gen = rc.WrapGen(w.Gen)
+	}
+	return w, nil
+}
+
+// traceKey is what a batch trace depends on, bar RunConfig.WrapGen (a
+// function, so not comparable): the model and rc's trace fields. HW is not
+// part of it.
+type traceKey struct {
+	model                  string
+	batch, warmup, batches int
+	seed                   int64
+}
+
+func keyOf(modelName string, rc RunConfig) traceKey {
+	return traceKey{modelName, rc.Batch, rc.Warmup, rc.Batches, rc.Seed}
+}
+
+// BatchTrace is one model's batch trace for a run config: the Warmup
+// batches the profiler observes before the initial schedule, then the
+// Measured batches every design executes, drawn in that order from one
+// Source seeded with RunConfig.Seed. Runs only read it, so any number of
+// designs, hardware variants and goroutines may share one BatchTrace; a
+// caller must not modify its batches.
+type BatchTrace struct {
+	// Warmup is profiled before the initial schedule; Measured is executed.
+	Warmup, Measured []workload.Batch
+	key              traceKey
+}
+
+// NewBatchTrace generates modelName's trace for rc. It depends on rc's
+// Batch, Seed, Warmup, Batches and WrapGen, never on HW.
+func NewBatchTrace(modelName string, rc RunConfig) (*BatchTrace, error) {
+	if err := rc.validateTrace(); err != nil {
+		return nil, err
+	}
+	w, err := newWorkload(modelName, rc)
+	if err != nil {
+		return nil, err
+	}
+	src := workload.NewSource(rc.Seed)
+	warm := w.GenTrace(src, rc.Warmup, rc.Batch)
+	return &BatchTrace{Warmup: warm, Measured: w.GenTrace(src, rc.Batches, rc.Batch), key: keyOf(modelName, rc)}, nil
 }
 
 // policyFor maps a design to its scheduling policy (machine-based designs
@@ -142,11 +204,13 @@ func policyFor(d Design) (sched.Policy, accel.Options, error) {
 	return sched.Policy{}, accel.Options{}, fmt.Errorf("core: design %q does not run on the machine", d)
 }
 
-// Run executes one design on one workload and returns its result. All
-// designs see the identical trace for the given seed, so results are
-// directly comparable.
+// Run executes one design on one workload and returns its result. It
+// generates the trace for rc with NewBatchTrace, so all designs see the
+// identical trace for the given seed and results are directly comparable.
+// Callers running several designs or hardware variants on one model build
+// the trace once and call RunOnTrace; the results are the same.
 func Run(d Design, modelName string, rc RunConfig) (metrics.RunResult, error) {
-	return run(d, modelName, rc, nil)
+	return RunWithPolicy(d, modelName, rc, nil)
 }
 
 // RunWithPolicy runs a machine design with an arbitrary policy adjustment:
@@ -154,7 +218,11 @@ func Run(d Design, modelName string, rc RunConfig) (metrics.RunResult, error) {
 // per-operator kernel budget (Section VII), tile sharing, branch grouping
 // and runtime fitting through it.
 func RunWithPolicy(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy)) (metrics.RunResult, error) {
-	return run(d, modelName, rc, mutate)
+	tr, err := NewBatchTrace(modelName, rc)
+	if err != nil {
+		return metrics.RunResult{}, err
+	}
+	return RunOnTrace(d, tr, rc, mutate)
 }
 
 // Setup is a brought-up machine design, ready to execute measured batches:
@@ -187,12 +255,29 @@ type Setup struct {
 // measured window: build the workload and machine, feed the warmup trace to
 // the hardware profiler (Adyna's "initial profiling result"), schedule the
 // initial plan from that profile, and load it (the first load is free).
-// mutate optionally adjusts the policy before scheduling. Shared by the
-// offline runners here and the online serving layer (internal/serve).
+// mutate optionally adjusts the policy before scheduling. The online serving
+// layer (internal/serve) brings sessions up through it and keeps drawing
+// batches from Setup.Src; offline runs bring up on a shared BatchTrace.
 func Bringup(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy)) (*Setup, error) {
 	if err := rc.validate(); err != nil {
 		return nil, err
 	}
+	w, err := newWorkload(modelName, rc)
+	if err != nil {
+		return nil, err
+	}
+	src := workload.NewSource(rc.Seed)
+	s, err := bringup(d, modelName, w, rc, mutate, w.GenTrace(src, rc.Warmup, rc.Batch))
+	if err != nil {
+		return nil, err
+	}
+	s.Src = src
+	return s, nil
+}
+
+// bringup is Bringup on a built workload and given warmup batches; the
+// returned Setup has no Src.
+func bringup(d Design, modelName string, w *models.Workload, rc RunConfig, mutate func(*sched.Policy), warm []workload.Batch) (*Setup, error) {
 	pol, opts, err := policyFor(d)
 	if err != nil {
 		return nil, err
@@ -202,13 +287,6 @@ func Bringup(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy
 	}
 	if d == DesignRealtime {
 		opts.OnlineSchedLatencyCycles = rc.OnlineSchedCycles
-	}
-	w, err := models.ByName(modelName, rc.Batch)
-	if err != nil {
-		return nil, err
-	}
-	if rc.WrapGen != nil {
-		w.Gen = rc.WrapGen(w.Gen)
 	}
 	m, err := accel.New(rc.HW, w.Graph, opts)
 	if err != nil {
@@ -223,8 +301,7 @@ func Bringup(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy
 		rec = rc.Trace.Recorder(name)
 		m.SetRecorder(rec)
 	}
-	src := workload.NewSource(rc.Seed)
-	for _, b := range w.GenTrace(src, rc.Warmup, rc.Batch) {
+	for _, b := range warm {
 		units, err := w.Graph.AssignUnits(b.Units, b.Routing)
 		if err != nil {
 			return nil, err
@@ -241,37 +318,40 @@ func Bringup(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy
 	if err := m.LoadPlan(plan); err != nil {
 		return nil, err
 	}
-	return &Setup{W: w, M: m, Policy: pol, Src: src, Rec: rec, Plan: plan, Comp: comp}, nil
+	return &Setup{W: w, M: m, Policy: pol, Rec: rec, Plan: plan, Comp: comp}, nil
 }
 
-func run(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy)) (metrics.RunResult, error) {
-	switch d {
-	case DesignGPU, DesignMTenant:
-		if err := rc.validate(); err != nil {
-			return metrics.RunResult{}, err
-		}
-		w, err := models.ByName(modelName, rc.Batch)
-		if err != nil {
-			return metrics.RunResult{}, err
-		}
-		if rc.WrapGen != nil {
-			w.Gen = rc.WrapGen(w.Gen)
-		}
-		src := workload.NewSource(rc.Seed)
-		w.GenTrace(src, rc.Warmup, rc.Batch) // keep the measured trace aligned with the machine designs
-		meas := w.GenTrace(src, rc.Batches, rc.Batch)
-		if d == DesignGPU {
-			return baselines.GPU(rc.HW, w, meas)
-		}
-		return baselines.MTenant(rc.HW, w, meas)
+// RunOnTrace is RunWithPolicy on a trace built by NewBatchTrace for the same
+// model and trace fields of rc (Batch, Seed, Warmup, Batches, WrapGen); rc.HW
+// and the policy may differ between runs on one trace. The machine designs
+// bring up on tr.Warmup and execute tr.Measured; GPU and M-tenant execute
+// tr.Measured. tr is only read.
+func RunOnTrace(d Design, tr *BatchTrace, rc RunConfig, mutate func(*sched.Policy)) (metrics.RunResult, error) {
+	if err := rc.validate(); err != nil {
+		return metrics.RunResult{}, err
 	}
-
-	setup, err := Bringup(d, modelName, rc, mutate)
+	if k := keyOf(tr.key.model, rc); k != tr.key {
+		return metrics.RunResult{}, fmt.Errorf("core: trace generated for %+v, run config wants %+v", tr.key, k)
+	}
+	// The trace already holds the generator's output, so the workload here
+	// only supplies the graph: rc.WrapGen is not applied.
+	w, err := models.ByName(tr.key.model, rc.Batch)
 	if err != nil {
 		return metrics.RunResult{}, err
 	}
-	w, m, pol := setup.W, setup.M, setup.Policy
-	meas := w.GenTrace(setup.Src, rc.Batches, rc.Batch)
+	meas := tr.Measured
+	switch d {
+	case DesignGPU:
+		return baselines.GPU(rc.HW, w, meas)
+	case DesignMTenant:
+		return baselines.MTenant(rc.HW, w, meas)
+	}
+
+	setup, err := bringup(d, tr.key.model, w, rc, mutate, tr.Warmup)
+	if err != nil {
+		return metrics.RunResult{}, err
+	}
+	m, pol := setup.M, setup.Policy
 
 	// All machine designs execute in fixed windows (multi-segment models
 	// stream a window through each segment in turn), so weight amortization
@@ -322,9 +402,9 @@ func run(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy)) (
 }
 
 // RunAll executes several designs on one workload under the identical trace,
-// fanning the independent simulations out across all CPUs. Every design run
-// is self-contained (its own trace source, graph, and machine), so the
-// results are identical to a serial loop.
+// fanning the independent simulations out across all CPUs. The trace is
+// generated once and shared read-only; every design run otherwise owns its
+// graph and machine, so the results are identical to a serial loop of Run.
 func RunAll(designs []Design, modelName string, rc RunConfig) (map[Design]metrics.RunResult, error) {
 	return RunAllWorkers(designs, modelName, rc, 0)
 }
@@ -332,8 +412,12 @@ func RunAll(designs []Design, modelName string, rc RunConfig) (map[Design]metric
 // RunAllWorkers is RunAll with an explicit worker count (<= 0 means one per
 // CPU, runner.Serial forces the sequential path).
 func RunAllWorkers(designs []Design, modelName string, rc RunConfig, workers int) (map[Design]metrics.RunResult, error) {
+	tr, err := NewBatchTrace(modelName, rc)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", modelName, err)
+	}
 	rs, err := runner.Map(workers, len(designs), func(i int) (metrics.RunResult, error) {
-		r, err := Run(designs[i], modelName, rc)
+		r, err := RunOnTrace(designs[i], tr, rc, nil)
 		if err != nil {
 			return metrics.RunResult{}, fmt.Errorf("core: %s on %s: %w", designs[i], modelName, err)
 		}

@@ -40,7 +40,8 @@ func DSESweep(opt Options, model string) (*metrics.Table, error) {
 			"Speedup", "Adyna PE util"},
 	}
 	// Validate every variant up front, then fan the 2·|variants| independent
-	// simulations out; rows are assembled afterwards in variant order.
+	// simulations out on one shared trace (it does not depend on the
+	// hardware); rows are assembled afterwards in variant order.
 	type job struct {
 		variant string
 		design  core.Design
@@ -60,9 +61,13 @@ func DSESweep(opt Options, model string) (*metrics.Table, error) {
 		arc.TraceName = "dse/adyna/" + v.name
 		jobs = append(jobs, job{v.name, core.DesignMTile, mrc}, job{v.name, core.DesignAdyna, arc})
 	}
+	tr, err := core.NewBatchTrace(model, opt.RC)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", model, err)
+	}
 	rs, err := runner.Map(opt.Workers, len(jobs), func(i int) (metrics.RunResult, error) {
 		j := jobs[i]
-		r, err := core.Run(j.design, model, j.rc)
+		r, err := core.RunOnTrace(j.design, tr, j.rc, nil)
 		if err != nil {
 			return metrics.RunResult{}, fmt.Errorf("experiments: %q %s: %w", j.variant, j.design, err)
 		}

@@ -7,6 +7,8 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -54,7 +56,8 @@ type Matrix struct {
 // model×design points are independent simulations under identical traces, so
 // they fan out across opt.Workers; results are keyed by model and design and
 // assembled in fixed iteration order, making every derived table
-// byte-identical to a serial run.
+// byte-identical to a serial run. Each model's trace is generated once, by
+// whichever of its jobs runs first, and shared read-only by its designs.
 func RunMatrix(opt Options) (*Matrix, error) {
 	m := &Matrix{
 		Models:  models.Names(),
@@ -71,9 +74,14 @@ func RunMatrix(opt Options) (*Matrix, error) {
 			pts = append(pts, point{name, d})
 		}
 	}
+	traces := newLazyTraces(opt.RC, m.Models, len(m.Designs))
 	rs, err := runner.Map(opt.Workers, len(pts), func(i int) (metrics.RunResult, error) {
 		p := pts[i]
-		r, err := core.Run(p.design, p.model, opt.RC)
+		tr, err := traces.take(p.model)
+		if err != nil {
+			return metrics.RunResult{}, fmt.Errorf("core: %s: %w", p.model, err)
+		}
+		r, err := core.RunOnTrace(p.design, tr, opt.RC, nil)
 		if err != nil {
 			return metrics.RunResult{}, fmt.Errorf("core: %s on %s: %w", p.design, p.model, err)
 		}
@@ -89,6 +97,45 @@ func RunMatrix(opt Options) (*Matrix, error) {
 		m.Results[p.model][p.design] = rs[i]
 	}
 	return m, nil
+}
+
+// lazyTraces hands each model's BatchTrace to a fixed number of jobs. The
+// model's first job to run generates it; its last job to take it clears the
+// slot, so a trace lives only while its model's jobs run, not for the whole
+// sweep (generating every model's trace up front more than triples the
+// live heap).
+type lazyTraces struct {
+	rc    core.RunConfig
+	slots map[string]*traceSlot
+}
+
+type traceSlot struct {
+	once sync.Once
+	tr   *core.BatchTrace
+	err  error
+	left atomic.Int32 // jobs yet to take the trace
+}
+
+func newLazyTraces(rc core.RunConfig, models []string, jobsPerModel int) *lazyTraces {
+	lt := &lazyTraces{rc: rc, slots: make(map[string]*traceSlot, len(models))}
+	for _, name := range models {
+		s := &traceSlot{}
+		s.left.Store(int32(jobsPerModel))
+		lt.slots[name] = s
+	}
+	return lt
+}
+
+// take returns model's trace; each of its jobs calls it exactly once.
+func (lt *lazyTraces) take(model string) (*core.BatchTrace, error) {
+	s := lt.slots[model]
+	s.once.Do(func() { s.tr, s.err = core.NewBatchTrace(model, lt.rc) })
+	tr, err := s.tr, s.err
+	if s.left.Add(-1) == 0 {
+		// Every other job read the slot before its own decrement.
+		s.tr = nil
+	}
+	return tr, err
 }
 
 // Speedup returns design d's speedup over base on the given model.

@@ -192,8 +192,9 @@ func Figure13(opt Options, batchSizes []int) (*metrics.Figure, error) {
 	for _, name := range names {
 		perModel[name] = &metrics.Series{Name: name}
 	}
-	// Every batch-size×model point is an independent pair of simulations;
-	// fan them out and assemble the series in sweep order afterwards.
+	// Every batch-size×model point is an independent pair of simulations on
+	// one trace; fan them out and assemble the series in sweep order
+	// afterwards.
 	type point struct {
 		model string
 		rc    core.RunConfig
@@ -208,13 +209,17 @@ func Figure13(opt Options, batchSizes []int) (*metrics.Figure, error) {
 	}
 	speedups, err := runner.Map(opt.Workers, len(pts), func(i int) (float64, error) {
 		rc := pts[i].rc
+		tr, err := core.NewBatchTrace(pts[i].model, rc)
+		if err != nil {
+			return 0, err
+		}
 		rc.TraceName = fmt.Sprintf("fig13/mtile/%s/b%d", pts[i].model, rc.Batch)
-		mt, err := core.Run(core.DesignMTile, pts[i].model, rc)
+		mt, err := core.RunOnTrace(core.DesignMTile, tr, rc, nil)
 		if err != nil {
 			return 0, err
 		}
 		rc.TraceName = fmt.Sprintf("fig13/adyna/%s/b%d", pts[i].model, rc.Batch)
-		ad, err := core.Run(core.DesignAdyna, pts[i].model, rc)
+		ad, err := core.RunOnTrace(core.DesignAdyna, tr, rc, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -349,13 +354,17 @@ func HybridDemo(opt Options) (*metrics.Table, error) {
 		Columns: []string{"Design", "Cycles/batch", "Speedup", "PE util"},
 	}
 	rc := opt.RC
+	tr, err := core.NewBatchTrace("adavit", rc)
+	if err != nil {
+		return nil, err
+	}
 	rc.TraceName = "hybrid/mtile/adavit"
-	mt, err := core.Run(core.DesignMTile, "adavit", rc)
+	mt, err := core.RunOnTrace(core.DesignMTile, tr, rc, nil)
 	if err != nil {
 		return nil, err
 	}
 	rc.TraceName = "hybrid/adyna/adavit"
-	ad, err := core.Run(core.DesignAdyna, "adavit", rc)
+	ad, err := core.RunOnTrace(core.DesignAdyna, tr, rc, nil)
 	if err != nil {
 		return nil, err
 	}

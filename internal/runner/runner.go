@@ -1,8 +1,9 @@
 // Package runner provides the bounded worker pool the experiment harness
 // fans independent simulations out on. Every sweep of the evaluation — the
 // Figure 9 design×model matrix, the hardware DSE, the Figure 12/13 sweeps —
-// is embarrassingly parallel: each point is one self-contained core.Run that
-// owns its workload source, its operator graph, and its machine. The pool
+// is embarrassingly parallel: each point is one core run that owns its
+// operator graph and its machine and only reads its model's shared batch
+// trace. The pool
 // exploits that while keeping the aggregate results bit-identical to a
 // serial execution: results are returned in submission (index) order, so any
 // table built from them is byte-for-byte the same no matter how many workers

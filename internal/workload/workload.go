@@ -24,6 +24,8 @@ import (
 // from one Source so that every experiment is reproducible bit-for-bit.
 type Source struct {
 	rng *rand.Rand
+	// topk is SampleTopK's working copy of the weights, reused across calls.
+	topk []float64
 }
 
 // NewSource returns a source seeded deterministically.
@@ -156,7 +158,8 @@ func (s *Source) SampleTopK(weights []float64, k int) []int {
 	if k > n {
 		k = n
 	}
-	w := append([]float64(nil), weights...)
+	w := append(s.topk[:0], weights...)
+	s.topk = w
 	out := make([]int, 0, k)
 	for len(out) < k {
 		var mass float64

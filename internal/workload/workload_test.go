@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -222,5 +223,38 @@ func TestLoadRecordingRejectsGarbage(t *testing.T) {
 	rec2 := &Recording{Batches: []RecordedBatch{{Units: 1, Routing: map[string][][]int{"xx": nil}}}}
 	if _, err := rec2.Replay(); err == nil {
 		t.Fatal("bad switch key accepted")
+	}
+}
+
+// SampleTopK reuses one working copy of the weights per Source; the draws
+// must stay those of a fresh copy per call. The first 64 draws for seed 7
+// over a Zipf vector with one zero weight are pinned, and neither the
+// caller's weights nor an earlier result may change under later draws.
+func TestSampleTopKStreamPinned(t *testing.T) {
+	want := [][]int{
+		{0, 11}, {0, 7, 12}, {0, 1, 2, 4}, {1, 4}, {0, 1, 12}, {0, 1, 9, 12}, {0, 9}, {0, 9, 12},
+		{0, 2, 4, 8}, {4, 10}, {0, 1, 13}, {1, 6, 9, 12}, {0, 14}, {0, 1, 10}, {0, 2, 5, 9}, {0, 2},
+		{0, 4, 14}, {0, 1, 5, 6}, {1, 10}, {2, 4, 10}, {0, 1, 9, 13}, {0, 10}, {0, 1, 2}, {0, 1, 2, 9},
+		{0, 2}, {0, 6, 12}, {0, 1, 9, 13}, {0, 2}, {0, 1, 14}, {2, 11, 12, 14}, {7, 13}, {0, 1, 10},
+		{0, 2, 11, 13}, {0, 15}, {1, 5, 13}, {0, 1, 2, 9}, {0, 7}, {0, 1, 6}, {0, 1, 12, 14}, {0, 2},
+		{0, 2, 11}, {0, 9, 13, 14}, {13, 15}, {0, 4, 7}, {0, 2, 5, 15}, {0, 5}, {0, 1, 7}, {0, 2, 6, 15},
+		{0, 10}, {8, 10, 11}, {0, 2, 4, 6}, {0, 2}, {0, 8, 15}, {0, 1, 2, 8}, {10, 15}, {0, 1, 2},
+		{0, 1, 5, 6}, {5, 12}, {0, 2, 4}, {0, 1, 2, 5}, {4, 6}, {1, 4, 7}, {1, 5, 6, 9}, {2, 7},
+	}
+	src := NewSource(7)
+	w := ZipfWeights(16, 1.1)
+	w[3] = 0
+	orig := append([]float64(nil), w...)
+	got := make([][]int, len(want))
+	for i := range want {
+		got[i] = src.SampleTopK(w, 2+i%3)
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("draw %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if !slices.Equal(w, orig) {
+		t.Fatal("SampleTopK modified the caller's weights")
 	}
 }

@@ -8,7 +8,7 @@
 //	experiments -exp fig9                # one experiment
 //	experiments -exp fig9 -quick         # reduced scale
 //	experiments -exp fig13 -batches 100  # override trace length
-//	experiments -exp fig9 -parallel=false  # force the sequential path
+//	experiments -exp fig9 -workers 1     # force the sequential path
 //	experiments -exp fig9 -quick -trace out.json  # Perfetto timeline of every run
 //
 // Independent simulations fan out across all CPUs by default (the results
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/runner"
 	"repro/internal/telemetry"
 )
 
@@ -45,8 +44,7 @@ func main() {
 		batches  = flag.Int("batches", 0, "override measured batches")
 		batch    = flag.Int("batch", 0, "override batch size (samples)")
 		seed     = flag.Int64("seed", 1, "workload trace seed")
-		parallel = flag.Bool("parallel", true, "fan independent simulations out across all CPUs (results are identical either way)")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = one per CPU; implies -parallel)")
+		workers  = flag.Int("workers", 0, "worker pool size (0 = one per CPU, 1 = sequential; results are identical either way)")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		traceOut = flag.String("trace", "", "write a Chrome-trace/Perfetto JSON timeline of every simulation to this file")
@@ -57,6 +55,15 @@ func main() {
 		// it would be dropped silently.
 		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
 		os.Exit(2)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"batches", *batches}, {"batch", *batch}, {"workers", *workers}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "experiments: -%s must not be negative, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
 	}
 
 	if *cpuprof != "" {
@@ -99,9 +106,6 @@ func main() {
 	}
 	opt.RC.Seed = *seed
 	opt.Workers = *workers
-	if !*parallel && *workers == 0 {
-		opt.Workers = runner.Serial
-	}
 	if *traceOut != "" {
 		opt.RC.Trace = telemetry.NewTrace()
 	}

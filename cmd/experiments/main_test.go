@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
@@ -35,19 +36,49 @@ func TestRunUnknownExperimentFails(t *testing.T) {
 	}
 }
 
-// TestStrayArgumentRejected runs main in a child process. The flag package
-// stops at the first positional argument, so a stray one must fail by name
-// with a non-zero exit instead of silently dropping every flag after it.
-func TestStrayArgumentRejected(t *testing.T) {
+// TestMain lets a test run main in a child process: with CLI_MAIN_ARGS set,
+// the test binary is the experiments command run with those arguments.
+func TestMain(m *testing.M) {
 	if args := os.Getenv("CLI_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"experiments"}, strings.Fields(args)...)
 		main()
 		os.Exit(0)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestStrayArgumentRejected$")
-	cmd.Env = append(os.Environ(), "CLI_MAIN_ARGS=-quick -exp table3 fig9")
+	os.Exit(m.Run())
+}
+
+// runMain runs the experiments command with args in a child process and
+// returns its combined output and exit code.
+func runMain(t *testing.T, args string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "CLI_MAIN_ARGS="+args)
 	out, err := cmd.CombinedOutput()
-	if err == nil || !strings.Contains(string(out), `"fig9"`) {
-		t.Fatalf("stray argument: err=%v, output:\n%s", err, out)
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return string(out), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), 0
+}
+
+// The flag package stops at the first positional argument, so a stray one
+// must fail by name with a non-zero exit instead of silently dropping every
+// flag after it.
+func TestStrayArgumentRejected(t *testing.T) {
+	if out, code := runMain(t, "-quick -exp table3 fig9"); code != 2 || !strings.Contains(out, `"fig9"`) {
+		t.Fatalf("stray argument: exit %d, output:\n%s", code, out)
+	}
+}
+
+// A negative count must fail naming its flag, not fall back to the defaults
+// and exit 0.
+func TestNegativeFlagRejected(t *testing.T) {
+	for _, flag := range []string{"-batch", "-batches", "-workers"} {
+		if out, code := runMain(t, "-exp table3 "+flag+" -1"); code != 2 || !strings.Contains(out, flag) {
+			t.Errorf("%s -1: exit %d, output:\n%s", flag, code, out)
+		}
 	}
 }

@@ -3,14 +3,16 @@
 // parser output (a dynamic operator graph), the dynamism-aware scheduler,
 // the multi-kernel hardware machine, the on-chip profiler, and the periodic
 // re-scheduling / re-sampling loop. It also runs every comparison design of
-// the evaluation under identical traces: a model's warmup and measured
-// batches are generated once into a BatchTrace, and every design run on it
-// reads that one trace without modifying it.
+// the evaluation under identical traces: RunJobs is the one multi-run
+// offline path, generating each batch trace once and sharing it read-only
+// across every design, policy and hardware variant submitted on it.
 package core
 
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/accel"
 	"repro/internal/baselines"
@@ -159,21 +161,19 @@ func keyOf(modelName string, rc RunConfig) traceKey {
 	return traceKey{modelName, rc.Batch, rc.Warmup, rc.Batches, rc.Seed}
 }
 
-// BatchTrace is one model's batch trace for a run config: the Warmup
+// batchTrace is one model's batch trace for a run config: the warmup
 // batches the profiler observes before the initial schedule, then the
-// Measured batches every design executes, drawn in that order from one
+// measured batches every design executes, drawn in that order from one
 // Source seeded with RunConfig.Seed. Runs only read it, so any number of
-// designs, hardware variants and goroutines may share one BatchTrace; a
-// caller must not modify its batches.
-type BatchTrace struct {
-	// Warmup is profiled before the initial schedule; Measured is executed.
-	Warmup, Measured []workload.Batch
+// designs, hardware variants and goroutines may share one batchTrace.
+type batchTrace struct {
+	warmup, measured []workload.Batch
 	key              traceKey
 }
 
-// NewBatchTrace generates modelName's trace for rc. It depends on rc's
+// newBatchTrace generates modelName's trace for rc. It depends on rc's
 // Batch, Seed, Warmup, Batches and WrapGen, never on HW.
-func NewBatchTrace(modelName string, rc RunConfig) (*BatchTrace, error) {
+func newBatchTrace(modelName string, rc RunConfig) (*batchTrace, error) {
 	if err := rc.validateTrace(); err != nil {
 		return nil, err
 	}
@@ -183,7 +183,7 @@ func NewBatchTrace(modelName string, rc RunConfig) (*BatchTrace, error) {
 	}
 	src := workload.NewSource(rc.Seed)
 	warm := w.GenTrace(src, rc.Warmup, rc.Batch)
-	return &BatchTrace{Warmup: warm, Measured: w.GenTrace(src, rc.Batches, rc.Batch), key: keyOf(modelName, rc)}, nil
+	return &batchTrace{warmup: warm, measured: w.GenTrace(src, rc.Batches, rc.Batch), key: keyOf(modelName, rc)}, nil
 }
 
 // policyFor maps a design to its scheduling policy (machine-based designs
@@ -204,11 +204,11 @@ func policyFor(d Design) (sched.Policy, accel.Options, error) {
 	return sched.Policy{}, accel.Options{}, fmt.Errorf("core: design %q does not run on the machine", d)
 }
 
-// Run executes one design on one workload and returns its result. It
-// generates the trace for rc with NewBatchTrace, so all designs see the
-// identical trace for the given seed and results are directly comparable.
-// Callers running several designs or hardware variants on one model build
-// the trace once and call RunOnTrace; the results are the same.
+// Run executes one design on one workload and returns its result. Every
+// design sees the identical trace for the given seed, so results are
+// directly comparable. Callers running several designs, policies or
+// hardware variants submit them to RunJobs, which generates each trace once;
+// the results are the same.
 func Run(d Design, modelName string, rc RunConfig) (metrics.RunResult, error) {
 	return RunWithPolicy(d, modelName, rc, nil)
 }
@@ -218,11 +218,11 @@ func Run(d Design, modelName string, rc RunConfig) (metrics.RunResult, error) {
 // per-operator kernel budget (Section VII), tile sharing, branch grouping
 // and runtime fitting through it.
 func RunWithPolicy(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy)) (metrics.RunResult, error) {
-	tr, err := NewBatchTrace(modelName, rc)
+	tr, err := newBatchTrace(modelName, rc)
 	if err != nil {
 		return metrics.RunResult{}, err
 	}
-	return RunOnTrace(d, tr, rc, mutate)
+	return runOnTrace(d, tr, rc, mutate)
 }
 
 // Setup is a brought-up machine design, ready to execute measured batches:
@@ -257,7 +257,7 @@ type Setup struct {
 // initial plan from that profile, and load it (the first load is free).
 // mutate optionally adjusts the policy before scheduling. The online serving
 // layer (internal/serve) brings sessions up through it and keeps drawing
-// batches from Setup.Src; offline runs bring up on a shared BatchTrace.
+// batches from Setup.Src; offline runs bring up on a shared batch trace.
 func Bringup(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy)) (*Setup, error) {
 	if err := rc.validate(); err != nil {
 		return nil, err
@@ -321,12 +321,12 @@ func bringup(d Design, modelName string, w *models.Workload, rc RunConfig, mutat
 	return &Setup{W: w, M: m, Policy: pol, Rec: rec, Plan: plan, Comp: comp}, nil
 }
 
-// RunOnTrace is RunWithPolicy on a trace built by NewBatchTrace for the same
+// runOnTrace is RunWithPolicy on a trace built by newBatchTrace for the same
 // model and trace fields of rc (Batch, Seed, Warmup, Batches, WrapGen); rc.HW
 // and the policy may differ between runs on one trace. The machine designs
-// bring up on tr.Warmup and execute tr.Measured; GPU and M-tenant execute
-// tr.Measured. tr is only read.
-func RunOnTrace(d Design, tr *BatchTrace, rc RunConfig, mutate func(*sched.Policy)) (metrics.RunResult, error) {
+// bring up on tr.warmup and execute tr.measured; GPU and M-tenant execute
+// tr.measured. tr is only read.
+func runOnTrace(d Design, tr *batchTrace, rc RunConfig, mutate func(*sched.Policy)) (metrics.RunResult, error) {
 	if err := rc.validate(); err != nil {
 		return metrics.RunResult{}, err
 	}
@@ -339,7 +339,7 @@ func RunOnTrace(d Design, tr *BatchTrace, rc RunConfig, mutate func(*sched.Polic
 	if err != nil {
 		return metrics.RunResult{}, err
 	}
-	meas := tr.Measured
+	meas := tr.measured
 	switch d {
 	case DesignGPU:
 		return baselines.GPU(rc.HW, w, meas)
@@ -347,7 +347,7 @@ func RunOnTrace(d Design, tr *BatchTrace, rc RunConfig, mutate func(*sched.Polic
 		return baselines.MTenant(rc.HW, w, meas)
 	}
 
-	setup, err := bringup(d, tr.key.model, w, rc, mutate, tr.Warmup)
+	setup, err := bringup(d, tr.key.model, w, rc, mutate, tr.warmup)
 	if err != nil {
 		return metrics.RunResult{}, err
 	}
@@ -402,27 +402,13 @@ func RunOnTrace(d Design, tr *BatchTrace, rc RunConfig, mutate func(*sched.Polic
 }
 
 // RunAll executes several designs on one workload under the identical trace,
-// fanning the independent simulations out across all CPUs. The trace is
-// generated once and shared read-only; every design run otherwise owns its
-// graph and machine, so the results are identical to a serial loop of Run.
+// fanning the independent simulations out across all CPUs through RunJobs.
 func RunAll(designs []Design, modelName string, rc RunConfig) (map[Design]metrics.RunResult, error) {
-	return RunAllWorkers(designs, modelName, rc, 0)
-}
-
-// RunAllWorkers is RunAll with an explicit worker count (<= 0 means one per
-// CPU, runner.Serial forces the sequential path).
-func RunAllWorkers(designs []Design, modelName string, rc RunConfig, workers int) (map[Design]metrics.RunResult, error) {
-	tr, err := NewBatchTrace(modelName, rc)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", modelName, err)
+	jobs := make([]Job, len(designs))
+	for i, d := range designs {
+		jobs[i] = Job{Design: d, Model: modelName, RC: rc}
 	}
-	rs, err := runner.Map(workers, len(designs), func(i int) (metrics.RunResult, error) {
-		r, err := RunOnTrace(designs[i], tr, rc, nil)
-		if err != nil {
-			return metrics.RunResult{}, fmt.Errorf("core: %s on %s: %w", designs[i], modelName, err)
-		}
-		return r, nil
-	})
+	rs, err := RunJobs(0, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -431,6 +417,94 @@ func RunAllWorkers(designs []Design, modelName string, rc RunConfig, workers int
 		out[d] = rs[i]
 	}
 	return out, nil
+}
+
+// Job is one offline run, what RunWithPolicy takes as arguments.
+type Job struct {
+	// Design and Model name what runs.
+	Design Design
+	Model  string
+	// RC is the run's config; its trace fields pick the trace it shares.
+	RC RunConfig
+	// Policy optionally adjusts a machine design's scheduling policy (as
+	// RunWithPolicy's mutate); nil runs the design's own.
+	Policy func(*sched.Policy)
+}
+
+// RunJobs runs jobs on at most workers goroutines (runner.Map's worker
+// semantics) and returns their results in job order, identical to running
+// each job alone with RunWithPolicy. Jobs with the same model and trace
+// fields (Batch, Seed, Warmup, Batches) share one batch trace: the first of
+// them to run generates it and the last to take it releases it. Dispatch is
+// trace-major — each trace's jobs in turn, in order of first appearance — so
+// only about one trace per worker is live at a time, whatever order the
+// caller listed the jobs in.
+//
+// Precondition: every job shares RC.WrapGen (a function, so it cannot be
+// part of the trace key). Callers derive all jobs from one base config.
+func RunJobs(workers int, jobs []Job) ([]metrics.RunResult, error) {
+	slots := map[traceKey]*traceSlot{}
+	var firsts []*traceSlot // in order of first appearance
+	for i, j := range jobs {
+		k := keyOf(j.Model, j.RC)
+		s := slots[k]
+		if s == nil {
+			s = &traceSlot{model: j.Model, rc: j.RC}
+			slots[k] = s
+			firsts = append(firsts, s)
+		}
+		s.jobs = append(s.jobs, i)
+	}
+	order := make([]int, 0, len(jobs))
+	for _, s := range firsts {
+		s.left.Store(int32(len(s.jobs)))
+		order = append(order, s.jobs...)
+	}
+	rs, err := runner.Map(workers, len(order), func(n int) (metrics.RunResult, error) {
+		j := jobs[order[n]]
+		tr, err := slots[keyOf(j.Model, j.RC)].take()
+		if err != nil {
+			return metrics.RunResult{}, fmt.Errorf("core: %s: %w", j.Model, err)
+		}
+		r, err := runOnTrace(j.Design, tr, j.RC, j.Policy)
+		if err != nil {
+			return metrics.RunResult{}, fmt.Errorf("core: %s on %s: %w", j.Design, j.Model, err)
+		}
+		return r, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]metrics.RunResult, len(jobs))
+	for n, i := range order {
+		out[i] = rs[n]
+	}
+	return out, nil
+}
+
+// traceSlot hands one batch trace to a fixed number of jobs. The first job
+// to take it generates it; the last clears the slot, so a trace lives only
+// while its jobs run, not for the whole sweep (generating every trace of the
+// Figure 9 matrix up front more than triples the live heap).
+type traceSlot struct {
+	model string
+	rc    RunConfig // the first job's: its trace fields and WrapGen
+	jobs  []int     // indices of the jobs that take the trace
+	once  sync.Once
+	tr    *batchTrace
+	err   error
+	left  atomic.Int32 // jobs yet to take the trace
+}
+
+// take returns the slot's trace; each of its jobs calls it exactly once.
+func (s *traceSlot) take() (*batchTrace, error) {
+	s.once.Do(func() { s.tr, s.err = newBatchTrace(s.model, s.rc) })
+	tr, err := s.tr, s.err
+	if s.left.Add(-1) == 0 {
+		// Every other job read the slot before its own decrement.
+		s.tr = nil
+	}
+	return tr, err
 }
 
 // BatchLatencies runs a machine design and returns its per-batch completion

@@ -183,23 +183,33 @@ func TestBatchLatenciesRealtimeChargesSchedLatency(t *testing.T) {
 	}
 }
 
-// RunAll fans out across workers; the aggregated map must be identical to
-// the sequential path for the same seed.
-func TestRunAllWorkersMatchesSerial(t *testing.T) {
+// RunJobs dispatches trace-major, so jobs that interleave two models run in
+// a different order from the one they were listed in; the results still
+// come back in job order and match the sequential path.
+func TestRunJobsMatchesSerial(t *testing.T) {
 	rc := quickRC()
 	rc.Batches = 8
-	serial, err := RunAllWorkers(Figure9Designs(), "fbsnet", rc, runner.Serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunAllWorkers(Figure9Designs(), "fbsnet", rc, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var jobs []Job
 	for _, d := range Figure9Designs() {
-		if serial[d] != par[d] {
-			t.Fatalf("%s diverged: serial %+v vs parallel %+v", d, serial[d], par[d])
+		for _, model := range []string{"fbsnet", "skipnet"} {
+			jobs = append(jobs, Job{Design: d, Model: model, RC: rc})
 		}
+	}
+	serial, err := RunJobs(runner.Serial, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunJobs(6, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		if serial[i].Design != string(j.Design) || serial[i] != par[i] {
+			t.Fatalf("job %d (%s on %s): serial %+v vs parallel %+v", i, j.Design, j.Model, serial[i], par[i])
+		}
+	}
+	if serial[0].Model == serial[1].Model {
+		t.Fatal("results not in job order: jobs 0 and 1 run different models")
 	}
 }
 

@@ -41,8 +41,8 @@ func hashBatches(bs []workload.Batch) uint64 {
 	return h.Sum64()
 }
 
-func hashTrace(tr *BatchTrace) [2]uint64 {
-	return [2]uint64{hashBatches(tr.Warmup), hashBatches(tr.Measured)}
+func hashTrace(tr *batchTrace) [2]uint64 {
+	return [2]uint64{hashBatches(tr.warmup), hashBatches(tr.measured)}
 }
 
 // A shared trace is read-only: running all six Figure 9 designs on it at
@@ -53,13 +53,13 @@ func TestSharedTraceIsReadOnly(t *testing.T) {
 	rc := quickRC()
 	designs := Figure9Designs()
 	for _, model := range models.Names() {
-		tr, err := NewBatchTrace(model, rc)
+		tr, err := newBatchTrace(model, rc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := hashTrace(tr)
 		shared, err := runner.Map(len(designs), len(designs), func(i int) (metrics.RunResult, error) {
-			return RunOnTrace(designs[i], tr, rc, nil)
+			return runOnTrace(designs[i], tr, rc, nil)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -79,22 +79,45 @@ func TestSharedTraceIsReadOnly(t *testing.T) {
 	}
 }
 
-// RunOnTrace rejects a trace generated for another model or trace config;
+// runOnTrace rejects a trace generated for another model or trace config;
 // the hardware may differ.
 func TestRunOnTraceChecksKey(t *testing.T) {
 	rc := quickRC()
-	tr, err := NewBatchTrace("skipnet", rc)
+	tr, err := newBatchTrace("skipnet", rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := rc
 	other.Seed++
-	if _, err := RunOnTrace(DesignMTile, tr, other, nil); err == nil {
+	if _, err := runOnTrace(DesignMTile, tr, other, nil); err == nil {
 		t.Fatal("trace of seed 1 accepted for seed 2")
 	}
 	other = rc
 	other.HW.NoCPerTileGBps /= 2
-	if _, err := RunOnTrace(DesignMTile, tr, other, nil); err != nil {
+	if _, err := runOnTrace(DesignMTile, tr, other, nil); err != nil {
 		t.Fatalf("hardware variant rejected: %v", err)
+	}
+}
+
+// A trace slot generates its trace on the first take, hands every job the
+// same trace, and releases it once its last job has taken it.
+func TestTraceSlotReleasesAfterLastTake(t *testing.T) {
+	s := &traceSlot{model: "skipnet", rc: quickRC()}
+	s.left.Store(3)
+	first, err := s.take()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second, _ := s.take(); second != first {
+		t.Fatal("jobs of one trace got different traces")
+	}
+	if s.tr == nil {
+		t.Fatal("trace released before the last job took it")
+	}
+	if third, _ := s.take(); third != first {
+		t.Fatal("last job got a different trace")
+	}
+	if s.tr != nil {
+		t.Fatal("trace still held after the last job took it")
 	}
 }

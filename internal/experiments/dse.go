@@ -16,7 +16,6 @@ import (
 // of accelerator papers ship exactly this sensitivity study; it shows which
 // resources Adyna's advantage depends on.
 func DSESweep(opt Options, model string) (*metrics.Table, error) {
-	base := opt.RC.HW
 	type variant struct {
 		name   string
 		mutate func(*hw.Config)
@@ -42,37 +41,16 @@ func DSESweep(opt Options, model string) (*metrics.Table, error) {
 	// Validate every variant up front, then fan the 2·|variants| independent
 	// simulations out on one shared trace (it does not depend on the
 	// hardware); rows are assembled afterwards in variant order.
-	type job struct {
-		variant string
-		design  core.Design
-		rc      core.RunConfig
-	}
-	jobs := make([]job, 0, 2*len(variants))
+	var jobs []core.Job
 	for _, v := range variants {
-		cfg := base
-		v.mutate(&cfg)
-		if err := cfg.Validate(); err != nil {
+		rc := opt.RC
+		v.mutate(&rc.HW)
+		if err := rc.HW.Validate(); err != nil {
 			return nil, fmt.Errorf("experiments: variant %q: %w", v.name, err)
 		}
-		rc := opt.RC
-		rc.HW = cfg
-		mrc, arc := rc, rc
-		mrc.TraceName = "dse/mtile/" + v.name
-		arc.TraceName = "dse/adyna/" + v.name
-		jobs = append(jobs, job{v.name, core.DesignMTile, mrc}, job{v.name, core.DesignAdyna, arc})
+		jobs = append(jobs, vsMTile("dse", v.name, model, rc)...)
 	}
-	tr, err := core.NewBatchTrace(model, opt.RC)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", model, err)
-	}
-	rs, err := runner.Map(opt.Workers, len(jobs), func(i int) (metrics.RunResult, error) {
-		j := jobs[i]
-		r, err := core.RunOnTrace(j.design, tr, j.rc, nil)
-		if err != nil {
-			return metrics.RunResult{}, fmt.Errorf("experiments: %q %s: %w", j.variant, j.design, err)
-		}
-		return r, nil
-	})
+	rs, err := core.RunJobs(opt.Workers, jobs)
 	if err != nil {
 		return nil, err
 	}

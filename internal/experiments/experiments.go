@@ -7,8 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -16,7 +14,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/power"
-	"repro/internal/runner"
 )
 
 // Options parameterize an experiment run.
@@ -54,88 +51,32 @@ type Matrix struct {
 
 // RunMatrix executes the Figure 9 design set on all five workloads. The
 // model×design points are independent simulations under identical traces, so
-// they fan out across opt.Workers; results are keyed by model and design and
-// assembled in fixed iteration order, making every derived table
-// byte-identical to a serial run. Each model's trace is generated once, by
-// whichever of its jobs runs first, and shared read-only by its designs.
+// they fan out across opt.Workers through core.RunJobs, which generates each
+// model's trace once; results are keyed by model and design, making every
+// derived table byte-identical to a serial run.
 func RunMatrix(opt Options) (*Matrix, error) {
 	m := &Matrix{
 		Models:  models.Names(),
 		Designs: core.Figure9Designs(),
 		Results: map[string]map[core.Design]metrics.RunResult{},
 	}
-	type point struct {
-		model  string
-		design core.Design
-	}
-	pts := make([]point, 0, len(m.Models)*len(m.Designs))
+	var jobs []core.Job
 	for _, name := range m.Models {
 		for _, d := range m.Designs {
-			pts = append(pts, point{name, d})
+			jobs = append(jobs, core.Job{Design: d, Model: name, RC: opt.RC})
 		}
 	}
-	traces := newLazyTraces(opt.RC, m.Models, len(m.Designs))
-	rs, err := runner.Map(opt.Workers, len(pts), func(i int) (metrics.RunResult, error) {
-		p := pts[i]
-		tr, err := traces.take(p.model)
-		if err != nil {
-			return metrics.RunResult{}, fmt.Errorf("core: %s: %w", p.model, err)
-		}
-		r, err := core.RunOnTrace(p.design, tr, opt.RC, nil)
-		if err != nil {
-			return metrics.RunResult{}, fmt.Errorf("core: %s on %s: %w", p.design, p.model, err)
-		}
-		return r, nil
-	})
+	rs, err := core.RunJobs(opt.Workers, jobs)
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range pts {
-		if m.Results[p.model] == nil {
-			m.Results[p.model] = map[core.Design]metrics.RunResult{}
+	for i, j := range jobs {
+		if m.Results[j.Model] == nil {
+			m.Results[j.Model] = map[core.Design]metrics.RunResult{}
 		}
-		m.Results[p.model][p.design] = rs[i]
+		m.Results[j.Model][j.Design] = rs[i]
 	}
 	return m, nil
-}
-
-// lazyTraces hands each model's BatchTrace to a fixed number of jobs. The
-// model's first job to run generates it; its last job to take it clears the
-// slot, so a trace lives only while its model's jobs run, not for the whole
-// sweep (generating every model's trace up front more than triples the
-// live heap).
-type lazyTraces struct {
-	rc    core.RunConfig
-	slots map[string]*traceSlot
-}
-
-type traceSlot struct {
-	once sync.Once
-	tr   *core.BatchTrace
-	err  error
-	left atomic.Int32 // jobs yet to take the trace
-}
-
-func newLazyTraces(rc core.RunConfig, models []string, jobsPerModel int) *lazyTraces {
-	lt := &lazyTraces{rc: rc, slots: make(map[string]*traceSlot, len(models))}
-	for _, name := range models {
-		s := &traceSlot{}
-		s.left.Store(int32(jobsPerModel))
-		lt.slots[name] = s
-	}
-	return lt
-}
-
-// take returns model's trace; each of its jobs calls it exactly once.
-func (lt *lazyTraces) take(model string) (*core.BatchTrace, error) {
-	s := lt.slots[model]
-	s.once.Do(func() { s.tr, s.err = core.NewBatchTrace(model, lt.rc) })
-	tr, err := s.tr, s.err
-	if s.left.Add(-1) == 0 {
-		// Every other job read the slot before its own decrement.
-		s.tr = nil
-	}
-	return tr, err
 }
 
 // Speedup returns design d's speedup over base on the given model.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/models"
-	"repro/internal/runner"
 	"repro/internal/sampling"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -114,41 +113,29 @@ func Figure12(opt Options, latenciesUS []float64) (*metrics.Figure, float64, err
 		latenciesUS = []float64{0, 25, 50, 100, 200, 390, 600, 1000}
 	}
 	names := models.Names()
-	// Adyna reference per model, fanned out across workers. Sweep runs get
-	// explicit trace names (here and below): several points share a
-	// design/model pair, so the default recorder naming would collide.
-	refs, err := runner.Map(opt.Workers, len(names), func(i int) (metrics.RunResult, error) {
+	// The Adyna reference per model, then every latency×model point of the
+	// real-time design; all of a model's runs share one trace. Sweep runs get
+	// explicit trace names (here and in the other sweeps): several points
+	// share a design/model pair, so the default recorder naming would collide.
+	var jobs []core.Job
+	for _, name := range names {
 		rc := opt.RC
-		rc.TraceName = "fig12/adyna/" + names[i]
-		return core.Run(core.DesignAdyna, names[i], rc)
-	})
-	if err != nil {
-		return nil, 0, err
+		rc.TraceName = "fig12/adyna/" + name
+		jobs = append(jobs, core.Job{Design: core.DesignAdyna, Model: name, RC: rc})
 	}
-	adyna := map[string]float64{}
-	for i, name := range names {
-		adyna[name] = refs[i].CyclesPerBatch()
-	}
-	// Real-time runs: every latency×model point is independent.
-	type point struct {
-		model string
-		rc    core.RunConfig
-	}
-	pts := make([]point, 0, len(latenciesUS)*len(names))
 	for _, us := range latenciesUS {
 		rc := opt.RC
 		rc.OnlineSchedCycles = int64(us * 1000 * rc.HW.ClockGHz)
 		for _, name := range names {
 			rc.TraceName = fmt.Sprintf("fig12/realtime/%s@%gus", name, us)
-			pts = append(pts, point{name, rc})
+			jobs = append(jobs, core.Job{Design: core.DesignRealtime, Model: name, RC: rc})
 		}
 	}
-	rts, err := runner.Map(opt.Workers, len(pts), func(i int) (metrics.RunResult, error) {
-		return core.Run(core.DesignRealtime, pts[i].model, pts[i].rc)
-	})
+	rs, err := core.RunJobs(opt.Workers, jobs)
 	if err != nil {
 		return nil, 0, err
 	}
+	adyna, rts := rs[:len(names)], rs[len(names):]
 	fig := &metrics.Figure{
 		Title:  "Figure 12: real-time scheduling vs Adyna",
 		XLabel: "sched latency (us)",
@@ -159,9 +146,10 @@ func Figure12(opt Options, latenciesUS []float64) (*metrics.Figure, float64, err
 	var prevX, prevY float64
 	for i, us := range latenciesUS {
 		var ratios []float64
-		for j, name := range names {
-			ratios = append(ratios, adyna[name]/rts[i*len(names)+j].CyclesPerBatch())
+		for j, rt := range rts[:len(names)] {
+			ratios = append(ratios, adyna[j].CyclesPerBatch()/rt.CyclesPerBatch())
 		}
+		rts = rts[len(names):]
 		y := metrics.Geomean(ratios)
 		s.X = append(s.X, us)
 		s.Y = append(s.Y, y)
@@ -192,46 +180,25 @@ func Figure13(opt Options, batchSizes []int) (*metrics.Figure, error) {
 	for _, name := range names {
 		perModel[name] = &metrics.Series{Name: name}
 	}
-	// Every batch-size×model point is an independent pair of simulations on
-	// one trace; fan them out and assemble the series in sweep order
-	// afterwards.
-	type point struct {
-		model string
-		rc    core.RunConfig
-	}
-	pts := make([]point, 0, len(batchSizes)*len(names))
+	// Every batch-size×model point is an independent M-tile/Adyna pair on
+	// one trace; the series are assembled in sweep order afterwards.
+	var jobs []core.Job
 	for _, bs := range batchSizes {
 		rc := opt.RC
 		rc.Batch = bs
 		for _, name := range names {
-			pts = append(pts, point{name, rc})
+			jobs = append(jobs, vsMTile("fig13", fmt.Sprintf("%s/b%d", name, bs), name, rc)...)
 		}
 	}
-	speedups, err := runner.Map(opt.Workers, len(pts), func(i int) (float64, error) {
-		rc := pts[i].rc
-		tr, err := core.NewBatchTrace(pts[i].model, rc)
-		if err != nil {
-			return 0, err
-		}
-		rc.TraceName = fmt.Sprintf("fig13/mtile/%s/b%d", pts[i].model, rc.Batch)
-		mt, err := core.RunOnTrace(core.DesignMTile, tr, rc, nil)
-		if err != nil {
-			return 0, err
-		}
-		rc.TraceName = fmt.Sprintf("fig13/adyna/%s/b%d", pts[i].model, rc.Batch)
-		ad, err := core.RunOnTrace(core.DesignAdyna, tr, rc, nil)
-		if err != nil {
-			return 0, err
-		}
-		return ad.SpeedupOver(mt), nil
-	})
+	rs, err := core.RunJobs(opt.Workers, jobs)
 	if err != nil {
 		return nil, err
 	}
-	for i, bs := range batchSizes {
+	for _, bs := range batchSizes {
 		var sp []float64
-		for j, name := range names {
-			s := speedups[i*len(names)+j]
+		for _, name := range names {
+			s := rs[1].SpeedupOver(rs[0])
+			rs = rs[2:]
 			sp = append(sp, s)
 			perModel[name].X = append(perModel[name].X, float64(bs))
 			perModel[name].Y = append(perModel[name].Y, s)
@@ -239,7 +206,7 @@ func Figure13(opt Options, batchSizes []int) (*metrics.Figure, error) {
 		all.X = append(all.X, float64(bs))
 		all.Y = append(all.Y, metrics.Geomean(sp))
 	}
-	for _, name := range models.Names() {
+	for _, name := range names {
 		fig.Series = append(fig.Series, *perModel[name])
 	}
 	fig.Series = append(fig.Series, all)
@@ -256,13 +223,19 @@ func ReconfigSweep(opt Options, periods []int) (*metrics.Table, error) {
 		Title:   "Reconfiguration-period ablation (SkipNet)",
 		Columns: []string{"Period (batches)", "Cycles/batch", "Reconfig overhead"},
 	}
+	var jobs []core.Job
 	for _, p := range periods {
 		rc := opt.RC
 		rc.TraceName = fmt.Sprintf("reconfig/skipnet/p%d", p)
-		r, err := core.RunWithPolicy(core.DesignAdyna, "skipnet", rc, func(pol *sched.Policy) { pol.ResamplePeriod = p })
-		if err != nil {
-			return nil, err
-		}
+		jobs = append(jobs, core.Job{Design: core.DesignAdyna, Model: "skipnet", RC: rc,
+			Policy: func(pol *sched.Policy) { pol.ResamplePeriod = p }})
+	}
+	rs, err := core.RunJobs(opt.Workers, jobs)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range periods {
+		r := rs[i]
 		over := float64(r.ReconfigCycles) / float64(r.Cycles)
 		t.AddRow(fmt.Sprint(p), metrics.F(r.CyclesPerBatch(), 0), metrics.F(over*100, 2)+"%")
 	}
@@ -285,38 +258,31 @@ func KernelBudgetSweep(opt Options, budgets []int) (*metrics.Figure, error) {
 	names := models.Names()
 	// The M-tile reference does not depend on the kernel budget: run it once
 	// per model instead of once per sweep point.
-	mts, err := runner.Map(opt.Workers, len(names), func(i int) (metrics.RunResult, error) {
+	var jobs []core.Job
+	for _, name := range names {
 		rc := opt.RC
-		rc.TraceName = "budget/mtile/" + names[i]
-		return core.Run(core.DesignMTile, names[i], rc)
-	})
-	if err != nil {
-		return nil, err
+		rc.TraceName = "budget/mtile/" + name
+		jobs = append(jobs, core.Job{Design: core.DesignMTile, Model: name, RC: rc})
 	}
-	type point struct {
-		model  int
-		budget int
-	}
-	pts := make([]point, 0, len(budgets)*len(names))
 	for _, budget := range budgets {
-		for m := range names {
-			pts = append(pts, point{m, budget})
+		for _, name := range names {
+			rc := opt.RC
+			rc.TraceName = fmt.Sprintf("budget/adyna/%s/k%d", name, budget)
+			jobs = append(jobs, core.Job{Design: core.DesignAdyna, Model: name, RC: rc,
+				Policy: func(p *sched.Policy) { p.KernelBudget = budget }})
 		}
 	}
-	ads, err := runner.Map(opt.Workers, len(pts), func(i int) (metrics.RunResult, error) {
-		rc := opt.RC
-		rc.TraceName = fmt.Sprintf("budget/adyna/%s/k%d", names[pts[i].model], pts[i].budget)
-		return core.RunWithPolicy(core.DesignAdyna, names[pts[i].model], rc,
-			func(p *sched.Policy) { p.KernelBudget = pts[i].budget })
-	})
+	rs, err := core.RunJobs(opt.Workers, jobs)
 	if err != nil {
 		return nil, err
 	}
-	for i, budget := range budgets {
+	mts, ads := rs[:len(names)], rs[len(names):]
+	for _, budget := range budgets {
 		var sp []float64
-		for j := range names {
-			sp = append(sp, ads[i*len(names)+j].SpeedupOver(mts[j]))
+		for j, ad := range ads[:len(names)] {
+			sp = append(sp, ad.SpeedupOver(mts[j]))
 		}
+		ads = ads[len(names):]
 		s.X = append(s.X, float64(budget))
 		s.Y = append(s.Y, metrics.Geomean(sp))
 	}
@@ -353,22 +319,21 @@ func HybridDemo(opt Options) (*metrics.Table, error) {
 		Title:   "Hybrid DynNN (AdaViT: dynamic region + dynamic depth)",
 		Columns: []string{"Design", "Cycles/batch", "Speedup", "PE util"},
 	}
-	rc := opt.RC
-	tr, err := core.NewBatchTrace("adavit", rc)
+	rs, err := core.RunJobs(opt.Workers, vsMTile("hybrid", "adavit", "adavit", opt.RC))
 	if err != nil {
 		return nil, err
 	}
-	rc.TraceName = "hybrid/mtile/adavit"
-	mt, err := core.RunOnTrace(core.DesignMTile, tr, rc, nil)
-	if err != nil {
-		return nil, err
-	}
-	rc.TraceName = "hybrid/adyna/adavit"
-	ad, err := core.RunOnTrace(core.DesignAdyna, tr, rc, nil)
-	if err != nil {
-		return nil, err
-	}
+	mt, ad := rs[0], rs[1]
 	t.AddRow("M-tile", metrics.F(mt.CyclesPerBatch(), 0), "1.00", metrics.F(mt.PEUtil, 3))
 	t.AddRow("Adyna", metrics.F(ad.CyclesPerBatch(), 0), metrics.F(ad.SpeedupOver(mt), 2), metrics.F(ad.PEUtil, 3))
 	return t, nil
+}
+
+// vsMTile returns the M-tile and Adyna jobs of one comparison point of a
+// sweep, recorded as sweep/mtile/point and sweep/adyna/point.
+func vsMTile(sweep, point, model string, rc core.RunConfig) []core.Job {
+	mt, ad := rc, rc
+	mt.TraceName = sweep + "/mtile/" + point
+	ad.TraceName = sweep + "/adyna/" + point
+	return []core.Job{{Design: core.DesignMTile, Model: model, RC: mt}, {Design: core.DesignAdyna, Model: model, RC: ad}}
 }

@@ -44,50 +44,34 @@ func countingOpts(n *atomic.Int64) Options {
 	return opt
 }
 
-// The trace-once work gate: the Figure 9 matrix draws each model's warmup
-// and measured batches exactly once, however many designs run on them, and
-// the hardware DSE draws its model's trace once for every variant. The
+// The trace-once work gate: every sweep draws each trace exactly once,
+// however many designs, policies, latencies or hardware variants run on it.
+// The Figure 9 matrix, Figure 12 and the kernel-budget sweep draw one trace
+// per model; the reconfiguration, hybrid and DSE sweeps one in total. The
 // count is exact, unlike timings or allocations.
 func TestRunMatrixGeneratesEachTraceOnce(t *testing.T) {
 	var n atomic.Int64
 	opt := countingOpts(&n)
 	perTrace := int64(opt.RC.Warmup + opt.RC.Batches)
-
-	if _, err := RunMatrix(opt); err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(len(models.Names())) * perTrace; n.Load() != want {
-		t.Fatalf("RunMatrix drew %d batches, want %d (one trace per model)", n.Load(), want)
-	}
-
-	n.Store(0)
-	if _, err := DSESweep(opt, "skipnet"); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != perTrace {
-		t.Fatalf("DSESweep drew %d batches, want %d (one trace for every variant)", n.Load(), perTrace)
-	}
-}
-
-// lazyTraces releases a model's trace once its last job has taken it, and
-// every job of the model gets the same trace.
-func TestLazyTracesReleaseAfterLastTake(t *testing.T) {
-	rc := tiny().RC
-	lt := newLazyTraces(rc, []string{"skipnet"}, 3)
-	first, err := lt.take("skipnet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second, _ := lt.take("skipnet"); second != first {
-		t.Fatal("jobs of one model got different traces")
-	}
-	if lt.slots["skipnet"].tr == nil {
-		t.Fatal("trace released before the last job took it")
-	}
-	if third, _ := lt.take("skipnet"); third != first {
-		t.Fatal("last job got a different trace")
-	}
-	if lt.slots["skipnet"].tr != nil {
-		t.Fatal("trace still held after the last job took it")
+	perModel := int64(len(models.Names())) * perTrace
+	for _, c := range []struct {
+		name string
+		want int64
+		run  func() error
+	}{
+		{"RunMatrix", perModel, func() error { _, err := RunMatrix(opt); return err }},
+		{"Figure12", perModel, func() error { _, _, err := Figure12(opt, []float64{0, 400}); return err }},
+		{"KernelBudgetSweep", perModel, func() error { _, err := KernelBudgetSweep(opt, []int{1, 4}); return err }},
+		{"ReconfigSweep", perTrace, func() error { _, err := ReconfigSweep(opt, []int{2, 4}); return err }},
+		{"HybridDemo", perTrace, func() error { _, err := HybridDemo(opt); return err }},
+		{"DSESweep", perTrace, func() error { _, err := DSESweep(opt, "skipnet"); return err }},
+	} {
+		n.Store(0)
+		if err := c.run(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n.Load() != c.want {
+			t.Errorf("%s drew %d batches, want %d (%d per trace)", c.name, n.Load(), c.want, perTrace)
+		}
 	}
 }

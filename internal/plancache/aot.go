@@ -18,15 +18,18 @@ import (
 // solve. Synthetic profiles are fed to a scratch profiler over cloned
 // frequency tables; the live graph and profiler are left untouched.
 
+var (
+	// tiltLevels are the interpolation weights Precompute walks from the
+	// base profile toward each branch's simplex corner.
+	tiltLevels = [...]float64{0.35, 0.7}
+	// densityLevels are the density means Precompute solves at the base
+	// routing profile. Only used on graphs with density-aware operators;
+	// elsewhere the density lattice is empty.
+	densityLevels = [...]float64{0.25, 0.5, 0.75, 1}
+)
+
 // AOTConfig parameterizes Precompute.
 type AOTConfig struct {
-	// TiltLevels are the interpolation weights walked from the base profile
-	// toward each branch's simplex corner (default 0.35 and 0.7).
-	TiltLevels []float64
-	// DensityLevels are the density means pre-solved at the base routing
-	// profile (default 0.25, 0.5, 0.75, 1). Only used on graphs with
-	// density-aware operators; elsewhere the density lattice is empty.
-	DensityLevels []float64
 	// Batches is the synthetic observation window fed per lattice point
 	// (default 40, the paper's reconfiguration period).
 	Batches int
@@ -46,12 +49,6 @@ type AOTConfig struct {
 }
 
 func (a *AOTConfig) defaults(g *graph.Graph) {
-	if len(a.TiltLevels) == 0 {
-		a.TiltLevels = []float64{0.35, 0.7}
-	}
-	if len(a.DensityLevels) == 0 {
-		a.DensityLevels = []float64{0.25, 0.5, 0.75, 1}
-	}
 	if a.Batches <= 0 {
 		a.Batches = 40
 	}
@@ -66,8 +63,8 @@ func (a *AOTConfig) defaults(g *graph.Graph) {
 
 // Precompute populates the cache ahead of time from the given base inputs:
 // one plan per profile-lattice point (each switch's branch simplex walked at
-// the configured tilt levels, other switches held at the base profile) and
-// one plan per likely degraded hardware config (the fault schedule's
+// the tilt levels, other switches held at the base profile) and one plan
+// per likely degraded hardware config (the fault schedule's
 // capability windows, plus every single-tile loss when requested) at the
 // base profile. Points whose fingerprint is already cached are skipped, and
 // points the scheduler rejects (for example a degraded chip too small for
@@ -96,7 +93,7 @@ func (c *Cache) Precompute(cfg hw.Config, comp *sched.Compiler, pol sched.Policy
 	}
 
 	// Profile lattice, solved at the base config over synthetic profiles.
-	for _, pt := range c.lattice(prof, ao) {
+	for _, pt := range c.lattice(prof) {
 		if c.precomputePoint(cfg, comp, pol, pt, ao) {
 			added++
 		}
@@ -116,19 +113,19 @@ type latticePoint struct {
 // live density. On density-aware graphs the base routing is additionally
 // walked along the density lattice — the drift direction the sparsity axis
 // adds.
-func (c *Cache) lattice(prof *profiler.Profiler, ao AOTConfig) []latticePoint {
+func (c *Cache) lattice(prof *profiler.Profiler) []latticePoint {
 	baseDens := prof.OpDensityMean()
 	base := c.baseShares(prof)
 	var pts []latticePoint
 	for si := range c.keyer.sws {
 		for b := 0; b < c.keyer.nb[si]; b++ {
-			for _, tilt := range ao.TiltLevels {
+			for _, tilt := range tiltLevels {
 				pts = append(pts, latticePoint{tiltShares(base, si, b, tilt), baseDens})
 			}
 		}
 	}
 	if c.keyer.hasDensity {
-		for _, d := range ao.DensityLevels {
+		for _, d := range densityLevels {
 			pts = append(pts, latticePoint{base, d})
 		}
 	}

@@ -59,7 +59,7 @@ func TestCompileMemoTransparent(t *testing.T) {
 			for _, dcfg := range c.degradedConfigs(cfg, ao) {
 				check("degraded config", dcfg, prof)
 			}
-			for _, pt := range c.lattice(prof, ao) {
+			for _, pt := range c.lattice(prof) {
 				c.withSyntheticProfile(g, pt, ao, func(sp *profiler.Profiler) { check("lattice point", cfg, sp) })
 			}
 			if solves < 20 {

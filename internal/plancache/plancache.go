@@ -226,8 +226,7 @@ func (k *Keyer) makeKey(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *p
 
 // fnv64a is 64-bit FNV-1a fed little-endian 64-bit words: the same digest
 // hash/fnv's New64a computes over the same bytes, without the interface call
-// and staging buffer per word. Fingerprints are persisted by Export, so the
-// byte order must not change.
+// and staging buffer per word.
 type fnv64a uint64
 
 const (

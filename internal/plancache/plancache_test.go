@@ -231,54 +231,6 @@ func TestPrecomputeCoversFaultWindowsAndLattice(t *testing.T) {
 	}
 }
 
-func TestExportImportRoundTrip(t *testing.T) {
-	w, prof := warmWorkload(t, "moe", 12)
-	comp := sched.NewCompiler(w.Graph)
-	cfg := hw.Default()
-	pol := sched.Adyna()
-	c := New(NewKeyer(w.Graph, 0), Config{})
-	if _, _, err := c.GetOrSchedule(cfg, comp, pol, prof); err != nil {
-		t.Fatal(err)
-	}
-	// Include a degraded-mask entry: tile masks take a dedicated wire format.
-	masked := cfg
-	masked.FailedTiles = hw.NewTileMask(0, 1, 2, 3)
-	if _, _, err := c.GetOrSchedule(masked, comp, pol, prof); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := c.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fresh := New(NewKeyer(w.Graph, 0), Config{})
-	n, err := fresh.Import(bytes.NewReader(buf.Bytes()), w.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || fresh.Len() != 2 {
-		t.Fatalf("imported %d entries into a cache of %d, want 2", n, fresh.Len())
-	}
-	for _, hc := range []hw.Config{cfg, masked} {
-		orig, kind := c.Lookup(hc, w.Graph, pol, prof)
-		if kind != HitExact {
-			t.Fatalf("source cache lost its own entry for %v", hc.FailedTiles)
-		}
-		got, kind := fresh.Lookup(hc, w.Graph, pol, prof)
-		if kind != HitExact {
-			t.Fatalf("imported cache misses config %v", hc.FailedTiles)
-		}
-		if !bytes.Equal(encodePlan(t, got), encodePlan(t, orig)) {
-			t.Fatal("imported plan differs from the exported one")
-		}
-	}
-	// A keyer with a different quantization cannot consume the artifact.
-	other := New(NewKeyer(w.Graph, 7), Config{Levels: 7})
-	if _, err := other.Import(bytes.NewReader(buf.Bytes()), w.Graph); err == nil {
-		t.Fatal("import across quantization levels accepted")
-	}
-}
-
 // TestWarmLookupBeatsFreshSolve is the cache's reason to exist: a warm
 // exact-key lookup must be at least 10x faster than re-running the scheduling
 // pipeline, even with every kernel already in the compile memo (one walk of

@@ -1,13 +1,14 @@
 // Package runner provides the bounded worker pool the experiment harness
 // fans independent simulations out on. Every sweep of the evaluation — the
-// Figure 9 design×model matrix, the hardware DSE, the Figure 12/13 sweeps —
-// is embarrassingly parallel: each point is one core run that owns its
-// operator graph and its machine and only reads its model's shared batch
-// trace. The pool
-// exploits that while keeping the aggregate results bit-identical to a
-// serial execution: results are returned in submission (index) order, so any
-// table built from them is byte-for-byte the same no matter how many workers
-// ran or how they interleaved.
+// Figure 9 design×model matrix, the hardware DSE, the Figure 12/13 and
+// ablation sweeps — is embarrassingly parallel: each point is one core run
+// that owns its operator graph and its machine and only reads a shared
+// batch trace. The sweeps submit their runs to core.RunJobs, which
+// dispatches them through Map. The pool exploits that while keeping the
+// aggregate results bit-identical to a serial execution: results are
+// returned in submission (index) order, so any table built from them is
+// byte-for-byte the same no matter how many workers ran or how they
+// interleaved.
 //
 // Error semantics mirror a serial loop as closely as concurrency allows: on
 // the first failure no further work is dispatched, in-flight work is allowed

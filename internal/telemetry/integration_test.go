@@ -91,8 +91,8 @@ func TestGoldenTrace(t *testing.T) {
 	}
 }
 
-// TestTraceDeterminismAcrossWorkers runs the same design set through the
-// parallel runner serially and with a worker pool, at different GOMAXPROCS,
+// TestTraceDeterminismAcrossWorkers runs the same design set through
+// core.RunJobs serially and with a worker pool, at different GOMAXPROCS,
 // and requires byte-identical merged trace files. This is the contract that
 // makes -trace safe on cmd/experiments: recorder registration order is racy
 // under the pool, and only the writer's name ordering hides that.
@@ -102,7 +102,11 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(maxprocs))
 		rc := smallRC(3)
 		rc.Trace = telemetry.NewTrace()
-		if _, err := core.RunAllWorkers(designs, "skipnet", rc, workers); err != nil {
+		jobs := make([]core.Job, len(designs))
+		for i, d := range designs {
+			jobs[i] = core.Job{Design: d, Model: "skipnet", RC: rc}
+		}
+		if _, err := core.RunJobs(workers, jobs); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

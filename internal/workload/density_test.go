@@ -38,17 +38,17 @@ func TestParseDensityTrace(t *testing.T) {
 	}
 
 	bad := []string{
-		"",          // empty trace
-		" , \t",     // separators only
-		"0",         // density must be positive
-		"-0.5",      // negative
-		"1.5",       // above one
-		"0.5x0",     // repeat must be ≥1
-		"0.5x-2",    // negative repeat
-		"0.5xx3",    // malformed repeat
-		"0.5x",      // missing repeat count
-		"x3",        // missing value
-		"abc",       // not a number
+		"",            // empty trace
+		" , \t",       // separators only
+		"0",           // density must be positive
+		"-0.5",        // negative
+		"1.5",         // above one
+		"0.5x0",       // repeat must be ≥1
+		"0.5x-2",      // negative repeat
+		"0.5xx3",      // malformed repeat
+		"0.5x",        // missing repeat count
+		"x3",          // missing value
+		"abc",         // not a number
 		"0.5x2000000", // repeat above maxDensityRepeat
 	}
 	for _, in := range bad {

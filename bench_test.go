@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/models"
@@ -328,12 +329,18 @@ func BenchmarkPlanCacheLookup(b *testing.B) {
 }
 
 // BenchmarkAOTPrecompute measures a serving bring-up with ahead-of-time plan
-// precompute: serve.New for moe with the plan cache's profile lattice solved
-// at start-up, every solve compiling through the bring-up's kernel memo.
+// precompute: serve.New for moe with each degraded config of a fault
+// schedule (a single-tile loss, a quarter-chip brownout over it, and an HBM
+// window) solved at start-up, every solve compiling through the bring-up's
+// kernel memo.
 func BenchmarkAOTPrecompute(b *testing.B) {
 	rc := core.DefaultRunConfig()
 	rc.Batch, rc.Warmup = 32, 10
-	cfg := serve.Config{Model: "moe", RC: rc, PlanCache: true, PlanCacheNearest: true, PlanCacheAOT: true}
+	fs, err := faults.ParseSpec("fail@20M:tiles=5;brownout@30M:tiles=0-35,repair=20M;hbm@60M:factor=0.5,until=80M")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := serve.Config{Model: "moe", RC: rc, PlanCache: true, PlanCacheNearest: true, PlanCacheAOT: true, Faults: fs}
 	b.ReportAllocs()
 	var plans, searches int64
 	for i := 0; i < b.N; i++ {

@@ -109,9 +109,8 @@ func main() {
 		faultArg = flag.String("faults", "", "fault schedule: a spec string (kind@cycles:k=v,...) or a JSON file")
 		pcOn     = flag.Bool("plancache", false, "plan-variant cache: dispatch cached plans on re-schedule instead of solving fresh")
 		pcNear   = flag.Bool("plancache-nearest", true, "allow nearest-profile cache hits within -plancache-maxdist")
-		pcAOT    = flag.Bool("plancache-aot", true, "precompute plan variants at bring-up (profile lattice + fault windows)")
+		pcAOT    = flag.Bool("plancache-aot", true, "pre-solve each degraded config the fault schedule will produce at bring-up")
 		pcDist   = flag.Float64("plancache-maxdist", 0, "max quantized-profile distance for a nearest hit (0 = default)")
-		pcTiles  = flag.Bool("plancache-aot-tiles", false, "AOT additionally pre-solves every single-tile-loss variant")
 		hostCyc  = flag.Int64("hostresched", 0, "host solve latency charged into virtual time per plan-cache miss (cycles)")
 		pipeline = flag.Int("pipeline", 0, "batch pipeline depth: overlap up to N batches on the machine (<=1 = retire each batch before the next forms)")
 		simpar   = flag.Int("simpar", 1, "fleet mode: worker goroutines stepping replicas concurrently (results byte-identical at any count)")
@@ -217,24 +216,23 @@ func main() {
 		return
 	}
 	cfg := serve.Config{
-		Model:                  *model,
-		Design:                 d,
-		RC:                     core.DefaultRunConfig(),
-		MaxBatch:               *maxBatch,
-		MaxWaitCycles:          *maxWait,
-		SLOCycles:              *slo,
-		QueueCapSamples:        *queueCap,
-		PipelineDepth:          *pipeline,
-		Reschedule:             *resched,
-		DriftThreshold:         *thresh,
-		CheckEvery:             *check,
-		CooldownBatches:        *cooldown,
-		PlanCache:              *pcOn,
-		PlanCacheNearest:       *pcNear,
-		PlanCacheMaxDist:       *pcDist,
-		PlanCacheAOT:           *pcAOT,
-		PlanCacheAOTSingleTile: *pcTiles,
-		HostReschedCycles:      *hostCyc,
+		Model:             *model,
+		Design:            d,
+		RC:                core.DefaultRunConfig(),
+		MaxBatch:          *maxBatch,
+		MaxWaitCycles:     *maxWait,
+		SLOCycles:         *slo,
+		QueueCapSamples:   *queueCap,
+		PipelineDepth:     *pipeline,
+		Reschedule:        *resched,
+		DriftThreshold:    *thresh,
+		CheckEvery:        *check,
+		CooldownBatches:   *cooldown,
+		PlanCache:         *pcOn,
+		PlanCacheNearest:  *pcNear,
+		PlanCacheMaxDist:  *pcDist,
+		PlanCacheAOT:      *pcAOT,
+		HostReschedCycles: *hostCyc,
 	}
 	cfg.RC.Batch = *maxBatch
 	cfg.RC.Warmup = *warmup

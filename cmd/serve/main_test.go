@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -162,19 +163,58 @@ func TestLoadFaults(t *testing.T) {
 	}
 }
 
-// TestStrayArgumentRejected runs main in a child process. The flag package
-// stops at the first positional argument, so a stray one must fail by name
-// with a non-zero exit instead of silently dropping every flag after it.
-func TestStrayArgumentRejected(t *testing.T) {
+// TestMain lets a test run main in a child process: with CLI_MAIN_ARGS set,
+// the test binary is the serve command run with those arguments.
+func TestMain(m *testing.M) {
 	if args := os.Getenv("CLI_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"serve"}, strings.Fields(args)...)
 		main()
 		os.Exit(0)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestStrayArgumentRejected$")
-	cmd.Env = append(os.Environ(), "CLI_MAIN_ARGS=-requests 16 -warmup 4 moe -fleet 2")
+	os.Exit(m.Run())
+}
+
+// runMain runs the serve command with args in a child process and returns
+// its combined output and exit code.
+func runMain(t *testing.T, args string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "CLI_MAIN_ARGS="+args)
 	out, err := cmd.CombinedOutput()
-	if err == nil || !strings.Contains(string(out), `"moe"`) {
-		t.Fatalf("stray argument: err=%v, output:\n%s", err, out)
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return string(out), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), 0
+}
+
+// The flag package stops at the first positional argument, so a stray one
+// must fail by name with a non-zero exit instead of silently dropping every
+// flag after it.
+func TestStrayArgumentRejected(t *testing.T) {
+	out, code := runMain(t, "-requests 16 -warmup 4 moe -fleet 2")
+	if code == 0 || !strings.Contains(out, `"moe"`) {
+		t.Fatalf("stray argument: exit %d, output:\n%s", code, out)
+	}
+}
+
+// Spec values outside their domain must fail with a non-zero exit and an
+// error naming the value, not serve: a NaN or negative fault factor, and a
+// negative or NaN tenant parameter.
+func TestBadSpecValuesRejected(t *testing.T) {
+	for args, want := range map[string]string{
+		"-requests 16 -warmup 4 -faults hbm@10:factor=NaN":               "factor NaN",
+		"-requests 16 -warmup 4 -faults noc@10:factor=-2":                "factor -2",
+		"-warmup 4 -tenants moe:gap=-30k:req=16":                         "gap=-30k",
+		"-warmup 4 -tenants moe:req=16:weight=NaN,fbsnet:req=16":         "weight=NaN",
+		"-warmup 4 -tenants moe:req=16,fbsnet:req=16:walk=-0.5:bias=1.6": "walk=-0.5",
+	} {
+		out, code := runMain(t, args)
+		if code == 0 || !strings.Contains(out, want) {
+			t.Errorf("%s: exit %d, want non-zero naming %q; output:\n%s", args, code, want, out)
+		}
 	}
 }

@@ -123,9 +123,10 @@ func (s *Schedule) normalize() {
 
 // Validate rejects schedules the chip cannot survive or the injector cannot
 // interpret: negative times, inverted windows, out-of-range or missing
-// tiles, factors outside (0,1], and — the cumulative check — a union of all
-// tile events (overlapping windows included) that would leave zero surviving
-// tiles, which would make re-planning onto the survivors impossible.
+// tiles, bandwidth factors outside (0,1] (NaN included), a factor on a tile
+// event, and — the cumulative check — a union of all tile events
+// (overlapping windows included) that would leave zero surviving tiles,
+// which would make re-planning onto the survivors impossible.
 func (s *Schedule) Validate(cfg hw.Config) error {
 	if s == nil {
 		return nil
@@ -148,9 +149,12 @@ func (s *Schedule) Validate(cfg hw.Config) error {
 			if e.Kind == TileBrownout && e.Until <= e.At {
 				return fmt.Errorf("faults: brownout event %d repairs at %d, not after strike %d", i, e.Until, e.At)
 			}
+			if e.Factor != 0 {
+				return fmt.Errorf("faults: %s event %d sets factor %v; only noc and hbm events take one", e.Kind, i, e.Factor)
+			}
 			union = union.Or(hw.NewTileMask(e.Tiles...))
 		case NoCDegrade, HBMDegrade:
-			if e.Factor <= 0 || e.Factor > 1 {
+			if !(e.Factor > 0 && e.Factor <= 1) { // NaN fails both comparisons
 				return fmt.Errorf("faults: event %d factor %v outside (0,1]", i, e.Factor)
 			}
 			if e.Until != 0 && e.Until <= e.At {

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -109,6 +110,9 @@ func TestValidateRejections(t *testing.T) {
 		"brownout window": {Events: []Event{{At: 5, Kind: TileBrownout, Tiles: []int{0}, Until: 5}}},
 		"factor zero":     {Events: []Event{{At: 1, Kind: NoCDegrade, Factor: 0}}},
 		"factor over":     {Events: []Event{{At: 1, Kind: HBMDegrade, Factor: 1.5}}},
+		"factor NaN":      {Events: []Event{{At: 1, Kind: HBMDegrade, Factor: math.NaN()}}},
+		"factor +Inf":     {Events: []Event{{At: 1, Kind: NoCDegrade, Factor: math.Inf(1)}}},
+		"factor on tiles": {Events: []Event{{At: 1, Kind: TileFail, Tiles: []int{0}, Factor: math.NaN()}}},
 		"empty window":    {Events: []Event{{At: 9, Kind: NoCDegrade, Factor: 0.5, Until: 4}}},
 		"unknown kind":    {Events: []Event{{At: 1, Kind: Kind(99)}}},
 		"kills the chip": {Events: []Event{

@@ -101,6 +101,10 @@ func parseEvent(part string) (Event, error) {
 	return ev, nil
 }
 
+// maxEventTiles bounds the tile list of one event, far above any chip, so a
+// range like "0-2000000000" errors instead of allocating gigabytes.
+const maxEventTiles = 1 << 16
+
 // parseTiles reads "0-35+40+50-52" into an index list.
 func parseTiles(s string) ([]int, error) {
 	var out []int
@@ -118,6 +122,9 @@ func parseTiles(s string) ([]int, error) {
 		}
 		if b < a {
 			return nil, fmt.Errorf("inverted tile range %q", r)
+		}
+		if b-a >= maxEventTiles-len(out) {
+			return nil, fmt.Errorf("tile list %q names more than %d tiles", s, maxEventTiles)
 		}
 		for t := a; t <= b; t++ {
 			out = append(out, t)

@@ -115,12 +115,3 @@ func (f *FreqTable) Decay() {
 		f.total += f.counts[i]
 	}
 }
-
-// Clone deep-copies the table (the profiler reports copies so the scheduler
-// can work while the hardware keeps counting).
-func (f *FreqTable) Clone() *FreqTable {
-	c := NewFreqTable(f.max)
-	copy(c.counts, f.counts)
-	c.total = f.total
-	return c
-}

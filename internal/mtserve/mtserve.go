@@ -127,8 +127,9 @@ type Config struct {
 	PlanCacheNearest bool
 	// PlanCacheMaxDist bounds a nearest hit (default 0.04).
 	PlanCacheMaxDist float64
-	// PlanCacheAOT precomputes each tenant's cache at bring-up (profile
-	// lattice plus the fault schedule's windows over the initial partition).
+	// PlanCacheAOT precomputes each tenant's cache at bring-up: the fault
+	// schedule's degraded configs over the initial partition, solved at the
+	// live profile.
 	PlanCacheAOT bool
 	// HostReschedCycles charges the host-side solve latency of a re-plan
 	// into the tenant's virtual time on every cache miss (or always, with

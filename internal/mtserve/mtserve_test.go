@@ -328,6 +328,37 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsBadValues pins per-parameter validation: gap, req,
+// walk, bias, revert and weight must be finite and non-negative, and the
+// error names the offending parameter.
+func TestParseSpecRejectsBadValues(t *testing.T) {
+	for _, param := range []string{
+		"gap=-30k",
+		"req=-1",
+		"walk=-0.5",
+		"walk=NaN",
+		"bias=-1",
+		"bias=+Inf",
+		"revert=-0.01",
+		"weight=NaN",
+		"weight=-3",
+		"weight=Inf",
+	} {
+		_, err := ParseSpec("fbsnet:slo=5M,moe:"+param, Tenant{})
+		if err == nil {
+			t.Errorf("parameter %q accepted", param)
+			continue
+		}
+		if !strings.Contains(err.Error(), param) {
+			t.Errorf("parameter %q: error %q does not name it", param, err)
+		}
+	}
+	// Zero stays legal: it selects each field's serving default.
+	if _, err := ParseSpec("moe:gap=0:req=0:walk=0:bias=0:revert=0:weight=0", Tenant{}); err != nil {
+		t.Errorf("all-zero parameters rejected: %v", err)
+	}
+}
+
 func TestParseMode(t *testing.T) {
 	for spec, want := range map[string]Mode{
 		"static": ModeStatic, "timeslice": ModeTimeSlice, "time-slice": ModeTimeSlice,

@@ -1,7 +1,9 @@
 package mtserve
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -64,6 +66,7 @@ type Tenant struct {
 //
 // Cycle-valued parameters (slo, wait, gap, seed) take hw.ParseCycles syntax:
 // integers, scientific notation and k/M/G suffixes ("slo=5M", "gap=3e4").
+// gap, req, walk, bias, revert and weight must be finite and non-negative.
 // Example:
 //
 //	moe:slo=5M:gap=30k,skipnet:slo=8M:gap=60k:prio=1
@@ -111,20 +114,24 @@ func parseTenant(part string, def Tenant) (Tenant, error) {
 			t.MaxWaitCycles, err = hw.ParseCycles(val)
 		case "gap":
 			var gap int64
-			gap, err = hw.ParseCycles(val)
+			if gap, err = hw.ParseCycles(val); err == nil && gap < 0 {
+				err = errOutOfDomain
+			}
 			t.MeanGapCycles = float64(gap)
 		case "req":
-			t.Requests, err = strconv.Atoi(val)
+			if t.Requests, err = strconv.Atoi(val); err == nil && t.Requests < 0 {
+				err = errOutOfDomain
+			}
 		case "prio":
 			t.Priority, err = strconv.Atoi(val)
 		case "walk":
-			t.RateWalkSD, err = strconv.ParseFloat(val, 64)
+			t.RateWalkSD, err = parseNonNegative(val)
 		case "bias":
-			t.RateBias, err = strconv.ParseFloat(val, 64)
+			t.RateBias, err = parseNonNegative(val)
 		case "revert":
-			t.RateRevert, err = strconv.ParseFloat(val, 64)
+			t.RateRevert, err = parseNonNegative(val)
 		case "weight":
-			t.Weight, err = strconv.ParseFloat(val, 64)
+			t.Weight, err = parseNonNegative(val)
 		case "name":
 			t.Name = val
 		case "seed":
@@ -137,6 +144,18 @@ func parseTenant(part string, def Tenant) (Tenant, error) {
 		}
 	}
 	return t, nil
+}
+
+var errOutOfDomain = errors.New("must be finite and >= 0")
+
+// parseNonNegative parses a float tenant parameter, rejecting NaN, the
+// infinities and negative values.
+func parseNonNegative(val string) (float64, error) {
+	v, err := strconv.ParseFloat(val, 64)
+	if err == nil && !(v >= 0 && v <= math.MaxFloat64) {
+		err = errOutOfDomain
+	}
+	return v, err
 }
 
 // nameTenants fills empty names with the model name, suffixing duplicates

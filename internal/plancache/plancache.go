@@ -18,9 +18,11 @@
 // approximate, bounded by the same units the drift detector thresholds in.
 //
 // The cache is populated online (every miss stores its solve) and ahead of
-// time: Precompute walks each switch's branch simplex and the fault
-// schedule's known degraded configurations at bring-up, so the first drift
-// excursion or tile loss can already dispatch instead of solve.
+// time: Precompute solves the fault schedule's known degraded configurations
+// at the live profile during bring-up, so the first tile loss or bandwidth
+// window can already dispatch instead of solve. Profiles drift where the
+// profiler's measurements take them, so the cache never pre-solves guessed
+// ones.
 //
 // Unlike the rest of the serving stack, a Cache may be shared: every public
 // method takes an internal mutex, so replica fleets (internal/fleet) and

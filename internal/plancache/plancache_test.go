@@ -188,45 +188,58 @@ func TestEvictionPrefersOnlineEntries(t *testing.T) {
 	}
 }
 
-// TestPrecomputeCoversFaultWindowsAndLattice checks AOT bring-up: the fault
-// schedule's degraded configs and the branch-tilt lattice are all pre-solved,
-// the first excursion hits, and the live profile/frequency state is untouched.
-func TestPrecomputeCoversFaultWindowsAndLattice(t *testing.T) {
+// TestPrecomputeCoversFaultWindows checks AOT bring-up: each distinct
+// degraded config the fault schedule steps through is pre-solved once at the
+// live profile (the repaired, healthy chip is not), every one of them is an
+// exact hit, the live profile/frequency state is untouched, and a schedule-
+// free precompute adds nothing.
+func TestPrecomputeCoversFaultWindows(t *testing.T) {
 	w, prof := warmWorkload(t, "moe", 12)
 	comp := sched.NewCompiler(w.Graph)
 	cfg := hw.Default()
 	pol := sched.Adyna()
-	fs, err := faults.ParseSpec("fail@2e6:tiles=0-3")
+	// hbm window (then healthy again), a brownout over a permanent loss, and
+	// the permanent loss alone once the brownout repairs: three configs.
+	fs, err := faults.ParseSpec("hbm@1e6:factor=0.5,until=2e6;fail@3e6:tiles=0-3;brownout@4e6:tiles=8-11,repair=1e6")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := New(NewKeyer(w.Graph, 0), Config{})
 	before := c.keyer.makeKey(cfg, w.Graph, pol, prof)
 
-	added := c.Precompute(cfg, comp, pol, prof, AOTConfig{Faults: fs, Batches: 8})
-	if added == 0 {
-		t.Fatal("precompute added nothing")
+	if added := c.Precompute(cfg, comp, pol, prof, nil); added != 0 {
+		t.Fatalf("precompute without a fault schedule added %d plans", added)
+	}
+	added := c.Precompute(cfg, comp, pol, prof, fs)
+	if added != 3 {
+		t.Fatalf("precompute added %d plans, want one per distinct degraded config (3)", added)
 	}
 	st := c.Stats()
 	if st.AOTEntries != added || st.Entries != added {
 		t.Fatalf("stats %+v after adding %d AOT plans", st, added)
 	}
-	// Synthetic lattice observation must not leak into live profile state.
 	if after := c.keyer.makeKey(cfg, w.Graph, pol, prof); after != before {
 		t.Fatal("precompute mutated the live profile / frequency tables")
 	}
-	// The fault window's degraded config is now a hit at the live profile.
+	// Every config the schedule reaches is now a hit at the live profile.
 	st0 := faults.NewState(fs)
-	nc, ok := st0.NextChange(0)
-	if !ok {
-		t.Fatal("fault schedule has no windows")
-	}
-	cap, _ := st0.At(nc)
-	if _, kind := c.Lookup(cap.Apply(cfg), w.Graph, pol, prof); kind != HitExact {
-		t.Fatalf("degraded-window lookup returned %v, want exact hit", kind)
+	for t0 := int64(0); ; {
+		nc, ok := st0.NextChange(t0)
+		if !ok {
+			break
+		}
+		cap, _ := st0.At(nc)
+		want := HitExact
+		if !cap.Degraded() {
+			want = Miss
+		}
+		if _, kind := c.Lookup(cap.Apply(cfg), w.Graph, pol, prof); kind != want {
+			t.Fatalf("lookup at the capability from %d returned %v, want %v", nc, kind, want)
+		}
+		t0 = nc
 	}
 	// Idempotent: a second precompute finds everything cached.
-	if again := c.Precompute(cfg, comp, pol, prof, AOTConfig{Faults: fs, Batches: 8}); again != 0 {
+	if again := c.Precompute(cfg, comp, pol, prof, fs); again != 0 {
 		t.Fatalf("second precompute added %d plans, want 0", again)
 	}
 }

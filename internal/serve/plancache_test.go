@@ -126,19 +126,27 @@ func TestPlanCacheBeatsUncachedUnderFastDrift(t *testing.T) {
 }
 
 // TestPlanCacheAOTSeedsEntries checks bring-up precompute: a cache-enabled
-// server starts with more than the single bring-up plan, and the snapshot
-// exposes the cache gauges.
+// server under a fault schedule starts with the bring-up plan plus one AOT
+// plan per distinct degraded config the schedule will produce, and the
+// snapshot exposes the cache gauges.
 func TestPlanCacheAOTSeedsEntries(t *testing.T) {
 	cfg := driftConfig("moe")
 	cfg.PlanCache = true
 	cfg.PlanCacheAOT = true
+	// An hbm window, then a permanent loss: two degraded configs (the chip
+	// between them is the healthy bring-up config).
+	fs, err := faults.ParseSpec("hbm@1e6:factor=0.5,until=2e6;fail@3e6:tiles=0-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = fs
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := s.PlanCacheStats()
-	if st.AOTEntries == 0 || st.Entries <= 1 {
-		t.Fatalf("AOT bring-up produced %d entries (%d AOT), want more than the seed plan", st.Entries, st.AOTEntries)
+	if st.AOTEntries != 2 || st.Entries != 3 {
+		t.Fatalf("AOT bring-up produced %d entries (%d AOT), want the seed plan plus 2 degraded configs", st.Entries, st.AOTEntries)
 	}
 	snap := s.Snapshot()
 	if snap.Gauges["plan_cache_entries"] != float64(st.Entries) {
@@ -149,11 +157,41 @@ func TestPlanCacheAOTSeedsEntries(t *testing.T) {
 	}
 }
 
+// TestPlanCacheAOTWithoutFaultsIsANoOp pins what AOT precompute covers: only
+// the fault schedule's degraded configs. With no schedule, bring-up stores
+// nothing beyond the seed plan, and a drifting, re-planning stream serves the
+// same outcome log as with AOT off.
+func TestPlanCacheAOTWithoutFaultsIsANoOp(t *testing.T) {
+	base := driftConfig("moe")
+	base.HostReschedCycles = 2_000_000
+	base.PlanCache = true
+	base.PlanCacheNearest = true
+
+	aot := base
+	aot.PlanCacheAOT = true
+	s, err := New(aot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.PlanCacheStats(); st.AOTEntries != 0 || st.Entries != 1 {
+		t.Fatalf("AOT bring-up without faults produced %d entries (%d AOT), want only the seed plan", st.Entries, st.AOTEntries)
+	}
+	on, err := s.Serve(driftSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := mustServe(t, base, driftSource())
+	if off.Reschedules == 0 {
+		t.Fatal("drift never triggered a re-plan; the scenario exercises nothing")
+	}
+	sameOutcomes(t, "AOT on vs off without faults", on, off)
+}
+
 // TestAOTBringupCompilesEachKernelOnce is the compile memo's counter guard:
-// a moe AOT bring-up — the bring-up solve plus every lattice and
-// degraded-config solve — runs exactly one blocking search per distinct
-// kernel key, all through the bring-up's compiler: re-running the same
-// precompute into an empty cache searches nothing.
+// a moe AOT bring-up — the bring-up solve plus every degraded-config solve of
+// the fault schedule — runs exactly one blocking search per distinct kernel
+// key, all through the bring-up's compiler: re-running the same precompute
+// into an empty cache is served entirely from the memo and searches nothing.
 func TestAOTBringupCompilesEachKernelOnce(t *testing.T) {
 	cfg := driftConfig("moe")
 	cfg.PlanCache = true
@@ -172,23 +210,21 @@ func TestAOTBringupCompilesEachKernelOnce(t *testing.T) {
 	if searches == 0 || searches != int64(setup.Comp.Len()) {
 		t.Fatalf("bring-up ran %d blocking searches for %d distinct kernels", searches, setup.Comp.Len())
 	}
-	if lookups <= searches {
-		t.Fatalf("%d kernel lookups for %d searches: the memo served no hits", lookups, searches)
-	}
 	st := s.PlanCacheStats()
 	if st.AOTEntries == 0 {
 		t.Fatal("AOT bring-up stored no plans")
 	}
 	again := plancache.New(s.PlanCache().Keyer(), plancache.Config{})
-	added := again.Precompute(cfg.RC.HW, setup.Comp, setup.Policy, setup.M.Profiler(), plancache.AOTConfig{
-		BatchUnits: cfg.RC.Batch * setup.W.Graph.UnitsPerSample,
-		Faults:     cfg.Faults,
-	})
+	added := again.Precompute(cfg.RC.HW, setup.Comp, setup.Policy, setup.M.Profiler(), cfg.Faults)
 	if added != st.AOTEntries {
 		t.Fatalf("re-run precompute added %d plans, bring-up %d", added, st.AOTEntries)
 	}
-	if _, after := setup.Comp.Stats(); after != searches {
-		t.Fatalf("re-running the bring-up's precompute ran %d more blocking searches, want 0", after-searches)
+	afterLookups, afterSearches := setup.Comp.Stats()
+	if afterSearches != searches {
+		t.Fatalf("re-running the bring-up's precompute ran %d more blocking searches, want 0", afterSearches-searches)
+	}
+	if afterLookups <= lookups {
+		t.Fatalf("re-run precompute looked up no kernels (%d before, %d after)", lookups, afterLookups)
 	}
 }
 

@@ -100,13 +100,10 @@ type Config struct {
 	PlanCacheNearest bool
 	// PlanCacheMaxDist bounds a nearest hit (default 0.04).
 	PlanCacheMaxDist float64
-	// PlanCacheAOT precomputes the cache at bring-up: one plan per
-	// profile-lattice point along each switch's branch simplex, plus one per
-	// degraded config in the fault schedule's known windows.
+	// PlanCacheAOT precomputes the cache at bring-up: one plan per distinct
+	// degraded config the fault schedule will produce, solved at the live
+	// profile. Without a fault schedule it adds nothing.
 	PlanCacheAOT bool
-	// PlanCacheAOTSingleTile additionally precomputes every single-tile-loss
-	// variant of the chip (one solve per live tile).
-	PlanCacheAOTSingleTile bool
 	// SharedPlanCache, when non-nil, uses the given cache instead of
 	// building a private one — warm restarts and replica fleets share solved
 	// plans this way. Implies PlanCache.
@@ -417,11 +414,7 @@ func New(cfg Config) (*Server, error) {
 		// fingerprint is the one a fresh solve of the same state would key.
 		s.pcache.PutFor(cfg.PlanCacheOrigin, cfg.RC.HW, setup.W.Graph, setup.Policy, setup.M.Profiler(), setup.Plan)
 		if cfg.PlanCacheAOT {
-			s.pcache.Precompute(cfg.RC.HW, setup.Comp, setup.Policy, setup.M.Profiler(), plancache.AOTConfig{
-				BatchUnits:     cfg.RC.Batch * setup.W.Graph.UnitsPerSample,
-				Faults:         cfg.Faults,
-				SingleTileLoss: cfg.PlanCacheAOTSingleTile,
-			})
+			s.pcache.Precompute(cfg.RC.HW, setup.Comp, setup.Policy, setup.M.Profiler(), cfg.Faults)
 		}
 	}
 	if s.pcache != nil {

@@ -315,13 +315,13 @@ func BenchmarkPlanCacheLookup(b *testing.B) {
 	cfg, w, prof := replanInputs(b)
 	comp := sched.NewCompiler(w.Graph)
 	c := plancache.New(plancache.NewKeyer(w.Graph, 0), plancache.Config{})
-	if _, _, err := c.GetOrSchedule(cfg, comp, sched.Adyna(), prof); err != nil {
+	if _, _, err := c.GetOrScheduleFor("", cfg, comp, sched.Adyna(), prof); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, kind, err := c.GetOrSchedule(cfg, comp, sched.Adyna(), prof)
+		plan, kind, err := c.GetOrScheduleFor("", cfg, comp, sched.Adyna(), prof)
 		if err != nil || kind != plancache.HitExact || plan == nil {
 			b.Fatalf("warm lookup: kind=%v err=%v", kind, err)
 		}

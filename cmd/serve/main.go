@@ -72,6 +72,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -133,6 +134,10 @@ func main() {
 		// flag stops at the first positional argument, so every flag after
 		// it would be dropped silently.
 		fmt.Fprintf(os.Stderr, "serve: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
+		os.Exit(2)
+	}
+	if err := checkNonNegative(*requests, *gap, *slo, *maxWait); err != nil {
+		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(2)
 	}
 
@@ -362,6 +367,23 @@ func densityWrap(trace string, walkSD, center float64) (func(workload.TraceGen) 
 
 // newSource builds the request stream; arrivals use their own deterministic
 // seed so the stream is identical across server configurations.
+// checkNonNegative rejects the flag values serving would otherwise run with
+// silently: a negative -gap runs arrivals backwards in time, and a negative
+// -slo or -maxwait switches the deadline it names off.
+func checkNonNegative(requests int, gap float64, slo, maxWait int64) error {
+	switch {
+	case requests < 0:
+		return fmt.Errorf("-requests %d must be >= 0", requests)
+	case !(gap >= 0 && gap <= math.MaxFloat64):
+		return fmt.Errorf("-gap %v must be finite and >= 0", gap)
+	case slo < 0:
+		return fmt.Errorf("-slo %d must be >= 0", slo)
+	case maxWait < 0:
+		return fmt.Errorf("-maxwait %d must be >= 0", maxWait)
+	}
+	return nil
+}
+
 func newSource(replay string, requests int, gap, ratewalk float64, seed int64) (serve.Source, error) {
 	if replay != "" {
 		f, err := os.Open(replay)

@@ -203,7 +203,7 @@ func TestStrayArgumentRejected(t *testing.T) {
 
 // Spec values outside their domain must fail with a non-zero exit and an
 // error naming the value, not serve: a NaN or negative fault factor, and a
-// negative or NaN tenant parameter.
+// negative or NaN tenant parameter (slo and wait included).
 func TestBadSpecValuesRejected(t *testing.T) {
 	for args, want := range map[string]string{
 		"-requests 16 -warmup 4 -faults hbm@10:factor=NaN":               "factor NaN",
@@ -211,10 +211,31 @@ func TestBadSpecValuesRejected(t *testing.T) {
 		"-warmup 4 -tenants moe:gap=-30k:req=16":                         "gap=-30k",
 		"-warmup 4 -tenants moe:req=16:weight=NaN,fbsnet:req=16":         "weight=NaN",
 		"-warmup 4 -tenants moe:req=16,fbsnet:req=16:walk=-0.5:bias=1.6": "walk=-0.5",
+		"-warmup 4 -tenants moe:req=16:slo=-5M":                          "slo=-5M",
+		"-warmup 4 -tenants moe:req=16:wait=-1":                          "wait=-1",
 	} {
 		out, code := runMain(t, args)
 		if code == 0 || !strings.Contains(out, want) {
 			t.Errorf("%s: exit %d, want non-zero naming %q; output:\n%s", args, code, want, out)
+		}
+	}
+}
+
+// Negative numeric flags must exit 2 with an error naming the flag instead
+// of serving: -slo -100 used to switch deadlines off, and -gap -1000 ran
+// arrivals backwards in time.
+func TestNegativeFlagsRejected(t *testing.T) {
+	for args, want := range map[string]string{
+		"-requests 16 -warmup 4 -slo -100":    "-slo -100",
+		"-requests 16 -warmup 4 -maxwait -1":  "-maxwait -1",
+		"-requests 16 -warmup 4 -gap -1000":   "-gap -1000",
+		"-requests 16 -warmup 4 -gap NaN":     "-gap NaN",
+		"-requests -5 -warmup 4":              "-requests -5",
+		"-warmup 4 -requests -5 -tenants moe": "-requests -5",
+	} {
+		out, code := runMain(t, args)
+		if code != 2 || !strings.Contains(out, want) {
+			t.Errorf("%s: exit %d, want 2 naming %q; output:\n%s", args, code, want, out)
 		}
 	}
 }

@@ -164,9 +164,11 @@ func keyOf(modelName string, rc RunConfig) traceKey {
 // batchTrace is one model's batch trace for a run config: the warmup
 // batches the profiler observes before the initial schedule, then the
 // measured batches every design executes, drawn in that order from one
-// Source seeded with RunConfig.Seed. Runs only read it, so any number of
-// designs, hardware variants and goroutines may share one batchTrace.
+// Source seeded with RunConfig.Seed, plus the workload that generated them.
+// Runs only read it — graphs are immutable — so any number of designs,
+// hardware variants and goroutines may share one batchTrace and its graph.
 type batchTrace struct {
+	w                *models.Workload
 	warmup, measured []workload.Batch
 	key              traceKey
 }
@@ -183,7 +185,7 @@ func newBatchTrace(modelName string, rc RunConfig) (*batchTrace, error) {
 	}
 	src := workload.NewSource(rc.Seed)
 	warm := w.GenTrace(src, rc.Warmup, rc.Batch)
-	return &batchTrace{warmup: warm, measured: w.GenTrace(src, rc.Batches, rc.Batch), key: keyOf(modelName, rc)}, nil
+	return &batchTrace{w: w, warmup: warm, measured: w.GenTrace(src, rc.Batches, rc.Batch), key: keyOf(modelName, rc)}, nil
 }
 
 // policyFor maps a design to its scheduling policy (machine-based designs
@@ -325,7 +327,7 @@ func bringup(d Design, modelName string, w *models.Workload, rc RunConfig, mutat
 // model and trace fields of rc (Batch, Seed, Warmup, Batches, WrapGen); rc.HW
 // and the policy may differ between runs on one trace. The machine designs
 // bring up on tr.warmup and execute tr.measured; GPU and M-tenant execute
-// tr.measured. tr is only read.
+// tr.measured. tr, its workload and graph included, is only read.
 func runOnTrace(d Design, tr *batchTrace, rc RunConfig, mutate func(*sched.Policy)) (metrics.RunResult, error) {
 	if err := rc.validate(); err != nil {
 		return metrics.RunResult{}, err
@@ -333,13 +335,7 @@ func runOnTrace(d Design, tr *batchTrace, rc RunConfig, mutate func(*sched.Polic
 	if k := keyOf(tr.key.model, rc); k != tr.key {
 		return metrics.RunResult{}, fmt.Errorf("core: trace generated for %+v, run config wants %+v", tr.key, k)
 	}
-	// The trace already holds the generator's output, so the workload here
-	// only supplies the graph: rc.WrapGen is not applied.
-	w, err := models.ByName(tr.key.model, rc.Batch)
-	if err != nil {
-		return metrics.RunResult{}, err
-	}
-	meas := tr.measured
+	w, meas := tr.w, tr.measured
 	switch d {
 	case DesignGPU:
 		return baselines.GPU(rc.HW, w, meas)

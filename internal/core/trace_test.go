@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/runner"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -119,5 +120,38 @@ func TestTraceSlotReleasesAfterLastTake(t *testing.T) {
 	}
 	if s.tr != nil {
 		t.Fatal("trace still held after the last job took it")
+	}
+}
+
+// RunJobs workers share one trace's workload graph: every job on a trace
+// runs on the same graph with a profiler of its own — periodic re-plans and
+// a hardware variant included — and the results equal a serial run's. Under
+// -race this audits the concurrent graph reads.
+func TestRunJobsShareTraceGraph(t *testing.T) {
+	rc := quickRC()
+	slowNoC := rc
+	slowNoC.HW.NoCPerTileGBps /= 2
+	resample := func(p *sched.Policy) { p.ResamplePeriod = 4 }
+	var jobs []Job
+	for _, model := range []string{"tutel-moe", "skipnet"} {
+		for _, d := range Figure9Designs() {
+			jobs = append(jobs, Job{Design: d, Model: model, RC: rc})
+		}
+		jobs = append(jobs,
+			Job{Design: DesignAdyna, Model: model, RC: rc, Policy: resample},
+			Job{Design: DesignAdyna, Model: model, RC: slowNoC, Policy: resample})
+	}
+	parallel, err := RunJobs(4, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := RunJobs(1, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		if parallel[i] != serial[i] {
+			t.Fatalf("job %d (%s on %s): 4 workers on shared graphs\n%+v\nserial\n%+v", i, j.Design, j.Model, parallel[i], serial[i])
+		}
 	}
 }

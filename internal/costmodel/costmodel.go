@@ -151,7 +151,7 @@ func Evaluate(cfg hw.Config, op *graph.Op, blk Blocking, compiledUnits, actualUn
 		OutBytes: op.OutBytesPerUnit * int64(actualUnits),
 	}
 
-	if isVector(op.Kind) {
+	if IsVector(op.Kind) {
 		lanes := int64(cfg.PEsPerTile()) * int64(tiles)
 		work := op.MACsPerUnit * int64(actualUnits)
 		ev.Cycles = ceilDiv(work, lanes) + startupCycles
@@ -240,7 +240,10 @@ func Evaluate(cfg hw.Config, op *graph.Op, blk Blocking, compiledUnits, actualUn
 	return ev, nil
 }
 
-func isVector(k graph.Kind) bool {
+// IsVector reports whether operators of kind k are vector operators
+// (elementwise, pool, norm, softmax), which map as full-array vector
+// operations and fuse into their producer.
+func IsVector(k graph.Kind) bool {
 	switch k {
 	case graph.KindElementwise, graph.KindPool, graph.KindLayerNorm, graph.KindSoftmax:
 		return true

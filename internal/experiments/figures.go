@@ -5,9 +5,9 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/models"
+	"repro/internal/profiler"
 	"repro/internal/sampling"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -294,7 +294,7 @@ func KernelBudgetSweep(opt Options, budgets []int) (*metrics.Figure, error) {
 // skewed distribution: matching loss before and after re-sampling.
 func SamplingDemo(seed int64) *metrics.Table {
 	src := workload.NewSource(seed)
-	ft := graph.NewFreqTable(8192)
+	ft := profiler.NewFreqTable(8192)
 	for i := 0; i < 20000; i++ {
 		v := src.NormInt(2000, 450, 1, 8192)
 		ft.Observe(v)

@@ -153,7 +153,6 @@ func (b *Builder) unit(name string, kind Kind, macs, inB, outB, weightB int64, i
 		top := ctx[len(ctx)-1]
 		op.SwitchOf = top.sw
 		op.Branch = top.branch
-		op.Freq = NewFreqTable(units)
 	}
 	for _, in := range ins {
 		b.connect(in, op)
@@ -337,7 +336,6 @@ func (b *Builder) Switch(name string, data, mask Port, branches int) []Port {
 		top := dctx[len(dctx)-1]
 		op.SwitchOf = top.sw
 		op.Branch = top.branch
-		op.Freq = NewFreqTable(units)
 	}
 	op.InBytesPerUnit = b.outBytesPerUnit(data)
 	op.OutBytesPerUnit = op.InBytesPerUnit
@@ -402,7 +400,6 @@ func (b *Builder) Merge(name string, sw []Port, ins ...Port) Port {
 		top := outer[len(outer)-1]
 		op.SwitchOf = top.sw
 		op.Branch = top.branch
-		op.Freq = NewFreqTable(b.maxUnits[swID])
 	}
 	op.MaxUnits = b.maxUnits[swID]
 	op.InBytesPerUnit = b.outBytesPerUnit(ins[0])
@@ -432,7 +429,6 @@ func (b *Builder) Sink(name string, in Port) {
 		top := c[len(c)-1]
 		op.SwitchOf = top.sw
 		op.Branch = top.branch
-		op.Freq = NewFreqTable(units)
 	}
 	op.InBytesPerUnit = b.outBytesPerUnit(in)
 	b.connect(in, op)
@@ -458,7 +454,6 @@ func (b *Builder) Output(name string, in Port) {
 		top := c[len(c)-1]
 		op.SwitchOf = top.sw
 		op.Branch = top.branch
-		op.Freq = NewFreqTable(units)
 	}
 	op.InBytesPerUnit = b.outBytesPerUnit(in)
 	b.connect(in, op)
@@ -569,15 +564,6 @@ func (g *Graph) validate() error {
 				ops := g.BranchOps(swID, k)
 				if len(ops) == 0 {
 					return fmt.Errorf("graph %q: switch %s branch %d is empty", g.Name, sw.Name, k)
-				}
-			}
-		}
-		// Dynamic operators downstream must carry frequency tables.
-		for k := 0; k < sw.NumBranches; k++ {
-			for _, id := range g.BranchOps(swID, k) {
-				op := g.Op(id)
-				if op.Dynamic && op.Freq == nil {
-					return fmt.Errorf("graph %q: dynamic op %s lacks a frequency table", g.Name, op.Name)
 				}
 			}
 		}

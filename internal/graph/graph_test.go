@@ -52,9 +52,6 @@ func TestBuilderSkipBlock(t *testing.T) {
 	if !b1.Dynamic || b1.SwitchOf != sw.ID || b1.Branch != 0 {
 		t.Fatalf("b1 dynamism wrong: %+v", b1)
 	}
-	if b1.Freq == nil || b1.Freq.Max() != 8 {
-		t.Fatal("b1 missing frequency table")
-	}
 	b2b := g.Op(ids["b2_conv2"])
 	if !b2b.Dynamic || b2b.Branch != 1 {
 		t.Fatalf("b2_conv2 dynamism wrong: %+v", b2b)
@@ -308,50 +305,6 @@ func TestNestedSwitchesEarlyExit(t *testing.T) {
 	}
 }
 
-func TestFreqTable(t *testing.T) {
-	f := NewFreqTable(10)
-	if got := f.Expectation(); got != 10 {
-		t.Fatalf("empty expectation = %v, want max", got)
-	}
-	if got := f.ActiveFraction(); got != 1 {
-		t.Fatalf("empty active fraction = %v, want 1", got)
-	}
-	f.Observe(2)
-	f.Observe(4)
-	f.Observe(4)
-	f.Observe(0)
-	if f.Total() != 4 {
-		t.Fatalf("total = %d", f.Total())
-	}
-	if got := f.Expectation(); got != 2.5 {
-		t.Fatalf("expectation = %v, want 2.5", got)
-	}
-	if got := f.ActiveFraction(); got != 0.75 {
-		t.Fatalf("active = %v, want 0.75", got)
-	}
-	vals, freq := f.Distribution()
-	if len(vals) != 3 || vals[0] != 0 || vals[1] != 2 || vals[2] != 4 {
-		t.Fatalf("vals = %v", vals)
-	}
-	if freq[2] != 2 {
-		t.Fatalf("freq = %v", freq)
-	}
-	// Saturation at bounds.
-	f.Observe(-5)
-	f.Observe(99)
-	if f.Count(0) != 2 || f.Count(10) != 1 {
-		t.Fatal("out-of-range observations must clamp")
-	}
-	f.Decay()
-	if f.Count(4) != 1 || f.Count(2) != 0 {
-		t.Fatalf("decay wrong: count(4)=%d count(2)=%d", f.Count(4), f.Count(2))
-	}
-	f.Reset()
-	if f.Total() != 0 {
-		t.Fatal("reset left observations behind")
-	}
-}
-
 // Property: for any exclusive routing of B units across 2 branches, assigned
 // units are conserved: branch0 + branch1 == B at the merge.
 func TestQuickUnitConservation(t *testing.T) {
@@ -562,12 +515,6 @@ func TestGraphEncodeDecodeRoundTrip(t *testing.T) {
 			d.Dynamic != op.Dynamic || d.MaxUnits != op.MaxUnits ||
 			d.SwitchOf != op.SwitchOf || d.Branch != op.Branch || d.Space != op.Space {
 			t.Fatalf("op %d changed: %+v vs %+v", i, d, op)
-		}
-	}
-	// Dynamic ops get fresh frequency tables.
-	for _, id := range dec.DynamicOps() {
-		if dec.Op(id).Freq == nil || dec.Op(id).Freq.Total() != 0 {
-			t.Fatal("decoded dynamic ops must have fresh tables")
 		}
 	}
 	// The decoded graph routes and assigns identically.

@@ -4,9 +4,10 @@
 // All DynNN dynamism — dynamic depth, width, routing, and region — is folded
 // onto the batch dimension. A dedicated switch operator splits a batch across
 // branches according to a per-batch routing mask; a merge operator rejoins
-// them; a sink discards samples (early exit, patch dropping). Every operator
-// that can see a dynamic batch size carries a frequency track table that the
-// hardware profiler fills in and the scheduler consumes.
+// them; a sink discards samples (early exit, patch dropping). A built graph
+// is immutable, so any number of runs and goroutines may share one: the
+// frequency track tables of its dynamic operators belong to the hardware
+// profiler (internal/profiler), which keeps one per operator.
 package graph
 
 import (
@@ -136,9 +137,6 @@ type Op struct {
 	// MaxUnits is the worst-case unit count per batch (what the static
 	// M-tile baseline schedules for).
 	MaxUnits int
-	// Freq is the frequency track table filled by the hardware profiler.
-	// Nil for static operators.
-	Freq *FreqTable
 
 	// SwitchOf is the innermost switch whose branches contain this operator
 	// (None for operators outside any branch). Branch is the branch index

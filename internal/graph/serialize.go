@@ -71,8 +71,7 @@ func (g *Graph) Encode(w io.Writer) error {
 }
 
 // DecodeGraph reads a graph previously written by Encode, re-validating the
-// structural rules and rebuilding fresh frequency track tables for dynamic
-// operators.
+// structural rules.
 func DecodeGraph(r io.Reader) (*Graph, error) {
 	var in graphJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -114,9 +113,6 @@ func DecodeGraph(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph %q: op %s references output %d outside graph", in.Name, op.Name, outID)
 			}
 			op.Outputs = append(op.Outputs, OpID(outID))
-		}
-		if op.Dynamic {
-			op.Freq = NewFreqTable(op.MaxUnits)
 		}
 		g.Ops = append(g.Ops, op)
 		switch op.Kind {

@@ -3,7 +3,7 @@ package models
 import (
 	"testing"
 
-	"repro/internal/graph"
+	"repro/internal/profiler"
 	"repro/internal/workload"
 )
 
@@ -252,25 +252,25 @@ func TestFrequencyTablesObserveTrace(t *testing.T) {
 	}
 	src := workload.NewSource(6)
 	trace := w.GenTrace(src, 20, 16)
+	prof := profiler.New(w.Graph)
 	for _, b := range trace {
 		units, err := w.Graph.AssignUnits(b.Units, b.Routing)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range w.Graph.DynamicOps() {
-			w.Graph.Op(id).Freq.Observe(units[id])
+		if err := prof.ObserveBatch(units, b.Routing, b.Density); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for _, id := range w.Graph.DynamicOps() {
-		op := w.Graph.Op(id)
-		if op.Freq.Total() != 20 {
-			t.Fatalf("op %s observed %d batches, want 20", op.Name, op.Freq.Total())
+		op, f := w.Graph.Op(id), prof.Freq(id)
+		if f.Total() != 20 {
+			t.Fatalf("op %s observed %d batches, want 20", op.Name, f.Total())
 		}
-		if op.Freq.Expectation() > float64(op.MaxUnits) {
+		if f.Expectation() > float64(op.MaxUnits) {
 			t.Fatalf("op %s expectation above max", op.Name)
 		}
 	}
-	_ = graph.None
 }
 
 func BenchmarkTraceGeneration(b *testing.B) {

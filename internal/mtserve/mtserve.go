@@ -36,7 +36,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/models"
-	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -414,8 +413,9 @@ func (s *Server) sessionConfig(ts *tenantState) serve.Config {
 }
 
 // initialCounts splits the live tiles by each tenant's demand prior —
-// expected work per arrival cycle, or the spec's explicit weight — with a
-// MinTiles floor. Time-slicing gives everyone the full chip.
+// worst-case work per arrival cycle (nothing is profiled yet), or the spec's
+// explicit weight — with a MinTiles floor. Time-slicing gives everyone the
+// full chip.
 func (s *Server) initialCounts() ([]int, error) {
 	n := len(s.cfg.Tenants)
 	live := s.total - s.baseFailed.Count()
@@ -440,11 +440,7 @@ func (s *Server) initialCounts() ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		work, err := sched.ExpectedWork(w.Graph, sched.Adyna())
-		if err != nil {
-			return nil, err
-		}
-		weights[i] = work / t.MeanGapCycles
+		weights[i] = float64(w.Graph.MaxMACsPerBatch()) / t.MeanGapCycles
 	}
 	eligible := make([]bool, n)
 	for i := range eligible {

@@ -343,6 +343,9 @@ func TestParseSpecRejectsBadValues(t *testing.T) {
 		"weight=NaN",
 		"weight=-3",
 		"weight=Inf",
+		"slo=-5M",
+		"slo=-1",
+		"wait=-100",
 	} {
 		_, err := ParseSpec("fbsnet:slo=5M,moe:"+param, Tenant{})
 		if err == nil {
@@ -354,7 +357,7 @@ func TestParseSpecRejectsBadValues(t *testing.T) {
 		}
 	}
 	// Zero stays legal: it selects each field's serving default.
-	if _, err := ParseSpec("moe:gap=0:req=0:walk=0:bias=0:revert=0:weight=0", Tenant{}); err != nil {
+	if _, err := ParseSpec("moe:slo=0:wait=0:gap=0:req=0:walk=0:bias=0:revert=0:weight=0", Tenant{}); err != nil {
 		t.Errorf("all-zero parameters rejected: %v", err)
 	}
 }

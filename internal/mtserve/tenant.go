@@ -49,7 +49,7 @@ type Tenant struct {
 	// offered load over more requests.
 	RateRevert float64
 	// Weight overrides the demand prior used for the initial tile split
-	// (0 derives it from the model's expected work per arrival cycle).
+	// (0 derives it from the model's worst-case work per arrival cycle).
 	Weight float64
 	// Seed offsets the tenant's arrival stream seed (0 derives one from the
 	// tenant index, keeping streams identical across serving modes).
@@ -66,7 +66,8 @@ type Tenant struct {
 //
 // Cycle-valued parameters (slo, wait, gap, seed) take hw.ParseCycles syntax:
 // integers, scientific notation and k/M/G suffixes ("slo=5M", "gap=3e4").
-// gap, req, walk, bias, revert and weight must be finite and non-negative.
+// slo, wait, gap, req, walk, bias, revert and weight must be finite and
+// non-negative.
 // Example:
 //
 //	moe:slo=5M:gap=30k,skipnet:slo=8M:gap=60k:prio=1
@@ -109,14 +110,12 @@ func parseTenant(part string, def Tenant) (Tenant, error) {
 		var err error
 		switch key {
 		case "slo":
-			t.SLOCycles, err = hw.ParseCycles(val)
+			t.SLOCycles, err = parseNonNegativeCycles(val)
 		case "wait":
-			t.MaxWaitCycles, err = hw.ParseCycles(val)
+			t.MaxWaitCycles, err = parseNonNegativeCycles(val)
 		case "gap":
 			var gap int64
-			if gap, err = hw.ParseCycles(val); err == nil && gap < 0 {
-				err = errOutOfDomain
-			}
+			gap, err = parseNonNegativeCycles(val)
 			t.MeanGapCycles = float64(gap)
 		case "req":
 			if t.Requests, err = strconv.Atoi(val); err == nil && t.Requests < 0 {
@@ -147,6 +146,16 @@ func parseTenant(part string, def Tenant) (Tenant, error) {
 }
 
 var errOutOfDomain = errors.New("must be finite and >= 0")
+
+// parseNonNegativeCycles parses a cycle-valued tenant parameter, rejecting
+// negative counts.
+func parseNonNegativeCycles(val string) (int64, error) {
+	v, err := hw.ParseCycles(val)
+	if err == nil && v < 0 {
+		err = errOutOfDomain
+	}
+	return v, err
+}
 
 // parseNonNegative parses a float tenant parameter, rejecting NaN, the
 // infinities and negative values.

@@ -28,10 +28,9 @@ import (
 func (c *Cache) Precompute(cfg hw.Config, comp *sched.Compiler, pol sched.Policy, prof *profiler.Profiler, fs *faults.Schedule) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	g := comp.Graph()
 	added := 0
 	for _, dcfg := range degradedConfigs(cfg, fs) {
-		k := c.keyer.makeKey(dcfg, g, pol, prof)
+		k := c.keyer.makeKey(dcfg, pol, prof)
 		if _, ok := c.peek(k); ok {
 			continue
 		}

@@ -75,11 +75,11 @@ func TestGetOrScheduleForClonesCrossOriginHits(t *testing.T) {
 
 	// Anonymous origin keeps the pointer-return fast path.
 	anon := New(NewKeyer(w.Graph, 0), Config{MaxEntries: 8})
-	first, _, err := anon.GetOrSchedule(cfg, comp, pol, prof)
+	first, _, err := anon.GetOrScheduleFor("", cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, kind, err := anon.GetOrSchedule(cfg, comp, pol, prof)
+	again, kind, err := anon.GetOrScheduleFor("", cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)
 	}

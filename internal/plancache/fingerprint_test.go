@@ -57,9 +57,9 @@ func fpObserve(t *testing.T, g *graph.Graph, prof *profiler.Profiler, branches [
 // family contributes identically to both sides of a pair — observation
 // sequences that differ on purpose along a profiler family would otherwise
 // also differ through the tables ObserveBatch feeds.
-func clearFreq(g *graph.Graph) {
+func clearFreq(g *graph.Graph, prof *profiler.Profiler) {
 	for _, id := range g.DynamicOps() {
-		g.Op(id).Freq.Reset()
+		prof.Freq(id).Reset()
 	}
 }
 
@@ -75,9 +75,9 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		ga, gb := fpGraph(t, sparse), fpGraph(t, sparse)
 		pa, pb := profiler.New(ga), profiler.New(gb)
 		feed(ga, gb, pa, pb)
-		clearFreq(ga)
-		clearFreq(gb)
-		return NewKeyer(ga, 0).makeKey(cfg, ga, pol, pa), NewKeyer(gb, 0).makeKey(cfg, gb, pol, pb)
+		clearFreq(ga, pa)
+		clearFreq(gb, pb)
+		return NewKeyer(ga, 0).makeKey(cfg, pol, pa), NewKeyer(gb, 0).makeKey(cfg, pol, pb)
 	}
 
 	t.Run("Identity", func(t *testing.T) {
@@ -157,12 +157,12 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		// table differs.
 		ga, gb := fpGraph(t, false), fpGraph(t, false)
 		pa, pb := profiler.New(ga), profiler.New(gb)
-		clearFreq(ga)
-		clearFreq(gb)
-		ga.Op(ga.DynamicOps()[0]).Freq.Observe(1)
-		gb.Op(gb.DynamicOps()[0]).Freq.Observe(2)
-		ka := NewKeyer(ga, 0).makeKey(cfg, ga, pol, pa)
-		kb := NewKeyer(gb, 0).makeKey(cfg, gb, pol, pb)
+		clearFreq(ga, pa)
+		clearFreq(gb, pb)
+		pa.Freq(ga.DynamicOps()[0]).Observe(1)
+		pb.Freq(gb.DynamicOps()[0]).Observe(2)
+		ka := NewKeyer(ga, 0).makeKey(cfg, pol, pa)
+		kb := NewKeyer(gb, 0).makeKey(cfg, pol, pb)
 		if ka == kb {
 			t.Fatal("fingerprint ignores the frequency tables")
 		}
@@ -206,7 +206,7 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 // eight little-endian bytes per word through the hash.Hash interface, with
 // the frequency tables read through Distribution. makeKey must reproduce it
 // bit for bit — exported caches store fingerprints.
-func referenceFP(k *Keyer, g *graph.Graph, prof *profiler.Profiler) uint64 {
+func referenceFP(k *Keyer, prof *profiler.Profiler) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	w64 := func(v uint64) {
@@ -217,9 +217,11 @@ func referenceFP(k *Keyer, g *graph.Graph, prof *profiler.Profiler) uint64 {
 	}
 	wf := func(f float64) { w64(math.Float64bits(f)) }
 	w64(uint64(prof.Batches()))
+	share := prof.Snapshot().Share
 	for i, sw := range k.sws {
 		for b := 0; b < k.nb[i]; b++ {
-			wf(prof.BranchUnitShare(sw, b))
+			wf(share[0])
+			share = share[1:]
 			wf(prof.BranchActiveFraction(sw, b))
 			for j := b + 1; j < k.nb[i]; j++ {
 				wf(prof.CoActivation(sw, b, j))
@@ -227,10 +229,7 @@ func referenceFP(k *Keyer, g *graph.Graph, prof *profiler.Profiler) uint64 {
 		}
 	}
 	for _, id := range k.dyn {
-		f := g.Op(id).Freq
-		if f == nil {
-			continue
-		}
+		f := prof.Freq(id)
 		w64(uint64(f.Total()))
 		vals, freq := f.Distribution()
 		for i, v := range vals {
@@ -254,8 +253,8 @@ func TestFingerprintMatchesHashFNV(t *testing.T) {
 		for _, batches := range []int{0, 3, 12} {
 			w, prof := warmWorkload(t, model, batches)
 			k := NewKeyer(w.Graph, 0)
-			got := k.makeKey(cfg, w.Graph, pol, prof).fp
-			if want := referenceFP(k, w.Graph, prof); got != want {
+			got := k.makeKey(cfg, pol, prof).fp
+			if want := referenceFP(k, prof); got != want {
 				t.Fatalf("%s after %d batches: fingerprint %#x, hash/fnv reference %#x", model, batches, got, want)
 			}
 		}
@@ -268,7 +267,7 @@ func TestWarmKeyAllocations(t *testing.T) {
 	w, prof := warmWorkload(t, "moe", 12)
 	k := NewKeyer(w.Graph, 0)
 	cfg, pol := hw.Default(), sched.Adyna()
-	if n := testing.AllocsPerRun(20, func() { k.makeKey(cfg, w.Graph, pol, prof) }); n > 2 {
+	if n := testing.AllocsPerRun(20, func() { k.makeKey(cfg, pol, prof) }); n > 2 {
 		t.Fatalf("makeKey allocates %.0f times, want <= 2", n)
 	}
 }

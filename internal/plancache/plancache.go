@@ -186,19 +186,21 @@ type key struct {
 }
 
 // makeKey computes the cache key for the given scheduler inputs. The profile
-// part quantizes each switch branch's unit share and active fraction; the
-// fingerprint additionally folds in the batch count, the co-activation
-// counters and every dynamic operator's frequency table — the complete set
-// of profile state sched.Schedule reads.
-func (k *Keyer) makeKey(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *profiler.Profiler) key {
+// part quantizes the profiler snapshot's unit share and active fraction of
+// each switch branch; the fingerprint additionally folds in the batch count,
+// the co-activation counters and every dynamic operator's frequency table —
+// the complete set of profile state sched.Schedule reads.
+func (k *Keyer) makeKey(cfg hw.Config, pol sched.Policy, prof *profiler.Profiler) key {
 	q := make([]byte, 0, k.dims)
 	h := fnvOffset64
 	wf := func(f float64) { h.word(math.Float64bits(f)) }
 	h.word(uint64(prof.Batches()))
+	snap := prof.Snapshot()
+	n := 0
 	for i, sw := range k.sws {
 		for b := 0; b < k.nb[i]; b++ {
-			share := prof.BranchUnitShare(sw, b)
-			active := prof.BranchActiveFraction(sw, b)
+			share, active := snap.Share[n], snap.Active[n]
+			n++
 			q = append(q, k.quantize(share), k.quantize(active))
 			wf(share)
 			wf(active)
@@ -208,10 +210,7 @@ func (k *Keyer) makeKey(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *p
 		}
 	}
 	for _, id := range k.dyn {
-		f := g.Op(id).Freq
-		if f == nil {
-			continue
-		}
+		f := prof.Freq(id)
 		h.word(uint64(f.Total()))
 		f.EachObserved(func(v int, count int64) {
 			h.word(uint64(v))
@@ -219,9 +218,8 @@ func (k *Keyer) makeKey(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *p
 		})
 	}
 	if k.hasDensity {
-		dens := prof.OpDensityMean()
-		q = append(q, k.quantize(dens))
-		wf(dens)
+		q = append(q, k.quantize(snap.Density))
+		wf(snap.Density)
 	}
 	return key{scope: scope{cfg: cfg, pol: pol}, profile: string(q), fp: uint64(h)}
 }
@@ -281,18 +279,17 @@ func (k *Keyer) dist(a, b string) float64 {
 // unit-share dimensions (volume), which is what tile allocation follows.
 type ProfileKey string
 
-// ShareKey snapshots the profiler's per-switch branch unit shares as a
-// ProfileKey. Taken right after a plan is solved, it identifies the traffic
-// the plan was shaped for.
+// ShareKey quantizes the profiler snapshot's branch unit shares (and, on
+// density-aware graphs, its density mean) as a ProfileKey. Taken right after
+// a plan is solved, it identifies the traffic the plan was shaped for.
 func (k *Keyer) ShareKey(prof *profiler.Profiler) ProfileKey {
+	snap := prof.Snapshot()
 	q := make([]byte, 0, k.dims/2+1)
-	for i, sw := range k.sws {
-		for b := 0; b < k.nb[i]; b++ {
-			q = append(q, k.quantize(prof.BranchUnitShare(sw, b)))
-		}
+	for _, share := range snap.Share {
+		q = append(q, k.quantize(share))
 	}
 	if k.hasDensity {
-		q = append(q, k.quantize(prof.OpDensityMean()))
+		q = append(q, k.quantize(snap.Density))
 	}
 	return ProfileKey(q)
 }
@@ -352,7 +349,7 @@ type bucket struct {
 }
 
 // Cache is the plan-variant cache. Safe for concurrent use: every public
-// method holds an internal mutex (GetOrSchedule keeps it across the fresh
+// method holds an internal mutex (GetOrScheduleFor keeps it across the fresh
 // solve, so concurrent misses on the same key never race a double solve).
 type Cache struct {
 	mu      sync.Mutex
@@ -401,10 +398,10 @@ func (c *Cache) Stats() Stats {
 // exact hit requires the full profile fingerprint to match under the same
 // hardware config and policy; with Config.Nearest enabled, the closest
 // cached profile within MaxDist matches approximately.
-func (c *Cache) Lookup(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *profiler.Profiler) (*sched.Plan, HitKind) {
+func (c *Cache) Lookup(cfg hw.Config, pol sched.Policy, prof *profiler.Profiler) (*sched.Plan, HitKind) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, kind := c.lookup(c.keyer.makeKey(cfg, g, pol, prof), "")
+	e, kind := c.lookup(c.keyer.makeKey(cfg, pol, prof), "")
 	if e == nil {
 		return nil, kind
 	}
@@ -444,20 +441,16 @@ func (c *Cache) lookup(k key, origin string) (*entry, HitKind) {
 	return nil, Miss
 }
 
-// Put stores a plan under the given scheduler inputs (replacing any entry
-// with the identical fingerprint).
-func (c *Cache) Put(cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *profiler.Profiler, plan *sched.Plan) {
-	c.PutFor("", cfg, g, pol, prof, plan)
-}
-
-// PutFor is Put with an origin tag: the entry remembers who solved it, so
-// later hits by other origins count in Stats.SharedHits. A refresh of an
-// existing fingerprint keeps the original origin — the first solver gets the
-// credit, and identical bring-up seeds across a fleet stay one entry.
-func (c *Cache) PutFor(origin string, cfg hw.Config, g *graph.Graph, pol sched.Policy, prof *profiler.Profiler, plan *sched.Plan) {
+// PutFor stores a plan under the given scheduler inputs, replacing the plan
+// of any entry with the identical fingerprint. The entry remembers origin,
+// who solved it, so later hits by other origins count in Stats.SharedHits.
+// A refresh of an existing fingerprint keeps the original origin — the
+// first solver gets the credit, and identical bring-up seeds across a fleet
+// stay one entry.
+func (c *Cache) PutFor(origin string, cfg hw.Config, pol sched.Policy, prof *profiler.Profiler, plan *sched.Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.put(c.keyer.makeKey(cfg, g, pol, prof), plan, false, origin)
+	c.put(c.keyer.makeKey(cfg, pol, prof), plan, false, origin)
 }
 
 func (c *Cache) put(k key, plan *sched.Plan, aot bool, origin string) {
@@ -515,25 +508,19 @@ func (c *Cache) evictOldest() {
 	c.evictions++
 }
 
-// GetOrSchedule is the serving layers' re-plan entry point: look the inputs
-// up, and on a miss solve fresh through comp — the compile memo of the
-// caller's graph bring-up — and store the result.
-// The returned HitKind tells the caller what to charge — a miss costs a
-// host-side solve, a hit only the plan swap.
-func (c *Cache) GetOrSchedule(cfg hw.Config, comp *sched.Compiler, pol sched.Policy, prof *profiler.Profiler) (*sched.Plan, HitKind, error) {
-	return c.GetOrScheduleFor("", cfg, comp, pol, prof)
-}
-
-// GetOrScheduleFor is GetOrSchedule with an origin tag (a replica name in a
-// fleet): misses store the solved plan under that origin, and hits on another
-// origin's entry count in Stats.SharedHits. The cache mutex is held across
-// the fresh solve, so concurrent misses on one key serialize instead of
-// double-solving.
+// GetOrScheduleFor is the serving layers' re-plan entry point: look the
+// inputs up, and on a miss solve fresh through comp — the compile memo of
+// the caller's graph bring-up — and store the result. The returned HitKind
+// tells the caller what to charge — a miss costs a host-side solve, a hit
+// only the plan swap. origin tags the requester (a replica name in a fleet,
+// "" elsewhere): misses store the solved plan under that origin, and hits
+// on another origin's entry count in Stats.SharedHits. The cache mutex is
+// held across the fresh solve, so concurrent misses on one key serialize
+// instead of double-solving.
 func (c *Cache) GetOrScheduleFor(origin string, cfg hw.Config, comp *sched.Compiler, pol sched.Policy, prof *profiler.Profiler) (*sched.Plan, HitKind, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	g := comp.Graph()
-	k := c.keyer.makeKey(cfg, g, pol, prof)
+	k := c.keyer.makeKey(cfg, pol, prof)
 	if e, kind := c.lookup(k, origin); kind != Miss {
 		if origin != "" {
 			// Copy-on-hit for fleet origins: a *sched.Plan carries a

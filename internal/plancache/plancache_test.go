@@ -58,20 +58,20 @@ func TestExactHitReturnsStoredPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(NewKeyer(w.Graph, 0), Config{})
-	c.Put(cfg, w.Graph, pol, prof, plan)
+	c.PutFor("", cfg, pol, prof, plan)
 
-	got, kind := c.Lookup(cfg, w.Graph, pol, prof)
+	got, kind := c.Lookup(cfg, pol, prof)
 	if kind != HitExact || got != plan {
 		t.Fatalf("lookup at identical inputs: kind=%v plan=%p want exact %p", kind, got, plan)
 	}
 	// A different hardware scope must miss even with the same profile.
 	masked := cfg
 	masked.FailedTiles = hw.NewTileMask(0, 1)
-	if _, kind := c.Lookup(masked, w.Graph, pol, prof); kind != Miss {
+	if _, kind := c.Lookup(masked, pol, prof); kind != Miss {
 		t.Fatalf("masked-config lookup returned %v, want miss", kind)
 	}
 	// And so must a different policy.
-	if _, kind := c.Lookup(cfg, w.Graph, sched.MTile(), prof); kind != Miss {
+	if _, kind := c.Lookup(cfg, sched.MTile(), prof); kind != Miss {
 		t.Fatalf("other-policy lookup returned %v, want miss", kind)
 	}
 	st := c.Stats()
@@ -89,22 +89,22 @@ func TestNearestHitRespectsDistanceBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := New(NewKeyer(w.Graph, 0), Config{})
-	exact.Put(cfg, w.Graph, pol, prof, plan)
+	exact.PutFor("", cfg, pol, prof, plan)
 	near := New(NewKeyer(w.Graph, 0), Config{Nearest: true, MaxDist: 0.2})
-	near.Put(cfg, w.Graph, pol, prof, plan)
+	near.PutFor("", cfg, pol, prof, plan)
 	tight := New(NewKeyer(w.Graph, 0), Config{Nearest: true, MaxDist: 1e-9})
-	tight.Put(cfg, w.Graph, pol, prof, plan)
+	tight.PutFor("", cfg, pol, prof, plan)
 
 	// Nudge the profile: a few more batches from a different stream.
 	observe(t, w, prof, workload.NewSource(99), 3)
 
-	if _, kind := exact.Lookup(cfg, w.Graph, pol, prof); kind != Miss {
+	if _, kind := exact.Lookup(cfg, pol, prof); kind != Miss {
 		t.Fatalf("exact-only cache returned %v on a shifted profile, want miss", kind)
 	}
-	if _, kind := near.Lookup(cfg, w.Graph, pol, prof); kind != HitNearest {
+	if _, kind := near.Lookup(cfg, pol, prof); kind != HitNearest {
 		t.Fatalf("nearest cache returned %v, want nearest hit", kind)
 	}
-	if _, kind := tight.Lookup(cfg, w.Graph, pol, prof); kind != Miss {
+	if _, kind := tight.Lookup(cfg, pol, prof); kind != Miss {
 		t.Fatalf("near-zero distance budget returned %v, want miss", kind)
 	}
 }
@@ -119,14 +119,14 @@ func TestGetOrScheduleByteIdentical(t *testing.T) {
 	pol := sched.Adyna()
 	c := New(NewKeyer(w.Graph, 0), Config{})
 
-	cold, kind, err := c.GetOrSchedule(cfg, comp, pol, prof)
+	cold, kind, err := c.GetOrScheduleFor("", cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kind != Miss {
 		t.Fatalf("cold lookup returned %v, want miss", kind)
 	}
-	warm, kind, err := c.GetOrSchedule(cfg, comp, pol, prof)
+	warm, kind, err := c.GetOrScheduleFor("", cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestEvictionPrefersOnlineEntries(t *testing.T) {
 	keyAt := func(n int) key {
 		dc := cfg
 		dc.FailedTiles = hw.NewTileMask(n)
-		return c.keyer.makeKey(dc, w.Graph, pol, prof)
+		return c.keyer.makeKey(dc, pol, prof)
 	}
 	c.put(keyAt(0), plan, true, "")
 	c.put(keyAt(1), plan, true, "")
@@ -205,7 +205,7 @@ func TestPrecomputeCoversFaultWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(NewKeyer(w.Graph, 0), Config{})
-	before := c.keyer.makeKey(cfg, w.Graph, pol, prof)
+	before := c.keyer.makeKey(cfg, pol, prof)
 
 	if added := c.Precompute(cfg, comp, pol, prof, nil); added != 0 {
 		t.Fatalf("precompute without a fault schedule added %d plans", added)
@@ -218,7 +218,7 @@ func TestPrecomputeCoversFaultWindows(t *testing.T) {
 	if st.AOTEntries != added || st.Entries != added {
 		t.Fatalf("stats %+v after adding %d AOT plans", st, added)
 	}
-	if after := c.keyer.makeKey(cfg, w.Graph, pol, prof); after != before {
+	if after := c.keyer.makeKey(cfg, pol, prof); after != before {
 		t.Fatal("precompute mutated the live profile / frequency tables")
 	}
 	// Every config the schedule reaches is now a hit at the live profile.
@@ -233,7 +233,7 @@ func TestPrecomputeCoversFaultWindows(t *testing.T) {
 		if !cap.Degraded() {
 			want = Miss
 		}
-		if _, kind := c.Lookup(cap.Apply(cfg), w.Graph, pol, prof); kind != want {
+		if _, kind := c.Lookup(cap.Apply(cfg), pol, prof); kind != want {
 			t.Fatalf("lookup at the capability from %d returned %v, want %v", nc, kind, want)
 		}
 		t0 = nc
@@ -254,14 +254,14 @@ func TestWarmLookupBeatsFreshSolve(t *testing.T) {
 	cfg := hw.Default()
 	pol := sched.Adyna()
 	c := New(NewKeyer(w.Graph, 0), Config{})
-	if _, _, err := c.GetOrSchedule(cfg, comp, pol, prof); err != nil {
+	if _, _, err := c.GetOrScheduleFor("", cfg, comp, pol, prof); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 10
 	start := time.Now()
 	for i := 0; i < rounds; i++ {
 		// The re-plan a miss really pays: a solve through the bring-up's
-		// compile memo, which the first GetOrSchedule already warmed.
+		// compile memo, which the first GetOrScheduleFor already warmed.
 		if _, err := comp.Schedule(cfg, pol, prof); err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestWarmLookupBeatsFreshSolve(t *testing.T) {
 	solve := time.Since(start)
 	start = time.Now()
 	for i := 0; i < rounds; i++ {
-		if _, kind, err := c.GetOrSchedule(cfg, comp, pol, prof); err != nil || kind != HitExact {
+		if _, kind, err := c.GetOrScheduleFor("", cfg, comp, pol, prof); err != nil || kind != HitExact {
 			t.Fatalf("warm lookup: kind=%v err=%v", kind, err)
 		}
 	}

@@ -3,7 +3,9 @@
 // co-activation statistics. The profiler runs inside each tile's controller;
 // here it is a single object the simulator feeds after every batch, which
 // periodically reports to the scheduler for frequency-weighted allocation,
-// tile-sharing pairing and multi-kernel re-sampling.
+// tile-sharing pairing and multi-kernel re-sampling. It owns all of that
+// state, so the graph it observes stays immutable and any number of
+// profilers may observe one graph independently.
 package profiler
 
 import (
@@ -16,6 +18,10 @@ import (
 type Profiler struct {
 	g   *graph.Graph
 	dyn []graph.OpID // g.DynamicOps(), fixed for the graph's lifetime
+	sws []graph.OpID // g.Switches(), the Snapshot order
+	// freq[id] is dynamic operator id's frequency track table (Figure 5),
+	// indexed by OpID; nil for static operators.
+	freq []*FreqTable
 	// coact[sw][i][j] counts batches in which branches i and j of switch sw
 	// were both active (received at least one unit).
 	coact map[graph.OpID][][]int64
@@ -34,20 +40,27 @@ type Profiler struct {
 	hasDensity bool
 	densSum    float64
 	densCount  float64
+
+	snap Snapshot // the buffer Snapshot refills
 }
 
-// New returns a profiler attached to g. Observations are written into the
-// graph's per-operator frequency tables (the tables travel with the graph, as
-// in Figure 5) and into internal co-activation counters.
+// New returns a profiler attached to g with one empty frequency table per
+// dynamic operator, sized for the operator's worst-case unit count.
 func New(g *graph.Graph) *Profiler {
 	p := &Profiler{
 		g:      g,
 		dyn:    g.DynamicOps(),
+		sws:    g.Switches(),
+		freq:   make([]*FreqTable, len(g.Ops)),
 		coact:  map[graph.OpID][][]int64{},
 		active: map[graph.OpID][]int64{},
 		units:  map[graph.OpID][]int64{},
 	}
-	for _, swID := range g.Switches() {
+	for _, id := range p.dyn {
+		p.freq[id] = NewFreqTable(g.Op(id).MaxUnits)
+	}
+	branches := 0
+	for _, swID := range p.sws {
 		n := g.Op(swID).NumBranches
 		m := make([][]int64, n)
 		for i := range m {
@@ -56,9 +69,22 @@ func New(g *graph.Graph) *Profiler {
 		p.coact[swID] = m
 		p.active[swID] = make([]int64, n)
 		p.units[swID] = make([]int64, n)
+		branches += n
 	}
+	p.snap.Share = make([]float64, branches)
+	p.snap.Active = make([]float64, branches)
 	p.hasDensity = len(g.DensityOps()) > 0
 	return p
+}
+
+// Freq returns dynamic operator id's frequency track table. It is nil for a
+// static operator and for a nil profiler, which stands for no profile at
+// all.
+func (p *Profiler) Freq(id graph.OpID) *FreqTable {
+	if p == nil {
+		return nil
+	}
+	return p.freq[id]
 }
 
 // ObserveBatch records one batch: the concrete units of every dynamic
@@ -71,7 +97,7 @@ func (p *Profiler) ObserveBatch(units map[graph.OpID]int, rt graph.BatchRouting,
 		if !ok {
 			return fmt.Errorf("profiler: no unit count for dynamic op %s", p.g.Op(id).Name)
 		}
-		p.g.Op(id).Freq.Observe(u)
+		p.freq[id].Observe(u)
 	}
 	for sw, r := range rt {
 		m, ok := p.coact[sw]
@@ -150,25 +176,44 @@ func (p *Profiler) BranchActiveFraction(sw graph.OpID, i int) float64 {
 	return float64(a[i]) / float64(p.batches)
 }
 
-// BranchUnitShare returns the fraction of all units switch sw routed that
-// went to branch i over the observation window. With no observed volume (or
-// an unknown switch / out-of-range index) it returns 0: unlike the per-batch
-// statistics there is no worst case to assume — absent volume is itself the
-// signal. For non-exclusive switches (top-k MoE) the shares are normalized
-// over the routed copies, so they still sum to 1 across branches.
-func (p *Profiler) BranchUnitShare(sw graph.OpID, i int) float64 {
-	ub, ok := p.units[sw]
-	if !ok || i < 0 || i >= len(ub) {
-		return 0
+// Snapshot is the profiler's branch-level view of its window: what the
+// drift detector compares against its plan-time reference and what the
+// plan-cache keyer quantizes.
+type Snapshot struct {
+	// Share and Active hold one entry per branch of every switch, switches
+	// in g.Switches() order and branches in index order. Share is the
+	// fraction of the switch's routed units that went to the branch (0 with
+	// no observed volume: absent volume is itself the signal; for top-k MoE
+	// the shares are normalized over the routed copies, so they still sum to
+	// 1). Active is BranchActiveFraction.
+	Share, Active []float64
+	// Density is OpDensityMean.
+	Density float64
+}
+
+// Snapshot fills the profiler's snapshot buffer from the current window and
+// returns it. The buffer is reused: it is valid until the next call, and a
+// caller that keeps a snapshot copies it.
+func (p *Profiler) Snapshot() *Snapshot {
+	s := &p.snap
+	i := 0
+	for _, sw := range p.sws {
+		ub := p.units[sw]
+		var total int64
+		for _, n := range ub {
+			total += n
+		}
+		for b, n := range ub {
+			s.Share[i] = 0
+			if total > 0 {
+				s.Share[i] = float64(n) / float64(total)
+			}
+			s.Active[i] = p.BranchActiveFraction(sw, b)
+			i++
+		}
 	}
-	var total int64
-	for _, n := range ub {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(ub[i]) / float64(total)
+	s.Density = p.OpDensityMean()
+	return s
 }
 
 // LeastCoActivePair returns the pair of branches of sw with the lowest
@@ -197,7 +242,7 @@ func (p *Profiler) LeastCoActivePair(sw graph.OpID) (i, j int, ok bool) {
 // after each periodic report to the scheduler.
 func (p *Profiler) Reset() {
 	for _, id := range p.dyn {
-		p.g.Op(id).Freq.Decay()
+		p.freq[id].Decay()
 	}
 	for sw, m := range p.coact {
 		for i := range m {

@@ -45,12 +45,22 @@ func TestObserveFillsFreqTables(t *testing.T) {
 	if p.Batches() != 2 {
 		t.Fatalf("batches = %d", p.Batches())
 	}
-	head0 := g.Op(g.Op(sw).Outputs[0])
-	if head0.Freq.Total() != 2 {
-		t.Fatalf("branch head observed %d batches", head0.Freq.Total())
+	head0 := p.Freq(g.Op(sw).Outputs[0])
+	if head0.Total() != 2 {
+		t.Fatalf("branch head observed %d batches", head0.Total())
 	}
-	if got := head0.Freq.Expectation(); got != 1.5 {
+	if got := head0.Expectation(); got != 1.5 {
 		t.Fatalf("expectation = %v, want 1.5", got)
+	}
+	if p.Freq(g.Inputs()[0]) != nil {
+		t.Fatal("static operator has a frequency table")
+	}
+	if (*Profiler)(nil).Freq(g.Op(sw).Outputs[0]) != nil {
+		t.Fatal("nil profiler has a frequency table")
+	}
+	// A second profiler on the same graph keeps its own tables.
+	if fresh := New(g).Freq(g.Op(sw).Outputs[0]); fresh.Total() != 0 {
+		t.Fatalf("a new profiler starts from %d observations of another", fresh.Total())
 	}
 }
 
@@ -97,9 +107,8 @@ func TestResetDecays(t *testing.T) {
 	if p.Batches() != 2 {
 		t.Fatalf("batches after decay = %d, want 2", p.Batches())
 	}
-	head0 := g.Op(g.Op(sw).Outputs[0])
-	if head0.Freq.Total() != 2 {
-		t.Fatalf("freq total after decay = %d, want 2", head0.Freq.Total())
+	if got := p.Freq(g.Op(sw).Outputs[0]).Total(); got != 2 {
+		t.Fatalf("freq total after decay = %d, want 2", got)
 	}
 }
 
@@ -122,5 +131,36 @@ func TestObserveRequiresAllDynamicUnits(t *testing.T) {
 	rt := graph.BatchRouting{sw: {Branch: [][]int{{0}, {}, {}}}}
 	if err := p.ObserveBatch(map[graph.OpID]int{}, rt, 1); err == nil {
 		t.Fatal("missing unit counts accepted")
+	}
+}
+
+// TestSnapshotMatchesStatistics checks the snapshot against the per-branch
+// statistics it gathers: active fractions and the density mean equal their
+// accessors, shares sum to 1, and the buffer is refilled, not reallocated.
+func TestSnapshotMatchesStatistics(t *testing.T) {
+	g, sw := twoSwitchGraph(t)
+	p := New(g)
+	first := p.Snapshot()
+	if len(first.Share) != 3 || first.Share[0] != 0 || first.Active[0] != 1 || first.Density != 1 {
+		t.Fatalf("empty snapshot = %+v, want zero shares, active 1, density 1", *first)
+	}
+	observe(t, p, g, sw, [][]int{{0, 1}, {}, {2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int{{0}, {1}, {2, 3, 4, 5, 6, 7}}, 8)
+	s := p.Snapshot()
+	if s != first {
+		t.Fatal("Snapshot returned a new buffer")
+	}
+	sum := 0.0
+	for b := range s.Share {
+		sum += s.Share[b]
+		if s.Active[b] != p.BranchActiveFraction(sw, b) {
+			t.Fatalf("active[%d] = %v, want %v", b, s.Active[b], p.BranchActiveFraction(sw, b))
+		}
+	}
+	if s.Share[0] != 3.0/16 || sum != 1 {
+		t.Fatalf("shares %v, want 3/16 first and a sum of 1", s.Share)
+	}
+	if s.Density != p.OpDensityMean() {
+		t.Fatalf("density = %v, want %v", s.Density, p.OpDensityMean())
 	}
 }

@@ -69,14 +69,14 @@ func TestBranchUnitShareAcrossReset(t *testing.T) {
 	observe(t, p, g, sw, [][]int{{0, 1, 2, 3}, {4, 5}, {6, 7}}, 8)
 	want := []float64{0.5, 0.25, 0.25}
 	for i, w := range want {
-		if got := p.BranchUnitShare(sw, i); got != w {
+		if got := p.Snapshot().Share[i]; got != w {
 			t.Fatalf("share(%d) = %v, want %v", i, got, w)
 		}
 	}
 	p.Reset()
 	sum := 0.0
 	for i, w := range want {
-		got := p.BranchUnitShare(sw, i)
+		got := p.Snapshot().Share[i]
 		if got != w {
 			t.Fatalf("share(%d) after reset = %v, want %v (halving must preserve ratios)", i, got, w)
 		}
@@ -88,7 +88,7 @@ func TestBranchUnitShareAcrossReset(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.Reset()
 	}
-	if got := p.BranchUnitShare(sw, 0); got != 0 {
+	if got := p.Snapshot().Share[0]; got != 0 {
 		t.Fatalf("drained share = %v, want 0 (absent volume is the signal)", got)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/graph"
+	"repro/internal/profiler"
 )
 
 // OptimalValues computes the *exact* loss-minimizing sample set of the given
@@ -18,7 +18,7 @@ import (
 // (s_{i-1}, s_i], each costing sum phi(v) (s_i - v). The DP is O(n^2 k) over
 // the n distinct observed values; it is a validation tool for tests and
 // analysis, not a runtime component (the hardware runs Algorithm 1).
-func OptimalValues(ft *graph.FreqTable, budget int) []int {
+func OptimalValues(ft *profiler.FreqTable, budget int) []int {
 	vals, freq := ft.Distribution()
 	// Drop zero (an empty invocation selects no kernel), matching
 	// BinByKernels.
@@ -105,4 +105,4 @@ func OptimalValues(ft *graph.FreqTable, budget int) []int {
 
 // LossOf evaluates the matching loss of serving the distribution with the
 // given sample set (a convenience wrapper over Loss for analysis code).
-func LossOf(vals []int, ft *graph.FreqTable) float64 { return Loss(vals, ft) }
+func LossOf(vals []int, ft *profiler.FreqTable) float64 { return Loss(vals, ft) }

@@ -15,7 +15,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/graph"
+	"repro/internal/profiler"
 )
 
 // Initial returns the starting kernel values: budget values uniformly
@@ -51,7 +51,7 @@ func Initial(max, budget int) []int {
 // Observations of zero are dropped (an empty invocation selects no kernel),
 // and observations above the largest value saturate into the last bin.
 // This mirrors what the hardware profiler reports to the scheduler.
-func BinByKernels(ft *graph.FreqTable, vals []int) []float64 {
+func BinByKernels(ft *profiler.FreqTable, vals []int) []float64 {
 	bins := make([]float64, len(vals))
 	if len(vals) == 0 {
 		return bins
@@ -75,7 +75,7 @@ func BinByKernels(ft *graph.FreqTable, vals []int) []float64 {
 // (match(v) - v), where match(v) is the smallest sample >= v. Values above
 // the largest sample cost the distance to it (they would need multi-pass
 // execution). Used to validate that re-sampling improves matching.
-func Loss(vals []int, ft *graph.FreqTable) float64 {
+func Loss(vals []int, ft *profiler.FreqTable) float64 {
 	if len(vals) == 0 {
 		return math.Inf(1)
 	}
@@ -289,7 +289,7 @@ func argmax(xs []float64) int {
 
 // ResampleFromTable is the full profiler-to-scheduler path: bin the raw
 // frequency table by the current kernel values, then run Algorithm 1.
-func ResampleFromTable(vals []int, ft *graph.FreqTable, iters int) ([]int, error) {
+func ResampleFromTable(vals []int, ft *profiler.FreqTable, iters int) ([]int, error) {
 	bins := BinByKernels(ft, vals)
 	newVals, _, err := Resample(vals, bins, iters)
 	return newVals, err

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/graph"
+	"repro/internal/profiler"
 )
 
 func TestInitialSpansRange(t *testing.T) {
@@ -93,7 +93,7 @@ func TestInitialMatchesSetFormulation(t *testing.T) {
 }
 
 func TestBinByKernels(t *testing.T) {
-	ft := graph.NewFreqTable(16)
+	ft := profiler.NewFreqTable(16)
 	for _, v := range []int{1, 2, 3, 8, 8, 9, 16, 0} {
 		ft.Observe(v)
 	}
@@ -142,7 +142,7 @@ func TestRedistributeBelowSmallest(t *testing.T) {
 
 func TestResamplePreservesInvariants(t *testing.T) {
 	vals := Initial(128, 8)
-	ft := graph.NewFreqTable(128)
+	ft := profiler.NewFreqTable(128)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
 		v := int(rng.NormFloat64()*6 + 20) // concentrated near 20
@@ -182,7 +182,7 @@ func TestResampleReducesLoss(t *testing.T) {
 	// A distribution concentrated at small values: re-sampling should move
 	// kernels down and reduce the matching loss.
 	vals := Initial(1024, 8)
-	ft := graph.NewFreqTable(1024)
+	ft := profiler.NewFreqTable(1024)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 20000; i++ {
 		v := 1 + rng.Intn(40) // all mass in [1, 40]
@@ -217,7 +217,7 @@ func TestResampleUniformDistributionStable(t *testing.T) {
 	// With a uniform distribution the initial uniform set is near-optimal;
 	// resampling must not blow up or change the count.
 	vals := Initial(128, 8)
-	ft := graph.NewFreqTable(128)
+	ft := profiler.NewFreqTable(128)
 	for v := 1; v <= 128; v++ {
 		for i := 0; i < 10; i++ {
 			ft.Observe(v)
@@ -257,7 +257,7 @@ func TestResampleSingleValueNoop(t *testing.T) {
 }
 
 func TestLossZeroWhenExactMatch(t *testing.T) {
-	ft := graph.NewFreqTable(64)
+	ft := profiler.NewFreqTable(64)
 	ft.Observe(16)
 	ft.Observe(32)
 	if got := Loss([]int{16, 32, 64}, ft); got != 0 {
@@ -307,7 +307,7 @@ func TestQuickResampleSafety(t *testing.T) {
 		max := 64 + rng.Intn(512)
 		budget := 4 + rng.Intn(12)
 		vals := Initial(max, budget)
-		ft := graph.NewFreqTable(max)
+		ft := profiler.NewFreqTable(max)
 		// Random mixture of two normal clusters.
 		c1 := 1 + rng.Intn(max)
 		c2 := 1 + rng.Intn(max)
@@ -367,7 +367,7 @@ func uniqueSorted(rng *rand.Rand, n, max int) []int {
 
 func BenchmarkResample(b *testing.B) {
 	vals := Initial(8192, 32)
-	ft := graph.NewFreqTable(8192)
+	ft := profiler.NewFreqTable(8192)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000; i++ {
 		ft.Observe(1 + rng.Intn(2000))
@@ -384,7 +384,7 @@ func BenchmarkResample(b *testing.B) {
 func TestOptimalValuesExactOnTinyCase(t *testing.T) {
 	// Distribution at {2, 10} with heavy mass; budget 2 must pick exactly
 	// {2, 10} (zero loss).
-	ft := graph.NewFreqTable(16)
+	ft := profiler.NewFreqTable(16)
 	for i := 0; i < 5; i++ {
 		ft.Observe(2)
 		ft.Observe(10)
@@ -404,7 +404,7 @@ func TestOptimalValuesExactOnTinyCase(t *testing.T) {
 }
 
 func TestOptimalValuesBudgetCoversAll(t *testing.T) {
-	ft := graph.NewFreqTable(8)
+	ft := profiler.NewFreqTable(8)
 	for _, v := range []int{1, 3, 7} {
 		ft.Observe(v)
 	}
@@ -425,7 +425,7 @@ func TestGreedyWithinFactorOfOptimal(t *testing.T) {
 	worst := 1.0
 	for trial := 0; trial < 12; trial++ {
 		max := 200 + rng.Intn(300)
-		ft := graph.NewFreqTable(max)
+		ft := profiler.NewFreqTable(max)
 		// Mixture of two clusters plus a uniform floor, capped at ~150
 		// distinct values to keep the DP fast.
 		c1, c2 := 1+rng.Intn(max/2), max/2+rng.Intn(max/2)

@@ -6,18 +6,30 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/hw"
+	"repro/internal/kernels"
 )
 
+// uncachedKernel is the kernel the dispatcher selects for v, with dense
+// options compiled straight through kernels.Generate.
+func uncachedKernel(cfg hw.Config, op *graph.Op, opt *AllocOption, v int) (*kernels.Kernel, error) {
+	if opt.set != nil {
+		return opt.set.Select(v)
+	}
+	if v < 1 {
+		v = 1
+	}
+	return kernels.Generate(cfg, op, v, opt.Tiles)
+}
+
 // uncachedEvaluateEntity replicates EvaluateEntityDensity at density 1
-// through the uncached public API (AllocOption.Kernel + package-level
-// costmodel.Evaluate). It is the reference the memoized hot path is checked
-// against.
+// without any memo (uncachedKernel + package-level costmodel.Evaluate). It is
+// the reference the memoized hot path is checked against.
 func uncachedEvaluateEntity(cfg hw.Config, g *graph.Graph, pol Policy, op *OpPlan, opt *AllocOption, v int) (costmodel.Eval, error) {
 	vecBlk := costmodel.Blocking{SplitN: 1, SplitM: 1, NBlk: 1, WeightResident: true}
 	lead := g.Op(op.Lead)
 	var total costmodel.Eval
 	if lead.Kind.IsCompute() && lead.Space[0] > 0 {
-		k, err := opt.Kernel(cfg, lead, v)
+		k, err := uncachedKernel(cfg, lead, opt, v)
 		if err != nil {
 			return costmodel.Eval{}, err
 		}

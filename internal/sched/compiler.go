@@ -19,9 +19,9 @@ import (
 // Kernels are never mutated after lowering, so the plans of one compiler
 // share them freely. The memo keys on graph.OpID, which is only unique
 // within one graph, and it is not safe for concurrent use: a Compiler
-// belongs to one graph instance and is driven from that instance's
-// goroutine, exactly like the plans it produces. Decoded and cloned plans
-// get a private Compiler on first use.
+// belongs to one bring-up and is driven from that bring-up's goroutine,
+// exactly like the plans it produces (the graph itself may be shared).
+// Decoded and cloned plans get a private Compiler on first use.
 type Compiler struct {
 	g    *graph.Graph
 	cfgs map[hw.Config]*kernelMemo
@@ -29,9 +29,10 @@ type Compiler struct {
 	lookups, searches int64
 }
 
-// kernelMemo is the part of a Compiler bound to one hardware config. A solve
-// resolves its config once and then keys on plain ints: hashing the full
-// hw.Config per kernel lookup would cost more than the lookup itself.
+// kernelMemo is the part of a Compiler bound to one kernel-relevant hardware
+// config (see forConfig). A solve resolves its config once and then keys on
+// plain ints: hashing the full hw.Config per kernel lookup would cost more
+// than the lookup itself.
 type kernelMemo struct {
 	c       *Compiler
 	cfg     hw.Config
@@ -54,9 +55,6 @@ type compiled struct {
 func NewCompiler(g *graph.Graph) *Compiler {
 	return &Compiler{g: g, cfgs: map[hw.Config]*kernelMemo{}}
 }
-
-// Graph returns the graph the compiler schedules.
-func (c *Compiler) Graph() *graph.Graph { return c.g }
 
 // Stats reports how many kernel lookups the memo has served and how many of
 // them ran a blocking search (the misses).
@@ -88,7 +86,7 @@ func (c *Compiler) Schedule(cfg hw.Config, pol Policy, prof *profiler.Profiler) 
 	km := c.forConfig(cfg)
 	plan := &Plan{Policy: pol, comp: c}
 	for i, leads := range segment(cfg, c.g, ents, order) {
-		s, err := planSegment(km, pol, prof, ents, i, leads)
+		s, err := planSegment(cfg, km, pol, prof, ents, i, leads)
 		if err != nil {
 			return nil, err
 		}
@@ -97,8 +95,11 @@ func (c *Compiler) Schedule(cfg hw.Config, pol Policy, prof *profiler.Profiler) 
 	return plan, nil
 }
 
-// forConfig resolves the memo for one hardware config.
+// forConfig resolves the memo for one hardware config. Kernel generation
+// reads neither the failed-tile mask nor the NoC derate, so configs that
+// differ only there (tile losses, NoC windows) share one memo.
 func (c *Compiler) forConfig(cfg hw.Config) *kernelMemo {
+	cfg.FailedTiles, cfg.NoCDerate = "", 0
 	m, ok := c.cfgs[cfg]
 	if !ok {
 		m = &kernelMemo{c: c, cfg: cfg, kernels: map[kernelKey]compiled{}}

@@ -115,31 +115,9 @@ type AllocOption struct {
 	dense map[int]*kernels.Kernel
 }
 
-// Kernel returns the kernel the dispatcher would select for the actual dyn
-// value v, compiling on demand under the full-kernel policy.
-func (o *AllocOption) Kernel(cfg hw.Config, op *graph.Op, v int) (*kernels.Kernel, error) {
-	if o.set != nil {
-		return o.set.Select(v)
-	}
-	if v < 1 {
-		v = 1
-	}
-	if k, ok := o.dense[v]; ok {
-		return k, nil
-	}
-	k, err := kernels.Generate(cfg, op, v, o.Tiles)
-	if err != nil {
-		return nil, err
-	}
-	if o.dense == nil {
-		o.dense = map[int]*kernels.Kernel{}
-	}
-	o.dense[v] = k
-	return k, nil
-}
-
-// kernel is Kernel on plan p's memoized hot path: on-demand compilations
-// under the full-kernel policy go through the plan's compile memo.
+// kernel returns the kernel the dispatcher would select for the actual dyn
+// value v. Under the full-kernel policy it compiles on demand through the
+// plan's compile memo.
 func (o *AllocOption) kernel(p *Plan, g *graph.Graph, cfg hw.Config, op *graph.Op, v int) (*kernels.Kernel, error) {
 	if o.set != nil {
 		return o.set.Select(v)

@@ -8,16 +8,15 @@ package sched
 // never collide on one cache key. A sched source scan test keeps the key set
 // in sync with the code, and a plancache regression test asserts the
 // fingerprint actually distinguishes profiles along every listed family.
-//
-// Schedule additionally reads each dynamic operator's frequency table
-// (graph.Op.Freq: Expectation, Total, Distribution) — table state lives on
-// the graph, not the profiler, and is covered by the fingerprint's
-// "Freq" family (total plus full distribution per dynamic operator).
 var KeyedProfileStats = map[string]string{
 	// Batches gates every profile-dependent branch of the scheduler.
 	"Batches": "Batches",
 	// branchLoadShare caps branch utilization by activation frequency.
 	"BranchActiveFraction": "BranchActiveFraction",
+	// Frequency-weighted allocation, branchLoadShare and multi-kernel
+	// sampling read each dynamic operator's frequency table (total plus
+	// full distribution).
+	"Freq": "Freq",
 	// pickSharePair pairs the least co-active branches; the pair choice is a
 	// pure function of the co-activation counters.
 	"LeastCoActivePair": "CoActivation",

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,7 +242,7 @@ func TestMTileSingleWorstCaseKernel(t *testing.T) {
 			if len(p.Options) != 1 {
 				t.Fatalf("M-tile entity %s has %d options", lead.Name, len(p.Options))
 			}
-			k, err := p.Options[0].Kernel(cfg, lead, lead.MaxUnits)
+			k, err := p.Options[0].kernel(plan, w.Graph, cfg, lead, lead.MaxUnits)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +265,7 @@ func TestFullKernelCompilesOnDemand(t *testing.T) {
 			if lead.Space[0] == 0 || !lead.Dynamic {
 				continue
 			}
-			k, err := p.Options[0].Kernel(cfg, lead, 13)
+			k, err := p.Options[0].kernel(plan, w.Graph, cfg, lead, 13)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +273,7 @@ func TestFullKernelCompilesOnDemand(t *testing.T) {
 				t.Fatalf("full-kernel must match exactly: compiled %d for actual 13", k.CompiledUnits)
 			}
 			// Memoized on second call.
-			k2, _ := p.Options[0].Kernel(cfg, lead, 13)
+			k2, _ := p.Options[0].kernel(plan, w.Graph, cfg, lead, 13)
 			if k2 != k {
 				t.Fatal("dense kernel store must memoize")
 			}
@@ -555,5 +556,61 @@ func TestChipMapRenders(t *testing.T) {
 	}
 	if _, err := plan.ChipMap(cfg, w.Graph, 99); err == nil {
 		t.Fatal("out-of-range segment accepted")
+	}
+}
+
+// TestSecondProfilerSchedulesLikeFreshGraph: a profile belongs to its
+// profiler, not to the graph it observes. A profiler attached to a graph
+// that another profiler has already observed (every dynamic operator
+// starved to one unit, 100 times) must schedule byte-identically to a
+// profiler on a freshly built graph that saw the same warmup batches.
+func TestSecondProfilerSchedulesLikeFreshGraph(t *testing.T) {
+	cfg := hw.Default()
+	schedule := func(g *graph.Graph, trace []workload.Batch) []byte {
+		t.Helper()
+		prof := profiler.New(g)
+		for _, b := range trace {
+			units, err := g.AssignUnits(b.Units, b.Routing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := prof.ObserveBatch(units, b.Routing, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan, err := Schedule(cfg, g, Adyna(), prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := plan.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, name := range []string{"tutel-moe", "skipnet"} {
+		var ws [2]*models.Workload
+		for i := range ws {
+			w, err := models.ByName(name, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws[i] = w
+		}
+		shared, fresh := ws[0].Graph, ws[1].Graph
+		trace := ws[0].GenTrace(workload.NewSource(1), 8, 64)
+		first := profiler.New(shared)
+		starved := map[graph.OpID]int{}
+		for _, id := range shared.DynamicOps() {
+			starved[id] = 1
+		}
+		for i := 0; i < 100; i++ {
+			if err := first.ObserveBatch(starved, trace[0].Routing, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(schedule(shared, trace), schedule(fresh, trace)) {
+			t.Fatalf("%s: the second profiler on an observed graph schedules differently from a fresh graph", name)
+		}
 	}
 }

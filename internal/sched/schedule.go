@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/profiler"
@@ -19,30 +20,14 @@ const memoryFraction = 0.85
 // the segmentation memory estimate.
 const actBufferUnits = 2
 
-// Schedule produces a complete plan for g under pol. prof may be nil (no
-// runtime statistics yet); expectations then come from the graph's frequency
-// tables, which default to the worst case when empty. It is the one-shot
-// form of Compiler.Schedule: callers that solve the same graph repeatedly
-// hold a Compiler instead, so kernels are compiled once across solves.
+// Schedule produces a complete plan for g under pol from the profile prof. A
+// nil prof means no profile: every dynamic operator is planned for its worst
+// case, exactly as a profiler with no observations would have it. It is the
+// one-shot form of Compiler.Schedule: callers that solve the same graph
+// repeatedly hold a Compiler instead, so kernels are compiled once across
+// solves.
 func Schedule(cfg hw.Config, g *graph.Graph, pol Policy, prof *profiler.Profiler) (*Plan, error) {
 	return NewCompiler(g).Schedule(cfg, pol, prof)
-}
-
-// ExpectedWork returns the graph's expected MAC load for one maximum batch
-// under the policy's expectation model: the frequency-weighted per-entity
-// expectation when the policy allocates that way, the worst case otherwise.
-// Multi-tenant partitioning uses it as the demand prior when splitting a
-// chip across models before any runtime measurements exist.
-func ExpectedWork(g *graph.Graph, pol Policy) (float64, error) {
-	ents, order, err := buildEntities(g)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, lead := range order {
-		sum += entityWork(g, ents[lead], pol.FrequencyWeighted, 1)
-	}
-	return sum, nil
 }
 
 // entity is an allocation unit: a lead operator plus fused vector followers.
@@ -67,7 +52,7 @@ func buildEntities(g *graph.Graph) (map[graph.OpID]*entity, []graph.OpID, error)
 			pendingControl = append(pendingControl, id)
 			continue
 		}
-		if isVectorKind(op.Kind) && len(op.Inputs) >= 1 {
+		if costmodel.IsVector(op.Kind) && len(op.Inputs) >= 1 {
 			// Fuse into the producer when it is a compute entity with the
 			// same dynamic scope and no control op intervenes.
 			prodEnt, ok := entityOf[op.Inputs[0]]
@@ -94,14 +79,6 @@ func buildEntities(g *graph.Graph) (map[graph.OpID]*entity, []graph.OpID, error)
 		last.control = append(last.control, pendingControl...)
 	}
 	return ents, order, nil
-}
-
-func isVectorKind(k graph.Kind) bool {
-	switch k {
-	case graph.KindElementwise, graph.KindPool, graph.KindLayerNorm, graph.KindSoftmax:
-		return true
-	}
-	return false
 }
 
 func sameScope(g *graph.Graph, a, b graph.OpID) bool {
@@ -147,8 +124,8 @@ func entityBytes(g *graph.Graph, e *entity) float64 {
 // planSegment allocates tiles, applies grouping and sharing, and compiles
 // kernel stores for one segment. ents is the graph's entity table from
 // buildEntities.
-func planSegment(km *kernelMemo, pol Policy, prof *profiler.Profiler, ents map[graph.OpID]*entity, index int, leads []graph.OpID) (*Segment, error) {
-	cfg, g := km.cfg, km.c.g
+func planSegment(cfg hw.Config, km *kernelMemo, pol Policy, prof *profiler.Profiler, ents map[graph.OpID]*entity, index int, leads []graph.OpID) (*Segment, error) {
+	g := km.c.g
 	seg := &Segment{Index: index, Plans: map[graph.OpID]*OpPlan{}, EntityOf: map[graph.OpID]graph.OpID{}}
 	inSeg := map[graph.OpID]bool{}
 	for _, lead := range leads {
@@ -175,7 +152,7 @@ func planSegment(km *kernelMemo, pol Policy, prof *profiler.Profiler, ents map[g
 	}
 	work := map[graph.OpID]float64{}
 	for _, lead := range leads {
-		work[lead] = entityWork(g, ents[lead], pol.FrequencyWeighted, dens)
+		work[lead] = entityWork(g, prof, ents[lead], pol.FrequencyWeighted, dens)
 		seg.WeightBytes += entityWeights(g, ents[lead])
 	}
 
@@ -233,7 +210,7 @@ func planSegment(km *kernelMemo, pol Policy, prof *profiler.Profiler, ents map[g
 
 	// Compile kernel stores for every option of every entity.
 	for _, lead := range leads {
-		if err := compileEntity(km, pol, seg.Plans[lead]); err != nil {
+		if err := compileEntity(cfg, km, pol, prof, seg.Plans[lead]); err != nil {
 			return nil, err
 		}
 	}
@@ -263,16 +240,16 @@ func planSegment(km *kernelMemo, pol Policy, prof *profiler.Profiler, ents map[g
 // profile's windowed mean density, applied only to density-aware operators
 // (1 everywhere else and in the no-profile case, so routing-only models are
 // untouched).
-func entityWork(g *graph.Graph, e *entity, freqWeighted bool, densMean float64) float64 {
-	w := opExpectedWork(g.Op(e.lead), freqWeighted, densMean)
+func entityWork(g *graph.Graph, prof *profiler.Profiler, e *entity, freqWeighted bool, densMean float64) float64 {
+	w := opExpectedWork(prof, g.Op(e.lead), freqWeighted, densMean)
 	for _, f := range e.fused {
-		w += opExpectedWork(g.Op(f), freqWeighted, densMean)
+		w += opExpectedWork(prof, g.Op(f), freqWeighted, densMean)
 	}
 	return w
 }
 
-func opExpectedWork(op *graph.Op, freqWeighted bool, densMean float64) float64 {
-	w := expectedUnits(op, freqWeighted) * float64(op.MACsPerUnit)
+func opExpectedWork(prof *profiler.Profiler, op *graph.Op, freqWeighted bool, densMean float64) float64 {
+	w := expectedUnits(prof, op, freqWeighted) * float64(op.MACsPerUnit)
 	if op.DensityAware && densMean > 0 && densMean < 1 {
 		w *= densMean
 	}
@@ -290,11 +267,12 @@ func entityWeights(g *graph.Graph, e *entity) int64 {
 // expectedUnits is the dyn-value expectation used for allocation: the
 // profile mean for dynamic operators under frequency-weighted scheduling,
 // the worst case otherwise (Section V-A).
-func expectedUnits(op *graph.Op, freqWeighted bool) float64 {
-	if !op.Dynamic || !freqWeighted || op.Freq == nil {
+func expectedUnits(prof *profiler.Profiler, op *graph.Op, freqWeighted bool) float64 {
+	f := prof.Freq(op.ID)
+	if !freqWeighted || f == nil {
 		return float64(op.MaxUnits)
 	}
-	e := op.Freq.Expectation()
+	e := f.Expectation()
 	if e < 1 {
 		e = 1 // a starved operator still needs a tile to exist on
 	}
@@ -369,8 +347,8 @@ func branchLoadShare(g *graph.Graph, prof *profiler.Profiler, sw graph.OpID, k i
 	head := g.Op(sw).Outputs[k]
 	op := g.Op(head)
 	share := 1.0
-	if op.Dynamic && op.Freq != nil && op.Freq.Total() > 0 && op.MaxUnits > 0 {
-		share = op.Freq.Expectation() / float64(op.MaxUnits)
+	if f := prof.Freq(head); f != nil && f.Total() > 0 && op.MaxUnits > 0 {
+		share = f.Expectation() / float64(op.MaxUnits)
 	}
 	if prof != nil && prof.Batches() > 0 {
 		if f := prof.BranchActiveFraction(sw, k); f < share {
@@ -563,7 +541,7 @@ func optionTiles(ts ...int) []*AllocOption {
 }
 
 // compileEntity fills the entity's options with kernel stores.
-func compileEntity(km *kernelMemo, pol Policy, p *OpPlan) error {
+func compileEntity(cfg hw.Config, km *kernelMemo, pol Policy, prof *profiler.Profiler, p *OpPlan) error {
 	if len(p.Options) == 0 {
 		p.Options = optionTiles(p.BaseTiles)
 	}
@@ -574,7 +552,7 @@ func compileEntity(km *kernelMemo, pol Policy, p *OpPlan) error {
 	if pol.FullKernel {
 		return nil // dense on-demand store
 	}
-	p.Values = kernelValues(km.cfg, pol, lead, len(p.Options), p.Partner != graph.None)
+	p.Values = kernelValues(cfg, pol, lead, prof.Freq(lead.ID), len(p.Options), p.Partner != graph.None)
 	for _, o := range p.Options {
 		set, err := km.set(lead, p.Values, o.Tiles)
 		if err != nil {
@@ -586,7 +564,7 @@ func compileEntity(km *kernelMemo, pol Policy, p *OpPlan) error {
 }
 
 // kernelValues chooses the dyn values to compile kernels for.
-func kernelValues(cfg hw.Config, pol Policy, op *graph.Op, options int, shared bool) []int {
+func kernelValues(cfg hw.Config, pol Policy, op *graph.Op, ft *profiler.FreqTable, options int, shared bool) []int {
 	if !op.Dynamic || !pol.MultiKernel {
 		return []int{op.MaxUnits}
 	}
@@ -607,8 +585,8 @@ func kernelValues(cfg hw.Config, pol Policy, op *graph.Op, options int, shared b
 		}
 	}
 	vals := sampling.Initial(op.MaxUnits, budget)
-	if op.Freq != nil && op.Freq.Total() > 0 {
-		if nv, err := sampling.ResampleFromTable(vals, op.Freq, pol.ResampleIters); err == nil {
+	if ft != nil && ft.Total() > 0 {
+		if nv, err := sampling.ResampleFromTable(vals, ft, pol.ResampleIters); err == nil {
 			vals = nv
 		}
 	}

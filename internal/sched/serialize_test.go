@@ -149,7 +149,7 @@ func TestFullKernelPlanSerializesWithoutBlobs(t *testing.T) {
 			if !leadOp.Dynamic || leadOp.Space[0] == 0 {
 				continue
 			}
-			k, err := op.Options[0].Kernel(cfg, leadOp, 5)
+			k, err := op.Options[0].kernel(dec, w.Graph, cfg, leadOp, 5)
 			if err != nil {
 				t.Fatal(err)
 			}

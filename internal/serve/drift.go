@@ -8,37 +8,24 @@ import (
 )
 
 // detector watches the on-chip profiler for distribution drift relative to
-// the profile the current plan was scheduled from. It snapshots two
-// per-branch statistics at plan time — the unit share (the volume statistic
-// frequency-weighted allocation is built from) and the batch-active fraction
-// (what tile sharing and branch grouping key on) — and reports how far the
-// live profile has moved from that snapshot.
+// the profile the current plan was scheduled from. It keeps the profiler
+// snapshot taken at plan time — per-branch unit shares (the volume statistic
+// frequency-weighted allocation is built from), batch-active fractions (what
+// tile sharing and branch grouping key on) and the density mean — and
+// reports how far the live snapshot has moved from it.
 type detector struct {
 	prof *profiler.Profiler
-	sws  []graph.OpID
-	nb   []int
-	// baseShare / baseActive are the per-switch per-branch snapshots taken by
-	// the last Rebase, indexed like sws.
-	baseShare  [][]float64
-	baseActive [][]float64
+	// base is the snapshot taken by the last Rebase.
+	base profiler.Snapshot
 	// hasDensity gates the density drift part: graphs with density-aware
-	// operators additionally snapshot the windowed density mean, so a
+	// operators additionally compare the windowed density mean, so a
 	// density-only shift (routing unchanged, batches sparser or denser)
 	// triggers a re-plan like any routing drift.
-	hasDensity  bool
-	baseDensity float64
+	hasDensity bool
 }
 
 func newDetector(g *graph.Graph, prof *profiler.Profiler) *detector {
-	d := &detector{prof: prof, sws: g.Switches(), hasDensity: len(g.DensityOps()) > 0}
-	d.nb = make([]int, len(d.sws))
-	d.baseShare = make([][]float64, len(d.sws))
-	d.baseActive = make([][]float64, len(d.sws))
-	for i, sw := range d.sws {
-		d.nb[i] = g.Op(sw).NumBranches
-		d.baseShare[i] = make([]float64, d.nb[i])
-		d.baseActive[i] = make([]float64, d.nb[i])
-	}
+	d := &detector{prof: prof, hasDensity: len(g.DensityOps()) > 0}
 	d.Rebase()
 	return d
 }
@@ -46,15 +33,10 @@ func newDetector(g *graph.Graph, prof *profiler.Profiler) *detector {
 // Rebase snapshots the current profile as the new reference — called right
 // after a plan computed from that profile is installed.
 func (d *detector) Rebase() {
-	for i, sw := range d.sws {
-		for k := 0; k < d.nb[i]; k++ {
-			d.baseShare[i][k] = d.prof.BranchUnitShare(sw, k)
-			d.baseActive[i][k] = d.prof.BranchActiveFraction(sw, k)
-		}
-	}
-	if d.hasDensity {
-		d.baseDensity = d.prof.OpDensityMean()
-	}
+	live := d.prof.Snapshot()
+	d.base.Share = append(d.base.Share[:0], live.Share...)
+	d.base.Active = append(d.base.Active[:0], live.Active...)
+	d.base.Density = live.Density
 }
 
 // Divergence returns the drift of the live profile since the last Rebase:
@@ -81,17 +63,15 @@ func (d *detector) evaluate() (share, active, density, div float64) {
 // the telemetry drift-eval events record all three, so a trace shows which
 // statistic triggered (or failed to trigger) a re-plan.
 func (d *detector) divergenceParts() (share, active, density float64) {
-	n := 0
-	for i, sw := range d.sws {
-		for k := 0; k < d.nb[i]; k++ {
-			share += math.Abs(d.prof.BranchUnitShare(sw, k) - d.baseShare[i][k])
-			active += math.Abs(d.prof.BranchActiveFraction(sw, k) - d.baseActive[i][k])
-			n++
-		}
+	live := d.prof.Snapshot()
+	for i := range live.Share {
+		share += math.Abs(live.Share[i] - d.base.Share[i])
+		active += math.Abs(live.Active[i] - d.base.Active[i])
 	}
 	if d.hasDensity {
-		density = math.Abs(d.prof.OpDensityMean() - d.baseDensity)
+		density = math.Abs(live.Density - d.base.Density)
 	}
+	n := len(live.Share)
 	if n == 0 {
 		return 0, 0, density
 	}

@@ -190,8 +190,9 @@ func TestPlanCacheAOTWithoutFaultsIsANoOp(t *testing.T) {
 // TestAOTBringupCompilesEachKernelOnce is the compile memo's counter guard:
 // a moe AOT bring-up — the bring-up solve plus every degraded-config solve of
 // the fault schedule — runs exactly one blocking search per distinct kernel
-// key, all through the bring-up's compiler: re-running the same precompute
-// into an empty cache is served entirely from the memo and searches nothing.
+// key, all through the bring-up's compiler, and the tile-loss solve already
+// hits kernels of the live solve: re-running the same precompute into an
+// empty cache is served entirely from the memo and searches nothing.
 func TestAOTBringupCompilesEachKernelOnce(t *testing.T) {
 	cfg := driftConfig("moe")
 	cfg.PlanCache = true
@@ -209,6 +210,12 @@ func TestAOTBringupCompilesEachKernelOnce(t *testing.T) {
 	lookups, searches := setup.Comp.Stats()
 	if searches == 0 || searches != int64(setup.Comp.Len()) {
 		t.Fatalf("bring-up ran %d blocking searches for %d distinct kernels", searches, setup.Comp.Len())
+	}
+	// Kernel generation reads neither the failed-tile mask nor the NoC
+	// derate, so the 8-tile loss's solve finds kernels the live solve
+	// already compiled.
+	if searches >= lookups {
+		t.Fatalf("bring-up ran %d blocking searches for %d kernel lookups, want memo hits", searches, lookups)
 	}
 	st := s.PlanCacheStats()
 	if st.AOTEntries == 0 {

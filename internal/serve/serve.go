@@ -412,7 +412,7 @@ func New(cfg Config) (*Server, error) {
 		// Seed the cache with the bring-up plan: the profiler still holds
 		// exactly the warmup state that plan was solved from, so the entry's
 		// fingerprint is the one a fresh solve of the same state would key.
-		s.pcache.PutFor(cfg.PlanCacheOrigin, cfg.RC.HW, setup.W.Graph, setup.Policy, setup.M.Profiler(), setup.Plan)
+		s.pcache.PutFor(cfg.PlanCacheOrigin, cfg.RC.HW, setup.Policy, setup.M.Profiler(), setup.Plan)
 		if cfg.PlanCacheAOT {
 			s.pcache.Precompute(cfg.RC.HW, setup.Comp, setup.Policy, setup.M.Profiler(), cfg.Faults)
 		}
@@ -720,7 +720,7 @@ func (s *Server) maybeReschedule() error {
 			// threshold.
 			s.rec.Instant(s.driftTrack, "drift", "density-eval", ts,
 				telemetry.F("density_mean", s.setup.M.Profiler().OpDensityMean()),
-				telemetry.F("base_density", s.det.baseDensity),
+				telemetry.F("base_density", s.det.base.Density),
 				telemetry.F("density_drift", density))
 		}
 		ch, cm := s.setup.Plan.CacheStats()

@@ -136,7 +136,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serve: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
 		os.Exit(2)
 	}
-	if err := checkNonNegative(*requests, *gap, *slo, *maxWait); err != nil {
+	if err := checkNonNegative(); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(2)
 	}
@@ -365,25 +365,37 @@ func densityWrap(trace string, walkSD, center float64) (func(workload.TraceGen) 
 	return nil, nil
 }
 
-// newSource builds the request stream; arrivals use their own deterministic
-// seed so the stream is identical across server configurations.
-// checkNonNegative rejects the flag values serving would otherwise run with
-// silently: a negative -gap runs arrivals backwards in time, and a negative
-// -slo or -maxwait switches the deadline it names off.
-func checkNonNegative(requests int, gap float64, slo, maxWait int64) error {
-	switch {
-	case requests < 0:
-		return fmt.Errorf("-requests %d must be >= 0", requests)
-	case !(gap >= 0 && gap <= math.MaxFloat64):
-		return fmt.Errorf("-gap %v must be finite and >= 0", gap)
-	case slo < 0:
-		return fmt.Errorf("-slo %d must be >= 0", slo)
-	case maxWait < 0:
-		return fmt.Errorf("-maxwait %d must be >= 0", maxWait)
+// nonNegative names the flags serving would otherwise run with silently
+// when negative or not finite: a negative -gap runs arrivals backwards in
+// time, a negative -slo or -maxwait switches the deadline it names off, a
+// negative -check, -cooldown or -threshold falls back to its default, a
+// negative -hostresched charges nothing, and -threshold NaN never triggers a
+// re-plan.
+var nonNegative = []string{"requests", "gap", "slo", "maxwait", "threshold", "check", "cooldown", "hostresched"}
+
+// checkNonNegative rejects a nonNegative flag set to a negative or
+// non-finite value, naming the flag.
+func checkNonNegative() error {
+	for _, name := range nonNegative {
+		f := flag.Lookup(name)
+		var v float64
+		switch x := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			v = float64(x)
+		case int64:
+			v = float64(x)
+		case float64:
+			v = x
+		}
+		if !(v >= 0 && v <= math.MaxFloat64) {
+			return fmt.Errorf("-%s %s must be finite and >= 0", name, f.Value)
+		}
 	}
 	return nil
 }
 
+// newSource builds the request stream; arrivals use their own deterministic
+// seed so the stream is identical across server configurations.
 func newSource(replay string, requests int, gap, ratewalk float64, seed int64) (serve.Source, error) {
 	if replay != "" {
 		f, err := os.Open(replay)

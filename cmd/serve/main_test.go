@@ -221,17 +221,25 @@ func TestBadSpecValuesRejected(t *testing.T) {
 	}
 }
 
-// Negative numeric flags must exit 2 with an error naming the flag instead
-// of serving: -slo -100 used to switch deadlines off, and -gap -1000 ran
-// arrivals backwards in time.
+// Negative or non-finite numeric flags must exit 2 with an error naming the
+// flag instead of serving: -slo -100 used to switch deadlines off, -gap
+// -1000 ran arrivals backwards in time, and -threshold NaN switched drift
+// re-planning off.
 func TestNegativeFlagsRejected(t *testing.T) {
 	for args, want := range map[string]string{
-		"-requests 16 -warmup 4 -slo -100":    "-slo -100",
-		"-requests 16 -warmup 4 -maxwait -1":  "-maxwait -1",
-		"-requests 16 -warmup 4 -gap -1000":   "-gap -1000",
-		"-requests 16 -warmup 4 -gap NaN":     "-gap NaN",
-		"-requests -5 -warmup 4":              "-requests -5",
-		"-warmup 4 -requests -5 -tenants moe": "-requests -5",
+		"-requests 16 -warmup 4 -slo -100":                   "-slo -100",
+		"-requests 16 -warmup 4 -maxwait -1":                 "-maxwait -1",
+		"-requests 16 -warmup 4 -gap -1000":                  "-gap -1000",
+		"-requests 16 -warmup 4 -gap NaN":                    "-gap NaN",
+		"-requests -5 -warmup 4":                             "-requests -5",
+		"-warmup 4 -requests -5 -tenants moe":                "-requests -5",
+		"-requests 16 -warmup 4 -threshold NaN":              "-threshold NaN",
+		"-requests 16 -warmup 4 -threshold -0.5":             "-threshold -0.5",
+		"-requests 16 -warmup 4 -threshold +Inf":             "-threshold +Inf",
+		"-requests 16 -warmup 4 -check -1":                   "-check -1",
+		"-requests 16 -warmup 4 -cooldown -3":                "-cooldown -3",
+		"-requests 16 -warmup 4 -hostresched -7":             "-hostresched -7",
+		"-warmup 4 -requests 16 -threshold NaN -tenants moe": "-threshold NaN",
 	} {
 		out, code := runMain(t, args)
 		if code != 2 || !strings.Contains(out, want) {

@@ -57,3 +57,29 @@ func benchmarkMachineRun(b *testing.B, cfg hw.Config) {
 		}
 	}
 }
+
+// BenchmarkStreamSteady streams moe batches of 32 at pipeline depth 4
+// through a machine whose segment job pools are already warm: one op is one
+// streamed batch in the steady state of a pipelined server.
+func BenchmarkStreamSteady(b *testing.B) {
+	b.ReportAllocs()
+	m, trace := streamMachine(b, "moe", 32, 16)
+	ring := make([]*StreamTicket, 4)
+	steadyStream(b, m, trace, ring)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if old := ring[i%len(ring)]; old != nil {
+			if _, err := m.StreamRetire(old); err != nil {
+				b.Fatal(err)
+			}
+		}
+		tk, err := m.StreamSubmit(trace[i%len(trace)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		ring[i%len(ring)] = tk
+	}
+	if err := m.StreamDrain(); err != nil {
+		b.Fatal(err)
+	}
+}

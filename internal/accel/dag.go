@@ -7,6 +7,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/noc"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // edgeKind distinguishes payload edges from control-only (routing mask)
@@ -34,11 +35,15 @@ type prodEdge struct {
 // stays fixed while the plan is loaded — each entity's physical lead tile
 // and each producer edge's resolved NoC route. Jobs index it by entity
 // position, so preparing a job does no map lookups and sending a chunk
-// derives no route.
+// derives no route. The template also owns the segment's jobs: finished
+// ones wait on its free list for the next batch (see take), and they die
+// with the template when the next plan loads.
 type segDAG struct {
+	seg    *sched.Segment
 	ents   []dagEntity // in topological (seg.Ops) order
 	edges  int         // producer edges over all entities
 	groups int         // temporal-sharing groups
+	free   []*job      // released jobs, wired and ready for reuse
 }
 
 // dagEntity is one entity of the segment template.
@@ -51,11 +56,16 @@ type dagEntity struct {
 	partnerIdx int
 	group      int // temporal-sharing group index, -1 when ungrouped
 	tile       int // physical lead tile of the region
-	prods      []dagEdge
-	outs       int  // consumer edges fed by this entity
-	readHBM    bool // some input streams from HBM (crosses the segment boundary)
-	writeHBM   bool // no entity consumes the output: it drains to HBM
-	dynamic    bool
+	// tok is the entity's pipeline-stage token: its tiles process one job
+	// at a time, in start (batch) order. Acquiring it serializes the stage
+	// across in-flight batches; being per segment as well as per entity, it
+	// lets a streamed batch k run segment 1 while batch k+1 runs segment 0.
+	tok      *sim.Store
+	prods    []dagEdge
+	outs     int  // consumer edges fed by this entity
+	readHBM  bool // some input streams from HBM (crosses the segment boundary)
+	writeHBM bool // no entity consumes the output: it drains to HBM
+	dynamic  bool
 }
 
 // dagEdge is one producer edge of an entity, with its route resolved.
@@ -72,14 +82,15 @@ type dagEdge struct {
 // compileSegment builds a segment's template: it derives the entity DAG by
 // resolving each entity lead's graph inputs through the control operators
 // (switch, merge, sink), places every entity's lead tile through the plan
-// config's live→physical table, and resolves every edge's route on net.
-func compileSegment(g *graph.Graph, seg *sched.Segment, tiles hw.TileMap, net *noc.NoC) (*segDAG, error) {
+// config's live→physical table, resolves every edge's route on net, and
+// gives every entity its full pipeline-stage token on env.
+func compileSegment(env *sim.Env, g *graph.Graph, seg *sched.Segment, tiles hw.TileMap, net *noc.NoC) (*segDAG, error) {
 	inSeg := map[graph.OpID]bool{}
 	for _, id := range seg.Ops {
 		inSeg[id] = true
 	}
 	// Leads in the order they appear in seg.Ops (topological).
-	d := &segDAG{}
+	d := &segDAG{seg: seg}
 	index := map[graph.OpID]int{}
 	groups := map[graph.OpID]int{}
 	for _, id := range seg.Ops {
@@ -99,7 +110,9 @@ func compileSegment(g *graph.Graph, seg *sched.Segment, tiles hw.TileMap, net *n
 			tile:       tiles.Physical(noc.Centroid(op.Region)),
 			writeHBM:   true,
 			dynamic:    g.Op(id).Dynamic,
+			tok:        sim.NewStore(env, 1),
 		}
+		e.tok.TryPut(struct{}{})
 		if op.GroupLeader != graph.None {
 			k, ok := groups[op.GroupLeader]
 			if !ok {

@@ -85,26 +85,16 @@ type Machine struct {
 	// time its final-segment job completed and the window start time —
 	// the machine's per-batch latency record.
 	batchDone []BatchLatency
-	// entityTok holds one token per (segment, entity lead): an entity's tiles
-	// process one job at a time, in spawn (batch) order. Acquiring the token
-	// is what serializes a pipeline stage across in-flight batches. Keying by
-	// segment as well as lead lets the streaming API keep several segments in
-	// flight at once (batch k in segment 1 while batch k+1 runs segment 0)
-	// without the stages colliding; for the segment-major Run path it is
-	// equivalent to the former per-segment token reset, since every token is
-	// at rest (full) when a segment's window drains.
-	entityTok map[entityKey]*sim.Store
-
 	// computeOps and niNames are derived from the graph once at construction:
 	// the per-batch statistics loop and every entity spawn would otherwise
 	// re-derive them (a slice per batch, a string concatenation per job).
 	computeOps []graph.OpID
 	niNames    []string
 
-	// Per-job scratch, indexed like the segment template and reused across
-	// prepareJob calls (prepareJob never blocks, so one set suffices). It
-	// only lives for the duration of one prepareJob call; everything that
-	// outlasts it is reachable from the job itself.
+	// Scratch indexed like the segment template and reused across calls
+	// (neither prepareJob nor newJob blocks, so one set suffices). It only
+	// lives for the duration of one call; everything that outlasts it is
+	// reachable from the job itself.
 	optIdxBuf []int
 	groupsBuf []*sim.Store
 
@@ -138,7 +128,6 @@ func New(cfg hw.Config, g *graph.Graph, opts Options) (*Machine, error) {
 		hbm:        mem.New(env, cfg),
 		noc:        noc.New(env, cfg),
 		prof:       profiler.New(g),
-		entityTok:  map[entityKey]*sim.Store{},
 		computeOps: g.ComputeOps(),
 		niNames:    niNames,
 	}, nil
@@ -199,8 +188,9 @@ func (m *Machine) AdvanceTo(t sim.Time) {
 // (Run drains), kernel stores are re-loaded through HBM, and a fixed control
 // penalty applies. Like the hardware setting up its probe/ack routes at
 // reconfiguration, the load compiles every segment's template — entity
-// tiles and NoC routes, placed on the current config — so executing the
-// plan only books them.
+// tiles, NoC routes and pipeline-stage tokens, placed on the current
+// config — so executing the plan only books them. The previous plan's
+// templates, and the jobs pooled in them, are dropped.
 func (m *Machine) LoadPlan(p *sched.Plan) error {
 	if err := p.Validate(m.cfg, m.g); err != nil {
 		return err
@@ -208,7 +198,7 @@ func (m *Machine) LoadPlan(p *sched.Plan) error {
 	tiles := m.cfg.TileMap()
 	dags := make(map[int]*segDAG, len(p.Segments))
 	for _, seg := range p.Segments {
-		d, err := compileSegment(m.g, seg, tiles, m.noc)
+		d, err := compileSegment(m.env, m.g, seg, tiles, m.noc)
 		if err != nil {
 			return err
 		}
@@ -242,7 +232,6 @@ func (m *Machine) LoadPlan(p *sched.Plan) error {
 	m.dags = dags
 	m.planCfg = m.cfg
 	m.tiles = tiles
-	clear(m.entityTok)
 	return nil
 }
 
@@ -322,34 +311,40 @@ func (m *Machine) HBMUtilization() float64 {
 	return float64(s.HBMBytes) / (m.cfg.HBMBytesPerCycle() * float64(s.Cycles))
 }
 
-// jobEntity is one entity's state within a job.
+// jobEntity is one entity within a job. Each entity runs as two processes
+// per job, the compute process (compute) and its network-interface sender
+// (send). Its wiring is built once with the job (newJob); its entState is
+// reset for every batch the job carries (prepareJob).
 type jobEntity struct {
 	tpl     *dagEntity // the entity in the segment template
-	opt     *sched.AllocOption
-	eval    costmodel.Eval
-	units   int
+	job     *job
 	inputs  []*jobEdge
 	outputs []*jobEdge
 	group   *sim.Store // temporal-sharing token (nil when ungrouped)
-
-	// Process state. Each entity runs as two processes per job, the
-	// compute process (compute) and its network-interface sender (send);
-	// each resumes from its own state and loop counters.
-	job     *job
-	tok     *sim.Store // the pipeline-stage token (see Machine.entityTok)
 	sendQ   *sim.Store // chunks finished by compute, waiting for the sender
-	kstart  sim.Time   // when the first chunk began gathering inputs
-	hbmDone sim.Time   // the current chunk's HBM streaming completion
-	pc      int        // compute state
-	c, in   int        // compute: current chunk and input edge
-	sendPC  int        // sender state
-	sendC   int        // sender: current chunk
-	out     int        // sender: current output edge
+	proc    *sim.Proc  // runs compute
+	sender  *sim.Proc  // runs send
+	entState
+}
+
+// entState is an entity's per-batch state: its kernel choice and cost, and
+// where each of its two processes resumes.
+type entState struct {
+	opt     *sched.AllocOption
+	eval    costmodel.Eval
+	units   int
+	kstart  sim.Time // when the first chunk began gathering inputs
+	hbmDone sim.Time // the current chunk's HBM streaming completion
+	pc      int      // compute state
+	c, in   int      // compute: current chunk and input edge
+	sendPC  int      // sender state
+	sendC   int      // sender: current chunk
+	out     int      // sender: current output edge
 	xfer    noc.Transfer
 }
 
-// jobEdge is one producer-consumer link within a job: its payload and the
-// template edge that carries it.
+// jobEdge is one producer-consumer link within a job: its per-batch payload
+// and the template edge that carries it.
 type jobEdge struct {
 	bytes int64
 	store *sim.Store
@@ -374,11 +369,14 @@ func (m *Machine) Latencies() []BatchLatency {
 	return out
 }
 
-// job is one (batch, segment) unit of pipelined execution.
+// job is one (batch, segment) unit of pipelined execution. A job is built
+// once, wired to its segment template, and may carry many batches: see take,
+// prepareJob and release for its lifecycle.
 type job struct {
 	m           *Machine
-	seg         *sched.Segment
-	ents        []*jobEntity
+	dag         *segDAG
+	ents        []jobEntity
+	edges       []jobEdge
 	done        *sim.Signal
 	remaining   int
 	weightReady sim.Time
@@ -559,15 +557,127 @@ func (m *Machine) effUnits(units map[graph.OpID]int, id graph.OpID) int {
 	return m.g.Op(id).MaxUnits
 }
 
-// prepareJob computes per-entity dyn values, tile-sharing option choices,
-// cost evaluations, and the per-job edge payloads for one job, over the
-// segment's compiled template. It runs once per (batch, segment) on the
-// driver process, so its allocations are hot: entities and edges are laid
-// out in two contiguous per-job arrays, and the scratch it needs only
-// transiently is the machine's, indexed like the template.
+// take returns a job for segment d: a released one from the template's free
+// list, or a newly built one when the list is empty. The stream driver
+// releases each job once its done Await resumes, so a steady stream reuses
+// a handful of jobs per segment and builds none.
+func (m *Machine) take(d *segDAG) *job {
+	if n := len(d.free); n > 0 {
+		j := d.free[n-1]
+		d.free = d.free[:n-1]
+		return j
+	}
+	return m.newJob(d)
+}
+
+// newJob builds a job over segment template d and wires everything that
+// stays fixed across the batches it will carry: the entity and edge arrays,
+// the edge stores, each entity's sender queue and temporal-sharing group
+// token, the done signal, and each entity's compute and sender processes.
+// Entities and edges live in two contiguous arrays; the per-entity
+// input/output slices hold pointers into the edge array, pre-sized from the
+// template's degree counts.
+func (m *Machine) newJob(d *segDAG) *job {
+	env := m.env
+	j := &job{
+		m:     m,
+		dag:   d,
+		ents:  make([]jobEntity, len(d.ents)),
+		edges: make([]jobEdge, 0, d.edges),
+		done:  sim.NewSignal(env),
+	}
+	groups := append(m.groupsBuf[:0], make([]*sim.Store, d.groups)...)
+	m.groupsBuf = groups
+	for i := range d.ents {
+		de := &d.ents[i]
+		je := &j.ents[i]
+		je.tpl, je.job = de, j
+		if de.group >= 0 {
+			if groups[de.group] == nil {
+				gs := sim.NewStore(env, 1)
+				gs.TryPut(struct{}{})
+				groups[de.group] = gs
+			}
+			je.group = groups[de.group]
+		}
+		je.sendQ = sim.NewStore(env, 0)
+		je.proc = env.NewProc(m.g.Op(de.lead).Name, je.compute)
+		je.sender = env.NewProc(m.niNames[de.lead], je.send)
+	}
+	for i := range d.ents {
+		de := &d.ents[i]
+		consumer := &j.ents[i]
+		if len(de.prods) > 0 {
+			consumer.inputs = make([]*jobEdge, 0, len(de.prods))
+		}
+		for k := range de.prods {
+			pe := &de.prods[k]
+			producer := &j.ents[pe.from]
+			j.edges = append(j.edges, jobEdge{store: sim.NewStore(env, chunksPerJob/2), route: pe})
+			e := &j.edges[len(j.edges)-1]
+			consumer.inputs = append(consumer.inputs, e)
+			if producer.outputs == nil {
+				producer.outputs = make([]*jobEdge, 0, producer.tpl.outs)
+			}
+			producer.outputs = append(producer.outputs, e)
+		}
+	}
+	return j
+}
+
+// release returns a finished job to its template's free list. Every store
+// and signal of a finished job is at rest: edge stores and sender queues
+// empty, group tokens back in place, nobody waiting. A job that is not would
+// hand a stale chunk or a missing token to the next batch that takes it, so
+// release panics instead.
+func (j *job) release() {
+	leak := func(what string, i int) {
+		panic(fmt.Sprintf("accel: released job of segment %d leaks: %s of %s",
+			j.dag.seg.Index, what, j.m.g.Op(j.ents[i].tpl.lead).Name))
+	}
+	if j.done.Waiters() > 0 {
+		panic(fmt.Sprintf("accel: released job of segment %d has done waiters", j.dag.seg.Index))
+	}
+	for i := range j.ents {
+		je := &j.ents[i]
+		if je.sendQ.Len() > 0 || je.sendQ.Waiters() > 0 {
+			leak("sender queue", i)
+		}
+		if g := je.group; g != nil && (g.Len() != 1 || g.Waiters() > 0) {
+			leak("group token", i)
+		}
+		for _, e := range je.inputs {
+			if e.store.Len() > 0 || e.store.Waiters() > 0 {
+				leak("input edge", i)
+			}
+		}
+	}
+	j.dag.free = append(j.dag.free, j)
+}
+
+// prepareJob readies a job to carry one batch through seg: it takes a job
+// from the segment's template and computes per-entity dyn values,
+// tile-sharing option choices, cost evaluations and edge payloads. It runs
+// once per (batch, segment) on a driver process, and in steady state it
+// allocates nothing: the job's wiring is reused, and the option-choice
+// scratch is the machine's, indexed like the template.
 func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, density float64) (*job, error) {
 	d := m.dags[seg.Index]
-	j := &job{m: m, seg: seg, done: sim.NewSignal(m.env)}
+	j := m.take(d)
+	if err := m.resetJob(j, units, density); err != nil {
+		j.release()
+		return nil, err
+	}
+	return j, nil
+}
+
+// resetJob writes one batch's state into a taken job.
+func (m *Machine) resetJob(j *job, units map[graph.OpID]int, density float64) error {
+	d := j.dag
+	j.done.Reset()
+	// Each entity contributes two completions: its compute process and its
+	// network-interface sender.
+	j.remaining = 2 * len(j.ents)
 
 	// Tile-sharing option choice per pair (Section V-B): the pair leader
 	// picks the ratio minimizing the slower partner.
@@ -583,11 +693,11 @@ func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, densi
 		for k := range op.Options {
 			ea, err := m.plan.EvaluateEntityDensity(m.cfg, m.g, op, op.Options[k], m.effUnits(units, de.lead), density)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			eb, err := m.plan.EvaluateEntityDensity(m.cfg, m.g, partner, partner.Options[k], m.effUnits(units, op.Partner), density)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			score := ea.Cycles
 			if eb.Cycles > score {
@@ -603,12 +713,6 @@ func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, densi
 		}
 	}
 
-	groups := append(m.groupsBuf[:0], make([]*sim.Store, d.groups)...)
-	m.groupsBuf = groups
-	// All of the job's entities live in one contiguous array: one allocation
-	// instead of one per entity, and better locality for the spawn loop.
-	entArr := make([]jobEntity, len(d.ents))
-	j.ents = make([]*jobEntity, len(d.ents))
 	for i := range d.ents {
 		de := &d.ents[i]
 		op := de.plan
@@ -620,7 +724,7 @@ func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, densi
 		v := m.effUnits(units, de.lead)
 		ev, err := m.plan.EvaluateEntityDensity(m.cfg, m.g, op, opt, v, density)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Frozen-plan degradation: tiles that failed after this plan was
 		// loaded produce no work, so the entity's chunks fold onto the
@@ -635,76 +739,34 @@ func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, densi
 				ev.Cycles = (ev.Cycles*int64(op.Region[1]) + int64(s) - 1) / int64(s)
 			}
 		}
-		je := &entArr[i]
-		*je = jobEntity{tpl: de, opt: opt, eval: ev, units: v}
-		if de.group >= 0 {
-			if groups[de.group] == nil {
-				gs := sim.NewStore(m.env, 1)
-				gs.TryPut(struct{}{})
-				groups[de.group] = gs
-			}
-			je.group = groups[de.group]
-		}
-		j.ents[i] = je
+		j.ents[i].entState = entState{opt: opt, eval: ev, units: v}
 	}
-	// Each entity contributes two completions: its compute process and its
-	// network-interface sender.
-	j.remaining = 2 * len(j.ents)
 
-	// Wire the edges with their per-job payload sizes, again in one
-	// contiguous array (the per-entity input/output slices hold pointers
-	// into it, pre-sized from the template's degree counts).
-	edgeArr := make([]jobEdge, 0, d.edges)
+	// The edges' per-batch payload sizes.
 	for i := range d.ents {
 		de := &d.ents[i]
-		consumer := &entArr[i]
 		cOp := m.g.Op(de.lead)
-		if len(de.prods) > 0 {
-			consumer.inputs = make([]*jobEdge, 0, len(de.prods))
-		}
-		for k := range de.prods {
-			pe := &de.prods[k]
-			producer := &entArr[pe.from]
-			var bytes int64
-			switch {
+		for _, e := range j.ents[i].inputs {
+			switch pe := e.route; {
 			case pe.kind == edgeMask:
-				bytes = 64 // routing mask metadata packet
+				e.bytes = 64 // routing mask metadata packet
 			case pe.viaMerge:
 				// Each branch tail sends its own units' worth.
-				bytes = cOp.InBytesPerUnit * int64(m.effUnits(units, producer.tpl.lead))
+				e.bytes = cOp.InBytesPerUnit * int64(m.effUnits(units, d.ents[pe.from].lead))
 			default:
-				bytes = cOp.InBytesPerUnit * int64(m.effUnits(units, de.lead))
+				e.bytes = cOp.InBytesPerUnit * int64(m.effUnits(units, de.lead))
 			}
-			edgeArr = append(edgeArr, jobEdge{
-				bytes: bytes,
-				store: sim.NewStore(m.env, chunksPerJob/2),
-				route: pe,
-			})
-			e := &edgeArr[len(edgeArr)-1]
-			consumer.inputs = append(consumer.inputs, e)
-			if producer.outputs == nil {
-				producer.outputs = make([]*jobEdge, 0, producer.tpl.outs)
-			}
-			producer.outputs = append(producer.outputs, e)
 		}
 	}
-	return j, nil
+	return nil
 }
 
-// spawnJob launches one compute process per entity; each starts its own
+// spawnJob starts each entity's compute process; each starts its own
 // network-interface sender. They synchronize through edge stores, group
 // tokens, and the per-entity pipeline-stage token.
 func (m *Machine) spawnJob(j *job) {
-	for _, je := range j.ents {
-		key := entityKey{seg: j.seg.Index, lead: je.tpl.lead}
-		tok, ok := m.entityTok[key]
-		if !ok {
-			tok = sim.NewStore(m.env, 1)
-			tok.TryPut(struct{}{})
-			m.entityTok[key] = tok
-		}
-		je.job, je.tok = j, tok
-		m.env.Spawn(m.g.Op(je.tpl.lead).Name, je.compute)
+	for i := range j.ents {
+		m.env.Start(j.ents[i].proc)
 	}
 }
 
@@ -750,7 +812,7 @@ func (je *jobEntity) compute(p *sim.Proc) bool {
 		case entAcquire:
 			// Serialize this pipeline stage across in-flight batches: the
 			// token is granted in spawn (batch) order.
-			if _, ok := je.tok.Get(p); !ok {
+			if _, ok := je.tpl.tok.Get(p); !ok {
 				return false
 			}
 			// Segment ordering and weight availability.
@@ -783,14 +845,13 @@ func (je *jobEntity) compute(p *sim.Proc) bool {
 			// payload over the NoC — while the PE array already computes
 			// the next chunk. The pipeline-stage token is released when
 			// compute finishes; delivery completion is tracked by the job.
-			je.sendQ = sim.NewStore(m.env, 0)
-			m.env.Spawn(m.niNames[je.tpl.lead], je.send)
+			m.env.Start(je.sender)
 			je.kstart = p.Now()
 			je.pc = entGather
 		case entGather:
 			if je.c == chunksPerJob {
 				je.recordKernel()
-				je.tok.TryPut(struct{}{})
+				je.tpl.tok.TryPut(struct{}{})
 				j.finish()
 				return true
 			}
@@ -859,7 +920,7 @@ func (je *jobEntity) recordKernel() {
 		int64(je.kstart), int64(m.env.Now()),
 		telemetry.I("units", int64(je.units)),
 		telemetry.I("tiles", int64(je.opt.Tiles)),
-		telemetry.I("segment", int64(je.job.seg.Index)))
+		telemetry.I("segment", int64(je.job.dag.seg.Index)))
 }
 
 // Sender process states.

@@ -3,7 +3,6 @@ package accel
 import (
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -32,12 +31,6 @@ import (
 //
 // LoadPlan and SetCapability still require a drained pipeline (no tickets in
 // flight), just as they require Run to have returned.
-
-// entityKey identifies a pipeline stage: one entity of one segment.
-type entityKey struct {
-	seg  int
-	lead graph.OpID
-}
 
 // StreamTicket tracks one in-flight streamed batch from StreamSubmit to
 // completion.
@@ -79,15 +72,25 @@ func (m *Machine) StreamSubmit(b workload.Batch) (*StreamTicket, error) {
 	segs := m.plan.Segments
 	si := 0
 	var weightReady sim.Time
+	var cur *job // the job being awaited
 	m.env.Spawn("stream", func(p *sim.Proc) bool {
-		// Each step spawns the next segment's job and waits for it; the
+		// Each step starts the next segment's job and waits for it; the
 		// segment index is the resume point. Weights are fetched one segment
 		// ahead, as Run's driver fetches them: segment 0's when the stream
-		// starts, segment k+1's as soon as segment k's job is spawned.
+		// starts, segment k+1's as soon as segment k's job is started.
 		if si == 0 && len(segs) > 0 {
 			weightReady = m.hbm.Reserve(segs[0].WeightBytes)
 		}
-		for si < len(segs) {
+		for {
+			if cur != nil {
+				// Its done Await resumed: the job finished, and nothing
+				// else holds it, so the next batch may reuse it.
+				cur.release()
+				cur = nil
+			}
+			if si == len(segs) {
+				break
+			}
 			// prepareJob never blocks, so the machine's per-job scratch
 			// slices stay single-writer even with several stream drivers
 			// interleaving on the event queue.
@@ -105,6 +108,7 @@ func (m *Machine) StreamSubmit(b workload.Batch) (*StreamTicket, error) {
 			if si < len(segs) {
 				weightReady = m.hbm.Reserve(segs[si].WeightBytes)
 			}
+			cur = j
 			if !j.done.Await(p) {
 				return false
 			}

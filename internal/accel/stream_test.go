@@ -15,7 +15,7 @@ import (
 
 // streamMachine brings up a machine with a freshly scheduled plan and the
 // trace of batches the test will feed it.
-func streamMachine(t *testing.T, model string, batch, nBatches int) (*Machine, []workload.Batch) {
+func streamMachine(t testing.TB, model string, batch, nBatches int) (*Machine, []workload.Batch) {
 	t.Helper()
 	cfg := hw.Default()
 	w, err := models.ByName(model, batch)

@@ -84,6 +84,7 @@ type fbsGen struct {
 	swIDs   []graph.OpID
 	keep    []*workload.Drift
 	weights [][]float64
+	topk    []int // Next's scratch: one sample's kept groups
 }
 
 func (g *fbsGen) Next(src *workload.Source, units int) graph.BatchRouting {
@@ -93,7 +94,8 @@ func (g *fbsGen) Next(src *workload.Source, units int) graph.BatchRouting {
 		branches := make([][]int, fbsGroups)
 		for i := 0; i < units; i++ {
 			k := src.NormInt(meanK, 1.2, 1, fbsGroups)
-			for _, gidx := range src.SampleTopK(g.weights[li], k) {
+			g.topk = src.AppendTopK(g.topk[:0], g.weights[li], k)
+			for _, gidx := range g.topk {
 				branches[gidx] = append(branches[gidx], i)
 			}
 		}

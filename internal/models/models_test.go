@@ -3,6 +3,7 @@ package models
 import (
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/profiler"
 	"repro/internal/workload"
 )
@@ -165,6 +166,49 @@ func TestMoETopKBroadcast(t *testing.T) {
 	}
 	if total != 32*moeTopK {
 		t.Fatalf("top-%d routing slots = %d, want %d", moeTopK, total, 32*moeTopK)
+	}
+}
+
+// TestMoENextAllocatesOnlyItsRouting bounds the moe generator's allocations
+// by the routing it returns: a twin generator's routings, rebuilt by
+// appending the same indices in the same order, cost as many allocations as
+// Next may. Gate weights and per-sample top-k draws must come from scratch.
+func TestMoENextAllocatesOnlyItsRouting(t *testing.T) {
+	const units, runs = 32, 50
+	gen := func() (workload.TraceGen, *workload.Source) {
+		w, err := TutelMoE(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Gen, workload.NewSource(3)
+	}
+	// AllocsPerRun makes one warm-up call before its runs.
+	twin, twinSrc := gen()
+	want := make([]graph.BatchRouting, runs+1)
+	for i := range want {
+		want[i] = twin.Next(twinSrc, units)
+	}
+	k := 0
+	var out graph.BatchRouting // rebuilt routings escape, as Next's do
+	rebuilt := testing.AllocsPerRun(runs, func() {
+		rt := graph.BatchRouting{}
+		for sw, r := range want[k] {
+			branches := make([][]int, len(r.Branch))
+			for e, idxs := range r.Branch {
+				for _, i := range idxs {
+					branches[e] = append(branches[e], i)
+				}
+			}
+			rt[sw] = graph.Routing{Branch: branches}
+		}
+		out = rt
+		k++
+	})
+	_ = out
+	g, src := gen()
+	next := testing.AllocsPerRun(runs, func() { g.Next(src, units) })
+	if next > rebuilt {
+		t.Fatalf("moe Next allocates %.0f per call, its routing only %.0f", next, rebuilt)
 	}
 }
 

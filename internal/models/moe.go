@@ -86,18 +86,25 @@ func TutelMoE(batchSamples int) (*Workload, error) {
 type moeGen struct {
 	swIDs  []graph.OpID
 	logits [][]*workload.Drift
+	// weights and topk are Next's scratch (one layer's gate weights, one
+	// sample's experts), reused so Next allocates only the routing.
+	weights []float64
+	topk    []int
 }
 
 func (g *moeGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	rt := graph.BatchRouting{}
+	if g.weights == nil {
+		g.weights = make([]float64, moeExperts)
+	}
 	for li, sw := range g.swIDs {
-		weights := make([]float64, moeExperts)
 		for e, d := range g.logits[li] {
-			weights[e] = math.Exp(d.Step(src))
+			g.weights[e] = math.Exp(d.Step(src))
 		}
 		branches := make([][]int, moeExperts)
 		for i := 0; i < units; i++ {
-			for _, e := range src.SampleTopK(weights, moeTopK) {
+			g.topk = src.AppendTopK(g.topk[:0], g.weights, moeTopK)
+			for _, e := range g.topk {
 				branches[e] = append(branches[e], i)
 			}
 		}

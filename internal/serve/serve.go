@@ -18,6 +18,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -373,6 +374,11 @@ type Server struct {
 // New brings up a server: machine built, warmup profile observed, initial
 // plan scheduled from it and loaded, drift reference snapshotted.
 func New(cfg Config) (*Server, error) {
+	if math.IsNaN(cfg.DriftThreshold) || math.IsInf(cfg.DriftThreshold, 0) {
+		// No divergence reaches NaN or +Inf, so drift re-planning would be
+		// off without a word.
+		return nil, fmt.Errorf("serve: drift threshold %v must be finite", cfg.DriftThreshold)
+	}
 	cfg.defaults()
 	if err := cfg.Faults.Validate(cfg.RC.HW); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
@@ -341,6 +342,18 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.DriftThreshold <= 0 || c.CheckEvery <= 0 || c.CooldownBatches <= 0 {
 		t.Errorf("controller defaults not set: %+v", c)
+	}
+}
+
+// A non-finite drift threshold is rejected at bring-up: no divergence
+// reaches NaN or +Inf, so it would switch drift re-planning off silently.
+func TestNonFiniteDriftThresholdRejected(t *testing.T) {
+	for _, th := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := quickConfig("moe")
+		cfg.DriftThreshold = th
+		if _, err := New(cfg); err == nil {
+			t.Errorf("DriftThreshold %v accepted", th)
+		}
 	}
 }
 

@@ -28,24 +28,45 @@ type Proc struct {
 	runFn func()
 	// armed is set once the current step has arranged its wake-up.
 	armed bool
+	// running is set from Start until the step function reports the end.
+	running bool
 	// prev and next link the environment's live processes, the roster the
 	// deadlock diagnostic (Env.BlockedProcs) reads.
 	prev, next *Proc
 }
 
-// Spawn starts a new simulation process whose body is step. The process
-// takes its first step at the current simulated time, from an event
-// scheduled now, so it runs after every event already due at this instant.
-// The name is used in deadlock diagnostics only.
-func (e *Env) Spawn(name string, step func(p *Proc) bool) *Proc {
-	p := &Proc{env: e, name: name, step: step, next: e.live}
+// NewProc creates a process whose body is step, without starting it. The
+// name is used in deadlock diagnostics only.
+func (e *Env) NewProc(name string, step func(p *Proc) bool) *Proc {
+	p := &Proc{env: e, name: name, step: step}
 	p.runFn = p.run
+	return p
+}
+
+// Start starts p. The process takes its first step at the current simulated
+// time, from an event scheduled now, so it runs after every event already
+// due at this instant. A process that has finished may be started again:
+// its step function runs from whatever state its owner reset it to, and a
+// restart schedules exactly what a fresh Spawn would. Starting a running
+// process panics.
+func (e *Env) Start(p *Proc) {
+	if p.running {
+		panic(fmt.Sprintf("sim: process %s started while running", p.name))
+	}
+	p.running = true
+	p.next = e.live
 	if e.live != nil {
 		e.live.prev = p
 	}
 	e.live = p
 	e.nprocs++
 	e.Schedule(0, p.runFn)
+}
+
+// Spawn creates and starts a process: NewProc followed by Start.
+func (e *Env) Spawn(name string, step func(p *Proc) bool) *Proc {
+	p := e.NewProc(name, step)
+	e.Start(p)
 	return p
 }
 
@@ -63,6 +84,7 @@ func (p *Proc) run() {
 		panic(fmt.Sprintf("sim: process %s finished with a wake-up pending", p.name))
 	}
 	e := p.env
+	p.running = false
 	e.nprocs--
 	if p.prev != nil {
 		p.prev.next = p.next
@@ -126,15 +148,20 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
+	for _, p := range s.waiters {
 		s.env.Schedule(0, p.runFn)
 	}
+	// Keep the backing array for the next round of waiters (a signal that
+	// is Reset and fired again allocates nothing).
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // Reset closes the signal so future Await calls block again.
 func (s *Signal) Reset() { s.fired = false }
+
+// Waiters reports the number of processes queued in Await.
+func (s *Signal) Waiters() int { return len(s.waiters) }
 
 // Await reports whether the signal is open. If it is not, the process is
 // queued to resume when the signal fires and Await returns false; the
@@ -174,6 +201,9 @@ func NewStore(env *Env, capacity int) *Store {
 
 // Len reports the number of buffered items.
 func (s *Store) Len() int { return len(s.items) }
+
+// Waiters reports the number of processes queued to retry a Get or a Put.
+func (s *Store) Waiters() int { return len(s.getters) + len(s.putters) }
 
 // Put appends an item and reports true, or — while the store is full —
 // queues the process to retry once a slot frees and reports false.

@@ -12,6 +12,17 @@
 // default configuration, so one cycle is one nanosecond). All scheduling is
 // deterministic: events at the same timestamp fire in the order they were
 // scheduled.
+//
+// Pending events live in two places. An event scheduled for a later time goes
+// on a binary heap ordered by (time, scheduling sequence). An event scheduled
+// for the current time — a process wake-up, a Wait(0), a signal release —
+// goes on a FIFO lane, which costs no sift. The engine runs the heap's events
+// at the current time before the lane's, and that keeps the (time, sequence)
+// order exactly: an event reaches the heap at time now only if it was
+// scheduled while the clock was still earlier, so its sequence number is
+// lower than that of every lane event, which was scheduled at now. The clock
+// cannot advance while the lane holds events, so the lane never holds an
+// event from an earlier time.
 package sim
 
 import (
@@ -104,11 +115,15 @@ func (q eventQueue) down(i int) {
 // Env is a simulation environment: a clock plus a pending-event queue.
 // The zero value is ready to use.
 type Env struct {
-	now    Time
-	queue  eventQueue
-	seq    int64
-	nprocs int   // live processes, for deadlock detection
-	live   *Proc // head of the live-process list
+	now   Time
+	queue eventQueue
+	// lane holds the callbacks scheduled at now, in scheduling order, from
+	// laneHead on; it is emptied (and its array reused) each time it drains.
+	lane     []func()
+	laneHead int
+	seq      int64
+	nprocs   int   // live processes, for deadlock detection
+	live     *Proc // head of the live-process list
 }
 
 // NewEnv returns a fresh simulation environment at time zero.
@@ -132,12 +147,26 @@ func (e *Env) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
 	e.seq++
+	if t == e.now {
+		e.lane = append(e.lane, fn)
+		return
+	}
 	e.queue.push(event{at: t, seq: e.seq, fn: fn})
 }
 
-// step runs the earliest pending event. It reports false when the queue is
-// empty.
+// step runs the earliest pending event. It reports false when nothing is
+// pending. Heap events due now run before the lane (see the package doc).
 func (e *Env) step() bool {
+	if e.laneHead < len(e.lane) && (len(e.queue) == 0 || e.queue[0].at > e.now) {
+		fn := e.lane[e.laneHead]
+		e.lane[e.laneHead] = nil // release the closure
+		e.laneHead++
+		if e.laneHead == len(e.lane) {
+			e.lane, e.laneHead = e.lane[:0], 0
+		}
+		fn()
+		return true
+	}
 	if len(e.queue) == 0 {
 		return false
 	}
@@ -158,7 +187,7 @@ func (e *Env) Run() Time {
 // RunUntil processes events with timestamps not exceeding horizon and then
 // sets the clock to horizon. Events scheduled after the horizon remain queued.
 func (e *Env) RunUntil(horizon Time) Time {
-	for len(e.queue) > 0 && e.queue[0].at <= horizon {
+	for t, ok := e.NextEvent(); ok && t <= horizon; t, ok = e.NextEvent() {
 		e.step()
 	}
 	if e.now < horizon {
@@ -173,7 +202,7 @@ func (e *Env) RunUntil(horizon Time) Time {
 // to an outside time and leaves that instant to its caller, which may still
 // add work at exactly the horizon.
 func (e *Env) StepTo(horizon Time) {
-	for len(e.queue) > 0 && e.queue[0].at < horizon {
+	for t, ok := e.NextEvent(); ok && t < horizon; t, ok = e.NextEvent() {
 		e.step()
 	}
 	if e.now < horizon {
@@ -184,14 +213,17 @@ func (e *Env) StepTo(horizon Time) {
 // NextEvent returns the earliest pending event's timestamp; ok is false when
 // the queue is empty.
 func (e *Env) NextEvent() (t Time, ok bool) {
-	if len(e.queue) == 0 {
-		return 0, false
+	switch {
+	case e.laneHead < len(e.lane):
+		return e.now, true
+	case len(e.queue) > 0:
+		return e.queue[0].at, true
 	}
-	return e.queue[0].at, true
+	return 0, false
 }
 
 // Pending reports the number of queued events.
-func (e *Env) Pending() int { return len(e.queue) }
+func (e *Env) Pending() int { return len(e.queue) + len(e.lane) - e.laneHead }
 
 // Live reports the number of processes that have started but not finished.
 func (e *Env) Live() int { return e.nprocs }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -459,6 +460,7 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 		}
 		var fired []stamp
 		var want []stamp
+		done := map[int]bool{}
 		seq := 0
 		var schedule func(depth int)
 		schedule = func(depth int) {
@@ -471,6 +473,7 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 				want = append(want, stamp{at: at, seq: mySeq})
 				env.Schedule(d, func() {
 					fired = append(fired, stamp{at: env.Now(), seq: mySeq})
+					done[mySeq] = true
 					// Occasionally schedule more work from inside an event,
 					// the pattern processes produce constantly.
 					if depth < 3 && rng.Intn(4) == 0 {
@@ -479,8 +482,48 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 				})
 			}
 		}
+		// checkPending compares Pending and NextEvent with the reference's
+		// unfired events, whether they sit on the heap or the lane.
+		checkPending := func(when string) {
+			t.Helper()
+			n, next := 0, Forever
+			for _, w := range want {
+				if !done[w.seq] {
+					n++
+					next = min(next, w.at)
+				}
+			}
+			if got := env.Pending(); got != n {
+				t.Fatalf("trial %d %s: Pending() = %d, reference has %d unfired", trial, when, got, n)
+			}
+			got, ok := env.NextEvent()
+			if ok != (n > 0) || (ok && got != next) {
+				t.Fatalf("trial %d %s: NextEvent() = %d, %v; reference next %d of %d unfired",
+					trial, when, got, ok, next, n)
+			}
+		}
 		schedule(0)
-		env.Run()
+		// Advance by random horizons, alternating the two bounded advances.
+		// Between advances the driver schedules more events itself; those at
+		// the current time land on the lane next to any heap events StepTo
+		// left pending at the horizon.
+		for round := 0; len(fired) < len(want); round++ {
+			checkPending("before scheduling")
+			if round < 20 && rng.Intn(3) == 0 {
+				schedule(3)
+				checkPending("after scheduling")
+			}
+			h := env.Now() + Time(rng.Intn(6))
+			if rng.Intn(2) == 0 {
+				env.RunUntil(h)
+			} else {
+				env.StepTo(h)
+			}
+			if env.Now() != h {
+				t.Fatalf("trial %d: clock %d after advancing to %d", trial, env.Now(), h)
+			}
+		}
+		checkPending("at the end")
 		// Reference order: stable sort by timestamp (stability preserves the
 		// scheduling sequence for ties).
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
@@ -493,6 +536,74 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 					trial, i, fired[i], want[i])
 			}
 		}
+	}
+}
+
+// Starting a process that is already running — queued for its first step
+// or blocked mid-body — panics: it would resume twice.
+func TestStartRunningProcPanics(t *testing.T) {
+	for _, when := range []string{"before its first step", "while blocked"} {
+		env := NewEnv()
+		p := env.Spawn("busy", sequence([]Time{5}, func(int) {}))
+		if when == "while blocked" {
+			env.RunUntil(1)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Start of a running process did not panic", when)
+				}
+			}()
+			env.Start(p)
+		}()
+	}
+}
+
+// A finished process started again schedules exactly what a fresh Spawn of
+// the same body would: the interleaving with other processes, and so every
+// timestamp, is the same either way.
+func TestRestartedProcMatchesSpawn(t *testing.T) {
+	run := func(restart bool) []string {
+		env := NewEnv()
+		var log []string
+		stamp := func(name string) func(int) {
+			return func(i int) { log = append(log, fmt.Sprintf("%s%d@%d", name, i, env.Now())) }
+		}
+		st := NewStore(env, 1)
+		env.Spawn("producer", producer(st, 6, 1))
+		// The worker's step function reads its state from w, so resetting w
+		// rewinds the body, the way a pooled owner resets its processes.
+		var w struct{ got int }
+		work := func(p *Proc) bool {
+			for w.got < 3 {
+				if _, ok := st.Get(p); !ok {
+					return false
+				}
+				w.got++
+				stamp("w")(w.got)
+			}
+			return true
+		}
+		worker := env.Spawn("worker", work)
+		env.Spawn("ticker", sequence([]Time{0, 2, 0, 3}, stamp("t")))
+		env.RunUntil(4)
+		env.Spawn("late", sequence([]Time{0, 1}, stamp("l")))
+		env.RunUntil(5)
+		w.got = 0
+		if restart {
+			env.Start(worker)
+		} else {
+			env.Spawn("worker", work)
+		}
+		env.Run()
+		if env.Live() != 0 {
+			t.Fatalf("restart=%v: %d processes still live", restart, env.Live())
+		}
+		return log
+	}
+	fresh, restarted := run(false), run(true)
+	if !reflect.DeepEqual(fresh, restarted) {
+		t.Fatalf("restarted process diverges from a fresh spawn:\n fresh:     %v\n restarted: %v", fresh, restarted)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // from one Source so that every experiment is reproducible bit-for-bit.
 type Source struct {
 	rng *rand.Rand
-	// topk is SampleTopK's working copy of the weights, reused across calls.
+	// topk is AppendTopK's working copy of the weights, reused across calls.
 	topk []float64
 }
 
@@ -147,21 +147,23 @@ func (s *Source) SampleCategorical(weights []float64) int {
 	return len(weights) - 1
 }
 
-// SampleTopK draws k distinct indices from the weight vector, proportional to
-// weight without replacement (the top-k expert gating of MoE models). When
-// fewer than k weights are positive the draw stops once the remaining mass is
-// exhausted, so the result holds only the positive-weight indices — never a
-// duplicate (SampleCategorical over an all-zero vector would otherwise return
-// the last index over and over).
-func (s *Source) SampleTopK(weights []float64, k int) []int {
+// AppendTopK draws k distinct indices from the weight vector, proportional to
+// weight without replacement (the top-k expert gating of MoE models), and
+// appends them to dst in ascending order; dst's existing elements are left
+// as they are. When fewer than k weights are positive the draw stops once
+// the remaining mass is exhausted, so it appends only the positive-weight
+// indices — never a duplicate (SampleCategorical over an all-zero vector
+// would otherwise return the last index over and over). A caller that
+// passes its previous result back as dst[:0] draws without allocating.
+func (s *Source) AppendTopK(dst []int, weights []float64, k int) []int {
 	n := len(weights)
 	if k > n {
 		k = n
 	}
 	w := append(s.topk[:0], weights...)
 	s.topk = w
-	out := make([]int, 0, k)
-	for len(out) < k {
+	base := len(dst)
+	for len(dst)-base < k {
 		var mass float64
 		for _, x := range w {
 			if x > 0 {
@@ -182,11 +184,11 @@ func (s *Source) SampleTopK(weights []float64, k int) []int {
 				}
 			}
 		}
-		out = append(out, i)
+		dst = append(dst, i)
 		w[i] = 0
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(dst[base:])
+	return dst
 }
 
 // Batch is one generated inference batch: its unit count, the routing

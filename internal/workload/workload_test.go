@@ -117,7 +117,7 @@ func TestSampleTopKDistinctSorted(t *testing.T) {
 	s := NewSource(5)
 	w := ZipfWeights(8, 1.2)
 	for i := 0; i < 200; i++ {
-		ks := s.SampleTopK(w, 3)
+		ks := s.AppendTopK(nil, w, 3)
 		if len(ks) != 3 {
 			t.Fatalf("topk len = %d", len(ks))
 		}
@@ -128,7 +128,7 @@ func TestSampleTopKDistinctSorted(t *testing.T) {
 		}
 	}
 	// k larger than n collapses to n.
-	if got := s.SampleTopK(w, 20); len(got) != 8 {
+	if got := s.AppendTopK(nil, w, 20); len(got) != 8 {
 		t.Fatalf("oversized k should clamp: %v", got)
 	}
 }
@@ -138,28 +138,28 @@ func TestSampleTopKDegenerateWeights(t *testing.T) {
 	// Fewer positive weights than k: the draw must stop at the exhausted
 	// mass instead of padding with duplicates of the last index.
 	for i := 0; i < 100; i++ {
-		got := s.SampleTopK([]float64{0, 0, 1, 0, 0.5, 0}, 4)
+		got := s.AppendTopK(nil, []float64{0, 0, 1, 0, 0.5, 0}, 4)
 		if len(got) != 2 || got[0] != 2 || got[1] != 4 {
 			t.Fatalf("want the two positive indices [2 4], got %v", got)
 		}
 	}
 	// All-zero mass yields no indices at all.
-	if got := s.SampleTopK([]float64{0, 0, 0}, 2); len(got) != 0 {
+	if got := s.AppendTopK(nil, []float64{0, 0, 0}, 2); len(got) != 0 {
 		t.Fatalf("all-zero weights must yield nothing, got %v", got)
 	}
 	// A single positive weight among zeros is returned exactly once.
-	if got := s.SampleTopK([]float64{0, 0, 0, 7}, 3); len(got) != 1 || got[0] != 3 {
+	if got := s.AppendTopK(nil, []float64{0, 0, 0, 7}, 3); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("want [3], got %v", got)
 	}
 }
 
-// Property: SampleTopK never returns duplicates and all indices are valid.
+// Property: AppendTopK never returns duplicates and all indices are valid.
 func TestQuickTopKValidity(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		s := NewSource(seed)
 		w := ZipfWeights(10, 1.0)
 		k := int(kRaw)%10 + 1
-		ks := s.SampleTopK(w, k)
+		ks := s.AppendTopK(nil, w, k)
 		seen := map[int]bool{}
 		for _, i := range ks {
 			if i < 0 || i >= 10 || seen[i] {
@@ -226,10 +226,11 @@ func TestLoadRecordingRejectsGarbage(t *testing.T) {
 	}
 }
 
-// SampleTopK reuses one working copy of the weights per Source; the draws
+// AppendTopK reuses one working copy of the weights per Source; the draws
 // must stay those of a fresh copy per call. The first 64 draws for seed 7
 // over a Zipf vector with one zero weight are pinned, and neither the
 // caller's weights nor an earlier result may change under later draws.
+// Appending to a reused buffer yields the same draws and keeps its prefix.
 func TestSampleTopKStreamPinned(t *testing.T) {
 	want := [][]int{
 		{0, 11}, {0, 7, 12}, {0, 1, 2, 4}, {1, 4}, {0, 1, 12}, {0, 1, 9, 12}, {0, 9}, {0, 9, 12},
@@ -247,7 +248,7 @@ func TestSampleTopKStreamPinned(t *testing.T) {
 	orig := append([]float64(nil), w...)
 	got := make([][]int, len(want))
 	for i := range want {
-		got[i] = src.SampleTopK(w, 2+i%3)
+		got[i] = src.AppendTopK(nil, w, 2+i%3)
 	}
 	for i := range want {
 		if !slices.Equal(got[i], want[i]) {
@@ -255,6 +256,15 @@ func TestSampleTopKStreamPinned(t *testing.T) {
 		}
 	}
 	if !slices.Equal(w, orig) {
-		t.Fatal("SampleTopK modified the caller's weights")
+		t.Fatal("AppendTopK modified the caller's weights")
+	}
+
+	src = NewSource(7)
+	buf := []int{99}
+	for i := range want {
+		buf = src.AppendTopK(buf[:1], w, 2+i%3)
+		if buf[0] != 99 || !slices.Equal(buf[1:], want[i]) {
+			t.Fatalf("appended draw %d = %v, want [99] + %v", i, buf, want[i])
+		}
 	}
 }

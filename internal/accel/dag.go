@@ -112,7 +112,7 @@ func compileSegment(env *sim.Env, g *graph.Graph, seg *sched.Segment, tiles hw.T
 			dynamic:    g.Op(id).Dynamic,
 			tok:        sim.NewStore(env, 1),
 		}
-		e.tok.TryPut(struct{}{})
+		e.tok.TryPut()
 		if op.GroupLeader != graph.None {
 			k, ok := groups[op.GroupLeader]
 			if !ok {

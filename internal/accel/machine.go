@@ -190,19 +190,25 @@ func (m *Machine) AdvanceTo(t sim.Time) {
 // reconfiguration, the load compiles every segment's template — entity
 // tiles, NoC routes and pipeline-stage tokens, placed on the current
 // config — so executing the plan only books them. The previous plan's
-// templates, and the jobs pooled in them, are dropped.
+// templates, and the jobs pooled in them, are dropped — unless the plan is
+// the one already loaded, on the config it was compiled for: its templates
+// would compile the same, so they and their pooled jobs stay. The
+// reconfiguration is charged either way.
 func (m *Machine) LoadPlan(p *sched.Plan) error {
 	if err := p.Validate(m.cfg, m.g); err != nil {
 		return err
 	}
-	tiles := m.cfg.TileMap()
-	dags := make(map[int]*segDAG, len(p.Segments))
-	for _, seg := range p.Segments {
-		d, err := compileSegment(m.env, m.g, seg, tiles, m.noc)
-		if err != nil {
-			return err
+	dags, tiles := m.dags, m.tiles
+	if p != m.plan || m.cfg != m.planCfg {
+		tiles = m.cfg.TileMap()
+		dags = make(map[int]*segDAG, len(p.Segments))
+		for _, seg := range p.Segments {
+			d, err := compileSegment(m.env, m.g, seg, tiles, m.noc)
+			if err != nil {
+				return err
+			}
+			dags[seg.Index] = d
 		}
-		dags[seg.Index] = d
 	}
 	if m.plan != nil {
 		var kernelBytes int64
@@ -595,7 +601,7 @@ func (m *Machine) newJob(d *segDAG) *job {
 		if de.group >= 0 {
 			if groups[de.group] == nil {
 				gs := sim.NewStore(env, 1)
-				gs.TryPut(struct{}{})
+				gs.TryPut()
 				groups[de.group] = gs
 			}
 			je.group = groups[de.group]
@@ -812,7 +818,7 @@ func (je *jobEntity) compute(p *sim.Proc) bool {
 		case entAcquire:
 			// Serialize this pipeline stage across in-flight batches: the
 			// token is granted in spawn (batch) order.
-			if _, ok := je.tpl.tok.Get(p); !ok {
+			if !je.tpl.tok.Get(p) {
 				return false
 			}
 			// Segment ordering and weight availability.
@@ -851,13 +857,13 @@ func (je *jobEntity) compute(p *sim.Proc) bool {
 		case entGather:
 			if je.c == chunksPerJob {
 				je.recordKernel()
-				je.tpl.tok.TryPut(struct{}{})
+				je.tpl.tok.TryPut()
 				j.finish()
 				return true
 			}
 			// Gather this chunk from every producer.
 			for ; je.in < len(je.inputs); je.in++ {
-				if _, ok := je.inputs[je.in].store.Get(p); !ok {
+				if !je.inputs[je.in].store.Get(p) {
 					return false
 				}
 			}
@@ -882,7 +888,7 @@ func (je *jobEntity) compute(p *sim.Proc) bool {
 		case entCompute:
 			// Compute, serializing with temporal group partners.
 			if je.group != nil {
-				if _, ok := je.group.Get(p); !ok {
+				if !je.group.Get(p) {
 					return false
 				}
 			}
@@ -891,7 +897,7 @@ func (je *jobEntity) compute(p *sim.Proc) bool {
 			return false
 		case entRelease:
 			if je.group != nil {
-				je.group.TryPut(struct{}{})
+				je.group.TryPut()
 			}
 			je.pc = entStream
 		case entStream:
@@ -901,7 +907,7 @@ func (je *jobEntity) compute(p *sim.Proc) bool {
 				return false
 			}
 		case entHandOff:
-			je.sendQ.TryPut(je.c)
+			je.sendQ.TryPut()
 			je.c++
 			je.pc = entGather
 		}
@@ -946,7 +952,7 @@ func (je *jobEntity) send(p *sim.Proc) bool {
 				j.finish()
 				return true
 			}
-			if _, ok := je.sendQ.Get(p); !ok {
+			if !je.sendQ.Get(p) {
 				return false
 			}
 			je.out = 0
@@ -990,7 +996,7 @@ func (je *jobEntity) send(p *sim.Proc) bool {
 			m.noc.Deliver(&je.xfer)
 			je.sendPC = niPut
 		case niPut:
-			if !je.outputs[je.out].store.Put(p, struct{}{}) {
+			if !je.outputs[je.out].store.Put(p) {
 				return false
 			}
 			je.out++

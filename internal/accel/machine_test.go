@@ -383,8 +383,7 @@ func TestDeadlockNamesBlockedProcesses(t *testing.T) {
 		m, trace := streamMachine(t, "skipnet", 16, 2)
 		starved := sim.NewStore(m.env, 0)
 		m.env.Spawn("starved-reader", func(p *sim.Proc) bool {
-			_, ok := starved.Get(p) // never fed
-			return ok
+			return starved.Get(p) // never fed
 		})
 		var err error
 		if streamed {

@@ -1,6 +1,8 @@
 package accel
 
 import (
+	"maps"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -92,6 +94,44 @@ func TestStreamReuseMatchesGolden(t *testing.T) {
 	})
 }
 
+// TestReloadSamePlanKeepsTemplates: loading the plan that is already
+// loaded, on the config it was compiled for, keeps every segment template
+// and the jobs pooled in it, and the stream that follows the reload matches
+// one that loads a copy of the plan, which recompiles everything.
+func TestReloadSamePlanKeepsTemplates(t *testing.T) {
+	// run streams two depth-4 windows with a load of next(plan) between
+	// them, and reports whether that load kept each template and its pool.
+	run := func(next func(*sched.Plan) *sched.Plan) (lat []BatchLatency, st Stats, kept, pooled bool) {
+		m, trace := streamMachine(t, "moe", 16, 16)
+		streamWindow(t, m, trace[:8], 40_000)
+		before := maps.Clone(m.dags)
+		if err := m.LoadPlan(next(m.plan)); err != nil {
+			t.Fatal(err)
+		}
+		kept, pooled = true, true
+		for i, d := range m.dags {
+			kept = kept && d == before[i]
+			pooled = pooled && len(d.free) > 0
+		}
+		streamWindow(t, m, trace[8:], 40_000)
+		return m.Latencies(), m.Stats(), kept, pooled
+	}
+	sameLat, same, kept, pooled := run(func(p *sched.Plan) *sched.Plan { return p })
+	if !kept || !pooled {
+		t.Fatalf("same-plan reload: templates kept %v, pooled jobs kept %v; want both", kept, pooled)
+	}
+	cloneLat, clone, kept, _ := run((*sched.Plan).Clone)
+	if kept {
+		t.Fatal("loading a copy of the plan kept the old templates")
+	}
+	if !reflect.DeepEqual(sameLat, cloneLat) || !reflect.DeepEqual(same, clone) {
+		t.Fatalf("same-plan reload diverges from a recompiling one:\n same:  %+v\n clone: %+v", same, clone)
+	}
+	if same.Reconfigs != 1 {
+		t.Fatalf("same-plan reload charged %d reconfigurations, want 1", same.Reconfigs)
+	}
+}
+
 // steadyStream streams batches through m at the given pipeline depth,
 // reusing one ring of tickets so the driving loop itself allocates nothing.
 func steadyStream(t testing.TB, m *Machine, batches []workload.Batch, ring []*StreamTicket) {
@@ -151,8 +191,8 @@ func TestReleasedJobLeakPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	leaks := map[string]func(j *job){
-		"edge chunk":   func(j *job) { j.edges[0].store.TryPut(struct{}{}) },
-		"sender chunk": func(j *job) { j.ents[0].sendQ.TryPut(0) },
+		"edge chunk":   func(j *job) { j.edges[0].store.TryPut() },
+		"sender chunk": func(j *job) { j.ents[0].sendQ.TryPut() },
 		"done waiter":  func(j *job) { j.done.Await(m.env.NewProc("waiter", nil)) },
 	}
 	for name, leak := range leaks {

@@ -1,10 +1,17 @@
 // Package mem models the accelerator's off-chip memory: HBM2 stacks with
 // per-stack bandwidth (Table III: 6 stacks, 1842 GB/s aggregate). Requests
 // are interleaved across stacks; contention appears as queueing on the
-// per-stack servers.
+// stacks.
 //
-// Bandwidth bookings are synchronous: Reserve mutates the chosen stack's
-// shared sim.Server state (its free-at horizon and served-byte total) at
+// Interleaving gives every stack the same share of every request at the same
+// rate, so the stacks always hold identical booking state and move in
+// lockstep. The model therefore keeps one sim.Server at the per-stack rate
+// standing for all of them: it books each request's per-stack share
+// (ceil(n/stacks) bytes), which yields exactly the completion times and busy
+// cycles of one server per stack.
+//
+// Bandwidth bookings are synchronous: Reserve mutates the stacks' shared
+// sim.Server state (its free-at horizon and served-byte total) at
 // the instant of the call, order-sensitively, and returns the arrival time
 // without yielding. There is therefore no minimum latency between a tile
 // process and the HBM, which is why a machine cannot be split into
@@ -20,9 +27,9 @@ import (
 // HBM is the off-chip memory model.
 type HBM struct {
 	env      *sim.Env
-	stacks   []*sim.Server
+	stack    *sim.Server // one stack, standing for all of them (see the package doc)
+	stacks   int
 	baseRate float64 // per-stack bytes/cycle of the healthy chip
-	next     int
 	// Accounting.
 	readBytes, writeBytes int64
 	// rec, when enabled, records every fetch/write-back as a span on track
@@ -35,10 +42,8 @@ type HBM struct {
 func New(env *sim.Env, cfg hw.Config) *HBM {
 	healthy := cfg
 	healthy.HBMDerate = 0
-	h := &HBM{env: env, baseRate: healthy.HBMStackBytesPerCycle()}
-	for i := 0; i < cfg.HBMStacks; i++ {
-		h.stacks = append(h.stacks, sim.NewServer(env, h.baseRate))
-	}
+	h := &HBM{env: env, stacks: cfg.HBMStacks, baseRate: healthy.HBMStackBytesPerCycle()}
+	h.stack = sim.NewServer(env, h.baseRate)
 	h.Derate(cfg.HBMDerate)
 	return h
 }
@@ -59,24 +64,12 @@ func (h *HBM) Derate(factor float64) {
 	if factor <= 0 || factor > 1 {
 		factor = 1
 	}
-	for _, s := range h.stacks {
-		s.SetRate(h.baseRate * factor)
-	}
+	h.stack.SetRate(h.baseRate * factor)
 }
 
 // BytesPerCycle returns the live aggregate bandwidth across all stacks.
 func (h *HBM) BytesPerCycle() float64 {
-	return h.stacks[0].Rate() * float64(len(h.stacks))
-}
-
-// split divides a request across all stacks (address interleaving) and
-// returns the per-stack share.
-func (h *HBM) split(n int64) int64 {
-	per := n / int64(len(h.stacks))
-	if per*int64(len(h.stacks)) < n {
-		per++
-	}
-	return per
+	return h.stack.Rate() * float64(h.stacks)
 }
 
 // Reserve books a read without blocking and returns its completion time
@@ -108,15 +101,11 @@ func (h *HBM) ReserveWrite(n int64) sim.Time {
 	return done
 }
 
+// reserve books a request interleaved across all stacks: each stack serves
+// its ceil(n/stacks)-byte share.
 func (h *HBM) reserve(n int64) sim.Time {
-	per := h.split(n)
-	var done sim.Time
-	for _, s := range h.stacks {
-		if t := s.Reserve(per); t > done {
-			done = t
-		}
-	}
-	return done
+	per := (n + int64(h.stacks) - 1) / int64(h.stacks)
+	return h.stack.Reserve(per)
 }
 
 // TotalBytes returns read+write traffic so far.
@@ -128,14 +117,6 @@ func (h *HBM) ReadBytes() int64 { return h.readBytes }
 // WriteBytes returns the write traffic so far.
 func (h *HBM) WriteBytes() int64 { return h.writeBytes }
 
-// BusyCycles returns the maximum busy time across stacks (the effective
-// occupancy for bandwidth-utilization metrics).
-func (h *HBM) BusyCycles() sim.Time {
-	var m sim.Time
-	for _, s := range h.stacks {
-		if b := s.BusyCycles(); b > m {
-			m = b
-		}
-	}
-	return m
-}
+// BusyCycles returns the busy time of a stack, the same on every stack (the
+// effective occupancy for bandwidth-utilization metrics).
+func (h *HBM) BusyCycles() sim.Time { return h.stack.BusyCycles() }

@@ -1,6 +1,8 @@
 package models
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -173,6 +175,9 @@ func TestMoETopKBroadcast(t *testing.T) {
 // by the routing it returns: a twin generator's routings, rebuilt by
 // appending the same indices in the same order, cost as many allocations as
 // Next may. Gate weights and per-sample top-k draws must come from scratch.
+// Next also lays each layer's branches into one backing array, so its count
+// is bounded outright: the branch table and the backing array per switch,
+// plus the routing map.
 func TestMoENextAllocatesOnlyItsRouting(t *testing.T) {
 	const units, runs = 32, 50
 	gen := func() (workload.TraceGen, *workload.Source) {
@@ -209,6 +214,31 @@ func TestMoENextAllocatesOnlyItsRouting(t *testing.T) {
 	next := testing.AllocsPerRun(runs, func() { g.Next(src, units) })
 	if next > rebuilt {
 		t.Fatalf("moe Next allocates %.0f per call, its routing only %.0f", next, rebuilt)
+	}
+	if limit := float64(2*moeLayers + 2); next > limit {
+		t.Fatalf("moe Next allocates %.0f per call, want <= %.0f (2 per switch + 2)", next, limit)
+	}
+}
+
+// The branches of one layer share a backing array; an append to one branch
+// must not overwrite its neighbour's samples.
+func TestMoEBranchesAreCapped(t *testing.T) {
+	w, err := TutelMoE(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := w.Gen.Next(workload.NewSource(3), 32)
+	for sw, r := range rt {
+		want := make([][]int, len(r.Branch))
+		for e, b := range r.Branch {
+			want[e] = slices.Clone(b)
+		}
+		for e := range r.Branch {
+			_ = append(r.Branch[e], -1)
+			if !reflect.DeepEqual(r.Branch, want) {
+				t.Fatalf("switch %d: an append to expert %d's branch changed the routing: %v, was %v", sw, e, r.Branch, want)
+			}
+		}
 	}
 }
 

@@ -86,14 +86,20 @@ func TutelMoE(batchSamples int) (*Workload, error) {
 type moeGen struct {
 	swIDs  []graph.OpID
 	logits [][]*workload.Drift
-	// weights and topk are Next's scratch (one layer's gate weights, one
-	// sample's experts), reused so Next allocates only the routing.
+	// weights, picks and owners are Next's scratch (one layer's gate
+	// weights; its samples' top-k experts and, beside each, the sample that
+	// drew it), reused so Next allocates only the routing.
 	weights []float64
-	topk    []int
+	picks   []int
+	owners  []int
 }
 
+// Next draws every sample's top-k experts per layer, in sample order, then
+// lays the layer's routing out in one backing array: each expert's branch is
+// a capped window of it, so an append by a consumer reallocates instead of
+// overwriting the next expert's samples.
 func (g *moeGen) Next(src *workload.Source, units int) graph.BatchRouting {
-	rt := graph.BatchRouting{}
+	rt := make(graph.BatchRouting, len(g.swIDs))
 	if g.weights == nil {
 		g.weights = make([]float64, moeExperts)
 	}
@@ -101,12 +107,27 @@ func (g *moeGen) Next(src *workload.Source, units int) graph.BatchRouting {
 		for e, d := range g.logits[li] {
 			g.weights[e] = math.Exp(d.Step(src))
 		}
-		branches := make([][]int, moeExperts)
+		g.picks, g.owners = g.picks[:0], g.owners[:0]
+		var count [moeExperts]int
 		for i := 0; i < units; i++ {
-			g.topk = src.AppendTopK(g.topk[:0], g.weights, moeTopK)
-			for _, e := range g.topk {
-				branches[e] = append(branches[e], i)
+			from := len(g.picks)
+			g.picks = src.AppendTopK(g.picks, g.weights, moeTopK)
+			for _, e := range g.picks[from:] {
+				count[e]++
+				g.owners = append(g.owners, i)
 			}
+		}
+		backing := make([]int, len(g.picks))
+		branches := make([][]int, moeExperts)
+		off := 0
+		for e, c := range count {
+			if c > 0 {
+				branches[e] = backing[off : off : off+c]
+			}
+			off += c
+		}
+		for k, e := range g.picks {
+			branches[e] = append(branches[e], g.owners[k])
 		}
 		rt[sw] = graph.Routing{Branch: branches}
 	}

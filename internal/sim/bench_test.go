@@ -25,7 +25,7 @@ func BenchmarkSimEngine(b *testing.B) {
 			env.Spawn("consumer", func(p *Proc) bool {
 				for got < 100 {
 					if !waited {
-						if _, ok := st.Get(p); !ok {
+						if !st.Get(p) {
 							return false
 						}
 						waited = true

@@ -175,74 +175,69 @@ func (s *Signal) Await(p *Proc) bool {
 	return false
 }
 
-// Store is a FIFO channel between processes with a bounded capacity.
+// Store is a bounded counter of tokens passed between processes: a
+// producer puts a token, a consumer takes one. Tokens carry no value — the
+// accelerator model's edge stores, sender queues and stage and group tokens
+// only count chunks and grants — so the store keeps a count, not items.
 // Put fails while the store is full; Get fails while it is empty. A failed
-// call queues the process to resume when the store changes, and the process
-// retries the call on its next step.
+// call queues the process, in FIFO order, to resume when the store changes,
+// and the process retries the call on its next step.
 // It models bounded on-chip buffers (e.g. a tile's input staging area).
 type Store struct {
 	env     *Env
 	cap     int
-	items   []interface{}
+	n       int
 	getters []*Proc
 	putters []*Proc
 }
 
-// NewStore returns a store holding at most capacity items. A capacity of 0
-// or less means unbounded. Bounded stores pre-size their buffer so Put/TryPut
-// never reallocate.
+// NewStore returns a store holding at most capacity tokens. A capacity of 0
+// or less means unbounded.
 func NewStore(env *Env, capacity int) *Store {
-	s := &Store{env: env, cap: capacity}
-	if capacity > 0 {
-		s.items = make([]interface{}, 0, capacity)
-	}
-	return s
+	return &Store{env: env, cap: capacity}
 }
 
-// Len reports the number of buffered items.
-func (s *Store) Len() int { return len(s.items) }
+// Len reports the number of buffered tokens.
+func (s *Store) Len() int { return s.n }
 
 // Waiters reports the number of processes queued to retry a Get or a Put.
 func (s *Store) Waiters() int { return len(s.getters) + len(s.putters) }
 
-// Put appends an item and reports true, or — while the store is full —
-// queues the process to retry once a slot frees and reports false.
-func (s *Store) Put(p *Proc, item interface{}) bool {
-	if s.cap > 0 && len(s.items) >= s.cap {
+// Put adds a token and reports true, or — while the store is full — queues
+// the process to retry once a slot frees and reports false.
+func (s *Store) Put(p *Proc) bool {
+	if s.cap > 0 && s.n >= s.cap {
 		s.putters = append(s.putters, p)
 		p.arm()
 		return false
 	}
-	s.items = append(s.items, item)
+	s.n++
 	s.wakeOneGetter()
 	return true
 }
 
-// TryPut appends an item without blocking; it reports false if the store is
+// TryPut adds a token without blocking; it reports false if the store is
 // full. It may be called from event callbacks as well as processes.
-func (s *Store) TryPut(item interface{}) bool {
-	if s.cap > 0 && len(s.items) >= s.cap {
+func (s *Store) TryPut() bool {
+	if s.cap > 0 && s.n >= s.cap {
 		return false
 	}
-	s.items = append(s.items, item)
+	s.n++
 	s.wakeOneGetter()
 	return true
 }
 
-// Get removes and returns the oldest item, or — while the store is empty —
-// queues the process to retry once an item arrives and reports false.
-func (s *Store) Get(p *Proc) (interface{}, bool) {
-	if len(s.items) == 0 {
+// Get takes a token and reports true, or — while the store is empty —
+// queues the process to retry once a token arrives and reports false.
+func (s *Store) Get(p *Proc) bool {
+	if s.n == 0 {
 		s.getters = append(s.getters, p)
 		p.arm()
-		return nil, false
+		return false
 	}
-	item := s.items[0]
-	copy(s.items, s.items[1:])
-	s.items[len(s.items)-1] = nil
-	s.items = s.items[:len(s.items)-1]
+	s.n--
 	s.wakeOnePutter()
-	return item, true
+	return true
 }
 
 func (s *Store) wakeOneGetter() {

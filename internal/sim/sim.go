@@ -13,16 +13,30 @@
 // deterministic: events at the same timestamp fire in the order they were
 // scheduled.
 //
-// Pending events live in two places. An event scheduled for a later time goes
-// on a binary heap ordered by (time, scheduling sequence). An event scheduled
-// for the current time — a process wake-up, a Wait(0), a signal release —
-// goes on a FIFO lane, which costs no sift. The engine runs the heap's events
-// at the current time before the lane's, and that keeps the (time, sequence)
-// order exactly: an event reaches the heap at time now only if it was
-// scheduled while the clock was still earlier, so its sequence number is
-// lower than that of every lane event, which was scheduled at now. The clock
-// cannot advance while the lane holds events, so the lane never holds an
-// event from an earlier time.
+// Pending events live in three places, and together they keep the (time,
+// sequence) order exactly:
+//
+//   - An event scheduled for the current time — a process wake-up, a
+//     Wait(0), a signal release — goes on a FIFO lane, which costs no sift.
+//     The engine runs the queue's events due now before the lane's: an event
+//     reaches the queue at time now only if it was scheduled while the clock
+//     was still earlier, so its sequence number is lower than that of every
+//     lane event, which was scheduled at now. The clock cannot advance while
+//     the lane holds events, so the lane never holds an event from an
+//     earlier time.
+//   - An event for a later time that beats every queued one waits in a hot
+//     slot outside the heap; much of the traffic is of this kind (a process
+//     waiting out a short compute or transfer), and it then costs no sift.
+//     A later push that beats the hot event moves it into the heap, and the
+//     engine takes the hot event first, so the hot slot always holds the
+//     queue's minimum when it is full. A new event carries the highest
+//     sequence number yet, so it beats a queued one exactly when its time is
+//     earlier.
+//   - Every other future event sits on a binary min-heap ordered by (time,
+//     sequence). Heap entries are pointer-free (time, sequence, slot)
+//     triples; the callbacks live in a slab indexed by slot, whose slots are
+//     recycled through a free list. A sift therefore moves no pointer, needs
+//     no GC write barrier, and the collector never scans the heap.
 package sim
 
 import (
@@ -36,80 +50,147 @@ type Time int64
 // Forever is a time later than any meaningful simulation horizon.
 const Forever Time = 1<<62 - 1
 
-// event is one pending callback. Events are stored by value inside the
-// queue's backing array: pushing an event writes into a recycled slot (or
-// grows the array, amortized), and popping one releases its slot back in
-// place — the array doubles as the event free-list, so the steady-state
-// Schedule/step cycle performs no heap allocation at all.
-type event struct {
-	at  Time
-	seq int64
-	fn  func()
+// entry is one pending future event in the queue's order: its timestamp,
+// its scheduling sequence number, and the slab slot holding its callback
+// (unused while the event is hot). It holds no pointer, so moving entries
+// during a sift needs no GC write barrier and the heap's backing array is
+// never scanned by the collector.
+type entry struct {
+	at   Time
+	seq  int64
+	slot int32
 }
 
 // before is the strict queue order: primarily by timestamp, with the
 // scheduling sequence number breaking ties so same-time events fire FIFO.
 // This pair is the engine's determinism contract.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return e.seq < o.seq
+	return a.seq < b.seq
 }
 
-// eventQueue is a value-typed binary min-heap ordered by (at, seq). It
-// replaces the previous container/heap implementation: no interface boxing,
-// no per-event pointer allocation, and the sift loops inline.
-type eventQueue []event
-
-func (q *eventQueue) push(ev event) {
-	*q = append(*q, ev)
-	q.up(len(*q) - 1)
+// eventQueue holds the pending future events in (at, seq) order. The
+// earliest of them waits in a hot slot, outside the heap, whenever the push
+// that brought it beat everything queued; its callback sits beside it. A
+// push that beats the hot event moves that event into the heap, and pop
+// takes the hot event when there is one, so a full hot slot always orders
+// before every heap entry. The heap's callbacks live in fns, a slab indexed
+// by entry.slot whose released slots are recycled through free, so the
+// steady-state push/pop cycle allocates nothing.
+type eventQueue struct {
+	hot    entry
+	hotFn  func()
+	hasHot bool
+	heap   []entry // binary min-heap of the events behind the hot one
+	fns    []func()
+	free   []int32
 }
 
-// pop removes and returns the minimum event. The caller must have checked
-// the queue is non-empty.
-func (q *eventQueue) pop() event {
-	h := *q
+// len reports the number of queued events.
+func (q *eventQueue) len() int {
+	if q.hasHot {
+		return len(q.heap) + 1
+	}
+	return len(q.heap)
+}
+
+// next returns the earliest queued event's timestamp; ok is false when the
+// queue is empty.
+func (q *eventQueue) next() (t Time, ok bool) {
+	if q.hasHot {
+		return q.hot.at, true
+	}
+	if len(q.heap) > 0 {
+		return q.heap[0].at, true
+	}
+	return 0, false
+}
+
+// push queues fn at time at. Its sequence number is the highest yet issued,
+// so it orders before a queued event exactly when its time is earlier.
+func (q *eventQueue) push(at Time, seq int64, fn func()) {
+	ev := entry{at: at, seq: seq}
+	if q.hasHot {
+		if at < q.hot.at {
+			ev, q.hot = q.hot, ev
+			fn, q.hotFn = q.hotFn, fn
+		}
+	} else if len(q.heap) == 0 || at < q.heap[0].at {
+		q.hot, q.hotFn, q.hasHot = ev, fn, true
+		return
+	}
+	if n := len(q.free); n > 0 {
+		ev.slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.fns[ev.slot] = fn
+	} else {
+		ev.slot = int32(len(q.fns))
+		q.fns = append(q.fns, fn)
+	}
+	q.heap = append(q.heap, ev)
+	q.up(len(q.heap) - 1)
+}
+
+// pop removes the earliest event and returns its timestamp and callback.
+// The caller must have checked the queue is non-empty.
+func (q *eventQueue) pop() (Time, func()) {
+	if q.hasHot {
+		fn := q.hotFn
+		q.hotFn, q.hasHot = nil, false // release the closure
+		return q.hot.at, fn
+	}
+	h := q.heap
 	ev := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release the closure so the free slot holds no reference
-	*q = h[:n]
-	if n > 0 {
+	q.heap = h[:n]
+	if n > 1 {
 		q.down(0)
 	}
-	return ev
+	fn := q.fns[ev.slot]
+	q.fns[ev.slot] = nil // release the closure so the free slot holds no reference
+	q.free = append(q.free, ev.slot)
+	return ev.at, fn
 }
 
-func (q eventQueue) up(i int) {
+// up and down sift with a hole: the moving entry is written once, at its
+// final position.
+func (q *eventQueue) up(i int) {
+	h := q.heap
+	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q[i].before(&q[parent]) {
-			return
+		if !ev.before(&h[parent]) {
+			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = ev
 }
 
-func (q eventQueue) down(i int) {
-	n := len(q)
+func (q *eventQueue) down(i int) {
+	h := q.heap
+	n := len(h)
+	ev := h[i]
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
 		least := l
-		if r := l + 1; r < n && q[r].before(&q[l]) {
+		if r := l + 1; r < n && h[r].before(&h[l]) {
 			least = r
 		}
-		if !q[least].before(&q[i]) {
-			return
+		if !h[least].before(&ev) {
+			break
 		}
-		q[i], q[least] = q[least], q[i]
+		h[i] = h[least]
 		i = least
 	}
+	h[i] = ev
 }
 
 // Env is a simulation environment: a clock plus a pending-event queue.
@@ -151,28 +232,30 @@ func (e *Env) At(t Time, fn func()) {
 		e.lane = append(e.lane, fn)
 		return
 	}
-	e.queue.push(event{at: t, seq: e.seq, fn: fn})
+	e.queue.push(t, e.seq, fn)
 }
 
 // step runs the earliest pending event. It reports false when nothing is
-// pending. Heap events due now run before the lane (see the package doc).
+// pending. Queued events due now run before the lane (see the package doc).
 func (e *Env) step() bool {
-	if e.laneHead < len(e.lane) && (len(e.queue) == 0 || e.queue[0].at > e.now) {
-		fn := e.lane[e.laneHead]
-		e.lane[e.laneHead] = nil // release the closure
-		e.laneHead++
-		if e.laneHead == len(e.lane) {
-			e.lane, e.laneHead = e.lane[:0], 0
+	if e.laneHead < len(e.lane) {
+		if t, ok := e.queue.next(); !ok || t > e.now {
+			fn := e.lane[e.laneHead]
+			e.lane[e.laneHead] = nil // release the closure
+			e.laneHead++
+			if e.laneHead == len(e.lane) {
+				e.lane, e.laneHead = e.lane[:0], 0
+			}
+			fn()
+			return true
 		}
-		fn()
-		return true
 	}
-	if len(e.queue) == 0 {
+	if e.queue.len() == 0 {
 		return false
 	}
-	ev := e.queue.pop()
-	e.now = ev.at
-	ev.fn()
+	t, fn := e.queue.pop()
+	e.now = t
+	fn()
 	return true
 }
 
@@ -213,17 +296,14 @@ func (e *Env) StepTo(horizon Time) {
 // NextEvent returns the earliest pending event's timestamp; ok is false when
 // the queue is empty.
 func (e *Env) NextEvent() (t Time, ok bool) {
-	switch {
-	case e.laneHead < len(e.lane):
+	if e.laneHead < len(e.lane) {
 		return e.now, true
-	case len(e.queue) > 0:
-		return e.queue[0].at, true
 	}
-	return 0, false
+	return e.queue.next()
 }
 
 // Pending reports the number of queued events.
-func (e *Env) Pending() int { return len(e.queue) + len(e.lane) - e.laneHead }
+func (e *Env) Pending() int { return e.queue.len() + len(e.lane) - e.laneHead }
 
 // Live reports the number of processes that have started but not finished.
 func (e *Env) Live() int { return e.nprocs }

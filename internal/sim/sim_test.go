@@ -226,7 +226,7 @@ func TestSignalReset(t *testing.T) {
 	}
 }
 
-// producer returns a step function that puts 1..n into st, waiting gap
+// producer returns a step function that puts n tokens into st, waiting gap
 // cycles before each Put.
 func producer(st *Store, n int, gap Time) func(p *Proc) bool {
 	i, waited := 1, false
@@ -237,7 +237,7 @@ func producer(st *Store, n int, gap Time) func(p *Proc) bool {
 				p.Wait(gap)
 				return false
 			}
-			if !st.Put(p, i) {
+			if !st.Put(p) {
 				return false
 			}
 			i++
@@ -247,26 +247,69 @@ func producer(st *Store, n int, gap Time) func(p *Proc) bool {
 	}
 }
 
+// TestStoreFIFO pins the store's two queues of waiters: processes blocked
+// in Get (or in Put on a full store) resume in the order they blocked, one
+// per token taken (or slot freed), and Len counts the buffered tokens.
 func TestStoreFIFO(t *testing.T) {
 	env := NewEnv()
-	st := NewStore(env, 0)
-	var got []int
-	env.Spawn("producer", producer(st, 5, 1))
-	env.Spawn("consumer", func(p *Proc) bool {
-		for len(got) < 5 {
-			v, ok := st.Get(p)
-			if !ok {
+	st := NewStore(env, 2)
+	var got []string
+	stamp := func(name string) { got = append(got, fmt.Sprintf("%s@%d", name, env.Now())) }
+	for _, name := range []string{"g0", "g1", "g2"} {
+		env.Spawn(name, func(p *Proc) bool {
+			if !st.Get(p) {
 				return false
 			}
-			got = append(got, v.(int))
+			stamp(name)
+			return true
+		})
+	}
+	env.RunUntil(0)
+	if st.Waiters() != 3 || st.Len() != 0 {
+		t.Fatalf("three blocked getters: waiters %d, len %d", st.Waiters(), st.Len())
+	}
+	// One token per cycle: each wakes the longest-waiting getter.
+	env.Spawn("producer", producer(st, 3, 1))
+	env.Run()
+	// Fill the store, then block three putters; a consumer taking one token
+	// every 5 cycles frees a slot for each in turn.
+	st.TryPut()
+	st.TryPut()
+	if st.Len() != 2 || st.TryPut() {
+		t.Fatalf("full store: len %d, or TryPut succeeded past capacity", st.Len())
+	}
+	for _, name := range []string{"p0", "p1", "p2"} {
+		env.Spawn(name, func(p *Proc) bool {
+			if !st.Put(p) {
+				return false
+			}
+			stamp(name)
+			return true
+		})
+	}
+	env.RunUntil(env.Now())
+	if st.Waiters() != 3 {
+		t.Fatalf("three blocked putters: waiters %d", st.Waiters())
+	}
+	taken := 0
+	env.Spawn("consumer", func(p *Proc) bool {
+		if taken == 3 {
+			return true
 		}
-		return true
+		if !st.Get(p) {
+			return false
+		}
+		taken++
+		p.Wait(5)
+		return false
 	})
 	env.Run()
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("got %v, want 1..5 in order", got)
-		}
+	want := []string{"g0@1", "g1@2", "g2@3", "p0@3", "p1@8", "p2@13"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("wake order %v, want %v", got, want)
+	}
+	if st.Len() != 2 || st.Waiters() != 0 {
+		t.Fatalf("after the putters: len %d, waiters %d; want 2, 0", st.Len(), st.Waiters())
 	}
 }
 
@@ -277,7 +320,7 @@ func TestStoreBackpressure(t *testing.T) {
 	next := 1
 	env.Spawn("producer", func(p *Proc) bool {
 		for ; next <= 3; next++ { // the third Put blocks until t=10
-			if !st.Put(p, next) {
+			if !st.Put(p) {
 				return false
 			}
 		}
@@ -291,8 +334,7 @@ func TestStoreBackpressure(t *testing.T) {
 			p.Wait(10)
 			return false
 		}
-		_, ok := st.Get(p)
-		return ok
+		return st.Get(p)
 	})
 	env.Run()
 	if putDone != 10 {
@@ -303,14 +345,19 @@ func TestStoreBackpressure(t *testing.T) {
 func TestStoreTryPut(t *testing.T) {
 	env := NewEnv()
 	st := NewStore(env, 1)
-	if !st.TryPut("x") {
+	if !st.TryPut() {
 		t.Fatal("first TryPut should succeed")
 	}
-	if st.TryPut("y") {
+	if st.TryPut() {
 		t.Fatal("TryPut into a full store should fail")
 	}
 	if st.Len() != 1 {
 		t.Fatalf("len = %d, want 1", st.Len())
+	}
+	env.Spawn("consumer", func(p *Proc) bool { return st.Get(p) })
+	env.Run()
+	if st.Len() != 0 || !st.TryPut() {
+		t.Fatalf("after a Get: len = %d, want a free slot", st.Len())
 	}
 }
 
@@ -576,7 +623,7 @@ func TestRestartedProcMatchesSpawn(t *testing.T) {
 		var w struct{ got int }
 		work := func(p *Proc) bool {
 			for w.got < 3 {
-				if _, ok := st.Get(p); !ok {
+				if !st.Get(p) {
 					return false
 				}
 				w.got++
@@ -637,8 +684,7 @@ func TestBlockedProcsDiagnostic(t *testing.T) {
 	env := NewEnv()
 	st := NewStore(env, 0)
 	env.Spawn("starved-consumer", func(p *Proc) bool {
-		_, ok := st.Get(p) // never fed
-		return ok
+		return st.Get(p) // never fed
 	})
 	env.Spawn("fine", sequence([]Time{3}, func(int) {}))
 	env.Run()
@@ -650,7 +696,7 @@ func TestBlockedProcsDiagnostic(t *testing.T) {
 		t.Fatalf("blocked = %v", blocked)
 	}
 	// Feeding the store resumes and clears the diagnostic.
-	st.TryPut(1)
+	st.TryPut()
 	env.Run()
 	if env.Live() != 0 || len(env.BlockedProcs()) != 0 {
 		t.Fatalf("still blocked after feed: %v", env.BlockedProcs())
@@ -679,15 +725,15 @@ func TestWaitWakeCycleAllocatesNothing(t *testing.T) {
 				p.Wait(1)
 				return false
 			}
-			if _, ok := st.Get(p); !ok {
+			if !st.Get(p) {
 				return false
 			}
 			waiting = false
 		}
 	})
 	cycle := func() {
-		env.Run()             // the consumer waits out its timer, then blocks on the store
-		st.TryPut(struct{}{}) // wake it from the store
+		env.Run()   // the consumer waits out its timer, then blocks on the store
+		st.TryPut() // wake it from the store
 	}
 	for i := 0; i < 4; i++ {
 		cycle() // grow the queue and waiter slices to steady state

@@ -314,7 +314,7 @@ func BenchmarkScheduleReplan(b *testing.B) {
 func BenchmarkPlanCacheLookup(b *testing.B) {
 	cfg, w, prof := replanInputs(b)
 	comp := sched.NewCompiler(w.Graph)
-	c := plancache.New(plancache.NewKeyer(w.Graph, 0), plancache.Config{})
+	c := plancache.New(plancache.NewKeyer(w.Graph), plancache.Config{})
 	if _, _, err := c.GetOrScheduleFor("", cfg, comp, sched.Adyna(), prof); err != nil {
 		b.Fatal(err)
 	}

@@ -355,7 +355,7 @@ func densityWrap(trace string, walkSD, center float64) (func(workload.TraceGen) 
 		}, nil
 	}
 	if walkSD > 0 {
-		if center <= 0 || center > 1 {
+		if !(center > 0 && center <= 1) {
 			return nil, fmt.Errorf("density center %v outside (0,1]", center)
 		}
 		return func(g workload.TraceGen) workload.TraceGen {
@@ -368,10 +368,18 @@ func densityWrap(trace string, walkSD, center float64) (func(workload.TraceGen) 
 // nonNegative names the flags serving would otherwise run with silently
 // when negative or not finite: a negative -gap runs arrivals backwards in
 // time, a negative -slo or -maxwait switches the deadline it names off, a
-// negative -check, -cooldown or -threshold falls back to its default, a
-// negative -hostresched charges nothing, and -threshold NaN never triggers a
-// re-plan.
-var nonNegative = []string{"requests", "gap", "slo", "maxwait", "threshold", "check", "cooldown", "hostresched"}
+// negative -check, -cooldown, -threshold, -queuecap, -mintiles, -starve,
+// -plancache-maxdist, -fleet-walk or -fleet-classes falls back to its
+// default, a negative -fleet serves a single server, a negative
+// -hostresched charges nothing, a negative or NaN -denswalk keeps the
+// model's own densities and -ratewalk a stationary arrival rate,
+// -threshold NaN never triggers a re-plan, -starve NaN never marks
+// starvation, -plancache-maxdist NaN turns nearest hits off, -fleet-walk
+// NaN walks the class mixture to NaN weights, and -denscenter NaN starts
+// the density walk at NaN.
+var nonNegative = []string{"requests", "gap", "slo", "maxwait", "threshold", "check", "cooldown", "hostresched",
+	"queuecap", "mintiles", "starve", "plancache-maxdist", "fleet", "fleet-walk", "fleet-classes",
+	"denswalk", "denscenter", "ratewalk"}
 
 // checkNonNegative rejects a nonNegative flag set to a negative or
 // non-finite value, naming the flag.

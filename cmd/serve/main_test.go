@@ -227,19 +227,31 @@ func TestBadSpecValuesRejected(t *testing.T) {
 // re-planning off.
 func TestNegativeFlagsRejected(t *testing.T) {
 	for args, want := range map[string]string{
-		"-requests 16 -warmup 4 -slo -100":                   "-slo -100",
-		"-requests 16 -warmup 4 -maxwait -1":                 "-maxwait -1",
-		"-requests 16 -warmup 4 -gap -1000":                  "-gap -1000",
-		"-requests 16 -warmup 4 -gap NaN":                    "-gap NaN",
-		"-requests -5 -warmup 4":                             "-requests -5",
-		"-warmup 4 -requests -5 -tenants moe":                "-requests -5",
-		"-requests 16 -warmup 4 -threshold NaN":              "-threshold NaN",
-		"-requests 16 -warmup 4 -threshold -0.5":             "-threshold -0.5",
-		"-requests 16 -warmup 4 -threshold +Inf":             "-threshold +Inf",
-		"-requests 16 -warmup 4 -check -1":                   "-check -1",
-		"-requests 16 -warmup 4 -cooldown -3":                "-cooldown -3",
-		"-requests 16 -warmup 4 -hostresched -7":             "-hostresched -7",
-		"-warmup 4 -requests 16 -threshold NaN -tenants moe": "-threshold NaN",
+		"-requests 16 -warmup 4 -slo -100":                     "-slo -100",
+		"-requests 16 -warmup 4 -maxwait -1":                   "-maxwait -1",
+		"-requests 16 -warmup 4 -gap -1000":                    "-gap -1000",
+		"-requests 16 -warmup 4 -gap NaN":                      "-gap NaN",
+		"-requests -5 -warmup 4":                               "-requests -5",
+		"-warmup 4 -requests -5 -tenants moe":                  "-requests -5",
+		"-requests 16 -warmup 4 -threshold NaN":                "-threshold NaN",
+		"-requests 16 -warmup 4 -threshold -0.5":               "-threshold -0.5",
+		"-requests 16 -warmup 4 -threshold +Inf":               "-threshold +Inf",
+		"-requests 16 -warmup 4 -check -1":                     "-check -1",
+		"-requests 16 -warmup 4 -cooldown -3":                  "-cooldown -3",
+		"-requests 16 -warmup 4 -hostresched -7":               "-hostresched -7",
+		"-warmup 4 -requests 16 -threshold NaN -tenants moe":   "-threshold NaN",
+		"-requests 16 -warmup 4 -fleet -2":                     "-fleet -2",
+		"-requests 16 -warmup 4 -queuecap -1":                  "-queuecap -1",
+		"-warmup 4 -requests 16 -mintiles -4 -tenants moe":     "-mintiles -4",
+		"-requests 16 -warmup 4 -plancache-maxdist -1":         "-plancache-maxdist -1",
+		"-requests 16 -warmup 4 -plancache-maxdist NaN":        "-plancache-maxdist NaN",
+		"-requests 16 -warmup 4 -fleet 2 -fleet-walk -5":       "-fleet-walk -5",
+		"-requests 16 -warmup 4 -fleet 2 -fleet-walk NaN":      "-fleet-walk NaN",
+		"-requests 16 -warmup 4 -fleet 2 -fleet-classes -3":    "-fleet-classes -3",
+		"-warmup 4 -requests 16 -starve NaN -tenants moe":      "-starve NaN",
+		"-requests 16 -warmup 4 -ratewalk NaN":                 "-ratewalk NaN",
+		"-requests 16 -warmup 4 -denswalk -0.1":                "-denswalk -0.1",
+		"-requests 16 -warmup 4 -denswalk 0.1 -denscenter NaN": "-denscenter NaN",
 	} {
 		out, code := runMain(t, args)
 		if code != 2 || !strings.Contains(out, want) {

@@ -81,9 +81,9 @@ type Machine struct {
 	// come from it, never from the live m.cfg.
 	planCfg hw.Config
 	tiles   hw.TileMap
-	// batchDone records, for every batch of every Run window, the simulated
-	// time its final-segment job completed and the window start time —
-	// the machine's per-batch latency record.
+	// batchDone records, for every batch of every window, Run or streamed,
+	// the simulated time its final-segment job completed and the window
+	// start time — the machine's per-batch latency record.
 	batchDone []BatchLatency
 	// computeOps and niNames are derived from the graph once at construction:
 	// the per-batch statistics loop and every entity spawn would otherwise
@@ -387,6 +387,10 @@ type job struct {
 	remaining   int
 	weightReady sim.Time
 	notBefore   sim.Time
+	// final marks a job of the plan's last segment: when it finishes, its
+	// batch completes, and the batch's latency is recorded from start.
+	final bool
+	start sim.Time
 }
 
 // inflightJobs bounds how many same-segment jobs (batches) may be in flight
@@ -405,34 +409,43 @@ const inflightJobs = 64
 // so on — the standard way multi-tile accelerators amortize segment weights
 // over a batch window.
 func (m *Machine) Run(batches []workload.Batch) error {
-	if m.plan == nil {
-		return fmt.Errorf("accel: no plan loaded")
+	tk, err := m.submit(batches)
+	if err != nil {
+		return err
 	}
-	// Resolve routing and feed the profiler up front (batch order; the
-	// hardware profiler is insensitive to the segment-major execution
-	// order).
-	unitsPer := make([]map[graph.OpID]int, len(batches))
-	densPer := make([]float64, len(batches))
+	m.env.Run()
+	if tk.err == nil && m.env.Live() > 0 {
+		return m.blockedErr("deadlock", "after drain")
+	}
+	return tk.err
+}
+
+// submit observes a batch window and spawns the driver that feeds it
+// through the loaded plan, without advancing the clock. Routing is resolved
+// and the profiler fed up front, in batch order (the hardware profiler is
+// insensitive to the segment-major execution order). The returned ticket
+// resolves when the window's last segment drains. Run and StreamSubmit both
+// execute through it.
+func (m *Machine) submit(batches []workload.Batch) (*StreamTicket, error) {
+	if m.plan == nil {
+		return nil, fmt.Errorf("accel: no plan loaded")
+	}
+	d := &runDriver{m: m, segs: m.plan.Segments, batches: make([]windowBatch, len(batches))}
 	for i, b := range batches {
 		units, err := m.g.AssignUnits(b.Units, b.Routing)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := m.prof.ObserveBatch(units, b.Routing, b.Density); err != nil {
-			return err
+			return nil, err
 		}
-		unitsPer[i] = units
-		densPer[i] = b.Density
+		d.batches[i] = windowBatch{units: units, density: b.Density}
 		m.stats.Batches++
 		m.accountUsefulMACs(units, b.Density)
 	}
-	d := &runDriver{m: m, segs: m.plan.Segments, units: unitsPer, dens: densPer, windowStart: m.env.Now()}
+	d.tk = StreamTicket{start: m.env.Now(), done: sim.NewSignal(m.env)}
 	m.env.Spawn("driver", d.step)
-	m.env.Run()
-	if d.err == nil && m.env.Live() > 0 {
-		return m.blockedErr("deadlock", "after drain")
-	}
-	return d.err
+	return &d.tk, nil
 }
 
 // blockedErr is the stall diagnostic every drain reports: how many
@@ -445,22 +458,32 @@ func (m *Machine) blockedErr(kind, when string) error {
 	return fmt.Errorf("accel: %s: %d processes blocked %s (e.g. %v)", kind, m.env.Live(), when, blocked)
 }
 
-// runDriver is the process that feeds a Run window through the plan,
+// runDriver is the process that feeds a batch window through the plan,
 // segment-major: it spawns every batch's job of one segment, keeping at most
 // inflightJobs of them in flight, and drains the segment before the next
-// one's tiles are reconfigured.
+// one's tiles are reconfigured. Each segment's weights are fetched while the
+// previous segment computes. At each segment boundary it releases the job it
+// drained on — every job of a one-batch window, the last one per segment of
+// a longer window — and it resolves the window's ticket when the last
+// segment drains.
 type runDriver struct {
 	m           *Machine
 	segs        []*sched.Segment
-	units       []map[graph.OpID]int
-	dens        []float64
-	windowStart sim.Time
+	batches     []windowBatch
+	tk          StreamTicket
 	pc          int
 	si, i       int // current segment and batch
 	weightReady sim.Time
 	notBefore   sim.Time
-	inflight    []*sim.Signal
-	err         error
+	last        *job // the open segment's last job
+}
+
+// windowBatch is one batch of a driver's window: its resolved units and
+// density, and the done signal of its job in the open segment.
+type windowBatch struct {
+	units   map[graph.OpID]int
+	density float64
+	done    *sim.Signal
 }
 
 // Driver states.
@@ -481,61 +504,51 @@ func (d *runDriver) step(p *sim.Proc) bool {
 				d.weightReady = m.hbm.Reserve(d.segs[d.si].WeightBytes)
 			}
 			d.pc = drvOpen
-			if n := len(d.inflight); n > 0 && !d.inflight[n-1].Await(p) {
+			if d.last != nil && !d.last.done.Await(p) {
 				return false
 			}
 		case drvOpen:
+			if d.last != nil {
+				// Its done Await resumed: the job finished, and nothing
+				// else holds it, so a later batch may reuse it.
+				d.last.release()
+				d.last = nil
+			}
 			if d.si == len(d.segs) {
+				d.tk.resolve(p.Now(), nil)
 				return true
 			}
-			d.inflight = d.inflight[:0]
 			d.notBefore = p.Now()
 			d.i = 0
 			d.pc = drvBatch
 		case drvBatch:
-			if d.i == len(d.units) {
+			if d.i == len(d.batches) {
 				d.si++
 				d.pc = drvSegment
 				continue
 			}
-			j, err := m.prepareJob(d.segs[d.si], d.units[d.i], d.dens[d.i])
+			// prepareJob never blocks, so the machine's per-job scratch
+			// slices stay single-writer even with several drivers
+			// interleaving on the event queue.
+			b := &d.batches[d.i]
+			j, err := m.prepareJob(d.segs[d.si], b.units, b.density)
 			if err != nil {
-				d.err = err
+				d.tk.resolve(p.Now(), err)
 				return true
 			}
+			b.done = j.done
 			d.i++
 			j.weightReady = d.weightReady
 			j.notBefore = d.notBefore
+			j.final = d.si == len(d.segs)-1
+			j.start = d.tk.start
 			m.spawnJob(j)
-			if d.si == len(d.segs)-1 {
-				m.watchLatency(j.done, d.windowStart)
-			}
-			d.inflight = append(d.inflight, j.done)
-			if n := len(d.inflight); n > inflightJobs && !d.inflight[n-1-inflightJobs].Await(p) {
+			d.last = j
+			if d.i > inflightJobs && !d.batches[d.i-1-inflightJobs].done.Await(p) {
 				return false
 			}
 		}
 	}
-}
-
-// watchLatency spawns a process that records a batch's completion for the
-// latency statistics once its final-segment job fires done.
-func (m *Machine) watchLatency(done *sim.Signal, windowStart sim.Time) {
-	waited := false
-	m.env.Spawn("latency", func(p *sim.Proc) bool {
-		if !waited {
-			waited = true
-			if !done.Await(p) {
-				return false
-			}
-		}
-		m.batchDone = append(m.batchDone, BatchLatency{Start: windowStart, Done: p.Now()})
-		if m.rec.Enabled() {
-			m.rec.Span(m.batchTrack, "batch", "batch", int64(windowStart), int64(p.Now()),
-				telemetry.I("index", int64(len(m.batchDone)-1)))
-		}
-		return true
-	})
 }
 
 // accountUsefulMACs adds one batch's strictly required MACs to the stats:
@@ -564,9 +577,9 @@ func (m *Machine) effUnits(units map[graph.OpID]int, id graph.OpID) int {
 }
 
 // take returns a job for segment d: a released one from the template's free
-// list, or a newly built one when the list is empty. The stream driver
-// releases each job once its done Await resumes, so a steady stream reuses
-// a handful of jobs per segment and builds none.
+// list, or a newly built one when the list is empty. The driver releases
+// the job it drains on at each segment boundary, so a steady stream of
+// one-batch windows reuses a handful of jobs per segment and builds none.
 func (m *Machine) take(d *segDAG) *job {
 	if n := len(d.free); n > 0 {
 		j := d.free[n-1]
@@ -777,12 +790,22 @@ func (m *Machine) spawnJob(j *job) {
 }
 
 // finish counts one of the job's processes out, firing the job's done
-// signal after the last.
+// signal after the last. A final-segment job first records its batch's
+// completion, so the records follow the completion order.
 func (j *job) finish() {
 	j.remaining--
-	if j.remaining == 0 {
-		j.done.Fire()
+	if j.remaining > 0 {
+		return
 	}
+	if j.final {
+		m := j.m
+		m.batchDone = append(m.batchDone, BatchLatency{Start: j.start, Done: m.env.Now()})
+		if m.rec.Enabled() {
+			m.rec.Span(m.batchTrack, "batch", "batch", int64(j.start), int64(m.env.Now()),
+				telemetry.I("index", int64(len(m.batchDone)-1)))
+		}
+	}
+	j.done.Fire()
 }
 
 // chunkOf splits total across the job's chunks, giving the last chunk the

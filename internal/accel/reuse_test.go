@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"fmt"
 	"maps"
 	"reflect"
 	"strings"
@@ -158,24 +159,40 @@ func steadyStream(t testing.TB, m *Machine, batches []workload.Batch, ring []*St
 	}
 }
 
-// TestStreamSteadyStateAllocs gates the streamed batch path's allocations:
-// once every segment's free list holds enough jobs for the pipeline depth,
-// a batch reuses them and allocates only its ticket, its stream driver and
-// the routing-derived unit table. Building a job instead costs hundreds of
-// allocations (one store per edge, two processes per entity), so the bound
-// fails the moment steady-state batches stop recycling.
+// runEach runs every batch as its own one-batch Run window.
+func runEach(t testing.TB, m *Machine, batches []workload.Batch) {
+	for i := range batches {
+		if err := m.Run(batches[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStreamSteadyStateAllocs gates the allocations of a warm batch on
+// either entry to the machine's one driver: streamed at pipeline depth 1
+// and 4, and as a one-batch Run window. Once every segment's free list
+// holds enough jobs, a batch reuses them and allocates only its driver,
+// ticket and process and the routing-derived unit table. Building a job
+// instead costs hundreds of allocations (one store per edge, two processes
+// per entity), so the bound fails the moment steady-state batches stop
+// recycling.
 func TestStreamSteadyStateAllocs(t *testing.T) {
 	const perBatch = 16
 	for _, model := range []string{"moe", "skipnet"} {
-		for _, depth := range []int{1, 4} {
+		// Depth 0 feeds one-batch Run windows; a positive depth streams.
+		for _, depth := range []int{0, 1, 4} {
 			m, trace := streamMachine(t, model, 32, 16)
-			ring := make([]*StreamTicket, depth)
-			steadyStream(t, m, trace, ring) // warm the pools and the cost-model memo
-			allocs := testing.AllocsPerRun(5, func() { steadyStream(t, m, trace, ring) })
-			got := allocs / float64(len(trace))
-			t.Logf("%s depth %d: %.1f allocations per streamed batch", model, depth, got)
+			mode, feed := "one-batch Run", func() { runEach(t, m, trace) }
+			if depth > 0 {
+				ring := make([]*StreamTicket, depth)
+				mode = fmt.Sprintf("streamed at depth %d", depth)
+				feed = func() { steadyStream(t, m, trace, ring) }
+			}
+			feed() // warm the pools and the cost-model memo
+			got := testing.AllocsPerRun(5, feed) / float64(len(trace))
+			t.Logf("%s, %s: %.1f allocations per batch", model, mode, got)
 			if got > perBatch {
-				t.Errorf("%s depth %d: %.1f allocations per streamed batch, want <= %d", model, depth, got, perBatch)
+				t.Errorf("%s, %s: %.1f allocations per batch, want <= %d", model, mode, got, perBatch)
 			}
 		}
 	}

@@ -1,10 +1,7 @@
 package accel
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -20,20 +17,20 @@ import (
 //	done, _ := m.StreamRetire(tk) // run until b completes, collect its latency
 //	m.StreamDrain()              // run every in-flight batch to completion
 //
-// A streamed batch executes batch-major: its jobs flow segment 0, 1, ...
-// in order, each segment's weights prefetched while the previous segment
-// runs — exactly the schedule a single-batch Run window follows, so one
-// batch submitted and retired alone is indistinguishable from Run. Cross-batch
-// pipelining comes from the per-(segment, entity) stage tokens: batch k+1's
-// segment-0 entities start as soon as batch k releases them, while batch k
-// is already computing segment 1. Everything stays on the one deterministic
-// event queue, so a streamed schedule is reproducible at any GOMAXPROCS.
+// A streamed batch is a one-batch window of Run's driver: its jobs flow
+// segment 0, 1, ... in order, each segment's weights prefetched while the
+// previous segment runs, so one batch submitted and retired alone is
+// indistinguishable from a one-batch Run. Cross-batch pipelining comes from
+// the per-(segment, entity) stage tokens: batch k+1's segment-0 entities
+// start as soon as batch k releases them, while batch k is already
+// computing segment 1. Everything stays on the one deterministic event
+// queue, so a streamed schedule is reproducible at any GOMAXPROCS.
 //
 // LoadPlan and SetCapability still require a drained pipeline (no tickets in
 // flight), just as they require Run to have returned.
 
-// StreamTicket tracks one in-flight streamed batch from StreamSubmit to
-// completion.
+// StreamTicket tracks one in-flight batch window — a streamed batch, or a
+// Run window — from submission to completion.
 type StreamTicket struct {
 	start  sim.Time
 	doneAt sim.Time
@@ -50,79 +47,19 @@ func (t *StreamTicket) DoneAt() sim.Time { return t.doneAt }
 // Start returns the submission time.
 func (t *StreamTicket) Start() sim.Time { return t.start }
 
+// resolve completes the ticket at the given time with the window's error.
+func (t *StreamTicket) resolve(at sim.Time, err error) {
+	t.doneAt, t.err = at, err
+	t.done.Fire()
+}
+
 // StreamSubmit launches one batch through the loaded plan without blocking:
-// the batch's profiler observation and statistics are taken now, its segment
-// chain is spawned on the event queue, and the returned ticket resolves when
-// its final segment drains. The clock does not advance; pair with StepTo,
-// StreamRetire or StreamDrain.
+// the batch's profiler observation and statistics are taken now, its
+// one-batch window's driver is spawned on the event queue, and the returned
+// ticket resolves when its final segment drains. The clock does not
+// advance; pair with StepTo, StreamRetire or StreamDrain.
 func (m *Machine) StreamSubmit(b workload.Batch) (*StreamTicket, error) {
-	if m.plan == nil {
-		return nil, fmt.Errorf("accel: no plan loaded")
-	}
-	units, err := m.g.AssignUnits(b.Units, b.Routing)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.prof.ObserveBatch(units, b.Routing, b.Density); err != nil {
-		return nil, err
-	}
-	m.stats.Batches++
-	m.accountUsefulMACs(units, b.Density)
-	tk := &StreamTicket{start: m.env.Now(), done: sim.NewSignal(m.env)}
-	segs := m.plan.Segments
-	si := 0
-	var weightReady sim.Time
-	var cur *job // the job being awaited
-	m.env.Spawn("stream", func(p *sim.Proc) bool {
-		// Each step starts the next segment's job and waits for it; the
-		// segment index is the resume point. Weights are fetched one segment
-		// ahead, as Run's driver fetches them: segment 0's when the stream
-		// starts, segment k+1's as soon as segment k's job is started.
-		if si == 0 && len(segs) > 0 {
-			weightReady = m.hbm.Reserve(segs[0].WeightBytes)
-		}
-		for {
-			if cur != nil {
-				// Its done Await resumed: the job finished, and nothing
-				// else holds it, so the next batch may reuse it.
-				cur.release()
-				cur = nil
-			}
-			if si == len(segs) {
-				break
-			}
-			// prepareJob never blocks, so the machine's per-job scratch
-			// slices stay single-writer even with several stream drivers
-			// interleaving on the event queue.
-			j, err := m.prepareJob(segs[si], units, b.Density)
-			if err != nil {
-				tk.err = err
-				tk.doneAt = p.Now()
-				tk.done.Fire()
-				return true
-			}
-			si++
-			j.weightReady = weightReady
-			j.notBefore = p.Now()
-			m.spawnJob(j)
-			if si < len(segs) {
-				weightReady = m.hbm.Reserve(segs[si].WeightBytes)
-			}
-			cur = j
-			if !j.done.Await(p) {
-				return false
-			}
-		}
-		tk.doneAt = p.Now()
-		m.batchDone = append(m.batchDone, BatchLatency{Start: tk.start, Done: p.Now()})
-		if m.rec.Enabled() {
-			m.rec.Span(m.batchTrack, "batch", "batch", int64(tk.start), int64(p.Now()),
-				telemetry.I("index", int64(len(m.batchDone)-1)))
-		}
-		tk.done.Fire()
-		return true
-	})
-	return tk, nil
+	return m.submit([]workload.Batch{b})
 }
 
 // StepTo advances the clock to t, processing every pending event strictly

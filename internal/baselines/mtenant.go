@@ -5,7 +5,6 @@
 package baselines
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/costmodel"
@@ -269,38 +268,4 @@ func totalWeights(g *graph.Graph) int64 {
 		w += op.WeightBytes
 	}
 	return w
-}
-
-// DebugMTenant prints per-wave cost contributions (development aid).
-func DebugMTenant(cfg hw.Config, w *models.Workload, trace []workload.Batch) {
-	g := w.Graph
-	waves := levelize(g)
-	bw := cfg.HBMBytesPerCycle()
-	units, _ := g.AssignUnits(trace[0].Units, trace[0].Routing)
-	blocks := blockings{}
-	for wi, wave := range waves {
-		tiles := partitionTiles(cfg, g, wave, units)
-		var waveBytes, waveCompute int64
-		names := ""
-		for _, id := range wave {
-			op := g.Op(id)
-			v := units[id]
-			if v == 0 {
-				continue
-			}
-			ev, err := blocks.tenantOpCost(cfg, op, v, tiles[id])
-			if err != nil {
-				panic(err)
-			}
-			if ev.Cycles > waveCompute {
-				waveCompute = ev.Cycles
-			}
-			waveBytes += ev.InBytes + ev.OutBytes
-			names += fmt.Sprintf(" %s(v=%d,t=%d,c=%d)", op.Name, v, tiles[id], ev.Cycles)
-		}
-		mem := int64(float64(waveBytes) / bw)
-		if waveCompute+mem > 20000 {
-			fmt.Printf("wave %d: compute=%d mem=%d %s\n", wi, waveCompute, mem, names)
-		}
-	}
 }

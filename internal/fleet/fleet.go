@@ -63,11 +63,6 @@ type Config struct {
 	// rejoins the eligible set. Per-replica chip-level fault schedules go in
 	// Base.Faults instead.
 	ReplicaFaults *faults.Schedule
-	// RerouteDelayCycles delays a failed replica's evicted requests before
-	// they re-enter the router — failure detection plus re-dispatch cost,
-	// charged as latency (the requests keep their original arrival times).
-	// Default 50k cycles.
-	RerouteDelayCycles int64
 
 	// AffinitySpillSamples bounds how deep a replica's backlog may grow
 	// before plan-affinity spills to the next-closest replica (default 3/4
@@ -76,42 +71,44 @@ type Config struct {
 
 	// ScaleMin enables elastic scaling when in [1, len(Replicas)): the fleet
 	// starts with ScaleMin active replicas and activates (parks) one when the
-	// mean backlog per active replica stays above ScaleUpDepth (below
-	// ScaleDownDepth) for ScaleWindow consecutive routing decisions. Parked
-	// replicas drain their queues but receive no new traffic. Zero disables
-	// scaling: every replica is always active.
+	// mean backlog per active replica stays at or above scaleUpBatches times
+	// (at or below scaleDownBatches times) Base's max batch for scaleWindow
+	// consecutive routing decisions. Parked replicas drain their queues but
+	// receive no new traffic. Zero disables scaling: every replica is always
+	// active.
 	ScaleMin int
-	// ScaleUpDepth and ScaleDownDepth are the mean queued-samples-per-active-
-	// replica thresholds (defaults: 2x and 0.25x Base's max batch).
-	ScaleUpDepth, ScaleDownDepth float64
-	// ScaleWindow is how many consecutive routing decisions must agree before
-	// a scale move (default 32).
-	ScaleWindow int
+}
+
+// rerouteDelayCycles delays a failed replica's evicted requests before they
+// re-enter the router — failure detection plus re-dispatch cost, charged as
+// latency (the requests keep their original arrival times).
+const rerouteDelayCycles = 50_000
+
+// Elastic scaling thresholds: the mean queued samples per active replica,
+// in multiples of Base's max batch, and how many consecutive routing
+// decisions must agree before a scale move.
+const (
+	scaleUpBatches   = 2
+	scaleDownBatches = 0.25
+	scaleWindow      = 32
+)
+
+// maxBatch is the per-replica batch limit: Base's MaxBatch, or its run
+// config's batch when unset.
+func (c *Config) maxBatch() int {
+	if c.Base.MaxBatch > 0 {
+		return c.Base.MaxBatch
+	}
+	return c.Base.RC.Batch
 }
 
 func (c *Config) defaults() {
-	if c.RerouteDelayCycles <= 0 {
-		c.RerouteDelayCycles = 50_000
-	}
-	maxBatch := c.Base.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = c.Base.RC.Batch
-	}
 	if c.AffinitySpillSamples <= 0 {
 		cap := c.Base.QueueCapSamples
 		if cap <= 0 {
-			cap = 8 * maxBatch
+			cap = 8 * c.maxBatch()
 		}
 		c.AffinitySpillSamples = cap * 3 / 4
-	}
-	if c.ScaleUpDepth <= 0 {
-		c.ScaleUpDepth = 2 * float64(maxBatch)
-	}
-	if c.ScaleDownDepth <= 0 {
-		c.ScaleDownDepth = 0.25 * float64(maxBatch)
-	}
-	if c.ScaleWindow <= 0 {
-		c.ScaleWindow = 32
 	}
 }
 
@@ -435,7 +432,7 @@ func (f *Fleet) applyReplicaFaults(t int64, queued *[]reroute) {
 			f.failures++
 			evicted := r.srv.EvictQueued()
 			for _, req := range evicted {
-				*queued = append(*queued, reroute{at: t + f.cfg.RerouteDelayCycles, req: req})
+				*queued = append(*queued, reroute{at: t + rerouteDelayCycles, req: req})
 			}
 			f.rerouted += len(evicted)
 			if f.rec.Enabled() {
@@ -505,7 +502,7 @@ func (f *Fleet) route(req serve.Request, t int64, isReroute bool) {
 }
 
 // elasticObserve updates the scale controller after a routing decision:
-// sustained mean backlog above (below) the thresholds across ScaleWindow
+// sustained mean backlog above (below) the thresholds across scaleWindow
 // consecutive decisions activates (parks) one replica.
 func (f *Fleet) elasticObserve(t int64) {
 	if f.cfg.ScaleMin <= 0 {
@@ -522,17 +519,18 @@ func (f *Fleet) elasticObserve(t int64) {
 		return
 	}
 	depth := float64(total) / float64(active)
+	maxBatch := float64(f.cfg.maxBatch())
 	switch {
-	case depth >= f.cfg.ScaleUpDepth:
+	case depth >= scaleUpBatches*maxBatch:
 		f.hiStreak++
 		f.loStreak = 0
-	case depth <= f.cfg.ScaleDownDepth:
+	case depth <= scaleDownBatches*maxBatch:
 		f.loStreak++
 		f.hiStreak = 0
 	default:
 		f.hiStreak, f.loStreak = 0, 0
 	}
-	if f.hiStreak >= f.cfg.ScaleWindow {
+	if f.hiStreak >= scaleWindow {
 		f.hiStreak = 0
 		for _, r := range f.reps {
 			if !r.active {
@@ -546,7 +544,7 @@ func (f *Fleet) elasticObserve(t int64) {
 			}
 		}
 	}
-	if f.loStreak >= f.cfg.ScaleWindow && active > f.cfg.ScaleMin {
+	if f.loStreak >= scaleWindow && active > f.cfg.ScaleMin {
 		f.loStreak = 0
 		// Park the most recently activated replica (highest index, since
 		// activation walks canonical order).

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -275,11 +276,10 @@ func TestFleetBringupOrderInvariance(t *testing.T) {
 func TestFleetElasticScaling(t *testing.T) {
 	base := fleetBase("skipnet")
 	cfg := Config{
-		Base:        base,
-		Replicas:    HomogeneousSpecs(3, base.RC.HW),
-		Policy:      PolicyJSQ,
-		ScaleMin:    1,
-		ScaleWindow: 8,
+		Base:     base,
+		Replicas: HomogeneousSpecs(3, base.RC.HW),
+		Policy:   PolicyJSQ,
+		ScaleMin: 1,
 	}
 	src, err := NewMixSource(MixConfig{
 		Model: "skipnet", Classes: 2, Requests: 300, Samples: 8,
@@ -344,6 +344,16 @@ func TestFleetSnapshotCounters(t *testing.T) {
 	}
 	if len(snap.Replicas) != 2 {
 		t.Errorf("snapshot has %d replica entries, want 2", len(snap.Replicas))
+	}
+}
+
+// A non-finite mixture walk step is rejected: it would turn every class
+// weight NaN or infinite.
+func TestNonFiniteMixWalkRejected(t *testing.T) {
+	for _, sd := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewMixSource(MixConfig{Model: "moe", Requests: 10, MixWalkSD: sd}); err == nil {
+			t.Errorf("MixWalkSD %v accepted", sd)
+		}
 	}
 }
 

@@ -32,10 +32,11 @@ type MixConfig struct {
 	// weights (default 0.03) — the drifting arrival mix the plan-affinity
 	// policy exploits and the blend-serving policies re-plan under.
 	MixWalkSD float64
-	// MixFloor and MixCeil clamp the walking weights (defaults 0.05 and 2).
-	// A tighter band bounds how far any one class's arrival rate can swing.
-	MixFloor, MixCeil float64
 }
+
+// mixFloor and mixCeil clamp the walking class weights, bounding how far
+// any one class's arrival rate can swing.
+const mixFloor, mixCeil = 0.05, 2
 
 func (c *MixConfig) defaults() {
 	if c.Classes <= 0 {
@@ -49,12 +50,6 @@ func (c *MixConfig) defaults() {
 	}
 	if c.MeanGapCycles <= 0 {
 		c.MeanGapCycles = 100_000
-	}
-	if c.MixFloor <= 0 {
-		c.MixFloor = 0.05
-	}
-	if c.MixCeil <= 0 {
-		c.MixCeil = 2
 	}
 }
 
@@ -87,6 +82,10 @@ type MixSource struct {
 // NewMixSource builds the stream. Every class instantiates the model
 // fresh — identical graph shape, private generator state.
 func NewMixSource(cfg MixConfig) (*MixSource, error) {
+	if math.IsNaN(cfg.MixWalkSD) || math.IsInf(cfg.MixWalkSD, 0) {
+		// A non-finite step turns every class weight NaN or infinite.
+		return nil, fmt.Errorf("fleet: mix walk std-dev %v must be finite", cfg.MixWalkSD)
+	}
 	cfg.defaults()
 	s := &MixSource{cfg: cfg, src: workload.NewSource(cfg.Seed)}
 	for c := 0; c < cfg.Classes; c++ {
@@ -120,11 +119,11 @@ func (s *MixSource) Next() (serve.Request, bool) {
 	// no class ever vanishes entirely.
 	for i := range s.weights {
 		s.weights[i] += s.cfg.MixWalkSD * s.src.NormFloat64()
-		if s.weights[i] < s.cfg.MixFloor {
-			s.weights[i] = s.cfg.MixFloor
+		if s.weights[i] < mixFloor {
+			s.weights[i] = mixFloor
 		}
-		if s.weights[i] > s.cfg.MixCeil {
-			s.weights[i] = s.cfg.MixCeil
+		if s.weights[i] > mixCeil {
+			s.weights[i] = mixCeil
 		}
 	}
 	cls := s.classes[s.src.SampleCategorical(s.weights)]

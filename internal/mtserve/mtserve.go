@@ -318,6 +318,11 @@ func tracePrefix(name string) string {
 // (static and repartition modes), and one serving session per tenant built
 // and warmed on its partition config.
 func New(cfg Config) (*Server, error) {
+	if math.IsNaN(cfg.StarvePressure) || math.IsInf(cfg.StarvePressure, 0) {
+		// No pressure spread reaches NaN or +Inf, so the starvation trigger
+		// would be off without a word.
+		return nil, fmt.Errorf("mtserve: starve pressure %v must be finite", cfg.StarvePressure)
+	}
 	cfg.defaults()
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("mtserve: no tenants configured")

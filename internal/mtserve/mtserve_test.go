@@ -2,6 +2,7 @@ package mtserve
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -40,6 +41,19 @@ func headlineConfig(mode Mode) Config {
 		CheckEvery:      4,
 		CooldownBatches: 8,
 		StarvePressure:  0.35,
+	}
+}
+
+// A non-finite starvation threshold is rejected at bring-up: no pressure
+// spread reaches NaN or +Inf, so it would switch the starvation trigger off
+// silently.
+func TestNonFiniteStarvePressureRejected(t *testing.T) {
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := headlineConfig(ModeRepartition)
+		cfg.StarvePressure = p
+		if _, err := New(cfg); err == nil {
+			t.Errorf("StarvePressure %v accepted", p)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func TestGetOrScheduleForClonesCrossOriginHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(NewKeyer(w.Graph, 0), Config{MaxEntries: 8})
+	c := newBounded(w.Graph, Config{}, 8)
 	cfg := hw.Default()
 	pol := sched.Adyna()
 	comp := sched.NewCompiler(w.Graph)
@@ -74,7 +74,7 @@ func TestGetOrScheduleForClonesCrossOriginHits(t *testing.T) {
 	}
 
 	// Anonymous origin keeps the pointer-return fast path.
-	anon := New(NewKeyer(w.Graph, 0), Config{MaxEntries: 8})
+	anon := newBounded(w.Graph, Config{}, 8)
 	first, _, err := anon.GetOrScheduleFor("", cfg, comp, pol, prof)
 	if err != nil {
 		t.Fatal(err)

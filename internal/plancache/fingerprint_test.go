@@ -77,7 +77,7 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		feed(ga, gb, pa, pb)
 		clearFreq(ga, pa)
 		clearFreq(gb, pb)
-		return NewKeyer(ga, 0).makeKey(cfg, pol, pa), NewKeyer(gb, 0).makeKey(cfg, pol, pb)
+		return NewKeyer(ga).makeKey(cfg, pol, pa), NewKeyer(gb).makeKey(cfg, pol, pb)
 	}
 
 	t.Run("Identity", func(t *testing.T) {
@@ -161,8 +161,8 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		clearFreq(gb, pb)
 		pa.Freq(ga.DynamicOps()[0]).Observe(1)
 		pb.Freq(gb.DynamicOps()[0]).Observe(2)
-		ka := NewKeyer(ga, 0).makeKey(cfg, pol, pa)
-		kb := NewKeyer(gb, 0).makeKey(cfg, pol, pb)
+		ka := NewKeyer(ga).makeKey(cfg, pol, pa)
+		kb := NewKeyer(gb).makeKey(cfg, pol, pb)
 		if ka == kb {
 			t.Fatal("fingerprint ignores the frequency tables")
 		}
@@ -173,7 +173,7 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		// requests on density-aware graphs, unset density means dense, and
 		// routing-only graphs ignore the axis entirely.
 		g := fpGraph(t, true)
-		k := NewKeyer(g, 0)
+		k := NewKeyer(g)
 		rt := graph.BatchRouting{g.Switches()[0]: {Branch: [][]int{{0, 1}, {2}, {3}}}}
 		if k.RoutingShareKeyDensity(rt, 0.2) == k.RoutingShareKeyDensity(rt, 1) {
 			t.Fatal("sparse and dense requests share one affinity key on a density-aware graph")
@@ -182,7 +182,7 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 			t.Fatal("unset density keyed differently from dense")
 		}
 		gr := fpGraph(t, false)
-		kr := NewKeyer(gr, 0)
+		kr := NewKeyer(gr)
 		rtr := graph.BatchRouting{gr.Switches()[0]: {Branch: [][]int{{0, 1}, {2}, {3}}}}
 		if kr.RoutingShareKeyDensity(rtr, 0.2) != kr.RoutingShareKeyDensity(rtr, 1) {
 			t.Fatal("routing-only graph keyed on density")
@@ -252,7 +252,7 @@ func TestFingerprintMatchesHashFNV(t *testing.T) {
 	for _, model := range []string{"moe", "gcn"} {
 		for _, batches := range []int{0, 3, 12} {
 			w, prof := warmWorkload(t, model, batches)
-			k := NewKeyer(w.Graph, 0)
+			k := NewKeyer(w.Graph)
 			got := k.makeKey(cfg, pol, prof).fp
 			if want := referenceFP(k, prof); got != want {
 				t.Fatalf("%s after %d batches: fingerprint %#x, hash/fnv reference %#x", model, batches, got, want)
@@ -265,7 +265,7 @@ func TestFingerprintMatchesHashFNV(t *testing.T) {
 // quantized snapshot and its string are the only allocations.
 func TestWarmKeyAllocations(t *testing.T) {
 	w, prof := warmWorkload(t, "moe", 12)
-	k := NewKeyer(w.Graph, 0)
+	k := NewKeyer(w.Graph)
 	cfg, pol := hw.Default(), sched.Adyna()
 	if n := testing.AllocsPerRun(20, func() { k.makeKey(cfg, pol, prof) }); n > 2 {
 		t.Fatalf("makeKey allocates %.0f times, want <= 2", n)

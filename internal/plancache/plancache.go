@@ -71,14 +71,8 @@ func (k HitKind) String() string {
 	return "miss"
 }
 
-// Hit reports whether the lookup avoided a solve.
-func (k HitKind) Hit() bool { return k != Miss }
-
 // Config parameterizes a Cache.
 type Config struct {
-	// Levels is the quantization resolution per profile dimension for the
-	// nearest-matching snapshot (default 32, max 255).
-	Levels int
 	// Nearest enables approximate hits: the closest cached profile under the
 	// same hardware config and policy matches when within MaxDist.
 	Nearest bool
@@ -86,24 +80,11 @@ type Config struct {
 	// difference between the live and cached profile snapshots, in the same
 	// units as the serving layer's drift threshold (default 0.04).
 	MaxDist float64
-	// MaxEntries bounds the cache; beyond it the oldest online entry is
-	// evicted first (AOT-precomputed entries survive until only they remain).
-	// Default 512.
-	MaxEntries int
 }
 
 func (c *Config) defaults() {
-	if c.Levels <= 0 {
-		c.Levels = 32
-	}
-	if c.Levels > 255 {
-		c.Levels = 255
-	}
 	if c.MaxDist <= 0 {
 		c.MaxDist = 0.04
-	}
-	if c.MaxEntries <= 0 {
-		c.MaxEntries = 512
 	}
 }
 
@@ -119,7 +100,7 @@ type Stats struct {
 	// Entries is the current size; AOTEntries how many of them came from
 	// Precompute; Evictions how many entries the size bound pushed out.
 	Entries, AOTEntries int
-	// Evictions counts entries dropped by the MaxEntries bound.
+	// Evictions counts entries dropped by the size bound.
 	Evictions int64
 }
 
@@ -131,11 +112,10 @@ func (s Stats) Hits() int64 { return s.ExactHits + s.NearestHits }
 // over separate graph instances of the same model can share one keyer (the
 // builder assigns identical OpIDs to identical model constructions).
 type Keyer struct {
-	levels int
-	sws    []graph.OpID
-	nb     []int
-	dyn    []graph.OpID
-	dims   int
+	sws  []graph.OpID
+	nb   []int
+	dyn  []graph.OpID
+	dims int
 	// hasDensity gates the density dimension: graphs with density-aware
 	// operators add the quantized windowed density mean to the profile
 	// snapshot and fingerprint, so plans solved for sparse traffic never
@@ -145,16 +125,14 @@ type Keyer struct {
 	hasDensity bool
 }
 
+// keyLevels is the quantization resolution per profile dimension of the
+// nearest-matching snapshot.
+const keyLevels = 32
+
 // NewKeyer builds a keyer for graphs shaped like g, quantizing profile
-// snapshots to the given number of levels per dimension (<=0: default 32).
-func NewKeyer(g *graph.Graph, levels int) *Keyer {
-	if levels <= 0 {
-		levels = 32
-	}
-	if levels > 255 {
-		levels = 255
-	}
-	k := &Keyer{levels: levels, sws: g.Switches(), dyn: g.DynamicOps(),
+// snapshots to keyLevels levels per dimension.
+func NewKeyer(g *graph.Graph) *Keyer {
+	k := &Keyer{sws: g.Switches(), dyn: g.DynamicOps(),
 		hasDensity: len(g.DensityOps()) > 0}
 	k.nb = make([]int, len(k.sws))
 	for i, sw := range k.sws {
@@ -251,7 +229,7 @@ func (k *Keyer) quantize(v float64) byte {
 	if v > 1 {
 		v = 1
 	}
-	return byte(math.Round(v * float64(k.levels)))
+	return byte(math.Round(v * float64(keyLevels)))
 }
 
 // dist returns the mean absolute per-dimension difference between two
@@ -269,7 +247,7 @@ func (k *Keyer) dist(a, b string) float64 {
 		}
 		sum += d
 	}
-	return float64(sum) / float64(k.levels) / float64(len(a))
+	return float64(sum) / float64(keyLevels) / float64(len(a))
 }
 
 // ProfileKey is an opaque quantized branch-share snapshot: one byte per
@@ -357,6 +335,10 @@ type Cache struct {
 	cfg     Config
 	buckets map[scope]*bucket
 	order   []*entry // insertion order, for eviction
+	// maxEntries bounds the cache; beyond it the oldest online entry is
+	// evicted first (AOT-precomputed entries survive until only they
+	// remain).
+	maxEntries int
 
 	exactHits, nearestHits, misses, sharedHits, evictions int64
 	aotEntries                                            int
@@ -365,7 +347,7 @@ type Cache struct {
 // New builds an empty cache over the given keyer.
 func New(keyer *Keyer, cfg Config) *Cache {
 	cfg.defaults()
-	return &Cache{keyer: keyer, cfg: cfg, buckets: map[scope]*bucket{}}
+	return &Cache{keyer: keyer, cfg: cfg, buckets: map[scope]*bucket{}, maxEntries: 512}
 }
 
 // Keyer returns the keyer the cache was built over (shared by per-tenant
@@ -470,7 +452,7 @@ func (c *Cache) put(k key, plan *sched.Plan, aot bool, origin string) {
 	if aot {
 		c.aotEntries++
 	}
-	for len(c.order) > c.cfg.MaxEntries {
+	for len(c.order) > c.maxEntries {
 		c.evictOldest()
 	}
 }

@@ -23,7 +23,7 @@ func TestCacheConcurrentGetOrScheduleRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(NewKeyer(proto.Graph, 0), Config{MaxEntries: 8, Nearest: true, MaxDist: 0.05})
+	c := newBounded(proto.Graph, Config{Nearest: true, MaxDist: 0.05}, 8)
 	cfg := hw.Default()
 	pol := sched.Adyna()
 
@@ -85,7 +85,7 @@ func TestSharedCacheMatchesPrivateOnExactHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := New(NewKeyer(proto.Graph, 0), Config{})
+	shared := New(NewKeyer(proto.Graph), Config{})
 	cfg := hw.Default()
 	pol := sched.Adyna()
 
@@ -111,7 +111,7 @@ func TestSharedCacheMatchesPrivateOnExactHits(t *testing.T) {
 			// Same seed for both origins: their profiles evolve identically,
 			// so the second origin's lookups exact-hit the first's entries.
 			src:     workload.NewSource(7),
-			private: New(NewKeyer(w.Graph, 0), Config{}),
+			private: New(NewKeyer(w.Graph), Config{}),
 		})
 	}
 	for round := 0; round < 6; round++ {

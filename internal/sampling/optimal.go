@@ -102,7 +102,3 @@ func OptimalValues(ft *profiler.FreqTable, budget int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// LossOf evaluates the matching loss of serving the distribution with the
-// given sample set (a convenience wrapper over Loss for analysis code).
-func LossOf(vals []int, ft *profiler.FreqTable) float64 { return Loss(vals, ft) }

@@ -13,7 +13,10 @@ import (
 // accelerator. Segments execute one after another; within a segment,
 // operators run pipelined on disjoint (or deliberately shared) tile groups.
 type Plan struct {
-	Policy   Policy
+	// Policy is the scheduling policy the plan was solved under; its bits
+	// also select the machine's runtime behaviour (e.g. runtime fitting).
+	Policy Policy
+	// Segments lists the plan's segments in execution order.
 	Segments []*Segment
 
 	// cache memoizes the cost-model evaluations of this plan's (config,
@@ -60,6 +63,7 @@ func (p *Plan) CacheStats() (hits, misses int64) {
 
 // Segment is one resident group of consecutive operators (Section II-B).
 type Segment struct {
+	// Index is the segment's position in Plan.Segments.
 	Index int
 	// Ops lists every operator of the segment in topological order,
 	// including control operators (switch/merge/sink) and fused vector ops.
@@ -80,6 +84,8 @@ type Segment struct {
 // OpPlan is the allocation and kernel plan of one entity: a matrix (or
 // standalone vector) operator plus any vector operators fused into it.
 type OpPlan struct {
+	// Lead is the entity's lead operator: the matrix (or standalone vector)
+	// operator the fused ones follow.
 	Lead graph.OpID
 	// Fused lists vector operators executed in place on the same tiles
 	// (element-wise/pooling/normalization fusion, Section VI-B).
@@ -108,6 +114,7 @@ type OpPlan struct {
 
 // AllocOption is one selectable tile allocation with its kernel store.
 type AllocOption struct {
+	// Tiles is how many tiles the entity occupies under this option.
 	Tiles int
 	// set holds the sampled kernels (nil under FullKernel, where kernels are
 	// compiled on demand and memoized in dense).

@@ -379,6 +379,11 @@ func New(cfg Config) (*Server, error) {
 		// off without a word.
 		return nil, fmt.Errorf("serve: drift threshold %v must be finite", cfg.DriftThreshold)
 	}
+	if math.IsNaN(cfg.PlanCacheMaxDist) || math.IsInf(cfg.PlanCacheMaxDist, 0) {
+		// No profile distance is within NaN, and every one is within +Inf:
+		// nearest hits would be off, or unbounded, without a word.
+		return nil, fmt.Errorf("serve: plan-cache max distance %v must be finite", cfg.PlanCacheMaxDist)
+	}
 	cfg.defaults()
 	if err := cfg.Faults.Validate(cfg.RC.HW); err != nil {
 		return nil, err
@@ -409,7 +414,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PlanCache || cfg.SharedPlanCache != nil {
 		s.pcache = cfg.SharedPlanCache
 		if s.pcache == nil {
-			keyer := plancache.NewKeyer(setup.W.Graph, 0)
+			keyer := plancache.NewKeyer(setup.W.Graph)
 			s.pcache = plancache.New(keyer, plancache.Config{
 				Nearest: cfg.PlanCacheNearest,
 				MaxDist: cfg.PlanCacheMaxDist,
@@ -426,7 +431,7 @@ func New(cfg Config) (*Server, error) {
 	if s.pcache != nil {
 		s.keyer = s.pcache.Keyer()
 	} else {
-		s.keyer = plancache.NewKeyer(setup.W.Graph, 0)
+		s.keyer = plancache.NewKeyer(setup.W.Graph)
 	}
 	// The bring-up plan was solved from the warmup profile the profiler still
 	// holds; snapshot its branch shares as the plan's affinity key.

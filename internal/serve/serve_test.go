@@ -357,6 +357,21 @@ func TestNonFiniteDriftThresholdRejected(t *testing.T) {
 	}
 }
 
+// A non-finite plan-cache distance bound is rejected at bring-up: no
+// profile distance is within NaN and every one is within +Inf, so nearest
+// hits would switch off, or go unbounded, silently.
+func TestNonFinitePlanCacheMaxDistRejected(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := quickConfig("moe")
+		cfg.PlanCache = true
+		cfg.PlanCacheNearest = true
+		cfg.PlanCacheMaxDist = d
+		if _, err := New(cfg); err == nil {
+			t.Errorf("PlanCacheMaxDist %v accepted", d)
+		}
+	}
+}
+
 // TestRollupPoolsSessions: a rollup sums the session counters, takes the
 // latest final clock and largest divergence, and summarizes latency over the
 // pooled executed requests — shed requests excluded, percentiles over the

@@ -247,9 +247,10 @@ type Setup struct {
 	// machine's configuration (time-sliced multi-tenancy) re-load it to
 	// charge the context-switch cost of bringing the tenant back on chip.
 	Plan *sched.Plan
-	// Comp is the bring-up's kernel compile memo: every later solve on W's
-	// graph — re-schedules, plan-cache misses and ahead-of-time variants —
-	// goes through it, so each kernel is compiled once per bring-up.
+	// Comp is the kernel compile memo of W's graph: every later solve on it
+	// — re-schedules, plan-cache misses and ahead-of-time variants — goes
+	// through it, so each kernel is compiled once per compiler. Bring-ups
+	// handed one compiler (BringupOn) share it and its graph.
 	Comp *sched.Compiler
 }
 
@@ -261,6 +262,16 @@ type Setup struct {
 // layer (internal/serve) brings sessions up through it and keeps drawing
 // batches from Setup.Src; offline runs bring up on a shared batch trace.
 func Bringup(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy)) (*Setup, error) {
+	return BringupOn(nil, d, modelName, rc, mutate)
+}
+
+// BringupOn is Bringup through the given compile memo: the workload, the
+// machine and every solve use comp's graph, so the sessions of one model
+// brought up on one compiler (a fleet's replicas, an mtserve's same-model
+// tenants) compile each kernel once between them, whatever their hardware
+// configs and seeds. comp's graph must be modelName's at rc.Batch. A nil comp
+// builds a fresh graph and compiler, which is Bringup.
+func BringupOn(comp *sched.Compiler, d Design, modelName string, rc RunConfig, mutate func(*sched.Policy)) (*Setup, error) {
 	if err := rc.validate(); err != nil {
 		return nil, err
 	}
@@ -268,8 +279,16 @@ func Bringup(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy
 	if err != nil {
 		return nil, err
 	}
+	if comp != nil {
+		// A model built at another batch size has other MaxUnits.
+		g := comp.Graph()
+		if g.Name != w.Graph.Name || len(g.Ops) != len(w.Graph.Ops) || g.MaxMACsPerBatch() != w.Graph.MaxMACsPerBatch() {
+			return nil, fmt.Errorf("core: the compiler's graph %s is not %s at batch %d", g.Name, modelName, rc.Batch)
+		}
+		w.Graph = g
+	}
 	src := workload.NewSource(rc.Seed)
-	s, err := bringup(d, modelName, w, rc, mutate, w.GenTrace(src, rc.Warmup, rc.Batch))
+	s, err := bringup(d, modelName, w, rc, mutate, w.GenTrace(src, rc.Warmup, rc.Batch), comp)
 	if err != nil {
 		return nil, err
 	}
@@ -277,9 +296,9 @@ func Bringup(d Design, modelName string, rc RunConfig, mutate func(*sched.Policy
 	return s, nil
 }
 
-// bringup is Bringup on a built workload and given warmup batches; the
-// returned Setup has no Src.
-func bringup(d Design, modelName string, w *models.Workload, rc RunConfig, mutate func(*sched.Policy), warm []workload.Batch) (*Setup, error) {
+// bringup is BringupOn on a built workload and given warmup batches; the
+// returned Setup has no Src. A nil comp builds a compiler for w's graph.
+func bringup(d Design, modelName string, w *models.Workload, rc RunConfig, mutate func(*sched.Policy), warm []workload.Batch, comp *sched.Compiler) (*Setup, error) {
 	pol, opts, err := policyFor(d)
 	if err != nil {
 		return nil, err
@@ -312,7 +331,9 @@ func bringup(d Design, modelName string, w *models.Workload, rc RunConfig, mutat
 			return nil, err
 		}
 	}
-	comp := sched.NewCompiler(w.Graph)
+	if comp == nil {
+		comp = sched.NewCompiler(w.Graph)
+	}
 	plan, err := comp.Schedule(rc.HW, pol, m.Profiler())
 	if err != nil {
 		return nil, err
@@ -343,7 +364,7 @@ func runOnTrace(d Design, tr *batchTrace, rc RunConfig, mutate func(*sched.Polic
 		return baselines.MTenant(rc.HW, w, meas)
 	}
 
-	setup, err := bringup(d, tr.key.model, w, rc, mutate, tr.warmup)
+	setup, err := bringup(d, tr.key.model, w, rc, mutate, tr.warmup, nil)
 	if err != nil {
 		return metrics.RunResult{}, err
 	}

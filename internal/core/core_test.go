@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/models"
@@ -238,5 +239,49 @@ func TestExtensionModelsRun(t *testing.T) {
 		if ad.SpeedupOver(mt) <= 1 {
 			t.Fatalf("%s: Adyna should win, got %.2fx", name, ad.SpeedupOver(mt))
 		}
+	}
+}
+
+// TestBringupOnSharesCompiler checks the one way to bring up on a given
+// compiler: the session runs the compiler's graph, solves the plan a fresh
+// bring-up solves, and a compiler for another model or batch size is
+// rejected.
+func TestBringupOnSharesCompiler(t *testing.T) {
+	rc := quickRC()
+	first, err := Bringup(DesignAdyna, "moe", rc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc2 := rc
+	rc2.Seed = 2
+	rc2.HW.HBMDerate = 0.5
+	shared, err := BringupOn(first.Comp, DesignAdyna, "moe", rc2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.Comp != first.Comp || shared.W.Graph != first.W.Graph {
+		t.Fatal("BringupOn did not keep the compiler and its graph")
+	}
+	fresh, err := Bringup(DesignAdyna, "moe", rc2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := shared.Plan.Encode(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Plan.Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("a bring-up on a shared compiler solved a different plan")
+	}
+	other := rc
+	other.Batch = 16
+	if _, err := BringupOn(first.Comp, DesignAdyna, "moe", other, nil); err == nil {
+		t.Fatal("compiler for batch 32 accepted at batch 16")
+	}
+	if _, err := BringupOn(first.Comp, DesignAdyna, "skipnet", rc, nil); err == nil {
+		t.Fatal("moe compiler accepted for skipnet")
 	}
 }

@@ -25,33 +25,47 @@ import (
 // sound — two graphs may reuse IDs for different operators.
 type Cache struct {
 	cfg  hw.Config
-	eval map[evalKey]evalResult
+	eval map[evalKey]Eval
+	// errs holds the evaluations that failed, which are as deterministic as
+	// the ones that succeed; nil until the first failure.
+	errs map[evalKey]error
 
 	hits, misses int64
 }
 
-// evalKey identifies one Evaluate invocation within a (cfg, graph) scope.
-// density is the quantized density bucket (DensityBucket); the dense Evaluate
-// path always keys the top bucket, so it shares entries with density-1 (and
-// unset-density) EvaluateDensity calls.
+// evalKey identifies one Evaluate invocation within a (cfg, graph) scope in
+// 32 bytes: int32 fields, which keeps the memo's buckets small (see
+// newEvalKey). density is the quantized density bucket (DensityBucket); the
+// dense Evaluate path always keys the top bucket, so it shares entries with
+// density-1 (and unset-density) EvaluateDensity calls.
 type evalKey struct {
-	op       graph.OpID
-	blk      Blocking
-	compiled int
-	actual   int
-	tiles    int
-	fitting  bool
-	density  uint8
+	op                      int32
+	splitN, splitM, nblk    int32
+	compiled, actual, tiles int32
+	resident, fitting       bool
+	density                 uint8
 }
 
-type evalResult struct {
-	ev  Eval
-	err error
+// newEvalKey builds the key of one evaluation. ok is false when an integer
+// input does not fit in an int32; such an evaluation bypasses the memo
+// instead of aliasing another key.
+func newEvalKey(op graph.OpID, blk Blocking, compiled, actual, tiles int, fitting bool, density uint8) (k evalKey, ok bool) {
+	for _, v := range [...]int{int(op), blk.SplitN, blk.SplitM, blk.NBlk, compiled, actual, tiles} {
+		if v != int(int32(v)) {
+			return evalKey{}, false
+		}
+	}
+	return evalKey{
+		op:     int32(op),
+		splitN: int32(blk.SplitN), splitM: int32(blk.SplitM), nblk: int32(blk.NBlk),
+		compiled: int32(compiled), actual: int32(actual), tiles: int32(tiles),
+		resident: blk.WeightResident, fitting: fitting, density: density,
+	}, true
 }
 
 // NewCache returns an empty cache bound to cfg.
 func NewCache(cfg hw.Config) *Cache {
-	return &Cache{cfg: cfg, eval: map[evalKey]evalResult{}}
+	return &Cache{cfg: cfg, eval: map[evalKey]Eval{}}
 }
 
 // Config returns the hardware configuration the cache is bound to. Callers
@@ -65,4 +79,4 @@ func (c *Cache) Config() hw.Config { return c.cfg }
 func (c *Cache) Stats() (hits, misses int64) { return c.hits, c.misses }
 
 // Len reports the number of memoized entries.
-func (c *Cache) Len() int { return len(c.eval) }
+func (c *Cache) Len() int { return len(c.eval) + len(c.errs) }

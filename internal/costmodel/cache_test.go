@@ -3,7 +3,9 @@ package costmodel
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/hw"
@@ -121,5 +123,64 @@ func TestCacheConfigBinding(t *testing.T) {
 	}
 	if evs != want {
 		t.Fatalf("cached eval %+v, want %+v", evs, want)
+	}
+}
+
+// TestEvalKeyRange checks the compact eval memo key: it stays 32 bytes, an
+// input outside int32 bypasses the memo and still returns the uncached result
+// (never the result of the in-range key its low bits would alias), and
+// failures land in the side map, which stays nil until the first one.
+func TestEvalKeyRange(t *testing.T) {
+	if n := unsafe.Sizeof(evalKey{}); n != 32 {
+		t.Fatalf("evalKey is %d bytes, want 32", n)
+	}
+	if strconv.IntSize < 64 {
+		t.Skip("every int fits an int32 field")
+	}
+	op := &graph.Op{ID: 7, Name: "mm", Kind: graph.KindMatMul, MaxUnits: 64,
+		Space: [6]int{64, 64, 1, 1, 1, 1}, MACsPerUnit: 64 * 64, InBytesPerUnit: 64, OutBytesPerUnit: 64, WeightBytes: 4096}
+	blk := Blocking{SplitN: 2, SplitM: 2, NBlk: 4, WeightResident: true}
+	c := NewCache(hw.Default())
+	if _, err := c.EvaluateDensity(op, blk, 8, 8, 4, true, 1); err != nil {
+		t.Fatal(err)
+	}
+	if c.errs != nil {
+		t.Fatal("error map allocated before any failure")
+	}
+	const big = 1 << 32 // truncates to 0
+	for _, tc := range []struct {
+		blk                     Blocking
+		compiled, actual, tiles int
+	}{
+		{blk, big + 8, 8, 4},
+		{blk, 8, 8, big + 4},
+		{Blocking{SplitN: big + 2, SplitM: 2, NBlk: 4, WeightResident: true}, 8, 8, 4},
+	} {
+		want, werr := EvaluateDensity(c.cfg, op, tc.blk, tc.compiled, tc.actual, tc.tiles, true, 1)
+		n := c.Len()
+		for trial := 0; trial < 2; trial++ {
+			got, gerr := c.EvaluateDensity(op, tc.blk, tc.compiled, tc.actual, tc.tiles, true, 1)
+			if got != want || errString(gerr) != errString(werr) {
+				t.Fatalf("%+v: cached %+v, %v; want %+v, %v", tc, got, gerr, want, werr)
+			}
+		}
+		if c.Len() != n {
+			t.Fatalf("%+v: out-of-range evaluation memoized", tc)
+		}
+	}
+	// A failing evaluation (more splits than tiles) is memoized as an error.
+	bad := Blocking{SplitN: 4, SplitM: 4, NBlk: 1}
+	_, werr := EvaluateDensity(c.cfg, op, bad, 8, 8, 4, true, 1)
+	if werr == nil {
+		t.Fatal("want an error for 16 splits on 4 tiles")
+	}
+	h0, _ := c.Stats()
+	for trial := 0; trial < 2; trial++ {
+		if _, err := c.EvaluateDensity(op, bad, 8, 8, 4, true, 1); errString(err) != errString(werr) {
+			t.Fatalf("trial %d: error %v, want %v", trial, err, werr)
+		}
+	}
+	if h, _ := c.Stats(); h != h0+1 || len(c.errs) != 1 {
+		t.Fatalf("failed evaluation not memoized: %d hits, %d errors", h-h0, len(c.errs))
 	}
 }

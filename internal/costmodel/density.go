@@ -100,16 +100,30 @@ func (c *Cache) EvaluateDensity(op *graph.Op, blk Blocking, compiledUnits, actua
 	if !op.DensityAware {
 		db = DensityBuckets
 	}
-	k := evalKey{op: op.ID, blk: blk, compiled: compiledUnits, actual: actualUnits,
-		tiles: tiles, fitting: fitting, density: db}
-	if r, ok := c.eval[k]; ok {
+	k, ok := newEvalKey(op.ID, blk, compiledUnits, actualUnits, tiles, fitting, db)
+	if !ok {
+		c.misses++
+		return EvaluateDensity(c.cfg, op, blk, compiledUnits, actualUnits, tiles, fitting, density)
+	}
+	if ev, hit := c.eval[k]; hit {
 		c.hits++
-		return r.ev, r.err
+		return ev, nil
+	}
+	if err, hit := c.errs[k]; hit {
+		c.hits++
+		return Eval{}, err
 	}
 	c.misses++
 	ev, err := EvaluateDensity(c.cfg, op, blk, compiledUnits, actualUnits, tiles, fitting, density)
-	c.eval[k] = evalResult{ev: ev, err: err}
-	return ev, err
+	if err != nil {
+		if c.errs == nil {
+			c.errs = map[evalKey]error{}
+		}
+		c.errs[k] = err
+		return ev, err
+	}
+	c.eval[k] = ev
+	return ev, nil
 }
 
 // DensityRoofline analyzes every density-aware compute operator of g at the

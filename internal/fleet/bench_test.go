@@ -82,3 +82,20 @@ func BenchmarkRouterDecide(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFleetBringup measures fleet.New on the headline four-replica
+// fleet: every replica's machine, warmup profile and bring-up solve. The
+// replicas share one compiler, so searches/op is one replica's kernel count.
+func BenchmarkFleetBringup(b *testing.B) {
+	b.ReportAllocs()
+	var searches int64
+	for i := 0; i < b.N; i++ {
+		f, err := New(headlineConfig(PolicyAffinity))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, n := f.reps[0].srv.Setup().Comp.Stats()
+		searches += n
+	}
+	b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
+}

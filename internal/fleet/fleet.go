@@ -29,6 +29,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/plancache"
 	"repro/internal/runner"
+	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
@@ -161,7 +162,8 @@ type Fleet struct {
 
 // New validates the config, canonicalizes replica order, and brings up every
 // replica (machine built, warmup observed, initial plan loaded), sharing the
-// first replica's plan cache with the rest. Replicas are brought up in
+// first replica's plan cache, graph and kernel compiler with the rest: a
+// kernel any replica compiled is never searched for again. Replicas are brought up in
 // sorted-name order so the spec's ordering cannot influence any downstream
 // state.
 func New(cfg Config) (*Fleet, error) {
@@ -200,6 +202,7 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Base.RC.TraceName != "" {
 		tracePrefix = cfg.Base.RC.TraceName
 	}
+	var comp *sched.Compiler
 	for _, spec := range specs {
 		scfg := cfg.Base
 		scfg.RC.HW = spec.HW
@@ -213,6 +216,9 @@ func New(cfg Config) (*Fleet, error) {
 		if f.cache != nil {
 			scfg.SharedPlanCache = f.cache
 		}
+		if comp != nil {
+			scfg.SharedCompiler = comp
+		}
 		if cfg.Workers > 1 {
 			// Bring-up runs outside any window, where the gate is a no-op.
 			scfg.PlanCacheGate = f.gate(len(f.reps))
@@ -223,10 +229,11 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		if len(f.reps) == 0 {
 			// The first replica's plan cache (built from Base's settings,
-			// or Base.SharedPlanCache) becomes every later replica's, and
-			// its keyer keys routing for the whole fleet: identical model
-			// constructions produce identical operator IDs.
+			// or Base.SharedPlanCache) and compiler become every later
+			// replica's. Every replica runs the compiler's graph, so the
+			// first keyer keys routing for the whole fleet.
 			f.cache, f.keyer = srv.PlanCache(), srv.Keyer()
+			comp = srv.Setup().Comp
 		}
 		f.reps = append(f.reps, &replica{name: spec.Name, srv: srv, active: true})
 	}

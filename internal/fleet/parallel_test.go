@@ -70,11 +70,11 @@ func TestFleetParallelEquivalenceUnderFaults(t *testing.T) {
 }
 
 // TestFleetParallelAOTSharedCache steps replicas concurrently over one shared
-// plan cache that every replica's bring-up filled ahead of time through its
-// own compile memo. A replica's memo stays reachable from the plans it
-// solved — the full-kernel design compiles through it on demand mid-window —
-// so under -race this is the audit that no memo is shared between replicas.
-// Outcomes must match the sequential sweep.
+// plan cache that every replica's bring-up filled ahead of time through the
+// fleet's one compile memo. The memo stays reachable from every plan and
+// clone — the full-kernel design compiles through it on demand mid-window —
+// so under -race this audits the compiler's lock and the clones' private
+// eval memos. Outcomes must match the sequential sweep.
 func TestFleetParallelAOTSharedCache(t *testing.T) {
 	mix := headlineMix()
 	mix.Requests = 96

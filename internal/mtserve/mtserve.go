@@ -36,6 +36,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/models"
+	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -356,6 +357,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Mode != ModeTimeSlice {
 		assign = assignPartitions(counts, s.total, s.baseFailed)
 	}
+	// Tenants of one model bring up on one graph and kernel compiler.
+	comps := map[string]*sched.Compiler{}
 	for i, t := range cfg.Tenants {
 		ts := &tenantState{
 			idx:   i,
@@ -371,9 +374,12 @@ func New(cfg Config) (*Server, error) {
 			ts.owned = assign[i]
 			ts.hw = s.partitionHW(ts.owned, counts[i], s.total-s.baseFailed.Count())
 		}
-		if ts.srv, err = serve.New(s.sessionConfig(ts)); err != nil {
+		scfg := s.sessionConfig(ts)
+		scfg.SharedCompiler = comps[t.Model]
+		if ts.srv, err = serve.New(scfg); err != nil {
 			return nil, fmt.Errorf("mtserve: tenant %s: %w", t.Name, err)
 		}
+		comps[t.Model] = ts.srv.Setup().Comp
 		s.tens = append(s.tens, ts)
 	}
 	return s, nil

@@ -23,7 +23,7 @@ import (
 // scheduler rejects (for example a degraded chip too small for the policy)
 // are silently dropped — precompute is best-effort coverage, not a
 // correctness gate. Every solve compiles through comp, the compile memo of
-// the caller's graph bring-up. Returns the number of plans added; an empty
+// the caller's graph. Returns the number of plans added; an empty
 // or nil schedule adds none.
 func (c *Cache) Precompute(cfg hw.Config, comp *sched.Compiler, pol sched.Policy, prof *profiler.Profiler, fs *faults.Schedule) int {
 	c.mu.Lock()

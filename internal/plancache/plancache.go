@@ -492,7 +492,7 @@ func (c *Cache) evictOldest() {
 
 // GetOrScheduleFor is the serving layers' re-plan entry point: look the
 // inputs up, and on a miss solve fresh through comp — the compile memo of
-// the caller's graph bring-up — and store the result. The returned HitKind
+// the caller's graph — and store the result. The returned HitKind
 // tells the caller what to charge — a miss costs a host-side solve, a hit
 // only the plan swap. origin tags the requester (a replica name in a fleet,
 // "" elsewhere): misses store the solved plan under that origin, and hits
@@ -506,7 +506,7 @@ func (c *Cache) GetOrScheduleFor(origin string, cfg hw.Config, comp *sched.Compi
 	if e, kind := c.lookup(k, origin); kind != Miss {
 		if origin != "" {
 			// Copy-on-hit for fleet origins: a *sched.Plan carries a
-			// plan-scoped eval memo and its solver's compile memo, neither
+			// plan-scoped eval memo and on-demand kernel stores, neither
 			// safe for concurrent use, so a replica must never run a plan
 			// object another replica may also be running. Cross-origin hits
 			// are the obvious case; self-hits need it too, because a PutFor

@@ -55,33 +55,47 @@ func TestPlanCloneIndependent(t *testing.T) {
 	}
 }
 
-// TestPlanCloneSharesOnlyKernels pins what a clone may share: the immutable
-// kernel sets, never the compile memo or the on-demand store. A full-kernel
-// clone compiles through its own private memo.
+// TestPlanCloneSharesOnlyKernels pins what a clone shares: the immutable
+// kernel sets and the locked compile memo, never the options or their
+// on-demand stores. A full-kernel clone's on-demand compiles hit the kernels
+// its source already compiled, so they run no new blocking search.
 func TestPlanCloneSharesOnlyKernels(t *testing.T) {
 	cfg := hw.Default()
 	for _, pol := range []Policy{Adyna(), FullKernelIdeal()} {
 		plan, w, _ := scheduleModel(t, "skipnet", pol, 16)
 		cp := plan.Clone()
+		if cp.comp != plan.comp {
+			t.Fatal("clone dropped the original's compile memo")
+		}
+		// Drive the original first: under full-kernel this compiles every
+		// (option, dyn value) the clone will ask for.
+		evaluate := func(p *Plan) {
+			for _, seg := range p.Segments {
+				for lead, op := range seg.Plans {
+					for _, o := range op.Options {
+						if _, err := p.EvaluateEntityDensity(cfg, w.Graph, op, o, w.Graph.Op(lead).MaxUnits/2+1, 1); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+		evaluate(plan)
 		_, searches := plan.comp.Stats()
 		for si, seg := range cp.Segments {
 			for lead, op := range seg.Plans {
 				orig := plan.Segments[si].Plans[lead]
 				for k, o := range op.Options {
-					if o == orig.Options[k] || o.set != orig.Options[k].set {
-						t.Fatalf("option %d of %s: want a new option over the same kernel set", k, w.Graph.Op(lead).Name)
-					}
-					if _, err := cp.EvaluateEntityDensity(cfg, w.Graph, op, o, w.Graph.Op(lead).MaxUnits/2+1, 1); err != nil {
-						t.Fatal(err)
+					if o == orig.Options[k] || o.set != orig.Options[k].set || o.dense != nil {
+						t.Fatalf("option %d of %s: want a new option, without an on-demand store, over the same kernel set",
+							k, w.Graph.Op(lead).Name)
 					}
 				}
 			}
 		}
-		if cp.comp == plan.comp {
-			t.Fatal("clone shares the original's compile memo")
-		}
+		evaluate(cp)
 		if _, after := plan.comp.Stats(); after != searches {
-			t.Fatalf("evaluating the clone ran %d searches on the original's memo", after-searches)
+			t.Fatalf("%+v: the clone's on-demand compiles ran %d new searches, want 0", pol, after-searches)
 		}
 	}
 }

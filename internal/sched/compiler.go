@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/hw"
@@ -9,39 +10,55 @@ import (
 	"repro/internal/profiler"
 )
 
-// Compiler is the kernel compile memo of one graph's bring-up: every solve
-// on that graph — the bring-up plan, ahead-of-time plan-cache variants,
-// cache misses, periodic and drift re-plans — and every on-demand
-// full-kernel compile of the plans it produced looks kernels up here, so
-// each (hardware config, operator, dyn value, tiles) kernel runs its
-// blocking search once per bring-up instead of once per solve.
+// Compiler is the kernel compile memo of one graph: every solve on that
+// graph — bring-up plans, ahead-of-time plan-cache variants, cache misses,
+// periodic and drift re-plans — and every on-demand full-kernel compile of
+// the plans it produced looks kernels up here, so each (hardware config,
+// operator, dyn value, tiles) kernel runs its blocking search once per
+// compiler instead of once per solve. A fleet's replicas and an mtserve's
+// same-model tenants bring up on one graph and share its compiler, whatever
+// their configs: the memo keys on the config.
 //
-// Kernels are never mutated after lowering, so the plans of one compiler
-// share them freely. The memo keys on graph.OpID, which is only unique
-// within one graph, and it is not safe for concurrent use: a Compiler
-// belongs to one bring-up and is driven from that bring-up's goroutine,
-// exactly like the plans it produces (the graph itself may be shared).
-// Decoded and cloned plans get a private Compiler on first use.
+// Kernels are never mutated after lowering, so every plan of a compiler
+// shares them freely. The memo keys on graph.OpID, which is only unique
+// within one graph. A Compiler is safe for concurrent use: one mutex guards
+// Schedule and the on-demand full-kernel path, so concurrently stepped
+// replicas may re-plan through it. Decoded plans get a private Compiler on
+// first use.
 type Compiler struct {
-	g    *graph.Graph
-	cfgs map[hw.Config]*kernelMemo
+	g *graph.Graph
 
+	mu                sync.Mutex // guards the memos and the counters
+	cfgs              map[hw.Config]*kernelMemo
 	lookups, searches int64
 }
 
 // kernelMemo is the part of a Compiler bound to one kernel-relevant hardware
 // config (see forConfig). A solve resolves its config once and then keys on
-// plain ints: hashing the full hw.Config per kernel lookup would cost more
-// than the lookup itself.
+// one packed word (see kernelKey): hashing the full hw.Config per kernel
+// lookup would cost more than the lookup itself.
 type kernelMemo struct {
 	c       *Compiler
 	cfg     hw.Config
-	kernels map[kernelKey]compiled
+	kernels map[uint64]compiled
 }
 
-type kernelKey struct {
-	op           graph.OpID
-	units, tiles int
+// Field widths of the packed kernel key: operator ID, dyn value, tiles.
+const (
+	keyOpBits    = 20
+	keyUnitsBits = 28
+	keyTilesBits = 16
+)
+
+// kernelKey packs (op, units, tiles) into one word, so memo lookups take the
+// map's 64-bit fast path. ok is false when a field falls outside its width
+// (negative included); such a kernel bypasses the memo instead of aliasing
+// another kernel's key.
+func kernelKey(op graph.OpID, units, tiles int) (key uint64, ok bool) {
+	if uint(op) >= 1<<keyOpBits || uint(units) >= 1<<keyUnitsBits || uint(tiles) >= 1<<keyTilesBits {
+		return 0, false
+	}
+	return uint64(op)<<(keyUnitsBits+keyTilesBits) | uint64(units)<<keyTilesBits | uint64(tiles), true
 }
 
 // compiled memoizes errors too: a failed blocking search is as
@@ -56,12 +73,21 @@ func NewCompiler(g *graph.Graph) *Compiler {
 	return &Compiler{g: g, cfgs: map[hw.Config]*kernelMemo{}}
 }
 
+// Graph returns the graph the compiler compiles for.
+func (c *Compiler) Graph() *graph.Graph { return c.g }
+
 // Stats reports how many kernel lookups the memo has served and how many of
 // them ran a blocking search (the misses).
-func (c *Compiler) Stats() (lookups, searches int64) { return c.lookups, c.searches }
+func (c *Compiler) Stats() (lookups, searches int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lookups, c.searches
+}
 
 // Len reports the number of memoized kernels across every config.
 func (c *Compiler) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := 0
 	for _, m := range c.cfgs {
 		n += len(m.kernels)
@@ -83,6 +109,8 @@ func (c *Compiler) Schedule(cfg hw.Config, pol Policy, prof *profiler.Profiler) 
 	if err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	km := c.forConfig(cfg)
 	plan := &Plan{Policy: pol, comp: c}
 	for i, leads := range segment(cfg, c.g, ents, order) {
@@ -95,14 +123,22 @@ func (c *Compiler) Schedule(cfg hw.Config, pol Policy, prof *profiler.Profiler) 
 	return plan, nil
 }
 
+// compile is the on-demand full-kernel path: one memo lookup under the lock.
+func (c *Compiler) compile(cfg hw.Config, op *graph.Op, units, tiles int) (*kernels.Kernel, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.forConfig(cfg).kernel(op, units, tiles)
+}
+
 // forConfig resolves the memo for one hardware config. Kernel generation
 // reads neither the failed-tile mask nor the NoC derate, so configs that
-// differ only there (tile losses, NoC windows) share one memo.
+// differ only there (tile losses, NoC windows) share one memo. The caller
+// holds c.mu, or owns c alone.
 func (c *Compiler) forConfig(cfg hw.Config) *kernelMemo {
 	cfg.FailedTiles, cfg.NoCDerate = "", 0
 	m, ok := c.cfgs[cfg]
 	if !ok {
-		m = &kernelMemo{c: c, cfg: cfg, kernels: map[kernelKey]compiled{}}
+		m = &kernelMemo{c: c, cfg: cfg, kernels: map[uint64]compiled{}}
 		c.cfgs[cfg] = m
 	}
 	return m
@@ -112,13 +148,17 @@ func (c *Compiler) forConfig(cfg hw.Config) *kernelMemo {
 // allocation, running the blocking search on the first request only.
 func (m *kernelMemo) kernel(op *graph.Op, units, tiles int) (*kernels.Kernel, error) {
 	m.c.lookups++
-	key := kernelKey{op: op.ID, units: units, tiles: tiles}
-	if r, ok := m.kernels[key]; ok {
-		return r.k, r.err
+	key, ok := kernelKey(op.ID, units, tiles)
+	if ok {
+		if r, hit := m.kernels[key]; hit {
+			return r.k, r.err
+		}
 	}
 	m.c.searches++
 	k, err := kernels.Generate(m.cfg, op, units, tiles)
-	m.kernels[key] = compiled{k: k, err: err}
+	if ok {
+		m.kernels[key] = compiled{k: k, err: err}
+	}
 	return k, err
 }
 

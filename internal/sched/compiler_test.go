@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/kernels"
 	"repro/internal/models"
@@ -119,5 +121,138 @@ func BenchmarkCompilerKernelCached(b *testing.B) {
 		if _, err := km.kernel(op, op.MaxUnits, 8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestKernelKeyRange checks the packed memo key: in-range fields round-trip
+// without aliasing, and a dyn value or tile count outside its field bypasses
+// the memo and still returns exactly what kernels.Generate does, never the
+// kernel of the in-range key its low bits would alias.
+func TestKernelKeyRange(t *testing.T) {
+	unpack := func(k uint64) (graph.OpID, int, int) {
+		return graph.OpID(k >> (keyUnitsBits + keyTilesBits)),
+			int(k >> keyTilesBits & (1<<keyUnitsBits - 1)), int(k & (1<<keyTilesBits - 1))
+	}
+	r := rand.New(rand.NewSource(3))
+	seen := map[uint64][3]int{}
+	for i := 0; i < 10000; i++ {
+		op, units, tiles := graph.OpID(r.Intn(1<<keyOpBits)), r.Intn(1<<keyUnitsBits), r.Intn(1<<keyTilesBits)
+		switch i {
+		case 0:
+			op, units, tiles = 0, 0, 0
+		case 1:
+			op, units, tiles = 1<<keyOpBits-1, 1<<keyUnitsBits-1, 1<<keyTilesBits-1
+		}
+		k, ok := kernelKey(op, units, tiles)
+		if !ok {
+			t.Fatalf("(%d, %d, %d) rejected", op, units, tiles)
+		}
+		if o, u, ti := unpack(k); o != op || u != units || ti != tiles {
+			t.Fatalf("(%d, %d, %d) unpacks as (%d, %d, %d)", op, units, tiles, o, u, ti)
+		}
+		if prev, dup := seen[k]; dup && prev != [3]int{int(op), units, tiles} {
+			t.Fatalf("(%d, %d, %d) aliases %v", op, units, tiles, prev)
+		}
+		seen[k] = [3]int{int(op), units, tiles}
+	}
+	for _, f := range [][3]int{{-1, 1, 1}, {1 << keyOpBits, 1, 1}, {1, -1, 1}, {1, 1 << keyUnitsBits, 1}, {1, 1, -1}, {1, 1, 1 << keyTilesBits}} {
+		if _, ok := kernelKey(graph.OpID(f[0]), f[1], f[2]); ok {
+			t.Errorf("out-of-range fields %v accepted", f)
+		}
+	}
+
+	w, err := models.ByName("tutel-moe", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var op *graph.Op
+	for _, o := range w.Graph.Ops {
+		if o.Space[0] > 0 {
+			op = o
+			break
+		}
+	}
+	cfg := hw.Default()
+	c := NewCompiler(w.Graph)
+	for _, tc := range []struct{ units, tiles int }{
+		{1<<keyUnitsBits + 3, 8}, // aliases units 3 when truncated
+		{3, 1<<keyTilesBits + 8}, // aliases tiles 8 when truncated
+		{-5, 8},
+	} {
+		if _, err := c.forConfig(cfg).kernel(op, 3, 8); err != nil {
+			t.Fatal(err)
+		}
+		want, werr := kernels.Generate(cfg, op, tc.units, tc.tiles)
+		n := c.Len()
+		for trial := 0; trial < 2; trial++ {
+			got, gerr := c.forConfig(cfg).kernel(op, tc.units, tc.tiles)
+			if errText(gerr) != errText(werr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("units=%d tiles=%d: memo %+v, %v; want %+v, %v", tc.units, tc.tiles, got, gerr, want, werr)
+			}
+		}
+		if c.Len() != n {
+			t.Fatalf("units=%d tiles=%d: out-of-range kernel memoized", tc.units, tc.tiles)
+		}
+	}
+}
+
+// TestCompilerConcurrentUse drives one compiler from several goroutines at
+// once — solves on different configs and on-demand full-kernel compiles —
+// and checks every plan encodes exactly like a solve on a private compiler.
+// Under -race it is the audit of the compiler's lock.
+func TestCompilerConcurrentUse(t *testing.T) {
+	_, w, prof := scheduleModel(t, "tutel-moe", Adyna(), 8)
+	wide := hw.Default()
+	wide.PERows *= 2
+	type job struct {
+		cfg hw.Config
+		pol Policy
+	}
+	jobs := []job{{hw.Default(), Adyna()}, {wide, Adyna()}, {hw.Default(), FullKernelIdeal()}, {wide, MTile()}}
+	shared := NewCompiler(w.Graph)
+	got := make([][]byte, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plan, err := shared.Schedule(j.cfg, j.pol, prof)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, seg := range plan.Segments {
+				for lead, op := range seg.Plans {
+					for _, o := range op.Options {
+						if _, err := plan.EvaluateEntityDensity(j.cfg, w.Graph, op, o, w.Graph.Op(lead).MaxUnits/3+1, 1); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}
+			var b bytes.Buffer
+			if err := plan.Encode(&b); err != nil {
+				t.Error(err)
+			}
+			got[i] = b.Bytes()
+		}()
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		plan, err := NewCompiler(w.Graph).Schedule(j.cfg, j.pol, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := plan.Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[i], b.Bytes()) {
+			t.Fatalf("job %d: a solve on the shared compiler encodes differently", i)
+		}
+	}
+	if lookups, searches := shared.Stats(); searches != int64(shared.Len()) || lookups <= searches {
+		t.Fatalf("%d lookups, %d searches for %d memoized kernels", lookups, searches, shared.Len())
 	}
 }

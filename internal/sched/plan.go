@@ -28,8 +28,8 @@ type Plan struct {
 	// created (deserialized plans start without one).
 	cache *costmodel.Cache
 	// comp is the compile memo the plan was solved through; on-demand
-	// full-kernel compiles reuse it. Decoded and cloned plans start without
-	// one and get a private compiler on first use.
+	// full-kernel compiles reuse it, and clones keep it. Decoded plans start
+	// without one and get a private compiler on first use.
 	comp *Compiler
 }
 
@@ -135,7 +135,7 @@ func (o *AllocOption) kernel(p *Plan, g *graph.Graph, cfg hw.Config, op *graph.O
 	if k, ok := o.dense[v]; ok {
 		return k, nil
 	}
-	k, err := p.compiler(g).forConfig(cfg).kernel(op, v, o.Tiles)
+	k, err := p.compiler(g).compile(cfg, op, v, o.Tiles)
 	if err != nil {
 		return nil, err
 	}

@@ -111,13 +111,13 @@ func (p *Plan) Encode(w io.Writer) error {
 }
 
 // Clone returns a copy of the plan that shares no mutable state with the
-// receiver: not the plan-scoped eval cache or compile memo, which are
-// deliberately not safe for concurrent use, and not the full-kernel
-// on-demand stores. Two machines can run the original and the clone
-// concurrently. Kernel sets are never mutated after scheduling, so the clone
-// shares them instead of copying every kernel.
+// receiver: not the plan-scoped eval cache, which is deliberately not safe
+// for concurrent use, and not the full-kernel on-demand stores. Two machines
+// can run the original and the clone concurrently. The clone shares what is
+// immutable or locked: the kernel sets, and the compile memo, so its
+// on-demand compiles reuse every kernel the original's compiler holds.
 func (p *Plan) Clone() *Plan {
-	cp := &Plan{Policy: p.Policy}
+	cp := &Plan{Policy: p.Policy, comp: p.comp}
 	for _, seg := range p.Segments {
 		s := *seg
 		s.Ops = slices.Clone(seg.Ops)

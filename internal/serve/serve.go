@@ -109,6 +109,11 @@ type Config struct {
 	// building a private one — warm restarts and replica fleets share solved
 	// plans this way. Implies PlanCache.
 	SharedPlanCache *plancache.Cache
+	// SharedCompiler, when non-nil, brings the server up on the given kernel
+	// compile memo and its graph instead of building its own (see
+	// core.BringupOn) — replica fleets and same-model tenants compile each
+	// kernel once this way. Its graph must be Model's at RC.Batch.
+	SharedCompiler *sched.Compiler
 	// PlanCacheOrigin tags this server's cache stores (a replica name in a
 	// fleet): hits on entries another origin solved count in the cache's
 	// SharedHits statistic. Empty outside fleets.
@@ -388,7 +393,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Faults.Validate(cfg.RC.HW); err != nil {
 		return nil, err
 	}
-	setup, err := core.Bringup(cfg.Design, cfg.Model, cfg.RC, nil)
+	setup, err := core.BringupOn(cfg.SharedCompiler, cfg.Design, cfg.Model, cfg.RC, nil)
 	if err != nil {
 		return nil, err
 	}

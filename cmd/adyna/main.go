@@ -60,7 +60,7 @@ func main() {
 	rc.Batches = *batches
 	rc.Seed = *seed
 	if *density != 0 {
-		if *density <= 0 || *density > 1 {
+		if !(*density > 0 && *density <= 1) { // NaN fails both
 			fmt.Fprintf(os.Stderr, "adyna: -density %v outside (0,1]\n", *density)
 			os.Exit(1)
 		}
@@ -68,7 +68,7 @@ func main() {
 		rc.WrapGen = func(g workload.TraceGen) workload.TraceGen {
 			fd, err := workload.NewFixedDensities(g, dens)
 			if err != nil {
-				return g // unreachable: the value was validated above
+				panic(err) // the value was validated above
 			}
 			return fd
 		}

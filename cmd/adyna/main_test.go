@@ -22,6 +22,22 @@ func TestStrayArgumentRejected(t *testing.T) {
 	}
 }
 
+// TestBadDensityRejected: an out-of-domain -density must fail by name with
+// a non-zero exit; -density NaN used to run the model's own densities.
+func TestBadDensityRejected(t *testing.T) {
+	if args := os.Getenv("CLI_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"adyna"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, d := range []string{"NaN", "-0.5", "1.5", "+Inf"} {
+		out, err := runMain(t, "TestBadDensityRejected", "-model gcn -batches 4 -density "+d)
+		if err == nil || !strings.Contains(string(out), "-density "+d) {
+			t.Errorf("-density %s: err=%v, output:\n%s", d, err, out)
+		}
+	}
+}
+
 // runMain re-runs the named test in a child process that calls main with
 // args (space-separated) and returns the child's combined output.
 func runMain(t *testing.T, test, args string) ([]byte, error) {

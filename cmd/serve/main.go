@@ -72,12 +72,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/mtserve"
 	"repro/internal/serve"
@@ -113,7 +113,7 @@ func main() {
 		pcAOT    = flag.Bool("plancache-aot", true, "pre-solve each degraded config the fault schedule will produce at bring-up")
 		pcDist   = flag.Float64("plancache-maxdist", 0, "max quantized-profile distance for a nearest hit (0 = default)")
 		hostCyc  = flag.Int64("hostresched", 0, "host solve latency charged into virtual time per plan-cache miss (cycles)")
-		pipeline = flag.Int("pipeline", 0, "batch pipeline depth: overlap up to N batches on the machine (<=1 = retire each batch before the next forms)")
+		pipeline = flag.Int("pipeline", 0, "batch pipeline depth: overlap up to N batches on the machine (0 = default 1: retire each batch before the next forms)")
 		simpar   = flag.Int("simpar", 1, "fleet mode: worker goroutines stepping replicas concurrently (results byte-identical at any count)")
 		fleetN   = flag.Int("fleet", 0, "serve across N identical replicas behind a router (0 = single server)")
 		fleetRep = flag.String("fleet-replicas", "", "heterogeneous fleet spec, e.g. 'big:tiles=12x12,edge:tiles=4x4:count=2' (see internal/fleet)")
@@ -136,7 +136,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serve: unexpected argument %q: every option is a -flag\n", flag.Arg(0))
 		os.Exit(2)
 	}
-	if err := checkNonNegative(); err != nil {
+	if err := checkNumericFlags(); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(2)
 	}
@@ -349,7 +349,7 @@ func densityWrap(trace string, walkSD, center float64) (func(workload.TraceGen) 
 		return func(g workload.TraceGen) workload.TraceGen {
 			fd, err := workload.NewFixedDensities(g, ds)
 			if err != nil {
-				return g // unreachable: the trace was validated by the parser
+				panic(err) // the parser validated the trace
 			}
 			return fd
 		}, nil
@@ -365,41 +365,25 @@ func densityWrap(trace string, walkSD, center float64) (func(workload.TraceGen) 
 	return nil, nil
 }
 
-// nonNegative names the flags serving would otherwise run with silently
-// when negative or not finite: a negative -gap runs arrivals backwards in
-// time, a negative -slo or -maxwait switches the deadline it names off, a
-// negative -check, -cooldown, -threshold, -queuecap, -mintiles, -starve,
-// -plancache-maxdist, -fleet-walk or -fleet-classes falls back to its
-// default, a negative -fleet serves a single server, a negative
-// -hostresched charges nothing, a negative or NaN -denswalk keeps the
-// model's own densities and -ratewalk a stationary arrival rate,
-// -threshold NaN never triggers a re-plan, -starve NaN never marks
-// starvation, -plancache-maxdist NaN turns nearest hits off, -fleet-walk
-// NaN walks the class mixture to NaN weights, and -denscenter NaN starts
-// the density walk at NaN.
-var nonNegative = []string{"requests", "gap", "slo", "maxwait", "threshold", "check", "cooldown", "hostresched",
-	"queuecap", "mintiles", "starve", "plancache-maxdist", "fleet", "fleet-walk", "fleet-classes",
-	"denswalk", "denscenter", "ratewalk"}
-
-// checkNonNegative rejects a nonNegative flag set to a negative or
-// non-finite value, naming the flag.
-func checkNonNegative() error {
-	for _, name := range nonNegative {
-		f := flag.Lookup(name)
-		var v float64
-		switch x := f.Value.(flag.Getter).Get().(type) {
+// checkNumericFlags rejects a numeric flag set to a negative or non-finite
+// value, naming the flag. -seed is exempt: it is an RNG seed, not a
+// quantity.
+func checkNumericFlags() (err error) {
+	flag.VisitAll(func(f *flag.Flag) {
+		g, ok := f.Value.(flag.Getter)
+		if !ok || err != nil || f.Name == "seed" {
+			return
+		}
+		switch x := g.Get().(type) {
 		case int:
-			v = float64(x)
+			err = hw.CheckNonNegative("-"+f.Name, x)
 		case int64:
-			v = float64(x)
+			err = hw.CheckNonNegative("-"+f.Name, x)
 		case float64:
-			v = x
+			err = hw.CheckNonNegative("-"+f.Name, x)
 		}
-		if !(v >= 0 && v <= math.MaxFloat64) {
-			return fmt.Errorf("-%s %s must be finite and >= 0", name, f.Value)
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // newSource builds the request stream; arrivals use their own deterministic

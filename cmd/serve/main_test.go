@@ -223,8 +223,8 @@ func TestBadSpecValuesRejected(t *testing.T) {
 
 // Negative or non-finite numeric flags must exit 2 with an error naming the
 // flag instead of serving: -slo -100 used to switch deadlines off, -gap
-// -1000 ran arrivals backwards in time, and -threshold NaN switched drift
-// re-planning off.
+// -1000 ran arrivals backwards in time, -threshold NaN switched drift
+// re-planning off, and -pipeline -3 ran at depth 1.
 func TestNegativeFlagsRejected(t *testing.T) {
 	for args, want := range map[string]string{
 		"-requests 16 -warmup 4 -slo -100":                     "-slo -100",
@@ -252,6 +252,8 @@ func TestNegativeFlagsRejected(t *testing.T) {
 		"-requests 16 -warmup 4 -ratewalk NaN":                 "-ratewalk NaN",
 		"-requests 16 -warmup 4 -denswalk -0.1":                "-denswalk -0.1",
 		"-requests 16 -warmup 4 -denswalk 0.1 -denscenter NaN": "-denscenter NaN",
+		"-requests 16 -warmup 4 -pipeline -3":                  "-pipeline -3",
+		"-requests 16 -warmup 4 -simpar -2 -fleet 2":           "-simpar -2",
 	} {
 		out, code := runMain(t, args)
 		if code != 2 || !strings.Contains(out, want) {

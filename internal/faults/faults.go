@@ -122,16 +122,40 @@ func (s *Schedule) normalize() {
 }
 
 // Validate rejects schedules the chip cannot survive or the injector cannot
-// interpret: negative times, inverted windows, out-of-range or missing
-// tiles, bandwidth factors outside (0,1] (NaN included), a factor on a tile
-// event, and — the cumulative check — a union of all tile events
-// (overlapping windows included) that would leave zero surviving tiles,
-// which would make re-planning onto the survivors impossible.
+// interpret: everything check rejects, out-of-range tiles, and — the
+// cumulative check — a union of all tile events (overlapping windows
+// included) that would leave zero surviving tiles, which would make
+// re-planning onto the survivors impossible.
 func (s *Schedule) Validate(cfg hw.Config) error {
 	if s == nil {
 		return nil
 	}
+	if err := s.check(); err != nil {
+		return err
+	}
 	union := hw.TileMask("")
+	for i, e := range s.Events {
+		if e.Kind != TileFail && e.Kind != TileBrownout {
+			continue
+		}
+		for _, t := range e.Tiles {
+			if t < 0 || t >= cfg.Tiles() {
+				return fmt.Errorf("faults: event %d tile %d outside the %d-tile chip", i, t, cfg.Tiles())
+			}
+		}
+		union = union.Or(hw.NewTileMask(e.Tiles...))
+	}
+	if union.Count() >= cfg.Tiles() {
+		return fmt.Errorf("faults: schedule can fail all %d tiles at once; at least one must survive", cfg.Tiles())
+	}
+	return nil
+}
+
+// check rejects what no chip can take: negative times, inverted windows,
+// tile events without tiles or with a factor, and bandwidth factors outside
+// (0,1] (NaN included). ParseSpec runs it, so a schedule it returns can
+// fail Validate only for the chip it meets.
+func (s *Schedule) check() error {
 	for i, e := range s.Events {
 		if e.At < 0 {
 			return fmt.Errorf("faults: event %d strikes at negative time %d", i, e.At)
@@ -141,18 +165,12 @@ func (s *Schedule) Validate(cfg hw.Config) error {
 			if len(e.Tiles) == 0 {
 				return fmt.Errorf("faults: %s event %d lists no tiles", e.Kind, i)
 			}
-			for _, t := range e.Tiles {
-				if t < 0 || t >= cfg.Tiles() {
-					return fmt.Errorf("faults: event %d tile %d outside the %d-tile chip", i, t, cfg.Tiles())
-				}
-			}
 			if e.Kind == TileBrownout && e.Until <= e.At {
 				return fmt.Errorf("faults: brownout event %d repairs at %d, not after strike %d", i, e.Until, e.At)
 			}
 			if e.Factor != 0 {
 				return fmt.Errorf("faults: %s event %d sets factor %v; only noc and hbm events take one", e.Kind, i, e.Factor)
 			}
-			union = union.Or(hw.NewTileMask(e.Tiles...))
 		case NoCDegrade, HBMDegrade:
 			if !(e.Factor > 0 && e.Factor <= 1) { // NaN fails both comparisons
 				return fmt.Errorf("faults: event %d factor %v outside (0,1]", i, e.Factor)
@@ -163,9 +181,6 @@ func (s *Schedule) Validate(cfg hw.Config) error {
 		default:
 			return fmt.Errorf("faults: event %d has unknown kind %d", i, int(e.Kind))
 		}
-	}
-	if union.Count() >= cfg.Tiles() {
-		return fmt.Errorf("faults: schedule can fail all %d tiles at once; at least one must survive", cfg.Tiles())
 	}
 	return nil
 }

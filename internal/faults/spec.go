@@ -28,7 +28,9 @@ import (
 //	brownout@1e6:tiles=40-47,repair=5e5       8 tiles brown out for 500k cycles
 //	noc@1e6:factor=0.5;hbm@3e6:factor=0.25    halve the NoC, quarter the HBM
 
-// ParseSpec parses the command-line fault syntax above.
+// ParseSpec parses the command-line fault syntax above. It rejects every
+// event no chip can take (see Schedule.Validate); the chip's own checks wait
+// for Validate.
 func ParseSpec(spec string) (*Schedule, error) {
 	s := &Schedule{}
 	for _, part := range strings.Split(spec, ";") {
@@ -46,6 +48,9 @@ func ParseSpec(spec string) (*Schedule, error) {
 		return nil, fmt.Errorf("faults: empty spec %q", spec)
 	}
 	s.normalize()
+	if err := s.check(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 

@@ -22,6 +22,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -34,7 +35,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config parameterizes a Fleet.
+// Config parameterizes a Fleet. A numeric field left at zero takes its
+// default; a negative one is an error (see Validate).
 type Config struct {
 	// Base is the per-replica server template: model, run config, batching,
 	// SLO, drift and plan-cache knobs. Each replica gets a copy with its own
@@ -49,10 +51,10 @@ type Config struct {
 	Policy Policy
 
 	// Workers selects how many replicas advance concurrently between router
-	// events (the -simpar flag). Values <= 1 keep the legacy sequential
-	// sweep. Above 1 each router step is one runner.Map window over the
-	// replicas, and shared-plan-cache traffic waits for every lower-index
-	// replica to finish the window, so outcomes, snapshots, and traces stay
+	// events (the -simpar flag). 0 or 1 keeps the sequential sweep. Above 1
+	// each router step is one runner.Map window over the replicas, and
+	// shared-plan-cache traffic waits for every lower-index replica to
+	// finish the window, so outcomes, snapshots, and traces stay
 	// byte-identical to the sequential sweep for every worker count and
 	// GOMAXPROCS.
 	Workers int
@@ -103,10 +105,34 @@ func (c *Config) maxBatch() int {
 	return c.Base.RC.Batch
 }
 
+// Validate rejects a fleet without replicas, a negative count field (naming
+// it), a ScaleMin outside [1, len(Replicas)), a replica fault schedule the
+// fleet cannot take, and an invalid Base. Each replica's hardware config is
+// validated when it is brought up.
+func (c Config) Validate() error {
+	if len(c.Replicas) == 0 {
+		return fmt.Errorf("fleet: no replicas configured")
+	}
+	if err := errors.Join(
+		hw.CheckNonNegative("Workers", c.Workers),
+		hw.CheckNonNegative("AffinitySpillSamples", c.AffinitySpillSamples),
+		hw.CheckNonNegative("ScaleMin", c.ScaleMin),
+	); err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	if c.ScaleMin != 0 && c.ScaleMin >= len(c.Replicas) {
+		return fmt.Errorf("fleet: ScaleMin %d outside [1,%d)", c.ScaleMin, len(c.Replicas))
+	}
+	if err := validateReplicaFaults(c.ReplicaFaults, len(c.Replicas)); err != nil {
+		return err
+	}
+	return c.Base.Validate()
+}
+
 func (c *Config) defaults() {
-	if c.AffinitySpillSamples <= 0 {
+	if c.AffinitySpillSamples == 0 {
 		cap := c.Base.QueueCapSamples
-		if cap <= 0 {
+		if cap == 0 {
 			cap = 8 * c.maxBatch()
 		}
 		c.AffinitySpillSamples = cap * 3 / 4
@@ -167,10 +193,10 @@ type Fleet struct {
 // sorted-name order so the spec's ordering cannot influence any downstream
 // state.
 func New(cfg Config) (*Fleet, error) {
-	cfg.defaults()
-	if len(cfg.Replicas) == 0 {
-		return nil, fmt.Errorf("fleet: no replicas configured")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	cfg.defaults()
 	specs := append([]ReplicaSpec{}, cfg.Replicas...)
 	seen := map[string]bool{}
 	for i := range specs {
@@ -186,12 +212,6 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
-	if err := validateReplicaFaults(cfg.ReplicaFaults, len(specs)); err != nil {
-		return nil, err
-	}
-	if cfg.ScaleMin != 0 && (cfg.ScaleMin < 1 || cfg.ScaleMin >= len(specs)) {
-		return nil, fmt.Errorf("fleet: ScaleMin %d outside [1,%d)", cfg.ScaleMin, len(specs))
-	}
 
 	f := &Fleet{cfg: cfg, spillSamples: cfg.AffinitySpillSamples}
 
@@ -240,7 +260,7 @@ func New(cfg Config) (*Fleet, error) {
 	if !cfg.ReplicaFaults.Empty() {
 		f.health = faults.NewState(cfg.ReplicaFaults)
 	}
-	if cfg.ScaleMin > 0 && cfg.ScaleMin < len(f.reps) {
+	if cfg.ScaleMin > 0 {
 		for i := cfg.ScaleMin; i < len(f.reps); i++ {
 			f.reps[i].active = false
 		}
@@ -376,9 +396,9 @@ func (f *Fleet) drainAll() error {
 }
 
 // window runs step on every live replica in one runner.Map window: inline in
-// canonical order when Workers <= 1 (clamped, because runner.Map reads 0 as
-// GOMAXPROCS), concurrently otherwise. The lowest-index error wins, as in
-// the sequential sweep.
+// canonical order when Workers is 0 or 1 (clamped, because runner.Map reads
+// 0 as GOMAXPROCS), concurrently otherwise. The lowest-index error wins, as
+// in the sequential sweep.
 func (f *Fleet) window(step func(*serve.Server) error) error {
 	workers := max(f.cfg.Workers, 1)
 	var done []chan struct{}

@@ -1,16 +1,19 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
-// MixConfig parameterizes a MixSource.
+// MixConfig parameterizes a MixSource. A numeric field left at zero takes
+// its default; a negative or non-finite one is an error (see Validate).
 type MixConfig struct {
 	// Model is the served workload; every class routes through the same
 	// graph shape.
@@ -38,17 +41,31 @@ type MixConfig struct {
 // any one class's arrival rate can swing.
 const mixFloor, mixCeil = 0.05, 2
 
+// Validate rejects a negative or non-finite numeric field, naming it.
+func (c MixConfig) Validate() error {
+	if err := errors.Join(
+		hw.CheckNonNegative("Classes", c.Classes),
+		hw.CheckNonNegative("Requests", c.Requests),
+		hw.CheckNonNegative("Samples", c.Samples),
+		hw.CheckNonNegative("MeanGapCycles", c.MeanGapCycles),
+		hw.CheckNonNegative("MixWalkSD", c.MixWalkSD),
+	); err != nil {
+		return fmt.Errorf("fleet: mix source: %w", err)
+	}
+	return nil
+}
+
 func (c *MixConfig) defaults() {
-	if c.Classes <= 0 {
+	if c.Classes == 0 {
 		c.Classes = 3
 	}
-	if c.Samples <= 0 {
+	if c.Samples == 0 {
 		c.Samples = 8
 	}
-	if c.MixWalkSD <= 0 {
+	if c.MixWalkSD == 0 {
 		c.MixWalkSD = 0.03
 	}
-	if c.MeanGapCycles <= 0 {
+	if c.MeanGapCycles == 0 {
 		c.MeanGapCycles = 100_000
 	}
 }
@@ -82,9 +99,8 @@ type MixSource struct {
 // NewMixSource builds the stream. Every class instantiates the model
 // fresh — identical graph shape, private generator state.
 func NewMixSource(cfg MixConfig) (*MixSource, error) {
-	if math.IsNaN(cfg.MixWalkSD) || math.IsInf(cfg.MixWalkSD, 0) {
-		// A non-finite step turns every class weight NaN or infinite.
-		return nil, fmt.Errorf("fleet: mix walk std-dev %v must be finite", cfg.MixWalkSD)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg.defaults()
 	s := &MixSource{cfg: cfg, src: workload.NewSource(cfg.Seed)}

@@ -35,7 +35,8 @@ type ReplicaSpec struct {
 
 // ParseSpec parses the -fleet-replicas grammar against a base hardware
 // config. It rejects empty or duplicate names, zero tile grids, derates
-// outside (0,1] and malformed numbers.
+// outside (0,1], malformed numbers and any replica hardware config that
+// does not validate.
 func ParseSpec(spec string, base hw.Config) ([]ReplicaSpec, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("fleet: empty replica spec")
@@ -94,7 +95,7 @@ func parseReplica(s string, base hw.Config) (ReplicaSpec, int, error) {
 			rs.HW.TilesX, rs.HW.TilesY = tx, ty
 		case "noc", "hbm":
 			fv, err := strconv.ParseFloat(v, 64)
-			if err != nil || fv <= 0 || fv > 1 {
+			if err != nil || !(fv > 0 && fv <= 1) { // NaN fails both
 				return ReplicaSpec{}, 0, fmt.Errorf("fleet: replica %s: %s derate %q outside (0,1]", name, k, v)
 			}
 			if fv < 1 {
@@ -119,6 +120,9 @@ func parseReplica(s string, base hw.Config) (ReplicaSpec, int, error) {
 		default:
 			return ReplicaSpec{}, 0, fmt.Errorf("fleet: replica %s: unknown option %q", name, k)
 		}
+	}
+	if err := rs.HW.Validate(); err != nil {
+		return ReplicaSpec{}, 0, fmt.Errorf("fleet: replica %s: %w", name, err)
 	}
 	return rs, count, nil
 }

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/serve"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -28,6 +30,8 @@ func TestParseSpec(t *testing.T) {
 		{spec: "a:noc=0", wantErr: "outside (0,1]"},
 		{spec: "a:noc=1.5", wantErr: "outside (0,1]"},
 		{spec: "a:hbm=-2", wantErr: "outside (0,1]"},
+		{spec: "a:noc=NaN", wantErr: "outside (0,1]"},
+		{spec: "a:hbm=NaN", wantErr: "outside (0,1]"},
 		{spec: "a:seed=0", wantErr: "positive integer"},
 		{spec: "a:seed=x", wantErr: "positive integer"},
 		{spec: "a:count=0", wantErr: "1..64"},
@@ -78,8 +82,10 @@ func TestParseSpecOverrides(t *testing.T) {
 
 // FuzzParseFleetSpec fuzzes the -route and -fleet-replicas grammars. The
 // invariants: parsers never panic; an accepted spec has unique non-empty
-// replica names, positive tile grids, and in-range derates; an accepted
-// route string round-trips through Policy.String.
+// replica names and yields a fleet config that Validate accepts; an
+// accepted route string round-trips through Policy.String. The checked-in
+// corpus holds the out-of-domain values (NaN and negative derates, zero
+// tile grids) that every plain go test replays.
 func FuzzParseFleetSpec(f *testing.F) {
 	seeds := [][2]string{
 		{"rr", "r1,r2,r3,r4"},
@@ -92,14 +98,14 @@ func FuzzParseFleetSpec(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
 	}
-	base := hw.Default()
+	base := core.DefaultRunConfig()
 	f.Fuzz(func(t *testing.T, route, spec string) {
 		if pol, err := ParsePolicy(route); err == nil {
 			if pol.String() != route && route != "round-robin" {
 				t.Fatalf("accepted route %q renders as %q", route, pol)
 			}
 		}
-		specs, err := ParseSpec(spec, base)
+		specs, err := ParseSpec(spec, base.HW)
 		if err != nil {
 			return
 		}
@@ -112,14 +118,10 @@ func FuzzParseFleetSpec(f *testing.F) {
 				t.Fatalf("accepted spec %q yields duplicate replica %q", spec, r.Name)
 			}
 			seen[r.Name] = true
-			if r.HW.TilesX <= 0 || r.HW.TilesY <= 0 {
-				t.Fatalf("accepted spec %q yields zero-tile config for %q", spec, r.Name)
-			}
-			for _, d := range []float64{r.HW.NoCDerate, r.HW.HBMDerate} {
-				if d < 0 || d > 1 {
-					t.Fatalf("accepted spec %q yields derate %v for %q", spec, d, r.Name)
-				}
-			}
+		}
+		cfg := Config{Base: serve.Config{Model: "moe", RC: base}, Replicas: specs}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted spec %q yields a fleet config Validate rejects: %v", spec, err)
 		}
 	})
 }

@@ -32,3 +32,14 @@ func ParseCycles(s string) (int64, error) {
 	}
 	return int64(f), nil
 }
+
+// CheckNonNegative is the domain rule of every count, duration, threshold
+// and rate a serving config or command-line spec takes: v must be finite and
+// >= 0 (zero selects the field's default). The error names the value as
+// name, a Go field path or a flag.
+func CheckNonNegative[T int | int64 | float64](name string, v T) error {
+	if f := float64(v); f >= 0 && f <= math.MaxFloat64 { // NaN fails both
+		return nil
+	}
+	return fmt.Errorf("%s %v must be finite and >= 0", name, v)
+}

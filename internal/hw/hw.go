@@ -4,7 +4,10 @@
 // simulator consume.
 package hw
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes one multi-tile accelerator instance. The zero value is not
 // useful; start from Default and override fields as needed.
@@ -82,21 +85,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("hw: tile grid %dx%d must be positive", c.TilesX, c.TilesY)
 	case c.PERows <= 0 || c.PECols <= 0:
 		return fmt.Errorf("hw: PE array %dx%d must be positive", c.PERows, c.PECols)
-	case c.ClockGHz <= 0:
+	case !positive(c.ClockGHz):
 		return fmt.Errorf("hw: clock %.2f GHz must be positive", c.ClockGHz)
 	case c.ScratchpadBytes <= 0:
 		return fmt.Errorf("hw: scratchpad %d bytes must be positive", c.ScratchpadBytes)
-	case c.HBMStacks <= 0 || c.HBMTotalGBps <= 0:
+	case c.HBMStacks <= 0 || !positive(c.HBMTotalGBps):
 		return fmt.Errorf("hw: HBM config %d stacks %.0f GB/s must be positive", c.HBMStacks, c.HBMTotalGBps)
-	case c.NoCPerTileGBps <= 0:
+	case !positive(c.NoCPerTileGBps):
 		return fmt.Errorf("hw: NoC bandwidth %.0f GB/s must be positive", c.NoCPerTileGBps)
 	case c.BytesPerWord <= 0:
 		return fmt.Errorf("hw: word size %d must be positive", c.BytesPerWord)
 	case c.KernelBudgetBytes < c.KernelMetaBytes:
 		return fmt.Errorf("hw: kernel budget %d B cannot hold a single %d B kernel", c.KernelBudgetBytes, c.KernelMetaBytes)
-	case c.NoCDerate < 0 || c.NoCDerate > 1:
+	case !(c.NoCDerate >= 0 && c.NoCDerate <= 1):
 		return fmt.Errorf("hw: NoC derate %v outside (0,1]", c.NoCDerate)
-	case c.HBMDerate < 0 || c.HBMDerate > 1:
+	case !(c.HBMDerate >= 0 && c.HBMDerate <= 1):
 		return fmt.Errorf("hw: HBM derate %v outside (0,1]", c.HBMDerate)
 	}
 	if max := c.FailedTiles.Max(); max >= c.Tiles() {
@@ -107,6 +110,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// positive reports whether v is finite and > 0 (false for NaN).
+func positive(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
 
 // Tiles returns the total tile count.
 func (c Config) Tiles() int { return c.TilesX * c.TilesY }

@@ -64,6 +64,15 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero NoC", func(c *Config) { c.NoCPerTileGBps = 0 }},
 		{"zero word", func(c *Config) { c.BytesPerWord = 0 }},
 		{"tiny kernel budget", func(c *Config) { c.KernelBudgetBytes = 10 }},
+		// NaN fails every comparison, so each float check must be written
+		// to pass only in-domain values.
+		{"NaN clock", func(c *Config) { c.ClockGHz = math.NaN() }},
+		{"infinite clock", func(c *Config) { c.ClockGHz = math.Inf(1) }},
+		{"NaN HBM", func(c *Config) { c.HBMTotalGBps = math.NaN() }},
+		{"NaN NoC", func(c *Config) { c.NoCPerTileGBps = math.NaN() }},
+		{"NaN NoC derate", func(c *Config) { c.NoCDerate = math.NaN() }},
+		{"NaN HBM derate", func(c *Config) { c.HBMDerate = math.NaN() }},
+		{"derate above 1", func(c *Config) { c.HBMDerate = 1.5 }},
 	}
 	for _, tc := range cases {
 		c := Default()

@@ -1,14 +1,15 @@
 package mtserve
 
 import (
-	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzTenantSpec feeds arbitrary strings to the tenant-spec parser: it must
-// never panic, and every spec it accepts must carry only finite numeric
-// fields inside their domains (cycle counts, request counts and rate
-// parameters all non-negative).
+// never panic, and every spec it accepts must yield a config Validate
+// accepts. The checked-in corpus holds further out-of-domain values (NaN,
+// infinite and negative parameters) that every plain go test replays.
 func FuzzTenantSpec(f *testing.F) {
 	for _, seed := range []string{
 		"moe",
@@ -29,13 +30,9 @@ func FuzzTenantSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		finite := func(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
-		for _, tn := range ts {
-			if tn.SLOCycles < 0 || tn.MaxWaitCycles < 0 || tn.Requests < 0 ||
-				!finite(tn.MeanGapCycles) || !finite(tn.RateWalkSD) || !finite(tn.RateBias) ||
-				!finite(tn.RateRevert) || !finite(tn.Weight) {
-				t.Fatalf("spec %q accepted an out-of-domain tenant: %+v", spec, tn)
-			}
+		cfg := Config{Tenants: ts, RC: core.DefaultRunConfig()}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted spec %q yields a config Validate rejects: %v", spec, err)
 		}
 	})
 }

@@ -27,6 +27,7 @@
 package mtserve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -83,7 +84,9 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("mtserve: unknown mode %q (want static, timeslice, or repartition)", s)
 }
 
-// Config parameterizes a multi-tenant Server.
+// Config parameterizes a multi-tenant Server. A numeric field left at zero,
+// here or in a Tenant, takes its default; a negative or non-finite one is an
+// error (see Validate).
 type Config struct {
 	// Tenants lists the co-resident models; at least one is required.
 	Tenants []Tenant
@@ -141,36 +144,76 @@ type Config struct {
 	StarvePressure float64
 }
 
+// Validate rejects a config without tenants, a negative or non-finite
+// numeric field of the config or of any tenant, naming it, and a chip or
+// fault schedule that cannot serve.
+func (c Config) Validate() error {
+	if len(c.Tenants) == 0 {
+		return fmt.Errorf("mtserve: no tenants configured")
+	}
+	errs := []error{
+		hw.CheckNonNegative("MaxBatch", c.MaxBatch),
+		hw.CheckNonNegative("QueueCapSamples", c.QueueCapSamples),
+		hw.CheckNonNegative("MinTiles", c.MinTiles),
+		hw.CheckNonNegative("DriftThreshold", c.DriftThreshold),
+		hw.CheckNonNegative("CheckEvery", c.CheckEvery),
+		hw.CheckNonNegative("CooldownBatches", c.CooldownBatches),
+		hw.CheckNonNegative("PlanCacheMaxDist", c.PlanCacheMaxDist),
+		hw.CheckNonNegative("HostReschedCycles", c.HostReschedCycles),
+		hw.CheckNonNegative("StarvePressure", c.StarvePressure),
+	}
+	for i, t := range c.Tenants {
+		f := fmt.Sprintf("Tenants[%d].", i)
+		errs = append(errs,
+			hw.CheckNonNegative(f+"SLOCycles", t.SLOCycles),
+			hw.CheckNonNegative(f+"MaxWaitCycles", t.MaxWaitCycles),
+			hw.CheckNonNegative(f+"MeanGapCycles", t.MeanGapCycles),
+			hw.CheckNonNegative(f+"Requests", t.Requests),
+			hw.CheckNonNegative(f+"RateWalkSD", t.RateWalkSD),
+			hw.CheckNonNegative(f+"RateBias", t.RateBias),
+			hw.CheckNonNegative(f+"RateRevert", t.RateRevert),
+			hw.CheckNonNegative(f+"Weight", t.Weight),
+		)
+	}
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("mtserve: %w", err)
+	}
+	if err := c.RC.HW.Validate(); err != nil {
+		return err
+	}
+	return c.Faults.Validate(c.RC.HW)
+}
+
 func (c *Config) defaults() {
 	if c.Design == "" {
 		c.Design = core.DesignAdyna
 	}
-	if c.MaxBatch <= 0 {
+	if c.MaxBatch == 0 {
 		c.MaxBatch = c.RC.Batch
 	}
-	if c.QueueCapSamples <= 0 {
+	if c.QueueCapSamples == 0 {
 		c.QueueCapSamples = 8 * c.MaxBatch
 	}
-	if c.MinTiles <= 0 {
+	if c.MinTiles == 0 {
 		c.MinTiles = 2
 	}
-	if c.DriftThreshold <= 0 {
+	if c.DriftThreshold == 0 {
 		c.DriftThreshold = 0.06
 	}
-	if c.CheckEvery <= 0 {
+	if c.CheckEvery == 0 {
 		c.CheckEvery = 8
 	}
-	if c.CooldownBatches <= 0 {
+	if c.CooldownBatches == 0 {
 		c.CooldownBatches = core.ExecWindow
 	}
-	if c.StarvePressure <= 0 {
+	if c.StarvePressure == 0 {
 		c.StarvePressure = 0.5
 	}
 	for i := range c.Tenants {
-		if c.Tenants[i].Requests <= 0 {
+		if c.Tenants[i].Requests == 0 {
 			c.Tenants[i].Requests = 400
 		}
-		if c.Tenants[i].MeanGapCycles <= 0 {
+		if c.Tenants[i].MeanGapCycles == 0 {
 			c.Tenants[i].MeanGapCycles = 50_000
 		}
 	}
@@ -319,21 +362,10 @@ func tracePrefix(name string) string {
 // (static and repartition modes), and one serving session per tenant built
 // and warmed on its partition config.
 func New(cfg Config) (*Server, error) {
-	if math.IsNaN(cfg.StarvePressure) || math.IsInf(cfg.StarvePressure, 0) {
-		// No pressure spread reaches NaN or +Inf, so the starvation trigger
-		// would be off without a word.
-		return nil, fmt.Errorf("mtserve: starve pressure %v must be finite", cfg.StarvePressure)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg.defaults()
-	if len(cfg.Tenants) == 0 {
-		return nil, fmt.Errorf("mtserve: no tenants configured")
-	}
-	if err := cfg.RC.HW.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Faults.Validate(cfg.RC.HW); err != nil {
-		return nil, err
-	}
 	nameTenants(cfg.Tenants)
 	s := &Server{
 		cfg:        cfg,

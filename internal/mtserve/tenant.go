@@ -1,9 +1,7 @@
 package mtserve
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -110,27 +108,27 @@ func parseTenant(part string, def Tenant) (Tenant, error) {
 		var err error
 		switch key {
 		case "slo":
-			t.SLOCycles, err = parseNonNegativeCycles(val)
+			t.SLOCycles, err = parseNonNegativeCycles(key, val)
 		case "wait":
-			t.MaxWaitCycles, err = parseNonNegativeCycles(val)
+			t.MaxWaitCycles, err = parseNonNegativeCycles(key, val)
 		case "gap":
 			var gap int64
-			gap, err = parseNonNegativeCycles(val)
+			gap, err = parseNonNegativeCycles(key, val)
 			t.MeanGapCycles = float64(gap)
 		case "req":
-			if t.Requests, err = strconv.Atoi(val); err == nil && t.Requests < 0 {
-				err = errOutOfDomain
+			if t.Requests, err = strconv.Atoi(val); err == nil {
+				err = hw.CheckNonNegative(key, t.Requests)
 			}
 		case "prio":
 			t.Priority, err = strconv.Atoi(val)
 		case "walk":
-			t.RateWalkSD, err = parseNonNegative(val)
+			t.RateWalkSD, err = parseNonNegative(key, val)
 		case "bias":
-			t.RateBias, err = parseNonNegative(val)
+			t.RateBias, err = parseNonNegative(key, val)
 		case "revert":
-			t.RateRevert, err = parseNonNegative(val)
+			t.RateRevert, err = parseNonNegative(key, val)
 		case "weight":
-			t.Weight, err = parseNonNegative(val)
+			t.Weight, err = parseNonNegative(key, val)
 		case "name":
 			t.Name = val
 		case "seed":
@@ -145,24 +143,22 @@ func parseTenant(part string, def Tenant) (Tenant, error) {
 	return t, nil
 }
 
-var errOutOfDomain = errors.New("must be finite and >= 0")
-
 // parseNonNegativeCycles parses a cycle-valued tenant parameter, rejecting
 // negative counts.
-func parseNonNegativeCycles(val string) (int64, error) {
+func parseNonNegativeCycles(key, val string) (int64, error) {
 	v, err := hw.ParseCycles(val)
-	if err == nil && v < 0 {
-		err = errOutOfDomain
+	if err == nil {
+		err = hw.CheckNonNegative(key, v)
 	}
 	return v, err
 }
 
 // parseNonNegative parses a float tenant parameter, rejecting NaN, the
 // infinities and negative values.
-func parseNonNegative(val string) (float64, error) {
+func parseNonNegative(key, val string) (float64, error) {
 	v, err := strconv.ParseFloat(val, 64)
-	if err == nil && !(v >= 0 && v <= math.MaxFloat64) {
-		err = errOutOfDomain
+	if err == nil {
+		err = hw.CheckNonNegative(key, v)
 	}
 	return v, err
 }

@@ -83,7 +83,7 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.MaxDist <= 0 {
+	if c.MaxDist == 0 {
 		c.MaxDist = 0.04
 	}
 }

@@ -49,7 +49,7 @@ func (p Policy) Validate() error {
 	if p.TileSharing && !p.MultiKernel {
 		return fmt.Errorf("sched: TileSharing requires MultiKernel (shared tiles hold both operators' kernels)")
 	}
-	if p.GroupThreshold < 0 || p.GroupThreshold > 1 {
+	if !(p.GroupThreshold >= 0 && p.GroupThreshold <= 1) { // NaN fails both
 		return fmt.Errorf("sched: GroupThreshold %v outside [0,1]", p.GroupThreshold)
 	}
 	return nil

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,6 +42,9 @@ func TestPolicyValidateRejectsContradictions(t *testing.T) {
 	}
 	if err := (Policy{GroupThreshold: 2}).Validate(); err == nil {
 		t.Fatal("threshold > 1 accepted")
+	}
+	if err := (Policy{GroupThreshold: math.NaN()}).Validate(); err == nil {
+		t.Fatal("NaN threshold accepted")
 	}
 }
 

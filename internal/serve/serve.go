@@ -17,8 +17,8 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -58,7 +58,8 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("outcome(%d)", uint8(o))
 }
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. A numeric field left at zero takes its
+// default; a negative or non-finite one is an error (see Validate).
 type Config struct {
 	// Model is the workload to serve; Design is the machine design (default
 	// Adyna); RC carries the hardware config, warmup length and seed. RC.Batch
@@ -128,9 +129,9 @@ type Config struct {
 	PlanCacheGate func()
 	// PipelineDepth bounds how many batches execute concurrently on the
 	// machine (see pipeline.go): batch k+1's admission and formation overlap
-	// batch k's compute in virtual time. Values <= 1 (the default) retire
-	// each batch before the next one forms, so admission waits out every
-	// batch's execution.
+	// batch k's compute in virtual time. Depth 1 (the default) retires each
+	// batch before the next one forms, so admission waits out every batch's
+	// execution.
 	PipelineDepth int
 	// HostReschedCycles charges the host-side solve latency of a re-plan
 	// into virtual time (the machine idles while the scheduler runs). Cache
@@ -149,33 +150,53 @@ type Config struct {
 	CooldownBatches int
 }
 
+// Validate rejects a negative or non-finite numeric field, naming it, and a
+// fault schedule the chip cannot take.
+func (c Config) Validate() error {
+	if err := errors.Join(
+		hw.CheckNonNegative("MaxBatch", c.MaxBatch),
+		hw.CheckNonNegative("MaxWaitCycles", c.MaxWaitCycles),
+		hw.CheckNonNegative("SLOCycles", c.SLOCycles),
+		hw.CheckNonNegative("QueueCapSamples", c.QueueCapSamples),
+		hw.CheckNonNegative("PlanCacheMaxDist", c.PlanCacheMaxDist),
+		hw.CheckNonNegative("PipelineDepth", c.PipelineDepth),
+		hw.CheckNonNegative("HostReschedCycles", c.HostReschedCycles),
+		hw.CheckNonNegative("DriftThreshold", c.DriftThreshold),
+		hw.CheckNonNegative("CheckEvery", c.CheckEvery),
+		hw.CheckNonNegative("CooldownBatches", c.CooldownBatches),
+	); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	return c.Faults.Validate(c.RC.HW)
+}
+
 func (c *Config) defaults() {
 	if c.Design == "" {
 		c.Design = core.DesignAdyna
 	}
-	if c.MaxBatch <= 0 {
+	if c.MaxBatch == 0 {
 		c.MaxBatch = c.RC.Batch
 	}
-	if c.QueueCapSamples <= 0 {
+	if c.QueueCapSamples == 0 {
 		c.QueueCapSamples = 8 * c.MaxBatch
 	}
-	if c.MaxWaitCycles <= 0 {
+	if c.MaxWaitCycles == 0 {
 		if c.SLOCycles > 0 {
 			c.MaxWaitCycles = c.SLOCycles / 4
 		} else {
 			c.MaxWaitCycles = 100_000
 		}
 	}
-	if c.PipelineDepth < 1 {
+	if c.PipelineDepth == 0 {
 		c.PipelineDepth = 1
 	}
-	if c.DriftThreshold <= 0 {
+	if c.DriftThreshold == 0 {
 		c.DriftThreshold = 0.06
 	}
-	if c.CheckEvery <= 0 {
+	if c.CheckEvery == 0 {
 		c.CheckEvery = 8
 	}
-	if c.CooldownBatches <= 0 {
+	if c.CooldownBatches == 0 {
 		c.CooldownBatches = core.ExecWindow
 	}
 }
@@ -379,20 +400,10 @@ type Server struct {
 // New brings up a server: machine built, warmup profile observed, initial
 // plan scheduled from it and loaded, drift reference snapshotted.
 func New(cfg Config) (*Server, error) {
-	if math.IsNaN(cfg.DriftThreshold) || math.IsInf(cfg.DriftThreshold, 0) {
-		// No divergence reaches NaN or +Inf, so drift re-planning would be
-		// off without a word.
-		return nil, fmt.Errorf("serve: drift threshold %v must be finite", cfg.DriftThreshold)
-	}
-	if math.IsNaN(cfg.PlanCacheMaxDist) || math.IsInf(cfg.PlanCacheMaxDist, 0) {
-		// No profile distance is within NaN, and every one is within +Inf:
-		// nearest hits would be off, or unbounded, without a word.
-		return nil, fmt.Errorf("serve: plan-cache max distance %v must be finite", cfg.PlanCacheMaxDist)
-	}
-	cfg.defaults()
-	if err := cfg.Faults.Validate(cfg.RC.HW); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.defaults()
 	setup, err := core.BringupOn(cfg.SharedCompiler, cfg.Design, cfg.Model, cfg.RC, nil)
 	if err != nil {
 		return nil, err

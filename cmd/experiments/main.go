@@ -15,12 +15,11 @@
 // are bit-identical to a sequential run; see internal/runner).
 //
 // Experiments: table3, table4, fig6, fig9, fig10, fig11, fig12, fig13,
-// reconfig, budget, sampling, hybrid, dse, latency, simpar, all. Any other
+// reconfig, budget, sampling, hybrid, dse, latency, pipeline, all. Any other
 // name is an error.
 //
-// simpar measures the parallel engine: the same fleet scenario stepped
-// sequentially and concurrently (byte-identity checked, wall-clock timed)
-// and a single-server burst with and without batch pipelining.
+// pipeline serves a single-server burst with and without batch pipelining
+// and compares the virtual-time makespans.
 package main
 
 import (
@@ -128,7 +127,7 @@ func main() {
 
 // experimentNames lists every name run accepts.
 var experimentNames = []string{"table3", "table4", "fig6", "fig9", "fig10", "fig11", "fig12", "fig13",
-	"reconfig", "budget", "sampling", "hybrid", "dse", "latency", "simpar", "all"}
+	"reconfig", "budget", "sampling", "hybrid", "dse", "latency", "pipeline", "all"}
 
 func run(exp string, opt experiments.Options) error {
 	if !slices.Contains(experimentNames, exp) {
@@ -236,8 +235,8 @@ func run(exp string, opt experiments.Options) error {
 		}
 		fmt.Println(t)
 	}
-	if want("simpar") {
-		t, err := experiments.Simpar(opt, runtime.NumCPU(), 4)
+	if want("pipeline") {
+		t, err := experiments.Pipeline(opt, 4)
 		if err != nil {
 			return err
 		}

@@ -47,14 +47,10 @@
 //	serve -fleet-replicas 'big:tiles=12x12,small:tiles=6x6:count=2' -route jsq
 //	serve -fleet 3 -fleet-faults 'brownout@8e6:tiles=1,repair=1e7' -fleet-min 1
 //
-// The parallel engine: -simpar N steps fleet replicas concurrently on N
-// worker goroutines (internal/fleet), and
-// -pipeline D overlaps up to D batches on one machine (admission and
-// plan-cache lookup for batch k+1 run while batch k computes). Both are
-// deterministic — -simpar is byte-identical to the sequential sweep at any
-// worker count, -pipeline is byte-identical at any GOMAXPROCS:
+// Batch pipelining: -pipeline D overlaps up to D batches on one machine
+// (admission and plan-cache lookup for batch k+1 run while batch k
+// computes), byte-identical at any GOMAXPROCS:
 //
-//	serve -fleet 4 -simpar 4 -plancache
 //	serve -model moe -pipeline 4
 //
 // Observability: -trace writes a Chrome-trace/Perfetto JSON timeline of the
@@ -114,7 +110,6 @@ func main() {
 		pcDist   = flag.Float64("plancache-maxdist", 0, "max quantized-profile distance for a nearest hit (0 = default)")
 		hostCyc  = flag.Int64("hostresched", 0, "host solve latency charged into virtual time per plan-cache miss (cycles)")
 		pipeline = flag.Int("pipeline", 0, "batch pipeline depth: overlap up to N batches on the machine (0 = default 1: retire each batch before the next forms)")
-		simpar   = flag.Int("simpar", 1, "fleet mode: worker goroutines stepping replicas concurrently (results byte-identical at any count)")
 		fleetN   = flag.Int("fleet", 0, "serve across N identical replicas behind a router (0 = single server)")
 		fleetRep = flag.String("fleet-replicas", "", "heterogeneous fleet spec, e.g. 'big:tiles=12x12,edge:tiles=4x4:count=2' (see internal/fleet)")
 		route    = flag.String("route", "affinity", "fleet routing policy: rr, jsq, affinity")
@@ -264,11 +259,6 @@ func main() {
 		classes:  *fleetCls,
 		scaleMin: *fleetMin,
 		walkSD:   *fleetSD,
-		workers:  *simpar,
-	}
-	if !fo.enabled() && *simpar > 1 {
-		fmt.Fprintln(os.Stderr, "serve: -simpar needs a fleet (-fleet or -fleet-replicas); a single simulation has no concurrent replicas")
-		os.Exit(1)
 	}
 	if fo.enabled() {
 		if err := validateFleetFlags(fo, *replay, *tenants); err != nil {

@@ -253,7 +253,6 @@ func TestNegativeFlagsRejected(t *testing.T) {
 		"-requests 16 -warmup 4 -denswalk -0.1":                "-denswalk -0.1",
 		"-requests 16 -warmup 4 -denswalk 0.1 -denscenter NaN": "-denscenter NaN",
 		"-requests 16 -warmup 4 -pipeline -3":                  "-pipeline -3",
-		"-requests 16 -warmup 4 -simpar -2 -fleet 2":           "-simpar -2",
 	} {
 		out, code := runMain(t, args)
 		if code != 2 || !strings.Contains(out, want) {

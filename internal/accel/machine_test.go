@@ -325,18 +325,25 @@ func TestSingleEntityGraph(t *testing.T) {
 }
 
 // TestMachineRunSpawnsNoGoroutines: the machine's processes are state
-// machines on the event queue, not goroutines. The goroutine count, sampled
-// from inside events while a window runs and while streamed batches are in
-// flight, never moves from its value before the run.
+// machines on the event queue, not goroutines. A sampler running inside
+// events, while a window runs and while streamed batches are in flight,
+// dumps every goroutine's stack and finds none but its own with a frame in
+// internal/sim or internal/accel. Unrelated goroutines coming and going
+// (the runtime's, the testing package's) cannot affect the check.
 func TestMachineRunSpawnsNoGoroutines(t *testing.T) {
-	type peak struct{ live, goroutines int }
+	type peak struct {
+		live    int
+		foreign []string // the first offending sample's other machine goroutines
+	}
 	// sampleDuring schedules a sampler on m's event queue that re-arms
-	// itself while any process is live, recording the peaks it sees.
+	// itself while any process is live, recording what it sees.
 	sampleDuring := func(m *Machine) *peak {
 		pk := new(peak)
 		var sample func()
 		sample = func() {
-			pk.goroutines = max(pk.goroutines, runtime.NumGoroutine())
+			if len(pk.foreign) == 0 {
+				pk.foreign = machineGoroutines()
+			}
 			if live := m.env.Live(); live > 0 {
 				pk.live = max(pk.live, live)
 				m.env.Schedule(5000, sample)
@@ -345,23 +352,23 @@ func TestMachineRunSpawnsNoGoroutines(t *testing.T) {
 		m.env.Schedule(0, sample)
 		return pk
 	}
-	check := func(what string, pk *peak, before int) {
+	check := func(what string, pk *peak) {
 		t.Helper()
 		if pk.live < 2 {
 			t.Fatalf("%s: sampler saw at most %d live processes, want work in flight", what, pk.live)
 		}
-		if pk.goroutines != before {
-			t.Fatalf("%s: %d goroutines with up to %d live processes, want %d", what, pk.goroutines, pk.live, before)
+		if len(pk.foreign) > 0 {
+			t.Fatalf("%s: %d other goroutines run machine code with up to %d live processes; first:\n%s",
+				what, len(pk.foreign), pk.live, pk.foreign[0])
 		}
 	}
 
 	m, trace := streamMachine(t, "skipnet", 16, 6)
-	before := runtime.NumGoroutine()
 	pk := sampleDuring(m)
 	if err := m.Run(trace); err != nil {
 		t.Fatal(err)
 	}
-	check("Run", pk, before)
+	check("Run", pk)
 
 	m, trace = streamMachine(t, "skipnet", 16, 6)
 	for _, b := range trace {
@@ -373,7 +380,30 @@ func TestMachineRunSpawnsNoGoroutines(t *testing.T) {
 	if err := m.StreamDrain(); err != nil {
 		t.Fatal(err)
 	}
-	check("stream", pk, before)
+	check("stream", pk)
+}
+
+// machineGoroutines returns the stack of every goroutine but the caller's
+// that has a frame in internal/sim or internal/accel.
+func machineGoroutines() []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var out []string
+	// The dump lists the caller's goroutine first, then one blank-line
+	// separated block per other goroutine.
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
+		if strings.Contains(g, "repro/internal/sim.") || strings.Contains(g, "repro/internal/accel.") {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // TestDeadlockNamesBlockedProcesses: a process left blocked after the

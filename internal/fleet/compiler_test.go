@@ -1,12 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-	"testing"
-
-	"repro/internal/core"
-	"repro/internal/sim/simtest"
-)
+import "testing"
 
 // bringupSearches brings a fleet up on the given specs and returns the
 // blocking searches its compiler ran, checking that every replica shares
@@ -48,45 +42,5 @@ func TestFleetCompilesOnce(t *testing.T) {
 	mixed := append(HomogeneousSpecs(2, base), ReplicaSpec{Name: "r3", HW: other})
 	if got := bringupSearches(t, mixed); got != one+alone {
 		t.Fatalf("mixed bring-up ran %d searches, want %d + %d", got, one, alone)
-	}
-}
-
-// TestFleetParallelSharedCompiler steps replicas on two goroutines with the
-// plan cache off, so every drift re-plan runs Compiler.Schedule concurrently
-// on the shared compiler outside any cache lock; the full-kernel design also
-// compiles on demand through it mid-window. Under -race this is the audit of
-// the compiler's lock. Outcomes must match the sequential sweep.
-func TestFleetParallelSharedCompiler(t *testing.T) {
-	mix := headlineMix()
-	mix.Requests = 96
-	mix.MeanGapCycles = 100_000 // backlogs build, so replicas re-plan in the same window
-	for _, design := range []core.Design{core.DesignAdyna, core.DesignFullKernel} {
-		cfg := headlineConfig(PolicyRR)
-		cfg.Base.Design = design
-		cfg.Base.PlanCache, cfg.Base.PlanCacheNearest = false, false
-		cfg.Base.DriftThreshold = 0.01
-		cfg.Base.CheckEvery, cfg.Base.CooldownBatches = 1, 1
-		seq := fleetArtifacts(t, cfg, mix, 1, false)
-
-		cfg.Workers = 2
-		f := mustFleet(t, cfg)
-		comp := f.reps[0].srv.Setup().Comp
-		before, _ := comp.Stats()
-		src, err := NewMixSource(mix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := f.Serve(src)
-		if err != nil {
-			t.Fatalf("%s: %v", design, err)
-		}
-		if rep.Reschedules == 0 {
-			t.Fatalf("%s: no re-plan ran", design)
-		}
-		if after, _ := comp.Stats(); after == before {
-			t.Fatalf("%s: serving made no kernel lookup", design)
-		}
-		simtest.Diff(t, fmt.Sprintf("%s shared compiler workers=2 vs sequential", design), seq,
-			simtest.Artifacts{Outcomes: fleetLog(rep), Snapshot: simtest.Render(t, f.Snapshot())})
 	}
 }

@@ -24,12 +24,12 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/plancache"
-	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
@@ -50,13 +50,9 @@ type Config struct {
 	// Policy selects the routing policy.
 	Policy Policy
 
-	// Workers selects how many replicas advance concurrently between router
-	// events (the -simpar flag). 0 or 1 keeps the sequential sweep. Above 1
-	// each router step is one runner.Map window over the replicas, and
-	// shared-plan-cache traffic waits for every lower-index replica to
-	// finish the window, so outcomes, snapshots, and traces stay
-	// byte-identical to the sequential sweep for every worker count and
-	// GOMAXPROCS.
+	// Deprecated: ignored; replicas step on the caller's goroutine. Deleted
+	// with ROADMAP item 6's perfbench PR. Validate still rejects a negative
+	// value.
 	Workers int
 
 	// ReplicaFaults optionally schedules replica-level fault domains: tile
@@ -105,13 +101,16 @@ func (c *Config) maxBatch() int {
 	return c.Base.RC.Batch
 }
 
-// Validate rejects a fleet without replicas, a negative count field (naming
-// it), a ScaleMin outside [1, len(Replicas)), a replica fault schedule the
-// fleet cannot take, and an invalid Base. Each replica's hardware config is
-// validated when it is brought up.
+// Validate rejects a fleet without replicas, a Policy outside Policies(), a
+// negative count field (naming it), a ScaleMin outside [1, len(Replicas)), a
+// replica fault schedule the fleet cannot take, and an invalid Base. Each
+// replica's hardware config is validated when it is brought up.
 func (c Config) Validate() error {
 	if len(c.Replicas) == 0 {
 		return fmt.Errorf("fleet: no replicas configured")
+	}
+	if !slices.Contains(Policies(), c.Policy) {
+		return fmt.Errorf("fleet: Policy %v is not rr, jsq or affinity", c.Policy)
 	}
 	if err := errors.Join(
 		hw.CheckNonNegative("Workers", c.Workers),
@@ -166,7 +165,6 @@ type reroute struct {
 type Fleet struct {
 	cfg          Config
 	reps         []*replica
-	done         []chan struct{} // the concurrent window's per-replica completion; nil outside one
 	keyer        *plancache.Keyer
 	cache        *plancache.Cache // shared across replicas; nil when disabled
 	health       *faults.State    // replica-level fault tracker; nil without one
@@ -238,10 +236,6 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		if comp != nil {
 			scfg.SharedCompiler = comp
-		}
-		if cfg.Workers > 1 {
-			// Bring-up runs outside any window, where the gate is a no-op.
-			scfg.PlanCacheGate = f.gate(len(f.reps))
 		}
 		srv, err := serve.New(scfg)
 		if err != nil {
@@ -395,52 +389,18 @@ func (f *Fleet) drainAll() error {
 	return f.window((*serve.Server).Drain)
 }
 
-// window runs step on every live replica in one runner.Map window: inline in
-// canonical order when Workers is 0 or 1 (clamped, because runner.Map reads
-// 0 as GOMAXPROCS), concurrently otherwise. The lowest-index error wins, as
-// in the sequential sweep.
+// window runs step on every live replica in canonical order. The first
+// error stops the sweep.
 func (f *Fleet) window(step func(*serve.Server) error) error {
-	workers := max(f.cfg.Workers, 1)
-	var done []chan struct{}
-	if workers > 1 {
-		done = make([]chan struct{}, len(f.reps))
-		for i := range done {
-			done[i] = make(chan struct{})
-		}
-	}
-	f.done = done
-	_, err := runner.Map(workers, len(f.reps), func(i int) (struct{}, error) {
-		if done != nil {
-			defer close(done[i]) // on error too: successors may be gated on it
-		}
-		r := f.reps[i]
+	for _, r := range f.reps {
 		if r.down {
-			return struct{}{}, nil
+			continue
 		}
 		if err := step(r.srv); err != nil {
-			return struct{}{}, fmt.Errorf("fleet: replica %s: %w", r.name, err)
-		}
-		return struct{}{}, nil
-	})
-	f.done = nil
-	return err
-}
-
-// gate returns replica i's plan-cache gate. Inside a concurrent window it
-// blocks until replicas 0..i-1 have finished the window, so replica i's
-// shared-cache reads see exactly its predecessors' writes, as in the
-// sequential sweep. The wait cannot deadlock: runner.Map hands out indices
-// in ascending order, so every replica a waiting job depends on has already
-// been dispatched, and the lowest unfinished replica never waits.
-func (f *Fleet) gate(i int) func() {
-	return func() {
-		if f.done == nil {
-			return
-		}
-		for _, ch := range f.done[:i] {
-			<-ch
+			return fmt.Errorf("fleet: replica %s: %w", r.name, err)
 		}
 	}
+	return nil
 }
 
 // applyReplicaFaults folds the replica-level fault schedule in at time t: a

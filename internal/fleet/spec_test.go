@@ -27,6 +27,7 @@ func TestParseSpec(t *testing.T) {
 		{spec: "a:tiles=0x4", wantErr: "must be positive"},
 		{spec: "a:tiles=4x-1", wantErr: "must be positive"},
 		{spec: "a:tiles=nope", wantErr: "not WxH"},
+		{spec: "a:tiles=4294967297x4294967296", wantErr: "overflows"},
 		{spec: "a:noc=0", wantErr: "outside (0,1]"},
 		{spec: "a:noc=1.5", wantErr: "outside (0,1]"},
 		{spec: "a:hbm=-2", wantErr: "outside (0,1]"},

@@ -41,8 +41,8 @@ func forEachBadField[T any](cfg T, try func(field string, v float64, bad T), exe
 
 // TestNewRejectsOutOfDomainFields: every numeric field of Config and of
 // MixConfig set negative or non-finite fails its constructor with an error
-// naming the field, instead of running on a default. Policy is an enum, and
-// a mix Seed may be negative.
+// naming the field, instead of running on a default. A mix Seed may be
+// negative.
 func TestNewRejectsOutOfDomainFields(t *testing.T) {
 	base := fleetBase("skipnet")
 	forEachBadField(Config{Base: base, Replicas: HomogeneousSpecs(2, base.RC.HW)}, func(field string, v float64, cfg Config) {
@@ -55,4 +55,16 @@ func TestNewRejectsOutOfDomainFields(t *testing.T) {
 			t.Errorf("%s = %v: NewMixSource error %v, want one naming the field", field, v, err)
 		}
 	}, "Seed")
+}
+
+// TestNewRejectsUnknownPolicy: a Policy outside Policies() fails New instead
+// of routing as join-shortest-queue.
+func TestNewRejectsUnknownPolicy(t *testing.T) {
+	base := fleetBase("skipnet")
+	for _, p := range []Policy{PolicyAffinity + 1, 7} {
+		cfg := Config{Base: base, Replicas: HomogeneousSpecs(2, base.RC.HW), Policy: p}
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Policy") {
+			t.Errorf("Policy %d: New error %v, want one naming the field", p, err)
+		}
+	}
 }

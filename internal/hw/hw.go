@@ -83,6 +83,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.TilesX <= 0 || c.TilesY <= 0:
 		return fmt.Errorf("hw: tile grid %dx%d must be positive", c.TilesX, c.TilesY)
+	case c.TilesX > math.MaxInt/c.TilesY:
+		return fmt.Errorf("hw: tile grid %dx%d overflows the tile count", c.TilesX, c.TilesY)
 	case c.PERows <= 0 || c.PECols <= 0:
 		return fmt.Errorf("hw: PE array %dx%d must be positive", c.PERows, c.PECols)
 	case !positive(c.ClockGHz):

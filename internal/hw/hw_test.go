@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math"
+	"strconv"
 	"testing"
 )
 
@@ -73,6 +74,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"NaN NoC derate", func(c *Config) { c.NoCDerate = math.NaN() }},
 		{"NaN HBM derate", func(c *Config) { c.HBMDerate = math.NaN() }},
 		{"derate above 1", func(c *Config) { c.HBMDerate = 1.5 }},
+		// (2^k+1) x 2^k wraps to a positive 2^k tiles when int has 2k bits.
+		{"tile count overflow", func(c *Config) {
+			h := 1 << (strconv.IntSize / 2)
+			c.TilesX, c.TilesY = h+1, h
+		}},
 	}
 	for _, tc := range cases {
 		c := Default()

@@ -15,7 +15,8 @@
 // the instant of the call, order-sensitively, and returns the arrival time
 // without yielding. There is therefore no minimum latency between a tile
 // process and the HBM, which is why a machine cannot be split into
-// concurrently simulated shards (DESIGN.md "Parallel engine").
+// concurrently simulated shards (DESIGN.md "One goroutine per
+// simulation").
 package mem
 
 import (

@@ -95,7 +95,7 @@ type Config struct {
 	// optional telemetry trace.
 	Design core.Design
 	RC     core.RunConfig
-	// Mode selects the sharing discipline (default ModeRepartition).
+	// Mode selects the sharing discipline; zero is ModeStatic.
 	Mode Mode
 
 	// MaxBatch caps a formed batch in samples and sizes each tenant's graph
@@ -144,12 +144,15 @@ type Config struct {
 	StarvePressure float64
 }
 
-// Validate rejects a config without tenants, a negative or non-finite
-// numeric field of the config or of any tenant, naming it, and a chip or
-// fault schedule that cannot serve.
+// Validate rejects a config without tenants, a Mode outside the three
+// disciplines, a negative or non-finite numeric field of the config or of
+// any tenant, naming it, and a chip or fault schedule that cannot serve.
 func (c Config) Validate() error {
 	if len(c.Tenants) == 0 {
 		return fmt.Errorf("mtserve: no tenants configured")
+	}
+	if c.Mode < ModeStatic || c.Mode > ModeRepartition {
+		return fmt.Errorf("mtserve: Mode %v is not static, timeslice or repartition", c.Mode)
 	}
 	errs := []error{
 		hw.CheckNonNegative("MaxBatch", c.MaxBatch),

@@ -42,7 +42,7 @@ func forEachBadField[T any](cfg T, try func(field string, v float64, bad T), exe
 // TestNewRejectsOutOfDomainFields: every numeric field of Config and of a
 // Tenant set negative or non-finite fails New with an error naming the
 // field, instead of serving on a default or with a trigger silently off.
-// Mode is an enum, and a tenant's Priority and Seed may be negative.
+// A tenant's Priority and Seed may be negative.
 func TestNewRejectsOutOfDomainFields(t *testing.T) {
 	check := func(field string, v float64, cfg Config) {
 		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), field) {
@@ -50,11 +50,23 @@ func TestNewRejectsOutOfDomainFields(t *testing.T) {
 		}
 	}
 	cfg := headlineConfig(ModeRepartition)
-	forEachBadField(cfg, check, "Mode")
+	forEachBadField(cfg, check)
 	forEachBadField(cfg.Tenants[1], func(field string, v float64, bad Tenant) {
 		c := cfg
 		c.Tenants = append([]Tenant(nil), cfg.Tenants...)
 		c.Tenants[1] = bad
 		check("Tenants[1]."+field, v, c)
 	}, "Priority", "Seed")
+}
+
+// TestNewRejectsUnknownMode: a Mode past the last discipline fails New
+// instead of serving as a static split.
+func TestNewRejectsUnknownMode(t *testing.T) {
+	for _, m := range []Mode{ModeRepartition + 1, 7} {
+		cfg := headlineConfig(ModeRepartition)
+		cfg.Mode = m
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Mode") {
+			t.Errorf("Mode %d: New error %v, want one naming the field", m, err)
+		}
+	}
 }

@@ -24,11 +24,11 @@
 // profiler's measurements take them, so the cache never pre-solves guessed
 // ones.
 //
-// Unlike the rest of the serving stack, a Cache may be shared: every public
-// method takes an internal mutex, so replica fleets (internal/fleet) and
-// parallel experiment sweeps can hit one cache concurrently. Determinism is
-// still the caller's job — the fleet serializes its accesses in event order —
-// but the mutex keeps even undisciplined concurrent use memory-safe. Entries
+// Unlike the rest of the serving stack, a Cache may be shared: a replica
+// fleet (internal/fleet) serves every replica from one. Every public method
+// takes an internal mutex, so use from several goroutines is memory-safe
+// too. Determinism is the caller's job: the fleet steps its replicas one at
+// a time in canonical order. Entries
 // remember the origin that solved them (PutFor / GetOrScheduleFor), and a hit
 // on another origin's entry counts in Stats.SharedHits: the cross-replica
 // reuse the shared-fleet cache exists to create.
@@ -506,16 +506,21 @@ func (c *Cache) GetOrScheduleFor(origin string, cfg hw.Config, comp *sched.Compi
 	if e, kind := c.lookup(k, origin); kind != Miss {
 		if origin != "" {
 			// Copy-on-hit for fleet origins: a *sched.Plan carries a
-			// plan-scoped eval memo and on-demand kernel stores, neither
-			// safe for concurrent use, so a replica must never run a plan
-			// object another replica may also be running. Cross-origin hits
-			// are the obvious case; self-hits need it too, because a PutFor
-			// refresh on an identical fingerprint swaps another replica's
-			// live plan into this origin's entry (identity, including
-			// origin, is kept on refresh). Cloning every fleet hit hands
-			// each replica a private object. The non-fleet paths (origin ""
-			// everywhere) keep the stored pointer, bit-for-bit what they
-			// were.
+			// plan-scoped eval memo with its own hit and miss counters, so
+			// two replicas running one plan object would warm each other's
+			// memo and count each other's evaluations. Outcomes would not
+			// move, but every replica's cost-model counters, snapshot and
+			// trace would (returning the stored pointer takes the
+			// affinity-brownout golden's cost-model hits/misses from
+			// 308/412 to 438/462). Cross-origin hits are the obvious case;
+			// self-hits need it too, because a PutFor refresh on an
+			// identical fingerprint swaps another replica's live plan into
+			// this origin's entry (identity, including origin, is kept on
+			// refresh). Cloning every fleet hit hands each replica a
+			// private memo. The clone goes when the eval memo moves to the
+			// machine (ROADMAP's "Immutable plans" item). The non-fleet
+			// paths (origin "" everywhere) keep the stored pointer,
+			// bit-for-bit what they were.
 			return e.plan.Clone(), kind, nil
 		}
 		return e.plan, kind, nil

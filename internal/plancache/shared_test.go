@@ -14,8 +14,8 @@ import (
 )
 
 // TestCacheConcurrentGetOrScheduleRace is the shared-plan-cache race audit:
-// many goroutines — each standing in for a fleet replica with its own graph
-// instance and evolving profiler — hammer one cache through GetOrScheduleFor
+// many goroutines — each with its own graph instance and evolving profiler,
+// like a fleet replica — hammer one cache through GetOrScheduleFor
 // concurrently. Run under -race this exercises every locked path: lookup,
 // solve-on-miss, insert, eviction, and the stats counters.
 func TestCacheConcurrentGetOrScheduleRace(t *testing.T) {

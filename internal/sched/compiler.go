@@ -22,9 +22,9 @@ import (
 // Kernels are never mutated after lowering, so every plan of a compiler
 // shares them freely. The memo keys on graph.OpID, which is only unique
 // within one graph. A Compiler is safe for concurrent use: one mutex guards
-// Schedule and the on-demand full-kernel path, so concurrently stepped
-// replicas may re-plan through it. Decoded plans get a private Compiler on
-// first use.
+// Schedule and the on-demand full-kernel path, so plans sharing it may run
+// on different goroutines. Decoded plans get a private Compiler on first
+// use.
 type Compiler struct {
 	g *graph.Graph
 

@@ -111,11 +111,13 @@ func (p *Plan) Encode(w io.Writer) error {
 }
 
 // Clone returns a copy of the plan that shares no mutable state with the
-// receiver: not the plan-scoped eval cache, which is deliberately not safe
-// for concurrent use, and not the full-kernel on-demand stores. Two machines
-// can run the original and the clone concurrently. The clone shares what is
-// immutable or locked: the kernel sets, and the compile memo, so its
-// on-demand compiles reuse every kernel the original's compiler holds.
+// receiver: not the plan-scoped eval cache and its counters, and not the
+// full-kernel on-demand stores. A fleet hands each replica a clone of a
+// shared cached plan so that every replica's cost-model memo and counters
+// stay its own. The clone shares what is immutable or locked: the kernel
+// sets, and the compile memo, so its on-demand compiles reuse every kernel
+// the original's compiler holds. Clone goes when the eval memo moves to the
+// machine that reads it (ROADMAP's "Immutable plans" item, step (a)).
 func (p *Plan) Clone() *Plan {
 	cp := &Plan{Policy: p.Policy, comp: p.comp}
 	for _, seg := range p.Segments {

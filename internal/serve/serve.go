@@ -119,14 +119,6 @@ type Config struct {
 	// fleet): hits on entries another origin solved count in the cache's
 	// SharedHits statistic. Empty outside fleets.
 	PlanCacheOrigin string
-	// PlanCacheGate, when non-nil, is invoked once before every shared-plan-
-	// cache access made while the server is being stepped. A fleet stepping
-	// replicas concurrently installs a canonical-order gate here so that
-	// replica i's cache traffic waits for replicas 0..i-1 to finish the
-	// current window — reproducing exactly the cache visibility order of
-	// sequential replica stepping, which keeps parallel outcomes
-	// byte-identical to workers=1. Nil (every non-fleet path) is a no-op.
-	PlanCacheGate func()
 	// PipelineDepth bounds how many batches execute concurrently on the
 	// machine (see pipeline.go): batch k+1's admission and formation overlap
 	// batch k's compute in virtual time. Depth 1 (the default) retires each
@@ -791,11 +783,6 @@ func (s *Server) replan(track telemetry.TrackID, trackName string) (int64, error
 	kind := plancache.Miss
 	var err error
 	if s.pcache != nil {
-		if gate := s.cfg.PlanCacheGate; gate != nil {
-			// Parallel fleet windows: wait for canonically-earlier replicas
-			// before touching the shared cache (see Config.PlanCacheGate).
-			gate()
-		}
 		plan, kind, err = s.pcache.GetOrScheduleFor(s.cfg.PlanCacheOrigin, cfg, s.setup.Comp, s.setup.Policy, m.Profiler())
 	} else {
 		plan, err = s.setup.Comp.Schedule(cfg, s.setup.Policy, m.Profiler())

@@ -1,7 +1,7 @@
-// Package simtest is the equivalence test harness for the parallel engine:
-// it renders a scenario's observable artifacts — outcome logs, counter
-// snapshots, telemetry traces — to canonical bytes and asserts that two
-// runs (sequential vs parallel, or any other pair that must be
+// Package simtest is the equivalence test harness: it renders a scenario's
+// observable artifacts — outcome logs, counter snapshots, telemetry traces —
+// to canonical bytes and asserts that two runs (two GOMAXPROCS settings,
+// two replica bring-up orders, or any other pair that must be
 // indistinguishable) are byte-identical, reporting the first divergence
 // with context when they are not. Golden holds a run to artifacts recorded
 // from an earlier reference run the same way.

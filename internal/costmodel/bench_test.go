@@ -44,7 +44,7 @@ func BenchmarkCostModelEvaluate(b *testing.B) {
 }
 
 // BenchmarkCostModelOptimize measures the full blocking search that kernel
-// generation runs per (operator, dyn value, tiles) triple.
+// generation runs per (shape class, dyn value, tiles) triple.
 func BenchmarkCostModelOptimize(b *testing.B) {
 	b.ReportAllocs()
 	cfg := hw.Default()

@@ -264,20 +264,47 @@ func clamp01(x float64) float64 {
 // Optimize searches blocking schemes for op at the given compiled dyn value
 // and tile allocation, returning the scheme minimizing predicted latency
 // (with off-chip weight streaming priced at the configured HBM bandwidth).
-// This is the kernel-generation level of the scheduling stack.
+// This is the kernel-generation level of the scheduling stack: a rate-free
+// Search plus the Choose between its two candidates at cfg's HBM rate.
 func Optimize(cfg hw.Config, op *graph.Op, compiledUnits, tiles int) (Blocking, Eval, error) {
+	c, err := Search(cfg, op, compiledUnits, tiles)
+	if err != nil {
+		return Blocking{}, Eval{}, err
+	}
+	i, err := c.Choose(op, cfg.HBMBytesPerCycle())
+	if err != nil {
+		return Blocking{}, Eval{}, err
+	}
+	return c.Blocking[i], c.Eval[i], nil
+}
+
+// Candidates is the HBM-rate-free outcome of one blocking search. The rate
+// only prices streamed weights, a constant op.WeightBytes per streaming
+// scheme, so at any rate the optimum is either the first minimum-cycle
+// weight-resident scheme (index 0) or the first minimum-cycle streaming one
+// (index 1), in SplitN order.
+type Candidates struct {
+	// Blocking holds the resident and the streaming candidate; an absent
+	// one is the zero Blocking.
+	Blocking [2]Blocking
+	// Eval holds each candidate's predicted cost at the compiled dyn value.
+	Eval  [2]Eval
+	tiles int
+}
+
+// Search evaluates every SplitN scheme for op at the given compiled dyn value
+// and tile allocation and keeps the two candidates Choose picks between. It
+// reads cfg's PE array and scratchpad split but not its HBM bandwidth, and of
+// op only Kind, MACsPerUnit, InBytesPerUnit, OutBytesPerUnit, WeightBytes and
+// Space; Name appears in errors only.
+func Search(cfg hw.Config, op *graph.Op, compiledUnits, tiles int) (Candidates, error) {
 	if tiles < 1 {
-		return Blocking{}, Eval{}, fmt.Errorf("costmodel: %s allocated %d tiles", op.Name, tiles)
+		return Candidates{}, fmt.Errorf("costmodel: %s allocated %d tiles", op.Name, tiles)
 	}
 	if compiledUnits < 1 {
-		return Blocking{}, Eval{}, fmt.Errorf("costmodel: %s compiled for %d units", op.Name, compiledUnits)
+		return Candidates{}, fmt.Errorf("costmodel: %s compiled for %d units", op.Name, compiledUnits)
 	}
-	var (
-		best     Blocking
-		bestEval Eval
-		bestCost = math.Inf(1)
-	)
-	hbmRate := cfg.HBMBytesPerCycle()
+	c := Candidates{tiles: tiles}
 	for sn := 1; sn <= tiles && sn <= compiledUnits; sn++ {
 		sm := tiles / sn
 		if sm < 1 {
@@ -296,15 +323,46 @@ func Optimize(cfg hw.Config, op *graph.Op, compiledUnits, tiles int) (Blocking, 
 		if err != nil {
 			continue
 		}
-		cost := float64(ev.Cycles) + float64(ev.HBMWeightBytes)/hbmRate
-		if cost < bestCost {
-			bestCost, best, bestEval = cost, blk, ev
+		i := 1
+		if blk.WeightResident {
+			i = 0
+		}
+		if c.Blocking[i].SplitN == 0 || ev.Cycles < c.Eval[i].Cycles {
+			c.Blocking[i], c.Eval[i] = blk, ev
 		}
 	}
-	if math.IsInf(bestCost, 1) {
-		return Blocking{}, Eval{}, fmt.Errorf("costmodel: no valid blocking for %s on %d tiles", op.Name, tiles)
+	if c.Blocking[0].SplitN == 0 && c.Blocking[1].SplitN == 0 {
+		return Candidates{}, noBlocking(op, tiles)
 	}
-	return best, bestEval, nil
+	return c, nil
+}
+
+// Choose returns the index of the candidate with the lowest predicted cost
+// at hbmRate bytes per cycle, streamed weights priced at that rate; a tie
+// goes to the lower SplitN. op only names the operator in the error, which
+// reports a rate at which no candidate has a finite cost.
+func (c *Candidates) Choose(op *graph.Op, hbmRate float64) (int, error) {
+	order := [2]int{0, 1}
+	if c.Blocking[1].SplitN < c.Blocking[0].SplitN {
+		order = [2]int{1, 0}
+	}
+	best, bestCost := -1, math.Inf(1)
+	for _, i := range order {
+		if c.Blocking[i].SplitN == 0 {
+			continue
+		}
+		if cost := float64(c.Eval[i].Cycles) + float64(c.Eval[i].HBMWeightBytes)/hbmRate; cost < bestCost {
+			best, bestCost = i, cost
+		}
+	}
+	if best < 0 {
+		return 0, noBlocking(op, c.tiles)
+	}
+	return best, nil
+}
+
+func noBlocking(op *graph.Op, tiles int) error {
+	return fmt.Errorf("costmodel: no valid blocking for %s on %d tiles", op.Name, tiles)
 }
 
 // dynBlock picks the innermost dyn blocking factor for a kernel compiled for

@@ -25,12 +25,15 @@ func bringupSearches(t testing.TB, specs []ReplicaSpec) int64 {
 
 // TestFleetCompilesOnce is the counted gate on fleet bring-up: a homogeneous
 // four-replica fleet runs exactly as many blocking searches as one replica,
-// and a replica on another kernel-relevant config adds only that config's
-// kernels.
+// a replica on another kernel-relevant config (half the scratchpad) adds only
+// that config's kernels, and a replica with derated HBM adds none: the HBM
+// rate only chooses between a search's candidates.
 func TestFleetCompilesOnce(t *testing.T) {
 	base := headlineConfig(PolicyAffinity).Base.RC.HW
 	other := base
-	other.HBMDerate = 0.5
+	other.ScratchpadBytes /= 2
+	derated := base
+	derated.HBMDerate = 0.5
 	one := bringupSearches(t, HomogeneousSpecs(1, base))
 	if one == 0 {
 		t.Fatal("bring-up ran no blocking search")
@@ -42,5 +45,9 @@ func TestFleetCompilesOnce(t *testing.T) {
 	mixed := append(HomogeneousSpecs(2, base), ReplicaSpec{Name: "r3", HW: other})
 	if got := bringupSearches(t, mixed); got != one+alone {
 		t.Fatalf("mixed bring-up ran %d searches, want %d + %d", got, one, alone)
+	}
+	withDerated := append(HomogeneousSpecs(2, base), ReplicaSpec{Name: "r3", HW: derated})
+	if got := bringupSearches(t, withDerated); got != one {
+		t.Fatalf("bring-up with an HBM-derated replica ran %d searches, want %d", got, one)
 	}
 }

@@ -1,6 +1,9 @@
 package hw
 
-import "strings"
+import (
+	"math/bits"
+	"strings"
+)
 
 // TileMask marks failed tiles of the chip. It is string-backed so that a
 // Config carrying a mask stays comparable (the cost-model cache keys on the
@@ -178,16 +181,17 @@ func writeInt(b *strings.Builder, v int) {
 }
 
 // LiveTiles returns the number of tiles still able to compute: the grid
-// minus the failed tiles that fall inside it.
+// minus the failed tiles that fall inside it. It counts the mask's bits in
+// place and allocates nothing.
 func (c Config) LiveTiles() int {
-	if c.FailedTiles.Empty() {
-		return c.Tiles()
-	}
-	n := c.Tiles()
-	for _, t := range c.FailedTiles.Tiles() {
-		if t < c.Tiles() {
-			n--
+	total := c.Tiles()
+	n := total
+	for i := 0; i < len(c.FailedTiles) && i*8 < total; i++ {
+		b := c.FailedTiles[i]
+		if rest := total - i*8; rest < 8 {
+			b &= 1<<rest - 1 // bits at or past the grid's last tile
 		}
+		n -= bits.OnesCount8(b)
 	}
 	return n
 }

@@ -117,6 +117,38 @@ func TestConfigLiveTiles(t *testing.T) {
 	}
 }
 
+// TestLiveTilesCountsInPlace: LiveTiles agrees with its definition — the
+// grid minus the mask's tiles that fall inside it — on random grids and masks
+// (empty, sparse, dense, all-failed and masks with bits beyond the chip), and
+// allocates nothing.
+func TestLiveTilesCountsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 500; trial++ {
+		cfg := Default()
+		cfg.TilesX, cfg.TilesY = 1+rng.Intn(13), 1+rng.Intn(13)
+		var failed []int
+		p := rng.Float64()
+		for tile := 0; tile < cfg.Tiles()+17; tile++ {
+			if rng.Float64() < p {
+				failed = append(failed, tile)
+			}
+		}
+		cfg.FailedTiles = NewTileMask(failed...)
+		want := cfg.Tiles()
+		for _, tile := range cfg.FailedTiles.Tiles() {
+			if tile < cfg.Tiles() {
+				want--
+			}
+		}
+		if got := cfg.LiveTiles(); got != want {
+			t.Fatalf("%dx%d mask %v: LiveTiles = %d, want %d", cfg.TilesX, cfg.TilesY, cfg.FailedTiles, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { cfg.LiveTiles() }); allocs != 0 {
+			t.Fatalf("LiveTiles allocated %v times per call", allocs)
+		}
+	}
+}
+
 // TestPhysicalTile: the live enumeration skips failed tiles; identity on a
 // healthy chip.
 func TestPhysicalTile(t *testing.T) {

@@ -60,9 +60,10 @@ type LoopNest struct {
 	Levels [NumLevels][NumDims]Factor
 }
 
-// Kernel is one compiled dataflow scheme held by a tile group.
+// Kernel is one compiled dataflow scheme held by a tile group. It names no
+// operator: operators of one work model and iteration space compile to equal
+// kernels, so one Kernel value may serve several of them.
 type Kernel struct {
-	Op            graph.OpID
 	CompiledUnits int
 	Tiles         int
 	Blocking      costmodel.Blocking
@@ -80,13 +81,18 @@ func Generate(cfg hw.Config, op *graph.Op, units, tiles int) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Lower(cfg, op, units, tiles, blk), nil
+}
+
+// Lower builds the kernel of an already searched blocking scheme: the second
+// half of Generate, for callers that run the blocking search themselves.
+func Lower(cfg hw.Config, op *graph.Op, units, tiles int, blk costmodel.Blocking) *Kernel {
 	return &Kernel{
-		Op:            op.ID,
 		CompiledUnits: units,
 		Tiles:         tiles,
 		Blocking:      blk,
 		Nest:          lower(cfg, op, units, blk),
-	}, nil
+	}
 }
 
 // lower expands the compact blocking decision into the full 5-level loop
@@ -207,8 +213,8 @@ func clampU16(v int) int {
 	return v
 }
 
-// Decode unpacks kernel metadata previously produced by Encode. The operator
-// binding and the blocking splits are recovered from the nest itself.
+// Decode unpacks kernel metadata previously produced by Encode. The blocking
+// splits are recovered from the nest itself.
 func Decode(b [MetaBytes]byte) (*Kernel, error) {
 	if b[0] != 0xAD {
 		return nil, fmt.Errorf("kernels: bad magic %#x", b[0])
@@ -226,7 +232,7 @@ func Decode(b [MetaBytes]byte) (*Kernel, error) {
 	get16 := func(off int) uint16 {
 		return uint16(b[off]) | uint16(b[off+1])<<8
 	}
-	k := &Kernel{Op: graph.None}
+	k := &Kernel{}
 	for d := 0; d < NumDims; d++ {
 		k.Nest.Dims[d] = get16(4 + 2*d)
 	}
@@ -259,7 +265,7 @@ type Set struct {
 }
 
 // NewSet builds a set from kernels, sorting by compiled value and rejecting
-// duplicates or mixed operators.
+// duplicates.
 func NewSet(ks []*Kernel) (*Set, error) {
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("kernels: empty set")
@@ -269,9 +275,6 @@ func NewSet(ks []*Kernel) (*Set, error) {
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i].CompiledUnits == sorted[i-1].CompiledUnits {
 			return nil, fmt.Errorf("kernels: duplicate compiled value %d", sorted[i].CompiledUnits)
-		}
-		if sorted[i].Op != sorted[0].Op {
-			return nil, fmt.Errorf("kernels: set mixes operators %d and %d", sorted[0].Op, sorted[i].Op)
 		}
 	}
 	return &Set{kernels: sorted}, nil

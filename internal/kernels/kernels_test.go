@@ -148,11 +148,6 @@ func TestSetValidation(t *testing.T) {
 	if _, err := NewSet(nil); err == nil {
 		t.Fatal("empty set accepted")
 	}
-	k3, _ := Generate(cfg, op, 32, 4)
-	k3.Op = 999
-	if _, err := NewSet([]*Kernel{k1, k3}); err == nil {
-		t.Fatal("mixed-operator set accepted")
-	}
 }
 
 func TestSetStorageWithinBudget(t *testing.T) {

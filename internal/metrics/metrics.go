@@ -72,6 +72,11 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return percentileSorted(sorted, p)
+}
+
+// percentileSorted is Percentile over samples already sorted ascending.
+func percentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -99,11 +104,13 @@ func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
 	s := Summary{
 		Count: len(xs),
-		P50:   Percentile(xs, 0.50),
-		P95:   Percentile(xs, 0.95),
-		P99:   Percentile(xs, 0.99),
+		P50:   percentileSorted(sorted, 0.50),
+		P95:   percentileSorted(sorted, 0.95),
+		P99:   percentileSorted(sorted, 0.99),
 		Max:   xs[0],
 	}
 	for _, x := range xs {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -150,6 +151,43 @@ func TestPercentileBoundaries(t *testing.T) {
 	for _, p := range []float64{-1, 0, 0.25, 0.5, 0.99, 1, 3} {
 		if got := Percentile(one, p); got != 42 {
 			t.Fatalf("single-element p=%v = %v", p, got)
+		}
+	}
+}
+
+// TestSummarizeMatchesPercentile checks that Summarize's single sort yields,
+// bit for bit, the three Percentile calls it replaces: on random samples with
+// ties, a single element and the empty slice.
+func TestSummarizeMatchesPercentile(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	cases := [][]float64{nil, {}, {42}, {3, 3, 3}, {1, 2}}
+	for i := 0; i < 300; i++ {
+		xs := make([]float64, 1+r.Intn(200))
+		for j := range xs {
+			if j > 0 && r.Intn(4) == 0 {
+				xs[j] = xs[r.Intn(j)] // a tie
+			} else {
+				xs[j] = r.NormFloat64() * math.Pow(10, float64(r.Intn(9)))
+			}
+		}
+		cases = append(cases, xs)
+	}
+	for _, xs := range cases {
+		orig := append([]float64(nil), xs...)
+		got := Summarize(xs)
+		want := Summary{Count: len(xs)}
+		if len(xs) > 0 {
+			want.P50, want.P95, want.P99 = Percentile(xs, 0.50), Percentile(xs, 0.95), Percentile(xs, 0.99)
+		}
+		if got.Count != want.Count || math.Float64bits(got.P50) != math.Float64bits(want.P50) ||
+			math.Float64bits(got.P95) != math.Float64bits(want.P95) ||
+			math.Float64bits(got.P99) != math.Float64bits(want.P99) {
+			t.Fatalf("Summarize(%v) = %+v, want percentiles %+v", xs, got, want)
+		}
+		for j := range xs {
+			if xs[j] != orig[j] {
+				t.Fatal("Summarize reordered its input")
+			}
 		}
 	}
 }

@@ -49,12 +49,12 @@ func (p *Plan) ChipMap(cfg hw.Config, g *graph.Graph, segment int) (string, erro
 	// Regions index the live (surviving) tile enumeration; translate through
 	// the fault mask to physical grid positions. Failed tiles render as 'x'.
 	byTile := make([]string, cfg.Tiles())
-	phys := cfg.TileMap()
+	phys, live := cfg.TileMap(), cfg.LiveTiles()
 	for _, e := range ents {
 		if e.plan.GroupLeader != graph.None && e.plan.GroupLeader != e.lead {
 			continue // grouped follower shares the leader's tiles
 		}
-		for t := e.plan.Region[0]; t < e.plan.Region[0]+e.plan.Region[1] && t < cfg.LiveTiles(); t++ {
+		for t := e.plan.Region[0]; t < e.plan.Region[0]+e.plan.Region[1] && t < live; t++ {
 			if pt := phys.Physical(t); pt < len(byTile) {
 				byTile[pt] = e.code
 			}

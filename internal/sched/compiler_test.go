@@ -48,7 +48,7 @@ func TestCompilerMatchesGenerate(t *testing.T) {
 				want, werr := kernels.Generate(cfg, op, units, tiles)
 				var first *kernels.Kernel
 				for trial := 0; trial < 2; trial++ { // miss, then hit
-					got, gerr := c.forConfig(cfg).kernel(op, units, tiles)
+					got, gerr := c.forConfig(cfg).kernel(op, units, tiles, cfg.HBMBytesPerCycle())
 					if errText(gerr) != errText(werr) || !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s %s units=%d tiles=%d trial %d:\nmemo %+v, %v\nwant %+v, %v",
 							name, op.Name, units, tiles, trial, got, gerr, want, werr)
@@ -100,7 +100,7 @@ func TestCompilerResolveIsWarm(t *testing.T) {
 }
 
 // BenchmarkCompilerKernelCached measures a memo hit — what every repeat
-// compile of an (operator, dyn value, tiles) kernel costs after its first
+// compile of a (shape class, dyn value, tiles) kernel costs after its first
 // blocking search in the same bring-up.
 func BenchmarkCompilerKernelCached(b *testing.B) {
 	w, err := models.ByName("tutel-moe", 64)
@@ -118,7 +118,7 @@ func BenchmarkCompilerKernelCached(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := km.kernel(op, op.MaxUnits, 8); err != nil {
+		if _, err := km.kernel(op, op.MaxUnits, 8, hw.Default().HBMBytesPerCycle()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,13 +179,13 @@ func TestKernelKeyRange(t *testing.T) {
 		{3, 1<<keyTilesBits + 8}, // aliases tiles 8 when truncated
 		{-5, 8},
 	} {
-		if _, err := c.forConfig(cfg).kernel(op, 3, 8); err != nil {
+		if _, err := c.forConfig(cfg).kernel(op, 3, 8, cfg.HBMBytesPerCycle()); err != nil {
 			t.Fatal(err)
 		}
 		want, werr := kernels.Generate(cfg, op, tc.units, tc.tiles)
 		n := c.Len()
 		for trial := 0; trial < 2; trial++ {
-			got, gerr := c.forConfig(cfg).kernel(op, tc.units, tc.tiles)
+			got, gerr := c.forConfig(cfg).kernel(op, tc.units, tc.tiles, cfg.HBMBytesPerCycle())
 			if errText(gerr) != errText(werr) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("units=%d tiles=%d: memo %+v, %v; want %+v, %v", tc.units, tc.tiles, got, gerr, want, werr)
 			}
@@ -254,5 +254,117 @@ func TestCompilerConcurrentUse(t *testing.T) {
 	}
 	if lookups, searches := shared.Stats(); searches != int64(shared.Len()) || lookups <= searches {
 		t.Fatalf("%d lookups, %d searches for %d memoized kernels", lookups, searches, shared.Len())
+	}
+}
+
+// TestSearchReadsOnlyShape pins the shape class the compile memo keys on:
+// perturbing any graph.Op field outside shapeOf leaves the operator's class
+// and kernels.Generate's blocking and loop nest unchanged, and perturbing any
+// field inside it changes the class. A blocking search that starts reading
+// another field fails here until the field joins shapeOf.
+func TestSearchReadsOnlyShape(t *testing.T) {
+	inShape := map[string]bool{"Kind": true, "MACsPerUnit": true, "InBytesPerUnit": true,
+		"OutBytesPerUnit": true, "WeightBytes": true, "Space": true}
+	cfg := hw.Default()
+	for _, name := range []string{"tutel-moe", "skipnet", "gcn"} {
+		w, err := models.ByName(name, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range w.Graph.ComputeOps() {
+			op := w.Graph.Op(id)
+			for _, at := range [][2]int{{1, 1}, {op.MaxUnits/3 + 1, 6}, {op.MaxUnits, 16}} {
+				want, err := kernels.Generate(cfg, op, at[0], at[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				typ := reflect.TypeOf(*op)
+				for i := 0; i < typ.NumField(); i++ {
+					field := typ.Field(i).Name
+					cp := *op
+					perturb(t, field, reflect.ValueOf(&cp).Elem().Field(i))
+					if inShape[field] {
+						if shapeOf(&cp) == shapeOf(op) {
+							t.Fatalf("perturbing %s leaves the shape class unchanged", field)
+						}
+						continue
+					}
+					if shapeOf(&cp) != shapeOf(op) {
+						t.Fatalf("perturbing %s, outside the shape, changes the shape class", field)
+					}
+					got, err := kernels.Generate(cfg, &cp, at[0], at[1])
+					if err != nil || *got != *want {
+						t.Fatalf("%s %s at %v: perturbing %s changes the kernel:\n%+v, %v\nwant %+v",
+							name, op.Name, at, field, got, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// perturb changes v to a different value of its type.
+func perturb(t *testing.T, field string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int()*3 + 7)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.String:
+		v.SetString(v.String() + "'")
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			perturb(t, field, v.Index(i))
+		}
+	case reflect.Slice:
+		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+	case reflect.Pointer:
+		if v.IsNil() {
+			v.Set(reflect.New(v.Type().Elem()))
+		} else {
+			v.Set(reflect.Zero(v.Type()))
+		}
+	default:
+		t.Fatalf("no perturbation for graph.Op field %s of kind %s", field, v.Kind())
+	}
+}
+
+// TestMoEBringupSearchesEachShapeOnce is the counted gate on shape sharing: a
+// moe bring-up runs exactly one blocking search per distinct (shape, dyn
+// value, tiles) key of its kernel stores, fewer than its distinct (operator,
+// dyn value, tiles) keys, because same-shape experts share their kernels.
+func TestMoEBringupSearchesEachShapeOnce(t *testing.T) {
+	_, w, prof := scheduleModel(t, "tutel-moe", Adyna(), 8)
+	c := NewCompiler(w.Graph)
+	plan, err := c.Schedule(hw.Default(), Adyna(), prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type shapeKey struct {
+		kind                   graph.Kind
+		macs, in, out, weights int64
+		space                  [6]int
+		units, tiles           int
+	}
+	shapes, perOp := map[shapeKey]bool{}, map[[3]int]bool{}
+	for _, seg := range plan.Segments {
+		for lead, p := range seg.Plans {
+			op := w.Graph.Op(lead)
+			for _, o := range p.Options {
+				for _, v := range o.StoredValues() {
+					shapes[shapeKey{op.Kind, op.MACsPerUnit, op.InBytesPerUnit, op.OutBytesPerUnit,
+						op.WeightBytes, op.Space, v, o.Tiles}] = true
+					perOp[[3]int{int(lead), v, o.Tiles}] = true
+				}
+			}
+		}
+	}
+	if len(shapes) >= len(perOp) {
+		t.Fatalf("%d shape keys for %d operator keys: no operators share a shape, the gate checks nothing", len(shapes), len(perOp))
+	}
+	if _, searches := c.Stats(); searches != int64(len(shapes)) {
+		t.Fatalf("moe bring-up ran %d blocking searches for %d distinct shape keys (%d operator keys)",
+			searches, len(shapes), len(perOp))
 	}
 }

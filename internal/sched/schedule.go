@@ -93,10 +93,11 @@ func segment(cfg hw.Config, g *graph.Graph, ents map[graph.OpID]*entity, order [
 	var segs [][]graph.OpID
 	var cur []graph.OpID
 	var curBytes float64
+	live := cfg.LiveTiles()
 	for _, lead := range order {
 		e := ents[lead]
 		need := entityBytes(g, e)
-		if len(cur) > 0 && (len(cur)+1 > cfg.LiveTiles() || curBytes+need > budget) {
+		if len(cur) > 0 && (len(cur)+1 > live || curBytes+need > budget) {
 			segs = append(segs, cur)
 			cur, curBytes = nil, 0
 		}
@@ -554,7 +555,7 @@ func compileEntity(cfg hw.Config, km *kernelMemo, pol Policy, prof *profiler.Pro
 	}
 	p.Values = kernelValues(cfg, pol, lead, prof.Freq(lead.ID), len(p.Options), p.Partner != graph.None)
 	for _, o := range p.Options {
-		set, err := km.set(lead, p.Values, o.Tiles)
+		set, err := km.set(lead, p.Values, o.Tiles, cfg.HBMBytesPerCycle())
 		if err != nil {
 			return fmt.Errorf("sched: entity %s: %w", lead.Name, err)
 		}

@@ -232,7 +232,6 @@ func DecodePlan(r io.Reader, g *graph.Graph) (*Plan, error) {
 						if err != nil {
 							return nil, fmt.Errorf("sched: decoding kernel for op %d: %w", pj.Lead, err)
 						}
-						k.Op = op.Lead
 						ks = append(ks, k)
 					}
 					set, err := kernels.NewSet(ks)

@@ -211,9 +211,9 @@ func TestAOTBringupCompilesEachKernelOnce(t *testing.T) {
 	if searches == 0 || searches != int64(setup.Comp.Len()) {
 		t.Fatalf("bring-up ran %d blocking searches for %d distinct kernels", searches, setup.Comp.Len())
 	}
-	// Kernel generation reads neither the failed-tile mask nor the NoC
-	// derate, so the 8-tile loss's solve finds kernels the live solve
-	// already compiled.
+	// A blocking search reads neither the failed-tile mask nor the NoC
+	// and HBM derates, so the derated and the 8-tile loss's solves find
+	// searches the live solve already ran.
 	if searches >= lookups {
 		t.Fatalf("bring-up ran %d blocking searches for %d kernel lookups, want memo hits", searches, lookups)
 	}
@@ -232,6 +232,39 @@ func TestAOTBringupCompilesEachKernelOnce(t *testing.T) {
 	}
 	if afterLookups <= lookups {
 		t.Fatalf("re-run precompute looked up no kernels (%d before, %d after)", lookups, afterLookups)
+	}
+}
+
+// TestAOTHBMWindowSearchesNothingNew: the HBM rate only chooses between a
+// blocking search's candidates, so a moe AOT bring-up whose fault schedule
+// holds only an HBM window solves its derated plan from the healthy solve's
+// searches and runs no blocking search of its own.
+func TestAOTHBMWindowSearchesNothingNew(t *testing.T) {
+	searches := func(spec string) (int64, int) {
+		cfg := driftConfig("moe")
+		cfg.PlanCache = true
+		cfg.PlanCacheAOT = true
+		if spec != "" {
+			fs, err := faults.ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = fs
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, n := s.Setup().Comp.Stats()
+		return n, s.PlanCacheStats().AOTEntries
+	}
+	healthy, _ := searches("")
+	windowed, plans := searches("hbm@1e6:factor=0.5,until=2e6")
+	if plans == 0 {
+		t.Fatal("the HBM window stored no AOT plan; the check compares nothing")
+	}
+	if windowed != healthy {
+		t.Fatalf("AOT bring-up with an HBM window ran %d blocking searches, the healthy one %d", windowed, healthy)
 	}
 }
 

@@ -112,8 +112,9 @@ type Graph = graph.Graph
 // grammar): ordinary operators plus switch/merge/sink dynamic structure.
 func ParseModel(src string) (*Graph, error) { return parser.Parse(src) }
 
-// Routing is one switch's per-batch routing decision; BatchRouting maps
-// every switch to its decision.
+// Routing is one switch's per-batch routing decision, per branch the int32
+// indices of the units routed to it; BatchRouting maps every switch to its
+// decision.
 type (
 	Routing      = graph.Routing
 	BatchRouting = graph.BatchRouting

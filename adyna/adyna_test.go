@@ -37,7 +37,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	for i := range input.Data {
 		input.Data[i] = float32(i)
 	}
-	rt := adyna.BatchRouting{sw: adyna.Routing{Branch: [][]int{{0, 2, 4, 6}, {1, 3, 5, 7}}}}
+	rt := adyna.BatchRouting{sw: adyna.Routing{Branch: [][]int32{{0, 2, 4, 6}, {1, 3, 5, 7}}}}
 	res, err := g.Execute(input, rt)
 	if err != nil {
 		t.Fatal(err)

@@ -78,9 +78,9 @@ func main() {
 		sw := g.Switches()[0]
 		var batches []adyna.Batch
 		for i := 0; i < 10; i++ {
-			var exit, cont []int
-			for u := 0; u < 64; u++ {
-				if (u+i)%2 == 0 {
+			var exit, cont []int32
+			for u := range int32(64) {
+				if (int(u)+i)%2 == 0 {
 					exit = append(exit, u)
 				} else {
 					cont = append(cont, u)
@@ -88,7 +88,7 @@ func main() {
 			}
 			batches = append(batches, adyna.Batch{
 				Index: i, Units: 64,
-				Routing: adyna.BatchRouting{sw: adyna.Routing{Branch: [][]int{exit, cont}}},
+				Routing: adyna.BatchRouting{sw: adyna.Routing{Branch: [][]int32{exit, cont}}},
 			})
 		}
 		if err := m.Run(batches); err != nil {

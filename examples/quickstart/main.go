@@ -65,15 +65,15 @@ func run(w io.Writer, nBatches int) error {
 	//    path — and verify functionally that every sample comes out with
 	//    exactly its own branch's transformation.
 	sw := g.Switches()[0]
-	var cheapIdx, fullIdx []int
-	for i := 0; i < batch; i++ {
+	var cheapIdx, fullIdx []int32
+	for i := range int32(batch) {
 		if i%2 == 0 {
 			cheapIdx = append(cheapIdx, i)
 		} else {
 			fullIdx = append(fullIdx, i)
 		}
 	}
-	rt := adyna.BatchRouting{sw: adyna.Routing{Branch: [][]int{cheapIdx, fullIdx}}}
+	rt := adyna.BatchRouting{sw: adyna.Routing{Branch: [][]int32{cheapIdx, fullIdx}}}
 	input := adyna.NewTensor(batch, 32*16*16)
 	for i := range input.Data {
 		input.Data[i] = 1

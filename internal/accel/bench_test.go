@@ -59,7 +59,7 @@ func benchmarkMachineRun(b *testing.B, cfg hw.Config) {
 }
 
 // BenchmarkStreamSteady streams moe batches of 32 at pipeline depth 4
-// through a machine whose segment job pools are already warm: one op is one
+// through a machine whose job pool is already warm: one op is one
 // streamed batch in the steady state of a pipelined server.
 func BenchmarkStreamSteady(b *testing.B) {
 	b.ReportAllocs()
@@ -82,4 +82,37 @@ func BenchmarkStreamSteady(b *testing.B) {
 	if err := m.StreamDrain(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkRunWindows is the Figure 9 shape: moe at batch 128 through five
+// 40-batch Run windows per op on a fresh machine, with a re-scheduled plan
+// loaded before each window (one for a quarter of the chip, with three
+// segments instead of two). The plans are scheduled once, before the
+// timer. jobs/op counts the job shells the machine built.
+func BenchmarkRunWindows(b *testing.B) {
+	const batch, window = 128, 40
+	b.ReportAllocs()
+	failed := []hw.TileMask{"", "", quarterChip(), "", ""}
+	w, err := models.ByName("moe", batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	trace := w.GenTrace(workload.NewSource(13), window*len(failed), batch)
+	plans := make([]*sched.Plan, len(failed))
+	newMachine := func() *Machine {
+		m, err := New(hw.Default(), w.Graph, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	playWindows(b, newMachine(), trace, window, failed, plans, nil)
+	jobs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := newMachine()
+		playWindows(b, m, trace, window, failed, plans, nil)
+		jobs += m.jobsBuilt
+	}
+	b.ReportMetric(float64(jobs)/float64(b.N), "jobs/op")
 }

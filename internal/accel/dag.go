@@ -35,15 +35,13 @@ type prodEdge struct {
 // stays fixed while the plan is loaded — each entity's physical lead tile
 // and each producer edge's resolved NoC route. Jobs index it by entity
 // position, so preparing a job does no map lookups and sending a chunk
-// derives no route. The template also owns the segment's jobs: finished
-// ones wait on its free list for the next batch (see take), and they die
-// with the template when the next plan loads.
+// derives no route. Jobs are the machine's: take wires a pooled job to the
+// template it is drawn for.
 type segDAG struct {
 	seg    *sched.Segment
 	ents   []dagEntity // in topological (seg.Ops) order
 	edges  int         // producer edges over all entities
 	groups int         // temporal-sharing groups
-	free   []*job      // released jobs, wired and ready for reuse
 }
 
 // dagEntity is one entity of the segment template.
@@ -60,12 +58,15 @@ type dagEntity struct {
 	// at a time, in start (batch) order. Acquiring it serializes the stage
 	// across in-flight batches; being per segment as well as per entity, it
 	// lets a streamed batch k run segment 1 while batch k+1 runs segment 0.
-	tok      *sim.Store
-	prods    []dagEdge
-	outs     int  // consumer edges fed by this entity
-	readHBM  bool // some input streams from HBM (crosses the segment boundary)
-	writeHBM bool // no entity consumes the output: it drains to HBM
-	dynamic  bool
+	tok   *sim.Store
+	prods []dagEdge
+	// outs counts the consumer edges this entity feeds; outAt is where
+	// they start in a job's output-edge array, which groups them by
+	// producer in entity order.
+	outs, outAt int
+	readHBM     bool // some input streams from HBM (crosses the segment boundary)
+	writeHBM    bool // no entity consumes the output: it drains to HBM
+	dynamic     bool
 }
 
 // dagEdge is one producer edge of an entity, with its route resolved.
@@ -152,6 +153,11 @@ func compileSegment(env *sim.Env, g *graph.Graph, seg *sched.Segment, tiles hw.T
 			})
 			d.edges++
 		}
+	}
+	at := 0
+	for i := range d.ents {
+		d.ents[i].outAt = at
+		at += d.ents[i].outs
 	}
 	return d, nil
 }

@@ -85,10 +85,10 @@ func randomRouting(rng *rand.Rand, g *graph.Graph, units int) graph.BatchRouting
 			for u := range present[id] {
 				arrived = append(arrived, u)
 			}
-			branches := make([][]int, op.NumBranches)
+			branches := make([][]int32, op.NumBranches)
 			for _, u := range arrived {
 				k := rng.Intn(op.NumBranches)
-				branches[k] = append(branches[k], u)
+				branches[k] = append(branches[k], int32(u))
 			}
 			rt[id] = graph.Routing{Branch: branches}
 		case graph.KindMerge:
@@ -99,7 +99,7 @@ func randomRouting(rng *rand.Rand, g *graph.Graph, units int) graph.BatchRouting
 				prod := g.Op(in)
 				if prod.Kind == graph.KindSwitch && op.SwitchOf == in {
 					for _, u := range rt[in].Branch[op.Branch] {
-						set[u] = true
+						set[int(u)] = true
 					}
 					continue
 				}

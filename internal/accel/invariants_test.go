@@ -125,12 +125,12 @@ func TestRandomRoutingNeverDeadlocks(t *testing.T) {
 		rt := graph.BatchRouting{}
 		for _, swID := range w.Graph.Switches() {
 			sw := w.Graph.Op(swID)
-			branches := make([][]int, sw.NumBranches)
+			branches := make([][]int32, sw.NumBranches)
 			switch i % 3 {
 			case 0: // everything on one random branch
 				k := rng.Intn(sw.NumBranches)
 				for u := 0; u < 16; u++ {
-					branches[k] = append(branches[k], u)
+					branches[k] = append(branches[k], int32(u))
 				}
 			case 1: // one unit per branch, rest on the last
 				for u := 0; u < 16; u++ {
@@ -138,12 +138,12 @@ func TestRandomRoutingNeverDeadlocks(t *testing.T) {
 					if k >= sw.NumBranches {
 						k = sw.NumBranches - 1
 					}
-					branches[k] = append(branches[k], u)
+					branches[k] = append(branches[k], int32(u))
 				}
 			default: // uniform random fan-out
 				for u := 0; u < 16; u++ {
 					k := rng.Intn(sw.NumBranches)
-					branches[k] = append(branches[k], u)
+					branches[k] = append(branches[k], int32(u))
 				}
 			}
 			rt[swID] = graph.Routing{Branch: branches}

@@ -91,12 +91,17 @@ type Machine struct {
 	computeOps []graph.OpID
 	niNames    []string
 
-	// Scratch indexed like the segment template and reused across calls
-	// (neither prepareJob nor newJob blocks, so one set suffices). It only
-	// lives for the duration of one call; everything that outlasts it is
-	// reachable from the job itself.
+	// free pools the machine's finished jobs: shells that survive plan
+	// loads, segment boundaries and windows, rewired to whichever template
+	// they are next taken for (see take). jobsBuilt counts the shells built
+	// over the machine's life.
+	free      []*job
+	jobsBuilt int
+
+	// optIdxBuf is prepareJob's option-choice scratch, indexed like the
+	// segment template and reused across calls (prepareJob never blocks, so
+	// one suffices).
 	optIdxBuf []int
-	groupsBuf []*sim.Store
 
 	// rec, when enabled, records per-tile kernel spans, batch spans, and
 	// plan loads (NoC and HBM spans are recorded by the substrates). nil —
@@ -190,10 +195,10 @@ func (m *Machine) AdvanceTo(t sim.Time) {
 // reconfiguration, the load compiles every segment's template — entity
 // tiles, NoC routes and pipeline-stage tokens, placed on the current
 // config — so executing the plan only books them. The previous plan's
-// templates, and the jobs pooled in them, are dropped — unless the plan is
-// the one already loaded, on the config it was compiled for: its templates
-// would compile the same, so they and their pooled jobs stay. The
-// reconfiguration is charged either way.
+// templates are dropped — unless the plan is the one already loaded, on the
+// config it was compiled for: its templates would compile the same, so they
+// stay. The reconfiguration is charged either way. The machine's pooled
+// jobs survive the load either way: take rewires them to the new templates.
 func (m *Machine) LoadPlan(p *sched.Plan) error {
 	if err := p.Validate(m.cfg, m.g); err != nil {
 		return err
@@ -319,8 +324,10 @@ func (m *Machine) HBMUtilization() float64 {
 
 // jobEntity is one entity within a job. Each entity runs as two processes
 // per job, the compute process (compute) and its network-interface sender
-// (send). Its wiring is built once with the job (newJob); its entState is
-// reset for every batch the job carries (prepareJob).
+// (send). Its sender queue is built with its slot of the job shell and its
+// processes with the shell's entity array (see wire), which also points it
+// at a template entity; its entState is reset for every batch the job
+// carries (prepareJob).
 type jobEntity struct {
 	tpl     *dagEntity // the entity in the segment template
 	job     *job
@@ -375,14 +382,20 @@ func (m *Machine) Latencies() []BatchLatency {
 	return out
 }
 
-// job is one (batch, segment) unit of pipelined execution. A job is built
-// once, wired to its segment template, and may carry many batches: see take,
+// job is one (batch, segment) unit of pipelined execution. A job is a shell
+// pooled by its machine — entity and edge arrays, edge stores, sender
+// queues, group tokens, processes — wired to the segment template it was
+// last taken for, and it carries many batches of many plans: see take,
 // prepareJob and release for its lifecycle.
 type job struct {
-	m           *Machine
-	dag         *segDAG
-	ents        []jobEntity
-	edges       []jobEdge
+	m     *Machine
+	dag   *segDAG // the template the shell is wired to
+	ents  []jobEntity
+	edges []jobEdge
+	// ports backs the entities' input and output slices: the first half
+	// holds every edge in consumer order, the second in producer order.
+	ports       []*jobEdge
+	groups      []*sim.Store // temporal-sharing tokens, one per template group
 	done        *sim.Signal
 	remaining   int
 	weightReady sim.Time
@@ -462,10 +475,9 @@ func (m *Machine) blockedErr(kind, when string) error {
 // segment-major: it spawns every batch's job of one segment, keeping at most
 // inflightJobs of them in flight, and drains the segment before the next
 // one's tiles are reconfigured. Each segment's weights are fetched while the
-// previous segment computes. At each segment boundary it releases the job it
-// drained on — every job of a one-batch window, the last one per segment of
-// a longer window — and it resolves the window's ticket when the last
-// segment drains.
+// previous segment computes. At each segment boundary it releases every job
+// of the drained segment to the machine's pool, and it resolves the
+// window's ticket when the last segment drains.
 type runDriver struct {
 	m           *Machine
 	segs        []*sched.Segment
@@ -473,23 +485,23 @@ type runDriver struct {
 	tk          StreamTicket
 	pc          int
 	si, i       int // current segment and batch
+	k           int // jobs of the open segment still to drain
 	weightReady sim.Time
 	notBefore   sim.Time
-	last        *job // the open segment's last job
 }
 
 // windowBatch is one batch of a driver's window: its resolved units and
-// density, and the done signal of its job in the open segment.
+// density, and its job in the open segment.
 type windowBatch struct {
 	units   map[graph.OpID]int
 	density float64
-	done    *sim.Signal
+	job     *job
 }
 
 // Driver states.
 const (
-	drvSegment = iota // prefetch the next segment's weights, drain the last
-	drvOpen           // the previous segment drained: open the next one
+	drvSegment = iota // prefetch the next segment's weights
+	drvDrain          // drain the open segment and open the next one
 	drvBatch          // spawn the next batch's job
 )
 
@@ -503,16 +515,26 @@ func (d *runDriver) step(p *sim.Proc) bool {
 			if d.si < len(d.segs) {
 				d.weightReady = m.hbm.Reserve(d.segs[d.si].WeightBytes)
 			}
-			d.pc = drvOpen
-			if d.last != nil && !d.last.done.Await(p) {
-				return false
+			if d.si > 0 {
+				d.k = len(d.batches)
 			}
-		case drvOpen:
-			if d.last != nil {
-				// Its done Await resumed: the job finished, and nothing
-				// else holds it, so a later batch may reuse it.
-				d.last.release()
-				d.last = nil
+			d.pc = drvDrain
+		case drvDrain:
+			// Wait on the segment's last job first, as a drain always has,
+			// then on every earlier one. Those have finished by then in
+			// practice, so the drain still ends with the last job, and no
+			// job is released while it runs.
+			for ; d.k > 0; d.k-- {
+				if !d.batches[d.k-1].job.done.Await(p) {
+					return false
+				}
+			}
+			if d.si > 0 {
+				// Every job of the drained segment finished, and nothing
+				// else holds them: later batches may reuse them.
+				for i := range d.batches {
+					d.batches[i].job.release()
+				}
 			}
 			if d.si == len(d.segs) {
 				d.tk.resolve(p.Now(), nil)
@@ -536,15 +558,14 @@ func (d *runDriver) step(p *sim.Proc) bool {
 				d.tk.resolve(p.Now(), err)
 				return true
 			}
-			b.done = j.done
+			b.job = j
 			d.i++
 			j.weightReady = d.weightReady
 			j.notBefore = d.notBefore
 			j.final = d.si == len(d.segs)-1
 			j.start = d.tk.start
 			m.spawnJob(j)
-			d.last = j
-			if d.i > inflightJobs && !d.batches[d.i-1-inflightJobs].done.Await(p) {
+			if d.i > inflightJobs && !d.batches[d.i-1-inflightJobs].job.done.Await(p) {
 				return false
 			}
 		}
@@ -576,75 +597,112 @@ func (m *Machine) effUnits(units map[graph.OpID]int, id graph.OpID) int {
 	return m.g.Op(id).MaxUnits
 }
 
-// take returns a job for segment d: a released one from the template's free
-// list, or a newly built one when the list is empty. The driver releases
-// the job it drains on at each segment boundary, so a steady stream of
-// one-batch windows reuses a handful of jobs per segment and builds none.
+// take returns a job for segment template d: the most recently released
+// job of the machine's pool that is still wired to d, else the most
+// recently released one, rewired to d, else a new shell. The driver
+// releases every job of a segment when the segment drains, so a machine
+// builds only as many shells as its widest window keeps in flight, whatever
+// plans it loads; streamed batches, which alternate segments, mostly find
+// a shell already wired.
 func (m *Machine) take(d *segDAG) *job {
-	if n := len(d.free); n > 0 {
-		j := d.free[n-1]
-		d.free = d.free[:n-1]
+	n := len(m.free)
+	if n == 0 {
+		m.jobsBuilt++
+		j := &job{m: m, done: sim.NewSignal(m.env)}
+		j.wire(d)
 		return j
 	}
-	return m.newJob(d)
-}
-
-// newJob builds a job over segment template d and wires everything that
-// stays fixed across the batches it will carry: the entity and edge arrays,
-// the edge stores, each entity's sender queue and temporal-sharing group
-// token, the done signal, and each entity's compute and sender processes.
-// Entities and edges live in two contiguous arrays; the per-entity
-// input/output slices hold pointers into the edge array, pre-sized from the
-// template's degree counts.
-func (m *Machine) newJob(d *segDAG) *job {
-	env := m.env
-	j := &job{
-		m:     m,
-		dag:   d,
-		ents:  make([]jobEntity, len(d.ents)),
-		edges: make([]jobEdge, 0, d.edges),
-		done:  sim.NewSignal(env),
+	k := n - 1
+	for i := k; i >= 0; i-- {
+		if m.free[i].dag == d {
+			k = i
+			break
+		}
 	}
-	groups := append(m.groupsBuf[:0], make([]*sim.Store, d.groups)...)
-	m.groupsBuf = groups
-	for i := range d.ents {
-		de := &d.ents[i]
-		je := &j.ents[i]
-		je.tpl, je.job = de, j
-		if de.group >= 0 {
-			if groups[de.group] == nil {
-				gs := sim.NewStore(env, 1)
-				gs.TryPut()
-				groups[de.group] = gs
-			}
-			je.group = groups[de.group]
-		}
-		je.sendQ = sim.NewStore(env, 0)
-		je.proc = env.NewProc(m.g.Op(de.lead).Name, je.compute)
-		je.sender = env.NewProc(m.niNames[de.lead], je.send)
-	}
-	for i := range d.ents {
-		de := &d.ents[i]
-		consumer := &j.ents[i]
-		if len(de.prods) > 0 {
-			consumer.inputs = make([]*jobEdge, 0, len(de.prods))
-		}
-		for k := range de.prods {
-			pe := &de.prods[k]
-			producer := &j.ents[pe.from]
-			j.edges = append(j.edges, jobEdge{store: sim.NewStore(env, chunksPerJob/2), route: pe})
-			e := &j.edges[len(j.edges)-1]
-			consumer.inputs = append(consumer.inputs, e)
-			if producer.outputs == nil {
-				producer.outputs = make([]*jobEdge, 0, producer.tpl.outs)
-			}
-			producer.outputs = append(producer.outputs, e)
-		}
+	j := m.free[k]
+	m.free[k] = m.free[n-1]
+	m.free = m.free[:n-1]
+	if j.dag != d {
+		j.wire(d)
 	}
 	return j
 }
 
-// release returns a finished job to its template's free list. Every store
+// wire points a shell at segment template d. The entity and edge arrays
+// grow to d's size: each new entity slot gets its sender queue, each new
+// edge slot its store, each new group its token, and a grown entity array
+// its compute and sender processes. Then every entity takes its
+// template entity, its group token, its operator's process names and its
+// input and output edges. Entities and edges live in two contiguous arrays;
+// the per-entity input/output slices are windows of one shared array of
+// pointers into the edge array.
+func (j *job) wire(d *segDAG) {
+	m, env := j.m, j.m.env
+	j.dag = d
+	if n := len(d.ents); n > cap(j.ents) {
+		// A process's step is a method value bound to its entity's address,
+		// so every slot of the new array gets new processes; the sender
+		// queues carry over.
+		old, ents := j.ents[:cap(j.ents)], make([]jobEntity, n)
+		for i := range ents {
+			je := &ents[i]
+			je.job = j
+			if i < len(old) {
+				je.sendQ = old[i].sendQ
+			} else {
+				je.sendQ = sim.NewStore(env, 0)
+			}
+			je.proc = env.NewProc("", je.compute)
+			je.sender = env.NewProc("", je.send)
+		}
+		j.ents = ents
+	}
+	j.ents = j.ents[:len(d.ents)]
+	if n := d.edges; n > cap(j.edges) {
+		edges := make([]jobEdge, n)
+		copy(edges, j.edges[:cap(j.edges)])
+		for i := cap(j.edges); i < n; i++ {
+			edges[i].store = sim.NewStore(env, chunksPerJob/2)
+		}
+		j.edges = edges
+	}
+	j.edges = j.edges[:d.edges]
+	if n := 2 * d.edges; n > cap(j.ports) {
+		j.ports = make([]*jobEdge, n)
+	}
+	ins, outs := j.ports[:d.edges], j.ports[d.edges:2*d.edges]
+	for len(j.groups) < d.groups {
+		gs := sim.NewStore(env, 1)
+		gs.TryPut()
+		j.groups = append(j.groups, gs)
+	}
+	for i := range d.ents {
+		de := &d.ents[i]
+		je := &j.ents[i]
+		je.tpl, je.group = de, nil
+		if de.group >= 0 {
+			je.group = j.groups[de.group]
+		}
+		je.proc.SetName(m.g.Op(de.lead).Name)
+		je.sender.SetName(m.niNames[de.lead])
+		je.outputs = outs[de.outAt : de.outAt : de.outAt+de.outs]
+	}
+	k := 0
+	for i := range d.ents {
+		de := &d.ents[i]
+		j.ents[i].inputs = ins[k : k+len(de.prods)]
+		for p := range de.prods {
+			e := &j.edges[k]
+			e.route = &de.prods[p]
+			ins[k] = e
+			k++
+			producer := &j.ents[e.route.from]
+			producer.outputs = append(producer.outputs, e)
+		}
+	}
+}
+
+// release returns a finished job to the machine's pool. Every store
 // and signal of a finished job is at rest: edge stores and sender queues
 // empty, group tokens back in place, nobody waiting. A job that is not would
 // hand a stale chunk or a missing token to the next batch that takes it, so
@@ -671,14 +729,14 @@ func (j *job) release() {
 			}
 		}
 	}
-	j.dag.free = append(j.dag.free, j)
+	j.m.free = append(j.m.free, j)
 }
 
 // prepareJob readies a job to carry one batch through seg: it takes a job
-// from the segment's template and computes per-entity dyn values,
+// for the segment's template and computes per-entity dyn values,
 // tile-sharing option choices, cost evaluations and edge payloads. It runs
 // once per (batch, segment) on a driver process, and in steady state it
-// allocates nothing: the job's wiring is reused, and the option-choice
+// allocates nothing: the job's shell is reused, and the option-choice
 // scratch is the machine's, indexed like the template.
 func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, density float64) (*job, error) {
 	d := m.dags[seg.Index]

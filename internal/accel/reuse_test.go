@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,34 +97,44 @@ func TestStreamReuseMatchesGolden(t *testing.T) {
 }
 
 // TestReloadSamePlanKeepsTemplates: loading the plan that is already
-// loaded, on the config it was compiled for, keeps every segment template
-// and the jobs pooled in it, and the stream that follows the reload matches
-// one that loads a copy of the plan, which recompiles everything.
+// loaded, on the config it was compiled for, keeps every segment template,
+// so the machine's pooled jobs stay wired to them; loading a copy of the
+// plan recompiles everything, and the pool survives that load too. The
+// stream that follows the reload matches one that follows the recompiling
+// load.
 func TestReloadSamePlanKeepsTemplates(t *testing.T) {
 	// run streams two depth-4 windows with a load of next(plan) between
-	// them, and reports whether that load kept each template and its pool.
-	run := func(next func(*sched.Plan) *sched.Plan) (lat []BatchLatency, st Stats, kept, pooled bool) {
+	// them, and reports whether that load kept each template, whether it
+	// kept the machine's pool, and whether the pooled jobs are still wired
+	// to the loaded templates.
+	run := func(next func(*sched.Plan) *sched.Plan) (lat []BatchLatency, st Stats, kept, pooled, wired bool) {
 		m, trace := streamMachine(t, "moe", 16, 16)
 		streamWindow(t, m, trace[:8], 40_000)
-		before := maps.Clone(m.dags)
+		before, pool := maps.Clone(m.dags), slices.Clone(m.free)
 		if err := m.LoadPlan(next(m.plan)); err != nil {
 			t.Fatal(err)
 		}
-		kept, pooled = true, true
+		kept = true
 		for i, d := range m.dags {
 			kept = kept && d == before[i]
-			pooled = pooled && len(d.free) > 0
+		}
+		pooled, wired = len(pool) > 0 && slices.Equal(pool, m.free), true
+		for _, j := range m.free {
+			wired = wired && m.dags[j.dag.seg.Index] == j.dag
 		}
 		streamWindow(t, m, trace[8:], 40_000)
-		return m.Latencies(), m.Stats(), kept, pooled
+		return m.Latencies(), m.Stats(), kept, pooled, wired
 	}
-	sameLat, same, kept, pooled := run(func(p *sched.Plan) *sched.Plan { return p })
-	if !kept || !pooled {
-		t.Fatalf("same-plan reload: templates kept %v, pooled jobs kept %v; want both", kept, pooled)
+	sameLat, same, kept, pooled, wired := run(func(p *sched.Plan) *sched.Plan { return p })
+	if !kept || !pooled || !wired {
+		t.Fatalf("same-plan reload: templates kept %v, pool kept %v, pooled jobs wired %v; want all", kept, pooled, wired)
 	}
-	cloneLat, clone, kept, _ := run((*sched.Plan).Clone)
-	if kept {
-		t.Fatal("loading a copy of the plan kept the old templates")
+	cloneLat, clone, kept, pooled, wired := run((*sched.Plan).Clone)
+	if kept || wired {
+		t.Fatalf("loading a copy of the plan kept the old templates (%v) or its pooled jobs' wiring (%v)", kept, wired)
+	}
+	if !pooled {
+		t.Fatal("loading a copy of the plan dropped the machine's pool")
 	}
 	if !reflect.DeepEqual(sameLat, cloneLat) || !reflect.DeepEqual(same, clone) {
 		t.Fatalf("same-plan reload diverges from a recompiling one:\n same:  %+v\n clone: %+v", same, clone)
@@ -170,8 +181,8 @@ func runEach(t testing.TB, m *Machine, batches []workload.Batch) {
 
 // TestStreamSteadyStateAllocs gates the allocations of a warm batch on
 // either entry to the machine's one driver: streamed at pipeline depth 1
-// and 4, and as a one-batch Run window. Once every segment's free list
-// holds enough jobs, a batch reuses them and allocates only its driver,
+// and 4, and as a one-batch Run window. Once the machine's pool holds
+// enough jobs, a batch reuses them and allocates only its driver,
 // ticket and process and the routing-derived unit table. Building a job
 // instead costs hundreds of allocations (one store per edge, two processes
 // per entity), so the bound fails the moment steady-state batches stop
@@ -227,5 +238,49 @@ func TestReleasedJobLeakPanics(t *testing.T) {
 			}()
 			j.release()
 		}()
+	}
+}
+
+// TestRewiredShellNamesItsOperators: a pooled job rewired to another
+// segment's template takes that template's operator names, so a stall in
+// it names the operators that are stuck, not the ones the shell last ran.
+func TestRewiredShellNamesItsOperators(t *testing.T) {
+	m, trace := streamMachine(t, "moe", 16, 1)
+	if err := m.Run(trace); err != nil {
+		t.Fatal(err)
+	}
+	seg := m.plan.Segments[0]
+	if top := m.free[len(m.free)-1]; top.dag == m.dags[seg.Index] {
+		t.Fatalf("the next pooled job is already wired to segment %d; the check needs a rewire", seg.Index)
+	}
+	units, err := m.g.AssignUnits(trace[0].Units, trace[0].Routing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := m.prepareJob(seg, units, trace[0].Density)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the first entity's stage token: the job can never start.
+	if !j.dag.ents[0].tok.Get(m.env.NewProc("holder", nil)) {
+		t.Fatal("stage token already taken")
+	}
+	m.spawnJob(j)
+	m.env.Run()
+	want := map[string]bool{}
+	for _, de := range j.dag.ents {
+		want[m.g.Op(de.lead).Name] = true
+		want[m.niNames[de.lead]] = true
+	}
+	// Every entity but the first took its own token and started its sender
+	// before stalling on its inputs.
+	blocked := m.env.BlockedProcs()
+	if n := 2*len(j.ents) - 1; len(blocked) != n {
+		t.Fatalf("%d processes blocked, want the job's %d: %v", len(blocked), n, blocked)
+	}
+	for _, name := range blocked {
+		if !want[name] {
+			t.Errorf("blocked process %q is not an operator of segment %d", name, seg.Index)
+		}
 	}
 }

@@ -269,10 +269,10 @@ func buildNestedSwitchGraph(t *testing.T) (*graph.Graph, map[string]graph.OpID) 
 // overpricing M-tenant on routed-off subgraphs.
 func TestHostRoutingSkipsGatedControlOps(t *testing.T) {
 	g, ids := buildNestedSwitchGraph(t)
-	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	all := []int32{0, 1, 2, 3, 4, 5, 6, 7}
 	rt := graph.BatchRouting{
-		ids["outer"]: {Branch: [][]int{all, {}}},
-		ids["inner"]: {Branch: [][]int{{}, {}}},
+		ids["outer"]: {Branch: [][]int32{all, {}}},
+		ids["inner"]: {Branch: [][]int32{{}, {}}},
 	}
 	units, err := g.AssignUnits(8, rt)
 	if err != nil {
@@ -298,8 +298,8 @@ func TestHostRoutingSkipsGatedControlOps(t *testing.T) {
 	}
 	// Sanity: with the inner branch active the inner control ops are charged.
 	rt2 := graph.BatchRouting{
-		ids["outer"]: {Branch: [][]int{{}, all}},
-		ids["inner"]: {Branch: [][]int{all, {}}},
+		ids["outer"]: {Branch: [][]int32{{}, all}},
+		ids["inner"]: {Branch: [][]int32{all, {}}},
 	}
 	units2, err := g.AssignUnits(8, rt2)
 	if err != nil {

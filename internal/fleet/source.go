@@ -183,7 +183,7 @@ func rotateRouting(rt graph.BatchRouting, class, classes int) graph.BatchRouting
 			stride = 1
 		}
 		shift := (class * stride) % nb
-		branches := make([][]int, nb)
+		branches := make([][]int32, nb)
 		for b, units := range routing.Branch {
 			branches[(b+shift)%nb] = units
 		}

@@ -6,10 +6,12 @@ import "fmt"
 // Branch[k] lists the global unit indices (into the batch's unit space)
 // routed to branch k. A unit may appear in several branches (top-k
 // mixture-of-experts broadcasts samples) and may appear in none (it was
-// dropped upstream).
+// dropped upstream). Indices are int32, half the width of int: routing
+// traces are most of a simulation's live heap, a batch never holds 2^31
+// units, and the simulator itself reads only each list's length.
 type Routing struct {
 	// Branch lists, per branch, the in-batch unit indices routed to it.
-	Branch [][]int
+	Branch [][]int32
 }
 
 // Total returns the total number of routed unit slots across all branches
@@ -109,7 +111,8 @@ func (g *Graph) ValidateRouting(batchUnits int, rt BatchRouting, exclusive bool)
 		seen := map[int]int{}
 		for k, idxs := range r.Branch {
 			dup := map[int]bool{}
-			for _, i := range idxs {
+			for _, u := range idxs {
+				i := int(u)
 				if i < 0 || i >= batchUnits {
 					return fmt.Errorf("graph: switch %s branch %d routes out-of-range unit %d", sw.Name, k, i)
 				}
@@ -162,7 +165,7 @@ func (g *Graph) arrivalSets(batchUnits int, rt BatchRouting) map[OpID]map[int]bo
 				if prod.Kind == KindSwitch && op.SwitchOf == in {
 					if r, ok := rt[in]; ok && op.Branch >= 0 && op.Branch < len(r.Branch) {
 						for _, i := range r.Branch[op.Branch] {
-							set[i] = true
+							set[int(i)] = true
 						}
 					}
 					continue

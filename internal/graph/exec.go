@@ -124,20 +124,22 @@ func (g *Graph) gatherInput(op *Op, inID OpID, flows map[OpID]flow, rt BatchRout
 			g.Name, op.Name, op.Branch, prod.Name)
 	}
 	want := r.Branch[op.Branch]
-	pos := make([]int, 0, len(want))
+	pos := make([]int, len(want))
+	idx := make([]int, len(want))
 	lookup := make(map[int]int, len(src.idx))
 	for p, gi := range src.idx {
 		lookup[gi] = p
 	}
-	for _, gi := range want {
+	for k, u := range want {
+		gi := int(u)
 		p, ok := lookup[gi]
 		if !ok {
 			return flow{}, fmt.Errorf("graph %q: switch %s branch %d routes unit %d that never arrived",
 				g.Name, prod.Name, op.Branch, gi)
 		}
-		pos = append(pos, p)
+		pos[k], idx[k] = p, gi
 	}
-	return flow{t: src.t.GatherBatch(pos), idx: append([]int(nil), want...)}, nil
+	return flow{t: src.t.GatherBatch(pos), idx: idx}, nil
 }
 
 // execMerge re-assembles the branches of a switch into the switch's arriving

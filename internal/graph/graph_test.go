@@ -111,7 +111,7 @@ func TestTopoCoversAllOps(t *testing.T) {
 func TestAssignUnits(t *testing.T) {
 	g, ids := buildSkipBlock(t, 8)
 	rt := BatchRouting{
-		ids["sw"]: {Branch: [][]int{{0, 2, 4, 6, 7}, {1, 3, 5}}},
+		ids["sw"]: {Branch: [][]int32{{0, 2, 4, 6, 7}, {1, 3, 5}}},
 	}
 	units, err := g.AssignUnits(8, rt)
 	if err != nil {
@@ -131,7 +131,7 @@ func TestAssignUnits(t *testing.T) {
 
 func TestAssignUnitsEmptyBranch(t *testing.T) {
 	g, ids := buildSkipBlock(t, 8)
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {}}}}
+	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}, {}}}}
 	units, err := g.AssignUnits(8, rt)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestAssignUnitsMissingRouting(t *testing.T) {
 
 func TestValidateRouting(t *testing.T) {
 	g, ids := buildSkipBlock(t, 8)
-	good := BatchRouting{ids["sw"]: {Branch: [][]int{{0, 1}, {2, 3, 4, 5, 6, 7}}}}
+	good := BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 1}, {2, 3, 4, 5, 6, 7}}}}
 	if err := g.ValidateRouting(8, good, true); err != nil {
 		t.Fatalf("good routing rejected: %v", err)
 	}
@@ -158,10 +158,10 @@ func TestValidateRouting(t *testing.T) {
 		name string
 		rt   BatchRouting
 	}{
-		{"out of range", BatchRouting{ids["sw"]: {Branch: [][]int{{0, 99}, {}}}}},
-		{"duplicate in branch", BatchRouting{ids["sw"]: {Branch: [][]int{{0, 0}, {}}}}},
-		{"wrong branch count", BatchRouting{ids["sw"]: {Branch: [][]int{{0}}}}},
-		{"unrouted unit", BatchRouting{ids["sw"]: {Branch: [][]int{{0}, {1}}}}},
+		{"out of range", BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 99}, {}}}}},
+		{"duplicate in branch", BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 0}, {}}}}},
+		{"wrong branch count", BatchRouting{ids["sw"]: {Branch: [][]int32{{0}}}}},
+		{"unrouted unit", BatchRouting{ids["sw"]: {Branch: [][]int32{{0}, {1}}}}},
 	}
 	for _, tc := range cases {
 		if err := g.ValidateRouting(8, tc.rt, true); err == nil {
@@ -169,7 +169,7 @@ func TestValidateRouting(t *testing.T) {
 		}
 	}
 	// Non-exclusive mode tolerates dropped units.
-	if err := g.ValidateRouting(8, BatchRouting{ids["sw"]: {Branch: [][]int{{0}, {1}}}}, false); err != nil {
+	if err := g.ValidateRouting(8, BatchRouting{ids["sw"]: {Branch: [][]int32{{0}, {1}}}}, false); err != nil {
 		t.Errorf("non-exclusive mode rejected dropped units: %v", err)
 	}
 }
@@ -280,8 +280,8 @@ func TestNestedSwitchesEarlyExit(t *testing.T) {
 	}
 	// Units: 8 in; 3 exit at sw1; of the 5 remaining, 2 exit at sw2.
 	rt := BatchRouting{
-		ids["sw1"]: {Branch: [][]int{{0, 1, 2}, {3, 4, 5, 6, 7}}},
-		ids["sw2"]: {Branch: [][]int{{3, 4}, {5, 6, 7}}},
+		ids["sw1"]: {Branch: [][]int32{{0, 1, 2}, {3, 4, 5, 6, 7}}},
+		ids["sw2"]: {Branch: [][]int32{{3, 4}, {5, 6, 7}}},
 	}
 	units, err := g.AssignUnits(8, rt)
 	if err != nil {
@@ -297,8 +297,8 @@ func TestNestedSwitchesEarlyExit(t *testing.T) {
 	}
 	// Routing a unit at sw2 that exited at sw1 must be rejected.
 	bad := BatchRouting{
-		ids["sw1"]: {Branch: [][]int{{0, 1, 2}, {3, 4, 5, 6, 7}}},
-		ids["sw2"]: {Branch: [][]int{{0, 4}, {5, 6, 7}}},
+		ids["sw1"]: {Branch: [][]int32{{0, 1, 2}, {3, 4, 5, 6, 7}}},
+		ids["sw2"]: {Branch: [][]int32{{0, 4}, {5, 6, 7}}},
 	}
 	if err := g.ValidateRouting(8, bad, false); err == nil {
 		t.Fatal("expected never-arrived error")
@@ -311,15 +311,15 @@ func TestQuickUnitConservation(t *testing.T) {
 	g, ids := buildSkipBlock(t, 64)
 	f := func(mask uint64) bool {
 		const B = 64
-		var b0, b1 []int
-		for i := 0; i < B; i++ {
+		var b0, b1 []int32
+		for i := range int32(B) {
 			if mask&(1<<uint(i)) != 0 {
 				b0 = append(b0, i)
 			} else {
 				b1 = append(b1, i)
 			}
 		}
-		rt := BatchRouting{ids["sw"]: {Branch: [][]int{b0, b1}}}
+		rt := BatchRouting{ids["sw"]: {Branch: [][]int32{b0, b1}}}
 		units, err := g.AssignUnits(B, rt)
 		if err != nil {
 			return false
@@ -374,7 +374,7 @@ func TestExecuteRoutesLosslessly(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i + 1)
 	}
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int{{1, 3}, {0, 2}}}}
+	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{1, 3}, {0, 2}}}}
 	res, err := g.Execute(in, rt)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +413,7 @@ func TestExecuteEmptyBranch(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = 1
 	}
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int{{}, {0, 1, 2, 3}}}}
+	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{}, {0, 1, 2, 3}}}}
 	res, err := g.Execute(in, rt)
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +453,7 @@ func TestExecuteBroadcastAccumulates(t *testing.T) {
 	for i := range in2.Data {
 		in2.Data[i] = 3
 	}
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int{{0, 1}, {0}}}} // sample 0 broadcast
+	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 1}, {0}}}} // sample 0 broadcast
 	res, err := g.Execute(in2, rt)
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +467,7 @@ func TestExecuteBroadcastAccumulates(t *testing.T) {
 func TestExecuteMissingRefErrors(t *testing.T) {
 	g, ids := buildSkipBlock(t, 4)
 	in := tensor.New(tensor.MustShape(4, 16*8*8))
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int{{0, 1}, {2, 3}}}}
+	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 1}, {2, 3}}}}
 	if _, err := g.Execute(in, rt); err == nil {
 		t.Fatal("expected missing-ref error")
 	}
@@ -518,7 +518,7 @@ func TestGraphEncodeDecodeRoundTrip(t *testing.T) {
 		}
 	}
 	// The decoded graph routes and assigns identically.
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int{{0, 1, 2}, {3, 4}}}}
+	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 1, 2}, {3, 4}}}}
 	a, err := g.AssignUnits(5, rt)
 	if err != nil {
 		t.Fatal(err)

@@ -85,21 +85,22 @@ type adaViTGen struct {
 	skipIDs  []graph.OpID
 	meanKeep *workload.Drift
 	skipProb []*workload.Drift
+	perm     []int // Next's scratch: one image's patch permutation
 }
 
 func (g *adaViTGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	images := units / adaPatches
 	mean := g.meanKeep.Step(src)
-	var keep, drop []int
+	var keep, drop []int32
 	for img := 0; img < images; img++ {
 		k := src.NormInt(mean, 3, 1, adaPatches)
-		perm := src.Perm(adaPatches)
-		base := img * adaPatches
-		kept := make(map[int]bool, k)
-		for _, p := range perm[:k] {
+		g.perm = src.PermInto(g.perm, adaPatches)
+		base := int32(img * adaPatches)
+		var kept [adaPatches]bool
+		for _, p := range g.perm[:k] {
 			kept[p] = true
 		}
-		for p := 0; p < adaPatches; p++ {
+		for p := range int32(adaPatches) {
 			if kept[p] {
 				keep = append(keep, base+p)
 			} else {
@@ -108,12 +109,12 @@ func (g *adaViTGen) Next(src *workload.Source, units int) graph.BatchRouting {
 		}
 	}
 	for u := images * adaPatches; u < units; u++ {
-		drop = append(drop, u)
+		drop = append(drop, int32(u))
 	}
-	rt := graph.BatchRouting{g.psID: {Branch: [][]int{keep, drop}}}
+	rt := graph.BatchRouting{g.psID: {Branch: [][]int32{keep, drop}}}
 	for l, sw := range g.skipIDs {
 		p := src.JitterProb(g.skipProb[l].Step(src), 0.06)
-		var skip, run []int
+		var skip, run []int32
 		for _, u := range keep {
 			if src.Bernoulli(p) {
 				skip = append(skip, u)
@@ -121,7 +122,7 @@ func (g *adaViTGen) Next(src *workload.Source, units int) graph.BatchRouting {
 				run = append(run, u)
 			}
 		}
-		rt[sw] = graph.Routing{Branch: [][]int{skip, run}}
+		rt[sw] = graph.Routing{Branch: [][]int32{skip, run}}
 	}
 	return rt
 }

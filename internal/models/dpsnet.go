@@ -94,7 +94,10 @@ func mustFind(b *graph.Builder) graph.OpID {
 type dpsGen struct {
 	swID     graph.OpID
 	meanKeep *workload.Drift
-	dropBuf  []int // scratch for the drop list, reused across batches
+	// dropBuf and perm are Next's scratch (the drop list and one image's
+	// patch permutation), reused across batches.
+	dropBuf []int32
+	perm    []int
 }
 
 func (g *dpsGen) Next(src *workload.Source, units int) graph.BatchRouting {
@@ -104,19 +107,19 @@ func (g *dpsGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	// exactly-sized array: keep fills it from the front and the drop list,
 	// gathered in scratch, is copied in behind. A measured trace keeps every
 	// batch's routing alive, and two full-size arrays per batch doubled it.
-	keep := make([]int, 0, units)
+	keep := make([]int32, 0, units)
 	drop := g.dropBuf[:0]
 	for img := 0; img < images; img++ {
 		// Patch count per image: wide spread (objects sit in arbitrary
 		// regions), clamped to [4, 56].
 		k := src.NormInt(mean, 10, 4, 56)
-		perm := src.Perm(dpsPatches)
-		base := img * dpsPatches
+		g.perm = src.PermInto(g.perm, dpsPatches)
+		base := int32(img * dpsPatches)
 		var kept [dpsPatches]bool
-		for _, p := range perm[:k] {
+		for _, p := range g.perm[:k] {
 			kept[p] = true
 		}
-		for p := 0; p < dpsPatches; p++ {
+		for p := range int32(dpsPatches) {
 			if kept[p] {
 				keep = append(keep, base+p)
 			} else {
@@ -126,11 +129,11 @@ func (g *dpsGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	}
 	// Units beyond whole images (none at default batch sizes) are dropped.
 	for u := images * dpsPatches; u < units; u++ {
-		drop = append(drop, u)
+		drop = append(drop, int32(u))
 	}
 	g.dropBuf = drop
 	n := len(keep)
 	keep = append(keep, drop...)
 	keep, drop = keep[:n:n], keep[n:]
-	return graph.BatchRouting{g.swID: {Branch: [][]int{keep, drop}}}
+	return graph.BatchRouting{g.swID: {Branch: [][]int32{keep, drop}}}
 }

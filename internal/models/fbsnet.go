@@ -84,22 +84,27 @@ type fbsGen struct {
 	swIDs   []graph.OpID
 	keep    []*workload.Drift
 	weights [][]float64
-	topk    []int // Next's scratch: one sample's kept groups
+	// picks and owners are Next's scratch, as in moeGen: every sample's
+	// kept groups and, beside each, the sample that kept it.
+	picks  []int
+	owners []int32
 }
 
 func (g *fbsGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	rt := graph.BatchRouting{}
 	for li, sw := range g.swIDs {
 		meanK := g.keep[li].Step(src)
-		branches := make([][]int, fbsGroups)
-		for i := 0; i < units; i++ {
+		g.picks, g.owners = g.picks[:0], g.owners[:0]
+		for i := range int32(units) {
 			k := src.NormInt(meanK, 1.2, 1, fbsGroups)
-			g.topk = src.AppendTopK(g.topk[:0], g.weights[li], k)
-			for _, gidx := range g.topk {
-				branches[gidx] = append(branches[gidx], i)
+			from := len(g.picks)
+			g.picks = src.AppendTopK(g.picks, g.weights[li], k)
+			for range g.picks[from:] {
+				g.owners = append(g.owners, i)
 			}
 		}
-		rt[sw] = graph.Routing{Branch: branches}
+		var count [fbsGroups]int
+		rt[sw] = graph.Routing{Branch: layOut(g.picks, g.owners, count[:])}
 	}
 	return rt
 }

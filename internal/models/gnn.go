@@ -102,8 +102,8 @@ func (g *gnnGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	rt := graph.BatchRouting{}
 	for li, sw := range g.swIDs {
 		p := g.sampleP[li].Step(src)
-		branches := make([][]int, 2)
-		for i := 0; i < units; i++ {
+		branches := make([][]int32, 2)
+		for i := range int32(units) {
 			if src.Bernoulli(p) {
 				branches[1] = append(branches[1], i) // sampled hop
 			} else {

@@ -123,3 +123,27 @@ func slowDrift(center, lo, hi, stepSD float64) *workload.Drift {
 func Names() []string {
 	return []string{"skipnet", "pabee", "fbsnet", "tutel-moe", "dpsnet"}
 }
+
+// layOut builds one switch's routing from its picks: owners[k] is the unit
+// that picked branch picks[k], in unit order, and count (zeroed, one entry
+// per branch) is the caller's scratch. Each branch is a capped window of
+// one backing array, nil when nothing picked it, so an append by a
+// consumer reallocates instead of overwriting the next branch's units.
+func layOut(picks []int, owners []int32, count []int) [][]int32 {
+	for _, b := range picks {
+		count[b]++
+	}
+	backing := make([]int32, len(picks))
+	branches := make([][]int32, len(count))
+	off := 0
+	for b, c := range count {
+		if c > 0 {
+			branches[b] = backing[off : off : off+c]
+		}
+		off += c
+	}
+	for k, b := range picks {
+		branches[b] = append(branches[b], owners[k])
+	}
+	return branches
+}

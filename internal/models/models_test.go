@@ -198,7 +198,7 @@ func TestMoENextAllocatesOnlyItsRouting(t *testing.T) {
 	rebuilt := testing.AllocsPerRun(runs, func() {
 		rt := graph.BatchRouting{}
 		for sw, r := range want[k] {
-			branches := make([][]int, len(r.Branch))
+			branches := make([][]int32, len(r.Branch))
 			for e, idxs := range r.Branch {
 				for _, i := range idxs {
 					branches[e] = append(branches[e], i)
@@ -229,7 +229,7 @@ func TestMoEBranchesAreCapped(t *testing.T) {
 	}
 	rt := w.Gen.Next(workload.NewSource(3), 32)
 	for sw, r := range rt {
-		want := make([][]int, len(r.Branch))
+		want := make([][]int32, len(r.Branch))
 		for e, b := range r.Branch {
 			want[e] = slices.Clone(b)
 		}

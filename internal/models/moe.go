@@ -91,13 +91,11 @@ type moeGen struct {
 	// drew it), reused so Next allocates only the routing.
 	weights []float64
 	picks   []int
-	owners  []int
+	owners  []int32
 }
 
 // Next draws every sample's top-k experts per layer, in sample order, then
-// lays the layer's routing out in one backing array: each expert's branch is
-// a capped window of it, so an append by a consumer reallocates instead of
-// overwriting the next expert's samples.
+// lays the layer's routing out in one backing array (layOut).
 func (g *moeGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	rt := make(graph.BatchRouting, len(g.swIDs))
 	if g.weights == nil {
@@ -108,28 +106,15 @@ func (g *moeGen) Next(src *workload.Source, units int) graph.BatchRouting {
 			g.weights[e] = math.Exp(d.Step(src))
 		}
 		g.picks, g.owners = g.picks[:0], g.owners[:0]
-		var count [moeExperts]int
-		for i := 0; i < units; i++ {
+		for i := range int32(units) {
 			from := len(g.picks)
 			g.picks = src.AppendTopK(g.picks, g.weights, moeTopK)
-			for _, e := range g.picks[from:] {
-				count[e]++
+			for range g.picks[from:] {
 				g.owners = append(g.owners, i)
 			}
 		}
-		backing := make([]int, len(g.picks))
-		branches := make([][]int, moeExperts)
-		off := 0
-		for e, c := range count {
-			if c > 0 {
-				branches[e] = backing[off : off : off+c]
-			}
-			off += c
-		}
-		for k, e := range g.picks {
-			branches[e] = append(branches[e], g.owners[k])
-		}
-		rt[sw] = graph.Routing{Branch: branches}
+		var count [moeExperts]int
+		rt[sw] = graph.Routing{Branch: layOut(g.picks, g.owners, count[:])}
 	}
 	return rt
 }

@@ -77,32 +77,51 @@ func PABEE(batchSamples int) (*Workload, error) {
 }
 
 type pabeeGen struct {
-	swIDs []graph.OpID
-	mean  *workload.Drift
+	swIDs  []graph.OpID
+	mean   *workload.Drift
+	exitAt []int // Next's scratch: each sample's exit layer
 }
 
 func (g *pabeeGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	mean := g.mean.Step(src)
 	// Exit layer per sample: 1-based; pabeeLayers means "never exited".
-	exitAt := make([]int, units)
+	if cap(g.exitAt) < units {
+		g.exitAt = make([]int, units)
+	}
+	exitAt := g.exitAt[:units]
 	for i := range exitAt {
 		exitAt[i] = src.NormInt(mean, 2.5, 1, pabeeLayers)
 	}
 	rt := graph.BatchRouting{}
 	for l, sw := range g.swIDs {
 		layer := l + 1 // the switch after layer l+1
-		var exit, cont []int
-		for i, e := range exitAt {
-			switch {
-			case e < layer:
-				// Already exited at an earlier switch: not present here.
-			case e == layer:
-				exit = append(exit, i)
-			default:
-				cont = append(cont, i)
+		// Units that exited at an earlier switch (e < layer) are not
+		// present here. Both lists are capped windows of one exactly-sized
+		// array, nil when empty.
+		nExit, nCont := 0, 0
+		for _, e := range exitAt {
+			if e == layer {
+				nExit++
+			} else if e > layer {
+				nCont++
 			}
 		}
-		rt[sw] = graph.Routing{Branch: [][]int{exit, cont}}
+		backing := make([]int32, nExit+nCont)
+		var exit, cont []int32
+		if nExit > 0 {
+			exit = backing[:0:nExit]
+		}
+		if nCont > 0 {
+			cont = backing[nExit:nExit]
+		}
+		for i, e := range exitAt {
+			if e == layer {
+				exit = append(exit, int32(i))
+			} else if e > layer {
+				cont = append(cont, int32(i))
+			}
+		}
+		rt[sw] = graph.Routing{Branch: [][]int32{exit, cont}}
 	}
 	return rt
 }

@@ -83,8 +83,8 @@ type ranetGen struct {
 func (g *ranetGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	pEasy := g.easy.Step(src)
 	// The remainder splits 2:1 between medium and hard.
-	branches := make([][]int, len(ranetScales))
-	for u := 0; u < units; u++ {
+	branches := make([][]int32, len(ranetScales))
+	for u := range int32(units) {
 		r := src.Float64()
 		switch {
 		case r < pEasy:

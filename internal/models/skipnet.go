@@ -102,22 +102,28 @@ func lastSwitch(b *graph.Builder, name string) (graph.OpID, bool) {
 type skipNetGen struct {
 	swIDs []graph.OpID
 	drift []*workload.Drift
+	b2Buf []int32 // Next's scratch for the second branch, reused across calls
 }
 
 func (g *skipNetGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	rt := graph.BatchRouting{}
 	for bi, sw := range g.swIDs {
 		p := src.JitterProb(g.drift[bi].Step(src), 0.12)
-		b1 := make([]int, 0, units)
-		b2 := make([]int, 0, units)
-		for i := 0; i < units; i++ {
+		// Both branches share one exactly-sized array: b1 fills it from
+		// the front, and b2, gathered in scratch, is copied in behind.
+		b1 := make([]int32, 0, units)
+		b2 := g.b2Buf[:0]
+		for i := range int32(units) {
 			if src.Bernoulli(p) {
 				b1 = append(b1, i)
 			} else {
 				b2 = append(b2, i)
 			}
 		}
-		rt[sw] = graph.Routing{Branch: [][]int{b1, b2}}
+		g.b2Buf = b2
+		n := len(b1)
+		b1 = append(b1, b2...)
+		rt[sw] = graph.Routing{Branch: [][]int32{b1[:n:n], b1[n:]}}
 	}
 	return rt
 }

@@ -58,7 +58,7 @@ func TestParseSkipBlock(t *testing.T) {
 func TestParsedRoutingWorks(t *testing.T) {
 	g := MustParse(skipBlockSrc)
 	sw := g.Switches()[0]
-	rt := graph.BatchRouting{sw: {Branch: [][]int{{0, 1, 2}, {3}}}}
+	rt := graph.BatchRouting{sw: {Branch: [][]int32{{0, 1, 2}, {3}}}}
 	units, err := g.AssignUnits(4, rt)
 	if err != nil {
 		t.Fatal(err)

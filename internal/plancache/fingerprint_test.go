@@ -37,7 +37,7 @@ func fpGraph(t *testing.T, sparse bool) *graph.Graph {
 
 // fpObserve feeds one batch routed per branches (unit-index lists per branch,
 // concatenation must cover 0..n-1) at the given density into prof.
-func fpObserve(t *testing.T, g *graph.Graph, prof *profiler.Profiler, branches [][]int, density float64) {
+func fpObserve(t *testing.T, g *graph.Graph, prof *profiler.Profiler, branches [][]int32, density float64) {
 	t.Helper()
 	n := 0
 	for _, br := range branches {
@@ -82,8 +82,8 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 
 	t.Run("Identity", func(t *testing.T) {
 		ka, kb := keys(false, func(ga, gb *graph.Graph, pa, pb *profiler.Profiler) {
-			fpObserve(t, ga, pa, [][]int{{0, 1}, {2}, {3}}, 0)
-			fpObserve(t, gb, pb, [][]int{{0, 1}, {2}, {3}}, 0)
+			fpObserve(t, ga, pa, [][]int32{{0, 1}, {2}, {3}}, 0)
+			fpObserve(t, gb, pb, [][]int32{{0, 1}, {2}, {3}}, 0)
 		})
 		if ka != kb {
 			t.Fatal("identical profiles produced different keys")
@@ -93,9 +93,9 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 	t.Run("Batches", func(t *testing.T) {
 		// Same fractions throughout; only the batch count differs.
 		ka, kb := keys(false, func(ga, gb *graph.Graph, pa, pb *profiler.Profiler) {
-			fpObserve(t, ga, pa, [][]int{{0, 1}, {2}, {3}}, 0)
-			fpObserve(t, gb, pb, [][]int{{0, 1}, {2}, {3}}, 0)
-			fpObserve(t, gb, pb, [][]int{{0, 1}, {2}, {3}}, 0)
+			fpObserve(t, ga, pa, [][]int32{{0, 1}, {2}, {3}}, 0)
+			fpObserve(t, gb, pb, [][]int32{{0, 1}, {2}, {3}}, 0)
+			fpObserve(t, gb, pb, [][]int32{{0, 1}, {2}, {3}}, 0)
 		})
 		if ka == kb {
 			t.Fatal("fingerprint ignores the batch count")
@@ -106,12 +106,12 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		// Equal unit shares (2,2,1), equal co-activation (only the 0-1 pair,
 		// once), equal batch counts; the active fractions alone differ.
 		ka, kb := keys(false, func(ga, gb *graph.Graph, pa, pb *profiler.Profiler) {
-			fpObserve(t, ga, pa, [][]int{{0}, {1, 2}, {}}, 0)
-			fpObserve(t, ga, pa, [][]int{{}, {}, {0}}, 0)
-			fpObserve(t, ga, pa, [][]int{{0}, {}, {}}, 0)
-			fpObserve(t, gb, pb, [][]int{{0, 1}, {2}, {}}, 0)
-			fpObserve(t, gb, pb, [][]int{{}, {}, {0}}, 0)
-			fpObserve(t, gb, pb, [][]int{{}, {0}, {}}, 0)
+			fpObserve(t, ga, pa, [][]int32{{0}, {1, 2}, {}}, 0)
+			fpObserve(t, ga, pa, [][]int32{{}, {}, {0}}, 0)
+			fpObserve(t, ga, pa, [][]int32{{0}, {}, {}}, 0)
+			fpObserve(t, gb, pb, [][]int32{{0, 1}, {2}, {}}, 0)
+			fpObserve(t, gb, pb, [][]int32{{}, {}, {0}}, 0)
+			fpObserve(t, gb, pb, [][]int32{{}, {0}, {}}, 0)
 		})
 		if ka == kb {
 			t.Fatal("fingerprint ignores branch active fractions")
@@ -124,14 +124,14 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		// statistic LeastCoActivePair reads, and the quantized snapshot
 		// cannot see it, so only the fingerprint keeps these plans apart.
 		ka, kb := keys(false, func(ga, gb *graph.Graph, pa, pb *profiler.Profiler) {
-			fpObserve(t, ga, pa, [][]int{{0}, {1}, {2}}, 0)
-			fpObserve(t, ga, pa, [][]int{{0}, {}, {}}, 0)
-			fpObserve(t, ga, pa, [][]int{{}, {0}, {}}, 0)
-			fpObserve(t, ga, pa, [][]int{{}, {}, {0}}, 0)
-			fpObserve(t, gb, pb, [][]int{{0}, {1}, {}}, 0)
-			fpObserve(t, gb, pb, [][]int{{}, {}, {0}}, 0)
-			fpObserve(t, gb, pb, [][]int{{0}, {}, {1}}, 0)
-			fpObserve(t, gb, pb, [][]int{{}, {0}, {}}, 0)
+			fpObserve(t, ga, pa, [][]int32{{0}, {1}, {2}}, 0)
+			fpObserve(t, ga, pa, [][]int32{{0}, {}, {}}, 0)
+			fpObserve(t, ga, pa, [][]int32{{}, {0}, {}}, 0)
+			fpObserve(t, ga, pa, [][]int32{{}, {}, {0}}, 0)
+			fpObserve(t, gb, pb, [][]int32{{0}, {1}, {}}, 0)
+			fpObserve(t, gb, pb, [][]int32{{}, {}, {0}}, 0)
+			fpObserve(t, gb, pb, [][]int32{{0}, {}, {1}}, 0)
+			fpObserve(t, gb, pb, [][]int32{{}, {0}, {}}, 0)
 		})
 		if ka.profile != kb.profile {
 			t.Fatal("co-activation pair leaked into the quantized snapshot; the test no longer isolates the fingerprint")
@@ -144,8 +144,8 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 	t.Run("OpDensityMean", func(t *testing.T) {
 		// Identical routing; only the observed density differs.
 		ka, kb := keys(true, func(ga, gb *graph.Graph, pa, pb *profiler.Profiler) {
-			fpObserve(t, ga, pa, [][]int{{0, 1}, {2}, {3}}, 1)
-			fpObserve(t, gb, pb, [][]int{{0, 1}, {2}, {3}}, 0.5)
+			fpObserve(t, ga, pa, [][]int32{{0, 1}, {2}, {3}}, 1)
+			fpObserve(t, gb, pb, [][]int32{{0, 1}, {2}, {3}}, 0.5)
 		})
 		if ka == kb {
 			t.Fatal("fingerprint ignores the windowed density mean")
@@ -174,7 +174,7 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		// routing-only graphs ignore the axis entirely.
 		g := fpGraph(t, true)
 		k := NewKeyer(g)
-		rt := graph.BatchRouting{g.Switches()[0]: {Branch: [][]int{{0, 1}, {2}, {3}}}}
+		rt := graph.BatchRouting{g.Switches()[0]: {Branch: [][]int32{{0, 1}, {2}, {3}}}}
 		if k.RoutingShareKeyDensity(rt, 0.2) == k.RoutingShareKeyDensity(rt, 1) {
 			t.Fatal("sparse and dense requests share one affinity key on a density-aware graph")
 		}
@@ -183,7 +183,7 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		}
 		gr := fpGraph(t, false)
 		kr := NewKeyer(gr)
-		rtr := graph.BatchRouting{gr.Switches()[0]: {Branch: [][]int{{0, 1}, {2}, {3}}}}
+		rtr := graph.BatchRouting{gr.Switches()[0]: {Branch: [][]int32{{0, 1}, {2}, {3}}}}
 		if kr.RoutingShareKeyDensity(rtr, 0.2) != kr.RoutingShareKeyDensity(rtr, 1) {
 			t.Fatal("routing-only graph keyed on density")
 		}
@@ -193,8 +193,8 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		// A routing-only graph must key byte-identically whatever densities
 		// batches claim — the dimension only exists for density-aware graphs.
 		ka, kb := keys(false, func(ga, gb *graph.Graph, pa, pb *profiler.Profiler) {
-			fpObserve(t, ga, pa, [][]int{{0, 1}, {2}, {3}}, 1)
-			fpObserve(t, gb, pb, [][]int{{0, 1}, {2}, {3}}, 0.25)
+			fpObserve(t, ga, pa, [][]int32{{0, 1}, {2}, {3}}, 1)
+			fpObserve(t, gb, pb, [][]int32{{0, 1}, {2}, {3}}, 0.25)
 		})
 		if ka != kb {
 			t.Fatal("routing-only graph keyed on density")

@@ -30,7 +30,7 @@ func densityGraph(t *testing.T) (*graph.Graph, graph.OpID) {
 
 func observeDensity(t *testing.T, p *Profiler, g *graph.Graph, sw graph.OpID, density float64) {
 	t.Helper()
-	rt := graph.BatchRouting{sw: {Branch: [][]int{{0, 1, 2}, {3, 4}, {5, 6, 7}}}}
+	rt := graph.BatchRouting{sw: {Branch: [][]int32{{0, 1, 2}, {3, 4}, {5, 6, 7}}}}
 	um, err := g.AssignUnits(8, rt)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestOpDensityMeanWindowsAcrossReset(t *testing.T) {
 func TestDensityWindowGatedOnDensityOps(t *testing.T) {
 	g, sw := twoSwitchGraph(t)
 	p := New(g)
-	rt := graph.BatchRouting{sw: {Branch: [][]int{{0, 1, 2}, {3, 4}, {5, 6, 7}}}}
+	rt := graph.BatchRouting{sw: {Branch: [][]int32{{0, 1, 2}, {3, 4}, {5, 6, 7}}}}
 	um, err := g.AssignUnits(8, rt)
 	if err != nil {
 		t.Fatal(err)

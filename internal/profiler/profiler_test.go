@@ -25,7 +25,7 @@ func twoSwitchGraph(t *testing.T) (*graph.Graph, graph.OpID) {
 	return g, g.Switches()[0]
 }
 
-func observe(t *testing.T, p *Profiler, g *graph.Graph, sw graph.OpID, branches [][]int, units int) {
+func observe(t *testing.T, p *Profiler, g *graph.Graph, sw graph.OpID, branches [][]int32, units int) {
 	t.Helper()
 	rt := graph.BatchRouting{sw: {Branch: branches}}
 	um, err := g.AssignUnits(units, rt)
@@ -40,8 +40,8 @@ func observe(t *testing.T, p *Profiler, g *graph.Graph, sw graph.OpID, branches 
 func TestObserveFillsFreqTables(t *testing.T) {
 	g, sw := twoSwitchGraph(t)
 	p := New(g)
-	observe(t, p, g, sw, [][]int{{0, 1}, {2}, {3, 4, 5, 6, 7}}, 8)
-	observe(t, p, g, sw, [][]int{{0}, {}, {1, 2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0, 1}, {2}, {3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0}, {}, {1, 2, 3, 4, 5, 6, 7}}, 8)
 	if p.Batches() != 2 {
 		t.Fatalf("batches = %d", p.Batches())
 	}
@@ -68,9 +68,9 @@ func TestCoActivation(t *testing.T) {
 	g, sw := twoSwitchGraph(t)
 	p := New(g)
 	// Branch 0 and 1 never together; 0 and 2 always together.
-	observe(t, p, g, sw, [][]int{{0, 1}, {}, {2, 3, 4, 5, 6, 7}}, 8)
-	observe(t, p, g, sw, [][]int{{}, {0, 1}, {2, 3, 4, 5, 6, 7}}, 8)
-	observe(t, p, g, sw, [][]int{{0}, {}, {1, 2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0, 1}, {}, {2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{}, {0, 1}, {2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0}, {}, {1, 2, 3, 4, 5, 6, 7}}, 8)
 	if got := p.CoActivation(sw, 0, 1); got != 0 {
 		t.Fatalf("coact(0,1) = %v, want 0", got)
 	}
@@ -101,7 +101,7 @@ func TestResetDecays(t *testing.T) {
 	g, sw := twoSwitchGraph(t)
 	p := New(g)
 	for i := 0; i < 4; i++ {
-		observe(t, p, g, sw, [][]int{{0, 1}, {2}, {3, 4, 5, 6, 7}}, 8)
+		observe(t, p, g, sw, [][]int32{{0, 1}, {2}, {3, 4, 5, 6, 7}}, 8)
 	}
 	p.Reset()
 	if p.Batches() != 2 {
@@ -115,7 +115,7 @@ func TestResetDecays(t *testing.T) {
 func TestObserveRejectsUnknownSwitch(t *testing.T) {
 	g, sw := twoSwitchGraph(t)
 	p := New(g)
-	rt := graph.BatchRouting{sw + 99: {Branch: [][]int{{0}}}}
+	rt := graph.BatchRouting{sw + 99: {Branch: [][]int32{{0}}}}
 	um := map[graph.OpID]int{}
 	for _, op := range g.Ops {
 		um[op.ID] = 0
@@ -128,7 +128,7 @@ func TestObserveRejectsUnknownSwitch(t *testing.T) {
 func TestObserveRequiresAllDynamicUnits(t *testing.T) {
 	g, sw := twoSwitchGraph(t)
 	p := New(g)
-	rt := graph.BatchRouting{sw: {Branch: [][]int{{0}, {}, {}}}}
+	rt := graph.BatchRouting{sw: {Branch: [][]int32{{0}, {}, {}}}}
 	if err := p.ObserveBatch(map[graph.OpID]int{}, rt, 1); err == nil {
 		t.Fatal("missing unit counts accepted")
 	}
@@ -144,8 +144,8 @@ func TestSnapshotMatchesStatistics(t *testing.T) {
 	if len(first.Share) != 3 || first.Share[0] != 0 || first.Active[0] != 1 || first.Density != 1 {
 		t.Fatalf("empty snapshot = %+v, want zero shares, active 1, density 1", *first)
 	}
-	observe(t, p, g, sw, [][]int{{0, 1}, {}, {2, 3, 4, 5, 6, 7}}, 8)
-	observe(t, p, g, sw, [][]int{{0}, {1}, {2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0, 1}, {}, {2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0}, {1}, {2, 3, 4, 5, 6, 7}}, 8)
 	s := p.Snapshot()
 	if s != first {
 		t.Fatal("Snapshot returned a new buffer")

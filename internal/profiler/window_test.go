@@ -17,10 +17,10 @@ func TestBranchActiveFractionWindowsAcrossReset(t *testing.T) {
 	g, sw := twoSwitchGraph(t)
 	p := New(g)
 	// Branch 0 active in 3 of 4 batches, branch 1 in 2 of 4.
-	observe(t, p, g, sw, [][]int{{0}, {1}, {2, 3, 4, 5, 6, 7}}, 8)
-	observe(t, p, g, sw, [][]int{{0}, {}, {1, 2, 3, 4, 5, 6, 7}}, 8)
-	observe(t, p, g, sw, [][]int{{0}, {1}, {2, 3, 4, 5, 6, 7}}, 8)
-	observe(t, p, g, sw, [][]int{{}, {}, {0, 1, 2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0}, {1}, {2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0}, {}, {1, 2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0}, {1}, {2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{}, {}, {0, 1, 2, 3, 4, 5, 6, 7}}, 8)
 	if got := p.BranchActiveFraction(sw, 0); got != 0.75 {
 		t.Fatalf("active(0) = %v, want 0.75", got)
 	}
@@ -44,8 +44,8 @@ func TestBranchActiveFractionWindowsAcrossReset(t *testing.T) {
 
 	// The aged window keeps weighting: two fresh all-active batches dominate
 	// the halved history (2 old + 2 new batches, branch 1 active in 1+2).
-	observe(t, p, g, sw, [][]int{{0}, {1}, {2, 3, 4, 5, 6, 7}}, 8)
-	observe(t, p, g, sw, [][]int{{0}, {1}, {2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0}, {1}, {2, 3, 4, 5, 6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0}, {1}, {2, 3, 4, 5, 6, 7}}, 8)
 	if got := p.BranchActiveFraction(sw, 1); got != 0.75 {
 		t.Fatalf("active(1) after refill = %v, want 3/4", got)
 	}
@@ -65,8 +65,8 @@ func TestBranchActiveFractionWindowsAcrossReset(t *testing.T) {
 func TestBranchUnitShareAcrossReset(t *testing.T) {
 	g, sw := twoSwitchGraph(t)
 	p := New(g)
-	observe(t, p, g, sw, [][]int{{0, 1, 2, 3}, {4, 5}, {6, 7}}, 8) // shares 1/2, 1/4, 1/4
-	observe(t, p, g, sw, [][]int{{0, 1, 2, 3}, {4, 5}, {6, 7}}, 8)
+	observe(t, p, g, sw, [][]int32{{0, 1, 2, 3}, {4, 5}, {6, 7}}, 8) // shares 1/2, 1/4, 1/4
+	observe(t, p, g, sw, [][]int32{{0, 1, 2, 3}, {4, 5}, {6, 7}}, 8)
 	want := []float64{0.5, 0.25, 0.25}
 	for i, w := range want {
 		if got := p.Snapshot().Share[i]; got != w {
@@ -105,11 +105,11 @@ func TestCoActivationProperties(t *testing.T) {
 		// Drive the profiler with a derived batch: bit k of each pattern byte
 		// activates branch k. Unit indices are synthesized to match.
 		for _, bits := range pattern {
-			var branches [][]int
-			next := 0
+			var branches [][]int32
+			next := int32(0)
 			for k := 0; k < 3; k++ {
 				if bits&(1<<k) != 0 {
-					branches = append(branches, []int{next, next + 1})
+					branches = append(branches, []int32{next, next + 1})
 					next += 2
 				} else {
 					branches = append(branches, nil)

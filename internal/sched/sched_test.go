@@ -141,15 +141,15 @@ func TestFrequencyWeightedAllocationFollowsLoad(t *testing.T) {
 	prof := profiler.New(g)
 	src := workload.NewSource(2)
 	for i := 0; i < 200; i++ {
-		var l0, l1 []int
-		for s := 0; s < 8; s++ {
+		var l0, l1 []int32
+		for s := range int32(8) {
 			if src.Bernoulli(5.03 / 8) {
 				l0 = append(l0, s)
 			} else {
 				l1 = append(l1, s)
 			}
 		}
-		rt := graph.BatchRouting{swID: {Branch: [][]int{l0, l1}}}
+		rt := graph.BatchRouting{swID: {Branch: [][]int32{l0, l1}}}
 		units, err := g.AssignUnits(8, rt)
 		if err != nil {
 			t.Fatal(err)
@@ -351,15 +351,15 @@ func TestRescheduleAdaptsToDrift(t *testing.T) {
 		sw := w.Graph.Switches()[0]
 		units := w.BatchUnits(64)
 		for i := 0; i < n; i++ {
-			var keep, drop []int
-			for u := 0; u < units; u++ {
+			var keep, drop []int32
+			for u := range int32(units) {
 				if src.Bernoulli(mean) {
 					keep = append(keep, u)
 				} else {
 					drop = append(drop, u)
 				}
 			}
-			rt := graph.BatchRouting{sw: {Branch: [][]int{keep, drop}}}
+			rt := graph.BatchRouting{sw: {Branch: [][]int32{keep, drop}}}
 			um, err := w.Graph.AssignUnits(units, rt)
 			if err != nil {
 				t.Fatal(err)

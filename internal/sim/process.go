@@ -115,6 +115,10 @@ func (p *Proc) Now() Time { return p.env.now }
 // Name returns the process name.
 func (p *Proc) Name() string { return p.name }
 
+// SetName renames the process. A pooled process that is reused for other
+// work takes that work's name, so deadlock diagnostics name what is stuck.
+func (p *Proc) SetName(name string) { p.name = name }
+
 // Wait arranges for the process to resume after d cycles; its step function
 // must return false next. Wait(0) yields to other events scheduled at the
 // current time.

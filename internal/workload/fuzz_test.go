@@ -14,8 +14,8 @@ import (
 func FuzzLoadRecording(f *testing.F) {
 	// A genuine round-tripped recording as the primary seed.
 	rec := Record("skipnet", 4, 7, []Batch{
-		{Index: 0, Units: 4, Routing: routing(0, [][]int{{0, 1}, {2, 3}})},
-		{Index: 1, Units: 4, Routing: routing(0, [][]int{{}, {0, 1, 2, 3}})},
+		{Index: 0, Units: 4, Routing: routing(0, [][]int32{{0, 1}, {2, 3}})},
+		{Index: 1, Units: 4, Routing: routing(0, [][]int32{{}, {0, 1, 2, 3}})},
 	})
 	var buf bytes.Buffer
 	if err := rec.Save(&buf); err != nil {
@@ -64,6 +64,6 @@ func FuzzLoadRecording(f *testing.F) {
 	})
 }
 
-func routing(sw int, branches [][]int) graph.BatchRouting {
+func routing(sw int, branches [][]int32) graph.BatchRouting {
 	return graph.BatchRouting{graph.OpID(sw): graph.Routing{Branch: branches}}
 }

@@ -30,7 +30,7 @@ type RecordedBatch struct {
 	Units int `json:"units"`
 	// Routing maps the switch operator ID (as a string, JSON object keys)
 	// to the per-branch unit index lists.
-	Routing map[string][][]int `json:"routing"`
+	Routing map[string][][]int32 `json:"routing"`
 	// Density is the batch's density dyn-value in (0,1]; omitted (zero) for
 	// dense batches, so recordings of routing-only models are unchanged.
 	Density float64 `json:"density,omitempty"`
@@ -40,7 +40,7 @@ type RecordedBatch struct {
 func Record(model string, batchSamples int, seed int64, batches []Batch) *Recording {
 	rec := &Recording{Model: model, BatchSamples: batchSamples, Seed: seed}
 	for _, b := range batches {
-		rb := RecordedBatch{Units: b.Units, Routing: map[string][][]int{}, Density: b.Density}
+		rb := RecordedBatch{Units: b.Units, Routing: map[string][][]int32{}, Density: b.Density}
 		for sw, r := range b.Routing {
 			rb.Routing[strconv.Itoa(int(sw))] = r.Branch
 		}
@@ -64,7 +64,7 @@ func (rec *Recording) Replay() ([]Batch, error) {
 			}
 			for k, br := range branches {
 				for _, u := range br {
-					if u < 0 || u >= rb.Units {
+					if u < 0 || int(u) >= rb.Units {
 						return nil, fmt.Errorf("workload: batch %d switch %s branch %d routes unit %d outside [0,%d)",
 							i, key, k, u, rb.Units)
 					}

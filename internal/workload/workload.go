@@ -45,8 +45,23 @@ func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 // Bernoulli reports true with probability p.
 func (s *Source) Bernoulli(p float64) bool { return s.rng.Float64() < p }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
+// PermInto returns a random permutation of [0, n) in buf's array, which it
+// replaces with a new one when it holds fewer than n elements. It draws the
+// same Intn(i+1) sequence as rand.Perm, so it returns the same permutation
+// and leaves the source in the same state; a caller that passes its
+// previous result back as buf draws without allocating.
+func (s *Source) PermInto(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	m := buf[:n]
+	for i := 0; i < n; i++ {
+		j := s.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
 
 // ClampInt limits v to [lo, hi].
 func ClampInt(v, lo, hi int) int {

@@ -3,7 +3,10 @@ package workload
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -178,10 +181,10 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	// Build a hand-rolled trace, record it, replay it, and compare.
 	batches := []Batch{
 		{Index: 0, Units: 4, Routing: map[graph.OpID]graph.Routing{
-			3: {Branch: [][]int{{0, 1}, {2, 3}}},
+			3: {Branch: [][]int32{{0, 1}, {2, 3}}},
 		}},
 		{Index: 1, Units: 4, Routing: map[graph.OpID]graph.Routing{
-			3: {Branch: [][]int{{}, {0, 1, 2, 3}}},
+			3: {Branch: [][]int32{{}, {0, 1, 2, 3}}},
 		}},
 	}
 	rec := Record("demo", 4, 7, batches)
@@ -220,7 +223,7 @@ func TestLoadRecordingRejectsGarbage(t *testing.T) {
 	if _, err := rec.Replay(); err == nil {
 		t.Fatal("negative units accepted")
 	}
-	rec2 := &Recording{Batches: []RecordedBatch{{Units: 1, Routing: map[string][][]int{"xx": nil}}}}
+	rec2 := &Recording{Batches: []RecordedBatch{{Units: 1, Routing: map[string][][]int32{"xx": nil}}}}
 	if _, err := rec2.Replay(); err == nil {
 		t.Fatal("bad switch key accepted")
 	}
@@ -266,5 +269,45 @@ func TestSampleTopKStreamPinned(t *testing.T) {
 		if buf[0] != 99 || !slices.Equal(buf[1:], want[i]) {
 			t.Fatalf("appended draw %d = %v, want [99] + %v", i, buf, want[i])
 		}
+	}
+}
+
+// PermInto draws what rand.Perm draws: for every length up to 200 and
+// several seeds, the same permutation and the same source state after it,
+// whether the buffer is nil, too short, or reused at full size.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 1 << 40} {
+		src, ref := NewSource(seed), rand.New(rand.NewSource(seed))
+		var buf []int
+		for n := 0; n <= 200; n++ {
+			if n%3 == 0 {
+				buf = nil
+			}
+			buf = src.PermInto(buf, n)
+			if want := ref.Perm(n); !slices.Equal(buf, want) {
+				t.Fatalf("seed %d, n %d: PermInto = %v, Perm = %v", seed, n, buf, want)
+			}
+		}
+		if a, b := src.Intn(1<<30), ref.Intn(1<<30); a != b {
+			t.Fatalf("seed %d: sources diverge after the permutations (%d vs %d)", seed, a, b)
+		}
+	}
+}
+
+// A recorded unit index that does not fit the routing's int32 element is
+// a decoding error, not a wrapped index: the fuzz corpus holds one.
+func TestLoadRecordingRejectsWideIndex(t *testing.T) {
+	corpus, err := os.ReadFile("testdata/fuzz/FuzzLoadRecording/wide-index")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := strings.Split(string(corpus), "\n")[1]
+	data := strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")")
+	doc, err := strconv.Unquote(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := LoadRecording(strings.NewReader(doc)); err == nil {
+		t.Fatalf("loaded a unit index of 2^31 as %v", rec.Batches)
 	}
 }

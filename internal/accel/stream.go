@@ -79,12 +79,8 @@ func (m *Machine) StepTo(t sim.Time) {
 // completing event, so later in-flight batches keep whatever progress they
 // made up to that instant and no more.
 func (m *Machine) StreamRetire(tk *StreamTicket) (sim.Time, error) {
-	for !tk.done.Fired() {
-		t, ok := m.env.NextEvent()
-		if !ok {
-			return 0, m.blockedErr("stream stalled", "with no pending events")
-		}
-		m.env.RunUntil(t)
+	if !m.env.RunUntilFired(tk.done) {
+		return 0, m.blockedErr("stream stalled", "with no pending events")
 	}
 	return tk.doneAt, tk.err
 }

@@ -223,3 +223,68 @@ func TestStreamOneBatchMatchesRun(t *testing.T) {
 		})
 	}
 }
+
+// TestWakeupCountsPinned pins the engine's wake-up counts for a fixed
+// seed-1 moe window, run once as a Run window and once streamed (submit all,
+// retire in order): how many wake-ups the engine dispatched from its queue
+// or lane, and how many continued in place. Their sum is the dispatch count
+// of an engine without in-place continuation, so the pin also holds the
+// share of wake-ups that skip the queue: at least 30% on both paths.
+func TestWakeupCountsPinned(t *testing.T) {
+	run := func(streamed bool) (dispatched, inPlace int64) {
+		cfg := hw.Default()
+		w, err := models.ByName("tutel-moe", 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(cfg, w.Graph, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sched.Schedule(cfg, w.Graph, sched.Adyna(), m.Profiler())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		trace := w.GenTrace(workload.NewSource(1), 4, 32)
+		if !streamed {
+			if err := m.Run(trace); err != nil {
+				t.Fatal(err)
+			}
+			return m.env.Wakeups()
+		}
+		var tks []*StreamTicket
+		for _, b := range trace {
+			tk, err := m.StreamSubmit(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tks = append(tks, tk)
+		}
+		for _, tk := range tks {
+			if _, err := m.StreamRetire(tk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m.env.Wakeups()
+	}
+	for _, c := range []struct {
+		streamed            bool
+		dispatched, inPlace int64
+	}{
+		{false, 13314, 7691},
+		{true, 14081, 6894},
+	} {
+		d, ip := run(c.streamed)
+		t.Logf("streamed=%v: %d dispatched, %d in place (%.1f%%)", c.streamed, d, ip, 100*float64(ip)/float64(d+ip))
+		if d != c.dispatched || ip != c.inPlace {
+			t.Errorf("streamed=%v: %d dispatched, %d in place; want %d, %d",
+				c.streamed, d, ip, c.dispatched, c.inPlace)
+		}
+		if 10*d > 7*(d+ip) {
+			t.Errorf("streamed=%v: %d of %d wake-ups dispatched, want at most 70%%", c.streamed, d, d+ip)
+		}
+	}
+}

@@ -539,6 +539,7 @@ func (g *Graph) validate() error {
 		return fmt.Errorf("graph %q: cycle detected", g.Name)
 	}
 	g.topo = order
+	g.switches = g.opsWhere(func(op *Op) bool { return op.Kind == KindSwitch })
 	// Every switch must have each branch connected, and every non-sink
 	// branch must eventually be closed by exactly one merge.
 	merges := map[OpID]int{}
@@ -547,7 +548,7 @@ func (g *Graph) validate() error {
 			merges[op.MergeOf]++
 		}
 	}
-	for _, swID := range g.Switches() {
+	for _, swID := range g.switches {
 		sw := g.Op(swID)
 		// Outputs = branch heads (in connect order) plus nothing else.
 		if len(sw.Outputs) != sw.NumBranches {
@@ -561,12 +562,23 @@ func (g *Graph) validate() error {
 			// Legal only if every branch ends in sinks/outputs; verify no
 			// branch op has dangling dynamic successors outside the switch.
 			for k := 0; k < sw.NumBranches; k++ {
-				ops := g.BranchOps(swID, k)
+				ops := g.branchOps(swID, k)
 				if len(ops) == 0 {
 					return fmt.Errorf("graph %q: switch %s branch %d is empty", g.Name, sw.Name, k)
 				}
 			}
 		}
+	}
+	g.dynamic = g.opsWhere(func(op *Op) bool { return op.Dynamic })
+	g.density = g.opsWhere(func(op *Op) bool { return op.DensityAware })
+	g.compute = g.opsWhere(func(op *Op) bool { return op.Kind.IsCompute() })
+	g.branches = make([][][]OpID, len(g.switches))
+	for i, swID := range g.switches {
+		bs := make([][]OpID, g.Op(swID).NumBranches)
+		for k := range bs {
+			bs[k] = g.branchOps(swID, k)
+		}
+		g.branches[i] = bs
 	}
 	return nil
 }

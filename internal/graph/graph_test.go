@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -86,6 +87,49 @@ func TestBranchOps(t *testing.T) {
 	}
 	if got := g.BranchOps(ids["b1_conv"], 0); got != nil {
 		t.Fatal("BranchOps on non-switch should be nil")
+	}
+}
+
+// The operator views are computed when the graph is built: reading them
+// allocates nothing, and a decoded graph gets the same views.
+func TestGraphViewsComputedOnce(t *testing.T) {
+	g, ids := buildSkipBlock(t, 8)
+	sw := ids["sw"]
+	n := testing.AllocsPerRun(10, func() {
+		_ = g.Switches()
+		_ = g.DynamicOps()
+		_ = g.DensityOps()
+		_ = g.ComputeOps()
+		_ = g.BranchOps(sw, 1)
+	})
+	if n != 0 {
+		t.Fatalf("reading the graph views allocates %.0f times, want 0", n)
+	}
+	var buf bytes.Buffer
+	if err := g.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, err := DecodeGraph(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 2; k++ {
+		if got, want := fmt.Sprint(d.BranchOps(sw, k)), fmt.Sprint(g.BranchOps(sw, k)); got != want {
+			t.Fatalf("decoded branch %d = %s, want %s", k, got, want)
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []OpID
+	}{
+		{"Switches", d.Switches(), g.Switches()},
+		{"DynamicOps", d.DynamicOps(), g.DynamicOps()},
+		{"DensityOps", d.DensityOps(), g.DensityOps()},
+		{"ComputeOps", d.ComputeOps(), g.ComputeOps()},
+	} {
+		if fmt.Sprint(c.got) != fmt.Sprint(c.want) {
+			t.Fatalf("decoded %s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 

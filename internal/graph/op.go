@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -208,6 +209,12 @@ type Graph struct {
 	// because AssignUnits — called once per batch on the simulation hot path
 	// — walks the graph in this order.
 	topo []OpID
+	// The operator views, computed once when the graph is finalized and
+	// shared read-only by every caller: switches (in ID order), dynamic,
+	// density-aware and compute operators, and each switch's branches (by
+	// the switch's index in switches, then branch index).
+	switches, dynamic, density, compute []OpID
+	branches                            [][][]OpID
 }
 
 // Op returns the operator with the given ID.
@@ -219,46 +226,29 @@ func (g *Graph) Inputs() []OpID { return g.inputs }
 // Outputs returns the graph's output operators.
 func (g *Graph) Outputs() []OpID { return g.outputs }
 
+// The operator views below return slices computed when the graph was
+// finalized (Build or DecodeGraph) and shared by every caller, who must
+// not modify them.
+
 // Switches returns the IDs of all switch operators in topological order.
-func (g *Graph) Switches() []OpID {
-	var out []OpID
-	for _, op := range g.Ops {
-		if op.Kind == KindSwitch {
-			out = append(out, op.ID)
-		}
-	}
-	return out
-}
+func (g *Graph) Switches() []OpID { return g.switches }
 
 // DynamicOps returns the IDs of all operators marked dynamic.
-func (g *Graph) DynamicOps() []OpID {
-	var out []OpID
-	for _, op := range g.Ops {
-		if op.Dynamic {
-			out = append(out, op.ID)
-		}
-	}
-	return out
-}
+func (g *Graph) DynamicOps() []OpID { return g.dynamic }
 
 // DensityOps returns the IDs of all density-aware operators — the operators
 // whose cost scales with the batch's runtime density dyn-value. Empty for
 // every purely routing-dynamic model.
-func (g *Graph) DensityOps() []OpID {
-	var out []OpID
-	for _, op := range g.Ops {
-		if op.DensityAware {
-			out = append(out, op.ID)
-		}
-	}
-	return out
-}
+func (g *Graph) DensityOps() []OpID { return g.density }
 
 // ComputeOps returns the IDs of all compute operators.
-func (g *Graph) ComputeOps() []OpID {
+func (g *Graph) ComputeOps() []OpID { return g.compute }
+
+// opsWhere returns the IDs of the operators that satisfy keep, in ID order.
+func (g *Graph) opsWhere(keep func(*Op) bool) []OpID {
 	var out []OpID
 	for _, op := range g.Ops {
-		if op.Kind.IsCompute() {
+		if keep(op) {
 			out = append(out, op.ID)
 		}
 	}
@@ -325,8 +315,17 @@ func (g *Graph) computeTopo() []OpID {
 
 // BranchOps returns the operators belonging to branch k of switch sw:
 // every operator reachable from the branch head before the closing merge,
-// including nested structures.
+// including nested structures. Like the views above, the result is shared.
 func (g *Graph) BranchOps(sw OpID, k int) []OpID {
+	i, ok := slices.BinarySearch(g.switches, sw)
+	if !ok || k < 0 || k >= len(g.branches[i]) {
+		return nil
+	}
+	return g.branches[i][k]
+}
+
+// branchOps computes BranchOps.
+func (g *Graph) branchOps(sw OpID, k int) []OpID {
 	s := g.Op(sw)
 	if s.Kind != KindSwitch || k < 0 || k >= s.NumBranches {
 		return nil

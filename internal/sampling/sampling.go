@@ -13,6 +13,7 @@ package sampling
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/profiler"
@@ -106,8 +107,16 @@ func Loss(vals []int, ft *profiler.FreqTable) float64 {
 // frequency is conserved.
 func Redistribute(vals []int, freq []float64, newVals []int) []float64 {
 	newFreq := make([]float64, len(newVals))
+	redistribute(newFreq, vals, freq, newVals)
+	return newFreq
+}
+
+// redistribute is Redistribute into newFreq, which must have newVals'
+// length and share no memory with freq.
+func redistribute(newFreq []float64, vals []int, freq []float64, newVals []int) {
+	clear(newFreq)
 	if len(newVals) == 0 {
-		return newFreq
+		return
 	}
 	for pos := range freq {
 		f := freq[pos]
@@ -152,7 +161,6 @@ func Redistribute(vals []int, freq []float64, newVals []int) []float64 {
 			newFreq[i] += f * float64(ub-pv) / span
 		}
 	}
-	return newFreq
 }
 
 // Resample implements Algorithm 1: starting from the current sample values
@@ -160,7 +168,10 @@ func Redistribute(vals []int, freq []float64, newVals []int) []float64 {
 // each removing the value with the least punishment and inserting a midpoint
 // with the greatest saving, then redistributing frequencies (Algorithm 2).
 // The largest value is never removed (every dyn value must stay servable) and
-// the sample count is preserved.
+// the sample count is preserved. The steps allocate nothing: the result's
+// arrays and one scratch array each for values and frequencies hold the
+// current set, the next one and the set in between (minus the removed
+// value), and each step swaps the current and next sets.
 func Resample(vals []int, freq []float64, iters int) ([]int, []float64, error) {
 	if len(vals) != len(freq) {
 		return nil, nil, fmt.Errorf("sampling: %d values but %d frequencies", len(vals), len(freq))
@@ -171,65 +182,79 @@ func Resample(vals []int, freq []float64, iters int) ([]int, []float64, error) {
 	if !sort.IntsAreSorted(vals) {
 		return nil, nil, fmt.Errorf("sampling: values not sorted")
 	}
-	cur := append([]int(nil), vals...)
-	curF := append([]float64(nil), freq...)
-	if len(cur) == 1 {
-		return cur, curF, nil // nothing to trade
+	n := len(vals)
+	outV, outF := slices.Clone(vals), slices.Clone(freq)
+	if n == 1 {
+		return outV, outF, nil // nothing to trade
 	}
+	// Callers keep the result, so the scratch lives in separate arrays.
+	vb, fb := make([]int, 2*n-1), make([]float64, 2*n-1)
+	cur, next, trimmed := outV, vb[:n], vb[n:]
+	curF, nextF, trimmedF := outF, fb[:n], fb[n:]
 	for it := 0; it < iters; it++ {
 		// Remove the value with the least punishment.
-		punish := calcPunish(cur, curF)
-		rmPos := argmin(punish)
+		rmPos := leastPunished(cur, curF)
 		rmVal := cur[rmPos]
-		trimmed := removeAt(cur, rmPos)
-		trimmedF := removeAt(curF, rmPos)
+		copy(trimmed, cur[:rmPos])
+		copy(trimmed[rmPos:], cur[rmPos+1:])
+		copy(trimmedF, curF[:rmPos])
+		copy(trimmedF[rmPos:], curF[rmPos+1:])
 		// The removed bin's mass now matches the next larger sample.
 		if rmPos < len(trimmedF) {
 			trimmedF[rmPos] += curF[rmPos]
 		}
 		// Add the value with the most saving.
-		saving := calcSaving(trimmed, trimmedF)
-		inPos := argmax(saving)
+		inPos := mostSaving(trimmed, trimmedF)
 		inVal := midpoint(trimmed, inPos)
 		if inVal == rmVal || !validInsert(trimmed, inVal) {
 			// No profitable move remains: recover the removed value and stop.
 			break
 		}
-		next := insertSorted(trimmed, inVal)
-		curF = Redistribute(cur, curF, next)
-		cur = next
+		i := sort.SearchInts(trimmed, inVal)
+		copy(next, trimmed[:i])
+		next[i] = inVal
+		copy(next[i+1:], trimmed[i:])
+		redistribute(nextF, cur, curF, next)
+		cur, next = next, cur
+		curF, nextF = nextF, curF
 	}
-	return cur, curF, nil
+	copy(outV, cur) // a no-op when the last set is already there
+	copy(outF, curF)
+	return outV, outF, nil
 }
 
-// calcPunish returns, for each sample, the loss increase of removing it
-// (Equation 1): the bin's mass times the extra gap to the next sample.
-// The last sample is irremovable (infinite punishment).
-func calcPunish(vals []int, freq []float64) []float64 {
-	p := make([]float64, len(vals))
+// leastPunished returns the sample whose removal increases the loss least
+// (Equation 1): the bin's mass times the extra gap to the next sample. The
+// last sample is irremovable (infinite punishment). Ties go to the lowest
+// index.
+func leastPunished(vals []int, freq []float64) int {
+	best, bestP := 0, math.Inf(1)
 	for i := range vals {
-		if i == len(vals)-1 {
-			p[i] = math.Inf(1)
-			continue
+		p := math.Inf(1)
+		if i < len(vals)-1 {
+			p = freq[i] * float64(vals[i+1]-vals[i])
 		}
-		p[i] = freq[i] * float64(vals[i+1]-vals[i])
+		if i == 0 || p < bestP {
+			best, bestP = i, p
+		}
 	}
-	return p
+	return best
 }
 
-// calcSaving returns, for each sample, the loss decrease of inserting a new
-// sample at the midpoint of the interval below it: half the bin's mass times
-// half the interval width (uniform assumption).
-func calcSaving(vals []int, freq []float64) []float64 {
-	s := make([]float64, len(vals))
-	for i := range vals {
-		lb := 0
-		if i > 0 {
-			lb = vals[i-1]
+// mostSaving returns the sample below which inserting a midpoint decreases
+// the loss most: half the bin's mass times half the interval width (uniform
+// assumption). Ties go to the lowest index.
+func mostSaving(vals []int, freq []float64) int {
+	best, bestS := 0, 0.0
+	lb := 0
+	for i, v := range vals {
+		s := freq[i] * float64(v-lb) / 4
+		if i == 0 || s > bestS {
+			best, bestS = i, s
 		}
-		s[i] = freq[i] * float64(vals[i]-lb) / 4
+		lb = v
 	}
-	return s
+	return best
 }
 
 // midpoint returns the midpoint of the interval below vals[i].
@@ -249,42 +274,6 @@ func validInsert(vals []int, v int) bool {
 	}
 	i := sort.SearchInts(vals, v)
 	return i == len(vals) || vals[i] != v
-}
-
-func insertSorted(vals []int, v int) []int {
-	i := sort.SearchInts(vals, v)
-	out := make([]int, 0, len(vals)+1)
-	out = append(out, vals[:i]...)
-	out = append(out, v)
-	out = append(out, vals[i:]...)
-	return out
-}
-
-func removeAt[T any](s []T, i int) []T {
-	out := make([]T, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	out = append(out, s[i+1:]...)
-	return out
-}
-
-func argmin(xs []float64) int {
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-func argmax(xs []float64) int {
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // ResampleFromTable is the full profiler-to-scheduler path: bin the raw

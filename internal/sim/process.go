@@ -22,10 +22,8 @@ type Proc struct {
 	env  *Env
 	name string
 	step func(p *Proc) bool
-	// runFn is the method value p.run, materialized once at creation: every
-	// Wait and every primitive wake-up schedules it, and building a fresh
-	// method value per wake would allocate a closure each time.
-	runFn func()
+	// wakeAt is the time a deferred Wait resumes at (see Env.deferred).
+	wakeAt Time
 	// armed is set once the current step has arranged its wake-up.
 	armed bool
 	// running is set from Start until the step function reports the end.
@@ -38,9 +36,7 @@ type Proc struct {
 // NewProc creates a process whose body is step, without starting it. The
 // name is used in deadlock diagnostics only.
 func (e *Env) NewProc(name string, step func(p *Proc) bool) *Proc {
-	p := &Proc{env: e, name: name, step: step}
-	p.runFn = p.run
-	return p
+	return &Proc{env: e, name: name, step: step}
 }
 
 // Start starts p. The process takes its first step at the current simulated
@@ -60,7 +56,7 @@ func (e *Env) Start(p *Proc) {
 	}
 	e.live = p
 	e.nprocs++
-	e.Schedule(0, p.runFn)
+	e.wakeNow(p)
 }
 
 // Spawn creates and starts a process: NewProc followed by Start.
@@ -71,19 +67,43 @@ func (e *Env) Spawn(name string, step func(p *Proc) bool) *Proc {
 }
 
 // run takes one step of the process: from its last blocking point to the
-// next one, or to the end of its body.
+// next one, or to the end of its body. If the step ended in Wait(d) with
+// d > 0 and that wake-up is the next event the running loop would
+// dispatch (Env.continues), run advances the clock and takes the next step
+// in place, with no trip through the queue. This keeps the (time, sequence)
+// order exactly: the wake-up is still deferred, so nothing was queued
+// behind it in this step (a later-time push flushes it first); no pending
+// event orders before it, since the lane is empty and every queued event is
+// strictly later; and the loop's horizon covers it, so the loop would have
+// popped it next and called run. Otherwise the wake-up is queued as Wait
+// would have queued it.
 func (p *Proc) run() {
-	p.armed = false
-	if !p.step(p) {
+	e := p.env
+	for {
+		p.armed = false
+		if p.step(p) {
+			break
+		}
 		if !p.armed {
 			panic(fmt.Sprintf("sim: process %s blocked without arranging a wake-up", p.name))
 		}
-		return
+		if e.deferred != p {
+			return // woken from the lane or a primitive, or already queued
+		}
+		if !e.continues(p.wakeAt) {
+			e.queueDeferred()
+			return
+		}
+		e.deferred = nil
+		e.now = p.wakeAt
+		e.inPlace++
 	}
 	if p.armed {
 		panic(fmt.Sprintf("sim: process %s finished with a wake-up pending", p.name))
 	}
-	e := p.env
+	if !p.running {
+		return // a one-shot event (Env.At), never started
+	}
 	p.running = false
 	e.nprocs--
 	if p.prev != nil {
@@ -121,13 +141,23 @@ func (p *Proc) SetName(name string) { p.name = name }
 
 // Wait arranges for the process to resume after d cycles; its step function
 // must return false next. Wait(0) yields to other events scheduled at the
-// current time.
+// current time. A wake-up for a later time is deferred until the step
+// returns, which may then continue in place (see run).
 func (p *Proc) Wait(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: process %s waits negative %d", p.name, d))
 	}
 	p.arm()
-	p.env.Schedule(d, p.runFn)
+	e := p.env
+	if d == 0 {
+		e.wakeNow(p)
+		return
+	}
+	if e.deferred != nil {
+		e.queueDeferred()
+	}
+	p.wakeAt = e.now + d
+	e.deferred = p
 }
 
 // Signal is a broadcast condition. Processes wait in Await until some event
@@ -152,8 +182,12 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
+	e := s.env
+	if e.until == s {
+		e.limit = e.now // RunUntilFired finishes this instant and no later
+	}
 	for _, p := range s.waiters {
-		s.env.Schedule(0, p.runFn)
+		e.wakeNow(p)
 	}
 	// Keep the backing array for the next round of waiters (a signal that
 	// is Reset and fired again allocates nothing).
@@ -251,7 +285,7 @@ func (s *Store) wakeOneGetter() {
 	p := s.getters[0]
 	copy(s.getters, s.getters[1:])
 	s.getters = s.getters[:len(s.getters)-1]
-	s.env.Schedule(0, p.runFn)
+	s.env.wakeNow(p)
 }
 
 func (s *Store) wakeOnePutter() {
@@ -261,7 +295,7 @@ func (s *Store) wakeOnePutter() {
 	p := s.putters[0]
 	copy(s.putters, s.putters[1:])
 	s.putters = s.putters[:len(s.putters)-1]
-	s.env.Schedule(0, p.runFn)
+	s.env.wakeNow(p)
 }
 
 // Server models a bandwidth-limited FIFO service center (an HBM stack, a NoC

@@ -770,3 +770,31 @@ func TestTwoWakesInOneStepPanics(t *testing.T) {
 	}()
 	env.Run()
 }
+
+// A step that schedules more work after its Wait queues the deferred
+// wake-up first, so it keeps the sequence order Wait gave it: an event the
+// step schedules for the same time runs after the process, and one for an
+// earlier time before it.
+func TestWaitThenScheduleKeepsOrder(t *testing.T) {
+	env := NewEnv()
+	var got []string
+	started := false
+	env.Spawn("p", func(p *Proc) bool {
+		if started {
+			got = append(got, fmt.Sprintf("p@%d", env.Now()))
+			return true
+		}
+		started = true
+		p.Wait(3)
+		env.Schedule(3, func() { got = append(got, fmt.Sprintf("same@%d", env.Now())) })
+		env.Schedule(2, func() { got = append(got, fmt.Sprintf("early@%d", env.Now())) })
+		return false
+	})
+	env.Run()
+	if want := []string{"early@2", "p@3", "same@3"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+	if d, ip := env.Wakeups(); d != 4 || ip != 0 {
+		t.Fatalf("wake-ups: %d dispatched, %d in place; want 4, 0", d, ip)
+	}
+}

@@ -113,8 +113,10 @@ type Graph = graph.Graph
 func ParseModel(src string) (*Graph, error) { return parser.Parse(src) }
 
 // Routing is one switch's per-batch routing decision, per branch the int32
-// indices of the units routed to it; BatchRouting maps every switch to its
-// decision.
+// indices of the units routed to it. BatchRouting holds every switch's
+// decision, indexed by the switch's ordinal (Graph.SwitchOrdinal, its
+// position in Graph.Switches); a graph with one switch takes
+// BatchRouting{{Branch: ...}}.
 type (
 	Routing      = graph.Routing
 	BatchRouting = graph.BatchRouting
@@ -202,9 +204,10 @@ func DecodePlan(r io.Reader, g *Graph) (*Plan, error) { return sched.DecodePlan(
 // Recording is a serialized routing trace (record once, replay anywhere).
 type Recording = workload.Recording
 
-// RecordTrace converts generated batches into a serializable recording.
-func RecordTrace(model string, batchSamples int, seed int64, batches []Batch) *Recording {
-	return workload.Record(model, batchSamples, seed, batches)
+// RecordTrace converts batches generated for g into a serializable
+// recording; Recording.Replay(g) converts it back.
+func RecordTrace(g *Graph, model string, batchSamples int, seed int64, batches []Batch) *Recording {
+	return workload.Record(g, model, batchSamples, seed, batches)
 }
 
 // LoadRecording reads a recording produced by Recording.Save.

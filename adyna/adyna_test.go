@@ -30,14 +30,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := g.Switches()[0]
-
 	// Functional execution.
 	input := adyna.NewTensor(8, 64)
 	for i := range input.Data {
 		input.Data[i] = float32(i)
 	}
-	rt := adyna.BatchRouting{sw: adyna.Routing{Branch: [][]int32{{0, 2, 4, 6}, {1, 3, 5, 7}}}}
+	rt := adyna.BatchRouting{{Branch: [][]int32{{0, 2, 4, 6}, {1, 3, 5, 7}}}}
 	res, err := g.Execute(input, rt)
 	if err != nil {
 		t.Fatal(err)

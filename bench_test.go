@@ -284,7 +284,7 @@ func replanInputs(b *testing.B) (hw.Config, *models.Workload, *profiler.Profiler
 	prof := profiler.New(w.Graph)
 	src := workload.NewSource(1)
 	for _, batch := range w.GenTrace(src, 24, 32) {
-		units, err := w.Graph.AssignUnits(batch.Units, batch.Routing)
+		units, err := w.Graph.AssignUnits(nil, batch.Units, batch.Routing)
 		if err != nil {
 			b.Fatal(err)
 		}

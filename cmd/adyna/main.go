@@ -144,9 +144,9 @@ func printChipMap(model string, rc core.RunConfig) error {
 		return err
 	}
 	src := workload.NewSource(rc.Seed)
+	var units []int
 	for _, b := range w.GenTrace(src, rc.Warmup, rc.Batch) {
-		units, err := w.Graph.AssignUnits(b.Units, b.Routing)
-		if err != nil {
+		if units, err = w.Graph.AssignUnits(units, b.Units, b.Routing); err != nil {
 			return err
 		}
 		if err := m.Profiler().ObserveBatch(units, b.Routing, b.Density); err != nil {

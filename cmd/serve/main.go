@@ -73,6 +73,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/mtserve"
@@ -376,9 +377,10 @@ func checkNumericFlags() (err error) {
 	return err
 }
 
-// newSource builds the request stream; arrivals use their own deterministic
-// seed so the stream is identical across server configurations.
-func newSource(replay string, requests int, gap, ratewalk float64, seed int64) (serve.Source, error) {
+// newSource builds the request stream for a server on graph g; arrivals use
+// their own deterministic seed so the stream is identical across server
+// configurations.
+func newSource(g *graph.Graph, replay string, requests int, gap, ratewalk float64, seed int64) (serve.Source, error) {
 	if replay != "" {
 		f, err := os.Open(replay)
 		if err != nil {
@@ -389,7 +391,7 @@ func newSource(replay string, requests int, gap, ratewalk float64, seed int64) (
 		if err != nil {
 			return nil, err
 		}
-		return serve.NewReplay(rec, gap, seed+1)
+		return serve.NewReplay(g, rec, gap, seed+1)
 	}
 	var rate *workload.Drift
 	if ratewalk > 0 {
@@ -561,11 +563,11 @@ func mtServeOnce(cfg mtserve.Config) (*mtserve.Report, error) {
 }
 
 func serveOnce(cfg serve.Config, replay string, requests int, gap, ratewalk float64, seed int64) (*serve.Server, *serve.Report, error) {
-	src, err := newSource(replay, requests, gap, ratewalk, seed)
+	s, err := serve.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err := serve.New(cfg)
+	src, err := newSource(s.Setup().W.Graph, replay, requests, gap, ratewalk, seed)
 	if err != nil {
 		return nil, nil, err
 	}

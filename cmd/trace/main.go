@@ -69,7 +69,7 @@ func run(model string, batch, nBatches int, seed int64, out, stats string) error
 		if err := workload.Validate(w.Graph, tr, w.Exclusive); err != nil {
 			return err
 		}
-		rec = workload.Record(model, batch, seed, tr)
+		rec = workload.Record(w.Graph, model, batch, seed, tr)
 	}
 
 	if out != "" {
@@ -86,7 +86,7 @@ func run(model string, batch, nBatches int, seed int64, out, stats string) error
 	}
 
 	if stats != "" {
-		tr, err := rec.Replay()
+		tr, err := rec.Replay(w.Graph)
 		if err != nil {
 			return err
 		}

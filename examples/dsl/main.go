@@ -75,7 +75,6 @@ func main() {
 			log.Fatal(err)
 		}
 		// A fixed trace: half the batch exits early each time.
-		sw := g.Switches()[0]
 		var batches []adyna.Batch
 		for i := 0; i < 10; i++ {
 			var exit, cont []int32
@@ -88,7 +87,7 @@ func main() {
 			}
 			batches = append(batches, adyna.Batch{
 				Index: i, Units: 64,
-				Routing: adyna.BatchRouting{sw: adyna.Routing{Branch: [][]int32{exit, cont}}},
+				Routing: adyna.BatchRouting{{Branch: [][]int32{exit, cont}}},
 			})
 		}
 		if err := m.Run(batches); err != nil {

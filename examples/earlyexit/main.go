@@ -48,8 +48,7 @@ func main() {
 	exits := make([]int, 13)
 	for _, b := range trace {
 		alive := rc.Batch
-		for l, sw := range w.Graph.Switches() {
-			r := b.Routing[sw]
+		for l, r := range b.Routing {
 			exits[l+1] += len(r.Branch[0])
 			alive = len(r.Branch[1])
 		}

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/adyna"
 )
@@ -21,77 +23,77 @@ const (
 )
 
 func main() {
-	cfg := adyna.DefaultConfig()
-	w, err := adyna.LoadModel("tutel-moe", batch)
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run simulates the static and the adaptive design over one routing trace
+// and prints their per-window cycles per batch.
+func run(w io.Writer) error {
+	cfg := adyna.DefaultConfig()
+	wk, err := adyna.LoadModel("tutel-moe", batch)
+	if err != nil {
+		return err
 	}
 
 	// One source drives both runs so they see identical expert routing.
-	gen := func() []adyna.Batch {
-		src := adyna.NewSource(seed)
-		warm := w.GenTrace(src, warmupN, batch)
-		meas := w.GenTrace(src, windows*perWin, batch)
-		return append(warm, meas...)
-	}
+	src := adyna.NewSource(seed)
+	trace := append(wk.GenTrace(src, warmupN, batch), wk.GenTrace(src, windows*perWin, batch)...)
 
-	run := func(pol adyna.Policy, resched bool) []float64 {
-		wl, err := adyna.LoadModel("tutel-moe", batch) // fresh drift state
+	simulate := func(pol adyna.Policy, resched bool) ([]float64, error) {
+		m, err := adyna.NewMachine(cfg, wk.Graph, adyna.MachineOptions{})
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
-		m, err := adyna.NewMachine(cfg, wl.Graph, adyna.MachineOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		trace := gen()
+		var units []int
 		for _, b := range trace[:warmupN] {
-			units, err := wl.Graph.AssignUnits(b.Units, b.Routing)
-			if err != nil {
-				log.Fatal(err)
+			if units, err = wk.Graph.AssignUnits(units, b.Units, b.Routing); err != nil {
+				return nil, err
 			}
 			if err := m.Profiler().ObserveBatch(units, b.Routing, b.Density); err != nil {
-				log.Fatal(err)
+				return nil, err
 			}
-		}
-		plan, err := adyna.Schedule(cfg, wl.Graph, pol, m.Profiler())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := m.LoadPlan(plan); err != nil {
-			log.Fatal(err)
 		}
 		var out []float64
 		prev := int64(0)
 		for win := 0; win < windows; win++ {
-			if win > 0 && resched {
-				plan, err = adyna.Schedule(cfg, wl.Graph, pol, m.Profiler())
+			if win == 0 || resched {
+				plan, err := adyna.Schedule(cfg, wk.Graph, pol, m.Profiler())
 				if err != nil {
-					log.Fatal(err)
+					return nil, err
 				}
 				if err := m.LoadPlan(plan); err != nil {
-					log.Fatal(err)
+					return nil, err
 				}
-				m.Profiler().Reset()
+				if win > 0 {
+					m.Profiler().Reset()
+				}
 			}
 			lo := warmupN + win*perWin
 			if err := m.Run(trace[lo : lo+perWin]); err != nil {
-				log.Fatal(err)
+				return nil, err
 			}
 			c := m.Stats().Cycles
 			out = append(out, float64(c-prev)/perWin)
 			prev = c
 		}
-		return out
+		return out, nil
 	}
 
-	static := run(adyna.PolicyAdynaStatic(), false)
-	dynamic := run(adyna.PolicyAdyna(), true)
+	static, err := simulate(adyna.PolicyAdynaStatic(), false)
+	if err != nil {
+		return err
+	}
+	dynamic, err := simulate(adyna.PolicyAdyna(), true)
+	if err != nil {
+		return err
+	}
 
-	fmt.Printf("Tutel-MoE (8 experts, top-2, drifting popularity), batch %d:\n\n", batch)
-	fmt.Printf("%-8s %18s %18s %10s\n", "window", "static cyc/batch", "adaptive cyc/batch", "gain")
+	fmt.Fprintf(w, "Tutel-MoE (8 experts, top-2, drifting popularity), batch %d:\n\n", batch)
+	fmt.Fprintf(w, "%-8s %18s %18s %10s\n", "window", "static cyc/batch", "adaptive cyc/batch", "gain")
 	for i := range static {
-		fmt.Printf("%-8d %18.0f %18.0f %9.1f%%\n",
+		fmt.Fprintf(w, "%-8d %18.0f %18.0f %9.1f%%\n",
 			i+1, static[i], dynamic[i], 100*(static[i]/dynamic[i]-1))
 	}
 	var s1, s2 float64
@@ -99,7 +101,8 @@ func main() {
 		s1 += static[i]
 		s2 += dynamic[i]
 	}
-	fmt.Printf("\noverall: adaptive re-scheduling is %.2fx faster as the expert\n", s1/s2)
-	fmt.Println("distribution wanders away from the initial profile. (The gain grows")
-	fmt.Println("with later windows - the static plan's allocation is increasingly stale.)")
+	fmt.Fprintf(w, "\noverall: adaptive re-scheduling is %.2fx faster as the expert\n", s1/s2)
+	fmt.Fprintln(w, "distribution wanders away from the initial profile. (The gain grows")
+	fmt.Fprintln(w, "with later windows - the static plan's allocation is increasingly stale.)")
+	return nil
 }

@@ -64,7 +64,6 @@ func run(w io.Writer, nBatches int) error {
 	// 2. Route a batch: even samples take the cheap path, odd ones the full
 	//    path — and verify functionally that every sample comes out with
 	//    exactly its own branch's transformation.
-	sw := g.Switches()[0]
 	var cheapIdx, fullIdx []int32
 	for i := range int32(batch) {
 		if i%2 == 0 {
@@ -73,7 +72,7 @@ func run(w io.Writer, nBatches int) error {
 			fullIdx = append(fullIdx, i)
 		}
 	}
-	rt := adyna.BatchRouting{sw: adyna.Routing{Branch: [][]int32{cheapIdx, fullIdx}}}
+	rt := adyna.BatchRouting{{Branch: [][]int32{cheapIdx, fullIdx}}} // g's one switch
 	input := adyna.NewTensor(batch, 32*16*16)
 	for i := range input.Data {
 		input.Data[i] = 1
@@ -106,9 +105,9 @@ func run(w io.Writer, nBatches int) error {
 			return 0, err
 		}
 		// Warm the profiler so frequency-weighted allocation has data.
+		var units []int
 		for _, b := range trace[:warm] {
-			units, err := wk.Graph.AssignUnits(b.Units, b.Routing)
-			if err != nil {
+			if units, err = wk.Graph.AssignUnits(units, b.Units, b.Routing); err != nil {
 				return 0, err
 			}
 			if err := m.Profiler().ObserveBatch(units, b.Routing, b.Density); err != nil {

@@ -116,3 +116,20 @@ func BenchmarkRunWindows(b *testing.B) {
 	}
 	b.ReportMetric(float64(jobs)/float64(b.N), "jobs/op")
 }
+
+// BenchmarkAssignUnits resolves one moe batch per iteration into a reused
+// unit buffer, as the machine does for every batch it submits: 0 allocs/op.
+func BenchmarkAssignUnits(b *testing.B) {
+	w, err := models.ByName("tutel-moe", 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bt := w.GenTrace(workload.NewSource(1), 1, 128)[0]
+	var units []int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if units, err = w.Graph.AssignUnits(units, bt.Units, bt.Routing); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

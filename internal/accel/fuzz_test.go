@@ -66,7 +66,7 @@ func randomGraph(rng *rand.Rand, maxUnits int) *graph.Graph {
 // randomRouting produces a valid routing for every switch, respecting
 // nesting (a unit can only be routed where it arrived).
 func randomRouting(rng *rand.Rand, g *graph.Graph, units int) graph.BatchRouting {
-	rt := graph.BatchRouting{}
+	rt := make(graph.BatchRouting, len(g.Switches()))
 	// Arrival tracking via repeated assignment: route switches in topo
 	// order, using AssignUnits-like propagation of index sets.
 	present := map[graph.OpID]map[int]bool{}
@@ -90,7 +90,7 @@ func randomRouting(rng *rand.Rand, g *graph.Graph, units int) graph.BatchRouting
 				k := rng.Intn(op.NumBranches)
 				branches[k] = append(branches[k], int32(u))
 			}
-			rt[id] = graph.Routing{Branch: branches}
+			rt[g.SwitchOrdinal(id)] = graph.Routing{Branch: branches}
 		case graph.KindMerge:
 			present[id] = present[op.MergeOf]
 		default:
@@ -98,7 +98,7 @@ func randomRouting(rng *rand.Rand, g *graph.Graph, units int) graph.BatchRouting
 			for _, in := range op.Inputs {
 				prod := g.Op(in)
 				if prod.Kind == graph.KindSwitch && op.SwitchOf == in {
-					for _, u := range rt[in].Branch[op.Branch] {
+					for _, u := range rt[g.SwitchOrdinal(in)].Branch[op.Branch] {
 						set[int(u)] = true
 					}
 					continue

@@ -73,7 +73,7 @@ func TestThroughputBoundedByBottleneckStage(t *testing.T) {
 	// Analytic bound: sum over batches of the slowest entity's eval time.
 	var bound int64
 	for _, b := range trace {
-		units, err := w.Graph.AssignUnits(b.Units, b.Routing)
+		units, err := w.Graph.AssignUnits(nil, b.Units, b.Routing)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,8 +122,8 @@ func TestRandomRoutingNeverDeadlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var batches []workload.Batch
 	for i := 0; i < 12; i++ {
-		rt := graph.BatchRouting{}
-		for _, swID := range w.Graph.Switches() {
+		rt := make(graph.BatchRouting, len(w.Graph.Switches()))
+		for o, swID := range w.Graph.Switches() {
 			sw := w.Graph.Op(swID)
 			branches := make([][]int32, sw.NumBranches)
 			switch i % 3 {
@@ -146,7 +146,7 @@ func TestRandomRoutingNeverDeadlocks(t *testing.T) {
 					branches[k] = append(branches[k], int32(u))
 				}
 			}
-			rt[swID] = graph.Routing{Branch: branches}
+			rt[o] = graph.Routing{Branch: branches}
 		}
 		batches = append(batches, workload.Batch{Index: i, Units: 16, Routing: rt})
 	}

@@ -102,6 +102,9 @@ type Machine struct {
 	// segment template and reused across calls (prepareJob never blocks, so
 	// one suffices).
 	optIdxBuf []int
+	// freeUnits is the unit array of the last window that drained, which
+	// the next window resolves into when it is large enough.
+	freeUnits []int
 
 	// rec, when enabled, records per-tile kernel spans, batch spans, and
 	// plan loads (NoC and HBM spans are recorded by the substrates). nil —
@@ -436,16 +439,22 @@ func (m *Machine) Run(batches []workload.Batch) error {
 // submit observes a batch window and spawns the driver that feeds it
 // through the loaded plan, without advancing the clock. Routing is resolved
 // and the profiler fed up front, in batch order (the hardware profiler is
-// insensitive to the segment-major execution order). The returned ticket
-// resolves when the window's last segment drains. Run and StreamSubmit both
-// execute through it.
+// insensitive to the segment-major execution order); the window's unit
+// counts share one array, the last drained window's when it is large
+// enough. The returned ticket resolves when the window's last segment
+// drains. Run and StreamSubmit both execute through it.
 func (m *Machine) submit(batches []workload.Batch) (*StreamTicket, error) {
 	if m.plan == nil {
 		return nil, fmt.Errorf("accel: no plan loaded")
 	}
 	d := &runDriver{m: m, segs: m.plan.Segments, batches: make([]windowBatch, len(batches))}
+	n := len(m.g.Ops)
+	d.units, m.freeUnits = m.freeUnits, nil
+	if cap(d.units) < len(batches)*n {
+		d.units = make([]int, len(batches)*n)
+	}
 	for i, b := range batches {
-		units, err := m.g.AssignUnits(b.Units, b.Routing)
+		units, err := m.g.AssignUnits(d.units[i*n:(i+1)*n], b.Units, b.Routing)
 		if err != nil {
 			return nil, err
 		}
@@ -482,6 +491,7 @@ type runDriver struct {
 	m           *Machine
 	segs        []*sched.Segment
 	batches     []windowBatch
+	units       []int // the window's unit counts, batch-major
 	tk          StreamTicket
 	pc          int
 	si, i       int // current segment and batch
@@ -490,10 +500,10 @@ type runDriver struct {
 	notBefore   sim.Time
 }
 
-// windowBatch is one batch of a driver's window: its resolved units and
-// density, and its job in the open segment.
+// windowBatch is one batch of a driver's window: its resolved units
+// (indexed by OpID) and density, and its job in the open segment.
 type windowBatch struct {
-	units   map[graph.OpID]int
+	units   []int
 	density float64
 	job     *job
 }
@@ -537,6 +547,7 @@ func (d *runDriver) step(p *sim.Proc) bool {
 				}
 			}
 			if d.si == len(d.segs) {
+				m.freeUnits = d.units
 				d.tk.resolve(p.Now(), nil)
 				return true
 			}
@@ -575,7 +586,7 @@ func (d *runDriver) step(p *sim.Proc) bool {
 // accountUsefulMACs adds one batch's strictly required MACs to the stats:
 // density-aware operators only need the (quantized) density-scaled share of
 // their dense work, everything else needs all of it.
-func (m *Machine) accountUsefulMACs(units map[graph.OpID]int, density float64) {
+func (m *Machine) accountUsefulMACs(units []int, density float64) {
 	d := costmodel.QuantizeDensity(density)
 	for _, id := range m.computeOps {
 		op := m.g.Op(id)
@@ -590,7 +601,7 @@ func (m *Machine) accountUsefulMACs(units map[graph.OpID]int, density float64) {
 // effUnits is the effective dyn value an entity pays for: without runtime
 // fitting the hardware pays the padded worst case in both compute and data
 // movement.
-func (m *Machine) effUnits(units map[graph.OpID]int, id graph.OpID) int {
+func (m *Machine) effUnits(units []int, id graph.OpID) int {
 	if m.plan.Policy.RuntimeFitting {
 		return units[id]
 	}
@@ -738,7 +749,7 @@ func (j *job) release() {
 // once per (batch, segment) on a driver process, and in steady state it
 // allocates nothing: the job's shell is reused, and the option-choice
 // scratch is the machine's, indexed like the template.
-func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, density float64) (*job, error) {
+func (m *Machine) prepareJob(seg *sched.Segment, units []int, density float64) (*job, error) {
 	d := m.dags[seg.Index]
 	j := m.take(d)
 	if err := m.resetJob(j, units, density); err != nil {
@@ -749,7 +760,7 @@ func (m *Machine) prepareJob(seg *sched.Segment, units map[graph.OpID]int, densi
 }
 
 // resetJob writes one batch's state into a taken job.
-func (m *Machine) resetJob(j *job, units map[graph.OpID]int, density float64) error {
+func (m *Machine) resetJob(j *job, units []int, density float64) error {
 	d := j.dag
 	j.done.Reset()
 	// Each entity contributes two completions: its compute process and its
@@ -758,8 +769,11 @@ func (m *Machine) resetJob(j *job, units map[graph.OpID]int, density float64) er
 
 	// Tile-sharing option choice per pair (Section V-B): the pair leader
 	// picks the ratio minimizing the slower partner.
-	optIdx := append(m.optIdxBuf[:0], make([]int, len(d.ents))...)
-	m.optIdxBuf = optIdx
+	if cap(m.optIdxBuf) < len(d.ents) {
+		m.optIdxBuf = make([]int, len(d.ents))
+	}
+	optIdx := m.optIdxBuf[:len(d.ents)]
+	clear(optIdx)
 	for i := range d.ents {
 		de := &d.ents[i]
 		if de.partner == nil {

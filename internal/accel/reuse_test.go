@@ -183,7 +183,7 @@ func runEach(t testing.TB, m *Machine, batches []workload.Batch) {
 // either entry to the machine's one driver: streamed at pipeline depth 1
 // and 4, and as a one-batch Run window. Once the machine's pool holds
 // enough jobs, a batch reuses them and allocates only its driver,
-// ticket and process and the routing-derived unit table. Building a job
+// ticket, window slice and process. Building a job
 // instead costs hundreds of allocations (one store per edge, two processes
 // per entity), so the bound fails the moment steady-state batches stop
 // recycling.
@@ -209,12 +209,39 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRunWindowAllocsFlat gates what a warm Run window allocates per batch:
+// a 40-batch window allocates no more objects than a one-batch window plus
+// a constant. The window's unit counts share one array, reused across
+// windows, and its jobs come from the machine's pool, so nothing is built
+// per batch.
+func TestRunWindowAllocsFlat(t *testing.T) {
+	const slack = 8
+	for _, model := range []string{"moe", "skipnet"} {
+		m, trace := streamMachine(t, model, 32, 40)
+		window := func(n int) func() {
+			return func() {
+				if err := m.Run(trace[:n]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		window(len(trace))() // warm the pools and the cost-model memo
+		one := testing.AllocsPerRun(5, window(1))
+		all := testing.AllocsPerRun(5, window(len(trace)))
+		t.Logf("%s: %.0f allocations for one batch, %.0f for %d", model, one, all, len(trace))
+		if all > one+slack {
+			t.Errorf("%s: a %d-batch window allocates %.0f objects, a one-batch window %.0f: want at most %d more",
+				model, len(trace), all, one, slack)
+		}
+	}
+}
+
 // A job released with a chunk still queued, or with a process still waiting
 // on it, would hand stale state to the next batch that takes it: release
 // panics instead.
 func TestReleasedJobLeakPanics(t *testing.T) {
 	m, trace := streamMachine(t, "moe", 16, 1)
-	units, err := m.g.AssignUnits(trace[0].Units, trace[0].Routing)
+	units, err := m.g.AssignUnits(nil, trace[0].Units, trace[0].Routing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +280,7 @@ func TestRewiredShellNamesItsOperators(t *testing.T) {
 	if top := m.free[len(m.free)-1]; top.dag == m.dags[seg.Index] {
 		t.Fatalf("the next pooled job is already wired to segment %d; the check needs a rewire", seg.Index)
 	}
-	units, err := m.g.AssignUnits(trace[0].Units, trace[0].Routing)
+	units, err := m.g.AssignUnits(nil, trace[0].Units, trace[0].Routing)
 	if err != nil {
 		t.Fatal(err)
 	}

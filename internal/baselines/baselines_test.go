@@ -154,18 +154,18 @@ func TestLevelizeRespectsDependencies(t *testing.T) {
 func TestPartitionTilesBounds(t *testing.T) {
 	cfg := hw.Default()
 	w, tr := trace(t, "tutel-moe", 64, 1)
-	units, err := w.Graph.AssignUnits(tr[0].Units, tr[0].Routing)
+	units, err := w.Graph.AssignUnits(nil, tr[0].Units, tr[0].Routing)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, wave := range levelize(w.Graph) {
-		tiles := partitionTiles(cfg, w.Graph, wave, units)
+		tiles := partitionTiles(nil, cfg, w.Graph, wave, units)
 		total := 0
-		for _, id := range wave {
-			if tiles[id] < 1 {
-				t.Fatalf("op %v got %d tiles", id, tiles[id])
+		for i, id := range wave {
+			if tiles[i] < 1 {
+				t.Fatalf("op %v got %d tiles", id, tiles[i])
 			}
-			total += tiles[id]
+			total += tiles[i]
 		}
 		if total > cfg.Tiles() {
 			t.Fatalf("wave uses %d tiles, chip has %d", total, cfg.Tiles())
@@ -206,7 +206,7 @@ func TestPartitionTilesConservation(t *testing.T) {
 			}
 			tr := w.GenTrace(workload.NewSource(seed), 2, 32)
 			for _, b := range tr {
-				units, err := w.Graph.AssignUnits(b.Units, b.Routing)
+				units, err := w.Graph.AssignUnits(nil, b.Units, b.Routing)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,13 +214,13 @@ func TestPartitionTilesConservation(t *testing.T) {
 					cfg := hw.Default()
 					cfg.TilesX, cfg.TilesY = grid[0], grid[1]
 					for _, wave := range levelize(w.Graph) {
-						tiles := partitionTiles(cfg, w.Graph, wave, units)
+						tiles := partitionTiles(nil, cfg, w.Graph, wave, units)
 						total := 0
-						for _, id := range wave {
-							if tiles[id] < 0 {
-								t.Fatalf("%s grid %v: op %v got %d tiles", name, grid, id, tiles[id])
+						for i, id := range wave {
+							if tiles[i] < 0 {
+								t.Fatalf("%s grid %v: op %v got %d tiles", name, grid, id, tiles[i])
 							}
-							total += tiles[id]
+							total += tiles[i]
 						}
 						if total > cfg.Tiles() {
 							t.Fatalf("%s seed %d grid %v: wave of %d ops uses %d tiles, chip has %d",
@@ -271,10 +271,10 @@ func TestHostRoutingSkipsGatedControlOps(t *testing.T) {
 	g, ids := buildNestedSwitchGraph(t)
 	all := []int32{0, 1, 2, 3, 4, 5, 6, 7}
 	rt := graph.BatchRouting{
-		ids["outer"]: {Branch: [][]int32{all, {}}},
-		ids["inner"]: {Branch: [][]int32{{}, {}}},
+		{Branch: [][]int32{all, {}}},
+		{Branch: [][]int32{{}, {}}},
 	}
-	units, err := g.AssignUnits(8, rt)
+	units, err := g.AssignUnits(nil, 8, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +298,10 @@ func TestHostRoutingSkipsGatedControlOps(t *testing.T) {
 	}
 	// Sanity: with the inner branch active the inner control ops are charged.
 	rt2 := graph.BatchRouting{
-		ids["outer"]: {Branch: [][]int32{{}, all}},
-		ids["inner"]: {Branch: [][]int32{all, {}}},
+		{Branch: [][]int32{{}, all}},
+		{Branch: [][]int32{all, {}}},
 	}
-	units2, err := g.AssignUnits(8, rt2)
+	units2, err := g.AssignUnits(nil, 8, rt2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,12 +52,14 @@ func GPU(cfg hw.Config, w *models.Workload, trace []workload.Batch) (metrics.Run
 	bw := cfg.HBMBytesPerCycle()
 
 	var cycles, macs, hbm int64
+	var units []int
+	topo := g.Topo()
 	for _, b := range trace {
-		units, err := g.AssignUnits(b.Units, b.Routing)
-		if err != nil {
+		var err error
+		if units, err = g.AssignUnits(units, b.Units, b.Routing); err != nil {
 			return res, err
 		}
-		for _, id := range g.Topo() {
+		for _, id := range topo {
 			op := g.Op(id)
 			switch {
 			case op.Kind == graph.KindSwitch:

@@ -6,6 +6,7 @@ package baselines
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/costmodel"
 	"repro/internal/graph"
@@ -38,24 +39,25 @@ func MTenant(cfg hw.Config, w *models.Workload, trace []workload.Batch) (metrics
 	if weightsFit {
 		hbm += totalWeights(g) // loaded once
 	}
+	var units, tiles []int
 	for _, b := range trace {
-		units, err := g.AssignUnits(b.Units, b.Routing)
-		if err != nil {
+		var err error
+		if units, err = g.AssignUnits(units, b.Units, b.Routing); err != nil {
 			return res, err
 		}
 		for _, wave := range waves {
 			// Repartition the tiles across this wave's operators in
 			// proportion to their actual loads.
-			tiles := partitionTiles(cfg, g, wave, units)
+			tiles = partitionTiles(tiles, cfg, g, wave, units)
 			var waveBytes int64
 			var waveCompute int64
-			for _, id := range wave {
+			for i, id := range wave {
 				op := g.Op(id)
 				v := units[id]
 				if v == 0 {
 					continue
 				}
-				ev, err := blocks.tenantOpCost(cfg, op, v, tiles[id])
+				ev, err := blocks.tenantOpCost(cfg, op, v, tiles[i])
 				if err != nil {
 					return res, err
 				}
@@ -106,7 +108,7 @@ func MTenant(cfg hw.Config, w *models.Workload, trace []workload.Batch) (metrics
 // operators that see no units this batch — switches and merges inside a
 // branch the routing gated off entirely — have nothing to resolve: the host
 // never launches them, so they charge neither latency nor traffic.
-func hostRoutingCost(g *graph.Graph, units map[graph.OpID]int, bw float64) (cycles, bytes int64) {
+func hostRoutingCost(g *graph.Graph, units []int, bw float64) (cycles, bytes int64) {
 	for _, op := range g.Ops {
 		if op.Kind != graph.KindSwitch && op.Kind != graph.KindMerge {
 			continue
@@ -160,24 +162,14 @@ func (bs blockings) tenantOpCost(cfg hw.Config, op *graph.Op, v, tiles int) (cos
 
 // partitionTiles splits the chip across a wave's operators proportionally to
 // the work their kernels will actually execute (fast runtime
-// repartitioning). Because the single worst-case kernel recovers only part
-// of the dyn gap, the effective load of a lightly-used tenant stays well
-// above its useful load, and the partitioner must account for that or the
-// rare tenant becomes the wave's straggler.
-func partitionTiles(cfg hw.Config, g *graph.Graph, wave []graph.OpID, units map[graph.OpID]int) map[graph.OpID]int {
-	loads := map[graph.OpID]float64{}
-	var sum float64
-	for _, id := range wave {
-		op := g.Op(id)
-		effUnits := float64(units[id]) + costmodel.FittingGapShare*float64(op.MaxUnits-units[id])
-		l := float64(op.MACsPerUnit) * effUnits
-		if l <= 0 {
-			l = 1
-		}
-		loads[id] = l
-		sum += l
-	}
-	out := map[graph.OpID]int{}
+// repartitioning), and returns each operator's tile count by its position
+// in wave, in dst's array when it is large enough. Because the single
+// worst-case kernel recovers only part of the dyn gap, the effective load of
+// a lightly-used tenant stays well above its useful load, and the
+// partitioner must account for that or the rare tenant becomes the wave's
+// straggler.
+func partitionTiles(dst []int, cfg hw.Config, g *graph.Graph, wave []graph.OpID, units []int) []int {
+	out := slices.Grow(dst[:0], len(wave))[:len(wave)]
 	total := cfg.Tiles()
 	if len(wave) >= total {
 		// More concurrent tenants than tiles: the first `total` operators in
@@ -185,22 +177,25 @@ func partitionTiles(cfg hw.Config, g *graph.Graph, wave []graph.OpID, units map[
 		// tenantOpCost prices it at a single tile's rate, the serialized
 		// stand-in). Flooring everyone to 1 here would hand out more tiles
 		// than the chip has.
-		for i, id := range wave {
+		for i := range out {
+			out[i] = 0
 			if i < total {
-				out[id] = 1
-			} else {
-				out[id] = 0
+				out[i] = 1
 			}
 		}
 		return out
 	}
-	assigned := 0
+	var sum float64
 	for _, id := range wave {
-		t := int(float64(total) * loads[id] / sum)
+		sum += tenantLoad(g.Op(id), units[id])
+	}
+	assigned := 0
+	for i, id := range wave {
+		t := int(float64(total) * tenantLoad(g.Op(id), units[id]) / sum)
 		if t < 1 {
 			t = 1
 		}
-		out[id] = t
+		out[i] = t
 		assigned += t
 	}
 	// Trim overflow from the largest allocations. Because every operator was
@@ -208,10 +203,10 @@ func partitionTiles(cfg hw.Config, g *graph.Graph, wave []graph.OpID, units map[
 	// tile always remains while assigned > total, so the loop restores the
 	// conservation invariant sum(out) <= total before returning.
 	for assigned > total {
-		big := wave[0]
-		for _, id := range wave {
-			if out[id] > out[big] {
-				big = id
+		big := 0
+		for i := range out {
+			if out[i] > out[big] {
+				big = i
 			}
 		}
 		if out[big] <= 1 {
@@ -223,23 +218,24 @@ func partitionTiles(cfg hw.Config, g *graph.Graph, wave []graph.OpID, units map[
 	return out
 }
 
+// tenantLoad is the work op's single worst-case kernel executes for v
+// units: the useful MACs plus the share of the padding it cannot skip.
+func tenantLoad(op *graph.Op, v int) float64 {
+	effUnits := float64(v) + costmodel.FittingGapShare*float64(op.MaxUnits-v)
+	if l := float64(op.MACsPerUnit) * effUnits; l > 0 {
+		return l
+	}
+	return 1
+}
+
 // levelize groups compute operators into topological waves: all operators in
 // one wave have every producer in earlier waves and run concurrently as
 // co-located tenants.
 func levelize(g *graph.Graph) [][]graph.OpID {
-	depth := map[graph.OpID]int{}
-	maxDepth := 0
+	depth := make([]int, len(g.Ops))
 	for _, id := range g.Topo() {
-		op := g.Op(id)
-		d := 0
-		for _, in := range op.Inputs {
-			if depth[in]+1 > d {
-				d = depth[in] + 1
-			}
-		}
-		depth[id] = d
-		if op.Kind.IsCompute() && d > maxDepth {
-			maxDepth = d
+		for _, in := range g.Op(id).Inputs {
+			depth[id] = max(depth[id], depth[in]+1)
 		}
 	}
 	// Compact compute ops by depth.

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/baselines"
+	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/models"
@@ -136,9 +137,21 @@ func (rc RunConfig) validate() error {
 	return rc.HW.Validate()
 }
 
-// newWorkload builds the named model with rc's generator override applied.
-func newWorkload(modelName string, rc RunConfig) (*models.Workload, error) {
-	w, err := models.ByName(modelName, rc.Batch)
+// newWorkload builds the named model with rc's generator override applied,
+// over g when it is not nil (a graph of that model at rc.Batch) and over a
+// fresh graph otherwise.
+func newWorkload(modelName string, rc RunConfig, g *graph.Graph) (*models.Workload, error) {
+	var w *models.Workload
+	var err error
+	if g == nil {
+		w, err = models.ByName(modelName, rc.Batch)
+	} else {
+		w, err = models.On(modelName, g)
+		if err == nil && w.DefaultBatch != rc.Batch {
+			// A model built at another batch size has other MaxUnits.
+			err = fmt.Errorf("core: graph %s was built for batch %d, not %d", g.Name, w.DefaultBatch, rc.Batch)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +192,7 @@ func newBatchTrace(modelName string, rc RunConfig) (*batchTrace, error) {
 	if err := rc.validateTrace(); err != nil {
 		return nil, err
 	}
-	w, err := newWorkload(modelName, rc)
+	w, err := newWorkload(modelName, rc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -275,17 +288,13 @@ func BringupOn(comp *sched.Compiler, d Design, modelName string, rc RunConfig, m
 	if err := rc.validate(); err != nil {
 		return nil, err
 	}
-	w, err := newWorkload(modelName, rc)
+	var g *graph.Graph
+	if comp != nil {
+		g = comp.Graph()
+	}
+	w, err := newWorkload(modelName, rc, g)
 	if err != nil {
 		return nil, err
-	}
-	if comp != nil {
-		// A model built at another batch size has other MaxUnits.
-		g := comp.Graph()
-		if g.Name != w.Graph.Name || len(g.Ops) != len(w.Graph.Ops) || g.MaxMACsPerBatch() != w.Graph.MaxMACsPerBatch() {
-			return nil, fmt.Errorf("core: the compiler's graph %s is not %s at batch %d", g.Name, modelName, rc.Batch)
-		}
-		w.Graph = g
 	}
 	src := workload.NewSource(rc.Seed)
 	s, err := bringup(d, modelName, w, rc, mutate, w.GenTrace(src, rc.Warmup, rc.Batch), comp)
@@ -322,9 +331,9 @@ func bringup(d Design, modelName string, w *models.Workload, rc RunConfig, mutat
 		rec = rc.Trace.Recorder(name)
 		m.SetRecorder(rec)
 	}
+	var units []int
 	for _, b := range warm {
-		units, err := w.Graph.AssignUnits(b.Units, b.Routing)
-		if err != nil {
+		if units, err = w.Graph.AssignUnits(units, b.Units, b.Routing); err != nil {
 			return nil, err
 		}
 		if err := m.Profiler().ObserveBatch(units, b.Routing, b.Density); err != nil {

@@ -285,3 +285,30 @@ func TestBringupOnSharesCompiler(t *testing.T) {
 		t.Fatal("moe compiler accepted for skipnet")
 	}
 }
+
+// TestBringupOnBuildsNoGraph bounds what a bring-up on a warm shared
+// compiler allocates by the model's graph build: the session runs on the
+// compiler's graph, so building a second one only to discard it (about 900
+// objects for moe at batch 32, a bring-up of 2.9k without it) pushes the
+// bring-up past the bound.
+func TestBringupOnBuildsNoGraph(t *testing.T) {
+	rc := quickRC()
+	first, err := Bringup(DesignAdyna, "moe", rc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphAllocs := testing.AllocsPerRun(3, func() {
+		if _, err := models.ByName("moe", rc.Batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bringupAllocs := testing.AllocsPerRun(3, func() {
+		if _, err := BringupOn(first.Comp, DesignAdyna, "moe", rc, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := 3.6 * graphAllocs; bringupAllocs > limit {
+		t.Fatalf("shared-compiler bring-up allocates %.0f objects, want <= %.0f (3.6 graph builds of %.0f)",
+			bringupAllocs, limit, graphAllocs)
+	}
+}

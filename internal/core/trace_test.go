@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"slices"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/runner"
@@ -16,7 +14,7 @@ import (
 )
 
 // hashBatches digests every field of every batch: index, units, density and
-// each switch's branch lists, switches in ID order.
+// each switch's branch lists, switches in ordinal order.
 func hashBatches(bs []workload.Batch) uint64 {
 	h := fnv.New64a()
 	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
@@ -24,14 +22,9 @@ func hashBatches(bs []workload.Batch) uint64 {
 		put(uint64(b.Index))
 		put(uint64(b.Units))
 		put(math.Float64bits(b.Density))
-		sws := make([]graph.OpID, 0, len(b.Routing))
-		for sw := range b.Routing {
-			sws = append(sws, sw)
-		}
-		slices.Sort(sws)
-		for _, sw := range sws {
-			put(uint64(sw))
-			for _, br := range b.Routing[sw].Branch {
+		for o, r := range b.Routing {
+			put(uint64(o))
+			for _, br := range r.Branch {
 				put(uint64(len(br)))
 				for _, u := range br {
 					put(uint64(u))

@@ -367,7 +367,9 @@ func TestRooflineAtActualUnits(t *testing.T) {
 	gg := b.MustBuild()
 	id := gg.ComputeOps()[0]
 	full := Roofline(cfg, gg, nil)[0]
-	small := Roofline(cfg, gg, map[graph.OpID]int{id: 4})[0]
+	units := make([]int, len(gg.Ops))
+	units[id] = 4
+	small := Roofline(cfg, gg, units)[0]
 	if small.FLOPs >= full.FLOPs {
 		t.Fatal("fewer units must mean fewer FLOPs")
 	}

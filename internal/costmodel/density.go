@@ -132,7 +132,7 @@ func (c *Cache) EvaluateDensity(op *graph.Op, blk Blocking, compiledUnits, actua
 // + W) decreases with density and each operator's classification can flip
 // from compute- to memory-bound as the batch gets sparser. Operators that are
 // not density-aware are analyzed at density 1, exactly as Roofline does.
-func DensityRoofline(cfg hw.Config, g *graph.Graph, units map[graph.OpID]int, density float64) []OpAnalysis {
+func DensityRoofline(cfg hw.Config, g *graph.Graph, units []int, density float64) []OpAnalysis {
 	d := QuantizeDensity(density)
 	ridge := RidgePoint(cfg)
 	out := Roofline(cfg, g, units)

@@ -36,8 +36,8 @@ func RidgePoint(cfg hw.Config) float64 {
 }
 
 // Roofline analyzes every compute operator of g at the given per-operator
-// dyn values (pass nil to use the worst case).
-func Roofline(cfg hw.Config, g *graph.Graph, units map[graph.OpID]int) []OpAnalysis {
+// dyn values, indexed by OpID (pass nil to use the worst case).
+func Roofline(cfg hw.Config, g *graph.Graph, units []int) []OpAnalysis {
 	ridge := RidgePoint(cfg)
 	var out []OpAnalysis
 	for _, id := range g.ComputeOps() {

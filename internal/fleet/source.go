@@ -172,10 +172,10 @@ func rotateRouting(rt graph.BatchRouting, class, classes int) graph.BatchRouting
 		return rt
 	}
 	out := make(graph.BatchRouting, len(rt))
-	for sw, routing := range rt {
+	for o, routing := range rt {
 		nb := len(routing.Branch)
 		if nb == 0 {
-			out[sw] = routing
+			out[o] = routing
 			continue
 		}
 		stride := nb / classes
@@ -187,7 +187,7 @@ func rotateRouting(rt graph.BatchRouting, class, classes int) graph.BatchRouting
 		for b, units := range routing.Branch {
 			branches[(b+shift)%nb] = units
 		}
-		out[sw] = graph.Routing{Branch: branches}
+		out[o] = graph.Routing{Branch: branches}
 	}
 	return out
 }

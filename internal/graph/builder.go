@@ -540,6 +540,13 @@ func (g *Graph) validate() error {
 	}
 	g.topo = order
 	g.switches = g.opsWhere(func(op *Op) bool { return op.Kind == KindSwitch })
+	g.ordinal = make([]int, len(g.Ops))
+	for i := range g.ordinal {
+		g.ordinal[i] = -1
+	}
+	for o, id := range g.switches {
+		g.ordinal[id] = o
+	}
 	// Every switch must have each branch connected, and every non-sink
 	// branch must eventually be closed by exactly one merge.
 	merges := map[OpID]int{}

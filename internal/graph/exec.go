@@ -14,11 +14,12 @@ type ExecResult struct {
 	// Sinks maps each sink operator to the tensor it swallowed (early-exit
 	// results, dropped patches).
 	Sinks map[OpID]*tensor.Tensor
-	// Units is the concrete dyn_dim value every operator saw.
-	Units map[OpID]int
-	// SampleIdx maps each operator to the global unit indices present in its
-	// output, in storage order.
-	SampleIdx map[OpID][]int
+	// Units is the concrete dyn_dim value every operator saw, indexed by
+	// OpID (as AssignUnits returns it).
+	Units []int
+	// SampleIdx holds, per OpID, the global unit indices present in the
+	// operator's output, in storage order.
+	SampleIdx [][]int
 }
 
 type flow struct {
@@ -38,10 +39,10 @@ func (g *Graph) Execute(input *tensor.Tensor, rt BatchRouting) (*ExecResult, err
 	res := &ExecResult{
 		Outputs:   map[OpID]*tensor.Tensor{},
 		Sinks:     map[OpID]*tensor.Tensor{},
-		Units:     map[OpID]int{},
-		SampleIdx: map[OpID][]int{},
+		Units:     make([]int, len(g.Ops)),
+		SampleIdx: make([][]int, len(g.Ops)),
 	}
-	flows := map[OpID]flow{}
+	flows := make([]flow, len(g.Ops))
 	allIdx := make([]int, batchUnits)
 	for i := range allIdx {
 		allIdx[i] = i
@@ -56,7 +57,7 @@ func (g *Graph) Execute(input *tensor.Tensor, rt BatchRouting) (*ExecResult, err
 			// The switch itself forwards its data input; branch heads gather
 			// their slices from it below.
 			out = flows[op.Inputs[0]]
-			if _, ok := rt[id]; !ok {
+			if g.SwitchOrdinal(id) >= len(rt) {
 				return nil, fmt.Errorf("graph %q: no routing for switch %s", g.Name, op.Name)
 			}
 		case KindMerge:
@@ -112,13 +113,13 @@ func (g *Graph) Execute(input *tensor.Tensor, rt BatchRouting) (*ExecResult, err
 
 // gatherInput returns the flow delivered from producer inID to consumer op,
 // slicing the producer's batch when op is a branch head.
-func (g *Graph) gatherInput(op *Op, inID OpID, flows map[OpID]flow, rt BatchRouting) (flow, error) {
+func (g *Graph) gatherInput(op *Op, inID OpID, flows []flow, rt BatchRouting) (flow, error) {
 	prod := g.Op(inID)
 	src := flows[inID]
 	if prod.Kind != KindSwitch || op.SwitchOf != inID {
 		return src, nil
 	}
-	r := rt[inID]
+	r := rt[g.SwitchOrdinal(inID)]
 	if op.Branch < 0 || op.Branch >= len(r.Branch) {
 		return flow{}, fmt.Errorf("graph %q: op %s claims branch %d of switch %s",
 			g.Name, op.Name, op.Branch, prod.Name)
@@ -144,7 +145,7 @@ func (g *Graph) gatherInput(op *Op, inID OpID, flows map[OpID]flow, rt BatchRout
 
 // execMerge re-assembles the branches of a switch into the switch's arriving
 // batch, accumulating contributions (so top-k broadcasts sum correctly).
-func (g *Graph) execMerge(op *Op, flows map[OpID]flow, rt BatchRouting) (flow, error) {
+func (g *Graph) execMerge(op *Op, flows []flow, rt BatchRouting) (flow, error) {
 	swFlow := flows[op.MergeOf]
 	if len(op.Inputs) == 0 {
 		return flow{}, fmt.Errorf("graph %q: merge %s has no inputs", g.Name, op.Name)

@@ -155,9 +155,9 @@ func TestTopoCoversAllOps(t *testing.T) {
 func TestAssignUnits(t *testing.T) {
 	g, ids := buildSkipBlock(t, 8)
 	rt := BatchRouting{
-		ids["sw"]: {Branch: [][]int32{{0, 2, 4, 6, 7}, {1, 3, 5}}},
+		{Branch: [][]int32{{0, 2, 4, 6, 7}, {1, 3, 5}}},
 	}
-	units, err := g.AssignUnits(8, rt)
+	units, err := g.AssignUnits(nil, 8, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +175,8 @@ func TestAssignUnits(t *testing.T) {
 
 func TestAssignUnitsEmptyBranch(t *testing.T) {
 	g, ids := buildSkipBlock(t, 8)
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}, {}}}}
-	units, err := g.AssignUnits(8, rt)
+	rt := BatchRouting{{Branch: [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}, {}}}}
+	units, err := g.AssignUnits(nil, 8, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +187,14 @@ func TestAssignUnitsEmptyBranch(t *testing.T) {
 
 func TestAssignUnitsMissingRouting(t *testing.T) {
 	g, _ := buildSkipBlock(t, 8)
-	if _, err := g.AssignUnits(8, BatchRouting{}); err == nil {
+	if _, err := g.AssignUnits(nil, 8, BatchRouting{}); err == nil {
 		t.Fatal("expected missing-routing error")
 	}
 }
 
 func TestValidateRouting(t *testing.T) {
-	g, ids := buildSkipBlock(t, 8)
-	good := BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 1}, {2, 3, 4, 5, 6, 7}}}}
+	g, _ := buildSkipBlock(t, 8)
+	good := BatchRouting{{Branch: [][]int32{{0, 1}, {2, 3, 4, 5, 6, 7}}}}
 	if err := g.ValidateRouting(8, good, true); err != nil {
 		t.Fatalf("good routing rejected: %v", err)
 	}
@@ -202,10 +202,12 @@ func TestValidateRouting(t *testing.T) {
 		name string
 		rt   BatchRouting
 	}{
-		{"out of range", BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 99}, {}}}}},
-		{"duplicate in branch", BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 0}, {}}}}},
-		{"wrong branch count", BatchRouting{ids["sw"]: {Branch: [][]int32{{0}}}}},
-		{"unrouted unit", BatchRouting{ids["sw"]: {Branch: [][]int32{{0}, {1}}}}},
+		{"out of range", BatchRouting{{Branch: [][]int32{{0, 99}, {}}}}},
+		{"duplicate in branch", BatchRouting{{Branch: [][]int32{{0, 0}, {}}}}},
+		{"wrong branch count", BatchRouting{{Branch: [][]int32{{0}}}}},
+		{"unrouted unit", BatchRouting{{Branch: [][]int32{{0}, {1}}}}},
+		{"missing switch", BatchRouting{}},
+		{"extra switch", BatchRouting{{Branch: [][]int32{{0, 1}, {2, 3, 4, 5, 6, 7}}}, {}}},
 	}
 	for _, tc := range cases {
 		if err := g.ValidateRouting(8, tc.rt, true); err == nil {
@@ -213,7 +215,7 @@ func TestValidateRouting(t *testing.T) {
 		}
 	}
 	// Non-exclusive mode tolerates dropped units.
-	if err := g.ValidateRouting(8, BatchRouting{ids["sw"]: {Branch: [][]int32{{0}, {1}}}}, false); err != nil {
+	if err := g.ValidateRouting(8, BatchRouting{{Branch: [][]int32{{0}, {1}}}}, false); err != nil {
 		t.Errorf("non-exclusive mode rejected dropped units: %v", err)
 	}
 }
@@ -324,10 +326,10 @@ func TestNestedSwitchesEarlyExit(t *testing.T) {
 	}
 	// Units: 8 in; 3 exit at sw1; of the 5 remaining, 2 exit at sw2.
 	rt := BatchRouting{
-		ids["sw1"]: {Branch: [][]int32{{0, 1, 2}, {3, 4, 5, 6, 7}}},
-		ids["sw2"]: {Branch: [][]int32{{3, 4}, {5, 6, 7}}},
+		{Branch: [][]int32{{0, 1, 2}, {3, 4, 5, 6, 7}}},
+		{Branch: [][]int32{{3, 4}, {5, 6, 7}}},
 	}
-	units, err := g.AssignUnits(8, rt)
+	units, err := g.AssignUnits(nil, 8, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +343,8 @@ func TestNestedSwitchesEarlyExit(t *testing.T) {
 	}
 	// Routing a unit at sw2 that exited at sw1 must be rejected.
 	bad := BatchRouting{
-		ids["sw1"]: {Branch: [][]int32{{0, 1, 2}, {3, 4, 5, 6, 7}}},
-		ids["sw2"]: {Branch: [][]int32{{0, 4}, {5, 6, 7}}},
+		{Branch: [][]int32{{0, 1, 2}, {3, 4, 5, 6, 7}}},
+		{Branch: [][]int32{{0, 4}, {5, 6, 7}}},
 	}
 	if err := g.ValidateRouting(8, bad, false); err == nil {
 		t.Fatal("expected never-arrived error")
@@ -363,8 +365,8 @@ func TestQuickUnitConservation(t *testing.T) {
 				b1 = append(b1, i)
 			}
 		}
-		rt := BatchRouting{ids["sw"]: {Branch: [][]int32{b0, b1}}}
-		units, err := g.AssignUnits(B, rt)
+		rt := BatchRouting{{Branch: [][]int32{b0, b1}}}
+		units, err := g.AssignUnits(nil, B, rt)
 		if err != nil {
 			return false
 		}
@@ -418,7 +420,7 @@ func TestExecuteRoutesLosslessly(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i + 1)
 	}
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{1, 3}, {0, 2}}}}
+	rt := BatchRouting{{Branch: [][]int32{{1, 3}, {0, 2}}}}
 	res, err := g.Execute(in, rt)
 	if err != nil {
 		t.Fatal(err)
@@ -440,13 +442,13 @@ func TestExecuteRoutesLosslessly(t *testing.T) {
 		}
 	}
 	// Execute's per-op units agree with AssignUnits.
-	units, err := g.AssignUnits(4, rt)
+	units, err := g.AssignUnits(nil, 4, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id, u := range units {
 		if res.Units[id] != u {
-			t.Fatalf("op %v: exec units %d vs assign %d", g.Op(id), res.Units[id], u)
+			t.Fatalf("op %v: exec units %d vs assign %d", g.Op(OpID(id)), res.Units[id], u)
 		}
 	}
 }
@@ -457,7 +459,7 @@ func TestExecuteEmptyBranch(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = 1
 	}
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{}, {0, 1, 2, 3}}}}
+	rt := BatchRouting{{Branch: [][]int32{{}, {0, 1, 2, 3}}}}
 	res, err := g.Execute(in, rt)
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +499,7 @@ func TestExecuteBroadcastAccumulates(t *testing.T) {
 	for i := range in2.Data {
 		in2.Data[i] = 3
 	}
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 1}, {0}}}} // sample 0 broadcast
+	rt := BatchRouting{{Branch: [][]int32{{0, 1}, {0}}}} // sample 0 broadcast
 	res, err := g.Execute(in2, rt)
 	if err != nil {
 		t.Fatal(err)
@@ -509,9 +511,9 @@ func TestExecuteBroadcastAccumulates(t *testing.T) {
 }
 
 func TestExecuteMissingRefErrors(t *testing.T) {
-	g, ids := buildSkipBlock(t, 4)
+	g, _ := buildSkipBlock(t, 4)
 	in := tensor.New(tensor.MustShape(4, 16*8*8))
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 1}, {2, 3}}}}
+	rt := BatchRouting{{Branch: [][]int32{{0, 1}, {2, 3}}}}
 	if _, err := g.Execute(in, rt); err == nil {
 		t.Fatal("expected missing-ref error")
 	}
@@ -538,7 +540,7 @@ func TestOpStringMentionsDynamism(t *testing.T) {
 }
 
 func TestGraphEncodeDecodeRoundTrip(t *testing.T) {
-	g, ids := buildSkipBlock(t, 16)
+	g, _ := buildSkipBlock(t, 16)
 	var buf bytes.Buffer
 	if err := g.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -562,12 +564,12 @@ func TestGraphEncodeDecodeRoundTrip(t *testing.T) {
 		}
 	}
 	// The decoded graph routes and assigns identically.
-	rt := BatchRouting{ids["sw"]: {Branch: [][]int32{{0, 1, 2}, {3, 4}}}}
-	a, err := g.AssignUnits(5, rt)
+	rt := BatchRouting{{Branch: [][]int32{{0, 1, 2}, {3, 4}}}}
+	a, err := g.AssignUnits(nil, 5, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dec.AssignUnits(5, rt)
+	b, err := dec.AssignUnits(nil, 5, rt)
 	if err != nil {
 		t.Fatal(err)
 	}

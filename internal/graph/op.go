@@ -12,7 +12,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/tensor"
 )
@@ -212,9 +211,11 @@ type Graph struct {
 	// The operator views, computed once when the graph is finalized and
 	// shared read-only by every caller: switches (in ID order), dynamic,
 	// density-aware and compute operators, and each switch's branches (by
-	// the switch's index in switches, then branch index).
+	// the switch's ordinal, then branch index).
 	switches, dynamic, density, compute []OpID
 	branches                            [][][]OpID
+	// ordinal[id] is switch id's index in switches, -1 for other operators.
+	ordinal []int
 }
 
 // Op returns the operator with the given ID.
@@ -230,8 +231,18 @@ func (g *Graph) Outputs() []OpID { return g.outputs }
 // finalized (Build or DecodeGraph) and shared by every caller, who must
 // not modify them.
 
-// Switches returns the IDs of all switch operators in topological order.
+// Switches returns the IDs of all switch operators in ID order, which is
+// also a topological order. A switch's position here is its ordinal.
 func (g *Graph) Switches() []OpID { return g.switches }
+
+// SwitchOrdinal returns switch id's position in Switches — the index of its
+// decision in a BatchRouting — or -1 when id is not a switch of g.
+func (g *Graph) SwitchOrdinal(id OpID) int {
+	if id < 0 || int(id) >= len(g.ordinal) {
+		return -1
+	}
+	return g.ordinal[id]
+}
 
 // DynamicOps returns the IDs of all operators marked dynamic.
 func (g *Graph) DynamicOps() []OpID { return g.dynamic }
@@ -317,8 +328,8 @@ func (g *Graph) computeTopo() []OpID {
 // every operator reachable from the branch head before the closing merge,
 // including nested structures. Like the views above, the result is shared.
 func (g *Graph) BranchOps(sw OpID, k int) []OpID {
-	i, ok := slices.BinarySearch(g.switches, sw)
-	if !ok || k < 0 || k >= len(g.branches[i]) {
+	i := g.SwitchOrdinal(sw)
+	if i < 0 || k < 0 || k >= len(g.branches[i]) {
 		return nil
 	}
 	return g.branches[i][k]

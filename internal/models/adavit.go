@@ -17,10 +17,9 @@ const (
 // The paper cites it as the hybrid its representation must also cover: the
 // layer-skip switches are nested inside the keep branch of the patch-
 // selection switch, exercising the nested-scope rules of Section IV.
-func AdaViT(batchSamples int) (*Workload, error) {
-	if batchSamples < 1 {
-		return nil, fmt.Errorf("models: batch %d must be positive", batchSamples)
-	}
+func AdaViT(batchSamples int) (*Workload, error) { return adaViTModel.build(batchSamples) }
+
+func adaViTGraph(batchSamples int) (*graph.Graph, error) {
 	const (
 		seq    = 16 // tokens per patch group
 		hidden = 384
@@ -36,7 +35,6 @@ func AdaViT(batchSamples int) (*Workload, error) {
 	b.Sink("drop", ps[1])
 
 	x := b.Elementwise("keep_embed", actBytes, ps[0])
-	var skipIDs []graph.OpID
 	for l := 0; l < adaLayers; l++ {
 		name := func(part string) string { return fmt.Sprintf("l%d_%s", l, part) }
 		gate := b.Gate(name("gate"), x, hidden, 2)
@@ -49,40 +47,33 @@ func AdaViT(batchSamples int) (*Workload, error) {
 		f2 := b.SeqMatMul(name("ffn2"), f1, seq, 4*hidden, hidden)
 		m := b.Merge(name("merge"), br, skip, f2)
 		x = b.LayerNorm(name("ln"), m, actBytes)
-		if id, ok := b.FindOp(name("sw")); ok {
-			skipIDs = append(skipIDs, id)
-		}
 	}
 	mAll := b.Merge("gather", ps, x)
 	agg := b.Pool("image_pool", mAll, actBytes, actBytes/int64(adaPatches)+1)
 	cls := b.MatMul("head", agg, hidden, 1000/adaPatches)
 	b.Output("logits", cls)
 
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	psID, ok := b.FindOp("ps_sw")
-	if !ok {
-		return nil, fmt.Errorf("models: adavit patch switch missing")
-	}
-	gen := &adaViTGen{psID: psID, skipIDs: skipIDs, meanKeep: workload.NewDrift(10, 4, 15, 0.1)}
-	for i := range skipIDs {
+	return b.Build()
+}
+
+// adaViTOn's generator routes the patch switch (ordinal 0, built first) and
+// then each layer's skip switch.
+func adaViTOn(g *graph.Graph) *Workload {
+	gen := &adaViTGen{meanKeep: workload.NewDrift(10, 4, 15, 0.1)}
+	for i := range len(g.Switches()) - 1 {
 		gen.skipProb = append(gen.skipProb, workload.NewDrift(0.3+0.08*float64(i), 0.05, 0.8, 0.01))
 	}
 	return &Workload{
 		Name:         "AdaViT",
 		Category:     "hybrid (region + depth)",
 		Graph:        g,
-		DefaultBatch: batchSamples,
+		DefaultBatch: batchOf(g),
 		Gen:          gen,
 		Exclusive:    true,
-	}, nil
+	}
 }
 
 type adaViTGen struct {
-	psID     graph.OpID
-	skipIDs  []graph.OpID
 	meanKeep *workload.Drift
 	skipProb []*workload.Drift
 	perm     []int // Next's scratch: one image's patch permutation
@@ -111,8 +102,9 @@ func (g *adaViTGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	for u := images * adaPatches; u < units; u++ {
 		drop = append(drop, int32(u))
 	}
-	rt := graph.BatchRouting{g.psID: {Branch: [][]int32{keep, drop}}}
-	for l, sw := range g.skipIDs {
+	rt := make(graph.BatchRouting, 1+len(g.skipProb))
+	rt[0] = graph.Routing{Branch: [][]int32{keep, drop}}
+	for l := range g.skipProb {
 		p := src.JitterProb(g.skipProb[l].Step(src), 0.06)
 		var skip, run []int32
 		for _, u := range keep {
@@ -122,7 +114,7 @@ func (g *adaViTGen) Next(src *workload.Source, units int) graph.BatchRouting {
 				run = append(run, u)
 			}
 		}
-		rt[sw] = graph.Routing{Branch: [][]int32{skip, run}}
+		rt[1+l] = graph.Routing{Branch: [][]int32{skip, run}}
 	}
 	return rt
 }

@@ -1,8 +1,6 @@
 package models
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/workload"
 )
@@ -22,10 +20,9 @@ const dpsPatches = 64
 // The number of kept patches per image varies widely (objects sit in
 // arbitrary regions), so the dyn value at the backbone has both a huge range
 // and a large variance — the stress case for multi-kernel sampling.
-func DPSNet(batchSamples int) (*Workload, error) {
-	if batchSamples < 1 {
-		return nil, fmt.Errorf("models: batch %d must be positive", batchSamples)
-	}
+func DPSNet(batchSamples int) (*Workload, error) { return dpsNetModel.build(batchSamples) }
+
+func dpsNetGraph(batchSamples int) (*graph.Graph, error) {
 	const (
 		patchPx = 28 // each patch is a 28x28 RGB crop
 		scoreCh = 16
@@ -66,33 +63,21 @@ func DPSNet(batchSamples int) (*Workload, error) {
 	fc := b.MatMul("fc", agg, 2*backCh, 1000/dpsPatches)
 	b.Output("logits", fc)
 
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
+	return b.Build()
+}
+
+func dpsNetOn(g *graph.Graph) *Workload {
 	return &Workload{
 		Name:         "DPSNet",
 		Category:     "dynamic region",
 		Graph:        g,
-		DefaultBatch: batchSamples,
-		Gen: &dpsGen{
-			swID:     mustFind(b),
-			meanKeep: slowDrift(24, 10, 44, 0.45),
-		},
-		Exclusive: true,
-	}, nil
-}
-
-func mustFind(b *graph.Builder) graph.OpID {
-	id, ok := b.FindOp("sw")
-	if !ok {
-		panic("models: dpsnet switch missing")
+		DefaultBatch: batchOf(g),
+		Gen:          &dpsGen{meanKeep: slowDrift(24, 10, 44, 0.45)},
+		Exclusive:    true,
 	}
-	return id
 }
 
 type dpsGen struct {
-	swID     graph.OpID
 	meanKeep *workload.Drift
 	// dropBuf and perm are Next's scratch (the drop list and one image's
 	// patch permutation), reused across batches.
@@ -135,5 +120,5 @@ func (g *dpsGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	n := len(keep)
 	keep = append(keep, drop...)
 	keep, drop = keep[:n:n], keep[n:]
-	return graph.BatchRouting{g.swID: {Branch: [][]int32{keep, drop}}}
+	return graph.BatchRouting{{Branch: [][]int32{keep, drop}}}
 }

@@ -17,10 +17,9 @@ const fbsGroups = 8
 // highly skewed — some channel groups are selected for almost every sample
 // while others almost never run — which is exactly the situation the paper's
 // branch-grouping optimization targets.
-func FBSNet(batchSamples int) (*Workload, error) {
-	if batchSamples < 1 {
-		return nil, fmt.Errorf("models: batch %d must be positive", batchSamples)
-	}
+func FBSNet(batchSamples int) (*Workload, error) { return fbsNetModel.build(batchSamples) }
+
+func fbsNetGraph(batchSamples int) (*graph.Graph, error) {
 	b := graph.NewBuilder("fbsnet", 1)
 	in := b.Input("input", 3*224*224*2, batchSamples)
 	stem := b.Conv2D("stem", in, graph.ConvSpec{
@@ -30,7 +29,6 @@ func FBSNet(batchSamples int) (*Workload, error) {
 
 	type layer struct{ ch, sp int }
 	layers := []layer{{64, 56}, {128, 28}, {256, 14}, {512, 7}}
-	var swIDs []graph.OpID
 	prevCh, prevSp := 64, 56
 	for li, ly := range layers {
 		if ly.ch != prevCh || ly.sp != prevSp {
@@ -52,20 +50,17 @@ func FBSNet(batchSamples int) (*Workload, error) {
 		}
 		m := b.Merge(name("merge"), br, subs...)
 		x = b.Elementwise(name("relu"), int64(ly.ch)*int64(ly.sp)*int64(ly.sp)*2, m)
-		if id, ok := b.FindOp(name("sw")); ok {
-			swIDs = append(swIDs, id)
-		}
 	}
 	pool := b.Pool("gap", x, int64(prevCh)*int64(prevSp)*int64(prevSp)*2, int64(prevCh)*2)
 	fc := b.MatMul("fc", pool, prevCh, 1000)
 	b.Output("logits", fc)
 
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	gen := &fbsGen{swIDs: swIDs}
-	for range swIDs {
+	return b.Build()
+}
+
+func fbsNetOn(g *graph.Graph) *Workload {
+	gen := &fbsGen{}
+	for range g.Switches() {
 		// Group popularity is Zipf-skewed; the mean kept-group count drifts.
 		gen.keep = append(gen.keep, slowDrift(4, 2, 6, 0.04))
 		gen.weights = append(gen.weights, workload.ZipfWeights(fbsGroups, 1.6))
@@ -74,14 +69,13 @@ func FBSNet(batchSamples int) (*Workload, error) {
 		Name:         "FBSNet",
 		Category:     "dynamic width",
 		Graph:        g,
-		DefaultBatch: batchSamples,
+		DefaultBatch: batchOf(g),
 		Gen:          gen,
 		Exclusive:    false, // samples select several channel groups at once
-	}, nil
+	}
 }
 
 type fbsGen struct {
-	swIDs   []graph.OpID
 	keep    []*workload.Drift
 	weights [][]float64
 	// picks and owners are Next's scratch, as in moeGen: every sample's
@@ -91,8 +85,8 @@ type fbsGen struct {
 }
 
 func (g *fbsGen) Next(src *workload.Source, units int) graph.BatchRouting {
-	rt := graph.BatchRouting{}
-	for li, sw := range g.swIDs {
+	rt := make(graph.BatchRouting, len(g.keep))
+	for li := range rt {
 		meanK := g.keep[li].Step(src)
 		g.picks, g.owners = g.picks[:0], g.owners[:0]
 		for i := range int32(units) {
@@ -104,7 +98,7 @@ func (g *fbsGen) Next(src *workload.Source, units int) graph.BatchRouting {
 			}
 		}
 		var count [fbsGroups]int
-		rt[sw] = graph.Routing{Branch: layOut(g.picks, g.owners, count[:])}
+		rt[li] = graph.Routing{Branch: layOut(g.picks, g.owners, count[:])}
 	}
 	return rt
 }

@@ -31,16 +31,14 @@ const (
 // GCN joins models.ByName but not All()/Names(): the paper's five evaluated
 // workloads (Table I) stay the canonical figure set, and every existing
 // figure remains byte-identical.
-func GCN(batchSamples int) (*Workload, error) {
-	if batchSamples < 1 {
-		return nil, fmt.Errorf("models: batch %d must be positive", batchSamples)
-	}
+func GCN(batchSamples int) (*Workload, error) { return gcnModel.build(batchSamples) }
+
+func gcnGraph(batchSamples int) (*graph.Graph, error) {
 	actBytes := int64(gnnNodes) * int64(gnnHidden) * 2
 
 	b := graph.NewBuilder("gcn", 1)
 	x := b.Input("node-feats", actBytes, batchSamples)
 	x = b.SeqMatMul("embed", x, gnnNodes, gnnHidden, gnnHidden)
-	var swIDs []graph.OpID
 	for l := 0; l < gnnLayers; l++ {
 		name := func(part string) string { return fmt.Sprintf("l%d_%s", l, part) }
 		gate := b.Gate(name("sampler"), x, gnnHidden, 2)
@@ -56,25 +54,21 @@ func GCN(batchSamples int) (*Workload, error) {
 		samp = b.SeqMatMul(name("upd_samp"), samp, gnnSampled, gnnHidden, gnnHidden)
 		m := b.Merge(name("combine"), br, full, samp)
 		x = b.LayerNorm(name("ln"), m, actBytes)
-		if id, ok := b.FindOp(name("sw")); ok {
-			swIDs = append(swIDs, id)
-		}
 	}
 	out := b.MatMul("readout", x, gnnHidden, 32)
 	b.Output("logits", out)
 
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
+	return b.Build()
+}
+
+func gcnOn(g *graph.Graph) *Workload {
 	gen := &gnnGen{
-		swIDs: swIDs,
 		// Adjacency density drifts over a wide range: dense enough at the top
 		// that a plan sized for sparse batches misses deadlines, sparse
 		// enough at the bottom that a dense plan wastes most of its tiles.
 		dens: slowDrift(0.3, 0.05, 0.95, 0.02),
 	}
-	for range swIDs {
+	for range g.Switches() {
 		// Sampled-hop preference drifts per layer.
 		gen.sampleP = append(gen.sampleP, slowDrift(0.35, 0.02, 0.95, 0.03))
 	}
@@ -82,10 +76,10 @@ func GCN(batchSamples int) (*Workload, error) {
 		Name:         "GCN",
 		Category:     "data-dependent sparsity",
 		Graph:        g,
-		DefaultBatch: batchSamples,
+		DefaultBatch: batchOf(g),
 		Gen:          gen,
 		Exclusive:    true, // each subgraph takes exactly one hop variant
-	}, nil
+	}
 }
 
 // gnnGen routes each subgraph to the full or sampled hop per layer and draws
@@ -93,14 +87,13 @@ func GCN(batchSamples int) (*Workload, error) {
 // workload.DensityGen, so Trace and the serving layers stamp its density onto
 // every batch.
 type gnnGen struct {
-	swIDs   []graph.OpID
 	sampleP []*workload.Drift
 	dens    *workload.Drift
 }
 
 func (g *gnnGen) Next(src *workload.Source, units int) graph.BatchRouting {
-	rt := graph.BatchRouting{}
-	for li, sw := range g.swIDs {
+	rt := make(graph.BatchRouting, len(g.sampleP))
+	for li := range rt {
 		p := g.sampleP[li].Step(src)
 		branches := make([][]int32, 2)
 		for i := range int32(units) {
@@ -110,7 +103,7 @@ func (g *gnnGen) Next(src *workload.Source, units int) graph.BatchRouting {
 				branches[0] = append(branches[0], i) // full hop
 			}
 		}
-		rt[sw] = graph.Routing{Branch: branches}
+		rt[li] = graph.Routing{Branch: branches}
 	}
 	return rt
 }

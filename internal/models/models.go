@@ -74,36 +74,69 @@ func All(batchSamples int) ([]*Workload, error) {
 	return out, nil
 }
 
-// MustAll is All that panics on error, for benchmarks and examples.
-func MustAll(batchSamples int) []*Workload {
-	ws, err := All(batchSamples)
-	if err != nil {
-		panic(err)
+// model is one workload in two halves: its graph at a batch size, and the
+// workload — trace generator and metadata — over a built graph.
+type model struct {
+	graph func(batchSamples int) (*graph.Graph, error)
+	on    func(g *graph.Graph) *Workload
+}
+
+func (m *model) build(batchSamples int) (*Workload, error) {
+	if batchSamples < 1 {
+		return nil, fmt.Errorf("models: batch %d must be positive", batchSamples)
 	}
-	return ws
+	g, err := m.graph(batchSamples)
+	if err != nil {
+		return nil, err
+	}
+	return m.on(g), nil
+}
+
+var (
+	skipNetModel = &model{skipNetGraph, skipNetOn}
+	pabeeModel   = &model{pabeeGraph, pabeeOn}
+	fbsNetModel  = &model{fbsNetGraph, fbsNetOn}
+	moeModel     = &model{moeGraph, moeOn}
+	dpsNetModel  = &model{dpsNetGraph, dpsNetOn}
+	adaViTModel  = &model{adaViTGraph, adaViTOn}
+	raNetModel   = &model{raNetGraph, raNetOn}
+	gcnModel     = &model{gcnGraph, gcnOn}
+)
+
+// registry maps every accepted workload name, each graph's own name among
+// them, to its model.
+var registry = map[string]*model{
+	"skipnet": skipNetModel, "pabee": pabeeModel, "fbsnet": fbsNetModel,
+	"tutel-moe": moeModel, "moe": moeModel, "dpsnet": dpsNetModel, "dps": dpsNetModel,
+	"adavit": adaViTModel, "ranet": raNetModel, "gcn": gcnModel, "gnn": gcnModel,
 }
 
 // ByName returns the named workload at the given batch size.
 func ByName(name string, batchSamples int) (*Workload, error) {
-	switch name {
-	case "skipnet":
-		return SkipNet(batchSamples)
-	case "pabee":
-		return PABEE(batchSamples)
-	case "fbsnet":
-		return FBSNet(batchSamples)
-	case "tutel-moe", "moe":
-		return TutelMoE(batchSamples)
-	case "dpsnet", "dps":
-		return DPSNet(batchSamples)
-	case "adavit":
-		return AdaViT(batchSamples)
-	case "ranet":
-		return RANet(batchSamples)
-	case "gcn", "gnn":
-		return GCN(batchSamples)
+	m, ok := registry[name]
+	if !ok {
+		return nil, fmt.Errorf("models: unknown workload %q", name)
 	}
-	return nil, fmt.Errorf("models: unknown workload %q", name)
+	return m.build(batchSamples)
+}
+
+// On returns the named workload over g, a graph that workload built (at any
+// batch size), with a fresh trace generator: the sessions of one model share
+// one immutable graph without building it again.
+func On(name string, g *graph.Graph) (*Workload, error) {
+	m, ok := registry[name]
+	if !ok {
+		return nil, fmt.Errorf("models: unknown workload %q", name)
+	}
+	if registry[g.Name] != m {
+		return nil, fmt.Errorf("models: graph %s is not %s's", g.Name, name)
+	}
+	return m.on(g), nil
+}
+
+// batchOf returns the batch size in samples g was built for.
+func batchOf(g *graph.Graph) int {
+	return g.Op(g.Inputs()[0]).MaxUnits / g.UnitsPerSample
 }
 
 // Names lists the canonical workload names.

@@ -34,12 +34,12 @@ func TestAllModelsBuildAndValidate(t *testing.T) {
 			}
 			// Unit assignment works for every batch.
 			for _, b := range trace {
-				units, err := w.Graph.AssignUnits(b.Units, b.Routing)
+				units, err := w.Graph.AssignUnits(nil, b.Units, b.Routing)
 				if err != nil {
 					t.Fatalf("batch %d: %v", b.Index, err)
 				}
 				for id, u := range units {
-					op := w.Graph.Op(id)
+					op := w.Graph.Ops[id]
 					if u < 0 || u > op.MaxUnits {
 						t.Fatalf("op %s units %d outside [0,%d]", op.Name, u, op.MaxUnits)
 					}
@@ -86,10 +86,9 @@ func TestSkipNetMatchesFigure6Statistics(t *testing.T) {
 	}
 	src := workload.NewSource(1)
 	trace := w.GenTrace(src, 400, 8)
-	sw := w.Graph.Switches()[0]
 	var b1Total, n int
 	for _, b := range trace {
-		b1Total += len(b.Routing[sw].Branch[0])
+		b1Total += len(b.Routing[0].Branch[0])
 		n++
 	}
 	avg := float64(b1Total) / float64(n)
@@ -120,8 +119,8 @@ func TestPABEEExitsAreNested(t *testing.T) {
 	src := workload.NewSource(5)
 	b := w.GenTrace(src, 1, 16)[0]
 	prev := 16
-	for _, sw := range sws {
-		r := b.Routing[sw]
+	for o := range sws {
+		r := b.Routing[o]
 		arrived := len(r.Branch[0]) + len(r.Branch[1])
 		if arrived > prev {
 			t.Fatalf("population grew: %d -> %d", prev, arrived)
@@ -137,10 +136,9 @@ func TestFBSNetSkew(t *testing.T) {
 	}
 	src := workload.NewSource(3)
 	trace := w.GenTrace(src, 100, 64)
-	sw := w.Graph.Switches()[0]
 	counts := make([]int, fbsGroups)
 	for _, b := range trace {
-		for g, idxs := range b.Routing[sw].Branch {
+		for g, idxs := range b.Routing[0].Branch {
 			counts[g] += len(idxs)
 		}
 	}
@@ -161,9 +159,8 @@ func TestMoETopKBroadcast(t *testing.T) {
 	}
 	src := workload.NewSource(8)
 	b := w.GenTrace(src, 1, 32)[0]
-	sw := w.Graph.Switches()[0]
 	total := 0
-	for _, idxs := range b.Routing[sw].Branch {
+	for _, idxs := range b.Routing[0].Branch {
 		total += len(idxs)
 	}
 	if total != 32*moeTopK {
@@ -177,7 +174,7 @@ func TestMoETopKBroadcast(t *testing.T) {
 // Next may. Gate weights and per-sample top-k draws must come from scratch.
 // Next also lays each layer's branches into one backing array, so its count
 // is bounded outright: the branch table and the backing array per switch,
-// plus the routing map.
+// plus the routing slice.
 func TestMoENextAllocatesOnlyItsRouting(t *testing.T) {
 	const units, runs = 32, 50
 	gen := func() (workload.TraceGen, *workload.Source) {
@@ -196,7 +193,7 @@ func TestMoENextAllocatesOnlyItsRouting(t *testing.T) {
 	k := 0
 	var out graph.BatchRouting // rebuilt routings escape, as Next's do
 	rebuilt := testing.AllocsPerRun(runs, func() {
-		rt := graph.BatchRouting{}
+		rt := make(graph.BatchRouting, len(want[k]))
 		for sw, r := range want[k] {
 			branches := make([][]int32, len(r.Branch))
 			for e, idxs := range r.Branch {
@@ -253,9 +250,8 @@ func TestDPSNetFoldsPatches(t *testing.T) {
 	}
 	src := workload.NewSource(4)
 	b := w.GenTrace(src, 1, 128)[0]
-	sw := w.Graph.Switches()[0]
-	keep := len(b.Routing[sw].Branch[0])
-	drop := len(b.Routing[sw].Branch[1])
+	keep := len(b.Routing[0].Branch[0])
+	drop := len(b.Routing[0].Branch[1])
 	if keep+drop != 8192 {
 		t.Fatalf("keep %d + drop %d != 8192", keep, drop)
 	}
@@ -328,7 +324,7 @@ func TestFrequencyTablesObserveTrace(t *testing.T) {
 	trace := w.GenTrace(src, 20, 16)
 	prof := profiler.New(w.Graph)
 	for _, b := range trace {
-		units, err := w.Graph.AssignUnits(b.Units, b.Routing)
+		units, err := w.Graph.AssignUnits(nil, b.Units, b.Routing)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,8 +381,8 @@ func TestRANetExtension(t *testing.T) {
 	// Easy branch dominates the routing on average.
 	var easyN, hardN int
 	for _, b := range trace {
-		easyN += len(b.Routing[sw].Branch[0])
-		hardN += len(b.Routing[sw].Branch[2])
+		easyN += len(b.Routing[0].Branch[0])
+		hardN += len(b.Routing[0].Branch[2])
 	}
 	if easyN <= hardN {
 		t.Fatalf("difficulty distribution inverted: easy %d vs hard %d", easyN, hardN)
@@ -396,5 +392,33 @@ func TestRANetExtension(t *testing.T) {
 func TestRANetByName(t *testing.T) {
 	if _, err := ByName("ranet", 8); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// On builds a workload over an existing graph of the same model, whatever
+// name it is asked by, with a generator that draws what a fresh build's
+// does, and rejects another model's graph.
+func TestOnSharesGraph(t *testing.T) {
+	fresh, err := TutelMoE(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := On("moe", fresh.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Graph != fresh.Graph || w.DefaultBatch != 32 || w.Name != fresh.Name {
+		t.Fatalf("On built %s at batch %d on another graph", w.Name, w.DefaultBatch)
+	}
+	a := fresh.GenTrace(workload.NewSource(5), 4, 32)
+	b := w.GenTrace(workload.NewSource(5), 4, 32)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("a generator over a shared graph draws another trace")
+	}
+	if _, err := On("skipnet", fresh.Graph); err == nil {
+		t.Fatal("skipnet accepted the moe graph")
+	}
+	if _, err := On("bogus", fresh.Graph); err == nil {
+		t.Fatal("unknown model accepted")
 	}
 }

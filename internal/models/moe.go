@@ -22,10 +22,9 @@ const (
 //
 // Expert popularity is skewed and drifts over time (expert load imbalance is
 // the well-documented MoE pathology the paper cites via FasterMoE).
-func TutelMoE(batchSamples int) (*Workload, error) {
-	if batchSamples < 1 {
-		return nil, fmt.Errorf("models: batch %d must be positive", batchSamples)
-	}
+func TutelMoE(batchSamples int) (*Workload, error) { return moeModel.build(batchSamples) }
+
+func moeGraph(batchSamples int) (*graph.Graph, error) {
 	const (
 		seq    = 64
 		hidden = 512
@@ -36,7 +35,6 @@ func TutelMoE(batchSamples int) (*Workload, error) {
 	b := graph.NewBuilder("tutel-moe", 1)
 	x := b.Input("tokens", actBytes, batchSamples)
 	x = b.SeqMatMul("embed", x, seq, hidden, hidden)
-	var swIDs []graph.OpID
 	for l := 0; l < moeLayers; l++ {
 		name := func(part string) string { return fmt.Sprintf("l%d_%s", l, part) }
 		qkv := b.SeqMatMul(name("qkv"), x, seq, hidden, 3*hidden)
@@ -52,19 +50,16 @@ func TutelMoE(batchSamples int) (*Workload, error) {
 		}
 		m := b.Merge(name("combine"), br, outs...)
 		x = b.LayerNorm(name("ln2"), m, actBytes)
-		if id, ok := b.FindOp(name("sw")); ok {
-			swIDs = append(swIDs, id)
-		}
 	}
 	cls := b.MatMul("head", x, hidden, 10)
 	b.Output("logits", cls)
 
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	gen := &moeGen{swIDs: swIDs}
-	for range swIDs {
+	return b.Build()
+}
+
+func moeOn(g *graph.Graph) *Workload {
+	gen := &moeGen{}
+	for range g.Switches() {
 		logits := make([]*workload.Drift, moeExperts)
 		for e := range logits {
 			// Skewed initial popularity, drifting per expert.
@@ -76,15 +71,14 @@ func TutelMoE(batchSamples int) (*Workload, error) {
 		Name:            "Tutel-MoE",
 		Category:        "dynamic routing",
 		Graph:           g,
-		DefaultBatch:    batchSamples,
+		DefaultBatch:    batchOf(g),
 		Gen:             gen,
 		Exclusive:       false, // top-2: every sample activates two experts
 		GPUFusedRouting: true,  // Tutel's fused expert kernels
-	}, nil
+	}
 }
 
 type moeGen struct {
-	swIDs  []graph.OpID
 	logits [][]*workload.Drift
 	// weights, picks and owners are Next's scratch (one layer's gate
 	// weights; its samples' top-k experts and, beside each, the sample that
@@ -97,11 +91,11 @@ type moeGen struct {
 // Next draws every sample's top-k experts per layer, in sample order, then
 // lays the layer's routing out in one backing array (layOut).
 func (g *moeGen) Next(src *workload.Source, units int) graph.BatchRouting {
-	rt := make(graph.BatchRouting, len(g.swIDs))
+	rt := make(graph.BatchRouting, len(g.logits))
 	if g.weights == nil {
 		g.weights = make([]float64, moeExperts)
 	}
-	for li, sw := range g.swIDs {
+	for li := range rt {
 		for e, d := range g.logits[li] {
 			g.weights[e] = math.Exp(d.Step(src))
 		}
@@ -114,7 +108,7 @@ func (g *moeGen) Next(src *workload.Source, units int) graph.BatchRouting {
 			}
 		}
 		var count [moeExperts]int
-		rt[sw] = graph.Routing{Branch: layOut(g.picks, g.owners, count[:])}
+		rt[li] = graph.Routing{Branch: layOut(g.picks, g.owners, count[:])}
 	}
 	return rt
 }

@@ -21,10 +21,9 @@ const pabeeLayers = 12
 // The trace generator draws each sample's exit layer from a normal
 // distribution centred mid-network (patience exits cluster there), with the
 // centre drifting over time.
-func PABEE(batchSamples int) (*Workload, error) {
-	if batchSamples < 1 {
-		return nil, fmt.Errorf("models: batch %d must be positive", batchSamples)
-	}
+func PABEE(batchSamples int) (*Workload, error) { return pabeeModel.build(batchSamples) }
+
+func pabeeGraph(batchSamples int) (*graph.Graph, error) {
 	const (
 		seq    = 128
 		hidden = 768
@@ -34,7 +33,6 @@ func PABEE(batchSamples int) (*Workload, error) {
 
 	b := graph.NewBuilder("pabee", 1)
 	x := b.Input("embeddings", actBytes, batchSamples)
-	var swIDs []graph.OpID
 	for l := 0; l < pabeeLayers; l++ {
 		name := func(part string) string { return fmt.Sprintf("l%d_%s", l, part) }
 		qkv := b.SeqMatMul(name("qkv"), x, seq, hidden, 3*hidden)
@@ -52,32 +50,25 @@ func PABEE(batchSamples int) (*Workload, error) {
 		exit := b.MatMul(name("exit_cls"), br[0], hidden, 2)
 		b.Sink(name("exit"), exit)
 		x = br[1] // continue into the next layer
-		if id, ok := b.FindOp(name("sw")); ok {
-			swIDs = append(swIDs, id)
-		}
 	}
 	cls := b.MatMul("final_cls", x, hidden, 2)
 	b.Output("logits", cls)
 
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
+	return b.Build()
+}
+
+func pabeeOn(g *graph.Graph) *Workload {
 	return &Workload{
 		Name:         "PABEE",
 		Category:     "dynamic depth",
 		Graph:        g,
-		DefaultBatch: batchSamples,
-		Gen: &pabeeGen{
-			swIDs: swIDs,
-			mean:  slowDrift(6.5, 4, 9.5, 0.06),
-		},
-		Exclusive: true,
-	}, nil
+		DefaultBatch: batchOf(g),
+		Gen:          &pabeeGen{mean: slowDrift(6.5, 4, 9.5, 0.06)},
+		Exclusive:    true,
+	}
 }
 
 type pabeeGen struct {
-	swIDs  []graph.OpID
 	mean   *workload.Drift
 	exitAt []int // Next's scratch: each sample's exit layer
 }
@@ -92,8 +83,8 @@ func (g *pabeeGen) Next(src *workload.Source, units int) graph.BatchRouting {
 	for i := range exitAt {
 		exitAt[i] = src.NormInt(mean, 2.5, 1, pabeeLayers)
 	}
-	rt := graph.BatchRouting{}
-	for l, sw := range g.swIDs {
+	rt := make(graph.BatchRouting, pabeeLayers-1) // no switch after the last layer
+	for l := range rt {
 		layer := l + 1 // the switch after layer l+1
 		// Units that exited at an earlier switch (e < layer) are not
 		// present here. Both lists are capped windows of one exactly-sized
@@ -121,7 +112,7 @@ func (g *pabeeGen) Next(src *workload.Source, units int) graph.BatchRouting {
 				cont = append(cont, int32(i))
 			}
 		}
-		rt[sw] = graph.Routing{Branch: [][]int32{exit, cont}}
+		rt[l] = graph.Routing{Branch: [][]int32{exit, cont}}
 	}
 	return rt
 }

@@ -20,10 +20,9 @@ var ranetScales = []int{112, 160, 224}
 // paper's Table I set — branch costs differ by ~4x, so mis-allocation is
 // punished much harder than in SkipNet's 1:2 blocks, stressing
 // frequency-weighted allocation and tile sharing.
-func RANet(batchSamples int) (*Workload, error) {
-	if batchSamples < 1 {
-		return nil, fmt.Errorf("models: batch %d must be positive", batchSamples)
-	}
+func RANet(batchSamples int) (*Workload, error) { return raNetModel.build(batchSamples) }
+
+func raNetGraph(batchSamples int) (*graph.Graph, error) {
 	b := graph.NewBuilder("ranet", 1)
 	in := b.Input("input", 3*224*224*2, batchSamples)
 	// Difficulty scorer: a cheap downsampled conv plus a gate.
@@ -52,31 +51,25 @@ func RANet(batchSamples int) (*Workload, error) {
 	fc := b.MatMul("fc", m, 128, 1000)
 	b.Output("logits", fc)
 
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	swID, ok := b.FindOp("res_sw")
-	if !ok {
-		return nil, fmt.Errorf("models: ranet switch missing")
-	}
+	return b.Build()
+}
+
+func raNetOn(g *graph.Graph) *Workload {
 	return &Workload{
 		Name:         "RANet",
 		Category:     "dynamic routing (extension)",
 		Graph:        g,
-		DefaultBatch: batchSamples,
+		DefaultBatch: batchOf(g),
 		Gen: &ranetGen{
-			swID: swID,
 			// Mean difficulty drifts: easy-heavy traffic shifts toward
 			// hard-heavy and back.
 			easy: slowDrift(0.55, 0.2, 0.8, 0.015),
 		},
 		Exclusive: true,
-	}, nil
+	}
 }
 
 type ranetGen struct {
-	swID graph.OpID
 	easy *workload.Drift
 }
 
@@ -95,5 +88,5 @@ func (g *ranetGen) Next(src *workload.Source, units int) graph.BatchRouting {
 			branches[2] = append(branches[2], u)
 		}
 	}
-	return graph.BatchRouting{g.swID: {Branch: branches}}
+	return graph.BatchRouting{{Branch: branches}}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"repro/internal/workload"
@@ -31,12 +32,40 @@ func TestRecordingBytesPinned(t *testing.T) {
 		}
 		batches := w.GenTrace(workload.NewSource(3), 6, 16)
 		var buf bytes.Buffer
-		if err := workload.Record(name, 16, 3, batches).Save(&buf); err != nil {
+		if err := workload.Record(w.Graph, name, 16, 3, batches).Save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(buf.Bytes())
 		if got := hex.EncodeToString(sum[:]); got != digest {
 			t.Errorf("%s: recording sha256 %s, want %s", name, got, digest)
+		}
+	}
+}
+
+// TestRecordReplayReturnsTrace records every model's generated trace, saves
+// and loads it, and replays it on the model's graph: the replay is the
+// generated trace, switch ordinals and all.
+func TestRecordReplayReturnsTrace(t *testing.T) {
+	for _, name := range append(Names(), "adavit", "ranet", "gcn") {
+		w, err := ByName(name, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := w.GenTrace(workload.NewSource(3), 6, 16)
+		var buf bytes.Buffer
+		if err := workload.Record(w.Graph, name, 16, 3, batches).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := workload.LoadRecording(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := rec.Replay(w.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(replayed, batches) {
+			t.Errorf("%s: the replayed trace differs from the generated one", name)
 		}
 	}
 }

@@ -15,10 +15,9 @@ import (
 // The trace generator reproduces the statistics of the paper's SkipNet on
 // ImageNet trace: on average about 5.03 of 8 samples take the cheap branch
 // (p ~= 0.63), with per-batch jitter and slow per-block drift.
-func SkipNet(batchSamples int) (*Workload, error) {
-	if batchSamples < 1 {
-		return nil, fmt.Errorf("models: batch %d must be positive", batchSamples)
-	}
+func SkipNet(batchSamples int) (*Workload, error) { return skipNetModel.build(batchSamples) }
+
+func skipNetGraph(batchSamples int) (*graph.Graph, error) {
 	b := graph.NewBuilder("skipnet", 1)
 	maxU := batchSamples
 
@@ -34,7 +33,6 @@ func SkipNet(batchSamples int) (*Workload, error) {
 		ch, sp int
 	}
 	stages := []stage{{64, 56}, {128, 28}, {256, 14}, {512, 7}}
-	var swIDs []graph.OpID
 	prevCh, prevSp := 64, 56
 	blockIdx := 0
 	for si, st := range stages {
@@ -58,9 +56,6 @@ func SkipNet(batchSamples int) (*Workload, error) {
 			b2b := b.Conv2D(name("conv2"), b2a, cs)
 			m := b.Merge(name("merge"), br, b1, b2b)
 			x = b.Elementwise(name("relu"), actBytes, m)
-			if p, ok := lastSwitch(b, name("sw")); ok {
-				swIDs = append(swIDs, p)
-			}
 			blockIdx++
 		}
 	}
@@ -69,12 +64,12 @@ func SkipNet(batchSamples int) (*Workload, error) {
 	fc := b.MatMul("fc", pool, prevCh, 1000)
 	b.Output("logits", fc)
 
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	gen := &skipNetGen{swIDs: swIDs}
-	for i := range swIDs {
+	return b.Build()
+}
+
+func skipNetOn(g *graph.Graph) *Workload {
+	gen := &skipNetGen{}
+	for i := range g.Switches() {
 		// Deeper blocks skip slightly more often, centred on the paper's
 		// 5.03/8 average.
 		base := 0.55 + 0.02*float64(i)
@@ -86,28 +81,20 @@ func SkipNet(batchSamples int) (*Workload, error) {
 		Name:         "SkipNet",
 		Category:     "dynamic depth",
 		Graph:        g,
-		DefaultBatch: batchSamples,
+		DefaultBatch: batchOf(g),
 		Gen:          gen,
 		Exclusive:    true,
-	}, nil
-}
-
-// lastSwitch finds the most recently created switch with the given name.
-// The builder does not expose IDs directly, so model constructors record
-// them as they go.
-func lastSwitch(b *graph.Builder, name string) (graph.OpID, bool) {
-	return b.FindOp(name)
+	}
 }
 
 type skipNetGen struct {
-	swIDs []graph.OpID
 	drift []*workload.Drift
 	b2Buf []int32 // Next's scratch for the second branch, reused across calls
 }
 
 func (g *skipNetGen) Next(src *workload.Source, units int) graph.BatchRouting {
-	rt := graph.BatchRouting{}
-	for bi, sw := range g.swIDs {
+	rt := make(graph.BatchRouting, len(g.drift))
+	for bi := range rt {
 		p := src.JitterProb(g.drift[bi].Step(src), 0.12)
 		// Both branches share one exactly-sized array: b1 fills it from
 		// the front, and b2, gathered in scratch, is copied in behind.
@@ -123,7 +110,7 @@ func (g *skipNetGen) Next(src *workload.Source, units int) graph.BatchRouting {
 		g.b2Buf = b2
 		n := len(b1)
 		b1 = append(b1, b2...)
-		rt[sw] = graph.Routing{Branch: [][]int32{b1[:n:n], b1[n:]}}
+		rt[bi] = graph.Routing{Branch: [][]int32{b1[:n:n], b1[n:]}}
 	}
 	return rt
 }

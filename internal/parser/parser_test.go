@@ -57,9 +57,8 @@ func TestParseSkipBlock(t *testing.T) {
 
 func TestParsedRoutingWorks(t *testing.T) {
 	g := MustParse(skipBlockSrc)
-	sw := g.Switches()[0]
-	rt := graph.BatchRouting{sw: {Branch: [][]int32{{0, 1, 2}, {3}}}}
-	units, err := g.AssignUnits(4, rt)
+	rt := graph.BatchRouting{{Branch: [][]int32{{0, 1, 2}, {3}}}}
+	units, err := g.AssignUnits(nil, 4, rt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,8 @@ func fpObserve(t *testing.T, g *graph.Graph, prof *profiler.Profiler, branches [
 	for _, br := range branches {
 		n += len(br)
 	}
-	rt := graph.BatchRouting{g.Switches()[0]: {Branch: branches}}
-	um, err := g.AssignUnits(n, rt)
+	rt := graph.BatchRouting{{Branch: branches}}
+	um, err := g.AssignUnits(nil, n, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		// routing-only graphs ignore the axis entirely.
 		g := fpGraph(t, true)
 		k := NewKeyer(g)
-		rt := graph.BatchRouting{g.Switches()[0]: {Branch: [][]int32{{0, 1}, {2}, {3}}}}
+		rt := graph.BatchRouting{{Branch: [][]int32{{0, 1}, {2}, {3}}}}
 		if k.RoutingShareKeyDensity(rt, 0.2) == k.RoutingShareKeyDensity(rt, 1) {
 			t.Fatal("sparse and dense requests share one affinity key on a density-aware graph")
 		}
@@ -183,7 +183,7 @@ func TestFingerprintDistinguishesEveryProfileFamily(t *testing.T) {
 		}
 		gr := fpGraph(t, false)
 		kr := NewKeyer(gr)
-		rtr := graph.BatchRouting{gr.Switches()[0]: {Branch: [][]int32{{0, 1}, {2}, {3}}}}
+		rtr := graph.BatchRouting{{Branch: [][]int32{{0, 1}, {2}, {3}}}}
 		if kr.RoutingShareKeyDensity(rtr, 0.2) != kr.RoutingShareKeyDensity(rtr, 1) {
 			t.Fatal("routing-only graph keyed on density")
 		}

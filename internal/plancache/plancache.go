@@ -284,8 +284,11 @@ func (k *Keyer) ShareKey(prof *profiler.Profiler) ProfileKey {
 // dense.
 func (k *Keyer) RoutingShareKeyDensity(rt graph.BatchRouting, density float64) ProfileKey {
 	q := make([]byte, 0, k.dims/2+1)
-	for i, sw := range k.sws {
-		branch := rt[sw].Branch
+	for i := range k.sws {
+		var branch [][]int32
+		if i < len(rt) {
+			branch = rt[i].Branch
+		}
 		total := 0
 		for _, units := range branch {
 			total += len(units)

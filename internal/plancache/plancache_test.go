@@ -39,7 +39,7 @@ func newBounded(g *graph.Graph, cfg Config, n int) *Cache {
 func observe(t testing.TB, w *models.Workload, prof *profiler.Profiler, src *workload.Source, n int) {
 	t.Helper()
 	for _, b := range w.GenTrace(src, n, 32) {
-		units, err := w.Graph.AssignUnits(b.Units, b.Routing)
+		units, err := w.Graph.AssignUnits(nil, b.Units, b.Routing)
 		if err != nil {
 			t.Fatal(err)
 		}

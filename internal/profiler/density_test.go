@@ -30,8 +30,8 @@ func densityGraph(t *testing.T) (*graph.Graph, graph.OpID) {
 
 func observeDensity(t *testing.T, p *Profiler, g *graph.Graph, sw graph.OpID, density float64) {
 	t.Helper()
-	rt := graph.BatchRouting{sw: {Branch: [][]int32{{0, 1, 2}, {3, 4}, {5, 6, 7}}}}
-	um, err := g.AssignUnits(8, rt)
+	rt := graph.BatchRouting{{Branch: [][]int32{{0, 1, 2}, {3, 4}, {5, 6, 7}}}}
+	um, err := g.AssignUnits(nil, 8, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +92,10 @@ func TestOpDensityMeanWindowsAcrossReset(t *testing.T) {
 // so ObserveBatchDensity is exactly ObserveBatch and the mean stays the
 // dense default no matter what densities batches carry.
 func TestDensityWindowGatedOnDensityOps(t *testing.T) {
-	g, sw := twoSwitchGraph(t)
+	g, _ := twoSwitchGraph(t)
 	p := New(g)
-	rt := graph.BatchRouting{sw: {Branch: [][]int32{{0, 1, 2}, {3, 4}, {5, 6, 7}}}}
-	um, err := g.AssignUnits(8, rt)
+	rt := graph.BatchRouting{{Branch: [][]int32{{0, 1, 2}, {3, 4}, {5, 6, 7}}}}
+	um, err := g.AssignUnits(nil, 8, rt)
 	if err != nil {
 		t.Fatal(err)
 	}

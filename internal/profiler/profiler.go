@@ -22,16 +22,17 @@ type Profiler struct {
 	// freq[id] is dynamic operator id's frequency track table (Figure 5),
 	// indexed by OpID; nil for static operators.
 	freq []*FreqTable
-	// coact[sw][i][j] counts batches in which branches i and j of switch sw
+	// The switch counters are indexed by switch ordinal (g.SwitchOrdinal).
+	// coact[o][i][j] counts batches in which branches i and j of switch o
 	// were both active (received at least one unit).
-	coact map[graph.OpID][][]int64
-	// active[sw][i] counts batches in which branch i was active.
-	active map[graph.OpID][]int64
-	// units[sw][i] counts the units switch sw routed to branch i. Where the
+	coact [][][]int64
+	// active[o][i] counts batches in which branch i was active.
+	active [][]int64
+	// units[o][i] counts the units switch o routed to branch i. Where the
 	// active counters capture per-batch presence, these capture volume — the
 	// statistic frequency-weighted allocation is actually built from, and the
 	// one the serving layer's drift detector compares against its plan.
-	units   map[graph.OpID][]int64
+	units   [][]int64
 	batches int64
 
 	// Density window (graphs with density-aware operators only): the sum and
@@ -52,23 +53,23 @@ func New(g *graph.Graph) *Profiler {
 		dyn:    g.DynamicOps(),
 		sws:    g.Switches(),
 		freq:   make([]*FreqTable, len(g.Ops)),
-		coact:  map[graph.OpID][][]int64{},
-		active: map[graph.OpID][]int64{},
-		units:  map[graph.OpID][]int64{},
+		coact:  make([][][]int64, len(g.Switches())),
+		active: make([][]int64, len(g.Switches())),
+		units:  make([][]int64, len(g.Switches())),
 	}
 	for _, id := range p.dyn {
 		p.freq[id] = NewFreqTable(g.Op(id).MaxUnits)
 	}
 	branches := 0
-	for _, swID := range p.sws {
+	for o, swID := range p.sws {
 		n := g.Op(swID).NumBranches
 		m := make([][]int64, n)
 		for i := range m {
 			m[i] = make([]int64, n)
 		}
-		p.coact[swID] = m
-		p.active[swID] = make([]int64, n)
-		p.units[swID] = make([]int64, n)
+		p.coact[o] = m
+		p.active[o] = make([]int64, n)
+		p.units[o] = make([]int64, n)
 		branches += n
 	}
 	p.snap.Share = make([]float64, branches)
@@ -88,23 +89,23 @@ func (p *Profiler) Freq(id graph.OpID) *FreqTable {
 }
 
 // ObserveBatch records one batch: the concrete units of every dynamic
-// operator, which branches of every switch were active, and the batch's
-// density dyn-value. An unset density (<= 0) counts as fully dense; graphs
-// without density-aware operators keep no density window.
-func (p *Profiler) ObserveBatch(units map[graph.OpID]int, rt graph.BatchRouting, density float64) error {
-	for _, id := range p.dyn {
-		u, ok := units[id]
-		if !ok {
-			return fmt.Errorf("profiler: no unit count for dynamic op %s", p.g.Op(id).Name)
-		}
-		p.freq[id].Observe(u)
+// operator (indexed by OpID, as Graph.AssignUnits returns them), which
+// branches of every switch were active, and the batch's density dyn-value.
+// An unset density (<= 0) counts as fully dense; graphs without
+// density-aware operators keep no density window.
+func (p *Profiler) ObserveBatch(units []int, rt graph.BatchRouting, density float64) error {
+	if len(units) < len(p.g.Ops) {
+		return fmt.Errorf("profiler: %d unit counts for %d operators", len(units), len(p.g.Ops))
 	}
-	for sw, r := range rt {
-		m, ok := p.coact[sw]
-		if !ok {
-			return fmt.Errorf("profiler: routing for unknown switch %d", sw)
-		}
-		ub := p.units[sw]
+	if len(rt) > len(p.sws) {
+		return fmt.Errorf("profiler: routing for %d switches, graph has %d", len(rt), len(p.sws))
+	}
+	for _, id := range p.dyn {
+		p.freq[id].Observe(units[id])
+	}
+	for o, r := range rt {
+		m := p.coact[o]
+		ub := p.units[o]
 		for i := range r.Branch {
 			if i < len(ub) {
 				ub[i] += int64(len(r.Branch[i]))
@@ -112,7 +113,7 @@ func (p *Profiler) ObserveBatch(units map[graph.OpID]int, rt graph.BatchRouting,
 			if len(r.Branch[i]) == 0 {
 				continue
 			}
-			p.active[sw][i]++
+			p.active[o][i]++
 			for j := i + 1; j < len(r.Branch); j++ {
 				if len(r.Branch[j]) > 0 {
 					m[i][j]++
@@ -152,11 +153,12 @@ func (p *Profiler) Batches() int64 { return p.batches }
 // unknown switch or out-of-range branch index — it returns 1 (assume the
 // worst: always together).
 func (p *Profiler) CoActivation(sw graph.OpID, i, j int) float64 {
-	if p.batches == 0 {
+	o := p.g.SwitchOrdinal(sw)
+	if p.batches == 0 || o < 0 {
 		return 1
 	}
-	m, ok := p.coact[sw]
-	if !ok || i < 0 || j < 0 || i >= len(m) || j >= len(m) {
+	m := p.coact[o]
+	if i < 0 || j < 0 || i >= len(m) || j >= len(m) {
 		return 1
 	}
 	return float64(m[i][j]) / float64(p.batches)
@@ -166,14 +168,11 @@ func (p *Profiler) CoActivation(sw graph.OpID, i, j int) float64 {
 // units. With no observations — or an unknown switch or out-of-range branch
 // index — it returns 1.
 func (p *Profiler) BranchActiveFraction(sw graph.OpID, i int) float64 {
-	if p.batches == 0 {
+	o := p.g.SwitchOrdinal(sw)
+	if p.batches == 0 || o < 0 || i < 0 || i >= len(p.active[o]) {
 		return 1
 	}
-	a, ok := p.active[sw]
-	if !ok || i < 0 || i >= len(a) {
-		return 1
-	}
-	return float64(a[i]) / float64(p.batches)
+	return float64(p.active[o][i]) / float64(p.batches)
 }
 
 // Snapshot is the profiler's branch-level view of its window: what the
@@ -197,8 +196,8 @@ type Snapshot struct {
 func (p *Profiler) Snapshot() *Snapshot {
 	s := &p.snap
 	i := 0
-	for _, sw := range p.sws {
-		ub := p.units[sw]
+	for o, sw := range p.sws {
+		ub := p.units[o]
 		var total int64
 		for _, n := range ub {
 			total += n
@@ -222,10 +221,11 @@ func (p *Profiler) Snapshot() *Snapshot {
 // activated at the same time"). It returns ok=false for switches with fewer
 // than two branches.
 func (p *Profiler) LeastCoActivePair(sw graph.OpID) (i, j int, ok bool) {
-	m, found := p.coact[sw]
-	if !found || len(m) < 2 {
+	o := p.g.SwitchOrdinal(sw)
+	if o < 0 || len(p.coact[o]) < 2 {
 		return 0, 0, false
 	}
+	m := p.coact[o]
 	best := int64(1<<62 - 1)
 	for a := 0; a < len(m); a++ {
 		for b := a + 1; b < len(m); b++ {
@@ -244,17 +244,17 @@ func (p *Profiler) Reset() {
 	for _, id := range p.dyn {
 		p.freq[id].Decay()
 	}
-	for sw, m := range p.coact {
+	for o, m := range p.coact {
 		for i := range m {
 			for j := range m[i] {
 				m[i][j] /= 2
 			}
 		}
-		for i := range p.active[sw] {
-			p.active[sw][i] /= 2
+		for i := range p.active[o] {
+			p.active[o][i] /= 2
 		}
-		for i := range p.units[sw] {
-			p.units[sw][i] /= 2
+		for i := range p.units[o] {
+			p.units[o][i] /= 2
 		}
 	}
 	p.batches /= 2

@@ -27,8 +27,8 @@ func twoSwitchGraph(t *testing.T) (*graph.Graph, graph.OpID) {
 
 func observe(t *testing.T, p *Profiler, g *graph.Graph, sw graph.OpID, branches [][]int32, units int) {
 	t.Helper()
-	rt := graph.BatchRouting{sw: {Branch: branches}}
-	um, err := g.AssignUnits(units, rt)
+	rt := graph.BatchRouting{{Branch: branches}}
+	um, err := g.AssignUnits(nil, units, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,23 +113,20 @@ func TestResetDecays(t *testing.T) {
 }
 
 func TestObserveRejectsUnknownSwitch(t *testing.T) {
-	g, sw := twoSwitchGraph(t)
+	g, _ := twoSwitchGraph(t)
 	p := New(g)
-	rt := graph.BatchRouting{sw + 99: {Branch: [][]int32{{0}}}}
-	um := map[graph.OpID]int{}
-	for _, op := range g.Ops {
-		um[op.ID] = 0
-	}
+	rt := graph.BatchRouting{{Branch: [][]int32{{0}, {}, {}}}, {Branch: [][]int32{{0}}}}
+	um := make([]int, len(g.Ops))
 	if err := p.ObserveBatch(um, rt, 1); err == nil {
 		t.Fatal("unknown switch accepted")
 	}
 }
 
 func TestObserveRequiresAllDynamicUnits(t *testing.T) {
-	g, sw := twoSwitchGraph(t)
+	g, _ := twoSwitchGraph(t)
 	p := New(g)
-	rt := graph.BatchRouting{sw: {Branch: [][]int32{{0}, {}, {}}}}
-	if err := p.ObserveBatch(map[graph.OpID]int{}, rt, 1); err == nil {
+	rt := graph.BatchRouting{{Branch: [][]int32{{0}, {}, {}}}}
+	if err := p.ObserveBatch(nil, rt, 1); err == nil {
 		t.Fatal("missing unit counts accepted")
 	}
 }

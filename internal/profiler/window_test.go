@@ -115,8 +115,8 @@ func TestCoActivationProperties(t *testing.T) {
 					branches = append(branches, nil)
 				}
 			}
-			rt := graph.BatchRouting{sw: {Branch: branches}}
-			um, err := g.AssignUnits(8, rt)
+			rt := graph.BatchRouting{{Branch: branches}}
+			um, err := g.AssignUnits(nil, 8, rt)
 			if err != nil {
 				return false
 			}

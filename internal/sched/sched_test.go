@@ -59,7 +59,7 @@ func scheduleModel(t testing.TB, name string, pol Policy, warmBatches int) (*Pla
 	if warmBatches > 0 {
 		src := workload.NewSource(1)
 		for _, b := range w.GenTrace(src, warmBatches, 64) {
-			units, err := w.Graph.AssignUnits(b.Units, b.Routing)
+			units, err := w.Graph.AssignUnits(nil, b.Units, b.Routing)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,7 +132,6 @@ func TestFrequencyWeightedAllocationFollowsLoad(t *testing.T) {
 	m := b.Merge("m", br, b1, b2b)
 	b.Output("out", m)
 	g := b.MustBuild()
-	swID, _ := b.FindOp("sw")
 	b1ID, _ := b.FindOp("b1")
 	b2aID, _ := b.FindOp("b2a")
 	b2bID, _ := b.FindOp("b2b")
@@ -149,8 +148,8 @@ func TestFrequencyWeightedAllocationFollowsLoad(t *testing.T) {
 				l1 = append(l1, s)
 			}
 		}
-		rt := graph.BatchRouting{swID: {Branch: [][]int32{l0, l1}}}
-		units, err := g.AssignUnits(8, rt)
+		rt := graph.BatchRouting{{Branch: [][]int32{l0, l1}}}
+		units, err := g.AssignUnits(nil, 8, rt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +347,6 @@ func TestRescheduleAdaptsToDrift(t *testing.T) {
 	prof := profiler.New(w.Graph)
 	feed := func(mean float64, n int) {
 		src := workload.NewSource(int64(mean))
-		sw := w.Graph.Switches()[0]
 		units := w.BatchUnits(64)
 		for i := 0; i < n; i++ {
 			var keep, drop []int32
@@ -359,8 +357,8 @@ func TestRescheduleAdaptsToDrift(t *testing.T) {
 					drop = append(drop, u)
 				}
 			}
-			rt := graph.BatchRouting{sw: {Branch: [][]int32{keep, drop}}}
-			um, err := w.Graph.AssignUnits(units, rt)
+			rt := graph.BatchRouting{{Branch: [][]int32{keep, drop}}}
+			um, err := w.Graph.AssignUnits(nil, units, rt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -428,7 +426,7 @@ func TestQuickAllocationConservation(t *testing.T) {
 		prof := profiler.New(w.Graph)
 		src := workload.NewSource(seed)
 		for _, b := range w.GenTrace(src, 6, 64) {
-			units, err := w.Graph.AssignUnits(b.Units, b.Routing)
+			units, err := w.Graph.AssignUnits(nil, b.Units, b.Routing)
 			if err != nil {
 				return false
 			}
@@ -574,7 +572,7 @@ func TestSecondProfilerSchedulesLikeFreshGraph(t *testing.T) {
 		t.Helper()
 		prof := profiler.New(g)
 		for _, b := range trace {
-			units, err := g.AssignUnits(b.Units, b.Routing)
+			units, err := g.AssignUnits(nil, b.Units, b.Routing)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -604,7 +602,7 @@ func TestSecondProfilerSchedulesLikeFreshGraph(t *testing.T) {
 		shared, fresh := ws[0].Graph, ws[1].Graph
 		trace := ws[0].GenTrace(workload.NewSource(1), 8, 64)
 		first := profiler.New(shared)
-		starved := map[graph.OpID]int{}
+		starved := make([]int, len(shared.Ops))
 		for _, id := range shared.DynamicOps() {
 			starved[id] = 1
 		}

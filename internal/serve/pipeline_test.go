@@ -82,7 +82,7 @@ func TestPipelinedBatchesKeepDensity(t *testing.T) {
 	sources := map[string]func() Source{
 		"synthetic": func() Source { return NewSynthetic(160, 30_000, 9, nil) },
 		"replay": func() Source {
-			src, err := NewReplay(workload.Record("gcn", 16, 11, recorded), 30_000, 2)
+			src, err := NewReplay(w.Graph, workload.Record(w.Graph, "gcn", 16, 11, recorded), 30_000, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -152,7 +152,7 @@ func TestReplayServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	batches := w.GenTrace(workload.NewSource(11), 6, 16)
-	rec := workload.Record("skipnet", 16, 11, batches)
+	rec := workload.Record(w.Graph, "skipnet", 16, 11, batches)
 	var buf bytes.Buffer
 	if err := rec.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestReplayServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewReplay(loaded, 500_000, 2)
+	src, err := NewReplay(w.Graph, loaded, 500_000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestDetectorTracksDrift(t *testing.T) {
 	w := s.setup.W
 	for i := 0; i < 64; i++ {
 		b := w.Gen.Next(s.setup.Src, 32*w.Graph.UnitsPerSample)
-		units, err := w.Graph.AssignUnits(32*w.Graph.UnitsPerSample, b)
+		units, err := w.Graph.AssignUnits(nil, 32*w.Graph.UnitsPerSample, b)
 		if err != nil {
 			t.Fatal(err)
 		}

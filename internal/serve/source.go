@@ -88,10 +88,10 @@ type Replay struct {
 	src     *workload.Source
 }
 
-// NewReplay builds a replay stream from a recording. The server must have
-// been brought up for the recording's model and batch size.
-func NewReplay(rec *workload.Recording, meanGapCycles float64, seed int64) (*Replay, error) {
-	bs, err := rec.Replay()
+// NewReplay builds a replay stream from a recording of graph g's model. The
+// server must have been brought up for the recording's model and batch size.
+func NewReplay(g *graph.Graph, rec *workload.Recording, meanGapCycles float64, seed int64) (*Replay, error) {
+	bs, err := rec.Replay(g)
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,8 @@ type Proc struct {
 	// prev and next link the environment's live processes, the roster the
 	// deadlock diagnostic (Env.BlockedProcs) reads.
 	prev, next *Proc
+	// nextWaiter links the processes queued on one side of a store.
+	nextWaiter *Proc
 }
 
 // NewProc creates a process whose body is step, without starting it. The
@@ -222,11 +224,43 @@ func (s *Signal) Await(p *Proc) bool {
 // and the process retries the call on its next step.
 // It models bounded on-chip buffers (e.g. a tile's input staging area).
 type Store struct {
-	env     *Env
-	cap     int
-	n       int
-	getters []*Proc
-	putters []*Proc
+	env              *Env
+	cap              int
+	n                int
+	getters, putters waitQueue
+}
+
+// waitQueue is a FIFO of processes blocked on one side of a store, linked
+// through the processes themselves: a blocked process waits on one thing
+// at a time, so queuing allocates nothing, however many wait.
+type waitQueue struct {
+	head, tail *Proc
+	n          int
+}
+
+func (q *waitQueue) push(p *Proc) {
+	p.nextWaiter = nil
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.nextWaiter = p
+	}
+	q.tail = p
+	q.n++
+}
+
+// wakeOne wakes the longest-queued process, if any.
+func (q *waitQueue) wakeOne(e *Env) {
+	p := q.head
+	if p == nil {
+		return
+	}
+	q.head, p.nextWaiter = p.nextWaiter, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	q.n--
+	e.wakeNow(p)
 }
 
 // NewStore returns a store holding at most capacity tokens. A capacity of 0
@@ -239,18 +273,18 @@ func NewStore(env *Env, capacity int) *Store {
 func (s *Store) Len() int { return s.n }
 
 // Waiters reports the number of processes queued to retry a Get or a Put.
-func (s *Store) Waiters() int { return len(s.getters) + len(s.putters) }
+func (s *Store) Waiters() int { return s.getters.n + s.putters.n }
 
 // Put adds a token and reports true, or — while the store is full — queues
 // the process to retry once a slot frees and reports false.
 func (s *Store) Put(p *Proc) bool {
 	if s.cap > 0 && s.n >= s.cap {
-		s.putters = append(s.putters, p)
+		s.putters.push(p)
 		p.arm()
 		return false
 	}
 	s.n++
-	s.wakeOneGetter()
+	s.getters.wakeOne(s.env)
 	return true
 }
 
@@ -261,7 +295,7 @@ func (s *Store) TryPut() bool {
 		return false
 	}
 	s.n++
-	s.wakeOneGetter()
+	s.getters.wakeOne(s.env)
 	return true
 }
 
@@ -269,33 +303,13 @@ func (s *Store) TryPut() bool {
 // queues the process to retry once a token arrives and reports false.
 func (s *Store) Get(p *Proc) bool {
 	if s.n == 0 {
-		s.getters = append(s.getters, p)
+		s.getters.push(p)
 		p.arm()
 		return false
 	}
 	s.n--
-	s.wakeOnePutter()
+	s.putters.wakeOne(s.env)
 	return true
-}
-
-func (s *Store) wakeOneGetter() {
-	if len(s.getters) == 0 {
-		return
-	}
-	p := s.getters[0]
-	copy(s.getters, s.getters[1:])
-	s.getters = s.getters[:len(s.getters)-1]
-	s.env.wakeNow(p)
-}
-
-func (s *Store) wakeOnePutter() {
-	if len(s.putters) == 0 {
-		return
-	}
-	p := s.putters[0]
-	copy(s.putters, s.putters[1:])
-	s.putters = s.putters[:len(s.putters)-1]
-	s.env.wakeNow(p)
 }
 
 // Server models a bandwidth-limited FIFO service center (an HBM stack, a NoC

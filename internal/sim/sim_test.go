@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -740,6 +741,56 @@ func TestWaitWakeCycleAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("wait/wake cycle allocates %.1f times, want 0", n)
+	}
+}
+
+// A store queues its waiters through the processes themselves, so the
+// first Get that blocks on a new store allocates nothing. Later waiters
+// still queue behind it in FIFO order.
+func TestStoreFirstBlockedGetAllocatesNothing(t *testing.T) {
+	env := NewEnv()
+	const runs = 100
+	stores := make([]*Store, runs+1) // AllocsPerRun adds a warm-up call
+	procs := make([]*Proc, runs+1)
+	for i := range stores {
+		stores[i] = NewStore(env, 1)
+		procs[i] = env.NewProc("getter", func(*Proc) bool { return true })
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if stores[i].Get(procs[i]) {
+			t.Fatal("Get on an empty store succeeded")
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a new store's first blocked Get allocates %.1f times, want 0", allocs)
+	}
+	if w := stores[0].Waiters(); w != 1 {
+		t.Fatalf("Waiters = %d, want 1", w)
+	}
+
+	var order []string
+	st := NewStore(env, 0)
+	for _, name := range []string{"a", "b", "c"} {
+		env.Spawn(name, func(p *Proc) bool {
+			if !st.Get(p) {
+				return false
+			}
+			order = append(order, p.Name())
+			return true
+		})
+	}
+	env.Run()
+	if w := st.Waiters(); w != 3 {
+		t.Fatalf("Waiters = %d, want 3", w)
+	}
+	for range 3 {
+		st.TryPut()
+	}
+	env.Run()
+	if got := strings.Join(order, ""); got != "abc" {
+		t.Fatalf("getters woke in order %q, want abc", got)
 	}
 }
 

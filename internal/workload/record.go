@@ -36,31 +36,40 @@ type RecordedBatch struct {
 	Density float64 `json:"density,omitempty"`
 }
 
-// Record converts generated batches into a serializable recording.
-func Record(model string, batchSamples int, seed int64, batches []Batch) *Recording {
+// Record converts batches generated for graph g into a serializable
+// recording, keyed by switch operator ID.
+func Record(g *graph.Graph, model string, batchSamples int, seed int64, batches []Batch) *Recording {
 	rec := &Recording{Model: model, BatchSamples: batchSamples, Seed: seed}
+	sws := g.Switches()
 	for _, b := range batches {
-		rb := RecordedBatch{Units: b.Units, Routing: map[string][][]int32{}, Density: b.Density}
-		for sw, r := range b.Routing {
-			rb.Routing[strconv.Itoa(int(sw))] = r.Branch
+		rb := RecordedBatch{Units: b.Units, Routing: make(map[string][][]int32, len(b.Routing)), Density: b.Density}
+		for o, r := range b.Routing {
+			rb.Routing[strconv.Itoa(int(sws[o]))] = r.Branch
 		}
 		rec.Batches = append(rec.Batches, rb)
 	}
 	return rec
 }
 
-// Replay converts a recording back into batches.
-func (rec *Recording) Replay() ([]Batch, error) {
+// Replay converts a recording back into batches for graph g: every batch
+// must route each of g's switches, and nothing else.
+func (rec *Recording) Replay(g *graph.Graph) ([]Batch, error) {
 	out := make([]Batch, 0, len(rec.Batches))
+	nsw := len(g.Switches())
 	for i, rb := range rec.Batches {
 		if rb.Units < 0 {
 			return nil, fmt.Errorf("workload: batch %d has negative units", i)
 		}
-		rt := graph.BatchRouting{}
+		rt := make(graph.BatchRouting, nsw)
 		for key, branches := range rb.Routing {
+			// Only canonical keys, so distinct keys are distinct switches.
 			id, err := strconv.Atoi(key)
-			if err != nil {
+			if err != nil || strconv.Itoa(id) != key {
 				return nil, fmt.Errorf("workload: batch %d has bad switch key %q", i, key)
+			}
+			o := g.SwitchOrdinal(graph.OpID(id))
+			if o < 0 {
+				return nil, fmt.Errorf("workload: batch %d routes %q, not a switch of %s", i, key, g.Name)
 			}
 			for k, br := range branches {
 				for _, u := range br {
@@ -70,7 +79,10 @@ func (rec *Recording) Replay() ([]Batch, error) {
 					}
 				}
 			}
-			rt[graph.OpID(id)] = graph.Routing{Branch: branches}
+			rt[o] = graph.Routing{Branch: branches}
+		}
+		if len(rb.Routing) != nsw {
+			return nil, fmt.Errorf("workload: batch %d routes %d switches, %s has %d", i, len(rb.Routing), g.Name, nsw)
 		}
 		if rb.Density < 0 || rb.Density > 1 {
 			return nil, fmt.Errorf("workload: batch %d has density %v outside (0,1]", i, rb.Density)
@@ -112,37 +124,43 @@ type SwitchStats struct {
 // inspection tools.
 func Stats(g *graph.Graph, batches []Batch) ([]SwitchStats, error) {
 	sws := g.Switches()
-	out := make([]SwitchStats, 0, len(sws))
-	for _, swID := range sws {
+	out := make([]SwitchStats, len(sws))
+	for o, swID := range sws {
 		n := g.Op(swID).NumBranches
-		st := SwitchStats{
+		out[o] = SwitchStats{
 			Switch:       swID,
 			BranchMean:   make([]float64, n),
 			BranchActive: make([]float64, n),
 		}
-		for _, b := range batches {
-			units, err := g.AssignUnits(b.Units, b.Routing)
-			if err != nil {
-				return nil, err
-			}
+	}
+	var units []int
+	for _, b := range batches {
+		var err error
+		if units, err = g.AssignUnits(units, b.Units, b.Routing); err != nil {
+			return nil, err
+		}
+		for o, swID := range sws {
+			st := &out[o]
 			st.MeanArrived += float64(units[swID])
-			r := b.Routing[swID]
-			for k := 0; k < n && k < len(r.Branch); k++ {
+			r := b.Routing[o]
+			for k := 0; k < len(st.BranchMean) && k < len(r.Branch); k++ {
 				st.BranchMean[k] += float64(len(r.Branch[k]))
 				if len(r.Branch[k]) > 0 {
 					st.BranchActive[k]++
 				}
 			}
 		}
-		if len(batches) > 0 {
-			inv := 1 / float64(len(batches))
+	}
+	if len(batches) > 0 {
+		inv := 1 / float64(len(batches))
+		for o := range out {
+			st := &out[o]
 			st.MeanArrived *= inv
 			for k := range st.BranchMean {
 				st.BranchMean[k] *= inv
 				st.BranchActive[k] *= inv
 			}
 		}
-		out = append(out, st)
 	}
 	return out, nil
 }

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/graph"
 )
 
 func TestSourceDeterminism(t *testing.T) {
@@ -179,15 +177,15 @@ func TestQuickTopKValidity(t *testing.T) {
 
 func TestRecordReplayRoundTrip(t *testing.T) {
 	// Build a hand-rolled trace, record it, replay it, and compare.
+	g := skipGraph(t)
 	batches := []Batch{
-		{Index: 0, Units: 4, Routing: map[graph.OpID]graph.Routing{
-			3: {Branch: [][]int32{{0, 1}, {2, 3}}},
-		}},
-		{Index: 1, Units: 4, Routing: map[graph.OpID]graph.Routing{
-			3: {Branch: [][]int32{{}, {0, 1, 2, 3}}},
-		}},
+		{Index: 0, Units: 4, Routing: routing([][]int32{{0, 1}, {2, 3}})},
+		{Index: 1, Units: 4, Routing: routing([][]int32{{}, {0, 1, 2, 3}})},
 	}
-	rec := Record("demo", 4, 7, batches)
+	rec := Record(g, "demo", 4, 7, batches)
+	if _, ok := rec.Batches[0].Routing["2"]; !ok {
+		t.Fatalf("recording not keyed by switch ID: %v", rec.Batches[0].Routing)
+	}
 	var buf bytes.Buffer
 	if err := rec.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -199,14 +197,14 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	if loaded.Model != "demo" || loaded.BatchSamples != 4 || loaded.Seed != 7 {
 		t.Fatalf("header lost: %+v", loaded)
 	}
-	replayed, err := loaded.Replay()
+	replayed, err := loaded.Replay(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(replayed) != 2 {
 		t.Fatalf("replayed %d batches", len(replayed))
 	}
-	got := replayed[0].Routing[3].Branch
+	got := replayed[0].Routing[0].Branch
 	if len(got) != 2 || len(got[0]) != 2 || got[0][1] != 1 {
 		t.Fatalf("routing lost: %v", got)
 	}
@@ -219,13 +217,20 @@ func TestLoadRecordingRejectsGarbage(t *testing.T) {
 	if _, err := LoadRecording(strings.NewReader("{not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	rec := &Recording{Batches: []RecordedBatch{{Units: -1}}}
-	if _, err := rec.Replay(); err == nil {
-		t.Fatal("negative units accepted")
-	}
-	rec2 := &Recording{Batches: []RecordedBatch{{Units: 1, Routing: map[string][][]int32{"xx": nil}}}}
-	if _, err := rec2.Replay(); err == nil {
-		t.Fatal("bad switch key accepted")
+	g := skipGraph(t)
+	for name, rb := range map[string]RecordedBatch{
+		"negative units":  {Units: -1},
+		"bad switch key":  {Units: 1, Routing: map[string][][]int32{"xx": nil}},
+		"padded key":      {Units: 1, Routing: map[string][][]int32{"02": {{0}, {}}}},
+		"not a switch":    {Units: 1, Routing: map[string][][]int32{"2": {{0}, {}}, "1": {{0}, {}}}},
+		"missing switch":  {Units: 1, Routing: map[string][][]int32{}},
+		"unit outside":    {Units: 1, Routing: map[string][][]int32{"2": {{1}, {}}}},
+		"density above 1": {Units: 1, Routing: map[string][][]int32{"2": {{0}, {}}}, Density: 2},
+	} {
+		rec := &Recording{Batches: []RecordedBatch{rb}}
+		if _, err := rec.Replay(g); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package accel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/hw"
@@ -18,16 +19,6 @@ const (
 	edgeData edgeKind = iota
 	edgeMask
 )
-
-// prodEdge describes one producer of an entity: which entity produces the
-// data, whether it is a payload or mask edge, and whether the path crossed a
-// merge operator (which changes how transfer bytes are attributed: each
-// branch tail sends its own share).
-type prodEdge struct {
-	from     graph.OpID
-	kind     edgeKind
-	viaMerge bool
-}
 
 // segDAG is the compiled template of one segment, built once per LoadPlan:
 // the entity-level pipeline structure (who feeds whom, which entities read
@@ -71,8 +62,10 @@ type dagEntity struct {
 
 // dagEdge is one producer edge of an entity, with its route resolved.
 type dagEdge struct {
-	from     int // producer's index in segDAG.ents
-	kind     edgeKind
+	from int // producer's index in segDAG.ents
+	kind edgeKind
+	// viaMerge reports that the path crossed a merge operator, so each
+	// branch tail sends its own share of the transfer.
 	viaMerge bool
 	// ways is the transfer's port-level parallelism: min(producer,
 	// consumer) region tiles.
@@ -80,77 +73,73 @@ type dagEdge struct {
 	wire noc.Wire // producer's lead tile to the consumer's
 }
 
+// Where an operator lies relative to a segment: the index of the entity
+// computing it, or one of these.
+const (
+	inControl int32 = -1 // a control operator of the segment
+	outside   int32 = -2 // not in the segment
+)
+
 // compileSegment builds a segment's template: it derives the entity DAG by
 // resolving each entity lead's graph inputs through the control operators
 // (switch, merge, sink), places every entity's lead tile through the plan
 // config's live→physical table, resolves every edge's route on net, and
 // gives every entity its full pipeline-stage token on env.
 func compileSegment(env *sim.Env, g *graph.Graph, seg *sched.Segment, tiles hw.TileMap, net *noc.NoC) (*segDAG, error) {
-	inSeg := map[graph.OpID]bool{}
-	for _, id := range seg.Ops {
-		inSeg[id] = true
+	slot := make([]int32, len(g.Ops))
+	for i := range slot {
+		slot[i] = outside
 	}
-	// Leads in the order they appear in seg.Ops (topological).
-	d := &segDAG{seg: seg}
-	index := map[graph.OpID]int{}
-	groups := map[graph.OpID]int{}
 	for _, id := range seg.Ops {
-		if lead, ok := seg.EntityOf[id]; !ok || lead != id {
-			continue
+		slot[id] = inControl
+	}
+	d := &segDAG{seg: seg, ents: make([]dagEntity, len(seg.Entities))}
+	for k, op := range seg.Entities {
+		slot[op.Lead] = int32(k)
+		for _, f := range op.Fused {
+			slot[f] = int32(k)
 		}
-		if _, dup := index[id]; dup {
-			continue
-		}
-		op := seg.Plans[id]
-		index[id] = len(d.ents)
 		e := dagEntity{
-			lead:       id,
+			lead:       op.Lead,
 			plan:       op,
 			partnerIdx: -1,
 			group:      -1,
 			tile:       tiles.Physical(noc.Centroid(op.Region)),
 			writeHBM:   true,
-			dynamic:    g.Op(id).Dynamic,
+			dynamic:    g.Op(op.Lead).Dynamic,
 			tok:        sim.NewStore(env, 1),
 		}
 		e.tok.TryPut()
 		if op.GroupLeader != graph.None {
-			k, ok := groups[op.GroupLeader]
-			if !ok {
-				k = len(groups)
-				groups[op.GroupLeader] = k
+			// Groups are numbered in order of first appearance.
+			same := func(prev dagEntity) bool { return prev.plan.GroupLeader == op.GroupLeader }
+			if m := slices.IndexFunc(d.ents[:k], same); m >= 0 {
+				e.group = d.ents[m].group
+			} else {
+				e.group, d.groups = d.groups, d.groups+1
 			}
-			e.group = k
 		}
-		d.ents = append(d.ents, e)
+		d.ents[k] = e
 	}
-	d.groups = len(groups)
 	for i := range d.ents {
 		e := &d.ents[i]
 		if op := e.plan; op.Partner != graph.None && op.PairLeader {
-			e.partner = seg.Plans[op.Partner]
-			if k, ok := index[op.Partner]; ok {
-				e.partnerIdx = k
+			if k := slot[op.Partner]; k >= 0 && seg.Entities[k].Lead == op.Partner {
+				e.partner, e.partnerIdx = seg.Entities[k], int(k)
 			}
 		}
-		edges, boundary, err := resolveProducers(g, seg, inSeg, e.lead)
+		edges, boundary, err := resolveProducers(g, slot, e.lead)
 		if err != nil {
 			return nil, err
 		}
 		e.readHBM = boundary
 		for _, pe := range edges {
-			k, ok := index[pe.from]
-			if !ok {
-				continue // produced outside the entity table: no payload edge
-			}
-			from := &d.ents[k]
+			from := &d.ents[pe.from]
 			from.outs++
 			from.writeHBM = false
-			ways := min(from.plan.Region[1], e.plan.Region[1])
-			e.prods = append(e.prods, dagEdge{
-				from: k, kind: pe.kind, viaMerge: pe.viaMerge,
-				ways: ways, wire: net.Resolve(from.tile, e.tile),
-			})
+			pe.ways = min(from.plan.Region[1], e.plan.Region[1])
+			pe.wire = net.Resolve(from.tile, e.tile)
+			e.prods = append(e.prods, pe)
 			d.edges++
 		}
 	}
@@ -163,34 +152,32 @@ func compileSegment(env *sim.Env, g *graph.Graph, seg *sched.Segment, tiles hw.T
 }
 
 // resolveProducers walks the data inputs of an entity lead through control
-// operators to the producing entities inside the segment. boundary reports
-// whether any path left the segment (the entity then streams that input from
-// HBM).
-func resolveProducers(g *graph.Graph, seg *sched.Segment, inSeg map[graph.OpID]bool, lead graph.OpID) ([]prodEdge, bool, error) {
-	var edges []prodEdge
+// operators to the producing entities inside the segment, one edge per
+// producer with its route still unresolved; slot places every operator
+// relative to the segment. boundary reports whether any path left the
+// segment (the entity then streams that input from HBM).
+func resolveProducers(g *graph.Graph, slot []int32, lead graph.OpID) ([]dagEdge, bool, error) {
+	self := int(slot[lead])
+	var edges []dagEdge
 	boundary := false
-	seen := map[graph.OpID]bool{}
 	var walk func(id graph.OpID, kind edgeKind, viaMerge bool, depth int) error
 	walk = func(id graph.OpID, kind edgeKind, viaMerge bool, depth int) error {
 		if depth > len(g.Ops) {
 			return fmt.Errorf("accel: producer resolution runaway at op %s", g.Op(id).Name)
 		}
-		if e, ok := seg.EntityOf[id]; ok {
-			if e == lead {
-				return nil // self-loop through a fused follower: ignore
-			}
-			key := e
-			if !seen[key] {
-				seen[key] = true
-				edges = append(edges, prodEdge{from: e, kind: kind, viaMerge: viaMerge})
+		switch k := int(slot[id]); {
+		case k == self:
+			return nil // self-loop through a fused follower: ignore
+		case k >= 0:
+			if !slices.ContainsFunc(edges, func(e dagEdge) bool { return e.from == k }) {
+				edges = append(edges, dagEdge{from: k, kind: kind, viaMerge: viaMerge})
 			}
 			return nil
-		}
-		op := g.Op(id)
-		if !inSeg[id] {
+		case k == int(outside):
 			boundary = true
 			return nil
 		}
+		op := g.Op(id)
 		switch op.Kind {
 		case graph.KindInput:
 			boundary = true
@@ -207,7 +194,7 @@ func resolveProducers(g *graph.Graph, seg *sched.Segment, inSeg map[graph.OpID]b
 				}
 			}
 		default:
-			// A compute op outside this segment's entity table.
+			// A compute op outside this segment's entities.
 			boundary = true
 		}
 		return nil

@@ -79,7 +79,7 @@ func TestThroughputBoundedByBottleneckStage(t *testing.T) {
 		}
 		var worst int64
 		for _, seg := range plan.Segments {
-			for _, p := range seg.Plans {
+			for _, p := range seg.Entities {
 				ev, err := plan.EvaluateEntityDensity(cfg, w.Graph, p, p.Options[0], units[p.Lead], 1)
 				if err != nil {
 					t.Fatal(err)

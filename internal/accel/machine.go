@@ -221,7 +221,7 @@ func (m *Machine) LoadPlan(p *sched.Plan) error {
 	if m.plan != nil {
 		var kernelBytes int64
 		for _, seg := range p.Segments {
-			for _, op := range seg.Plans {
+			for _, op := range seg.Entities {
 				for _, o := range op.Options {
 					kernelBytes += int64(o.KernelCount() * m.cfg.KernelMetaBytes)
 				}

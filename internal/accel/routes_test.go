@@ -53,7 +53,7 @@ func xferPairs(t *testing.T, m *Machine, trace []workload.Batch) map[[2]int64]bo
 func planTiles(p *sched.Plan, cfg hw.Config) map[int64]bool {
 	tiles := map[int64]bool{}
 	for _, seg := range p.Segments {
-		for _, op := range seg.Plans {
+		for _, op := range seg.Entities {
 			tiles[int64(cfg.PhysicalTile(noc.Centroid(op.Region)))] = true
 		}
 	}

@@ -2,10 +2,10 @@ package mtserve
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/faults"
 	"repro/internal/hw"
+	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
@@ -312,61 +312,38 @@ func (s *Server) tenantDemand(ts *tenantState) float64 {
 const minDemandWindow = 1_000_000
 
 // apportion splits total tiles across eligible tenants proportionally to
-// weights with a per-tenant floor, by largest remainder (ties to lower
-// index). Zero or negative weight sums fall back to an equal split.
+// weights with a per-tenant floor: each eligible tenant gets the floor,
+// and sched.Apportion splits the rest by largest remainder (exact ties in
+// sort.Slice's order, which is tenant order up to 12 eligible tenants).
+// Zero or negative weight sums fall back to an equal split.
 func apportion(weights []float64, eligible []bool, total, floor int) []int {
-	n := len(weights)
-	counts := make([]int, n)
-	live := 0
+	counts := make([]int, len(weights))
+	var live []int
 	var sum float64
-	for i := range weights {
+	for i, w := range weights {
 		if !eligible[i] {
 			continue
 		}
-		live++
-		if weights[i] > 0 {
-			sum += weights[i]
+		live = append(live, i)
+		if w > 0 {
+			sum += w
 		}
 	}
-	if live == 0 {
+	if len(live) == 0 {
 		return counts
 	}
-	if floor*live > total {
-		floor = total / live
-	}
-	if floor < 1 {
-		floor = 1
-	}
-	rest := total - floor*live
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	var rems []rem
-	given := 0
-	for i := range weights {
-		if !eligible[i] {
-			continue
-		}
-		counts[i] = floor
-		w := weights[i]
-		if w < 0 {
-			w = 0
-		}
-		var share float64
+	floor = max(min(floor, total/len(live)), 1)
+	rest := total - floor*len(live)
+	shares := make([]float64, len(live))
+	for k, i := range live {
 		if sum > 0 {
-			share = w / sum * float64(rest)
+			shares[k] = max(weights[i], 0) / sum * float64(rest)
 		} else {
-			share = float64(rest) / float64(live)
+			shares[k] = float64(rest) / float64(len(live))
 		}
-		whole := int(share)
-		counts[i] += whole
-		given += whole
-		rems = append(rems, rem{i, share - float64(whole)})
 	}
-	sort.SliceStable(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
-	for k := 0; k < rest-given; k++ {
-		counts[rems[k%len(rems)].idx]++
+	for k, c := range sched.Apportion(nil, shares, 0, rest) {
+		counts[live[k]] = floor + c
 	}
 	return counts
 }

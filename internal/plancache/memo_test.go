@@ -76,8 +76,9 @@ func TestCompileMemoTransparent(t *testing.T) {
 func sameCosts(t *testing.T, cfg hw.Config, g *graph.Graph, a, b *sched.Plan) {
 	t.Helper()
 	for si, seg := range a.Segments {
-		for lead, op := range seg.Plans {
-			bop := b.Segments[si].Plans[lead]
+		for _, op := range seg.Entities {
+			lead := op.Lead
+			bop, _ := b.Segments[si].Entity(lead)
 			max := g.Op(lead).MaxUnits
 			for k := range op.Options {
 				for _, v := range []int{1, max / 3, max} {

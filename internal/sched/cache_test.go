@@ -70,7 +70,8 @@ func TestEvaluateEntityCachedMatchesUncached(t *testing.T) {
 		plan, w, _ := scheduleModel(t, "skipnet", pol, 16)
 		g := w.Graph
 		for _, seg := range plan.Segments {
-			for lead, op := range seg.Plans {
+			for _, op := range seg.Entities {
+				lead := op.Lead
 				leadOp := g.Op(lead)
 				for k := range op.Options {
 					opt := op.Options[k]

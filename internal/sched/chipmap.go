@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -19,44 +21,29 @@ func (p *Plan) ChipMap(cfg hw.Config, g *graph.Graph, segment int) (string, erro
 	}
 	seg := p.Segments[segment]
 
-	// Stable entity order by region start.
-	type ent struct {
-		lead  graph.OpID
-		plan  *OpPlan
-		code  string
-		start int
-	}
-	var ents []*ent
-	for lead, op := range seg.Plans {
-		ents = append(ents, &ent{lead: lead, plan: op, start: op.Region[0]})
-	}
-	for i := 0; i < len(ents); i++ {
-		for j := i + 1; j < len(ents); j++ {
-			if ents[j].start < ents[i].start ||
-				(ents[j].start == ents[i].start && ents[j].lead < ents[i].lead) {
-				ents[i], ents[j] = ents[j], ents[i]
-			}
-		}
-	}
-	codes := "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-	for i, e := range ents {
-		c := string(codes[i%len(codes)])
+	// Entities by region start, then lead; code(i) labels the i-th.
+	ents := slices.Clone(seg.Entities)
+	slices.SortFunc(ents, func(a, b *OpPlan) int {
+		return cmp.Or(cmp.Compare(a.Region[0], b.Region[0]), cmp.Compare(a.Lead, b.Lead))
+	})
+	code := func(i int) string {
+		const codes = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 		if i >= len(codes) {
-			c = strings.ToLower(c)
+			return strings.ToLower(codes[i%len(codes) : i%len(codes)+1])
 		}
-		e.code = c
+		return codes[i : i+1]
 	}
 	// Regions index the live (surviving) tile enumeration; translate through
 	// the fault mask to physical grid positions. Failed tiles render as 'x'.
 	byTile := make([]string, cfg.Tiles())
 	phys, live := cfg.TileMap(), cfg.LiveTiles()
-	for _, e := range ents {
-		if e.plan.GroupLeader != graph.None && e.plan.GroupLeader != e.lead {
+	for i, e := range ents {
+		if e.GroupLeader != graph.None && e.GroupLeader != e.Lead {
 			continue // grouped follower shares the leader's tiles
 		}
-		for t := e.plan.Region[0]; t < e.plan.Region[0]+e.plan.Region[1] && t < live; t++ {
+		for t := e.Region[0]; t < e.Region[0]+e.Region[1] && t < live; t++ {
 			if pt := phys.Physical(t); pt < len(byTile) {
-				byTile[pt] = e.code
+				byTile[pt] = code(i)
 			}
 		}
 	}
@@ -79,25 +66,25 @@ func (p *Plan) ChipMap(cfg hw.Config, g *graph.Graph, segment int) (string, erro
 		b.WriteByte('\n')
 	}
 	b.WriteString("legend:\n")
-	for _, e := range ents {
-		op := g.Op(e.lead)
+	for i, e := range ents {
+		op := g.Op(e.Lead)
 		kernels := 0
-		for _, o := range e.plan.Options {
+		for _, o := range e.Options {
 			kernels += o.KernelCount()
 		}
 		extra := ""
-		if e.plan.Partner != graph.None {
-			extra = fmt.Sprintf(" shares-with=%s", g.Op(e.plan.Partner).Name)
+		if e.Partner != graph.None {
+			extra = fmt.Sprintf(" shares-with=%s", g.Op(e.Partner).Name)
 		}
-		if e.plan.GroupLeader != graph.None && e.plan.GroupLeader != e.lead {
-			extra = fmt.Sprintf(" grouped-under=%s", g.Op(e.plan.GroupLeader).Name)
+		if e.GroupLeader != graph.None && e.GroupLeader != e.Lead {
+			extra = fmt.Sprintf(" grouped-under=%s", g.Op(e.GroupLeader).Name)
 		}
 		fused := ""
-		if n := len(e.plan.Fused); n > 0 {
+		if n := len(e.Fused); n > 0 {
 			fused = fmt.Sprintf(" +%d fused", n)
 		}
 		fmt.Fprintf(&b, "  %s %-18s tiles=%-3d kernels=%-3d%s%s\n",
-			e.code, op.Name, e.plan.BaseTiles, kernels, fused, extra)
+			code(i), op.Name, e.BaseTiles, kernels, fused, extra)
 	}
 	return b.String(), nil
 }

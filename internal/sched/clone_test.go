@@ -35,7 +35,7 @@ func TestPlanCloneIndependent(t *testing.T) {
 	// Drive evaluations through the clone only: the original's memo must
 	// stay empty, proving the two plans share no cache.
 	for _, seg := range cp.Segments {
-		for _, op := range seg.Plans {
+		for _, op := range seg.Entities {
 			lead := w.Graph.Op(op.Lead)
 			if !lead.Dynamic || lead.Space[0] == 0 {
 				continue
@@ -71,7 +71,8 @@ func TestPlanCloneSharesOnlyKernels(t *testing.T) {
 		// (option, dyn value) the clone will ask for.
 		evaluate := func(p *Plan) {
 			for _, seg := range p.Segments {
-				for lead, op := range seg.Plans {
+				for _, op := range seg.Entities {
+					lead := op.Lead
 					for _, o := range op.Options {
 						if _, err := p.EvaluateEntityDensity(cfg, w.Graph, op, o, w.Graph.Op(lead).MaxUnits/2+1, 1); err != nil {
 							t.Fatal(err)
@@ -83,8 +84,9 @@ func TestPlanCloneSharesOnlyKernels(t *testing.T) {
 		evaluate(plan)
 		_, searches := plan.comp.Stats()
 		for si, seg := range cp.Segments {
-			for lead, op := range seg.Plans {
-				orig := plan.Segments[si].Plans[lead]
+			for _, op := range seg.Entities {
+				lead := op.Lead
+				orig, _ := plan.Segments[si].Entity(lead)
 				for k, o := range op.Options {
 					if o == orig.Options[k] || o.set != orig.Options[k].set || o.dense != nil {
 						t.Fatalf("option %d of %s: want a new option, without an on-demand store, over the same kernel set",

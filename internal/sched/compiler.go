@@ -32,6 +32,13 @@ type Compiler struct {
 	g *graph.Graph
 	// class holds, per operator, the lowest operator ID of its shape class.
 	class []graph.OpID
+	// ents are the graph's allocation entities in topological order, owner
+	// holds per operator the index of the entity holding it, and entErr is
+	// why the graph has none (see buildEntities). Entities depend on the
+	// graph alone, so every solve shares them read-only.
+	ents   []entity
+	owner  []int32
+	entErr error
 
 	mu                sync.Mutex // guards the memos and the counters
 	cfgs              map[hw.Config]*kernelMemo
@@ -104,7 +111,9 @@ func NewCompiler(g *graph.Graph) *Compiler {
 		}
 		class[i] = rep
 	}
-	return &Compiler{g: g, class: class, cfgs: map[hw.Config]*kernelMemo{}}
+	c := &Compiler{g: g, class: class, cfgs: map[hw.Config]*kernelMemo{}}
+	c.ents, c.owner, c.entErr = buildEntities(g)
+	return c
 }
 
 // Graph returns the graph the compiler compiles for.
@@ -140,20 +149,21 @@ func (c *Compiler) Schedule(cfg hw.Config, pol Policy, prof *profiler.Profiler) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ents, order, err := buildEntities(c.g)
-	if err != nil {
-		return nil, err
+	if c.entErr != nil {
+		return nil, c.entErr
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	km := c.forConfig(cfg)
 	plan := &Plan{Policy: pol, comp: c}
-	for i, leads := range segment(cfg, c.g, ents, order) {
-		s, err := planSegment(cfg, km, pol, prof, ents, i, leads)
+	first := 0
+	for i, ents := range segment(cfg, c.g, c.ents) {
+		s, err := planSegment(cfg, km, pol, prof, i, span{ents: ents, first: int32(first), owner: c.owner})
 		if err != nil {
 			return nil, err
 		}
 		plan.Segments = append(plan.Segments, s)
+		first += len(ents)
 	}
 	return plan, nil
 }

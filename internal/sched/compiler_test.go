@@ -222,7 +222,8 @@ func TestCompilerConcurrentUse(t *testing.T) {
 				return
 			}
 			for _, seg := range plan.Segments {
-				for lead, op := range seg.Plans {
+				for _, op := range seg.Entities {
+					lead := op.Lead
 					for _, o := range op.Options {
 						if _, err := plan.EvaluateEntityDensity(j.cfg, w.Graph, op, o, w.Graph.Op(lead).MaxUnits/3+1, 1); err != nil {
 							t.Error(err)
@@ -349,7 +350,8 @@ func TestMoEBringupSearchesEachShapeOnce(t *testing.T) {
 	}
 	shapes, perOp := map[shapeKey]bool{}, map[[3]int]bool{}
 	for _, seg := range plan.Segments {
-		for lead, p := range seg.Plans {
+		for _, p := range seg.Entities {
+			lead := p.Lead
 			op := w.Graph.Op(lead)
 			for _, o := range p.Options {
 				for _, v := range o.StoredValues() {

@@ -68,11 +68,10 @@ type Segment struct {
 	// Ops lists every operator of the segment in topological order,
 	// including control operators (switch/merge/sink) and fused vector ops.
 	Ops []graph.OpID
-	// Plans maps each allocation entity's lead operator to its plan.
-	Plans map[graph.OpID]*OpPlan
-	// EntityOf maps every compute operator of the segment (leads and fused
-	// followers) to its entity's lead.
-	EntityOf map[graph.OpID]graph.OpID
+	// Entities lists the plan of every allocation entity in topological
+	// (Ops) order. An operator's entity is the one whose Lead or Fused
+	// names it; control operators belong to none.
+	Entities []*OpPlan
 	// WeightBytes is the total parameter footprint loaded from HBM when the
 	// segment is (re)configured.
 	WeightBytes int64
@@ -163,16 +162,20 @@ func (o *AllocOption) StoredValues() []int {
 	return o.set.Values()
 }
 
-// Entity returns the plan for the entity leading with id.
+// Entity returns the plan of the entity leading with id.
 func (s *Segment) Entity(id graph.OpID) (*OpPlan, bool) {
-	p, ok := s.Plans[id]
-	return p, ok
+	for _, p := range s.Entities {
+		if p.Lead == id {
+			return p, true
+		}
+	}
+	return nil, false
 }
 
 // TotalTiles returns the tiles the segment's base allocation occupies.
 func (s *Segment) TotalTiles() int {
 	n := 0
-	for _, p := range s.Plans {
+	for _, p := range s.Entities {
 		if p.GroupLeader != graph.None && p.GroupLeader != p.Lead {
 			continue // grouped entities reuse their leader's tiles
 		}
@@ -191,7 +194,7 @@ func (p *Plan) Validate(cfg hw.Config, g *graph.Graph) error {
 	if err := p.Policy.Validate(); err != nil {
 		return err
 	}
-	seen := map[graph.OpID]bool{}
+	seen := make([]bool, len(g.Ops))
 	// Allocations must fit the tiles that actually survive cfg's fault mask:
 	// regions are [start, count] in the live (compacted) tile enumeration, so
 	// a plan computed for a healthy chip fails validation against a config
@@ -208,7 +211,8 @@ func (p *Plan) Validate(cfg hw.Config, g *graph.Graph) error {
 			}
 			seen[id] = true
 		}
-		for lead, op := range seg.Plans {
+		for _, op := range seg.Entities {
+			lead := op.Lead
 			if len(op.Options) == 0 {
 				return fmt.Errorf("sched: entity %s has no allocation options", g.Op(lead).Name)
 			}
@@ -222,7 +226,7 @@ func (p *Plan) Validate(cfg hw.Config, g *graph.Graph) error {
 					g.Op(lead).Name, op.Region[0], op.Region[0]+op.Region[1], live)
 			}
 			if op.Partner != graph.None {
-				q, ok := seg.Plans[op.Partner]
+				q, ok := seg.Entity(op.Partner)
 				if !ok {
 					return fmt.Errorf("sched: entity %s shares with %d outside segment", g.Op(lead).Name, op.Partner)
 				}

@@ -164,8 +164,8 @@ func TestFrequencyWeightedAllocationFollowsLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		seg := plan.Segments[0]
-		tb1 = seg.Plans[b1ID].BaseTiles
-		tb2 = seg.Plans[b2aID].BaseTiles + seg.Plans[b2bID].BaseTiles
+		tb1 = mustEntity(t, seg, b1ID).BaseTiles
+		tb2 = mustEntity(t, seg, b2aID).BaseTiles + mustEntity(t, seg, b2bID).BaseTiles
 		return tb1, tb2
 	}
 	sb1, sb2 := tilesOf(MTile())
@@ -187,7 +187,7 @@ func TestTileSharingCreatesThreeOptions(t *testing.T) {
 	plan, w, _ := scheduleModel(t, "skipnet", Adyna(), 16)
 	shared := 0
 	for _, seg := range plan.Segments {
-		for _, p := range seg.Plans {
+		for _, p := range seg.Entities {
 			if p.Partner == graph.None {
 				continue
 			}
@@ -197,7 +197,7 @@ func TestTileSharingCreatesThreeOptions(t *testing.T) {
 					w.Graph.Op(p.Lead).Name, len(p.Options))
 			}
 			tot := p.Options[0].Tiles
-			partner := seg.Plans[p.Partner]
+			partner := mustEntity(t, seg, p.Partner)
 			for k := range p.Options {
 				if p.Options[k].Tiles+partner.Options[k].Tiles != tot+partner.Options[0].Tiles {
 					t.Fatal("option pair must conserve the pooled tile count")
@@ -218,10 +218,10 @@ func TestBranchGroupingOnSkewedLoads(t *testing.T) {
 	plan, w, _ := scheduleModel(t, "fbsnet", pol, 32)
 	grouped := 0
 	for _, seg := range plan.Segments {
-		for _, p := range seg.Plans {
+		for _, p := range seg.Entities {
 			if p.GroupLeader != graph.None && p.GroupLeader != p.Lead {
 				grouped++
-				leader := seg.Plans[p.GroupLeader]
+				leader := mustEntity(t, seg, p.GroupLeader)
 				if p.Region != leader.Region {
 					t.Fatalf("grouped entity %s does not reuse leader tiles", w.Graph.Op(p.Lead).Name)
 				}
@@ -237,7 +237,7 @@ func TestMTileSingleWorstCaseKernel(t *testing.T) {
 	plan, w, _ := scheduleModel(t, "skipnet", MTile(), 0)
 	cfg := hw.Default()
 	for _, seg := range plan.Segments {
-		for _, p := range seg.Plans {
+		for _, p := range seg.Entities {
 			lead := w.Graph.Op(p.Lead)
 			if lead.Space[0] == 0 {
 				continue
@@ -263,7 +263,7 @@ func TestFullKernelCompilesOnDemand(t *testing.T) {
 	plan, w, _ := scheduleModel(t, "skipnet", FullKernelIdeal(), 8)
 	cfg := hw.Default()
 	for _, seg := range plan.Segments {
-		for _, p := range seg.Plans {
+		for _, p := range seg.Entities {
 			lead := w.Graph.Op(p.Lead)
 			if lead.Space[0] == 0 || !lead.Dynamic {
 				continue
@@ -290,13 +290,13 @@ func TestKernelBudgetRespected(t *testing.T) {
 	cfg := hw.Default()
 	plan, _, _ := scheduleModel(t, "dpsnet", Adyna(), 16)
 	for _, seg := range plan.Segments {
-		for _, p := range seg.Plans {
+		for _, p := range seg.Entities {
 			stored := 0
 			for _, o := range p.Options {
 				stored += o.KernelCount()
 			}
 			if p.Partner != graph.None {
-				partner := seg.Plans[p.Partner]
+				partner := mustEntity(t, seg, p.Partner)
 				pstored := 0
 				for _, o := range partner.Options {
 					pstored += o.KernelCount()
@@ -315,7 +315,7 @@ func TestEvaluateEntityMonotone(t *testing.T) {
 	cfg := hw.Default()
 	plan, w, _ := scheduleModel(t, "skipnet", Adyna(), 8)
 	for _, seg := range plan.Segments {
-		for _, p := range seg.Plans {
+		for _, p := range seg.Entities {
 			lead := w.Graph.Op(p.Lead)
 			if !lead.Dynamic || lead.Space[0] == 0 {
 				continue
@@ -380,8 +380,9 @@ func TestRescheduleAdaptsToDrift(t *testing.T) {
 	}
 	changed := false
 	for i, seg := range p1.Segments {
-		for lead, pl := range seg.Plans {
-			pl2, ok := p2.Segments[i].Plans[lead]
+		for _, pl := range seg.Entities {
+			lead := pl.Lead
+			pl2, ok := p2.Segments[i].Entity(lead)
 			if !ok || len(pl.Values) != len(pl2.Values) {
 				changed = true
 				continue
@@ -442,7 +443,7 @@ func TestQuickAllocationConservation(t *testing.T) {
 			if seg.TotalTiles() > cfg.Tiles() {
 				return false
 			}
-			for _, p := range seg.Plans {
+			for _, p := range seg.Entities {
 				if p.BaseTiles < 1 {
 					return false
 				}
@@ -524,8 +525,8 @@ func TestVectorEntityStandalone(t *testing.T) {
 	// relu leads its own entity.
 	found := false
 	for _, seg := range plan.Segments {
-		for lead := range seg.Plans {
-			if g.Op(lead).Name == "relu" {
+		for _, p := range seg.Entities {
+			if g.Op(p.Lead).Name == "relu" {
 				found = true
 			}
 		}

@@ -38,13 +38,12 @@ type entity struct {
 }
 
 // buildEntities fuses vector operators into their producing compute operator
-// and attaches control operators to the entity that follows them, returning
-// entities in topological order.
-func buildEntities(g *graph.Graph) (map[graph.OpID]*entity, []graph.OpID, error) {
-	ents := map[graph.OpID]*entity{}
-	var order []graph.OpID
-	// entityOf maps each op to the entity that computes its output.
-	entityOf := map[graph.OpID]graph.OpID{}
+// and attaches control operators to the entity that follows them (trailing
+// ones to the last entity). It returns the entities in topological order
+// and, per operator, the index of the entity holding it.
+func buildEntities(g *graph.Graph) ([]entity, []int32, error) {
+	var ents []entity
+	owner := make([]int32, len(g.Ops))
 	var pendingControl []graph.OpID
 	for _, id := range g.Topo() {
 		op := g.Op(id)
@@ -52,33 +51,33 @@ func buildEntities(g *graph.Graph) (map[graph.OpID]*entity, []graph.OpID, error)
 			pendingControl = append(pendingControl, id)
 			continue
 		}
-		if costmodel.IsVector(op.Kind) && len(op.Inputs) >= 1 {
+		if costmodel.IsVector(op.Kind) && len(op.Inputs) == 1 {
 			// Fuse into the producer when it is a compute entity with the
 			// same dynamic scope and no control op intervenes.
-			prodEnt, ok := entityOf[op.Inputs[0]]
-			if ok && sameScope(g, id, g.Op(op.Inputs[0]).ID) && len(op.Inputs) == 1 {
-				e := ents[prodEnt]
-				e.fused = append(e.fused, id)
-				entityOf[id] = prodEnt
+			if in := op.Inputs[0]; g.Op(in).Kind.IsCompute() && sameScope(g, id, in) {
+				k := owner[in]
+				ents[k].fused = append(ents[k].fused, id)
+				owner[id] = k
 				continue
 			}
 		}
-		e := &entity{lead: id, control: pendingControl}
+		k := int32(len(ents))
+		for _, c := range pendingControl {
+			owner[c] = k
+		}
+		ents = append(ents, entity{lead: id, control: pendingControl})
 		pendingControl = nil
-		ents[id] = e
-		entityOf[id] = id
-		order = append(order, id)
+		owner[id] = k
 	}
-	if len(order) == 0 {
+	if len(ents) == 0 {
 		return nil, nil, fmt.Errorf("sched: graph %q has no compute operators", g.Name)
 	}
-	// Trailing control ops (output/sink/merge at the very end) attach to the
-	// last entity.
-	if len(pendingControl) > 0 {
-		last := ents[order[len(order)-1]]
-		last.control = append(last.control, pendingControl...)
+	last := &ents[len(ents)-1]
+	for _, c := range pendingControl {
+		owner[c] = int32(len(ents) - 1)
+		last.control = append(last.control, c)
 	}
-	return ents, order, nil
+	return ents, owner, nil
 }
 
 func sameScope(g *graph.Graph, a, b graph.OpID) bool {
@@ -87,27 +86,23 @@ func sameScope(g *graph.Graph, a, b graph.OpID) bool {
 }
 
 // segment greedily packs entities into segments bounded by tile count and
-// scratchpad capacity (graph segmentation, Section V-A).
-func segment(cfg hw.Config, g *graph.Graph, ents map[graph.OpID]*entity, order []graph.OpID) [][]graph.OpID {
+// scratchpad capacity (graph segmentation, Section V-A). Each segment is a
+// window of ents.
+func segment(cfg hw.Config, g *graph.Graph, ents []entity) [][]entity {
 	budget := memoryFraction * float64(cfg.TotalScratchpadBytes())
-	var segs [][]graph.OpID
-	var cur []graph.OpID
+	var segs [][]entity
+	start := 0
 	var curBytes float64
 	live := cfg.LiveTiles()
-	for _, lead := range order {
-		e := ents[lead]
-		need := entityBytes(g, e)
-		if len(cur) > 0 && (len(cur)+1 > live || curBytes+need > budget) {
-			segs = append(segs, cur)
-			cur, curBytes = nil, 0
+	for i := range ents {
+		need := entityBytes(g, &ents[i])
+		if n := i - start; n > 0 && (n+1 > live || curBytes+need > budget) {
+			segs = append(segs, ents[start:i])
+			start, curBytes = i, 0
 		}
-		cur = append(cur, lead)
 		curBytes += need
 	}
-	if len(cur) > 0 {
-		segs = append(segs, cur)
-	}
-	return segs
+	return append(segs, ents[start:])
 }
 
 // entityBytes estimates an entity's scratchpad residency requirement.
@@ -122,25 +117,43 @@ func entityBytes(g *graph.Graph, e *entity) float64 {
 	return bytes
 }
 
+// span is one segment's window of the compiler's entity table: ents are the
+// entities from index first on. The solve's dense state is indexed by
+// position in the window.
+type span struct {
+	ents  []entity
+	first int32
+	owner []int32
+}
+
+// at returns the window position of the entity holding operator id (as
+// lead, follower or attached control op), -1 when it lies outside the
+// window.
+func (s span) at(id graph.OpID) int {
+	if k := s.owner[id] - s.first; k >= 0 && int(k) < len(s.ents) {
+		return int(k)
+	}
+	return -1
+}
+
+// leadAt is at for entity leads only.
+func (s span) leadAt(id graph.OpID) int {
+	if k := s.at(id); k >= 0 && s.ents[k].lead == id {
+		return k
+	}
+	return -1
+}
+
 // planSegment allocates tiles, applies grouping and sharing, and compiles
-// kernel stores for one segment. ents is the graph's entity table from
-// buildEntities.
-func planSegment(cfg hw.Config, km *kernelMemo, pol Policy, prof *profiler.Profiler, ents map[graph.OpID]*entity, index int, leads []graph.OpID) (*Segment, error) {
+// kernel stores for the segment of index holding sp's entities.
+func planSegment(cfg hw.Config, km *kernelMemo, pol Policy, prof *profiler.Profiler, index int, sp span) (*Segment, error) {
 	g := km.c.g
-	seg := &Segment{Index: index, Plans: map[graph.OpID]*OpPlan{}, EntityOf: map[graph.OpID]graph.OpID{}}
-	inSeg := map[graph.OpID]bool{}
-	for _, lead := range leads {
-		e := ents[lead]
+	n := len(sp.ents)
+	seg := &Segment{Index: index, Entities: make([]*OpPlan, n)}
+	for _, e := range sp.ents {
 		seg.Ops = append(seg.Ops, e.control...)
-		seg.Ops = append(seg.Ops, lead)
+		seg.Ops = append(seg.Ops, e.lead)
 		seg.Ops = append(seg.Ops, e.fused...)
-		seg.EntityOf[lead] = lead
-		for _, f := range e.fused {
-			seg.EntityOf[f] = lead
-		}
-		for _, id := range seg.Ops {
-			inSeg[id] = true
-		}
 	}
 
 	// Expected work per entity (frequency-weighted or worst-case). The
@@ -151,89 +164,89 @@ func planSegment(cfg hw.Config, km *kernelMemo, pol Policy, prof *profiler.Profi
 	if prof != nil {
 		dens = prof.OpDensityMean()
 	}
-	work := map[graph.OpID]float64{}
-	for _, lead := range leads {
-		work[lead] = entityWork(g, prof, ents[lead], pol.FrequencyWeighted, dens)
-		seg.WeightBytes += entityWeights(g, ents[lead])
+	work := make([]float64, n)
+	for k := range sp.ents {
+		work[k] = entityWork(g, prof, &sp.ents[k], pol.FrequencyWeighted, dens)
+		seg.WeightBytes += entityWeights(g, &sp.ents[k])
 	}
 
 	// Branch grouping: collapse rarely-active branches of each switch into
-	// temporal groups.
-	groupLeader := map[graph.OpID]graph.OpID{}
+	// temporal groups. groupLeader holds each entity's group leader, -1 when
+	// ungrouped.
+	groupLeader := make([]int, n)
+	for k := range groupLeader {
+		groupLeader[k] = -1
+	}
 	if pol.BranchGrouping {
-		groupRareBranches(g, pol, prof, leads, work, groupLeader, inSeg)
+		groupRareBranches(g, pol, prof, sp, work, groupLeader)
 	}
 
 	// Proportional tile allocation over allocation units (group leaders and
 	// ungrouped entities).
-	alloc := allocateTiles(cfg, leads, work, groupLeader)
+	alloc := allocateTiles(cfg.LiveTiles(), work, groupLeader)
 
 	// Materialize plans.
 	cursor := 0
-	for _, lead := range leads {
-		gl, grouped := groupLeader[lead]
-		tiles := alloc[lead]
-		if grouped && gl != lead {
+	for k, e := range sp.ents {
+		gl := groupLeader[k]
+		tiles := alloc[k]
+		if gl >= 0 && gl != k {
 			tiles = alloc[gl] // grouped entities reuse the leader's tiles
 		}
 		if tiles < 1 {
 			tiles = 1
 		}
 		op := &OpPlan{
-			Lead:        lead,
-			Fused:       ents[lead].fused,
+			Lead:        e.lead,
+			Fused:       e.fused,
 			BaseTiles:   tiles,
 			Partner:     graph.None,
 			GroupLeader: graph.None,
 		}
-		if grouped {
-			op.GroupLeader = gl
+		if gl >= 0 {
+			op.GroupLeader = sp.ents[gl].lead
 		}
-		if !grouped || gl == lead {
+		if gl < 0 || gl == k {
 			op.Region = [2]int{cursor, tiles}
 			cursor += tiles
 		}
-		seg.Plans[lead] = op
+		seg.Entities[k] = op
 	}
 	// Grouped followers share the leader's region.
-	for _, lead := range leads {
-		p := seg.Plans[lead]
-		if p.GroupLeader != graph.None && p.GroupLeader != lead {
-			p.Region = seg.Plans[p.GroupLeader].Region
+	for k, p := range seg.Entities {
+		if gl := groupLeader[k]; gl >= 0 && gl != k {
+			p.Region = seg.Entities[gl].Region
 		}
 	}
 
 	// Tile sharing: pair complementary branches and add the 2a:b / a:2b
 	// allocation options.
 	if pol.TileSharing {
-		pairForSharing(g, pol, prof, seg, leads, work)
+		pairForSharing(g, prof, seg, sp, work)
 	}
 
 	// Compile kernel stores for every option of every entity.
-	for _, lead := range leads {
-		if err := compileEntity(cfg, km, pol, prof, seg.Plans[lead]); err != nil {
+	for _, p := range seg.Entities {
+		if err := compileEntity(cfg, km, pol, prof, p); err != nil {
 			return nil, err
 		}
 	}
 
 	// Segment boundary footprints.
-	for _, lead := range leads {
-		op := g.Op(lead)
-		for _, in := range op.Inputs {
-			if !inSeg[in] {
-				seg.InBytesPerUnit += op.InBytesPerUnit
+	for _, e := range sp.ents {
+		for _, in := range g.Op(e.lead).Inputs {
+			if sp.at(in) < 0 {
+				seg.InBytesPerUnit += g.Op(e.lead).InBytesPerUnit
 				break
 			}
 		}
 	}
-	if len(leads) > 0 {
-		lastEnt := ents[leads[len(leads)-1]]
-		tail := lastEnt.lead
-		if n := len(lastEnt.fused); n > 0 {
-			tail = lastEnt.fused[n-1]
-		}
-		seg.OutBytesPerUnit = g.Op(tail).OutBytesPerUnit
+	last := sp.ents[n-1]
+	tail := last.lead
+	if f := len(last.fused); f > 0 {
+		tail = last.fused[f-1]
 	}
+	seg.OutBytesPerUnit = g.Op(tail).OutBytesPerUnit
 	return seg, nil
 }
 
@@ -281,26 +294,27 @@ func expectedUnits(prof *profiler.Profiler, op *graph.Op, freqWeighted bool) flo
 }
 
 // groupRareBranches merges entities on rarely-activated branches of the same
-// switch into temporal groups (Section V-B, branch grouping).
+// switch into temporal groups (Section V-B, branch grouping). work and
+// groupLeader are indexed by window position; a group's leader takes the
+// group's summed work.
 func groupRareBranches(g *graph.Graph, pol Policy, prof *profiler.Profiler,
-	leads []graph.OpID, work map[graph.OpID]float64,
-	groupLeader map[graph.OpID]graph.OpID, inSeg map[graph.OpID]bool) {
+	sp span, work []float64, groupLeader []int) {
 
 	for _, swID := range g.Switches() {
-		if !inSeg[swID] {
+		if sp.at(swID) < 0 {
 			continue
 		}
 		sw := g.Op(swID)
-		var rare [][]graph.OpID // entity leads per rare branch
+		var rare [][]int // entity positions per rare branch
 		for k := 0; k < sw.NumBranches; k++ {
 			frac := branchLoadShare(g, prof, swID, k)
 			if frac >= pol.GroupThreshold {
 				continue
 			}
-			var ents []graph.OpID
+			var ents []int
 			for _, id := range g.BranchOps(swID, k) {
-				if _, isLead := work[id]; isLead {
-					ents = append(ents, id)
+				if e := sp.leadAt(id); e >= 0 {
+					ents = append(ents, e)
 				}
 			}
 			if len(ents) > 0 {
@@ -314,12 +328,10 @@ func groupRareBranches(g *graph.Graph, pol Policy, prof *profiler.Profiler,
 		// one tile group; allocation weight is the sum of expectations.
 		maxLen := 0
 		for _, b := range rare {
-			if len(b) > maxLen {
-				maxLen = len(b)
-			}
+			maxLen = max(maxLen, len(b))
 		}
 		for i := 0; i < maxLen; i++ {
-			var members []graph.OpID
+			var members []int
 			for _, b := range rare {
 				if i < len(b) {
 					members = append(members, b[i])
@@ -359,118 +371,64 @@ func branchLoadShare(g *graph.Graph, prof *profiler.Profiler, sw graph.OpID, k i
 	return share
 }
 
-// allocateTiles distributes the chip's tiles across allocation units in
-// proportion to expected work, guaranteeing one tile each (largest-remainder
-// apportionment).
-func allocateTiles(cfg hw.Config, leads []graph.OpID, work map[graph.OpID]float64,
-	groupLeader map[graph.OpID]graph.OpID) map[graph.OpID]int {
-
-	var units []graph.OpID
-	for _, lead := range leads {
-		if gl, ok := groupLeader[lead]; ok && gl != lead {
-			continue
-		}
-		units = append(units, lead)
-	}
-	total := cfg.LiveTiles()
-	alloc := map[graph.OpID]int{}
-	if len(units) == 0 {
-		return alloc
-	}
+// allocateTiles distributes total tiles across allocation units (entities
+// that are not grouped under another) in proportion to expected work,
+// guaranteeing one tile each. It returns each entity's tiles by window
+// position, 0 for grouped followers.
+func allocateTiles(total int, work []float64, groupLeader []int) []int {
+	var units []int
+	var shares []float64
 	var sum float64
-	for _, u := range units {
-		w := work[u]
-		if w <= 0 {
-			w = 1
-		}
-		sum += w
-	}
-	type frac struct {
-		id   graph.OpID
-		rem  float64
-		base int
-	}
-	fracs := make([]frac, 0, len(units))
-	used := 0
-	for _, u := range units {
-		w := work[u]
-		if w <= 0 {
-			w = 1
-		}
-		share := float64(total) * w / sum
-		base := int(share)
-		if base < 1 {
-			base = 1
-		}
-		fracs = append(fracs, frac{id: u, rem: share - float64(base), base: base})
-		used += base
-	}
-	// Hand out leftovers by largest remainder; reclaim overflow from the
-	// largest allocations.
-	sort.Slice(fracs, func(i, j int) bool { return fracs[i].rem > fracs[j].rem })
-	for i := 0; used < total && i < len(fracs); i = (i + 1) % len(fracs) {
-		fracs[i].base++
-		used++
-	}
-	for used > total {
-		// Shrink the biggest allocation that can still shrink.
-		big := -1
-		for i := range fracs {
-			if fracs[i].base > 1 && (big < 0 || fracs[i].base > fracs[big].base) {
-				big = i
+	for k, gl := range groupLeader {
+		if w := work[k]; gl < 0 || gl == k {
+			if w <= 0 {
+				w = 1
 			}
+			units, shares = append(units, k), append(shares, w)
+			sum += w
 		}
-		if big < 0 {
-			break
-		}
-		fracs[big].base--
-		used--
 	}
-	for _, f := range fracs {
-		alloc[f.id] = f.base
+	for i, w := range shares {
+		shares[i] = float64(total) * w / sum
+	}
+	alloc := make([]int, len(work))
+	for i, c := range Apportion(nil, shares, 1, total) {
+		alloc[units[i]] = c
 	}
 	return alloc
 }
 
 // pairForSharing pairs complementary branches of every switch in the segment
 // and gives each paired entity the three allocation ratios of Section V-B.
-func pairForSharing(g *graph.Graph, pol Policy, prof *profiler.Profiler,
-	seg *Segment, leads []graph.OpID, work map[graph.OpID]float64) {
-
-	inSeg := map[graph.OpID]bool{}
-	for _, id := range seg.Ops {
-		inSeg[id] = true
-	}
+func pairForSharing(g *graph.Graph, prof *profiler.Profiler, seg *Segment, sp span, work []float64) {
 	for _, swID := range g.Switches() {
-		if !inSeg[swID] {
+		if sp.at(swID) < 0 {
 			continue
 		}
 		sw := g.Op(swID)
 		if sw.NumBranches < 2 {
 			continue
 		}
-		bi, bj := pickSharePair(g, prof, swID, sw.NumBranches, work)
+		bi, bj := pickSharePair(g, prof, swID, sw.NumBranches, sp, work)
 		if bi < 0 {
 			continue
 		}
 		// Entities of each branch, largest work first.
-		entsOf := func(k int) []graph.OpID {
-			var out []graph.OpID
+		entsOf := func(k int) []int {
+			var out []int
 			for _, id := range g.BranchOps(swID, k) {
-				if p, ok := seg.Plans[id]; ok && p.Partner == graph.None && p.GroupLeader == graph.None {
-					out = append(out, id)
+				if e := sp.leadAt(id); e >= 0 {
+					if p := seg.Entities[e]; p.Partner == graph.None && p.GroupLeader == graph.None {
+						out = append(out, e)
+					}
 				}
 			}
 			sort.Slice(out, func(a, b int) bool { return work[out[a]] > work[out[b]] })
 			return out
 		}
 		ea, eb := entsOf(bi), entsOf(bj)
-		n := len(ea)
-		if len(eb) < n {
-			n = len(eb)
-		}
-		for i := 0; i < n; i++ {
-			a, b := seg.Plans[ea[i]], seg.Plans[eb[i]]
+		for i := 0; i < min(len(ea), len(eb)); i++ {
+			a, b := seg.Entities[ea[i]], seg.Entities[eb[i]]
 			wa, wb := work[ea[i]], work[eb[i]]
 			if wa <= 0 {
 				wa = 1
@@ -484,12 +442,7 @@ func pairForSharing(g *graph.Graph, pol Policy, prof *profiler.Profiler,
 			}
 			split := func(ra, rb float64) (int, int) {
 				x := int(math.Round(float64(total) * ra / (ra + rb)))
-				if x < 1 {
-					x = 1
-				}
-				if x > total-1 {
-					x = total - 1
-				}
+				x = min(max(x, 1), total-1)
 				return x, total - x
 			}
 			a0, b0 := a.BaseTiles, b.BaseTiles
@@ -506,7 +459,7 @@ func pairForSharing(g *graph.Graph, pol Policy, prof *profiler.Profiler,
 // pickSharePair chooses the two branches least likely to be active together
 // (profiler co-activation when available, complementary expected load
 // otherwise). Returns (-1, -1) when no pair qualifies.
-func pickSharePair(g *graph.Graph, prof *profiler.Profiler, sw graph.OpID, branches int, work map[graph.OpID]float64) (int, int) {
+func pickSharePair(g *graph.Graph, prof *profiler.Profiler, sw graph.OpID, branches int, sp span, work []float64) (int, int) {
 	if branches < 2 {
 		return -1, -1
 	}
@@ -525,7 +478,9 @@ func pickSharePair(g *graph.Graph, prof *profiler.Profiler, sw graph.OpID, branc
 	for k := 0; k < branches; k++ {
 		var sum float64
 		for _, id := range g.BranchOps(sw, k) {
-			sum += work[id]
+			if e := sp.leadAt(id); e >= 0 {
+				sum += work[e]
+			}
 		}
 		loads[k] = bw{k: k, w: sum}
 	}

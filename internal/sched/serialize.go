@@ -6,6 +6,7 @@ import (
 	"io"
 	"maps"
 	"slices"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/kernels"
@@ -60,22 +61,12 @@ func (p *Plan) Encode(w io.Writer) error {
 			WeightBytes:     seg.WeightBytes,
 			InBytesPerUnit:  seg.InBytesPerUnit,
 			OutBytesPerUnit: seg.OutBytesPerUnit,
-			EntityOf:        map[string]int{},
+			EntityOf:        entityOf(seg.Entities),
 		}
 		for _, id := range seg.Ops {
 			sj.Ops = append(sj.Ops, int(id))
 		}
-		for op, lead := range seg.EntityOf {
-			sj.EntityOf[fmt.Sprint(int(op))] = int(lead)
-		}
-		// Deterministic order: walk seg.Ops.
-		done := map[graph.OpID]bool{}
-		for _, id := range seg.Ops {
-			op, ok := seg.Plans[id]
-			if !ok || done[id] {
-				continue
-			}
-			done[id] = true
+		for _, op := range seg.Entities {
 			pj := opPlanJSON{
 				Lead:        int(op.Lead),
 				BaseTiles:   op.BaseTiles,
@@ -110,6 +101,19 @@ func (p *Plan) Encode(w io.Writer) error {
 	return enc.Encode(out)
 }
 
+// entityOf is the encoded entity_of map: every entity member's operator
+// (lead and fused followers) to its entity's lead.
+func entityOf(ents []*OpPlan) map[string]int {
+	m := map[string]int{}
+	for _, op := range ents {
+		m[strconv.Itoa(int(op.Lead))] = int(op.Lead)
+		for _, f := range op.Fused {
+			m[strconv.Itoa(int(f))] = int(op.Lead)
+		}
+	}
+	return m
+}
+
 // Clone returns a copy of the plan that shares no mutable state with the
 // receiver: not the plan-scoped eval cache and its counters, and not the
 // full-kernel on-demand stores. A fleet hands each replica a clone of a
@@ -123,9 +127,8 @@ func (p *Plan) Clone() *Plan {
 	for _, seg := range p.Segments {
 		s := *seg
 		s.Ops = slices.Clone(seg.Ops)
-		s.EntityOf = maps.Clone(seg.EntityOf)
-		s.Plans = make(map[graph.OpID]*OpPlan, len(seg.Plans))
-		for lead, op := range seg.Plans {
+		s.Entities = make([]*OpPlan, len(seg.Entities))
+		for i, op := range seg.Entities {
 			o := *op
 			o.Fused = slices.Clone(op.Fused)
 			o.Values = slices.Clone(op.Values)
@@ -133,7 +136,7 @@ func (p *Plan) Clone() *Plan {
 			for i, opt := range op.Options {
 				o.Options[i] = &AllocOption{Tiles: opt.Tiles, set: opt.set}
 			}
-			s.Plans[lead] = &o
+			s.Entities[i] = &o
 		}
 		cp.Segments = append(cp.Segments, &s)
 	}
@@ -154,14 +157,6 @@ func DecodePlan(r io.Reader, g *graph.Graph) (*Plan, error) {
 			WeightBytes:     sj.WeightBytes,
 			InBytesPerUnit:  sj.InBytesPerUnit,
 			OutBytesPerUnit: sj.OutBytesPerUnit,
-			Plans:           map[graph.OpID]*OpPlan{},
-			EntityOf:        map[graph.OpID]graph.OpID{},
-		}
-		for _, id := range sj.Ops {
-			if id < 0 || id >= len(g.Ops) {
-				return nil, fmt.Errorf("sched: plan references op %d outside graph", id)
-			}
-			seg.Ops = append(seg.Ops, graph.OpID(id))
 		}
 		// Every op reference must land inside the graph: a plan for a
 		// different (or corrupted) graph would otherwise panic the first time
@@ -179,21 +174,31 @@ func DecodePlan(r io.Reader, g *graph.Graph) (*Plan, error) {
 			}
 			return inGraph(id)
 		}
-		for opStr, lead := range sj.EntityOf {
-			var opID int
-			if _, err := fmt.Sscanf(opStr, "%d", &opID); err != nil {
-				return nil, fmt.Errorf("sched: bad entity key %q", opStr)
-			}
-			if err := inGraph(opID); err != nil {
+		// pos holds each operator's position in Ops plus one. Entity
+		// members, each lead followed by its fused operators, must name
+		// compute operators of the segment in Ops order, as Encode writes
+		// them, so no operator belongs to two entities.
+		pos := make([]int, len(g.Ops))
+		for i, id := range sj.Ops {
+			if err := inGraph(id); err != nil {
 				return nil, err
 			}
-			if err := inGraph(lead); err != nil {
-				return nil, err
+			seg.Ops = append(seg.Ops, graph.OpID(id))
+			pos[id] = i + 1
+		}
+		last := 0
+		member := func(id int) error {
+			if err := inGraph(id); err != nil {
+				return err
 			}
-			seg.EntityOf[graph.OpID(opID)] = graph.OpID(lead)
+			if pos[id] <= last || !g.Ops[id].Kind.IsCompute() {
+				return fmt.Errorf("sched: segment %d: entity member op %d is not a compute op of the segment in op order", sj.Index, id)
+			}
+			last = pos[id]
+			return nil
 		}
 		for _, pj := range sj.Plans {
-			if err := inGraph(pj.Lead); err != nil {
+			if err := member(pj.Lead); err != nil {
 				return nil, err
 			}
 			if err := inGraphOrNone(pj.Partner); err != nil {
@@ -212,7 +217,7 @@ func DecodePlan(r io.Reader, g *graph.Graph) (*Plan, error) {
 				Values:      pj.Values,
 			}
 			for _, f := range pj.Fused {
-				if err := inGraph(f); err != nil {
+				if err := member(f); err != nil {
 					return nil, err
 				}
 				op.Fused = append(op.Fused, graph.OpID(f))
@@ -242,7 +247,10 @@ func DecodePlan(r io.Reader, g *graph.Graph) (*Plan, error) {
 				}
 				op.Options = append(op.Options, opt)
 			}
-			seg.Plans[op.Lead] = op
+			seg.Entities = append(seg.Entities, op)
+		}
+		if !maps.Equal(sj.EntityOf, entityOf(seg.Entities)) {
+			return nil, fmt.Errorf("sched: segment %d: entity_of disagrees with the segment's entities", sj.Index)
 		}
 		p.Segments = append(p.Segments, seg)
 	}

@@ -32,11 +32,12 @@ func TestPlanEncodeDecodeRoundTrip(t *testing.T) {
 	// the bytes fully determine execution.
 	for i, seg := range plan.Segments {
 		dseg := dec.Segments[i]
-		if len(dseg.Plans) != len(seg.Plans) {
-			t.Fatalf("segment %d plans %d -> %d", i, len(seg.Plans), len(dseg.Plans))
+		if len(dseg.Entities) != len(seg.Entities) {
+			t.Fatalf("segment %d entities %d -> %d", i, len(seg.Entities), len(dseg.Entities))
 		}
-		for lead, op := range seg.Plans {
-			dop, ok := dseg.Plans[lead]
+		for _, op := range seg.Entities {
+			lead := op.Lead
+			dop, ok := dseg.Entity(lead)
 			if !ok {
 				t.Fatalf("entity %v lost", lead)
 			}
@@ -128,7 +129,26 @@ func TestDecodePlanRejectsCorruption(t *testing.T) {
 	if _, err := DecodePlan(bytes.NewReader(buf.Bytes()), tinyG); err == nil {
 		t.Fatal("plan for a different graph accepted")
 	}
-	_ = bigW
+	// Entity membership follows from the entities: skipnet's op 0 is its
+	// input, ops 1 and 2 a conv2d and the eltwise fused into it.
+	opt := `"base_tiles":1,"region":[0,1],"partner":-1,"group_leader":-1,"options":[{"tiles":1}]`
+	for _, tc := range []struct {
+		name, seg string
+		ok        bool
+	}{
+		{"genuine", `"ops":[0,1,2],"plans":[{"lead":1,"fused":[2],` + opt + `}],"entity_of":{"1":1,"2":1}`, true},
+		{"entity_of names a control op", `"ops":[0,1,2],"plans":[{"lead":1,"fused":[2],` + opt + `}],"entity_of":{"0":0,"1":1,"2":1}`, false},
+		{"entity_of misses a follower", `"ops":[0,1,2],"plans":[{"lead":1,"fused":[2],` + opt + `}],"entity_of":{"1":1}`, false},
+		{"control op leads", `"ops":[0,1],"plans":[{"lead":0,` + opt + `},{"lead":1,` + opt + `}],"entity_of":{"0":0,"1":1}`, false},
+		{"member outside ops", `"ops":[0,1],"plans":[{"lead":1,"fused":[2],` + opt + `}],"entity_of":{"1":1,"2":1}`, false},
+		{"entities out of op order", `"ops":[0,1,2],"plans":[{"lead":2,` + opt + `},{"lead":1,` + opt + `}],"entity_of":{"1":1,"2":2}`, false},
+		{"op in two entities", `"ops":[0,1,2],"plans":[{"lead":1,"fused":[2],` + opt + `},{"lead":2,` + opt + `}],"entity_of":{"1":1,"2":2}`, false},
+	} {
+		_, err := DecodePlan(strings.NewReader(`{"segments":[{`+tc.seg+`}]}`), bigW.Graph)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: DecodePlan error %v", tc.name, err)
+		}
+	}
 }
 
 func TestFullKernelPlanSerializesWithoutBlobs(t *testing.T) {
@@ -144,7 +164,8 @@ func TestFullKernelPlanSerializesWithoutBlobs(t *testing.T) {
 	// Dense options come back dense: compiled on demand.
 	cfg := hw.Default()
 	for _, seg := range dec.Segments {
-		for lead, op := range seg.Plans {
+		for _, op := range seg.Entities {
+			lead := op.Lead
 			leadOp := w.Graph.Op(lead)
 			if !leadOp.Dynamic || leadOp.Space[0] == 0 {
 				continue

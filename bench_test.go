@@ -356,10 +356,9 @@ func BenchmarkAOTPrecompute(b *testing.B) {
 }
 
 // BenchmarkDensityEvaluate measures the per-batch cost of density-aware
-// entity evaluation on the serving hot path: a warm costmodel cache queried
-// at a rotating set of densities for one of the GNN's sparse aggregation
-// operators. After the first lap every density bucket is memoized, so this
-// is the steady-state price each density-carrying batch pays at dispatch.
+// entity evaluation on the serving hot path: costmodel.EvaluateDensity at a
+// rotating set of densities for one of the GNN's sparse aggregation
+// operators, the price each density-carrying batch pays at dispatch.
 func BenchmarkDensityEvaluate(b *testing.B) {
 	cfg := hw.Default()
 	w, err := models.ByName("gcn", 32)
@@ -375,13 +374,12 @@ func BenchmarkDensityEvaluate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := costmodel.NewCache(cfg)
 	densities := []float64{1, 0.75, 0.5, 0.3, 0.21}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := densities[i%len(densities)]
-		if _, err := c.EvaluateDensity(op, blk, op.MaxUnits, op.MaxUnits/2, 8, true, d); err != nil {
+		if _, err := costmodel.EvaluateDensity(cfg, op, blk, op.MaxUnits, op.MaxUnits/2, 8, true, d); err != nil {
 			b.Fatal(err)
 		}
 	}

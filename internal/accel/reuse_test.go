@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -199,7 +200,7 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 				mode = fmt.Sprintf("streamed at depth %d", depth)
 				feed = func() { steadyStream(t, m, trace, ring) }
 			}
-			feed() // warm the pools and the cost-model memo
+			feed() // warm the machine's job pool
 			got := testing.AllocsPerRun(5, feed) / float64(len(trace))
 			t.Logf("%s, %s: %.1f allocations per batch", model, mode, got)
 			if got > perBatch {
@@ -225,13 +226,37 @@ func TestRunWindowAllocsFlat(t *testing.T) {
 				}
 			}
 		}
-		window(len(trace))() // warm the pools and the cost-model memo
+		window(len(trace))() // warm the machine's job pool
 		one := testing.AllocsPerRun(5, window(1))
 		all := testing.AllocsPerRun(5, window(len(trace)))
 		t.Logf("%s: %.0f allocations for one batch, %.0f for %d", model, one, all, len(trace))
 		if all > one+slack {
 			t.Errorf("%s: a %d-batch window allocates %.0f objects, a one-batch window %.0f: want at most %d more",
 				model, len(trace), all, one, slack)
+		}
+	}
+}
+
+// TestUnseenBatchAllocBytes gates the bytes a warm machine allocates per
+// one-batch Run window over batches it has not run before. The object gates
+// above replay batches the machine has seen, and count objects, so neither
+// sees a table that grows with each new dyn value or density. After 16
+// warm-up batches, 128 new batches of the same trace must each allocate at
+// most 512 bytes: the few objects every warm window allocates, and nothing
+// that scales with the entities costed.
+func TestUnseenBatchAllocBytes(t *testing.T) {
+	const warm, measured, perBatch = 16, 128, 512
+	for _, model := range []string{"moe", "skipnet", "gcn", "dpsnet"} {
+		m, trace := streamMachine(t, model, 32, warm+measured)
+		runEach(t, m, trace[:warm])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runEach(t, m, trace[warm:])
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / measured
+		t.Logf("%s: %d bytes per unseen batch", model, got)
+		if got > perBatch {
+			t.Errorf("%s: %d bytes per unseen one-batch window, want <= %d", model, got, perBatch)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func benchOp() *graph.Op {
 	}
 }
 
-// BenchmarkCostModelEvaluate measures one direct (uncached) Evaluate call
+// BenchmarkCostModelEvaluate measures one Evaluate call
 // with a realistic blocking over a spread of actual dyn values.
 func BenchmarkCostModelEvaluate(b *testing.B) {
 	b.ReportAllocs()
@@ -51,21 +51,6 @@ func BenchmarkCostModelOptimize(b *testing.B) {
 	op := benchOp()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Optimize(cfg, op, 128, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCostModelEvaluateCached is the memoized counterpart of
-// BenchmarkCostModelEvaluate: same key spread, served from the plan cache
-// after the first 128 misses.
-func BenchmarkCostModelEvaluateCached(b *testing.B) {
-	b.ReportAllocs()
-	c := NewCache(hw.Default())
-	op := benchOp()
-	blk := Blocking{SplitN: 4, SplitM: 2, NBlk: 8, WeightResident: true}
-	for i := 0; i < b.N; i++ {
-		if _, err := c.EvaluateDensity(op, blk, 128, 1+i%128, 8, true, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

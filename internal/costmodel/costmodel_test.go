@@ -1,12 +1,55 @@
 package costmodel
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/hw"
 )
+
+// randOp builds a random operator shape. Matrix kinds get a consistent
+// iteration space (MACsPerUnit equals the Space product, as Build would
+// enforce); vector kinds leave Space zero.
+func randOp(r *rand.Rand, id int) *graph.Op {
+	kinds := []graph.Kind{
+		graph.KindConv2D, graph.KindMatMul, graph.KindAttention, graph.KindGate,
+		graph.KindElementwise, graph.KindPool, graph.KindLayerNorm, graph.KindSoftmax,
+	}
+	op := &graph.Op{
+		ID:       graph.OpID(id),
+		Name:     fmt.Sprintf("rand%d", id),
+		Kind:     kinds[r.Intn(len(kinds))],
+		MaxUnits: 1 + r.Intn(256),
+	}
+	switch op.Kind {
+	case graph.KindConv2D, graph.KindMatMul, graph.KindAttention, graph.KindGate:
+		c, m := 1+r.Intn(512), 1+r.Intn(512)
+		h, w := 1+r.Intn(28), 1+r.Intn(28)
+		rr, s := 1, 1
+		if op.Kind == graph.KindConv2D {
+			rr = 1 + 2*r.Intn(3) // 1, 3, 5
+			s = rr
+		}
+		op.Space = [6]int{c, m, h, w, rr, s}
+		op.MACsPerUnit = int64(c) * int64(m) * int64(h) * int64(w) * int64(rr) * int64(s)
+	default:
+		op.MACsPerUnit = int64(1 + r.Intn(1<<16))
+	}
+	op.InBytesPerUnit = int64(1 + r.Intn(1<<16))
+	op.OutBytesPerUnit = int64(1 + r.Intn(1<<16))
+	op.WeightBytes = int64(r.Intn(1 << 20))
+	return op
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
 
 // convOp builds a representative dynamic conv operator for cost tests.
 func convOp(t testing.TB, maxUnits int) *graph.Op {

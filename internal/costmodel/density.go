@@ -22,8 +22,8 @@ import (
 // roofline and latency falls *sublinearly* in density.
 //
 // All density evaluation happens at a quantized representative density
-// (QuantizeDensity), which is what keeps Cache keys sound: two densities in
-// the same bucket are the same evaluation by construction.
+// (QuantizeDensity): two densities in the same bucket are the same
+// evaluation by construction.
 
 // DensityBuckets is the resolution of the density quantization lattice used
 // by the cost model, the plan-cache keyer and the AOT precompute: densities
@@ -85,44 +85,6 @@ func EvaluateDensity(cfg hw.Config, op *graph.Op, blk Blocking, compiledUnits, a
 	denseOut := op.OutBytesPerUnit * int64(actualUnits)
 	ev.SRAMBytes += denseOut - ev.OutBytes
 	ev.OutBytes = denseOut
-	return ev, nil
-}
-
-// EvaluateDensity is the memoized form of the package-level EvaluateDensity.
-// The key extends the dense evalKey with the density *bucket*, and the
-// evaluation itself runs at the bucket's representative density, so a cached
-// result is exactly the result an uncached call would produce for any density
-// in the bucket. Density 1 — the dense cost, what the package-level Evaluate
-// returns — and every operator that is not density-aware key the top bucket,
-// DensityBuckets.
-func (c *Cache) EvaluateDensity(op *graph.Op, blk Blocking, compiledUnits, actualUnits, tiles int, fitting bool, density float64) (Eval, error) {
-	db := DensityBucket(density)
-	if !op.DensityAware {
-		db = DensityBuckets
-	}
-	k, ok := newEvalKey(op.ID, blk, compiledUnits, actualUnits, tiles, fitting, db)
-	if !ok {
-		c.misses++
-		return EvaluateDensity(c.cfg, op, blk, compiledUnits, actualUnits, tiles, fitting, density)
-	}
-	if ev, hit := c.eval[k]; hit {
-		c.hits++
-		return ev, nil
-	}
-	if err, hit := c.errs[k]; hit {
-		c.hits++
-		return Eval{}, err
-	}
-	c.misses++
-	ev, err := EvaluateDensity(c.cfg, op, blk, compiledUnits, actualUnits, tiles, fitting, density)
-	if err != nil {
-		if c.errs == nil {
-			c.errs = map[evalKey]error{}
-		}
-		c.errs[k] = err
-		return ev, err
-	}
-	c.eval[k] = ev
 	return ev, nil
 }
 

@@ -128,16 +128,15 @@ func TestEvaluateDensitySublinear(t *testing.T) {
 	}
 }
 
-// TestCacheDensityBucketSoundness is the density-bucket soundness property:
-// over randomized operators and densities, the cached EvaluateDensity must
-// return exactly what the package-level EvaluateDensity returns — on the miss
-// path and the hit path — and two densities in the same quantization bucket
-// must share one memo entry.
+// TestCacheDensityBucketSoundness is the density-bucket soundness property
+// that lets every caller pass a raw density: over randomized operators and
+// densities, EvaluateDensity at any density equals EvaluateDensity at that
+// density's bucket representative (QuantizeDensity), and an operator that is
+// not density-aware costs the same at every density.
 func TestCacheDensityBucketSoundness(t *testing.T) {
 	cfg := hw.Default()
 	r := rand.New(rand.NewSource(23))
-	c := NewCache(cfg)
-
+	checked := 0
 	for i := 0; i < 120; i++ {
 		op := randOp(r, i)
 		op.DensityAware = r.Intn(2) == 0
@@ -152,42 +151,22 @@ func TestCacheDensityBucketSoundness(t *testing.T) {
 			fitting := r.Intn(2) == 0
 			density := r.Float64()*1.2 - 0.1 // includes invalid <0 and >1
 			ev, err := EvaluateDensity(cfg, op, blk, compiled, actual, tiles, fitting, density)
-			for trial := 0; trial < 2; trial++ { // miss, then hit
-				gev, gerr := c.EvaluateDensity(op, blk, compiled, actual, tiles, fitting, density)
-				if gev != ev || errString(gerr) != errString(err) {
-					t.Fatalf("op %d density=%v fitting=%v trial %d: cached EvaluateDensity diverged:\n(%+v, %v)\nwant (%+v, %v)",
-						i, density, fitting, trial, gev, gerr, ev, err)
+			qev, qerr := EvaluateDensity(cfg, op, blk, compiled, actual, tiles, fitting, QuantizeDensity(density))
+			if ev != qev || errString(err) != errString(qerr) {
+				t.Fatalf("op %d density=%v fitting=%v: (%+v, %v) differs from its bucket's (%+v, %v)",
+					i, density, fitting, ev, err, qev, qerr)
+			}
+			if !op.DensityAware {
+				dev, derr := EvaluateDensity(cfg, op, blk, compiled, actual, tiles, fitting, 1)
+				if ev != dev || errString(err) != errString(derr) {
+					t.Fatalf("op %d density=%v: a non-density-aware op was charged for sparsity", i, density)
 				}
 			}
+			checked++
 		}
 	}
-	hits, misses := c.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("property test exercised hits=%d misses=%d; want both paths", hits, misses)
-	}
-
-	// Same-bucket sharing: two densities quantizing to one bucket must hit
-	// the same entry (no redundant second miss).
-	op := convOp(t, 128)
-	op.DensityAware = true
-	blk, _, err := Optimize(cfg, op, 128, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := NewCache(cfg)
-	d1, d2 := 0.501, 0.505
-	if DensityBucket(d1) != DensityBucket(d2) {
-		t.Fatalf("test densities fall in different buckets")
-	}
-	if _, err := c2.EvaluateDensity(op, blk, 128, 128, 8, true, d1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.EvaluateDensity(op, blk, 128, 128, 8, true, d2); err != nil {
-		t.Fatal(err)
-	}
-	hits2, misses2 := c2.Stats()
-	if hits2 != 1 || misses2 != 1 {
-		t.Fatalf("same-bucket densities: hits=%d misses=%d, want 1/1", hits2, misses2)
+	if checked == 0 {
+		t.Fatal("no operator compiled")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // TestGetOrScheduleForClonesCrossOriginHits pins the shared cache's
 // copy-on-hit rule: any hit under a fleet origin returns a private deep copy
 // (byte-identical, distinct pointer), so no two replicas ever run the same
-// plan object and each keeps its own eval memo and cost-model counters —
+// plan object and each keeps its own full-kernel on-demand stores —
 // self-hits included, since a PutFor refresh can swap another replica's live
 // plan into this origin's entry. Anonymous (origin "") hits return the
 // stored pointer, keeping the single-server paths bit-for-bit what they

@@ -508,22 +508,19 @@ func (c *Cache) GetOrScheduleFor(origin string, cfg hw.Config, comp *sched.Compi
 	k := c.keyer.makeKey(cfg, pol, prof)
 	if e, kind := c.lookup(k, origin); kind != Miss {
 		if origin != "" {
-			// Copy-on-hit for fleet origins: a *sched.Plan carries a
-			// plan-scoped eval memo with its own hit and miss counters, so
-			// two replicas running one plan object would warm each other's
-			// memo and count each other's evaluations. Outcomes would not
-			// move, but every replica's cost-model counters, snapshot and
-			// trace would (returning the stored pointer takes the
-			// affinity-brownout golden's cost-model hits/misses from
-			// 308/412 to 438/462). Cross-origin hits are the obvious case;
-			// self-hits need it too, because a PutFor refresh on an
-			// identical fingerprint swaps another replica's live plan into
-			// this origin's entry (identity, including origin, is kept on
-			// refresh). Cloning every fleet hit hands each replica a
-			// private memo. The clone goes when the eval memo moves to the
-			// machine (ROADMAP's "Immutable plans" item). The non-fleet
-			// paths (origin "" everywhere) keep the stored pointer,
-			// bit-for-bit what they were.
+			// Copy-on-hit for fleet origins: a full-kernel *sched.Plan
+			// fills an on-demand kernel store per option as it runs, and
+			// compiles each kernel at the running machine's HBM rate. Two
+			// replicas on different rates sharing one plan object would
+			// therefore read each other's kernels, and outcomes could
+			// move. Cross-origin hits are the obvious case; self-hits need
+			// it too, because a PutFor refresh on an identical fingerprint
+			// swaps another replica's live plan into this origin's entry
+			// (identity, including origin, is kept on refresh). Cloning
+			// every fleet hit hands each replica private stores. The clone
+			// goes when those stores move into the compiler (ROADMAP's
+			// "Immutable plans" item). The non-fleet paths (origin ""
+			// everywhere) keep the stored pointer.
 			return e.plan.Clone(), kind, nil
 		}
 		return e.plan, kind, nil

@@ -19,28 +19,10 @@ type Plan struct {
 	// Segments lists the plan's segments in execution order.
 	Segments []*Segment
 
-	// cache memoizes the cost-model evaluations of this plan's (config,
-	// graph) scope. The simulator re-costs every entity for every batch
-	// through EvaluateEntityDensity; within one plan those calls repeat a
-	// small set of keys. The cache is plan-scoped on purpose: every simulation of the
-	// parallel experiment runner schedules its own plan, so the memo table
-	// is only ever touched from one goroutine and needs no lock. Lazily
-	// created (deserialized plans start without one).
-	cache *costmodel.Cache
 	// comp is the compile memo the plan was solved through; on-demand
 	// full-kernel compiles reuse it, and clones keep it. Decoded plans start
 	// without one and get a private compiler on first use.
 	comp *Compiler
-}
-
-// evalCache returns the plan's memo table for cfg, creating it on first use
-// and replacing it if the caller switches hardware configurations (a stale
-// config would return costs for the wrong machine).
-func (p *Plan) evalCache(cfg hw.Config) *costmodel.Cache {
-	if p.cache == nil || p.cache.Config() != cfg {
-		p.cache = costmodel.NewCache(cfg)
-	}
-	return p.cache
 }
 
 // compiler returns the plan's compile memo, creating a private one for g on
@@ -52,14 +34,10 @@ func (p *Plan) compiler(g *graph.Graph) *Compiler {
 	return p.comp
 }
 
-// CacheStats reports the plan's eval memo hits and misses (zero before the
-// first EvaluateEntityDensity call). Exposed for tests and profiling.
-func (p *Plan) CacheStats() (hits, misses int64) {
-	if p.cache == nil {
-		return 0, 0
-	}
-	return p.cache.Stats()
-}
+// CacheStats returns (0, 0). Plans keep no eval memo: every entity is
+// costed straight from the cost model. The method stays only because the
+// separate perfbench module reads it; it goes with the next perfbench change.
+func (p *Plan) CacheStats() (hits, misses int64) { return 0, 0 }
 
 // Segment is one resident group of consecutive operators (Section II-B).
 type Segment struct {
@@ -265,11 +243,9 @@ func (p *Plan) Validate(cfg hw.Config, g *graph.Graph) error {
 // operator plus its fused vector operators at the actual dyn value v on
 // option opt and the batch's density dyn-value: density-aware operators in
 // the entity are costed at the (quantized) density, every other operator
-// ignores it (density 1 is the dense cost). Results are memoized in the
-// plan's eval cache, so per-batch re-evaluations of the same (entity,
-// option, dyn value, density bucket) are map lookups.
+// ignores it (density 1 is the dense cost). Every call evaluates: the cost
+// model is pure and takes about as long as a map lookup of its result.
 func (p *Plan) EvaluateEntityDensity(cfg hw.Config, g *graph.Graph, op *OpPlan, opt *AllocOption, v int, density float64) (costmodel.Eval, error) {
-	c := p.evalCache(cfg)
 	lead := g.Op(op.Lead)
 	var total costmodel.Eval
 	if lead.Kind.IsCompute() && lead.Space[0] > 0 {
@@ -277,20 +253,20 @@ func (p *Plan) EvaluateEntityDensity(cfg hw.Config, g *graph.Graph, op *OpPlan, 
 		if err != nil {
 			return costmodel.Eval{}, err
 		}
-		ev, err := c.EvaluateDensity(lead, k.Blocking, k.CompiledUnits, v, opt.Tiles, p.Policy.RuntimeFitting, density)
+		ev, err := costmodel.EvaluateDensity(cfg, lead, k.Blocking, k.CompiledUnits, v, opt.Tiles, p.Policy.RuntimeFitting, density)
 		if err != nil {
 			return costmodel.Eval{}, err
 		}
 		total = ev
 	} else if lead.Kind.IsCompute() {
-		ev, err := vectorEval(c, p.Policy, lead, opt.Tiles, v, density)
+		ev, err := vectorEval(cfg, p.Policy, lead, opt.Tiles, v, density)
 		if err != nil {
 			return costmodel.Eval{}, err
 		}
 		total = ev
 	}
 	for _, fid := range op.Fused {
-		ev, err := vectorEval(c, p.Policy, g.Op(fid), opt.Tiles, v, density)
+		ev, err := vectorEval(cfg, p.Policy, g.Op(fid), opt.Tiles, v, density)
 		if err != nil {
 			return costmodel.Eval{}, err
 		}
@@ -305,7 +281,7 @@ func (p *Plan) EvaluateEntityDensity(cfg hw.Config, g *graph.Graph, op *OpPlan, 
 // vectorEval costs a vector operator with the trivial unit blocking (vector
 // ops have no compiled shape to mismatch; without runtime fitting they still
 // pay the worst case like everything else on the static baseline).
-func vectorEval(c *costmodel.Cache, pol Policy, op *graph.Op, tiles, v int, density float64) (costmodel.Eval, error) {
+func vectorEval(cfg hw.Config, pol Policy, op *graph.Op, tiles, v int, density float64) (costmodel.Eval, error) {
 	blk := costmodel.Blocking{SplitN: 1, SplitM: 1, NBlk: 1, WeightResident: true}
-	return c.EvaluateDensity(op, blk, op.MaxUnits, v, tiles, pol.RuntimeFitting, density)
+	return costmodel.EvaluateDensity(cfg, op, blk, op.MaxUnits, v, tiles, pol.RuntimeFitting, density)
 }

@@ -115,13 +115,13 @@ func entityOf(ents []*OpPlan) map[string]int {
 }
 
 // Clone returns a copy of the plan that shares no mutable state with the
-// receiver: not the plan-scoped eval cache and its counters, and not the
-// full-kernel on-demand stores. A fleet hands each replica a clone of a
-// shared cached plan so that every replica's cost-model memo and counters
-// stay its own. The clone shares what is immutable or locked: the kernel
-// sets, and the compile memo, so its on-demand compiles reuse every kernel
-// the original's compiler holds. Clone goes when the eval memo moves to the
-// machine that reads it (ROADMAP's "Immutable plans" item, step (a)).
+// receiver: the only such state is the full-kernel on-demand store of each
+// option. A fleet hands each replica a clone of a shared cached plan so that
+// no replica reads kernels another compiled at its own HBM rate. The clone
+// shares what is immutable or locked: the kernel sets, and the compile memo,
+// so its on-demand compiles reuse every kernel the original's compiler holds.
+// Clone goes when the on-demand stores move into the compiler (ROADMAP's
+// "Immutable plans" item).
 func (p *Plan) Clone() *Plan {
 	cp := &Plan{Policy: p.Policy, comp: p.comp}
 	for _, seg := range p.Segments {

@@ -26,7 +26,7 @@ type batcher struct {
 	policy batchPolicy
 	record func(RequestResult)
 
-	queue   []Request
+	queue   fifo
 	samples int
 	rec     *telemetry.Recorder
 	track   telemetry.TrackID
@@ -70,21 +70,21 @@ func newBatcher(setup *core.Setup, policy batchPolicy, record func(RequestResult
 }
 
 // Len returns the number of queued requests.
-func (q *batcher) Len() int { return len(q.queue) }
+func (q *batcher) Len() int { return q.queue.Len() }
 
 // Samples returns the queued samples.
 func (q *batcher) Samples() int { return q.samples }
 
 // HeadArrival returns the oldest queued request's arrival. The queue must
 // not be empty.
-func (q *batcher) HeadArrival() int64 { return q.queue[0].Arrival }
+func (q *batcher) HeadArrival() int64 { return q.queue.Front().Arrival }
 
 // Due applies the dual fire policy to a non-empty queue: fireAt is the head
 // request's queue-wait deadline, and full reports that the batch may fire
 // now regardless — the size cap is reached, or the head is a replayed
 // request, which is always its own batch.
 func (q *batcher) Due() (fireAt int64, full bool) {
-	head := q.queue[0]
+	head := q.queue.Front()
 	return head.Arrival + q.policy.MaxWaitCycles, q.samples >= q.policy.MaxBatch || head.Routing != nil
 }
 
@@ -109,7 +109,7 @@ func (q *batcher) Admit(req Request) {
 		}
 		return
 	}
-	q.queue = append(q.queue, req)
+	q.queue.Push(req)
 	q.samples += req.Samples
 	if q.rec.Enabled() {
 		q.rec.Counter(q.track, "serve", "queue_depth", now, int64(q.samples))
@@ -122,7 +122,7 @@ func (q *batcher) Admit(req Request) {
 // requests past theirs. Returns nil when that empties the queue.
 func (q *batcher) Form(now int64, index int) *formedBatch {
 	slo := q.policy.SLOCycles
-	for len(q.queue) > 0 && slo > 0 && q.queue[0].Arrival+slo <= now {
+	for q.queue.Len() > 0 && slo > 0 && q.queue.Front().Arrival+slo <= now {
 		req := q.pop()
 		q.record(RequestResult{ID: req.ID, Arrival: req.Arrival, Outcome: Shed})
 		if q.rec.Enabled() {
@@ -130,11 +130,11 @@ func (q *batcher) Form(now int64, index int) *formedBatch {
 				telemetry.I("request", int64(req.ID)), telemetry.S("reason", "slo-expired"))
 		}
 	}
-	if len(q.queue) == 0 {
+	if q.queue.Len() == 0 {
 		return nil
 	}
-	f := &formedBatch{headWait: now - q.queue[0].Arrival}
-	if q.queue[0].Routing != nil {
+	f := &formedBatch{headWait: now - q.queue.Front().Arrival}
+	if q.queue.Front().Routing != nil {
 		// Replayed request: its routing is fixed, it is its own batch.
 		req := q.pop()
 		f.reqs = []Request{req}
@@ -142,13 +142,18 @@ func (q *batcher) Form(now int64, index int) *formedBatch {
 		f.Batch = workload.Batch{Index: index, Units: req.Units, Routing: req.Routing, Density: req.Density}
 		return f
 	}
-	for len(q.queue) > 0 && q.queue[0].Routing == nil {
-		if len(f.reqs) > 0 && f.Samples+q.queue[0].Samples > q.policy.MaxBatch {
+	// Count the batch's requests first, so its request list is sized once.
+	live, n := q.queue.Live(), 0
+	for samples := 0; n < len(live) && live[n].Routing == nil; n++ {
+		if n > 0 && samples+live[n].Samples > q.policy.MaxBatch {
 			break
 		}
-		req := q.pop()
-		f.Samples += req.Samples
-		f.reqs = append(f.reqs, req)
+		samples += live[n].Samples
+	}
+	f.reqs = make([]Request, n)
+	for i := range f.reqs {
+		f.reqs[i] = q.pop()
+		f.Samples += f.reqs[i].Samples
 	}
 	// Routing and the density dyn-value are decided at formation time for
 	// the batch's actual size, by the workload's (drifting) generator.
@@ -189,10 +194,9 @@ func (q *batcher) Retire(f *formedBatch, start, done int64) {
 }
 
 // Evict empties the queue without recording outcomes and returns its
-// requests in arrival order.
+// requests in arrival order, in an array the batcher no longer uses.
 func (q *batcher) Evict() []Request {
-	out := q.queue
-	q.queue = nil
+	out := q.queue.Release()
 	q.samples = 0
 	if q.rec.Enabled() {
 		q.rec.Counter(q.track, "serve", "queue_depth", int64(q.setup.M.Now()), 0)
@@ -201,8 +205,56 @@ func (q *batcher) Evict() []Request {
 }
 
 func (q *batcher) pop() Request {
-	req := q.queue[0]
-	q.queue = q.queue[1:]
+	req := q.queue.Pop()
 	q.samples -= req.Samples
 	return req
+}
+
+// fifo is a first-in first-out request queue that keeps its array. Pop
+// advances a head index; Push into a full array whose front is at least
+// half consumed slides the live requests down instead of growing it, so a
+// steady stream stops allocating and Push stays amortized O(1).
+type fifo struct {
+	buf  []Request
+	head int
+}
+
+// Len returns the number of queued requests.
+func (f *fifo) Len() int { return len(f.buf) - f.head }
+
+// Live returns the queued requests in order, aliasing the queue's array:
+// valid until the next Push, Pop or Release.
+func (f *fifo) Live() []Request { return f.buf[f.head:] }
+
+// Front returns the oldest queued request. The queue must not be empty.
+func (f *fifo) Front() *Request { return &f.buf[f.head] }
+
+// Push appends req.
+func (f *fifo) Push(req Request) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && 2*f.head >= len(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, req)
+}
+
+// Pop removes and returns the oldest queued request. The queue must not be
+// empty.
+func (f *fifo) Pop() Request {
+	req := f.buf[f.head]
+	f.buf[f.head] = Request{} // drop the routing reference
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return req
+}
+
+// Release empties the queue and returns its requests in order. The queue
+// gives its array up with them, so the caller may keep or grow the result.
+func (f *fifo) Release() []Request {
+	out := f.buf[f.head:]
+	f.buf, f.head = nil, 0
+	return out
 }

@@ -68,8 +68,8 @@ func (s *Server) step(horizon int64, draining bool) (StepKind, error) {
 	// The next pending arrival bounds every idle jump below: admission
 	// happens at arrival time.
 	nextArr := int64(-1)
-	if len(s.pending) > 0 && (draining || s.pending[0].Arrival <= horizon) {
-		nextArr = s.pending[0].Arrival
+	if s.pending.Len() > 0 && (draining || s.pending.Front().Arrival <= horizon) {
+		nextArr = s.pending.Front().Arrival
 	}
 	if s.batcher.Len() == 0 {
 		switch {

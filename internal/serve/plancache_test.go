@@ -267,30 +267,3 @@ func TestAOTHBMWindowSearchesNothingNew(t *testing.T) {
 		t.Fatalf("AOT bring-up with an HBM window ran %d blocking searches, the healthy one %d", windowed, healthy)
 	}
 }
-
-// TestCostmodelCacheSurfacedInSnapshot pins the satellite: the live plan's
-// cost-model memo counters appear in the snapshot as counters plus a hit-rate
-// gauge.
-func TestCostmodelCacheSurfacedInSnapshot(t *testing.T) {
-	cfg := quickConfig("skipnet")
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Serve(NewSynthetic(60, 30_000, 5, nil)); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Snapshot()
-	hits, okH := snap.Counters["costmodel_cache_hits"]
-	misses, okM := snap.Counters["costmodel_cache_misses"]
-	rate, okR := snap.Gauges["costmodel_cache_hit_rate"]
-	if !okH || !okM || !okR {
-		t.Fatalf("costmodel cache keys missing from snapshot: %v", snap.Counters)
-	}
-	if hits+misses > 0 {
-		want := float64(hits) / float64(hits+misses)
-		if rate != want {
-			t.Fatalf("hit rate gauge %v, want %v", rate, want)
-		}
-	}
-}

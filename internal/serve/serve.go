@@ -368,7 +368,7 @@ type Server struct {
 	pcache *plancache.Cache // nil with the plan cache disabled
 
 	batcher      *batcher
-	pending      []Request    // enqueued by a fleet router, not yet admitted
+	pending      fifo         // enqueued by a fleet router, not yet admitted
 	inflight     []*pipeEntry // submitted, unretired batches
 	rep          *Report
 	sinceResched int
@@ -500,7 +500,7 @@ func (s *Server) Begin() {
 // reaches its arrival time — which requires a StepTo call whose horizon
 // covers it. Requests must be enqueued in non-decreasing arrival order.
 func (s *Server) Enqueue(req Request) {
-	s.pending = append(s.pending, req)
+	s.pending.Push(req)
 }
 
 // StepTo advances the serving loop until every action whose decision time
@@ -556,13 +556,8 @@ func (s *Server) Finish() *Report {
 // clock; a caller arbitrating several sessions on a shared clock admits
 // through it before testing readiness with NextFire.
 func (s *Server) Admit(now int64) {
-	i := 0
-	for i < len(s.pending) && s.pending[i].Arrival <= now {
-		s.batcher.Admit(s.pending[i])
-		i++
-	}
-	if i > 0 {
-		s.pending = s.pending[i:]
+	for s.pending.Len() > 0 && s.pending.Front().Arrival <= now {
+		s.batcher.Admit(s.pending.Pop())
 	}
 }
 
@@ -590,7 +585,7 @@ func (s *Server) ContextSwitch() error {
 // samples plus enqueued-but-unadmitted pending samples.
 func (s *Server) QueuedSamples() int {
 	n := s.batcher.Samples()
-	for _, req := range s.pending {
+	for _, req := range s.pending.Live() {
 		if req.Samples > 0 {
 			n += req.Samples
 		} else {
@@ -601,7 +596,7 @@ func (s *Server) QueuedSamples() int {
 }
 
 // HasWork reports whether any request is still queued or pending.
-func (s *Server) HasWork() bool { return s.batcher.Len() > 0 || len(s.pending) > 0 }
+func (s *Server) HasWork() bool { return s.batcher.Len() > 0 || s.pending.Len() > 0 }
 
 // AdmittedSamples returns the samples in the admission queue (enqueued
 // requests not yet admitted excluded).
@@ -701,9 +696,7 @@ func (s *Server) EvictQueued() []Request {
 		}
 		s.inflight = nil
 	}
-	out := append(s.batcher.Evict(), s.pending...)
-	s.pending = nil
-	return out
+	return append(s.batcher.Evict(), s.pending.Release()...)
 }
 
 // maybeReschedule re-plans when the live profile has drifted past the
@@ -723,9 +716,7 @@ func (s *Server) maybeReschedule() error {
 		// One instant per drift check, whether or not it fires: every branch
 		// statistic the detector maxes over, the threshold, and what the
 		// check decided. A trace therefore shows which statistic pushed a
-		// re-plan — and how close the quiet checks came. The cost-model
-		// memo counters ride along at the same cadence, so a trace also
-		// shows how effectively the live plan's evaluations are cached.
+		// re-plan — and how close the quiet checks came.
 		ts := int64(s.setup.M.Now())
 		s.rec.Instant(s.driftTrack, "drift", "drift-eval", ts,
 			telemetry.F("share", share), telemetry.F("active", active),
@@ -742,9 +733,6 @@ func (s *Server) maybeReschedule() error {
 				telemetry.F("base_density", s.det.base.Density),
 				telemetry.F("density_drift", density))
 		}
-		ch, cm := s.setup.Plan.CacheStats()
-		s.rec.Counter(s.driftTrack, "drift", "costmodel_hits", ts, ch)
-		s.rec.Counter(s.driftTrack, "drift", "costmodel_misses", ts, cm)
 	}
 	if !triggered {
 		return nil

@@ -14,7 +14,7 @@ import (
 // snapshots and telemetry traces at any GOMAXPROCS. These complement the
 // older string-compare determinism tests with full-surface coverage (the
 // snapshot and trace catch divergences the outcome log alone cannot, e.g.
-// cost-model memo counters).
+// machine traffic counters).
 
 // TestServeHeadlineByteStable re-runs a scaled copy of the drift headline
 // (drift-triggered re-scheduling on a drifting moe mix) across host

@@ -41,16 +41,6 @@ func (s *Server) Snapshot() Snapshot {
 		"hbm_utilization":     m.HBMUtilization(),
 		"drift_divergence":    s.det.Divergence(),
 	}
-	// Cost-model memo effectiveness of the live plan: hit rate as a gauge
-	// (it moves with every plan swap), raw totals as counters.
-	ch, cm := s.setup.Plan.CacheStats()
-	c["costmodel_cache_hits"] = ch
-	c["costmodel_cache_misses"] = cm
-	if ch+cm > 0 {
-		g["costmodel_cache_hit_rate"] = float64(ch) / float64(ch+cm)
-	} else {
-		g["costmodel_cache_hit_rate"] = 0
-	}
 	if s.pcache != nil {
 		st := s.pcache.Stats()
 		c["plan_cache_exact_hits"] = st.ExactHits

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"reflect"
@@ -100,19 +101,19 @@ func TestStreamReuseMatchesGolden(t *testing.T) {
 // TestReloadSamePlanKeepsTemplates: loading the plan that is already
 // loaded, on the config it was compiled for, keeps every segment template,
 // so the machine's pooled jobs stay wired to them; loading a copy of the
-// plan recompiles everything, and the pool survives that load too. The
-// stream that follows the reload matches one that follows the recompiling
-// load.
+// plan (an Encode/DecodePlan round trip: same content, distinct pointer)
+// recompiles everything, and the pool survives that load too. The stream
+// that follows the reload matches one that follows the recompiling load.
 func TestReloadSamePlanKeepsTemplates(t *testing.T) {
-	// run streams two depth-4 windows with a load of next(plan) between
-	// them, and reports whether that load kept each template, whether it
-	// kept the machine's pool, and whether the pooled jobs are still wired
-	// to the loaded templates.
-	run := func(next func(*sched.Plan) *sched.Plan) (lat []BatchLatency, st Stats, kept, pooled, wired bool) {
+	// run streams two depth-4 windows with a load of next(m) between them,
+	// and reports whether that load kept each template, whether it kept the
+	// machine's pool, and whether the pooled jobs are still wired to the
+	// loaded templates.
+	run := func(next func(*Machine) *sched.Plan) (lat []BatchLatency, st Stats, kept, pooled, wired bool) {
 		m, trace := streamMachine(t, "moe", 16, 16)
 		streamWindow(t, m, trace[:8], 40_000)
 		before, pool := maps.Clone(m.dags), slices.Clone(m.free)
-		if err := m.LoadPlan(next(m.plan)); err != nil {
+		if err := m.LoadPlan(next(m)); err != nil {
 			t.Fatal(err)
 		}
 		kept = true
@@ -126,19 +127,29 @@ func TestReloadSamePlanKeepsTemplates(t *testing.T) {
 		streamWindow(t, m, trace[8:], 40_000)
 		return m.Latencies(), m.Stats(), kept, pooled, wired
 	}
-	sameLat, same, kept, pooled, wired := run(func(p *sched.Plan) *sched.Plan { return p })
+	sameLat, same, kept, pooled, wired := run(func(m *Machine) *sched.Plan { return m.plan })
 	if !kept || !pooled || !wired {
 		t.Fatalf("same-plan reload: templates kept %v, pool kept %v, pooled jobs wired %v; want all", kept, pooled, wired)
 	}
-	cloneLat, clone, kept, pooled, wired := run((*sched.Plan).Clone)
+	copyLat, copied, kept, pooled, wired := run(func(m *Machine) *sched.Plan {
+		var buf bytes.Buffer
+		if err := m.plan.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		p, err := sched.DecodePlan(&buf, m.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	})
 	if kept || wired {
 		t.Fatalf("loading a copy of the plan kept the old templates (%v) or its pooled jobs' wiring (%v)", kept, wired)
 	}
 	if !pooled {
 		t.Fatal("loading a copy of the plan dropped the machine's pool")
 	}
-	if !reflect.DeepEqual(sameLat, cloneLat) || !reflect.DeepEqual(same, clone) {
-		t.Fatalf("same-plan reload diverges from a recompiling one:\n same:  %+v\n clone: %+v", same, clone)
+	if !reflect.DeepEqual(sameLat, copyLat) || !reflect.DeepEqual(same, copied) {
+		t.Fatalf("same-plan reload diverges from a recompiling one:\n same:  %+v\n copy:  %+v", same, copied)
 	}
 	if same.Reconfigs != 1 {
 		t.Fatalf("same-plan reload charged %d reconfigurations, want 1", same.Reconfigs)

@@ -499,30 +499,15 @@ func (c *Cache) evictOldest() {
 // tells the caller what to charge — a miss costs a host-side solve, a hit
 // only the plan swap. origin tags the requester (a replica name in a fleet,
 // "" elsewhere): misses store the solved plan under that origin, and hits
-// on another origin's entry count in Stats.SharedHits. The cache mutex is
-// held across the fresh solve, so concurrent misses on one key serialize
-// instead of double-solving.
+// on another origin's entry count in Stats.SharedHits. Every hit returns the
+// stored plan itself: plans are immutable, so replicas share one freely. The
+// cache mutex is held across the fresh solve, so concurrent misses on one
+// key serialize instead of double-solving.
 func (c *Cache) GetOrScheduleFor(origin string, cfg hw.Config, comp *sched.Compiler, pol sched.Policy, prof *profiler.Profiler) (*sched.Plan, HitKind, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := c.keyer.makeKey(cfg, pol, prof)
 	if e, kind := c.lookup(k, origin); kind != Miss {
-		if origin != "" {
-			// Copy-on-hit for fleet origins: a full-kernel *sched.Plan
-			// fills an on-demand kernel store per option as it runs, and
-			// compiles each kernel at the running machine's HBM rate. Two
-			// replicas on different rates sharing one plan object would
-			// therefore read each other's kernels, and outcomes could
-			// move. Cross-origin hits are the obvious case; self-hits need
-			// it too, because a PutFor refresh on an identical fingerprint
-			// swaps another replica's live plan into this origin's entry
-			// (identity, including origin, is kept on refresh). Cloning
-			// every fleet hit hands each replica private stores. The clone
-			// goes when those stores move into the compiler (ROADMAP's
-			// "Immutable plans" item). The non-fleet paths (origin ""
-			// everywhere) keep the stored pointer.
-			return e.plan.Clone(), kind, nil
-		}
 		return e.plan, kind, nil
 	}
 	plan, err := comp.Schedule(cfg, pol, prof)

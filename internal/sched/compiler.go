@@ -16,9 +16,12 @@ import (
 // periodic and drift re-plans — and every on-demand full-kernel compile of
 // the plans it produced looks kernels up here, so each (hardware config,
 // shape class, dyn value, tiles) blocking search runs once per compiler
-// instead of once per solve and per operator. A fleet's replicas and an
-// mtserve's same-model tenants bring up on one graph and share its compiler,
-// whatever their configs: the memo keys on the config.
+// instead of once per solve and per operator. It is also the full-kernel
+// ideal's kernel store: a full-kernel plan holds no kernels of its own, and
+// each lookup picks its candidate at the caller's HBM rate, so plans stay
+// immutable. A fleet's replicas and an mtserve's same-model tenants bring up
+// on one graph and share its compiler, whatever their configs: the memo
+// keys on the config.
 //
 // A shape class groups the graph's operators whose blocking search reads
 // equal fields (see shapeOf), so same-shape operators — MoE's experts — share
@@ -27,7 +30,7 @@ import (
 // are indexed by graph.OpID, which is only unique within one graph. A
 // Compiler is safe for concurrent use: one mutex guards Schedule and the
 // on-demand full-kernel path, so plans sharing it may run on different
-// goroutines. Decoded plans get a private Compiler on first use.
+// goroutines. DecodePlan binds a fresh Compiler to each decoded plan.
 type Compiler struct {
 	g *graph.Graph
 	// class holds, per operator, the lowest operator ID of its shape class.
@@ -141,7 +144,7 @@ func (c *Compiler) Len() int {
 
 // Schedule solves a plan for the compiler's graph exactly like the
 // package-level Schedule, compiling kernels through the memo. The plan keeps
-// the compiler for its own on-demand compiles.
+// the compiler for its full-kernel on-demand compiles.
 func (c *Compiler) Schedule(cfg hw.Config, pol Policy, prof *profiler.Profiler) (*Plan, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, err

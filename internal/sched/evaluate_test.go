@@ -9,8 +9,8 @@ import (
 	"repro/internal/kernels"
 )
 
-// uncachedKernel is the kernel the dispatcher selects for v, with dense
-// options compiled straight through kernels.Generate.
+// uncachedKernel is the kernel the dispatcher selects for v, with
+// full-kernel options compiled straight through kernels.Generate.
 func uncachedKernel(cfg hw.Config, op *graph.Op, opt *AllocOption, v int) (*kernels.Kernel, error) {
 	if opt.set != nil {
 		return opt.set.Select(v)
@@ -101,5 +101,63 @@ func TestEvaluateEntityCachedMatchesUncached(t *testing.T) {
 				t.Fatalf("%s %s: some cost moved with density = %v, want %v", model, polName, sparse, want)
 			}
 		}
+	}
+}
+
+// TestFullKernelChosenAtLiveHBMRate pins the full-kernel rule: a full-kernel
+// option's kernel for v is the plan's compiler's kernel for v on the config
+// it runs on, picked at that config's HBM rate, whichever config asked
+// first. Two derates alternate over one plan; at each, EvaluateEntityDensity
+// must cost the entity at the kernel Compiler.compile returns on that
+// config, and some kernel must differ between the two rates, or the check
+// compares nothing.
+func TestFullKernelChosenAtLiveHBMRate(t *testing.T) {
+	plan, w, _ := scheduleModel(t, "tutel-moe", FullKernelIdeal(), 16)
+	g := w.Graph
+	healthy, slow := hw.Default(), hw.Default()
+	slow.HBMDerate = 0.05
+	flips := 0
+	for _, seg := range plan.Segments {
+		for _, op := range seg.Entities {
+			lead := g.Op(op.Lead)
+			if lead.Space[0] == 0 {
+				continue
+			}
+			for _, opt := range op.Options {
+				for _, v := range []int{1, lead.MaxUnits / 2, lead.MaxUnits} {
+					var picked [2]*kernels.Kernel
+					for i, cfg := range []hw.Config{slow, healthy, slow, healthy} {
+						got, err := plan.EvaluateEntityDensity(cfg, g, op, opt, v, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := referenceEvaluateEntity(cfg, g, plan.Policy, op, opt, v, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Fatalf("%s v=%d tiles=%d derate %v: costs %+v, want %+v", lead.Name, v, opt.Tiles, cfg.HBMDerate, got, want)
+						}
+						k, err := plan.comp.compile(cfg, lead, max(v, 1), opt.Tiles)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if sel, _ := opt.kernel(plan, cfg, lead, v); sel != k {
+							t.Fatalf("%s v=%d tiles=%d derate %v: selected a kernel other than the compiler's", lead.Name, v, opt.Tiles, cfg.HBMDerate)
+						}
+						if prev := picked[i%2]; prev != nil && prev != k {
+							t.Fatalf("%s v=%d tiles=%d derate %v: the compiler's kernel changed between visits", lead.Name, v, opt.Tiles, cfg.HBMDerate)
+						}
+						picked[i%2] = k
+					}
+					if picked[0].Blocking != picked[1].Blocking {
+						flips++
+					}
+				}
+			}
+		}
+	}
+	if flips == 0 {
+		t.Fatal("no full kernel differs between the two HBM rates; the check compares nothing")
 	}
 }

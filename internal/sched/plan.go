@@ -12,6 +12,8 @@ import (
 // Plan is a complete scheduled dataflow scheme: what gets loaded onto the
 // accelerator. Segments execute one after another; within a segment,
 // operators run pipelined on disjoint (or deliberately shared) tile groups.
+// A solved or decoded plan is immutable, so any number of machines may run
+// one plan concurrently.
 type Plan struct {
 	// Policy is the scheduling policy the plan was solved under; its bits
 	// also select the machine's runtime behaviour (e.g. runtime fitting).
@@ -19,19 +21,10 @@ type Plan struct {
 	// Segments lists the plan's segments in execution order.
 	Segments []*Segment
 
-	// comp is the compile memo the plan was solved through; on-demand
-	// full-kernel compiles reuse it, and clones keep it. Decoded plans start
-	// without one and get a private compiler on first use.
+	// comp is the compile memo of the plan's graph: the one it was solved
+	// through, or a fresh one bound by DecodePlan. Full-kernel options
+	// compile their kernels on demand through it.
 	comp *Compiler
-}
-
-// compiler returns the plan's compile memo, creating a private one for g on
-// first use.
-func (p *Plan) compiler(g *graph.Graph) *Compiler {
-	if p.comp == nil {
-		p.comp = NewCompiler(g)
-	}
-	return p.comp
 }
 
 // CacheStats returns (0, 0). Plans keep no eval memo: every entity is
@@ -93,38 +86,23 @@ type OpPlan struct {
 type AllocOption struct {
 	// Tiles is how many tiles the entity occupies under this option.
 	Tiles int
-	// set holds the sampled kernels (nil under FullKernel, where kernels are
-	// compiled on demand and memoized in dense).
-	set   *kernels.Set
-	dense map[int]*kernels.Kernel
+	// set holds the sampled kernels (nil under FullKernel, where every dyn
+	// value's kernel is compiled on demand through the plan's compiler).
+	set *kernels.Set
 }
 
 // kernel returns the kernel the dispatcher would select for the actual dyn
-// value v. Under the full-kernel policy it compiles on demand through the
-// plan's compile memo.
-func (o *AllocOption) kernel(p *Plan, g *graph.Graph, cfg hw.Config, op *graph.Op, v int) (*kernels.Kernel, error) {
+// value v. Under the full-kernel policy it is the compiler's kernel for v on
+// cfg, chosen at cfg's HBM rate.
+func (o *AllocOption) kernel(p *Plan, cfg hw.Config, op *graph.Op, v int) (*kernels.Kernel, error) {
 	if o.set != nil {
 		return o.set.Select(v)
 	}
-	if v < 1 {
-		v = 1
-	}
-	if k, ok := o.dense[v]; ok {
-		return k, nil
-	}
-	k, err := p.compiler(g).compile(cfg, op, v, o.Tiles)
-	if err != nil {
-		return nil, err
-	}
-	if o.dense == nil {
-		o.dense = map[int]*kernels.Kernel{}
-	}
-	o.dense[v] = k
-	return k, nil
+	return p.comp.compile(cfg, op, max(v, 1), o.Tiles)
 }
 
-// KernelCount reports how many kernels the option stores on-chip (0 for the
-// idealized dense store, which the paper treats as unbounded).
+// KernelCount reports how many kernels the option stores on-chip (0 under
+// the full-kernel ideal, whose store the paper treats as unbounded).
 func (o *AllocOption) KernelCount() int {
 	if o.set == nil {
 		return 0
@@ -132,7 +110,8 @@ func (o *AllocOption) KernelCount() int {
 	return o.set.Len()
 }
 
-// Values returns the stored kernel values (nil for dense options).
+// StoredValues returns the stored kernel values (nil under the full-kernel
+// ideal).
 func (o *AllocOption) StoredValues() []int {
 	if o.set == nil {
 		return nil
@@ -218,7 +197,7 @@ func (p *Plan) Validate(cfg hw.Config, g *graph.Graph) error {
 				}
 			}
 			// Per-operator kernel storage must respect the budget the
-			// hardware reserves (except the idealized dense store).
+			// hardware reserves (except the full-kernel ideal's).
 			if !p.Policy.FullKernel {
 				stored := 0
 				for _, o := range op.Options {
@@ -249,7 +228,7 @@ func (p *Plan) EvaluateEntityDensity(cfg hw.Config, g *graph.Graph, op *OpPlan, 
 	lead := g.Op(op.Lead)
 	var total costmodel.Eval
 	if lead.Kind.IsCompute() && lead.Space[0] > 0 {
-		k, err := opt.kernel(p, g, cfg, lead, v)
+		k, err := opt.kernel(p, cfg, lead, v)
 		if err != nil {
 			return costmodel.Eval{}, err
 		}

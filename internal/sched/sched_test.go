@@ -245,7 +245,7 @@ func TestMTileSingleWorstCaseKernel(t *testing.T) {
 			if len(p.Options) != 1 {
 				t.Fatalf("M-tile entity %s has %d options", lead.Name, len(p.Options))
 			}
-			k, err := p.Options[0].kernel(plan, w.Graph, cfg, lead, lead.MaxUnits)
+			k, err := p.Options[0].kernel(plan, cfg, lead, lead.MaxUnits)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +268,7 @@ func TestFullKernelCompilesOnDemand(t *testing.T) {
 			if lead.Space[0] == 0 || !lead.Dynamic {
 				continue
 			}
-			k, err := p.Options[0].kernel(plan, w.Graph, cfg, lead, 13)
+			k, err := p.Options[0].kernel(plan, cfg, lead, 13)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,9 +276,9 @@ func TestFullKernelCompilesOnDemand(t *testing.T) {
 				t.Fatalf("full-kernel must match exactly: compiled %d for actual 13", k.CompiledUnits)
 			}
 			// Memoized on second call.
-			k2, _ := p.Options[0].kernel(plan, w.Graph, cfg, lead, 13)
+			k2, _ := p.Options[0].kernel(plan, cfg, lead, 13)
 			if k2 != k {
-				t.Fatal("dense kernel store must memoize")
+				t.Fatal("the plan's compiler must memoize full kernels")
 			}
 			return
 		}

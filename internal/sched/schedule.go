@@ -506,7 +506,7 @@ func compileEntity(cfg hw.Config, km *kernelMemo, pol Policy, prof *profiler.Pro
 		return nil // vector entity: costed directly, no kernel store
 	}
 	if pol.FullKernel {
-		return nil // dense on-demand store
+		return nil // kernels compiled on demand through the plan's compiler
 	}
 	p.Values = kernelValues(cfg, pol, lead, prof.Freq(lead.ID), len(p.Options), p.Partner != graph.None)
 	for _, o := range p.Options {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"slices"
 	"strconv"
 
 	"repro/internal/graph"
@@ -114,37 +113,9 @@ func entityOf(ents []*OpPlan) map[string]int {
 	return m
 }
 
-// Clone returns a copy of the plan that shares no mutable state with the
-// receiver: the only such state is the full-kernel on-demand store of each
-// option. A fleet hands each replica a clone of a shared cached plan so that
-// no replica reads kernels another compiled at its own HBM rate. The clone
-// shares what is immutable or locked: the kernel sets, and the compile memo,
-// so its on-demand compiles reuse every kernel the original's compiler holds.
-// Clone goes when the on-demand stores move into the compiler (ROADMAP's
-// "Immutable plans" item).
-func (p *Plan) Clone() *Plan {
-	cp := &Plan{Policy: p.Policy, comp: p.comp}
-	for _, seg := range p.Segments {
-		s := *seg
-		s.Ops = slices.Clone(seg.Ops)
-		s.Entities = make([]*OpPlan, len(seg.Entities))
-		for i, op := range seg.Entities {
-			o := *op
-			o.Fused = slices.Clone(op.Fused)
-			o.Values = slices.Clone(op.Values)
-			o.Options = make([]*AllocOption, len(op.Options))
-			for i, opt := range op.Options {
-				o.Options[i] = &AllocOption{Tiles: opt.Tiles, set: opt.set}
-			}
-			s.Entities[i] = &o
-		}
-		cp.Segments = append(cp.Segments, &s)
-	}
-	return cp
-}
-
 // DecodePlan reads a plan previously written by Encode, rebinding it to the
-// graph it was scheduled for.
+// graph it was scheduled for. The plan gets a fresh compile memo of g for
+// its full-kernel compiles.
 func DecodePlan(r io.Reader, g *graph.Graph) (*Plan, error) {
 	var in planJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -254,5 +225,6 @@ func DecodePlan(r io.Reader, g *graph.Graph) (*Plan, error) {
 		}
 		p.Segments = append(p.Segments, seg)
 	}
+	p.comp = NewCompiler(g)
 	return p, nil
 }

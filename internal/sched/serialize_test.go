@@ -161,7 +161,8 @@ func TestFullKernelPlanSerializesWithoutBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dense options come back dense: compiled on demand.
+	// Full-kernel options come back without kernels: the decoded plan's
+	// compiler compiles them on demand.
 	cfg := hw.Default()
 	for _, seg := range dec.Segments {
 		for _, op := range seg.Entities {
@@ -170,12 +171,12 @@ func TestFullKernelPlanSerializesWithoutBlobs(t *testing.T) {
 			if !leadOp.Dynamic || leadOp.Space[0] == 0 {
 				continue
 			}
-			k, err := op.Options[0].kernel(dec, w.Graph, cfg, leadOp, 5)
+			k, err := op.Options[0].kernel(dec, cfg, leadOp, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if k.CompiledUnits != 5 {
-				t.Fatalf("dense option must compile exactly: %d", k.CompiledUnits)
+				t.Fatalf("full-kernel option must compile exactly: %d", k.CompiledUnits)
 			}
 			return
 		}
